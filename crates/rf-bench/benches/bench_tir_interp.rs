@@ -1,10 +1,12 @@
 //! Criterion benchmark: scalar-IR interpretation of the unfused vs fused
-//! attention-row kernels (the rf-tir reference pipeline).
+//! attention-row kernels (the rf-tir reference pipeline). The tile-VM
+//! (`rf_tile::exec`) is not measured here; its numbers come from the `perf`
+//! binary's `exec_prefill` / `exec_decode` workloads.
 use criterion::{criterion_group, criterion_main, Criterion};
 use rf_tir::{builder, detect_cascade, generate_fused, Interpreter};
 use std::collections::HashMap;
 
-fn bench_tile_interp(c: &mut Criterion) {
+fn bench_tir_interp(c: &mut Criterion) {
     let kv = 512;
     let unfused = builder::unfused_attention_row(kv);
     let detected = detect_cascade(&unfused).unwrap();
@@ -32,5 +34,5 @@ fn bench_tile_interp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tile_interp);
+criterion_group!(benches, bench_tir_interp);
 criterion_main!(benches);

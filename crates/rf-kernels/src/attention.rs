@@ -31,12 +31,13 @@ pub fn attention_scores(q: &Matrix, k: &Matrix, scale: f64) -> Matrix {
     );
     let mut scores = Matrix::zeros(q.rows(), k.rows());
     for i in 0..q.rows() {
-        for j in 0..k.rows() {
-            let mut dot = 0.0;
-            for d in 0..q.cols() {
-                dot += q.get(i, d) * k.get(j, d);
-            }
-            scores.set(i, j, dot * scale);
+        let q_row = q.row(i);
+        for (j, slot) in scores.row_mut(i).iter_mut().enumerate() {
+            let dot = q_row
+                .iter()
+                .zip(k.row(j))
+                .fold(0.0, |dot, (&a, &b)| dot + a * b);
+            *slot = dot * scale;
         }
     }
     scores

@@ -10,11 +10,9 @@
 //! A program is executable when it carries an [`ExecBinding`]: the reduction
 //! semantics of its cascade plus the **clamped** loop extents the lowering
 //! baked in (rows per block tile, reduction-axis elements per main-loop
-//! iteration, number of axis segments from the Multi-Segment strategy). The VM
-//! mirrors the launch structure of the generated kernel exactly:
+//! iteration, number of axis segments from the Multi-Segment strategy). Every
+//! output row goes through the generated kernel's template:
 //!
-//! * **grid** — independent output rows are processed in block tiles of
-//!   [`ExecBinding::block_rows`] rows (one simulated thread block each);
 //! * **segments** — the shared reduction axis is split into
 //!   [`ExecBinding::segments`] contiguous ranges. Each segment produces a
 //!   partial reduction state, exactly like the Multi-Segment strategy's
@@ -23,24 +21,46 @@
 //!   [`ExecBinding::block_axis`] elements. Every tile goes through the
 //!   paper's three-step fused reduction template: **store** the previous
 //!   running state, **correct** the dependent accumulators for the state
-//!   change, **reduce** the new tile into the running state;
+//!   change, **reduce** the new tile into the running state. The plain sums of
+//!   variance and inertia have no correct step, so a tile boundary cannot show
+//!   in them and their loop runs straight through the segment;
 //! * **combine kernel** — when segments > 1 the per-segment partials are
 //!   merged with the level-`k` fused combine expression (Eq. 31 for softmax
 //!   statistics, plain addition for group-like reductions, a rescaling merge
 //!   for the FP8 accumulators);
 //! * **epilogue** — the finalisation that the generated kernel's epilogue
 //!   performs (normalisation, variance/inertia closed forms, de-quantisation,
-//!   top-k probability extraction).
+//!   top-k probability extraction). Softmax keeps each tile's exponentials in
+//!   the output while it reduces, so its epilogue is the correct step applied
+//!   to the stored tile — one exponential per tile — fused with the
+//!   normalisation.
 //!
-//! The VM is deterministic: for a fixed program and input it performs the same
-//! floating-point operations in the same order on every run. Different tuning
-//! points change the association order of the reductions (that is exactly what
-//! tiling does on hardware), so outputs across tuning points agree to rounding
-//! error — never more. The one intentional exception is FP8 quant + GEMM,
-//! where early tiles are quantised under a provisional scale (Eq. 21–22);
-//! there the tile size moves results within the quantisation noise floor, the
-//! same behaviour the hand-written fused kernel and the real generated kernel
-//! exhibit.
+//! The loop nest that runs is **row → segment → tile** (variance walks four
+//! rows abreast). FP8 quant + GEMM alone runs **row block → segment → tile →
+//! row**, [`ExecBinding::block_rows`] rows per block: its weight matrix is the
+//! one operand that every row reads and that outgrows the cache, and in this
+//! order a weight tile is fetched once per block while the block's
+//! accumulators stay resident. Attention's K and V are shared too, but a
+//! block's `(row, segment)` partials would outweigh them. Inner loops run
+//! over row slices with several independent accumulation chains (`dot_rows`,
+//! `add_scaled_rows`), and nothing is allocated per row, segment or tile: a
+//! call sizes its scratch once.
+//!
+//! # Determinism
+//!
+//! For a fixed program and input the VM performs the same floating-point
+//! operations in the same order on every run. The order in which one output
+//! adds up its terms is fixed by the tuning point's `block_axis` and
+//! `segments` — ascending along the axis inside a tile, tiles in order,
+//! segment partials merged in order — and is **independent of `block_rows`**,
+//! so a request split by rows across calls (row-sharded serving) concatenates
+//! to the bits of the unsplit run. Different tuning points change the
+//! association order of the reductions (that is exactly what tiling does on
+//! hardware), so outputs across tuning points agree to rounding error — never
+//! more. The one intentional exception is FP8 quant + GEMM, where early tiles
+//! are quantised under a provisional scale (Eq. 21–22); there the tile size
+//! moves results within the quantisation noise floor, the same behaviour the
+//! hand-written fused kernel and the real generated kernel exhibit.
 //!
 //! Inputs are borrowed views ([`ExecInput`]) so the serving hot path never
 //! copies a tensor; outputs ([`ExecOutput`]) are owned.
@@ -380,10 +400,10 @@ pub fn execute_profiled(
 fn loop_extents(axis_len: usize, segments: usize, block_axis: usize) -> (u64, u64) {
     let ranges = segment_ranges(axis_len, segments);
     let tiles: usize = ranges
-        .iter()
-        .map(|&(start, end)| tile_ranges(start, end, block_axis).len())
+        .clone()
+        .map(|(start, end)| chunks(start, end, block_axis).count())
         .sum();
-    (tiles as u64, ranges.len() as u64)
+    (tiles as u64, ranges.count() as u64)
 }
 
 /// The deterministic per-op counts of one execution: which template ops ran,
@@ -569,33 +589,75 @@ fn shape_err(program: &str, detail: impl Into<String>) -> ExecError {
     }
 }
 
+/// The contiguous pieces of `[start, end)` that are `step` elements long (the
+/// last one shorter): the main-loop tiles of a segment.
+fn chunks(start: usize, end: usize, step: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    let step = step.max(1);
+    (start..end)
+        .step_by(step)
+        .map(move |piece| (piece, (piece + step).min(end)))
+}
+
 /// The contiguous `[start, end)` axis ranges of the Multi-Segment split:
 /// `ceil(axis_len / segments)` elements per segment, empty trailing segments
 /// dropped (the lowering launches no blocks for them either).
-fn segment_ranges(axis_len: usize, segments: usize) -> Vec<(usize, usize)> {
+fn segment_ranges(
+    axis_len: usize,
+    segments: usize,
+) -> impl Iterator<Item = (usize, usize)> + Clone {
     let segments = segments.clamp(1, axis_len.max(1));
-    let per_segment = axis_len.div_ceil(segments);
-    (0..segments)
-        .filter_map(|s| {
-            let start = s * per_segment;
-            let end = ((s + 1) * per_segment).min(axis_len);
-            (start < end).then_some((start, end))
-        })
-        .collect()
+    chunks(0, axis_len, axis_len.div_ceil(segments))
 }
 
-/// The main-loop tile ranges of one segment.
-fn tile_ranges(start: usize, end: usize, block_axis: usize) -> Vec<(usize, usize)> {
-    let block = block_axis.max(1);
-    (start..end)
-        .step_by(block)
-        .map(|tile_start| (tile_start, (tile_start + block).min(end)))
-        .collect()
+/// `out[i] = x · rows[i]`, every dot product adding its terms in ascending
+/// column order. Four rows share one pass over `x`: a single dot product is
+/// one chain of dependent additions, four of them keep the adder busy.
+fn dot_rows<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
+    let n = x.len();
+    let mut quads = out.chunks_exact_mut(4);
+    for quad in &mut quads {
+        let mut next = || &rows.next().expect("one row per output")[..n];
+        let (r0, r1, r2, r3) = (next(), next(), next(), next());
+        let mut dots = [0.0f64; 4];
+        for ((((&xt, &a), &b), &c), &d) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            dots[0] += xt * a;
+            dots[1] += xt * b;
+            dots[2] += xt * c;
+            dots[3] += xt * d;
+        }
+        quad.copy_from_slice(&dots);
+    }
+    for (slot, row) in quads.into_remainder().iter_mut().zip(rows) {
+        *slot = x.iter().zip(row).fold(0.0, |dot, (&xt, &a)| dot + xt * a);
+    }
 }
 
-/// Row-block tiles of the simulated grid (one per thread block).
-fn row_blocks(rows: usize, block_rows: usize) -> Vec<(usize, usize)> {
-    tile_ranges(0, rows, block_rows)
+/// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
+/// adding its terms in the order they arrive. Four terms share one pass over
+/// `acc`, so it is loaded and stored once per four rows; the inner loop runs
+/// over contiguous slices and vectorises across `j`.
+fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
+    let n = acc.len();
+    let mut terms = terms.map(|(c, row)| (c, &row[..n])).fuse();
+    loop {
+        match [terms.next(), terms.next(), terms.next(), terms.next()] {
+            [Some((c0, r0)), Some((c1, r1)), Some((c2, r2)), Some((c3, r3))] => {
+                for ((((slot, &v0), &v1), &v2), &v3) in
+                    acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
+                {
+                    *slot = (((*slot + c0 * v0) + c1 * v1) + c2 * v2) + c3 * v3;
+                }
+            }
+            rest => {
+                for (c, row) in rest.into_iter().flatten() {
+                    for (slot, &a) in acc.iter_mut().zip(row) {
+                        *slot += c * a;
+                    }
+                }
+                return;
+            }
+        }
+    }
 }
 
 /// Running online-softmax statistics: the fused max / rescaled-sum pair.
@@ -611,6 +673,24 @@ impl OnlineStats {
             max: BinaryOp::Max.identity(),
             sum: BinaryOp::Add.identity(),
         }
+    }
+
+    /// Store → correct: raises the running maximum to cover `tile_max`,
+    /// rescales the running sum to it and returns the factor that brings any
+    /// other accumulator kept under the previous maximum along. While nothing
+    /// finite has been seen the factor is 0, not `exp(-inf − -inf)`; the
+    /// caller skips the reduce step while the maximum is still `-inf`, so a
+    /// fully masked prefix contributes nothing.
+    fn advance(&mut self, tile_max: f64) -> f64 {
+        let new_max = BinaryOp::Max.apply(self.max, tile_max);
+        let correction = if self.max == f64::NEG_INFINITY {
+            0.0
+        } else {
+            (self.max - new_max).exp()
+        };
+        self.sum *= correction;
+        self.max = new_max;
+        correction
     }
 
     /// The level-`k` fused combine of two disjoint segments (Eq. 31).
@@ -630,58 +710,85 @@ impl OnlineStats {
     }
 }
 
-/// Softmax statistics of one row over `[start, end)`, consumed tile by tile
-/// with the store → correct → reduce template.
-fn softmax_segment_stats(
-    row: &[f64],
-    (start, end): (usize, usize),
-    block_axis: usize,
-) -> OnlineStats {
-    let mut stats = OnlineStats::identity();
-    for (tile_start, tile_end) in tile_ranges(start, end, block_axis) {
-        // Store: snapshot the previous running maximum.
-        let prev_max = stats.max;
-        let tile = &row[tile_start..tile_end];
-        let tile_max = tile
-            .iter()
-            .copied()
-            .fold(BinaryOp::Max.identity(), f64::max);
-        let new_max = BinaryOp::Max.apply(prev_max, tile_max);
-        // Correct: rescale the dependent sum for the moved maximum.
-        if stats.sum != 0.0 {
-            stats.sum *= (prev_max - new_max).exp();
-        }
-        // Reduce: fold the tile under the updated maximum.
-        for &v in tile {
-            stats.sum += (v - new_max).exp();
-        }
-        stats.max = new_max;
-    }
-    stats
-}
-
 fn exec_softmax(name: &str, binding: &ExecBinding, m: &Matrix) -> Result<ExecOutput, ExecError> {
     let (rows, len) = (m.rows(), m.cols());
     if rows == 0 || len == 0 {
         return Err(shape_err(name, "softmax input must be non-empty"));
     }
-    let block_rows = binding.block_rows.clamp(1, rows);
     let segments = segment_ranges(len, binding.segments);
+    let tiles = |(start, end)| chunks(start, end, binding.block_axis);
+    // The running maximum each tile's exponentials were stored under.
+    let mut stored_under = vec![0.0f64; segments.clone().flat_map(tiles).count()];
     let mut out = Matrix::zeros(rows, len);
-    for (r0, r1) in row_blocks(rows, block_rows) {
-        for r in r0..r1 {
-            let row = m.row(r);
-            let stats = segments
-                .iter()
-                .map(|&range| softmax_segment_stats(row, range, binding.block_axis))
-                .fold(OnlineStats::identity(), OnlineStats::merge);
-            let out_row = out.row_mut(r);
-            for (j, &v) in row.iter().enumerate() {
-                out_row[j] = (v - stats.max).exp() / stats.sum;
+    for r in 0..rows {
+        let (row, out_row) = (m.row(r), out.row_mut(r));
+        let mut global = OnlineStats::identity();
+        let mut slots = stored_under.iter_mut();
+        for segment in segments.clone() {
+            let mut stats = OnlineStats::identity();
+            for ((tile_start, tile_end), under) in tiles(segment).zip(&mut slots) {
+                let tile = &row[tile_start..tile_end];
+                let tile_max = tile
+                    .iter()
+                    .copied()
+                    .fold(BinaryOp::Max.identity(), f64::max);
+                // Store + correct: the running sum moves to the new maximum.
+                stats.advance(tile_max);
+                *under = stats.max;
+                if stats.max == f64::NEG_INFINITY {
+                    // Every element so far is masked: the tile adds nothing
+                    // and its outputs stay the zeros `out` was created with.
+                    continue;
+                }
+                // Reduce: fold the tile under the updated maximum, keeping
+                // each exponential as the still-unnormalised output.
+                for (slot, &v) in out_row[tile_start..tile_end].iter_mut().zip(tile) {
+                    *slot = (v - stats.max).exp();
+                    stats.sum += *slot;
+                }
+            }
+            // Combine kernel: Eq. 31 over the segment statistics.
+            global = global.merge(stats);
+        }
+        // Epilogue: the correct step applied to the stored output — one
+        // exponential per tile moves it from the maximum it was stored under
+        // to the global one — fused with the normalisation.
+        for ((tile_start, tile_end), &under) in segments.clone().flat_map(tiles).zip(&stored_under)
+        {
+            let factor = (under - global.max).exp() / global.sum;
+            for slot in &mut out_row[tile_start..tile_end] {
+                *slot *= factor;
             }
         }
     }
     Ok(ExecOutput::Matrix(out))
+}
+
+/// Sum and sum of squares of `N` rows, each segment's partial added to the
+/// row's total in segment order. Both reductions are group-like (plain sums):
+/// there is no correct step, so the tile boundaries inside a segment do not
+/// show in the result and the loop runs straight through it. One row is two
+/// chains of dependent additions; `N` rows in lockstep are `2N`.
+fn sum_and_squares<const N: usize>(
+    rows: [&[f64]; N],
+    segments: impl Iterator<Item = (usize, usize)>,
+) -> [(f64, f64); N] {
+    let mut totals = [(0.0f64, 0.0f64); N];
+    for (start, end) in segments {
+        let pieces = rows.map(|row| &row[start..end]);
+        let mut partials = [(0.0f64, 0.0f64); N];
+        for j in 0..end - start {
+            for (partial, piece) in partials.iter_mut().zip(&pieces) {
+                partial.0 += piece[j];
+                partial.1 += piece[j] * piece[j];
+            }
+        }
+        for (total, partial) in totals.iter_mut().zip(&partials) {
+            total.0 = BinaryOp::Add.apply(total.0, partial.0);
+            total.1 = BinaryOp::Add.apply(total.1, partial.1);
+        }
+    }
+    totals
 }
 
 fn exec_variance(name: &str, binding: &ExecBinding, m: &Matrix) -> Result<ExecOutput, ExecError> {
@@ -689,95 +796,23 @@ fn exec_variance(name: &str, binding: &ExecBinding, m: &Matrix) -> Result<ExecOu
     if rows == 0 || len == 0 {
         return Err(shape_err(name, "variance input must be non-empty"));
     }
-    let block_rows = binding.block_rows.clamp(1, rows);
     let segments = segment_ranges(len, binding.segments);
+    let finish = |(sum, sum_sq): (f64, f64)| {
+        let n = len as f64;
+        let mean = sum / n;
+        (sum_sq / n - mean * mean).max(0.0)
+    };
     let mut out = Vec::with_capacity(rows);
-    for (r0, r1) in row_blocks(rows, block_rows) {
-        for r in r0..r1 {
-            let row = m.row(r);
-            // Both reductions are group-like (plain sums): corrections are the
-            // identity and segment partials combine by addition.
-            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
-            for &(start, end) in &segments {
-                let (mut seg_sum, mut seg_sq) = (0.0f64, 0.0f64);
-                for (tile_start, tile_end) in tile_ranges(start, end, binding.block_axis) {
-                    for &v in &row[tile_start..tile_end] {
-                        seg_sum += v;
-                        seg_sq += v * v;
-                    }
-                }
-                sum = BinaryOp::Add.apply(sum, seg_sum);
-                sum_sq = BinaryOp::Add.apply(sum_sq, seg_sq);
-            }
-            let n = len as f64;
-            let mean = sum / n;
-            out.push((sum_sq / n - mean * mean).max(0.0));
-        }
+    let mut r = 0;
+    while r + 4 <= rows {
+        let lanes = [m.row(r), m.row(r + 1), m.row(r + 2), m.row(r + 3)];
+        out.extend(sum_and_squares(lanes, segments.clone()).map(finish));
+        r += 4;
+    }
+    for r in r..rows {
+        out.extend(sum_and_squares([m.row(r)], segments.clone()).map(finish));
     }
     Ok(ExecOutput::Values(out))
-}
-
-/// Per-(row, segment) attention partial: max-shifted unnormalised output plus
-/// the running softmax statistics (the FlashDecoding split state).
-struct AttentionPartial {
-    stats: OnlineStats,
-    acc: Vec<f64>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn attention_row_segment(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    row: usize,
-    scale: f64,
-    (start, end): (usize, usize),
-    block_axis: usize,
-    head_dim: usize,
-) -> AttentionPartial {
-    let mut stats = OnlineStats::identity();
-    let mut acc = vec![0.0f64; head_dim];
-    let qk_dim = q.cols();
-    let mut scores = Vec::with_capacity(block_axis.max(1));
-    for (tile_start, tile_end) in tile_ranges(start, end, block_axis) {
-        // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
-        scores.clear();
-        let mut tile_max = BinaryOp::Max.identity();
-        for j in tile_start..tile_end {
-            let mut dot = 0.0;
-            for t in 0..qk_dim {
-                dot += q.get(row, t) * k.get(j, t);
-            }
-            let s = dot * scale;
-            tile_max = tile_max.max(s);
-            scores.push(s);
-        }
-        // Store: snapshot the previous maximum; correct: rescale the running
-        // sum and the output accumulator for the moved maximum.
-        let prev_max = stats.max;
-        let new_max = BinaryOp::Max.apply(prev_max, tile_max);
-        let correction = if prev_max == f64::NEG_INFINITY {
-            0.0
-        } else {
-            (prev_max - new_max).exp()
-        };
-        stats.sum *= correction;
-        for slot in acc.iter_mut() {
-            *slot *= correction;
-        }
-        // Reduce (reductions 2–4): accumulate the tile's probabilities and
-        // value contributions under the updated maximum.
-        for (offset, &s) in scores.iter().enumerate() {
-            let p = (s - new_max).exp();
-            stats.sum += p;
-            let j = tile_start + offset;
-            for (t, slot) in acc.iter_mut().enumerate() {
-                *slot += p * v.get(j, t);
-            }
-        }
-        stats.max = new_max;
-    }
-    AttentionPartial { stats, acc }
 }
 
 fn exec_attention(
@@ -817,37 +852,70 @@ fn exec_attention(
         return Err(shape_err(name, "attention input must be non-empty"));
     }
     let scale = 1.0 / (qk_dim.max(1) as f64).sqrt();
-    let block_q = binding.block_rows.clamp(1, q_rows);
     let segments = segment_ranges(kv_len, binding.segments);
+    // One scratch for the whole call: a tile of scores (then probabilities)
+    // and one output accumulator per segment — the max-shifted unnormalised
+    // FlashDecoding partials the combine kernel merges.
+    let tile = binding.block_axis.clamp(1, kv_len);
+    let n_segments = segments.clone().count();
+    let mut scratch = vec![0.0f64; tile + n_segments * head_dim];
+    let (scores, accs) = scratch.split_at_mut(tile);
+    let mut partials = vec![OnlineStats::identity(); n_segments];
     let mut out = Matrix::zeros(q_rows, head_dim);
-    for (r0, r1) in row_blocks(q_rows, block_q) {
-        for row in r0..r1 {
-            let partials: Vec<AttentionPartial> = segments
-                .iter()
-                .map(|&range| {
-                    attention_row_segment(q, k, v, row, scale, range, binding.block_axis, head_dim)
-                })
-                .collect();
-            // Combine kernel: merge the segment partials under the global
-            // maximum, then normalise (with one segment this degenerates to
-            // the plain FlashAttention epilogue).
-            let global = partials
-                .iter()
-                .map(|p| p.stats)
-                .fold(OnlineStats::identity(), OnlineStats::merge);
-            let out_row = out.row_mut(row);
-            for partial in &partials {
-                let rescale = (partial.stats.max - global.max).exp();
-                if rescale == 0.0 {
+    for row in 0..q_rows {
+        let q_row = q.row(row);
+        let mut global = OnlineStats::identity();
+        let states = accs.chunks_exact_mut(head_dim.max(1)).zip(&mut partials);
+        for ((start, end), (acc, partial)) in segments.clone().zip(states) {
+            let mut stats = OnlineStats::identity();
+            acc.fill(0.0);
+            for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
+                let scores = &mut scores[..tile_end - tile_start];
+                dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
+                let mut tile_max = BinaryOp::Max.identity();
+                for s in scores.iter_mut() {
+                    *s *= scale;
+                    tile_max = tile_max.max(*s);
+                }
+                // Store: snapshot the previous maximum; correct: rescale the
+                // running sum and the output accumulator for the moved maximum.
+                let correction = stats.advance(tile_max);
+                if stats.max == f64::NEG_INFINITY {
                     continue;
                 }
-                for (t, slot) in out_row.iter_mut().enumerate() {
-                    *slot += partial.acc[t] * rescale;
+                if correction != 1.0 {
+                    for slot in acc.iter_mut() {
+                        *slot *= correction;
+                    }
                 }
+                // Reduce (reductions 2–4): accumulate the tile's probabilities
+                // and value contributions under the updated maximum.
+                for s in scores.iter_mut() {
+                    *s = (*s - stats.max).exp();
+                    stats.sum += *s;
+                }
+                let values = (tile_start..tile_end).map(|j| v.row(j));
+                add_scaled_rows(acc, scores.iter().copied().zip(values));
             }
-            for slot in out_row.iter_mut() {
-                *slot /= global.sum;
+            *partial = stats;
+            global = global.merge(stats);
+        }
+        // Combine kernel: rescale the segment partials to the global maximum
+        // (Eq. 31), then normalise (with one segment this degenerates to the
+        // plain FlashAttention epilogue).
+        let out_row = out.row_mut(row);
+        for (acc, partial) in accs.chunks_exact(head_dim.max(1)).zip(&partials) {
+            let rescale = (partial.max - global.max).exp();
+            if rescale == 0.0 {
+                continue;
             }
+            for (slot, &a) in out_row.iter_mut().zip(acc) {
+                *slot += a * rescale;
+            }
+        }
+        for slot in out_row.iter_mut() {
+            *slot /= global.sum;
         }
     }
     Ok(ExecOutput::Matrix(out))
@@ -903,105 +971,53 @@ fn exec_routing(
     if tokens == 0 || experts == 0 {
         return Err(shape_err(name, "routing input must be non-empty"));
     }
-    let block_rows = binding.block_rows.clamp(1, tokens);
     let segments = segment_ranges(experts, binding.segments);
+    let mut scores = vec![0.0f64; binding.block_axis.clamp(1, experts)];
+    let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
+    let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk + 1);
     let mut decisions = Vec::with_capacity(tokens);
-    for (t0, t1) in row_blocks(tokens, block_rows) {
-        for token in t0..t1 {
-            let mut merged_stats = OnlineStats::identity();
-            let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk * segments.len());
-            for &(start, end) in &segments {
-                let mut stats = OnlineStats::identity();
-                let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
-                for (tile_start, tile_end) in tile_ranges(start, end, binding.block_axis) {
-                    for e in tile_start..tile_end {
-                        // Reduce: the per-(token, expert) scoring dot product
-                        // is the cascade's innermost reduction.
-                        let mut score = 0.0;
-                        for h in 0..hidden {
-                            score += x.get(token, h) * w.get(h, e);
-                        }
-                        // Store + correct + reduce on the softmax statistics.
-                        let prev_max = stats.max;
-                        let new_max = BinaryOp::Max.apply(prev_max, score);
-                        stats.sum =
-                            stats.sum * (prev_max - new_max).exp() + (score - new_max).exp();
-                        stats.max = new_max;
-                        // Streaming top-k over the raw scores (softmax is
-                        // order-preserving, so selection and normalisation
-                        // commute).
-                        insert_candidate(&mut best, Candidate { index: e, score }, topk);
+    for token in 0..tokens {
+        let x_row = x.row(token);
+        let mut merged_stats = OnlineStats::identity();
+        merged_best.clear();
+        for (start, end) in segments.clone() {
+            let mut stats = OnlineStats::identity();
+            best.clear();
+            for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                // Reduce: the scoring GEMM tile, the cascade's innermost
+                // reduction — `hidden`-outer over contiguous weight rows.
+                let scores = &mut scores[..tile_end - tile_start];
+                scores.fill(0.0);
+                let weights = (0..hidden).map(|h| &w.row(h)[tile_start..tile_end]);
+                add_scaled_rows(scores, x_row.iter().copied().zip(weights));
+                for (index, &score) in (tile_start..tile_end).zip(scores.iter()) {
+                    // Store + correct + reduce on the softmax statistics.
+                    stats.advance(score);
+                    if stats.max != f64::NEG_INFINITY {
+                        stats.sum += (score - stats.max).exp();
                     }
-                }
-                // Combine kernel: merge statistics with Eq. 31 and the
-                // candidate lists under the shared comparator.
-                merged_stats = merged_stats.merge(stats);
-                for candidate in best {
-                    insert_candidate(&mut merged_best, candidate, topk);
+                    // Streaming top-k over the raw scores (softmax is
+                    // order-preserving, so selection and normalisation
+                    // commute).
+                    insert_candidate(&mut best, Candidate { index, score }, topk);
                 }
             }
-            decisions.push(TopKDecision {
-                experts: merged_best.iter().map(|c| c.index).collect(),
-                probs: merged_best
-                    .iter()
-                    .map(|c| (c.score - merged_stats.max).exp() / merged_stats.sum)
-                    .collect(),
-            });
+            // Combine kernel: merge statistics with Eq. 31 and the
+            // candidate lists under the shared comparator.
+            merged_stats = merged_stats.merge(stats);
+            for &candidate in &best {
+                insert_candidate(&mut merged_best, candidate, topk);
+            }
         }
+        decisions.push(TopKDecision {
+            experts: merged_best.iter().map(|c| c.index).collect(),
+            probs: merged_best
+                .iter()
+                .map(|c| (c.score - merged_stats.max).exp() / merged_stats.sum)
+                .collect(),
+        });
     }
     Ok(ExecOutput::TopK(decisions))
-}
-
-/// Per-segment quant state: the running abs-max and the accumulator expressed
-/// in the segment's final quantisation scale.
-struct QuantPartial {
-    amax: f64,
-    acc: Vec<f64>,
-}
-
-fn quant_row_segment(
-    a: &Matrix,
-    w: &Matrix,
-    row: usize,
-    (start, end): (usize, usize),
-    block_axis: usize,
-    n: usize,
-) -> QuantPartial {
-    let mut amax = 0.0f64;
-    let mut acc = vec![0.0f64; n];
-    for (tile_start, tile_end) in tile_ranges(start, end, block_axis) {
-        // Reduce (reduction 1): the tile's abs-max.
-        let mut tile_amax = 0.0f64;
-        for kk in tile_start..tile_end {
-            tile_amax = tile_amax.max(a.get(row, kk).abs());
-        }
-        let new_amax = amax.max(tile_amax);
-        if new_amax == 0.0 {
-            continue;
-        }
-        // Store + correct: rescale the accumulator from the provisional scale
-        // to the updated one (Eq. 21).
-        if amax > 0.0 && new_amax > amax {
-            let correction = amax / new_amax;
-            for slot in acc.iter_mut() {
-                *slot *= correction;
-            }
-        }
-        // Reduce (reduction 2): quantise the tile under the updated scale and
-        // accumulate its GEMM contribution (Eq. 22).
-        let scale = new_amax / FP8_MAX;
-        for kk in tile_start..tile_end {
-            let qv = fp8_round(a.get(row, kk) / scale);
-            if qv == 0.0 {
-                continue;
-            }
-            for (j, slot) in acc.iter_mut().enumerate() {
-                *slot += qv * w.get(kk, j);
-            }
-        }
-        amax = new_amax;
-    }
-    QuantPartial { amax, acc }
 }
 
 fn exec_quant_gemm(
@@ -1035,25 +1051,52 @@ fn exec_quant_gemm(
         return Err(shape_err(name, "quant-gemm input must be non-empty"));
     }
     let block_rows = binding.block_rows.clamp(1, m);
-    let segments = segment_ranges(k_len, binding.segments);
+    // Per row of a block: the accumulator and the abs-max it is scaled by.
+    let mut accs = vec![0.0f64; block_rows * n];
+    let mut amaxes = vec![0.0f64; block_rows];
     let mut out = Matrix::zeros(m, n);
-    for (r0, r1) in row_blocks(m, block_rows) {
-        for row in r0..r1 {
-            let partials: Vec<QuantPartial> = segments
-                .iter()
-                .map(|&range| quant_row_segment(a, w, row, range, binding.block_axis, n))
-                .collect();
+    for (r0, r1) in chunks(0, m, block_rows) {
+        for (start, end) in segment_ranges(k_len, binding.segments) {
+            accs.fill(0.0);
+            amaxes.fill(0.0);
+            for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                // The weight tile is visited once per row block: it stays
+                // cache-resident while every row of the block consumes it.
+                let rows = (r0..r1).zip(accs.chunks_exact_mut(n)).zip(&mut amaxes);
+                for ((row, acc), amax) in rows {
+                    // Reduce (reduction 1): the tile's abs-max.
+                    let tile = &a.row(row)[tile_start..tile_end];
+                    let new_amax = tile.iter().fold(*amax, |m, v| m.max(v.abs()));
+                    if new_amax == 0.0 {
+                        continue;
+                    }
+                    // Store + correct: rescale the accumulator from the
+                    // provisional scale to the updated one (Eq. 21).
+                    if *amax > 0.0 && new_amax > *amax {
+                        let correction = *amax / new_amax;
+                        for slot in acc.iter_mut() {
+                            *slot *= correction;
+                        }
+                    }
+                    // Reduce (reduction 2): quantise the tile under the updated
+                    // scale and accumulate its GEMM contribution (Eq. 22).
+                    let scale = new_amax / FP8_MAX;
+                    let quantised = tile.iter().map(|&x| fp8_round(x / scale));
+                    let terms = quantised.zip(tile_start..).filter(|&(qv, _)| qv != 0.0);
+                    add_scaled_rows(acc, terms.map(|(qv, kk)| (qv, w.row(kk))));
+                    *amax = new_amax;
+                }
+            }
             // Combine kernel + epilogue: de-quantise each partial under its
             // own segment scale and sum — algebraically the rescale-to-global
             // merge of Eq. 21 followed by the final de-quantisation.
-            let out_row = out.row_mut(row);
-            for partial in &partials {
-                if partial.amax == 0.0 {
+            for ((row, acc), &amax) in (r0..r1).zip(accs.chunks_exact(n)).zip(&amaxes) {
+                if amax == 0.0 {
                     continue;
                 }
-                let scale = partial.amax / FP8_MAX;
-                for (j, slot) in out_row.iter_mut().enumerate() {
-                    *slot += partial.acc[j] * scale;
+                let scale = amax / FP8_MAX;
+                for (slot, &partial) in out.row_mut(row).iter_mut().zip(acc) {
+                    *slot += partial * scale;
                 }
             }
         }
@@ -1085,31 +1128,28 @@ fn exec_inertia(
         return Err(shape_err(name, "inertia input must be non-empty"));
     }
     // One independent system per request: the cascade's axis is the particle
-    // index; all three sufficient statistics are group-like sums.
-    let segments = segment_ranges(particles, binding.segments);
+    // index; all three sufficient statistics are group-like sums, so tile
+    // boundaries inside a segment do not show in the result.
     let mut total_mass = 0.0f64;
-    let mut weighted = vec![0.0f64; dim];
+    let mut scratch = vec![0.0f64; 2 * dim];
+    let (weighted, seg_weighted) = scratch.split_at_mut(dim);
     let mut weighted_sq = 0.0f64;
-    for &(start, end) in &segments {
+    for (start, end) in segment_ranges(particles, binding.segments) {
         let mut seg_mass = 0.0f64;
-        let mut seg_weighted = vec![0.0f64; dim];
+        seg_weighted.fill(0.0);
         let mut seg_weighted_sq = 0.0f64;
-        for (tile_start, tile_end) in tile_ranges(start, end, binding.block_axis) {
-            for (offset, &mass) in masses[tile_start..tile_end].iter().enumerate() {
-                let i = tile_start + offset;
-                seg_mass += mass;
-                let mut norm_sq = 0.0;
-                for (d, slot) in seg_weighted.iter_mut().enumerate() {
-                    let pos = positions.get(i, d);
-                    *slot += mass * pos;
-                    norm_sq += pos * pos;
-                }
-                seg_weighted_sq += mass * norm_sq;
+        for (i, &mass) in (start..end).zip(&masses[start..end]) {
+            seg_mass += mass;
+            let mut norm_sq = 0.0;
+            for (slot, &pos) in seg_weighted.iter_mut().zip(positions.row(i)) {
+                *slot += mass * pos;
+                norm_sq += pos * pos;
             }
+            seg_weighted_sq += mass * norm_sq;
         }
         total_mass += seg_mass;
-        for (d, slot) in weighted.iter_mut().enumerate() {
-            *slot += seg_weighted[d];
+        for (slot, &partial) in weighted.iter_mut().zip(seg_weighted.iter()) {
+            *slot += partial;
         }
         weighted_sq += seg_weighted_sq;
     }
@@ -1487,7 +1527,7 @@ mod tests {
     #[test]
     fn segment_ranges_cover_the_axis_without_overlap() {
         for (axis, segments) in [(10, 3), (1, 8), (64, 64), (7, 1), (5, 9)] {
-            let ranges = segment_ranges(axis, segments);
+            let ranges: Vec<_> = segment_ranges(axis, segments).collect();
             let mut covered = 0;
             let mut prev_end = 0;
             for &(start, end) in &ranges {

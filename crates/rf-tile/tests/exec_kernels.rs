@@ -1,0 +1,354 @@
+//! Pins the numbers the `rf_tile::exec` kernels produce.
+//!
+//! * **Golden bits** — for seeded inputs and three tuning points per family
+//!   (single-tile, multi-tile, multi-segment) a fold of the output's
+//!   `f64::to_bits`, recorded at the commit before the kernels were rewritten
+//!   over row slices. Attention, Routing, QuantGemm, Variance and Inertia must
+//!   reproduce the fold exactly; softmax, whose epilogue rescales the stored
+//!   exponentials instead of recomputing them, must stay within `1e-12`
+//!   relative of the recorded elements.
+//! * **`block_rows` invariance** — every family's output is bitwise
+//!   independent of `block_rows`, which is what row-sharded serving relies on
+//!   when it concatenates per-device row blocks.
+//! * **Ragged edges** — axis lengths not divisible by 4 or by `block_axis`,
+//!   `head_dim` / `n` of 1, 1-row inputs.
+
+use proptest::prelude::*;
+use rf_tile::exec::{execute, ExecBinding, ExecInput, ExecOutput, Semantics};
+use rf_tile::TileProgram;
+use rf_workloads::{random_matrix, random_vec, Matrix};
+
+/// `(block_rows, block_axis, segments)`.
+type Point = (usize, usize, usize);
+
+/// Owned tensors of one execution; [`Case::input`] borrows them.
+enum Tensors {
+    Rows(Matrix),
+    Attention { q: Matrix, k: Matrix, v: Matrix },
+    Routing { x: Matrix, w: Matrix },
+    QuantGemm { a: Matrix, w: Matrix },
+    Inertia { masses: Vec<f64>, positions: Matrix },
+}
+
+struct Case {
+    semantics: Semantics,
+    tensors: Tensors,
+}
+
+impl Case {
+    fn input(&self) -> ExecInput<'_> {
+        match &self.tensors {
+            Tensors::Rows(m) => ExecInput::Rows(m),
+            Tensors::Attention { q, k, v } => ExecInput::Attention { q, k, v },
+            Tensors::Routing { x, w } => ExecInput::Routing { x, w },
+            Tensors::QuantGemm { a, w } => ExecInput::QuantGemm { a, w },
+            Tensors::Inertia { masses, positions } => ExecInput::Inertia { masses, positions },
+        }
+    }
+
+    /// `(rows, axis_len)` of the live tensors.
+    fn shape(&self) -> (usize, usize) {
+        match &self.tensors {
+            Tensors::Rows(m) => (m.rows(), m.cols()),
+            Tensors::Attention { q, k, .. } => (q.rows(), k.rows()),
+            Tensors::Routing { x, w } => (x.rows(), w.cols()),
+            Tensors::QuantGemm { a, .. } => (a.rows(), a.cols()),
+            Tensors::Inertia { masses, .. } => (1, masses.len()),
+        }
+    }
+
+    fn run(&self, (block_rows, block_axis, segments): Point) -> ExecOutput {
+        let (rows, axis_len) = self.shape();
+        let mut program = TileProgram::new("exec-kernels", 1, 128);
+        program.binding = Some(ExecBinding {
+            semantics: self.semantics,
+            rows,
+            axis_len,
+            block_rows,
+            block_axis,
+            segments,
+        });
+        execute(&program, &self.input()).expect("bound program executes")
+    }
+}
+
+fn softmax(rows: usize, len: usize, seed: u64) -> Case {
+    Case {
+        semantics: Semantics::Softmax,
+        tensors: Tensors::Rows(random_matrix(rows, len, seed, -4.0, 4.0)),
+    }
+}
+
+fn variance(rows: usize, len: usize, seed: u64) -> Case {
+    Case {
+        semantics: Semantics::Variance,
+        tensors: Tensors::Rows(random_matrix(rows, len, seed, -3.0, 3.0)),
+    }
+}
+
+fn attention(q_rows: usize, kv: usize, qk_dim: usize, head_dim: usize, seed: u64) -> Case {
+    Case {
+        semantics: Semantics::Attention { qk_dim, head_dim },
+        tensors: Tensors::Attention {
+            q: random_matrix(q_rows, qk_dim, seed, -1.0, 1.0),
+            k: random_matrix(kv, qk_dim, seed + 1, -1.0, 1.0),
+            v: random_matrix(kv, head_dim, seed + 2, -1.0, 1.0),
+        },
+    }
+}
+
+fn routing(tokens: usize, hidden: usize, experts: usize, topk: usize, seed: u64) -> Case {
+    Case {
+        semantics: Semantics::Routing { topk },
+        tensors: Tensors::Routing {
+            x: random_matrix(tokens, hidden, seed, -1.0, 1.0),
+            w: random_matrix(hidden, experts, seed + 1, -1.0, 1.0),
+        },
+    }
+}
+
+fn quant(m: usize, k: usize, n: usize, seed: u64) -> Case {
+    Case {
+        semantics: Semantics::QuantGemm { n },
+        tensors: Tensors::QuantGemm {
+            a: random_matrix(m, k, seed, -2.0, 2.0),
+            w: random_matrix(k, n, seed + 1, -1.0, 1.0),
+        },
+    }
+}
+
+fn inertia(particles: usize, dim: usize, seed: u64) -> Case {
+    Case {
+        semantics: Semantics::Inertia { dim },
+        tensors: Tensors::Inertia {
+            masses: random_vec(particles, seed, 0.1, 2.0),
+            positions: random_matrix(particles, dim, seed + 1, -2.0, 2.0),
+        },
+    }
+}
+
+/// The output's numbers in order (for top-k: each token's expert indices,
+/// then its probabilities).
+fn flat(output: &ExecOutput) -> Vec<f64> {
+    match output {
+        ExecOutput::Matrix(m) => m.as_slice().to_vec(),
+        ExecOutput::Values(v) => v.clone(),
+        ExecOutput::TopK(decisions) => decisions
+            .iter()
+            .flat_map(|d| {
+                let experts = d.experts.iter().map(|&e| e as f64);
+                experts.chain(d.probs.iter().copied())
+            })
+            .collect(),
+    }
+}
+
+/// [`flat`] as raw bit patterns, so comparisons distinguish `-0.0` from `0.0`
+/// and treat equal NaNs as equal.
+fn bits(output: &ExecOutput) -> Vec<u64> {
+    flat(output).into_iter().map(f64::to_bits).collect()
+}
+
+/// FNV-1a over the 64-bit words of [`bits`].
+fn fold(output: &ExecOutput) -> u64 {
+    bits(output)
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, word| {
+            (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Single-tile, multi-tile and multi-segment tuning points per family, with
+/// the fold recorded at the parent commit.
+#[test]
+fn bit_exact_families_reproduce_the_recorded_folds() {
+    let golden = [
+        (
+            "attention",
+            attention(5, 37, 7, 5, 100),
+            [
+                ((128, 128, 1), 0xf640_4139_1b29_d17d),
+                ((2, 8, 1), 0x5ef3_24a2_61e4_8dee),
+                ((3, 5, 3), 0x9581_74f0_0232_19ce),
+            ],
+        ),
+        (
+            "routing",
+            routing(6, 13, 21, 3, 200),
+            [
+                ((128, 128, 1), 0xe8a1_5154_3689_fb2d),
+                ((2, 4, 1), 0xe8a1_5154_3689_fb2d),
+                ((4, 5, 3), 0x5c30_d834_b3be_4b2c),
+            ],
+        ),
+        (
+            "quant-gemm",
+            quant(4, 29, 6, 300),
+            [
+                ((128, 128, 1), 0xe885_9fb7_24c0_9b7d),
+                ((1, 8, 1), 0xa159_44c0_4b2a_ee1f),
+                ((3, 4, 3), 0xa8a0_b835_0759_0319),
+            ],
+        ),
+        (
+            "variance",
+            variance(6, 53, 400),
+            [
+                ((128, 128, 1), 0x0f51_3051_9cf8_f5dc),
+                ((1, 7, 1), 0x0f51_3051_9cf8_f5dc),
+                ((2, 5, 4), 0xfa4d_0b73_1f79_651f),
+            ],
+        ),
+        (
+            "inertia",
+            inertia(41, 3, 500),
+            [
+                ((1, 128, 1), 0xb5c7_1e40_1332_63fd),
+                ((1, 7, 1), 0xb5c7_1e40_1332_63fd),
+                ((1, 4, 5), 0xb5c7_1b40_1332_5ee4),
+            ],
+        ),
+    ];
+    for (family, case, points) in &golden {
+        for &(point, recorded) in points {
+            let actual = fold(&case.run(point));
+            assert_eq!(
+                actual, recorded,
+                "{family} at {point:?}: fold {actual:#018x} differs from the recorded one"
+            );
+        }
+    }
+}
+
+/// Softmax outputs sampled at the parent commit: `(row, col, bits)` per
+/// tuning point. The rewritten epilogue rescales stored exponentials, so the
+/// bound is relative `1e-12`, not bit equality.
+#[test]
+fn softmax_stays_within_1e12_of_the_recorded_outputs() {
+    let case = softmax(4, 45, 600);
+    let golden = [
+        (
+            (128, 128, 1),
+            [
+                (0, 0, 0x3f58_734f_a062_3783),
+                (1, 17, 0x3f96_cc1d_4a3a_788b),
+                (2, 31, 0x3f56_1939_14f7_789f),
+                (3, 44, 0x3fce_4277_76f7_0c59),
+            ],
+        ),
+        (
+            (2, 8, 1),
+            [
+                (0, 0, 0x3f58_734f_a062_3783),
+                (1, 17, 0x3f96_cc1d_4a3a_788c),
+                (2, 31, 0x3f56_1939_14f7_789f),
+                (3, 44, 0x3fce_4277_76f7_0c5b),
+            ],
+        ),
+        (
+            (3, 7, 4),
+            [
+                (0, 0, 0x3f58_734f_a062_3781),
+                (1, 17, 0x3f96_cc1d_4a3a_788d),
+                (2, 31, 0x3f56_1939_14f7_78a1),
+                (3, 44, 0x3fce_4277_76f7_0c59),
+            ],
+        ),
+    ];
+    for (point, samples) in golden {
+        let ExecOutput::Matrix(out) = case.run(point) else {
+            panic!("softmax returns a matrix");
+        };
+        for (row, col, recorded) in samples {
+            let (actual, recorded) = (out.get(row, col), f64::from_bits(recorded));
+            assert!(
+                (actual - recorded).abs() <= 1e-12 * recorded,
+                "{point:?} [{row}, {col}]: {actual:e} vs recorded {recorded:e} ({:#018x})",
+                actual.to_bits()
+            );
+        }
+        for r in 0..out.rows() {
+            let total: f64 = out.row(r).iter().sum();
+            assert!(
+                (total - 1.0).abs() < 1e-12,
+                "{point:?} row {r} sums to {total}"
+            );
+        }
+    }
+}
+
+/// Shapes whose axis is not a multiple of 4 or of `block_axis`, unit output
+/// widths and single rows: the remainder paths of the multi-row loops. Every
+/// tiling must agree with the one-tile, one-segment run to rounding error
+/// (quant: within the provisional-scale noise floor).
+#[test]
+fn ragged_shapes_agree_across_tilings() {
+    let cases = [
+        ("softmax 1x1", softmax(1, 1, 1), 1e-12),
+        ("softmax 1x7", softmax(1, 7, 2), 1e-12),
+        ("variance 1x1", variance(1, 1, 3), 1e-12),
+        ("variance 2x13", variance(2, 13, 4), 1e-12),
+        ("attention head_dim 1", attention(1, 9, 3, 1, 5), 1e-12),
+        ("attention qk_dim 1", attention(3, 6, 1, 4, 6), 1e-12),
+        ("attention kv 1", attention(2, 1, 5, 3, 7), 1e-12),
+        ("routing 1 expert", routing(2, 5, 1, 1, 8), 1e-12),
+        ("routing hidden 1", routing(1, 1, 7, 2, 9), 1e-12),
+        ("routing 11 experts", routing(3, 6, 11, 11, 10), 1e-12),
+        ("quant n 1", quant(1, 10, 1, 11), 0.05),
+        ("quant k 1", quant(2, 1, 3, 12), 0.05),
+        ("inertia 1 particle", inertia(1, 3, 13), 1e-9),
+        ("inertia dim 1", inertia(6, 1, 14), 1e-9),
+    ];
+    let points = [(1, 1, 1), (2, 3, 1), (1, 2, 2), (4, 5, 3), (3, 4, 64)];
+    for (name, case, tolerance) in &cases {
+        let reference = flat(&case.run((128, 128, 1)));
+        let peak = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for point in points {
+            let actual = flat(&case.run(point));
+            assert_eq!(actual.len(), reference.len(), "{name} at {point:?}");
+            for (a, e) in actual.iter().zip(&reference) {
+                assert!(
+                    (a - e).abs() <= tolerance * peak.max(1.0),
+                    "{name} at {point:?}: {a} vs {e}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The per-output summation order is fixed by `(block_axis, segments)`
+    /// alone: any `block_rows` gives the same bits as `block_rows = 1`.
+    #[test]
+    fn prop_outputs_are_bitwise_invariant_under_block_rows(
+        rows in 1usize..10,
+        axis in 1usize..40,
+        width in 1usize..9,
+        block_rows in 2usize..12,
+        block_axis in 1usize..17,
+        segments in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let cases = [
+            softmax(rows, axis, seed),
+            variance(rows, axis, seed),
+            attention(rows, axis, width, width + 1, seed),
+            routing(rows, width, axis, axis.min(3), seed),
+            quant(rows, axis, width, seed),
+            inertia(axis, width, seed),
+        ];
+        for case in &cases {
+            let by_row = case.run((1, block_axis, segments));
+            let blocked = case.run((block_rows, block_axis, segments));
+            prop_assert_eq!(
+                bits(&by_row),
+                bits(&blocked),
+                "{} differs between block_rows 1 and {}",
+                case.semantics.name(),
+                block_rows
+            );
+        }
+    }
+}

@@ -108,13 +108,13 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
+            let out_row = out.row_mut(i);
+            for (k, &a) in self.row(i).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += a * other.get(k, j);
+                for (slot, &b) in out_row.iter_mut().zip(other.row(k)) {
+                    *slot += a * b;
                 }
             }
         }
@@ -125,8 +125,8 @@ impl Matrix {
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+            for (c, &value) in self.row(r).iter().enumerate() {
+                out.data[c * self.rows + r] = value;
             }
         }
         out

@@ -28,11 +28,12 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use redfuser::codegen::{compile_workload, executable_program, TuningPoint, Workload};
 use redfuser::gpusim::{GpuArch, KernelProfile};
+use redfuser::kernels::softmax::softmax_rows;
 use redfuser::runtime::{execute_reference, Request, RequestInput, RequestOutput};
 use redfuser::tile::exec;
 use redfuser::workloads::{
     inertia_tiny, mha_tiny, mla_tiny, moe_tiny, quant_tiny, random_matrix, random_vec,
-    variance_tiny,
+    variance_tiny, Matrix,
 };
 
 /// Damped-relative tolerance for the exactly-reassociative families.
@@ -205,6 +206,110 @@ fn compiled_kernels_run_and_match_reference_on_every_arch() {
             );
             let reference = execute_reference(&request.workload, &request.input);
             assert_family_close(&request.workload, &served, &reference);
+        }
+    }
+}
+
+/// Element-wise agreement that also pins *which* outputs are NaN
+/// (`RequestOutput::approx_eq` folds with `f64::max`, which drops NaNs).
+fn assert_same_including_nans(actual: &[f64], expected: &[f64], context: &str) {
+    assert_eq!(actual.len(), expected.len(), "{context}: length");
+    for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
+        assert_eq!(a.is_nan(), e.is_nan(), "{context} [{i}]: {a} vs {e}");
+        assert!(
+            a.is_nan() || (a - e).abs() <= 1e-12 * (1.0 + e.abs()),
+            "{context} [{i}]: {a} vs {e}"
+        );
+    }
+}
+
+#[test]
+fn masked_leading_tiles_contribute_nothing_instead_of_nan() {
+    // While every element seen so far is `-inf` the running maximum is `-inf`
+    // too, and `exp(v − max)` is `exp(-inf − -inf)` = NaN unless the tile is
+    // skipped. Tuning points that put a fully masked tile (or segment) first
+    // must still match the unfused reference — including the fully masked
+    // row, where both sides are NaN everywhere.
+    const MASK: f64 = f64::NEG_INFINITY;
+    let points = [
+        point(1, 8, 1),
+        point(2, 4, 1),
+        point(1, 2, 1),
+        point(3, 8, 2),
+        point(1, 1, 8),
+    ];
+
+    #[rustfmt::skip]
+    let rows = Matrix::from_vec(3, 8, vec![
+        MASK, MASK, MASK, MASK, MASK, 1.0, 2.0, 0.5,
+        0.3, MASK, MASK, MASK, MASK, -1.0, MASK, 2.0,
+        MASK, MASK, MASK, MASK, MASK, MASK, MASK, MASK,
+    ]);
+    let expected = softmax_rows(&rows);
+    assert!(expected.row(0).iter().all(|p| p.is_finite()));
+    assert!(expected.row(2).iter().all(|p| p.is_nan()));
+    let workload = Workload::Softmax { rows: 3, len: 8 };
+    for tuning in &points {
+        let program = executable_program(&workload, tuning);
+        let exec::ExecOutput::Matrix(out) =
+            exec::execute(&program, &exec::ExecInput::Rows(&rows)).unwrap()
+        else {
+            panic!("softmax returns a matrix");
+        };
+        let context = format!("softmax at {tuning:?}");
+        assert_same_including_nans(out.as_slice(), expected.as_slice(), &context);
+    }
+
+    // Attention and routing reach the same state through a `-inf` key or
+    // weight coordinate under a positive activation: the first five keys
+    // (experts) score `-inf`, the rest stay finite.
+    let mask_leading = |mut m: Matrix, masked: usize, by_row: bool| {
+        for i in 0..masked {
+            let (r, c) = if by_row { (i, 0) } else { (0, i) };
+            m.set(r, c, MASK);
+        }
+        m
+    };
+    let mha = mha_tiny();
+    let moe = moe_tiny();
+    let requests = [
+        Request::new(
+            Workload::Mha(mha.clone()),
+            RequestInput::Attention {
+                q: random_matrix(mha.q, mha.hd, 31, 0.1, 1.0),
+                k: mask_leading(random_matrix(mha.kv, mha.hd, 32, -1.0, 1.0), 5, true),
+                v: random_matrix(mha.kv, mha.hd, 33, -1.0, 1.0),
+            },
+        )
+        .unwrap(),
+        Request::new(
+            Workload::Moe(moe.clone()),
+            RequestInput::Routing {
+                x: random_matrix(7, moe.hd, 34, 0.1, 1.0),
+                w: mask_leading(random_matrix(moe.hd, moe.en, 35, -1.0, 1.0), 5, false),
+            },
+        )
+        .unwrap(),
+    ];
+    let arch = GpuArch::a10();
+    for request in &requests {
+        let reference = execute_reference(&request.workload, &request.input);
+        for tuning in &points {
+            let context = format!("{} at {tuning:?}", request.workload.name());
+            match (run_at_point(request, tuning, &arch), &reference) {
+                (RequestOutput::Matrix(a), RequestOutput::Matrix(e)) => {
+                    assert!(e.as_slice().iter().all(|v| v.is_finite()));
+                    assert_same_including_nans(a.as_slice(), e.as_slice(), &context);
+                }
+                (RequestOutput::Routing(a), RequestOutput::Routing(e)) => {
+                    for (a, e) in a.iter().zip(e) {
+                        assert_eq!(a.experts, e.experts, "{context}");
+                        assert!(e.probs.iter().all(|p| p.is_finite()));
+                        assert_same_including_nans(&a.probs, &e.probs, &context);
+                    }
+                }
+                _ => panic!("{context}: unexpected output kinds"),
+            }
         }
     }
 }
