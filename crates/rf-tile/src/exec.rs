@@ -46,6 +46,28 @@
 //! `add_scaled_rows`), and nothing is allocated per row, segment or tile: a
 //! call sizes its scratch once.
 //!
+//! **Parallel grid.** The generated kernel is a grid — every row block is an
+//! independent CTA — and the VM walks it on every core: softmax, variance,
+//! attention, routing and quant + GEMM are each the *body* that
+//! [`rf_workloads::for_row_ranges`] runs over contiguous row ranges, the first
+//! on the calling thread and the rest on scoped threads joined before the
+//! call returns. Ranges start on multiples of 4 for variance (whole quads of
+//! rows) and of `block_rows` for quant + GEMM (the same row blocks, a weight
+//! tile still fetched once per block); each range sizes its own scratch. A
+//! call whose `rows × per-row element operations` is under the splitter's
+//! threshold — 2²² multiply-add equivalents, an exponential counted as 32
+//! and an FP8 rounding as 128, all measured on the benchmark host (see
+//! [`rf_workloads::PARALLEL_MIN_WORK`]) — or that has one row block runs the
+//! same body inline as its only range, so decode shapes cost what they did.
+//! Inertia is one system per request and stays on one thread. There is no
+//! thread pool: on this host a parked worker starts 60–100 µs sooner than a
+//! fresh scoped thread (a 2.1 ms call split in two: 1.17 against 1.26 ms),
+//! which is 1–5 % of the calls that split and does not pay for global state
+//! with a lifetime. And there is no knob: the thread count is the cached
+//! `available_parallelism()`, which honours the affinity mask.
+//! [`ExecProfile::wall_ns`] is elapsed wall time, not CPU time, once a call
+//! fans out.
+//!
 //! # Determinism
 //!
 //! For a fixed program and input the VM performs the same floating-point
@@ -54,21 +76,26 @@
 //! `segments` — ascending along the axis inside a tile, tiles in order,
 //! segment partials merged in order — and is **independent of `block_rows`**,
 //! so a request split by rows across calls (row-sharded serving) concatenates
-//! to the bits of the unsplit run. Different tuning points change the
-//! association order of the reductions (that is exactly what tiling does on
-//! hardware), so outputs across tuning points agree to rounding error — never
-//! more. The one intentional exception is FP8 quant + GEMM, where early tiles
-//! are quantised under a provisional scale (Eq. 21–22); there the tile size
-//! moves results within the quantisation noise floor, the same behaviour the
-//! hand-written fused kernel and the real generated kernel exhibit.
+//! to the bits of the unsplit run — and so does a call split by rows across
+//! threads: a range computes its rows exactly as the unsplit loop would and
+//! writes only its own chunk of the output, so the result is bit-identical
+//! for every thread count and every way of cutting the rows. Different tuning
+//! points change the association order of the reductions (that is exactly
+//! what tiling does on hardware), so outputs across tuning points agree to
+//! rounding error — never more. The one intentional exception is FP8 quant +
+//! GEMM, where early tiles are quantised under a provisional scale (Eq.
+//! 21–22); there the tile size moves results within the quantisation noise
+//! floor, the same behaviour the hand-written fused kernel and the real
+//! generated kernel exhibit.
 //!
 //! Inputs are borrowed views ([`ExecInput`]) so the serving hot path never
 //! copies a tensor; outputs ([`ExecOutput`]) are owned.
 
 use std::fmt;
+use std::ops::Range;
 
 use rf_algebra::BinaryOp;
-use rf_workloads::Matrix;
+use rf_workloads::{add_scaled_rows, available_cores, for_row_ranges, Matrix};
 
 use crate::ops::TileProgram;
 
@@ -302,6 +329,16 @@ impl std::error::Error for ExecError {}
 /// [`ExecError::InputMismatch`] / [`ExecError::ShapeMismatch`] when the input
 /// cannot feed the binding.
 pub fn execute(program: &TileProgram, input: &ExecInput<'_>) -> Result<ExecOutput, ExecError> {
+    execute_with_threads(available_cores(), program, input)
+}
+
+/// [`execute`] with the row grid on up to `threads` threads. The output does
+/// not depend on `threads`; the unit tests call this to show it.
+fn execute_with_threads(
+    threads: usize,
+    program: &TileProgram,
+    input: &ExecInput<'_>,
+) -> Result<ExecOutput, ExecError> {
     let binding = program
         .binding
         .as_ref()
@@ -309,17 +346,22 @@ pub fn execute(program: &TileProgram, input: &ExecInput<'_>) -> Result<ExecOutpu
             program: program.name.clone(),
         })?;
     let name = &program.name;
+    let launch = Launch {
+        name,
+        binding,
+        threads,
+    };
     match (&binding.semantics, input) {
-        (Semantics::Softmax, ExecInput::Rows(m)) => exec_softmax(name, binding, m),
-        (Semantics::Variance, ExecInput::Rows(m)) => exec_variance(name, binding, m),
+        (Semantics::Softmax, ExecInput::Rows(m)) => exec_softmax(launch, m),
+        (Semantics::Variance, ExecInput::Rows(m)) => exec_variance(launch, m),
         (Semantics::Attention { qk_dim, head_dim }, ExecInput::Attention { q, k, v }) => {
-            exec_attention(name, binding, *qk_dim, *head_dim, q, k, v)
+            exec_attention(launch, *qk_dim, *head_dim, q, k, v)
         }
         (Semantics::Routing { topk }, ExecInput::Routing { x, w }) => {
-            exec_routing(name, binding, *topk, x, w)
+            exec_routing(launch, *topk, x, w)
         }
         (Semantics::QuantGemm { n }, ExecInput::QuantGemm { a, w }) => {
-            exec_quant_gemm(name, binding, *n, a, w)
+            exec_quant_gemm(launch, *n, a, w)
         }
         (Semantics::Inertia { dim }, ExecInput::Inertia { masses, positions }) => {
             exec_inertia(name, binding, *dim, masses, positions)
@@ -331,6 +373,22 @@ pub fn execute(program: &TileProgram, input: &ExecInput<'_>) -> Result<ExecOutpu
         }),
     }
 }
+
+/// What a row-parallel kernel is launched with besides its tensors.
+struct Launch<'a> {
+    /// Program name, for error messages.
+    name: &'a str,
+    binding: &'a ExecBinding,
+    /// Upper bound on the threads the row grid is split over.
+    threads: usize,
+}
+
+/// What one exponential and one FP8 rounding cost in multiply-adds of a
+/// vectorised inner loop (5–8 ns and 24 ns against 0.17–0.32 ns on the
+/// benchmark host): the weights that put a row's element operations on the
+/// one scale [`for_row_ranges`] compares with its threshold.
+const EXP_WORK: usize = 32;
+const FP8_WORK: usize = 128;
 
 /// Per-op-kind counters of one profiled program execution.
 ///
@@ -632,34 +690,6 @@ fn dot_rows<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut 
     }
 }
 
-/// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
-/// adding its terms in the order they arrive. Four terms share one pass over
-/// `acc`, so it is loaded and stored once per four rows; the inner loop runs
-/// over contiguous slices and vectorises across `j`.
-fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
-    let n = acc.len();
-    let mut terms = terms.map(|(c, row)| (c, &row[..n])).fuse();
-    loop {
-        match [terms.next(), terms.next(), terms.next(), terms.next()] {
-            [Some((c0, r0)), Some((c1, r1)), Some((c2, r2)), Some((c3, r3))] => {
-                for ((((slot, &v0), &v1), &v2), &v3) in
-                    acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
-                {
-                    *slot = (((*slot + c0 * v0) + c1 * v1) + c2 * v2) + c3 * v3;
-                }
-            }
-            rest => {
-                for (c, row) in rest.into_iter().flatten() {
-                    for (slot, &a) in acc.iter_mut().zip(row) {
-                        *slot += c * a;
-                    }
-                }
-                return;
-            }
-        }
-    }
-}
-
 /// Running online-softmax statistics: the fused max / rescaled-sum pair.
 #[derive(Debug, Clone, Copy)]
 struct OnlineStats {
@@ -710,58 +740,63 @@ impl OnlineStats {
     }
 }
 
-fn exec_softmax(name: &str, binding: &ExecBinding, m: &Matrix) -> Result<ExecOutput, ExecError> {
+fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError> {
+    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     let (rows, len) = (m.rows(), m.cols());
     if rows == 0 || len == 0 {
         return Err(shape_err(name, "softmax input must be non-empty"));
     }
     let segments = segment_ranges(len, binding.segments);
     let tiles = |(start, end)| chunks(start, end, binding.block_axis);
-    // The running maximum each tile's exponentials were stored under.
-    let mut stored_under = vec![0.0f64; segments.clone().flat_map(tiles).count()];
-    let mut out = Matrix::zeros(rows, len);
-    for r in 0..rows {
-        let (row, out_row) = (m.row(r), out.row_mut(r));
-        let mut global = OnlineStats::identity();
-        let mut slots = stored_under.iter_mut();
-        for segment in segments.clone() {
-            let mut stats = OnlineStats::identity();
-            for ((tile_start, tile_end), under) in tiles(segment).zip(&mut slots) {
-                let tile = &row[tile_start..tile_end];
-                let tile_max = tile
-                    .iter()
-                    .copied()
-                    .fold(BinaryOp::Max.identity(), f64::max);
-                // Store + correct: the running sum moves to the new maximum.
-                stats.advance(tile_max);
-                *under = stats.max;
-                if stats.max == f64::NEG_INFINITY {
-                    // Every element so far is masked: the tile adds nothing
-                    // and its outputs stay the zeros `out` was created with.
-                    continue;
+    let n_tiles = segments.clone().flat_map(tiles).count();
+    let mut out = vec![0.0f64; rows * len];
+    let body = |range: Range<usize>, out: &mut [f64]| {
+        // The running maximum each tile's exponentials were stored under.
+        let mut stored_under = vec![0.0f64; n_tiles];
+        for (r, out_row) in range.zip(out.chunks_exact_mut(len)) {
+            let row = m.row(r);
+            let mut global = OnlineStats::identity();
+            let mut slots = stored_under.iter_mut();
+            for segment in segments.clone() {
+                let mut stats = OnlineStats::identity();
+                for ((tile_start, tile_end), under) in tiles(segment).zip(&mut slots) {
+                    let tile = &row[tile_start..tile_end];
+                    let tile_max = tile
+                        .iter()
+                        .copied()
+                        .fold(BinaryOp::Max.identity(), f64::max);
+                    // Store + correct: the running sum moves to the new maximum.
+                    stats.advance(tile_max);
+                    *under = stats.max;
+                    if stats.max == f64::NEG_INFINITY {
+                        // Every element so far is masked: the tile adds nothing
+                        // and its outputs stay the zeros `out` was created with.
+                        continue;
+                    }
+                    // Reduce: fold the tile under the updated maximum, keeping
+                    // each exponential as the still-unnormalised output.
+                    for (slot, &v) in out_row[tile_start..tile_end].iter_mut().zip(tile) {
+                        *slot = (v - stats.max).exp();
+                        stats.sum += *slot;
+                    }
                 }
-                // Reduce: fold the tile under the updated maximum, keeping
-                // each exponential as the still-unnormalised output.
-                for (slot, &v) in out_row[tile_start..tile_end].iter_mut().zip(tile) {
-                    *slot = (v - stats.max).exp();
-                    stats.sum += *slot;
+                // Combine kernel: Eq. 31 over the segment statistics.
+                global = global.merge(stats);
+            }
+            // Epilogue: the correct step applied to the stored output — one
+            // exponential per tile moves it from the maximum it was stored
+            // under to the global one — fused with the normalisation.
+            let all_tiles = segments.clone().flat_map(tiles);
+            for ((tile_start, tile_end), &under) in all_tiles.zip(&stored_under) {
+                let factor = (under - global.max).exp() / global.sum;
+                for slot in &mut out_row[tile_start..tile_end] {
+                    *slot *= factor;
                 }
             }
-            // Combine kernel: Eq. 31 over the segment statistics.
-            global = global.merge(stats);
         }
-        // Epilogue: the correct step applied to the stored output — one
-        // exponential per tile moves it from the maximum it was stored under
-        // to the global one — fused with the normalisation.
-        for ((tile_start, tile_end), &under) in segments.clone().flat_map(tiles).zip(&stored_under)
-        {
-            let factor = (under - global.max).exp() / global.sum;
-            for slot in &mut out_row[tile_start..tile_end] {
-                *slot *= factor;
-            }
-        }
-    }
-    Ok(ExecOutput::Matrix(out))
+    };
+    for_row_ranges(threads, rows, 1, len * EXP_WORK, &mut out, len, body);
+    Ok(ExecOutput::Matrix(Matrix::from_vec(rows, len, out)))
 }
 
 /// Sum and sum of squares of `N` rows, each segment's partial added to the
@@ -791,7 +826,8 @@ fn sum_and_squares<const N: usize>(
     totals
 }
 
-fn exec_variance(name: &str, binding: &ExecBinding, m: &Matrix) -> Result<ExecOutput, ExecError> {
+fn exec_variance(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError> {
+    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     let (rows, len) = (m.rows(), m.cols());
     if rows == 0 || len == 0 {
         return Err(shape_err(name, "variance input must be non-empty"));
@@ -802,28 +838,32 @@ fn exec_variance(name: &str, binding: &ExecBinding, m: &Matrix) -> Result<ExecOu
         let mean = sum / n;
         (sum_sq / n - mean * mean).max(0.0)
     };
-    let mut out = Vec::with_capacity(rows);
-    let mut r = 0;
-    while r + 4 <= rows {
-        let lanes = [m.row(r), m.row(r + 1), m.row(r + 2), m.row(r + 3)];
-        out.extend(sum_and_squares(lanes, segments.clone()).map(finish));
-        r += 4;
-    }
-    for r in r..rows {
-        out.extend(sum_and_squares([m.row(r)], segments.clone()).map(finish));
-    }
+    let mut out = vec![0.0f64; rows];
+    // Ranges start on multiples of 4, so every range walks whole quads.
+    for_row_ranges(threads, rows, 4, len, &mut out, 1, |range, out| {
+        let mut quads = out.chunks_exact_mut(4);
+        for (quad, r) in (&mut quads).zip(range.clone().step_by(4)) {
+            let lanes = [m.row(r), m.row(r + 1), m.row(r + 2), m.row(r + 3)];
+            quad.copy_from_slice(&sum_and_squares(lanes, segments.clone()).map(finish));
+        }
+        let rest = quads.into_remainder();
+        let rest_rows = range.end - rest.len()..range.end;
+        for (slot, r) in rest.iter_mut().zip(rest_rows) {
+            *slot = finish(sum_and_squares([m.row(r)], segments.clone())[0]);
+        }
+    });
     Ok(ExecOutput::Values(out))
 }
 
 fn exec_attention(
-    name: &str,
-    binding: &ExecBinding,
+    launch: Launch<'_>,
     qk_dim: usize,
     head_dim: usize,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
 ) -> Result<ExecOutput, ExecError> {
+    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     if q.cols() != qk_dim || k.cols() != qk_dim {
         return Err(shape_err(
             name,
@@ -853,72 +893,77 @@ fn exec_attention(
     }
     let scale = 1.0 / (qk_dim.max(1) as f64).sqrt();
     let segments = segment_ranges(kv_len, binding.segments);
-    // One scratch for the whole call: a tile of scores (then probabilities)
-    // and one output accumulator per segment — the max-shifted unnormalised
-    // FlashDecoding partials the combine kernel merges.
     let tile = binding.block_axis.clamp(1, kv_len);
     let n_segments = segments.clone().count();
-    let mut scratch = vec![0.0f64; tile + n_segments * head_dim];
-    let (scores, accs) = scratch.split_at_mut(tile);
-    let mut partials = vec![OnlineStats::identity(); n_segments];
-    let mut out = Matrix::zeros(q_rows, head_dim);
-    for row in 0..q_rows {
-        let q_row = q.row(row);
-        let mut global = OnlineStats::identity();
-        let states = accs.chunks_exact_mut(head_dim.max(1)).zip(&mut partials);
-        for ((start, end), (acc, partial)) in segments.clone().zip(states) {
-            let mut stats = OnlineStats::identity();
-            acc.fill(0.0);
-            for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
-                // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
-                let scores = &mut scores[..tile_end - tile_start];
-                dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
-                let mut tile_max = BinaryOp::Max.identity();
-                for s in scores.iter_mut() {
-                    *s *= scale;
-                    tile_max = tile_max.max(*s);
+    let work_per_row = kv_len * (qk_dim + head_dim + EXP_WORK);
+    let mut out = vec![0.0f64; q_rows * head_dim];
+    let body = |range: Range<usize>, out: &mut [f64]| {
+        // One scratch per range: a tile of scores (then probabilities) and
+        // one output accumulator per segment — the max-shifted unnormalised
+        // FlashDecoding partials the combine kernel merges.
+        let mut scratch = vec![0.0f64; tile + n_segments * head_dim];
+        let (scores, accs) = scratch.split_at_mut(tile);
+        let mut partials = vec![OnlineStats::identity(); n_segments];
+        for (row, out_row) in range.zip(out.chunks_exact_mut(head_dim.max(1))) {
+            let q_row = q.row(row);
+            let mut global = OnlineStats::identity();
+            let states = accs.chunks_exact_mut(head_dim.max(1)).zip(&mut partials);
+            for ((start, end), (acc, partial)) in segments.clone().zip(states) {
+                let mut stats = OnlineStats::identity();
+                acc.fill(0.0);
+                for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                    // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
+                    let scores = &mut scores[..tile_end - tile_start];
+                    dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
+                    let mut tile_max = BinaryOp::Max.identity();
+                    for s in scores.iter_mut() {
+                        *s *= scale;
+                        tile_max = tile_max.max(*s);
+                    }
+                    // Store: snapshot the previous maximum; correct: rescale
+                    // the running sum and the output accumulator for the
+                    // moved maximum.
+                    let correction = stats.advance(tile_max);
+                    if stats.max == f64::NEG_INFINITY {
+                        continue;
+                    }
+                    if correction != 1.0 {
+                        for slot in acc.iter_mut() {
+                            *slot *= correction;
+                        }
+                    }
+                    // Reduce (reductions 2–4): accumulate the tile's
+                    // probabilities and value contributions under the
+                    // updated maximum.
+                    for s in scores.iter_mut() {
+                        *s = (*s - stats.max).exp();
+                        stats.sum += *s;
+                    }
+                    let values = (tile_start..tile_end).map(|j| v.row(j));
+                    add_scaled_rows(acc, scores.iter().copied().zip(values));
                 }
-                // Store: snapshot the previous maximum; correct: rescale the
-                // running sum and the output accumulator for the moved maximum.
-                let correction = stats.advance(tile_max);
-                if stats.max == f64::NEG_INFINITY {
+                *partial = stats;
+                global = global.merge(stats);
+            }
+            // Combine kernel: rescale the segment partials to the global
+            // maximum (Eq. 31), then normalise (with one segment this
+            // degenerates to the plain FlashAttention epilogue).
+            for (acc, partial) in accs.chunks_exact(head_dim.max(1)).zip(&partials) {
+                let rescale = (partial.max - global.max).exp();
+                if rescale == 0.0 {
                     continue;
                 }
-                if correction != 1.0 {
-                    for slot in acc.iter_mut() {
-                        *slot *= correction;
-                    }
+                for (slot, &a) in out_row.iter_mut().zip(acc) {
+                    *slot += a * rescale;
                 }
-                // Reduce (reductions 2–4): accumulate the tile's probabilities
-                // and value contributions under the updated maximum.
-                for s in scores.iter_mut() {
-                    *s = (*s - stats.max).exp();
-                    stats.sum += *s;
-                }
-                let values = (tile_start..tile_end).map(|j| v.row(j));
-                add_scaled_rows(acc, scores.iter().copied().zip(values));
             }
-            *partial = stats;
-            global = global.merge(stats);
-        }
-        // Combine kernel: rescale the segment partials to the global maximum
-        // (Eq. 31), then normalise (with one segment this degenerates to the
-        // plain FlashAttention epilogue).
-        let out_row = out.row_mut(row);
-        for (acc, partial) in accs.chunks_exact(head_dim.max(1)).zip(&partials) {
-            let rescale = (partial.max - global.max).exp();
-            if rescale == 0.0 {
-                continue;
-            }
-            for (slot, &a) in out_row.iter_mut().zip(acc) {
-                *slot += a * rescale;
+            for slot in out_row.iter_mut() {
+                *slot /= global.sum;
             }
         }
-        for slot in out_row.iter_mut() {
-            *slot /= global.sum;
-        }
-    }
-    Ok(ExecOutput::Matrix(out))
+    };
+    for_row_ranges(threads, q_rows, 1, work_per_row, &mut out, head_dim, body);
+    Ok(ExecOutput::Matrix(Matrix::from_vec(q_rows, head_dim, out)))
 }
 
 /// One streaming top-k candidate.
@@ -945,12 +990,12 @@ fn insert_candidate(best: &mut Vec<Candidate>, candidate: Candidate, topk: usize
 }
 
 fn exec_routing(
-    name: &str,
-    binding: &ExecBinding,
+    launch: Launch<'_>,
     topk: usize,
     x: &Matrix,
     w: &Matrix,
 ) -> Result<ExecOutput, ExecError> {
+    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     let (tokens, hidden) = (x.rows(), x.cols());
     let experts = w.cols();
     if w.rows() != hidden {
@@ -972,61 +1017,69 @@ fn exec_routing(
         return Err(shape_err(name, "routing input must be non-empty"));
     }
     let segments = segment_ranges(experts, binding.segments);
-    let mut scores = vec![0.0f64; binding.block_axis.clamp(1, experts)];
-    let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
-    let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk + 1);
-    let mut decisions = Vec::with_capacity(tokens);
-    for token in 0..tokens {
-        let x_row = x.row(token);
-        let mut merged_stats = OnlineStats::identity();
-        merged_best.clear();
-        for (start, end) in segments.clone() {
-            let mut stats = OnlineStats::identity();
-            best.clear();
-            for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
-                // Reduce: the scoring GEMM tile, the cascade's innermost
-                // reduction — `hidden`-outer over contiguous weight rows.
-                let scores = &mut scores[..tile_end - tile_start];
-                scores.fill(0.0);
-                let weights = (0..hidden).map(|h| &w.row(h)[tile_start..tile_end]);
-                add_scaled_rows(scores, x_row.iter().copied().zip(weights));
-                for (index, &score) in (tile_start..tile_end).zip(scores.iter()) {
-                    // Store + correct + reduce on the softmax statistics.
-                    stats.advance(score);
-                    if stats.max != f64::NEG_INFINITY {
-                        stats.sum += (score - stats.max).exp();
+    let work_per_row = experts * (hidden + EXP_WORK);
+    let undecided = TopKDecision {
+        experts: Vec::new(),
+        probs: Vec::new(),
+    };
+    let mut decisions = vec![undecided; tokens];
+    let body = |range: Range<usize>, out: &mut [TopKDecision]| {
+        let mut scores = vec![0.0f64; binding.block_axis.clamp(1, experts)];
+        let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
+        let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk + 1);
+        for (token, decision) in range.zip(out) {
+            let x_row = x.row(token);
+            let mut merged_stats = OnlineStats::identity();
+            merged_best.clear();
+            for (start, end) in segments.clone() {
+                let mut stats = OnlineStats::identity();
+                best.clear();
+                for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                    // Reduce: the scoring GEMM tile, the cascade's innermost
+                    // reduction — `hidden`-outer over contiguous weight rows.
+                    let scores = &mut scores[..tile_end - tile_start];
+                    scores.fill(0.0);
+                    let weights = (0..hidden).map(|h| &w.row(h)[tile_start..tile_end]);
+                    add_scaled_rows(scores, x_row.iter().copied().zip(weights));
+                    for (index, &score) in (tile_start..tile_end).zip(scores.iter()) {
+                        // Store + correct + reduce on the softmax statistics.
+                        stats.advance(score);
+                        if stats.max != f64::NEG_INFINITY {
+                            stats.sum += (score - stats.max).exp();
+                        }
+                        // Streaming top-k over the raw scores (softmax is
+                        // order-preserving, so selection and normalisation
+                        // commute).
+                        insert_candidate(&mut best, Candidate { index, score }, topk);
                     }
-                    // Streaming top-k over the raw scores (softmax is
-                    // order-preserving, so selection and normalisation
-                    // commute).
-                    insert_candidate(&mut best, Candidate { index, score }, topk);
+                }
+                // Combine kernel: merge statistics with Eq. 31 and the
+                // candidate lists under the shared comparator.
+                merged_stats = merged_stats.merge(stats);
+                for &candidate in &best {
+                    insert_candidate(&mut merged_best, candidate, topk);
                 }
             }
-            // Combine kernel: merge statistics with Eq. 31 and the
-            // candidate lists under the shared comparator.
-            merged_stats = merged_stats.merge(stats);
-            for &candidate in &best {
-                insert_candidate(&mut merged_best, candidate, topk);
-            }
+            *decision = TopKDecision {
+                experts: merged_best.iter().map(|c| c.index).collect(),
+                probs: merged_best
+                    .iter()
+                    .map(|c| (c.score - merged_stats.max).exp() / merged_stats.sum)
+                    .collect(),
+            };
         }
-        decisions.push(TopKDecision {
-            experts: merged_best.iter().map(|c| c.index).collect(),
-            probs: merged_best
-                .iter()
-                .map(|c| (c.score - merged_stats.max).exp() / merged_stats.sum)
-                .collect(),
-        });
-    }
+    };
+    for_row_ranges(threads, tokens, 1, work_per_row, &mut decisions, 1, body);
     Ok(ExecOutput::TopK(decisions))
 }
 
 fn exec_quant_gemm(
-    name: &str,
-    binding: &ExecBinding,
+    launch: Launch<'_>,
     n: usize,
     a: &Matrix,
     w: &Matrix,
 ) -> Result<ExecOutput, ExecError> {
+    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     if w.rows() != a.cols() {
         return Err(shape_err(
             name,
@@ -1051,57 +1104,68 @@ fn exec_quant_gemm(
         return Err(shape_err(name, "quant-gemm input must be non-empty"));
     }
     let block_rows = binding.block_rows.clamp(1, m);
-    // Per row of a block: the accumulator and the abs-max it is scaled by.
-    let mut accs = vec![0.0f64; block_rows * n];
-    let mut amaxes = vec![0.0f64; block_rows];
-    let mut out = Matrix::zeros(m, n);
-    for (r0, r1) in chunks(0, m, block_rows) {
-        for (start, end) in segment_ranges(k_len, binding.segments) {
-            accs.fill(0.0);
-            amaxes.fill(0.0);
-            for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
-                // The weight tile is visited once per row block: it stays
-                // cache-resident while every row of the block consumes it.
-                let rows = (r0..r1).zip(accs.chunks_exact_mut(n)).zip(&mut amaxes);
-                for ((row, acc), amax) in rows {
-                    // Reduce (reduction 1): the tile's abs-max.
-                    let tile = &a.row(row)[tile_start..tile_end];
-                    let new_amax = tile.iter().fold(*amax, |m, v| m.max(v.abs()));
-                    if new_amax == 0.0 {
+    let work_per_row = k_len * (n + FP8_WORK);
+    let mut out = vec![0.0f64; m * n];
+    // Ranges start on multiples of `block_rows`: the same row blocks run,
+    // and each weight tile is still fetched once per block.
+    let body = |range: Range<usize>, out: &mut [f64]| {
+        // Per row of a block: the accumulator and the abs-max it is scaled by.
+        let mut accs = vec![0.0f64; block_rows * n];
+        let mut amaxes = vec![0.0f64; block_rows];
+        let blocks = chunks(range.start, range.end, block_rows);
+        for ((r0, r1), out_block) in blocks.zip(out.chunks_mut(block_rows * n)) {
+            for (start, end) in segment_ranges(k_len, binding.segments) {
+                accs.fill(0.0);
+                amaxes.fill(0.0);
+                for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                    // The weight tile is visited once per row block: it
+                    // stays cache-resident while every row of the block
+                    // consumes it.
+                    let rows = (r0..r1).zip(accs.chunks_exact_mut(n)).zip(&mut amaxes);
+                    for ((row, acc), amax) in rows {
+                        // Reduce (reduction 1): the tile's abs-max.
+                        let tile = &a.row(row)[tile_start..tile_end];
+                        let new_amax = tile.iter().fold(*amax, |m, v| m.max(v.abs()));
+                        if new_amax == 0.0 {
+                            continue;
+                        }
+                        // Store + correct: rescale the accumulator from the
+                        // provisional scale to the updated one (Eq. 21).
+                        if *amax > 0.0 && new_amax > *amax {
+                            let correction = *amax / new_amax;
+                            for slot in acc.iter_mut() {
+                                *slot *= correction;
+                            }
+                        }
+                        // Reduce (reduction 2): quantise the tile under the
+                        // updated scale and accumulate its GEMM
+                        // contribution (Eq. 22).
+                        let scale = new_amax / FP8_MAX;
+                        let quantised = tile.iter().map(|&x| fp8_round(x / scale));
+                        let terms = quantised.zip(tile_start..).filter(|&(qv, _)| qv != 0.0);
+                        add_scaled_rows(acc, terms.map(|(qv, kk)| (qv, w.row(kk))));
+                        *amax = new_amax;
+                    }
+                }
+                // Combine kernel + epilogue: de-quantise each partial under
+                // its own segment scale and sum — algebraically the
+                // rescale-to-global merge of Eq. 21 followed by the final
+                // de-quantisation.
+                let partials = accs.chunks_exact(n).zip(&amaxes);
+                for (out_row, (acc, &amax)) in out_block.chunks_exact_mut(n).zip(partials) {
+                    if amax == 0.0 {
                         continue;
                     }
-                    // Store + correct: rescale the accumulator from the
-                    // provisional scale to the updated one (Eq. 21).
-                    if *amax > 0.0 && new_amax > *amax {
-                        let correction = *amax / new_amax;
-                        for slot in acc.iter_mut() {
-                            *slot *= correction;
-                        }
+                    let scale = amax / FP8_MAX;
+                    for (slot, &partial) in out_row.iter_mut().zip(acc) {
+                        *slot += partial * scale;
                     }
-                    // Reduce (reduction 2): quantise the tile under the updated
-                    // scale and accumulate its GEMM contribution (Eq. 22).
-                    let scale = new_amax / FP8_MAX;
-                    let quantised = tile.iter().map(|&x| fp8_round(x / scale));
-                    let terms = quantised.zip(tile_start..).filter(|&(qv, _)| qv != 0.0);
-                    add_scaled_rows(acc, terms.map(|(qv, kk)| (qv, w.row(kk))));
-                    *amax = new_amax;
-                }
-            }
-            // Combine kernel + epilogue: de-quantise each partial under its
-            // own segment scale and sum — algebraically the rescale-to-global
-            // merge of Eq. 21 followed by the final de-quantisation.
-            for ((row, acc), &amax) in (r0..r1).zip(accs.chunks_exact(n)).zip(&amaxes) {
-                if amax == 0.0 {
-                    continue;
-                }
-                let scale = amax / FP8_MAX;
-                for (slot, &partial) in out.row_mut(row).iter_mut().zip(acc) {
-                    *slot += partial * scale;
                 }
             }
         }
-    }
-    Ok(ExecOutput::Matrix(out))
+    };
+    for_row_ranges(threads, m, block_rows, work_per_row, &mut out, n, body);
+    Ok(ExecOutput::Matrix(Matrix::from_vec(m, n, out)))
 }
 
 fn exec_inertia(
@@ -1319,6 +1383,125 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, ExecError::InputMismatch { .. }));
         assert!(err.to_string().contains("row-matrix"));
+    }
+
+    fn output_bits(output: ExecOutput) -> Vec<u64> {
+        match output {
+            ExecOutput::Matrix(m) => m.as_slice().iter().map(|v| v.to_bits()).collect(),
+            ExecOutput::Values(v) => v.iter().map(|v| v.to_bits()).collect(),
+            ExecOutput::TopK(decisions) => decisions
+                .iter()
+                .flat_map(|d| {
+                    let experts = d.experts.iter().map(|&e| e as u64);
+                    experts.chain(d.probs.iter().map(|p| p.to_bits()))
+                })
+                .collect(),
+        }
+    }
+
+    /// Runs one case on 1, 2, 3 and 7 threads and compares the output bits.
+    /// `work` is the case's `rows × work_per_row`: the comparison means
+    /// something only when the splitter does split.
+    fn assert_bits_ignore_the_thread_count(
+        program: &TileProgram,
+        input: &ExecInput<'_>,
+        work: usize,
+    ) {
+        assert!(
+            work >= rf_workloads::PARALLEL_MIN_WORK,
+            "case too small to split"
+        );
+        let serial = output_bits(execute_with_threads(1, program, input).unwrap());
+        for threads in [2, 3, 7] {
+            let split = output_bits(execute_with_threads(threads, program, input).unwrap());
+            assert!(serial == split, "{threads} threads changed the output bits");
+        }
+    }
+
+    /// Row counts that leave every split ragged: `7k + 1` (also `2k + 1` and
+    /// not a multiple of 4), fewer rows than threads, and a single row.
+    const RAGGED_ROWS: [usize; 3] = [15, 5, 1];
+
+    #[test]
+    fn softmax_bits_ignore_the_thread_count() {
+        for rows in RAGGED_ROWS {
+            let len = 9_000 * 15 / rows;
+            let m = random_matrix(rows, len, 20, -3.0, 3.0);
+            for point in [(4, 4096, 1), (2, 1000, 3)] {
+                let program = bound_program(Semantics::Softmax, rows, len, point);
+                let work = rows * len * EXP_WORK;
+                assert_bits_ignore_the_thread_count(&program, &ExecInput::Rows(&m), work);
+            }
+        }
+    }
+
+    #[test]
+    fn variance_bits_ignore_the_thread_count() {
+        // One row alone must reach the threshold: 2²² elements per shape.
+        let data = random_vec(15 * 280_000, 21, -3.0, 3.0);
+        for rows in RAGGED_ROWS {
+            let len = data.len() / rows;
+            let m = Matrix::from_vec(rows, len, data.clone());
+            let program = bound_program(Semantics::Variance, rows, len, (4, 4096, 3));
+            assert_bits_ignore_the_thread_count(&program, &ExecInput::Rows(&m), rows * len);
+        }
+    }
+
+    #[test]
+    fn attention_bits_ignore_the_thread_count() {
+        let (qk_dim, head_dim) = (64, 48);
+        for rows in RAGGED_ROWS {
+            let kv = 2_800 * 15 / rows;
+            let q = random_matrix(rows, qk_dim, 1, -1.0, 1.0);
+            let k = random_matrix(kv, qk_dim, 2, -1.0, 1.0);
+            let v = random_matrix(kv, head_dim, 3, -1.0, 1.0);
+            let input = ExecInput::Attention {
+                q: &q,
+                k: &k,
+                v: &v,
+            };
+            for point in [(4, 128, 1), (2, 100, 3)] {
+                let program =
+                    bound_program(Semantics::Attention { qk_dim, head_dim }, rows, kv, point);
+                assert_bits_ignore_the_thread_count(
+                    &program,
+                    &input,
+                    rows * kv * (qk_dim + head_dim),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn routing_bits_ignore_the_thread_count() {
+        let hidden = 160;
+        for rows in RAGGED_ROWS {
+            let experts = 1_800 * 15 / rows;
+            let x = random_matrix(rows, hidden, 4, -1.0, 1.0);
+            let w = random_matrix(hidden, experts, 5, -1.0, 1.0);
+            let input = ExecInput::Routing { x: &x, w: &w };
+            for point in [(4, 256, 1), (2, 100, 3)] {
+                let program = bound_program(Semantics::Routing { topk: 6 }, rows, experts, point);
+                assert_bits_ignore_the_thread_count(&program, &input, rows * experts * hidden);
+            }
+        }
+    }
+
+    #[test]
+    fn quant_gemm_bits_ignore_the_thread_count() {
+        let n = 288;
+        for rows in RAGGED_ROWS {
+            let k_len = 1_024 * 15 / rows;
+            let a = random_matrix(rows, k_len, 6, -2.0, 2.0);
+            let w = random_matrix(k_len, n, 7, -1.0, 1.0);
+            let input = ExecInput::QuantGemm { a: &a, w: &w };
+            // Row blocks of 4 and 2: 15 rows leave a short last block, and on
+            // 2 threads `block_rows` 4 deals 8 + 7 rows.
+            for point in [(4, 128, 1), (2, 100, 3)] {
+                let program = bound_program(Semantics::QuantGemm { n }, rows, k_len, point);
+                assert_bits_ignore_the_thread_count(&program, &input, rows * k_len * n);
+            }
+        }
     }
 
     #[test]

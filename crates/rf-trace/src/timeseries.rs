@@ -7,18 +7,25 @@
 //! ring rolls off. The snapshot derives per-window throughput, p99 simulated
 //! latency, shed rate, mean batch occupancy and busy fraction — exported as
 //! the `timeseries` section of `BENCH_serving.json` and as Prometheus
-//! gauges for the most recent complete window.
+//! gauges for the most recent active window. The newest window is still
+//! open: its throughput is its completions over the time it has covered so
+//! far, not over the full width.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default window width, milliseconds.
 pub const DEFAULT_WINDOW_MS: u64 = 250;
 
 /// Default number of windows the ring retains.
 pub const DEFAULT_WINDOWS: usize = 64;
+
+/// Shortest time, milliseconds, the open window is taken to cover: window
+/// indices have millisecond resolution, and a snapshot taken in the instant a
+/// window opens must not divide by ~0.
+const MIN_COVERED_MS: f64 = 1.0;
 
 /// Bounded number of latency samples kept per window for the p99 estimate
 /// (counters remain exact; excess samples are dropped and counted).
@@ -55,8 +62,14 @@ pub struct RollingTelemetry {
     /// Streams merged into this ring (1 per device; fleet merges sum it so
     /// busy fractions stay normalised).
     streams: AtomicU64,
+    state: Mutex<State>,
+}
+
+/// The windows and the instant their indices count from.
+#[derive(Debug)]
+struct State {
     epoch: Instant,
-    ring: Mutex<VecDeque<Slot>>,
+    ring: VecDeque<Slot>,
 }
 
 impl Default for RollingTelemetry {
@@ -72,8 +85,10 @@ impl RollingTelemetry {
             width_ms: width_ms.max(1),
             slots: slots.max(1),
             streams: AtomicU64::new(1),
-            epoch: Instant::now(),
-            ring: Mutex::new(VecDeque::new()),
+            state: Mutex::new(State {
+                epoch: Instant::now(),
+                ring: VecDeque::new(),
+            }),
         }
     }
 
@@ -87,13 +102,14 @@ impl RollingTelemetry {
         self.slots
     }
 
-    fn index_now(&self) -> u64 {
-        (self.epoch.elapsed().as_millis() as u64) / self.width_ms
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("telemetry ring poisoned")
     }
 
     fn with_slot<R>(&self, f: impl FnOnce(&mut Slot) -> R) -> R {
-        let index = self.index_now();
-        let mut ring = self.ring.lock().expect("telemetry ring poisoned");
+        let mut state = self.lock();
+        let index = (state.epoch.elapsed().as_millis() as u64) / self.width_ms;
+        let ring = &mut state.ring;
         if ring.back().is_none_or(|slot| slot.index < index) {
             ring.push_back(Slot::new(index));
         }
@@ -141,17 +157,20 @@ impl RollingTelemetry {
         });
     }
 
-    /// Folds another ring into this one, aligning windows by index. The two
-    /// rings' epochs differ by device start-up skew (microseconds), which is
-    /// far below the window width; the merged busy fraction renormalises by
-    /// the summed stream count.
+    /// Folds another ring into this one, aligning windows by index. The
+    /// devices' epochs differ by start-up skew (microseconds), which is far
+    /// below the window width; the merged ring counts from the earliest epoch
+    /// it has seen, so a ring created only to hold a merge still knows how
+    /// long its newest window has been open. The merged busy fraction
+    /// renormalises by the summed stream count.
     pub fn merge_from(&self, other: &RollingTelemetry) {
         self.streams
             .fetch_add(other.streams.load(Ordering::Relaxed), Ordering::Relaxed);
-        let theirs = other.ring.lock().expect("telemetry ring poisoned");
-        let mut guard = self.ring.lock().expect("telemetry ring poisoned");
-        let ours = &mut *guard;
-        for slot in theirs.iter() {
+        let theirs = other.lock();
+        let mut guard = self.lock();
+        guard.epoch = guard.epoch.min(theirs.epoch);
+        let ours = &mut guard.ring;
+        for slot in theirs.ring.iter() {
             let target = match ours.iter_mut().find(|s| s.index == slot.index) {
                 Some(existing) => existing,
                 None => {
@@ -181,24 +200,41 @@ impl RollingTelemetry {
 
     /// A point-in-time per-window summary, oldest window first.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
-        let ring = self.ring.lock().expect("telemetry ring poisoned");
-        let width_s = self.width_ms as f64 / 1000.0;
-        let busy_capacity_us =
-            self.width_ms as f64 * 1000.0 * self.streams.load(Ordering::Relaxed) as f64;
-        let windows = ring
+        let now = self.lock().epoch.elapsed();
+        self.snapshot_at(now)
+    }
+
+    /// [`RollingTelemetry::snapshot`] taken `now` after the epoch; the tests
+    /// fix the instant through it.
+    fn snapshot_at(&self, now: Duration) -> TimeSeriesSnapshot {
+        let state = self.lock();
+        let now_ms = now.as_secs_f64() * 1000.0;
+        let width_ms = self.width_ms as f64;
+        let busy_capacity_us = width_ms * 1000.0 * self.streams.load(Ordering::Relaxed) as f64;
+        let newest = state.ring.back().map(|slot| slot.index);
+        let windows = state
+            .ring
             .iter()
             .map(|slot| {
                 let mut sorted = slot.latencies.clone();
                 sorted.sort_by(|a, b| a.total_cmp(b));
                 let arrivals = slot.completed + slot.failed + slot.shed;
+                let start_ms = slot.index * self.width_ms;
+                // Closed windows cover their full width; the newest one has
+                // covered only the time since it opened.
+                let covered_ms = if Some(slot.index) == newest {
+                    (now_ms - start_ms as f64).clamp(MIN_COVERED_MS, width_ms)
+                } else {
+                    width_ms
+                };
                 WindowSnapshot {
-                    start_ms: slot.index * self.width_ms,
+                    start_ms,
                     submitted: slot.submitted,
                     completed: slot.completed,
                     failed: slot.failed,
                     shed: slot.shed,
                     batches: slot.batches,
-                    throughput_rps: slot.completed as f64 / width_s,
+                    throughput_rps: slot.completed as f64 / (covered_ms / 1000.0),
                     p99_us: percentile_sorted(&sorted, 99.0),
                     shed_rate: if arrivals > 0 {
                         slot.shed as f64 / arrivals as f64
@@ -267,7 +303,8 @@ pub struct WindowSnapshot {
     pub shed: u64,
     /// Batches executed in the window.
     pub batches: u64,
-    /// Completions per second over the window width.
+    /// Completions per second over the time the window covers: its width,
+    /// or for the newest window the time since it opened.
     pub throughput_rps: f64,
     /// p99 of the simulated batch latencies landing in the window, µs.
     pub p99_us: f64,
@@ -290,7 +327,8 @@ mod tests {
         telemetry.record_submit();
         telemetry.record_batch(2, 0, 1000.0, 2);
         telemetry.record_shed();
-        let snapshot = telemetry.snapshot();
+        // Taken as the window closes, so its rate is over the full width.
+        let snapshot = telemetry.snapshot_at(Duration::from_secs(60));
         assert_eq!(snapshot.window_ms, 60_000);
         assert_eq!(snapshot.windows.len(), 1);
         let w = &snapshot.windows[0];
@@ -328,9 +366,74 @@ mod tests {
         let start = Instant::now();
         while seen.len() < 4 && start.elapsed().as_millis() < 500 {
             telemetry.record_batch(1, 0, 1.0, 1);
-            seen.insert(telemetry.index_now());
+            seen.extend(telemetry.snapshot().windows.last().map(|w| w.start_ms));
         }
         assert!(telemetry.snapshot().windows.len() <= 2);
+    }
+
+    #[test]
+    fn the_open_window_is_normalised_by_the_time_it_covers() {
+        // The raw events: (completed, failed) per batch, all inside the first
+        // 60 s window.
+        let batches = [(8u64, 0u64), (8, 1), (5, 0), (8, 0), (3, 2)];
+        let telemetry = RollingTelemetry::new(60_000, 4);
+        for (completed, failed) in batches {
+            telemetry.record_batch(completed, failed, 250.0, completed + failed);
+        }
+        let completed: u64 = batches.iter().map(|&(completed, _)| completed).sum();
+        let rate_at = |ms: u64| {
+            let snapshot = telemetry.snapshot_at(Duration::from_millis(ms));
+            assert_eq!(snapshot.windows.len(), 1);
+            assert_eq!(snapshot.windows[0].completed, completed);
+            snapshot.windows[0].throughput_rps
+        };
+        // A 44 ms run: 32 completions are 727 /s, not 32 / 60 s.
+        assert!((rate_at(44) - completed as f64 / 0.044).abs() < 1e-9);
+        // An empty instant is floored at 1 ms; a window that has closed (or a
+        // reader that comes back late) never counts more than the width.
+        assert!((rate_at(0) - completed as f64 / 0.001).abs() < 1e-9);
+        assert!((rate_at(60_000) - completed as f64 / 60.0).abs() < 1e-9);
+        assert!((rate_at(600_000) - completed as f64 / 60.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn snapshot_reads_the_clock_for_the_open_window() {
+        let before_epoch = Instant::now();
+        let telemetry = RollingTelemetry::new(60_000, 4);
+        let after_epoch = Instant::now();
+        telemetry.record_batch(500, 0, 100.0, 500);
+        std::thread::sleep(Duration::from_millis(5));
+        let shortest = after_epoch.elapsed().as_secs_f64();
+        let rate = telemetry.snapshot().windows[0].throughput_rps;
+        let longest = before_epoch.elapsed().as_secs_f64();
+        assert!(
+            rate <= 500.0 / shortest && rate >= 500.0 / longest,
+            "{rate}"
+        );
+    }
+
+    #[test]
+    fn closed_windows_keep_the_full_width_and_merges_keep_the_epoch() {
+        let telemetry = RollingTelemetry::new(250, 4);
+        for (index, completed) in [(0, 100), (1, 11)] {
+            let slot = Slot {
+                completed,
+                ..Slot::new(index)
+            };
+            telemetry.lock().ring.push_back(slot);
+        }
+        let rates = |t: &RollingTelemetry, now_ms| -> Vec<f64> {
+            let snapshot = t.snapshot_at(Duration::from_millis(now_ms));
+            snapshot.windows.iter().map(|w| w.throughput_rps).collect()
+        };
+        assert_eq!(rates(&telemetry, 294), [100.0 / 0.25, 11.0 / 0.044]);
+        // A ring created later, only to hold the merge, counts from the
+        // merged ring's epoch: its clock reads no less than the source's.
+        std::thread::sleep(Duration::from_millis(2));
+        let merged = RollingTelemetry::new(250, 4);
+        merged.merge_from(&telemetry);
+        assert_eq!(rates(&merged, 294), rates(&telemetry, 294));
+        assert_eq!(merged.lock().epoch, telemetry.lock().epoch);
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! relies on seeded RNGs so that every kernel, test and benchmark sees the same
 //! data for a given `(workload, seed)` pair.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::rows::{add_scaled_rows, available_cores, for_row_ranges};
 
 /// A dense row-major `f64` matrix.
 ///
@@ -99,25 +103,32 @@ impl Matrix {
         &self.data
     }
 
-    /// Matrix product `self * other`.
+    /// Matrix product `self * other`, its rows split over the host's cores
+    /// when the product is large enough ([`for_row_ranges`]). Every output
+    /// adds its `a · b` terms in ascending inner index, skipping terms whose
+    /// `a` is zero, whatever the split.
     ///
     /// # Panics
     ///
     /// Panics if the inner dimensions do not agree.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_with_threads(available_cores(), other)
+    }
+
+    /// [`Matrix::matmul`] on up to `threads` threads.
+    fn matmul_with_threads(&self, threads: usize, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            let out_row = out.row_mut(i);
-            for (k, &a) in self.row(i).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (slot, &b) in out_row.iter_mut().zip(other.row(k)) {
-                    *slot += a * b;
-                }
+        let cols = other.cols;
+        let mut out = Matrix::zeros(self.rows, cols);
+        let body = |range: Range<usize>, out: &mut [f64]| {
+            for (i, out_row) in range.zip(out.chunks_exact_mut(cols.max(1))) {
+                let terms = self.row(i).iter().zip(other.data.chunks_exact(cols.max(1)));
+                let nonzero = terms.filter(|(&a, _)| a != 0.0);
+                add_scaled_rows(out_row, nonzero.map(|(&a, b)| (a, b)));
             }
-        }
+        };
+        let (rows, work_per_row) = (self.rows, self.cols * cols);
+        for_row_ranges(threads, rows, 1, work_per_row, &mut out.data, cols, body);
         out
     }
 
@@ -181,6 +192,57 @@ mod tests {
         let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
+    }
+
+    /// The product the way it was computed before the row splitter and the
+    /// four-term pass: one `a · row` term per pass, rows in order.
+    fn matmul_one_term_per_pass(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x == 0.0 {
+                    continue;
+                }
+                for (slot, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
+                    *slot += x * y;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matmul_bits_do_not_depend_on_the_thread_count() {
+        // Ragged row counts: 15 is 7k+1 and 2k+1, 4 is 3k+1 and fewer than 7
+        // threads, and a single row cannot be split at all.
+        for (rows, inner, cols) in [(15, 600, 512), (4, 1100, 1024), (1, 2100, 2048)] {
+            assert!(rows * inner * cols >= crate::PARALLEL_MIN_WORK);
+            let mut a = Matrix::random(rows, inner, 11, -1.0, 1.0);
+            for k in (0..inner).step_by(5) {
+                a.set(k % rows, k, 0.0);
+            }
+            let b = Matrix::random(inner, cols, 12, -1.0, 1.0);
+            let bits =
+                |m: Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+            let serial = bits(a.matmul_with_threads(1, &b));
+            assert_eq!(serial, bits(matmul_one_term_per_pass(&a, &b)));
+            for threads in [2, 3, 7] {
+                assert_eq!(
+                    serial,
+                    bits(a.matmul_with_threads(threads, &b)),
+                    "{threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_products_have_the_right_shape() {
+        for (rows, inner, cols) in [(0, 3, 2), (3, 0, 2), (3, 2, 0)] {
+            let c = Matrix::zeros(rows, inner).matmul(&Matrix::zeros(inner, cols));
+            assert_eq!((c.rows(), c.cols()), (rows, cols));
+            assert!(c.as_slice().iter().all(|&v| v == 0.0));
+        }
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! taken from, and provides floating-point-operation and memory-traffic
 //! accounting used by the analytical GPU model and the baselines. The
 //! [`data`] module provides deterministic random tensor generation shared by
-//! kernels, tests and benchmarks.
+//! kernels, tests and benchmarks; [`rows`] runs a computation's independent
+//! rows on the host's cores.
 
 pub mod attention;
 pub mod data;
 pub mod moe;
 pub mod nonml;
 pub mod quant;
+pub mod rows;
 
 pub use attention::{mha_configs, mha_tiny, mla_configs, mla_tiny, MhaConfig, MlaConfig};
 pub use data::{random_matrix, random_vec, Matrix};
@@ -28,6 +30,7 @@ pub use nonml::{
     inertia_configs, inertia_tiny, variance_configs, variance_tiny, InertiaConfig, VarianceConfig,
 };
 pub use quant::{fp8_round, quant_configs, quant_tiny, QuantGemmConfig, FP8_MAX};
+pub use rows::{add_scaled_rows, available_cores, for_row_ranges, PARALLEL_MIN_WORK};
 
 /// Bytes per element for the storage precisions used in the paper's workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
