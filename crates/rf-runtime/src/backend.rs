@@ -118,12 +118,14 @@ pub fn make_backend(kind: BackendKind, arch: GpuArch) -> Arc<dyn ExecBackend> {
 /// The real interpreter: compiled tile programs run on the `rf_tile::exec`
 /// VM, costed on `arch`'s analytical latency model.
 ///
-/// The VM splits a large request's rows over the host's cores inside the
-/// call, so a device built with `workers(n)` can run up to `n × cores`
-/// threads while its workers all hold large requests; small requests stay on
-/// their worker's thread. `RoutingPolicy::RowShard` and the in-call split
-/// divide the same rows — one across devices, one across cores — and both
-/// leave every output bit where the unsplit run puts it.
+/// The VM splits a large request over the host's cores inside the call — by
+/// rows, or for attention with fewer rows than cores (decode) by the
+/// Multi-Segment segments of each row — so a device built with `workers(n)`
+/// can run up to `n × cores` threads while its workers all hold large
+/// requests, few-row long-context ones included; small requests stay on their
+/// worker's thread. `RoutingPolicy::RowShard` and the in-call row split divide
+/// the same rows — one across devices, one across cores — and every split
+/// leaves every output bit where the unsplit run puts it.
 #[derive(Debug)]
 pub struct TileVmBackend {
     arch: GpuArch,

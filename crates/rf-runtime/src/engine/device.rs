@@ -135,10 +135,23 @@ impl Device {
         trace: Arc<TraceCollector>,
         profiler: Arc<OpProfiler>,
     ) -> Device {
+        let backend = make_backend(spec.backend, spec.arch.clone());
+        Device::start_with_backend(id, backend, config, trace, profiler)
+    }
+
+    /// [`Device::start`] around a backend that already exists (the tests
+    /// inject one that parks on cue).
+    fn start_with_backend(
+        id: usize,
+        backend: Arc<dyn ExecBackend>,
+        config: &RuntimeConfig,
+        trace: Arc<TraceCollector>,
+        profiler: Arc<OpProfiler>,
+    ) -> Device {
         let shared = Arc::new(DeviceShared {
             id,
-            backend: make_backend(spec.backend, spec.arch.clone()),
-            cache: PlanCache::new(spec.arch.clone(), config.cache_capacity),
+            cache: PlanCache::new(backend.arch().clone(), config.cache_capacity),
+            backend,
             metrics: RuntimeMetrics::with_trace(config.trace),
             scheduler: StreamScheduler::new(
                 config.max_batch,
@@ -551,5 +564,127 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
             shared.metrics.record_failed(priority, 1);
             work.fulfil(Err(err));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Mutex;
+
+    use rf_codegen::{CompiledKernel, Workload};
+    use rf_gpusim::{GpuArch, KernelProfile};
+    use rf_tile::exec::{ExecError, ExecInput, ExecOutput};
+    use rf_trace::TraceConfig;
+    use rf_workloads::Matrix;
+
+    use crate::backend::TileVmBackend;
+    use crate::request::Request;
+
+    /// A tile-VM backend whose `n`-th `execute` call first waits for the
+    /// `n`-th cue of its script, when there is one.
+    struct CuedBackend {
+        inner: TileVmBackend,
+        script: Mutex<VecDeque<Option<Receiver<()>>>>,
+    }
+
+    impl CuedBackend {
+        /// The backend, and one sender per call in `cued`; `calls` are
+        /// scripted in all.
+        fn new(calls: usize, cued: &[usize]) -> (Arc<CuedBackend>, Vec<Sender<()>>) {
+            let mut script: VecDeque<Option<Receiver<()>>> = (0..calls).map(|_| None).collect();
+            let mut cues = Vec::new();
+            for &call in cued {
+                let (tx, rx) = channel();
+                script[call] = Some(rx);
+                cues.push(tx);
+            }
+            let backend = CuedBackend {
+                inner: TileVmBackend::new(GpuArch::a10()),
+                script: Mutex::new(script),
+            };
+            (Arc::new(backend), cues)
+        }
+    }
+
+    impl ExecBackend for CuedBackend {
+        fn name(&self) -> &'static str {
+            "cued"
+        }
+
+        fn arch(&self) -> &GpuArch {
+            self.inner.arch()
+        }
+
+        fn estimate_us(&self, profile: &KernelProfile, batch: usize) -> f64 {
+            self.inner.estimate_us(profile, batch)
+        }
+
+        fn execute(
+            &self,
+            plan: &CompiledKernel,
+            request: &Request,
+        ) -> Result<RequestOutput, RuntimeError> {
+            let cue = self.script.lock().unwrap().pop_front().flatten();
+            if let Some(cue) = cue {
+                cue.recv().expect("the test drives every cue");
+            }
+            self.inner.execute(plan, request)
+        }
+
+        fn run_region(
+            &self,
+            workload: &Workload,
+            kernel: &CompiledKernel,
+            input: &ExecInput<'_>,
+        ) -> Result<ExecOutput, ExecError> {
+            self.inner.run_region(workload, kernel, input)
+        }
+    }
+
+    #[test]
+    fn a_delivered_ticket_is_already_counted() {
+        // Call 0 is a plug that holds the one worker while two same-shape
+        // requests queue up behind it, so they form one batch of two; call 2,
+        // the batch's second request, is held until the first request's
+        // waiter has read the counters.
+        let (backend, cues) = CuedBackend::new(3, &[0, 2]);
+        let config = RuntimeConfig::builder()
+            .workers(1)
+            .max_batch(2)
+            .build()
+            .unwrap();
+        let trace = Arc::new(TraceCollector::new(TraceConfig::default()));
+        let profiler = Arc::new(OpProfiler::new(false));
+        let mut device = Device::start_with_backend(0, backend, &config, trace, profiler);
+        let shared = Arc::clone(&device.shared);
+        let submit = |id: u64, cols: usize| {
+            let request = Request::softmax(Matrix::random(2, cols, id, -1.0, 1.0));
+            shared.enqueue(id, Submission::workload(request)).unwrap()
+        };
+        let plug = submit(0, 8);
+        let first = submit(1, 16);
+        let second = submit(2, 16);
+        cues[0].send(()).unwrap();
+        plug.wait().unwrap();
+        let response = first.wait().unwrap();
+        assert_eq!(response.batch_size, 2, "the two requests share a batch");
+        // The batch is still open — its second request has not executed — and
+        // the first one's client already has its result: it must be counted.
+        let snapshot = shared.snapshot();
+        assert_eq!(snapshot.completed, 2, "the plug and the delivered request");
+        assert_eq!(snapshot.lanes[Priority::Normal.lane()].completed, 2);
+        cues[1].send(()).unwrap();
+        second.wait().unwrap();
+        assert_eq!(shared.snapshot().completed, 3);
+        // Batch-level counters follow once the iteration is finished.
+        shared.scheduler.wait_drained();
+        let snapshot = shared.snapshot();
+        assert_eq!((snapshot.completed, snapshot.failed), (3, 0));
+        assert_eq!(snapshot.batches, 2);
+        shared.scheduler.shutdown();
+        device.join_workers();
     }
 }

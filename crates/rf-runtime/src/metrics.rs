@@ -94,8 +94,6 @@ pub struct RuntimeMetrics {
     /// Sum of shed retry hints, in integer microseconds (mean = sum/shed).
     shed_retry_sum_us: AtomicU64,
     submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
     /// Submissions shed by admission control (`RuntimeError::Overloaded`).
     shed: AtomicU64,
     /// Per-priority-lane traffic, indexed by [`Priority::lane`].
@@ -206,9 +204,11 @@ pub struct StageSnapshot {
 pub struct MetricsSnapshot {
     /// Requests accepted by `submit`.
     pub submitted: u64,
-    /// Requests fully executed.
+    /// Requests fully executed: the sum over [`MetricsSnapshot::lanes`],
+    /// counted before the request's ticket is delivered.
     pub completed: u64,
-    /// Requests whose execution failed (delivered an error, not a result).
+    /// Requests whose execution failed (delivered an error, not a result),
+    /// summed and counted the same way.
     pub failed: u64,
     /// Submissions shed by admission control with
     /// [`crate::RuntimeError::Overloaded`] — never accepted, so disjoint
@@ -361,8 +361,6 @@ impl RuntimeMetrics {
     pub fn merge_from(&self, other: &RuntimeMetrics) {
         for (mine, theirs) in [
             (&self.submitted, &other.submitted),
-            (&self.completed, &other.completed),
-            (&self.failed, &other.failed),
             (&self.shed, &other.shed),
             (&self.batches, &other.batches),
             (&self.batched_requests, &other.batched_requests),
@@ -474,10 +472,12 @@ impl RuntimeMetrics {
     }
 
     /// Records `failed` submissions from `priority`'s lane delivered an
-    /// execution error — the lane-level counterpart of the class-level
-    /// failure count in [`RuntimeMetrics::record_batch`], keeping the
-    /// per-lane invariant `submitted == completed + failed` exact once the
-    /// queue drains.
+    /// execution error — the per-request counterpart of the class-level
+    /// failure count in [`RuntimeMetrics::record_batch`], keeping
+    /// `submitted == completed + failed` exact per lane once the queue
+    /// drains. The engine-wide `failed` total is the sum over the lanes. Call
+    /// it before the ticket is fulfilled: a client that has its result must
+    /// find it counted.
     pub fn record_failed(&self, priority: Priority, failed: usize) {
         self.lanes[priority.lane()]
             .failed
@@ -504,9 +504,11 @@ impl RuntimeMetrics {
         self.lanes[priority.lane()].wall.record_us(timing.total_us);
     }
 
-    /// Records `served` submissions from `priority`'s lane fully served.
-    /// Lane attribution only — class counters come from
-    /// [`RuntimeMetrics::record_batch`], which has no per-request priority.
+    /// Records `served` submissions from `priority`'s lane fully served; the
+    /// engine-wide `completed` total is the sum over the lanes, class and
+    /// batch counters come from [`RuntimeMetrics::record_batch`], which runs
+    /// once per batch. Call it before the ticket is fulfilled: a client that
+    /// has its result must find it counted.
     pub fn record_served(&self, priority: Priority, served: usize) {
         self.lanes[priority.lane()]
             .completed
@@ -529,7 +531,12 @@ impl RuntimeMetrics {
     /// Records one batch of workload class `class`: `executed` requests were
     /// served successfully (each experiencing the batch's simulated latency
     /// `latency_us`) and `failed` requests were delivered an execution error.
-    /// `cache_hit` says whether the batch's plan came from the cache.
+    /// `cache_hit` says whether the batch's plan came from the cache. The
+    /// engine-wide `completed` / `failed` totals do not come from here: they
+    /// are the lanes' counters, which advance per request in
+    /// [`RuntimeMetrics::record_served`] / [`RuntimeMetrics::record_failed`]
+    /// before each ticket is delivered, while a batch is recorded once its
+    /// last request is.
     ///
     /// Failed requests are never counted as completed and contribute no
     /// latency samples. Non-finite latencies (an infeasible kernel's infinite
@@ -548,8 +555,6 @@ impl RuntimeMetrics {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_requests
             .fetch_add(size as u64, Ordering::Relaxed);
-        self.completed.fetch_add(executed as u64, Ordering::Relaxed);
-        self.failed.fetch_add(failed as u64, Ordering::Relaxed);
         {
             let mut classes = self.classes.lock().expect("metrics lock poisoned");
             let track = classes.entry(class).or_default();
@@ -696,7 +701,7 @@ impl RuntimeMetrics {
         classes.sort_by_key(|c| c.class);
         let batches = self.batches.load(Ordering::Relaxed);
         let batched = self.batched_requests.load(Ordering::Relaxed);
-        let lanes = Priority::ALL
+        let lanes: Vec<LaneSnapshot> = Priority::ALL
             .iter()
             .map(|priority| {
                 let track = &self.lanes[priority.lane()];
@@ -726,8 +731,8 @@ impl RuntimeMetrics {
         };
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
+            completed: lanes.iter().map(|lane| lane.completed).sum(),
+            failed: lanes.iter().map(|lane| lane.failed).sum(),
             shed,
             lanes,
             batches,
@@ -1293,6 +1298,7 @@ mod tests {
         metrics.record_batch("softmax", 2, 0, 10.0, false);
         metrics.record_batch("softmax", 1, 0, f64::INFINITY, true);
         metrics.record_batch("softmax", 1, 0, f64::NAN, true);
+        metrics.record_served(Priority::Normal, 4);
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(snap.p50_us, 10.0);
         assert_eq!(snap.p99_us, 10.0);
@@ -1659,6 +1665,7 @@ mod tests {
         let a = RuntimeMetrics::new();
         a.record_submit(Priority::Normal);
         a.record_batch("softmax", 1, 0, 10.0, false);
+        a.record_served(Priority::Normal, 1);
         let b = RuntimeMetrics::new();
         let devices: Vec<crate::engine::DeviceSnapshot> = [("NVIDIA A10", &a), ("NVIDIA H800", &b)]
             .into_iter()
@@ -1716,6 +1723,7 @@ mod tests {
         metrics.record_batch("softmax", LATENCY_WINDOW, 0, 1.0, false);
         metrics.record_batch("softmax", LATENCY_WINDOW, 0, 9.0, true);
         metrics.record_batch("softmax", LATENCY_WINDOW, 0, 9.0, true);
+        metrics.record_served(Priority::Normal, 3 * LATENCY_WINDOW);
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(snap.completed as usize, 3 * LATENCY_WINDOW);
         assert_eq!(snap.p50_us, 9.0, "window holds only the latest samples");

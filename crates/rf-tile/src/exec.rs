@@ -46,24 +46,32 @@
 //! `add_scaled_rows`), and nothing is allocated per row, segment or tile: a
 //! call sizes its scratch once.
 //!
-//! **Parallel grid.** The generated kernel is a grid — every row block is an
-//! independent CTA — and the VM walks it on every core: softmax, variance,
-//! attention, routing and quant + GEMM are each the *body* that
+//! **Parallel grid.** The generated kernel is a grid — every row block, and
+//! under Multi-Segment every `(row, segment)` cell, is an independent CTA —
+//! and the VM walks it on every core: softmax, variance, attention, routing
+//! and quant + GEMM are each the *body* that
 //! [`rf_workloads::for_row_ranges`] runs over contiguous row ranges, the first
 //! on the calling thread and the rest on scoped threads joined before the
 //! call returns. Ranges start on multiples of 4 for variance (whole quads of
 //! rows) and of `block_rows` for quant + GEMM (the same row blocks, a weight
-//! tile still fetched once per block); each range sizes its own scratch. A
-//! call whose `rows × per-row element operations` is under the splitter's
-//! threshold — 2²² multiply-add equivalents, an exponential counted as 32
-//! and an FP8 rounding as 128, all measured on the benchmark host (see
-//! [`rf_workloads::PARALLEL_MIN_WORK`]) — or that has one row block runs the
-//! same body inline as its only range, so decode shapes cost what they did.
-//! Inertia is one system per request and stays on one thread. There is no
-//! thread pool: on this host a parked worker starts 60–100 µs sooner than a
-//! fresh scoped thread (a 2.1 ms call split in two: 1.17 against 1.26 ms),
-//! which is 1–5 % of the calls that split and does not pay for global state
-//! with a lifetime. And there is no knob: the thread count is the cached
+//! tile still fetched once per block); each range sizes its own scratch.
+//! Attention with fewer rows than threads and than segments — decode, the
+//! paper's low-concurrency case — keeps its rows on the caller and gives each
+//! row's *segments* to the same splitter instead: a range of cells leaves its
+//! FlashDecoding partials in the row's cell buffer and the combine kernel
+//! runs on the caller as the join (rows or segments, never both: no spawn
+//! nests). A call — or a row's cells — under the splitter's threshold (2²²
+//! multiply-add equivalents, an exponential counted as 32 and an FP8 rounding
+//! as 16, all measured on the benchmark host, see
+//! [`rf_workloads::PARALLEL_MIN_WORK`]) or with one row block runs the same
+//! body inline as its only range. Of `perf`'s `exec_decode` cases MLA
+//! 1×4096×(576→512) is over it (4.59 M: p50 1.9–2.1 → 1.2–1.4 ms on two
+//! cores); MHA 1×8192 (1.31 M; forced, 750–840 → 620–720 µs: under the
+//! gain/cost ratio the threshold was set by), both softmax shapes (2²⁰) and
+//! variance run inline and cost what they did. Inertia is one system per
+//! request and stays on one thread. There is no thread pool (a parked worker
+//! starts 60–100 µs sooner than a scoped thread, 1–5 % of the calls that
+//! split: not worth global state) and no knob: the thread count is the cached
 //! `available_parallelism()`, which honours the affinity mask.
 //! [`ExecProfile::wall_ns`] is elapsed wall time, not CPU time, once a call
 //! fans out.
@@ -76,17 +84,18 @@
 //! `segments` — ascending along the axis inside a tile, tiles in order,
 //! segment partials merged in order — and is **independent of `block_rows`**,
 //! so a request split by rows across calls (row-sharded serving) concatenates
-//! to the bits of the unsplit run — and so does a call split by rows across
-//! threads: a range computes its rows exactly as the unsplit loop would and
-//! writes only its own chunk of the output, so the result is bit-identical
-//! for every thread count and every way of cutting the rows. Different tuning
-//! points change the association order of the reductions (that is exactly
-//! what tiling does on hardware), so outputs across tuning points agree to
-//! rounding error — never more. The one intentional exception is FP8 quant +
-//! GEMM, where early tiles are quantised under a provisional scale (Eq.
-//! 21–22); there the tile size moves results within the quantisation noise
-//! floor, the same behaviour the hand-written fused kernel and the real
-//! generated kernel exhibit.
+//! to the bits of the unsplit run — and so does a call split across threads: a
+//! range computes its rows, or its cells of one row, exactly as the unsplit
+//! loop would and writes only its own chunk of the output or of the cell
+//! buffer, and the combine merges the cells in segment order on one thread, so
+//! the result is bit-identical for every thread count and every way of cutting
+//! the rows or the segments. Different tuning points change the association
+//! order of the reductions (that is exactly what tiling does on hardware), so
+//! outputs across tuning points agree to rounding error — never more. The one
+//! intentional exception is FP8 quant + GEMM, where early tiles are quantised
+//! under a provisional scale (Eq. 21–22); there the tile size moves results
+//! within the quantisation noise floor, the same behaviour the hand-written
+//! fused kernel and the real generated kernel exhibit.
 //!
 //! Inputs are borrowed views ([`ExecInput`]) so the serving hot path never
 //! copies a tensor; outputs ([`ExecOutput`]) are owned.
@@ -332,7 +341,7 @@ pub fn execute(program: &TileProgram, input: &ExecInput<'_>) -> Result<ExecOutpu
     execute_with_threads(available_cores(), program, input)
 }
 
-/// [`execute`] with the row grid on up to `threads` threads. The output does
+/// [`execute`] with the grid on up to `threads` threads. The output does
 /// not depend on `threads`; the unit tests call this to show it.
 fn execute_with_threads(
     threads: usize,
@@ -379,16 +388,16 @@ struct Launch<'a> {
     /// Program name, for error messages.
     name: &'a str,
     binding: &'a ExecBinding,
-    /// Upper bound on the threads the row grid is split over.
+    /// Upper bound on the threads the grid is split over.
     threads: usize,
 }
 
 /// What one exponential and one FP8 rounding cost in multiply-adds of a
-/// vectorised inner loop (5–8 ns and 24 ns against 0.17–0.32 ns on the
+/// vectorised inner loop (5–8 ns and 2.7–3.0 ns against 0.17–0.32 ns on the
 /// benchmark host): the weights that put a row's element operations on the
 /// one scale [`for_row_ranges`] compares with its threshold.
 const EXP_WORK: usize = 32;
-const FP8_WORK: usize = 128;
+const FP8_WORK: usize = 16;
 
 /// Per-op-kind counters of one profiled program execution.
 ///
@@ -893,67 +902,83 @@ fn exec_attention(
     }
     let scale = 1.0 / (qk_dim.max(1) as f64).sqrt();
     let segments = segment_ranges(kv_len, binding.segments);
-    let tile = binding.block_axis.clamp(1, kv_len);
     let n_segments = segments.clone().count();
+    let (_, seg_len) = segments.clone().next().expect("kv_len > 0");
+    let tile = binding.block_axis.clamp(1, seg_len);
     let work_per_row = kv_len * (qk_dim + head_dim + EXP_WORK);
+    // A `(row, segment)` grid cell: the segment's FlashDecoding partial
+    // `[acc: head_dim | max | sum]` — the max-shifted unnormalised output and
+    // its statistics — then the tile of scores the cell works in.
+    let cell_len = head_dim + 2 + tile;
+    // Multi-Segment's low-concurrency case: rows too few to fill the cores
+    // leave the grid to each row's segments. Never both, so no spawn nests.
+    let by_seg = q_rows < threads.min(n_segments);
+    let (row_par, seg_par) = if by_seg { (1, threads) } else { (threads, 1) };
     let mut out = vec![0.0f64; q_rows * head_dim];
     let body = |range: Range<usize>, out: &mut [f64]| {
-        // One scratch per range: a tile of scores (then probabilities) and
-        // one output accumulator per segment — the max-shifted unnormalised
-        // FlashDecoding partials the combine kernel merges.
-        let mut scratch = vec![0.0f64; tile + n_segments * head_dim];
-        let (scores, accs) = scratch.split_at_mut(tile);
-        let mut partials = vec![OnlineStats::identity(); n_segments];
+        let mut cells = vec![0.0f64; n_segments * cell_len];
         for (row, out_row) in range.zip(out.chunks_exact_mut(head_dim.max(1))) {
             let q_row = q.row(row);
-            let mut global = OnlineStats::identity();
-            let states = accs.chunks_exact_mut(head_dim.max(1)).zip(&mut partials);
-            for ((start, end), (acc, partial)) in segments.clone().zip(states) {
-                let mut stats = OnlineStats::identity();
-                acc.fill(0.0);
-                for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
-                    // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
-                    let scores = &mut scores[..tile_end - tile_start];
-                    dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
-                    let mut tile_max = BinaryOp::Max.identity();
-                    for s in scores.iter_mut() {
-                        *s *= scale;
-                        tile_max = tile_max.max(*s);
-                    }
-                    // Store: snapshot the previous maximum; correct: rescale
-                    // the running sum and the output accumulator for the
-                    // moved maximum.
-                    let correction = stats.advance(tile_max);
-                    if stats.max == f64::NEG_INFINITY {
-                        continue;
-                    }
-                    if correction != 1.0 {
-                        for slot in acc.iter_mut() {
-                            *slot *= correction;
+            let run = |cell_range: Range<usize>, cells: &mut [f64]| {
+                let segments = segments.clone().skip(cell_range.start);
+                for ((start, end), cell) in segments.zip(cells.chunks_exact_mut(cell_len)) {
+                    #[cfg(test)]
+                    tests::probe_cell(row, q_row, start);
+                    let (partial, scores) = cell.split_at_mut(head_dim + 2);
+                    let (acc, stat_slots) = partial.split_at_mut(head_dim);
+                    let mut stats = OnlineStats::identity();
+                    acc.fill(0.0);
+                    for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
+                        // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
+                        let scores = &mut scores[..tile_end - tile_start];
+                        dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
+                        let mut tile_max = BinaryOp::Max.identity();
+                        for s in scores.iter_mut() {
+                            *s *= scale;
+                            tile_max = tile_max.max(*s);
                         }
+                        // Store: snapshot the previous maximum; correct: rescale the
+                        // running sum and the output accumulator for the moved maximum.
+                        let correction = stats.advance(tile_max);
+                        if stats.max == f64::NEG_INFINITY {
+                            continue;
+                        }
+                        if correction != 1.0 {
+                            for slot in acc.iter_mut() {
+                                *slot *= correction;
+                            }
+                        }
+                        // Reduce (reductions 2–4): accumulate the tile's probabilities
+                        // and value contributions under the updated maximum.
+                        for s in scores.iter_mut() {
+                            *s = (*s - stats.max).exp();
+                            stats.sum += *s;
+                        }
+                        let values = (tile_start..tile_end).map(|j| v.row(j));
+                        add_scaled_rows(acc, scores.iter().copied().zip(values));
                     }
-                    // Reduce (reductions 2–4): accumulate the tile's
-                    // probabilities and value contributions under the
-                    // updated maximum.
-                    for s in scores.iter_mut() {
-                        *s = (*s - stats.max).exp();
-                        stats.sum += *s;
-                    }
-                    let values = (tile_start..tile_end).map(|j| v.row(j));
-                    add_scaled_rows(acc, scores.iter().copied().zip(values));
+                    stat_slots.copy_from_slice(&[stats.max, stats.sum]);
                 }
-                *partial = stats;
-                global = global.merge(stats);
-            }
-            // Combine kernel: rescale the segment partials to the global
-            // maximum (Eq. 31), then normalise (with one segment this
-            // degenerates to the plain FlashAttention epilogue).
-            for (acc, partial) in accs.chunks_exact(head_dim.max(1)).zip(&partials) {
-                let rescale = (partial.max - global.max).exp();
+            };
+            let cell_work = work_per_row / n_segments;
+            for_row_ranges(seg_par, n_segments, 1, cell_work, &mut cells, cell_len, run);
+            // Combine kernel, on this thread once the cells are joined, in segment
+            // order whatever the split: merge the statistics (Eq. 31), rescale the
+            // partials to the global maximum, normalise (one segment: the plain
+            // FlashAttention epilogue).
+            let cells = cells.chunks_exact(cell_len);
+            let global = cells.clone().fold(OnlineStats::identity(), |global, cell| {
+                global.merge(OnlineStats {
+                    max: cell[head_dim],
+                    sum: cell[head_dim + 1],
+                })
+            });
+            for cell in cells {
+                let rescale = (cell[head_dim] - global.max).exp();
                 if rescale == 0.0 {
                     continue;
                 }
-                for (slot, &a) in out_row.iter_mut().zip(acc) {
+                for (slot, &a) in out_row.iter_mut().zip(&cell[..head_dim]) {
                     *slot += a * rescale;
                 }
             }
@@ -962,7 +987,7 @@ fn exec_attention(
             }
         }
     };
-    for_row_ranges(threads, q_rows, 1, work_per_row, &mut out, head_dim, body);
+    for_row_ranges(row_par, q_rows, 1, work_per_row, &mut out, head_dim, body);
     Ok(ExecOutput::Matrix(Matrix::from_vec(q_rows, head_dim, out)))
 }
 
@@ -1231,6 +1256,8 @@ mod tests {
     use super::*;
     use crate::ops::TileProgram;
     use rf_workloads::{random_matrix, random_vec};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn bound_program(
         semantics: Semantics,
@@ -1399,14 +1426,15 @@ mod tests {
         }
     }
 
-    /// Runs one case on 1, 2, 3 and 7 threads and compares the output bits.
-    /// `work` is the case's `rows × work_per_row`: the comparison means
-    /// something only when the splitter does split.
+    /// Runs one case on 1, 2, 3 and 7 threads, compares the output bits and
+    /// returns them. `work` is the case's `rows × work_per_row` (one row's,
+    /// where the segments are what splits): the comparison means something
+    /// only when the splitter does split.
     fn assert_bits_ignore_the_thread_count(
         program: &TileProgram,
         input: &ExecInput<'_>,
         work: usize,
-    ) {
+    ) -> Vec<u64> {
         assert!(
             work >= rf_workloads::PARALLEL_MIN_WORK,
             "case too small to split"
@@ -1416,6 +1444,7 @@ mod tests {
             let split = output_bits(execute_with_threads(threads, program, input).unwrap());
             assert!(serial == split, "{threads} threads changed the output bits");
         }
+        serial
     }
 
     /// Row counts that leave every split ragged: `7k + 1` (also `2k + 1` and
@@ -1469,6 +1498,225 @@ mod tests {
                     rows * kv * (qk_dim + head_dim),
                 );
             }
+        }
+    }
+
+    /// A test's view into the attention grid, keyed on the first query element
+    /// so tests running side by side do not see each other: the cells of a
+    /// query that starts with `TRACED` are logged as `(row, first key, thread)`,
+    /// and one that starts with `TRIPPED` panics in every segment but its first.
+    const TRACED: f64 = 0.123_456_789;
+    const TRIPPED: f64 = 0.987_654_321;
+    static CELL_LOG: Mutex<Vec<(usize, usize, ThreadId)>> = Mutex::new(Vec::new());
+
+    pub(super) fn probe_cell(row: usize, q_row: &[f64], start: usize) {
+        match q_row.first() {
+            Some(&mark) if mark == TRACED => {
+                let cell = (row, start, std::thread::current().id());
+                CELL_LOG.lock().unwrap().push(cell);
+            }
+            Some(&mark) if mark == TRIPPED => {
+                assert!(start == 0, "injected failure in a later segment");
+            }
+            _ => {}
+        }
+    }
+
+    /// Unfused attention: every score, a whole-row softmax, the weighted sum.
+    fn naive_attention(q: &Matrix, k: &Matrix, v: &Matrix) -> Vec<f64> {
+        let scale = 1.0 / (q.cols() as f64).sqrt();
+        let mut out = Vec::with_capacity(q.rows() * v.cols());
+        for r in 0..q.rows() {
+            let dot = |j: usize| {
+                q.row(r)
+                    .iter()
+                    .zip(k.row(j))
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+            };
+            let scores: Vec<f64> = (0..k.rows()).map(|j| dot(j) * scale).collect();
+            let probs = naive_softmax_row(&scores);
+            out.extend((0..v.cols()).map(|c| {
+                let terms = probs.iter().enumerate().map(|(j, p)| p * v.get(j, c));
+                terms.sum::<f64>()
+            }));
+        }
+        out
+    }
+
+    /// A decode-shaped attention case: `q_rows` queries over `kv` keys, one
+    /// row alone over the splitter's threshold.
+    struct DecodeCase {
+        q: Matrix,
+        k: Matrix,
+        v: Matrix,
+    }
+
+    impl DecodeCase {
+        fn new(q_rows: usize, kv: usize, qk_dim: usize, head_dim: usize) -> DecodeCase {
+            DecodeCase {
+                // Positive queries: a `-inf` key coordinate scores `-inf`.
+                q: random_matrix(q_rows, qk_dim, 11, 0.1, 1.0),
+                k: random_matrix(kv, qk_dim, 12, -1.0, 1.0),
+                v: random_matrix(kv, head_dim, 13, -1.0, 1.0),
+            }
+        }
+
+        fn mask_keys(&mut self, keys: Range<usize>) {
+            for j in keys {
+                self.k.set(j, 0, f64::NEG_INFINITY);
+            }
+        }
+
+        fn program(&self, point: (usize, usize, usize)) -> TileProgram {
+            let semantics = Semantics::Attention {
+                qk_dim: self.q.cols(),
+                head_dim: self.v.cols(),
+            };
+            bound_program(semantics, self.q.rows(), self.k.rows(), point)
+        }
+
+        fn input(&self) -> ExecInput<'_> {
+            ExecInput::Attention {
+                q: &self.q,
+                k: &self.k,
+                v: &self.v,
+            }
+        }
+
+        fn run(&self, threads: usize, point: (usize, usize, usize)) -> ExecOutput {
+            execute_with_threads(threads, &self.program(point), &self.input()).unwrap()
+        }
+
+        /// The output, the same bits on 1, 2, 3 and 7 threads.
+        fn bits_ignore_the_thread_count(&self, point: (usize, usize, usize)) -> Vec<f64> {
+            let row_work = self.k.rows() * (self.q.cols() + self.v.cols() + EXP_WORK);
+            let bits =
+                assert_bits_ignore_the_thread_count(&self.program(point), &self.input(), row_work);
+            bits.into_iter().map(f64::from_bits).collect()
+        }
+
+        /// Bitwise thread-count independence plus agreement with the unfused
+        /// computation, NaN positions included; returns the output.
+        fn check(&self, point: (usize, usize, usize)) -> Vec<f64> {
+            let out = self.bits_ignore_the_thread_count(point);
+            let expected = naive_attention(&self.q, &self.k, &self.v);
+            assert_eq!(out.len(), expected.len());
+            for (i, (a, e)) in out.iter().zip(&expected).enumerate() {
+                assert_eq!(a.is_nan(), e.is_nan(), "{point:?} [{i}]: {a} vs {e}");
+                assert!(
+                    a.is_nan() || (a - e).abs() < 1e-9,
+                    "{point:?} [{i}]: {a} vs {e}"
+                );
+            }
+            out
+        }
+    }
+
+    /// 64 segments of 516 keys, the last one 493 long; tiles of 100 leave a
+    /// 16-key (and a 93-key) tail in every segment.
+    const DECODE_KV: usize = 33_001;
+
+    #[test]
+    fn attention_bits_ignore_how_a_rows_segments_are_split() {
+        for q_rows in [1, 2, 4] {
+            let case = DecodeCase::new(q_rows, DECODE_KV, 64, 64);
+            // One segment (nothing to split), two, the tuner's 64, and more
+            // segments than keys (clamped to one key per segment).
+            for point in [(4, 128, 1), (1, 100, 2), (1, 100, 64), (1, 128, 40_000)] {
+                case.bits_ignore_the_thread_count(point);
+            }
+        }
+        DecodeCase::new(2, DECODE_KV, 64, 64).check((1, 100, 64));
+    }
+
+    #[test]
+    fn attention_split_by_segments_handles_unit_dimensions() {
+        // One multiply-add per score and per value: the exponentials alone
+        // put a row over the threshold.
+        let kv = rf_workloads::PARALLEL_MIN_WORK / EXP_WORK;
+        DecodeCase::new(1, kv, 1, 1).check((1, 128, 64));
+        DecodeCase::new(2, kv, 1, 7).check((1, 100, 3));
+        DecodeCase::new(3, kv, 5, 1).check((1, 4096, 7));
+    }
+
+    #[test]
+    fn masked_segments_contribute_nothing_under_every_segment_split() {
+        let point = (1, 100, 64);
+        let seg_len = DECODE_KV.div_ceil(64);
+        // A leading, an interior and the (short) trailing segment, each fully
+        // `-inf`, alone and together; then every key masked: a row with
+        // nothing to attend to is NaN everywhere, as in the unfused form.
+        let segments = [
+            0..seg_len,
+            10 * seg_len..11 * seg_len,
+            63 * seg_len..DECODE_KV,
+        ];
+        let mut together = DecodeCase::new(2, DECODE_KV, 64, 64);
+        for keys in &segments {
+            let mut alone = DecodeCase::new(1, DECODE_KV, 64, 64);
+            alone.mask_keys(keys.clone());
+            alone.check(point);
+            together.mask_keys(keys.clone());
+        }
+        together.check(point);
+        together.mask_keys(0..DECODE_KV);
+        assert!(together.check(point).iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn rows_that_fill_the_threads_split_by_row_else_by_segment() {
+        let caller = std::thread::current().id();
+        let traced = |q_rows: usize, threads: usize| {
+            let mut case = DecodeCase::new(q_rows, DECODE_KV, 64, 64);
+            for row in 0..q_rows {
+                case.q.set(row, 0, TRACED);
+            }
+            CELL_LOG.lock().unwrap().clear();
+            case.run(threads, (1, 100, 64));
+            let mut cells = std::mem::take(&mut *CELL_LOG.lock().unwrap());
+            cells.sort_by_key(|&(row, start, _)| (row, start));
+            assert_eq!(cells.len(), q_rows * 64, "every cell runs once");
+            cells
+        };
+        // `owners`, one per grid unit in order, form one contiguous range per
+        // thread, the first of them the caller's.
+        let one_range_per_thread = |owners: &mut Vec<ThreadId>, threads: usize| {
+            owners.dedup();
+            assert_eq!(owners.len(), threads);
+            assert_eq!(owners[0], caller);
+            assert!(owners[1..].iter().all(|&thread| thread != caller));
+        };
+        // Rows fill the threads: the row grid splits, and a row's 64 cells
+        // stay on the thread that owns the row.
+        for (q_rows, threads) in [(2, 2), (4, 3)] {
+            let cells = traced(q_rows, threads);
+            let mut owners = Vec::new();
+            for row_cells in cells.chunks(64) {
+                let owner = row_cells[0].2;
+                assert!(row_cells.iter().all(|&(_, _, thread)| thread == owner));
+                owners.push(owner);
+            }
+            one_range_per_thread(&mut owners, threads);
+        }
+        // Too few rows: every row stays on the caller, which runs the first
+        // range of the row's cells and spawns the others.
+        for (q_rows, threads) in [(1, 2), (2, 3)] {
+            let cells = traced(q_rows, threads);
+            for row_cells in cells.chunks(64) {
+                let mut owners = row_cells.iter().map(|cell| cell.2).collect();
+                one_range_per_thread(&mut owners, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_spawned_segment_range_panics_the_call() {
+        let mut case = DecodeCase::new(1, DECODE_KV, 64, 64);
+        case.q.set(0, 0, TRIPPED);
+        for threads in [1, 2] {
+            let result = std::panic::catch_unwind(|| case.run(threads, (1, 100, 64)));
+            assert!(result.is_err(), "no output may be returned");
         }
     }
 

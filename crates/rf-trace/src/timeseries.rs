@@ -8,8 +8,8 @@
 //! latency, shed rate, mean batch occupancy and busy fraction — exported as
 //! the `timeseries` section of `BENCH_serving.json` and as Prometheus
 //! gauges for the most recent active window. The newest window is still
-//! open: its throughput is its completions over the time it has covered so
-//! far, not over the full width.
+//! open: its throughput and busy fraction are taken over the time it has
+//! covered so far, not over the full width.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,7 +210,7 @@ impl RollingTelemetry {
         let state = self.lock();
         let now_ms = now.as_secs_f64() * 1000.0;
         let width_ms = self.width_ms as f64;
-        let busy_capacity_us = width_ms * 1000.0 * self.streams.load(Ordering::Relaxed) as f64;
+        let streams = self.streams.load(Ordering::Relaxed) as f64;
         let newest = state.ring.back().map(|slot| slot.index);
         let windows = state
             .ring
@@ -246,7 +246,7 @@ impl RollingTelemetry {
                     } else {
                         0.0
                     },
-                    busy_frac: (slot.busy_us / busy_capacity_us).min(1.0),
+                    busy_frac: (slot.busy_us / (covered_ms * 1000.0 * streams)).min(1.0),
                 }
             })
             .collect();
@@ -312,7 +312,8 @@ pub struct WindowSnapshot {
     pub shed_rate: f64,
     /// Mean batch occupancy (requests per executed batch).
     pub mean_batch: f64,
-    /// Fraction of the window the device(s) spent busy (simulated), 0..=1.
+    /// Fraction of the time the window covers (as for `throughput_rps`) that
+    /// the device(s) spent busy (simulated), 0..=1.
     pub busy_frac: f64,
 }
 
@@ -347,9 +348,12 @@ mod tests {
         let b = RollingTelemetry::new(60_000, 4);
         a.record_batch(1, 0, 30_000_000.0, 1);
         b.record_batch(3, 1, 30_000_000.0, 4);
-        let busy_alone = a.snapshot().windows[0].busy_frac;
+        // Both read as the window closes: half of it busy.
+        let closing = Duration::from_secs(60);
+        let busy_alone = a.snapshot_at(closing).windows[0].busy_frac;
+        assert!((busy_alone - 0.5).abs() < 1e-12);
         a.merge_from(&b);
-        let snapshot = a.snapshot();
+        let snapshot = a.snapshot_at(closing);
         assert_eq!(snapshot.windows.len(), 1);
         let w = &snapshot.windows[0];
         assert_eq!((w.completed, w.failed, w.batches), (4, 1, 2));
@@ -394,6 +398,51 @@ mod tests {
         assert!((rate_at(0) - completed as f64 / 0.001).abs() < 1e-9);
         assert!((rate_at(60_000) - completed as f64 / 60.0).abs() < 1e-9);
         assert!((rate_at(600_000) - completed as f64 / 60.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_open_windows_busy_fraction_is_over_the_time_it_covers() {
+        // The raw events: simulated busy µs per batch, all inside the first
+        // 60 s window; 22 ms of work in all.
+        let batches_us = [4_000.0, 6_500.0, 1_500.0, 10_000.0];
+        let busy_us: f64 = batches_us.iter().sum();
+        let single = RollingTelemetry::new(60_000, 4);
+        for latency_us in batches_us {
+            single.record_batch(1, 0, latency_us, 1);
+        }
+        let busy_at = |telemetry: &RollingTelemetry, ms: u64| {
+            let snapshot = telemetry.snapshot_at(Duration::from_millis(ms));
+            assert_eq!(snapshot.windows.len(), 1);
+            snapshot.windows[0].busy_frac
+        };
+        // 44 ms into the window the device has been busy for half of them,
+        // not for 22 ms of 60 s.
+        assert!((busy_at(&single, 44) - busy_us / 44_000.0).abs() < 1e-12);
+        assert!((busy_at(&single, 44) - 0.5).abs() < 1e-12);
+        // More work than time covered saturates; a closed window (or a late
+        // reader) keeps the full width.
+        assert_eq!(busy_at(&single, 11), 1.0);
+        assert!((busy_at(&single, 60_000) - busy_us / 60e6).abs() < 1e-15);
+        assert!((busy_at(&single, 600_000) - busy_us / 60e6).abs() < 1e-15);
+        // A second stream with the same load doubles work and capacity alike.
+        let other = RollingTelemetry::new(60_000, 4);
+        for latency_us in batches_us {
+            other.record_batch(1, 0, latency_us, 1);
+        }
+        single.merge_from(&other);
+        assert!((busy_at(&single, 44) - 2.0 * busy_us / 88_000.0).abs() < 1e-12);
+        // Closed windows keep the full width whatever `now` is.
+        let closed = RollingTelemetry::new(250, 4);
+        for (index, busy_us) in [(0, 125_000.0), (1, 11_000.0)] {
+            let slot = Slot {
+                busy_us,
+                ..Slot::new(index)
+            };
+            closed.lock().ring.push_back(slot);
+        }
+        let snapshot = closed.snapshot_at(Duration::from_millis(294));
+        let busy: Vec<f64> = snapshot.windows.iter().map(|w| w.busy_frac).collect();
+        assert_eq!(busy, [0.5, 0.25]);
     }
 
     #[test]

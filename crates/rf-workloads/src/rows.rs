@@ -27,6 +27,13 @@ use std::sync::OnceLock;
 /// 2²² 1538 → 996 µs. At 2²² the gain on two cores (−31 %) is ten times the
 /// cost on one (+3 %); under it a call (the memory-bound `variance 256×4096`,
 /// 2²⁰ elements in 340 µs, is one) stays inline and costs what it did.
+///
+/// The same threshold decides when decode attention splits one row's
+/// *segments* (`rf_tile::exec`, the rows being too few to fill the cores):
+/// MLA 1×4096×(576→512), 4.59 M, reads 1.94–2.06 → 1.23–1.35 ms p50 split
+/// in two (2.3–2.4 → 1.4–1.6 ms while the host was busy), where MHA 1×8192,
+/// 1.31 M, forced to split reads 750–840 → 620–720 µs: a fifth off, below
+/// the third the threshold was set by, so it stays inline.
 pub const PARALLEL_MIN_WORK: usize = 1 << 22;
 
 /// The host's core count, read once: `std::thread::available_parallelism()`
