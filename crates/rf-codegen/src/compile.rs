@@ -10,7 +10,10 @@ use rf_workloads::{
     InertiaConfig, MhaConfig, MlaConfig, MoeConfig, Precision, QuantGemmConfig, VarianceConfig,
 };
 
-use crate::lower::{attention_program, cascade_program, AttentionShape, AttentionTiling};
+use crate::lower::{
+    attention_profile, attention_program, cascade_profile, cascade_program, AttentionShape,
+    AttentionTiling,
+};
 use crate::strategy::Mode;
 use crate::tuner::{
     AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningCache, TuningChoice, TuningPoint,
@@ -255,16 +258,14 @@ fn attention_tiling_for(shape: &AttentionShape, point: &TuningPoint) -> Attentio
 
 /// Lowers an attention shape at one tuning point to a fully-bound program:
 /// the Figure 12b/13b tile structure plus the [`ExecBinding`] the VM needs.
-fn bound_attention_program(
-    shape: &AttentionShape,
-    point: &TuningPoint,
-    qk_dim: usize,
-    head_dim: usize,
-) -> TileProgram {
+fn bound_attention_program(shape: &AttentionShape, point: &TuningPoint) -> TileProgram {
     let tiling = attention_tiling_for(shape, point);
     let mut program = attention_program(shape, &tiling, point.strategy());
     program.binding = Some(ExecBinding {
-        semantics: Semantics::Attention { qk_dim, head_dim },
+        semantics: Semantics::Attention {
+            qk_dim: shape.qk_dim,
+            head_dim: shape.head_dim,
+        },
         rows: shape.q_len,
         axis_len: shape.kv_len,
         block_rows: tiling.block_q,
@@ -272,6 +273,18 @@ fn bound_attention_program(
         segments: (point.segments.max(1) as usize).min(shape.kv_len.max(1)),
     });
     program
+}
+
+/// The tensorization config a cascade tuning point lowers with.
+fn cascade_config(point: &TuningPoint, element_bytes: u32) -> TensorizeConfig {
+    TensorizeConfig {
+        block_rows: point.block_rows,
+        block_axis: point.block_axis,
+        threads_per_block: point.threads,
+        pipeline_depth: point.pipeline_depth,
+        element_bytes,
+        incremental: true,
+    }
 }
 
 /// Lowers a row-parallel cascade at one tuning point to a fully-bound program
@@ -285,14 +298,7 @@ fn bound_cascade_program(
     semantics: Semantics,
     point: &TuningPoint,
 ) -> TileProgram {
-    let cfg = TensorizeConfig {
-        block_rows: point.block_rows,
-        block_axis: point.block_axis,
-        threads_per_block: point.threads,
-        pipeline_depth: point.pipeline_depth,
-        element_bytes,
-        incremental: true,
-    };
+    let cfg = cascade_config(point, element_bytes);
     let segments = (point.segments.max(1) as usize).min(axis_len.max(1));
     let mut program = cascade_program(
         name,
@@ -324,14 +330,8 @@ pub fn executable_program(workload: &Workload, point: &TuningPoint) -> TileProgr
     // (`Workload::cascade_spec`), not a hand-maintained table.
     let num = workload.lowered_reductions();
     match workload {
-        Workload::Mha(c) => {
-            let shape = AttentionShape::from_mha(c);
-            bound_attention_program(&shape, point, shape.qk_dim, shape.head_dim)
-        }
-        Workload::Mla(c) => {
-            let shape = AttentionShape::from_mla(c);
-            bound_attention_program(&shape, point, shape.qk_dim, shape.head_dim)
-        }
+        Workload::Mha(c) => bound_attention_program(&AttentionShape::from_mha(c), point),
+        Workload::Mla(c) => bound_attention_program(&AttentionShape::from_mla(c), point),
         Workload::Softmax { rows, len } => {
             bound_cascade_program(&name, num, *rows, *len, 2, Semantics::Softmax, point)
         }
@@ -378,6 +378,43 @@ fn tuner_for(arch: &GpuArch, class: &'static str, opts: &CompileOptions) -> Auto
     tuner
 }
 
+/// The tuned path shared by attention and cascades: search with `profile`
+/// costing each candidate in closed form (see `lower.rs`), then lower only
+/// the winner — whose real profile must be the one the search saw.
+fn tune_then_lower(
+    name: &str,
+    tuner: AutoTuner,
+    hooks: TuneHooks<'_>,
+    profile: impl Fn(&TuningPoint) -> KernelProfile,
+    lower: impl FnOnce(&TuningPoint) -> TileProgram,
+) -> CompiledKernel {
+    let tune_started = Instant::now();
+    let choice = tuner.tune_with_hooks(&profile, hooks);
+    let tune_us = tune_started.elapsed().as_secs_f64() * 1e6;
+    let program = lower(&choice.point);
+    debug_assert_eq!(
+        choice.profile,
+        KernelProfile {
+            // The §4.4 rating is the caller's, not derived from the program.
+            compute_efficiency: choice.profile.compute_efficiency,
+            ..KernelProfile::from_tile_program(&program)
+        },
+        "closed-form profile out of sync with the lowering at {:?}",
+        choice.point
+    );
+    CompiledKernel {
+        name: name.to_string(),
+        program: Some(program),
+        profile: choice.profile.clone(),
+        latency_us: choice.latency_us,
+        tuning: choice,
+        timing: CompileTiming {
+            total_us: 0.0,
+            tune_us,
+        },
+    }
+}
+
 fn tuned_attention(
     shape: AttentionShape,
     arch: &GpuArch,
@@ -385,7 +422,6 @@ fn tuned_attention(
     class: &'static str,
     opts: &CompileOptions,
 ) -> CompiledKernel {
-    let tuner = tuner_for(arch, class, opts);
     // Canonicalization mirrors the clamps `attention_program` applies, so two
     // raw points building the identical kernel are evaluated once.
     let normalize = |p: &TuningPoint| TuningPoint {
@@ -404,36 +440,19 @@ fn tuned_attention(
                 + p.block_axis * shape.qk_dim
                 + p.block_axis * shape.head_dim) as u64,
     };
-    let build = |p: &TuningPoint| {
-        let program = bound_attention_program(&shape, p, shape.qk_dim, shape.head_dim);
-        let mut profile = KernelProfile::from_tile_program(&program);
+    let profile = |p: &TuningPoint| KernelProfile {
         // Hardware-aware implementation selection (§4.4): MMA/WGMMA mapping
         // and cp.async/TMA copies lift the fused kernel close to peak.
-        profile.compute_efficiency = 0.75;
-        profile
+        compute_efficiency: 0.75,
+        ..attention_profile(&shape, &attention_tiling_for(&shape, p), p.strategy())
     };
-    let tune_started = Instant::now();
-    let choice = tuner.tune_with_hooks(
-        &build,
-        TuneHooks {
-            normalize: Some(&normalize),
-            footprint: Some(&footprint),
-        },
-    );
-    let tune_us = tune_started.elapsed().as_secs_f64() * 1e6;
-    // Rebuild the winning program so callers can inspect, dump and execute it.
-    let program = bound_attention_program(&shape, &choice.point, shape.qk_dim, shape.head_dim);
-    CompiledKernel {
-        name: name.to_string(),
-        program: Some(program),
-        profile: choice.profile.clone(),
-        latency_us: choice.latency_us,
-        tuning: choice,
-        timing: CompileTiming {
-            total_us: 0.0,
-            tune_us,
-        },
-    }
+    let hooks = TuneHooks {
+        normalize: Some(&normalize),
+        footprint: Some(&footprint),
+    };
+    tune_then_lower(name, tuner_for(arch, class, opts), hooks, profile, |p| {
+        bound_attention_program(&shape, p)
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -448,7 +467,6 @@ fn tuned_cascade(
     opts: &CompileOptions,
 ) -> CompiledKernel {
     const ELEMENT_BYTES: u32 = 2;
-    let tuner = tuner_for(arch, class, opts);
     // Mirror the clamps of `tensorize_cascade`: the cascade is lowered with
     // `rows * segments` effective rows over `ceil(axis_len / segments)` axis
     // elements per segment, so larger tile sizes collapse onto those bounds.
@@ -471,8 +489,16 @@ fn tuned_cascade(
         threads_per_block: p.threads,
         shared_mem_per_block: (p.block_rows * p.block_axis) as u64 * ELEMENT_BYTES as u64,
     };
-    let build = |p: &TuningPoint| {
-        let program = bound_cascade_program(
+    let profile = |p: &TuningPoint| {
+        let cfg = cascade_config(p, ELEMENT_BYTES);
+        cascade_profile(name, num_reductions, rows, axis_len, p.strategy(), &cfg)
+    };
+    let hooks = TuneHooks {
+        normalize: Some(&normalize),
+        footprint: Some(&footprint),
+    };
+    tune_then_lower(name, tuner_for(arch, class, opts), hooks, profile, |p| {
+        bound_cascade_program(
             name,
             num_reductions,
             rows,
@@ -480,38 +506,8 @@ fn tuned_cascade(
             ELEMENT_BYTES,
             semantics,
             p,
-        );
-        KernelProfile::from_tile_program(&program)
-    };
-    let tune_started = Instant::now();
-    let choice = tuner.tune_with_hooks(
-        &build,
-        TuneHooks {
-            normalize: Some(&normalize),
-            footprint: Some(&footprint),
-        },
-    );
-    let tune_us = tune_started.elapsed().as_secs_f64() * 1e6;
-    let program = bound_cascade_program(
-        name,
-        num_reductions,
-        rows,
-        axis_len,
-        ELEMENT_BYTES,
-        semantics,
-        &choice.point,
-    );
-    CompiledKernel {
-        name: name.to_string(),
-        program: Some(program),
-        profile: choice.profile.clone(),
-        latency_us: choice.latency_us,
-        tuning: choice,
-        timing: CompileTiming {
-            total_us: 0.0,
-            tune_us,
-        },
-    }
+        )
+    })
 }
 
 /// Builds a single fused-kernel profile from a workload's minimal traffic and
@@ -873,6 +869,97 @@ mod tests {
             oracle.tuning.evaluated,
             oracle.tuning.space_size
         );
+    }
+
+    #[test]
+    fn closed_forms_equal_the_lowering_over_the_whole_space() {
+        // The tuner costs candidates with `attention_profile` /
+        // `cascade_profile` and ships the lowering of the winner: the two
+        // must agree on every field of the profile at every point it can
+        // visit — raw (the closed form's clamps against the lowering's) and
+        // clamped to the shape (the path the tuner and the shipped program
+        // take).
+        use crate::tuner::TuningSpace;
+        use rf_workloads::{mha_tiny, mla_tiny};
+        let points = TuningSpace::default().points();
+
+        let mut shapes: Vec<AttentionShape> = Vec::new();
+        shapes.extend(mha_configs().iter().map(AttentionShape::from_mha));
+        shapes.extend(mla_configs().iter().map(AttentionShape::from_mla));
+        shapes.push(AttentionShape::from_mha(&mha_tiny()));
+        shapes.push(AttentionShape::from_mla(&mla_tiny()));
+        shapes.push(AttentionShape {
+            heads: 3,
+            q_len: 5,
+            kv_len: 77,
+            head_dim: 7,
+            qk_dim: 9,
+        });
+        for shape in &shapes {
+            for p in &points {
+                let raw = AttentionTiling {
+                    block_q: p.block_rows,
+                    block_kv: p.block_axis,
+                    threads: p.threads,
+                    pipeline_depth: p.pipeline_depth,
+                };
+                assert_eq!(
+                    attention_profile(shape, &raw, p.strategy()),
+                    KernelProfile::from_tile_program(&attention_program(shape, &raw, p.strategy())),
+                    "{shape:?} at raw {p:?}"
+                );
+                assert_eq!(
+                    attention_profile(shape, &attention_tiling_for(shape, p), p.strategy()),
+                    KernelProfile::from_tile_program(&bound_attention_program(shape, p)),
+                    "{shape:?} at clamped {p:?}"
+                );
+            }
+        }
+
+        for (rows, len) in [
+            (512usize, 4096usize),
+            (64, 1024),
+            (4, 8192),
+            (1, 32768),
+            (32, 128),
+            (4, 8),
+            (3, 7),
+            (1, 1),
+        ] {
+            // One element width per reduction count covers fp32/fp16/fp8.
+            for (reductions, element_bytes) in [(1, 4), (2, 2), (3, 1)] {
+                for raw in &points {
+                    let segments = raw.segments as usize;
+                    let clamped = TuningPoint {
+                        block_rows: raw.block_rows.min(rows * segments).max(1),
+                        block_axis: raw.block_axis.min(len.div_ceil(segments)).max(1),
+                        ..*raw
+                    };
+                    for p in [raw, &clamped] {
+                        assert_eq!(
+                            cascade_profile(
+                                "c",
+                                reductions,
+                                rows,
+                                len,
+                                p.strategy(),
+                                &cascade_config(p, element_bytes)
+                            ),
+                            KernelProfile::from_tile_program(&bound_cascade_program(
+                                "c",
+                                reductions,
+                                rows,
+                                len,
+                                element_bytes,
+                                Semantics::Softmax,
+                                p
+                            )),
+                            "{rows}x{len}, {reductions} reductions at {p:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

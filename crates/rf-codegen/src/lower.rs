@@ -7,9 +7,21 @@
 //! [`cascade_program`] lowers generic row-parallel cascades (softmax, MoE
 //! routing, Quant+GEMM rows, variance, inertia) through the tensorization pass
 //! of `rf-tile`.
+//!
+//! Next to each lowering sits its **closed form** (`attention_profile`,
+//! `cascade_profile`), the auto-tuner's view of it: integer arithmetic over
+//! the same extents that returns exactly [`KernelProfile::from_tile_program`]
+//! of the program the lowering would build, in ~0.1 µs instead of the 2–3 µs
+//! of building 13 named buffers and ~20 ops to fold them into six integers.
+//! An edit to a lowering's ops, buffers or clamps must be mirrored there;
+//! `closed_forms_equal_the_lowering_over_the_whole_space` and the
+//! `debug_assert_eq!` on every shipped winner (both in `compile.rs`) and the
+//! recorded choices of `tests/tuner_choices.rs` say so when it is not.
 
+use rf_gpusim::KernelProfile;
 use rf_tile::{
-    tensorize_cascade, MemoryScope, StageLoop, TensorizeConfig, TileBuffer, TileOp, TileProgram,
+    precision_for_element_bytes, tensorize_cascade, MemoryScope, StageLoop, TensorizeConfig,
+    TileBuffer, TileOp, TileProgram,
 };
 
 use crate::strategy::{Mode, Strategy};
@@ -83,6 +95,86 @@ impl Default for AttentionTiling {
     }
 }
 
+/// The clamped tile sizes and loop/grid extents of the attention lowering at
+/// one tiling: what [`attention_program`] builds from and `attention_profile`
+/// costs from.
+struct AttentionExtents {
+    block_q: usize,
+    block_kv: usize,
+    segments: usize,
+    /// Main-loop trips of one block over its KV segment.
+    iterations: u64,
+    /// `heads × q_blocks`, the combine kernel's grid; the main kernel's is
+    /// `segments` times it.
+    row_blocks: usize,
+    kernel: &'static str,
+}
+
+impl AttentionExtents {
+    fn new(shape: &AttentionShape, tiling: &AttentionTiling, strategy: Strategy) -> Self {
+        let block_q = tiling.block_q.min(shape.q_len).max(1);
+        let block_kv = tiling.block_kv.min(shape.kv_len).max(1);
+        let segments = strategy.segments() as usize;
+        AttentionExtents {
+            block_q,
+            block_kv,
+            segments,
+            iterations: shape.kv_len.div_ceil(segments).div_ceil(block_kv) as u64,
+            row_blocks: shape.heads * shape.q_len.div_ceil(block_q),
+            kernel: match strategy {
+                Strategy::SingleSegment => "flash_attention",
+                Strategy::MultiSegment { .. } => "flash_decoding_partial",
+            },
+        }
+    }
+}
+
+/// Overlap [`KernelProfile::from_tile_program`] assigns to a pipeline depth.
+fn pipeline_overlap(pipeline_depth: u32) -> f64 {
+    match pipeline_depth {
+        0 | 1 => 0.5,
+        2 => 0.8,
+        _ => 0.9,
+    }
+}
+
+/// Closed form of `KernelProfile::from_tile_program(&attention_program(shape,
+/// tiling, strategy))`, term by term in the order the lowering emits its ops.
+pub(crate) fn attention_profile(
+    shape: &AttentionShape,
+    tiling: &AttentionTiling,
+    strategy: Strategy,
+) -> KernelProfile {
+    let e = AttentionExtents::new(shape, tiling, strategy);
+    let (bq, bkv, s) = (e.block_q as u64, e.block_kv as u64, e.segments as u64);
+    let (d, qk) = (shape.head_dim as u64, shape.qk_dim as u64);
+    let (row_blocks, blocks) = (e.row_blocks as u64, e.row_blocks as u64 * s);
+    // One main-loop trip: gemm(Q, K), max, the psum and exp maps, sum, the
+    // output correction and gemm(P, V); the fp16 K and V tiles in.
+    let trip_flops = bq * (bkv * (2 * qk + 2 * d + 4) + 4 * d + 3);
+    let trip_bytes = 2 * bkv * (qk + d);
+    // Once per block: the Q tile in and, Single-Segment only, the output tile
+    // out — the Multi-Segment epilogue's partial writes are not counted
+    // (ROADMAP, "GPU-model ledger"). The combine kernel (none: 0) reads them,
+    // merges and writes the output tile, per row block.
+    let combine = u64::from(strategy.needs_combine_kernel());
+    let once_bytes = 2 * bq * qk + (1 - combine) * 2 * bq * d;
+    let combine_flops = combine * row_blocks * bq * s * (5 * d + 1);
+    let combine_bytes = combine * row_blocks * (4 * bq * s * (d + 2) + 2 * bq * d);
+    KernelProfile {
+        name: e.kernel.to_string(),
+        flops: blocks * e.iterations * trip_flops + combine_flops,
+        hbm_bytes: blocks * (once_bytes + e.iterations * trip_bytes) + combine_bytes,
+        blocks,
+        threads_per_block: tiling.threads,
+        shared_mem_per_block: 2 * (bq * qk + bkv * (qk + d)),
+        precision: "fp16",
+        compute_efficiency: 0.6,
+        overlap: pipeline_overlap(tiling.pipeline_depth),
+        launches: 1 + combine as u32,
+    }
+}
+
 /// Builds the fused attention tile program for the given strategy.
 ///
 /// Single-Segment (`Strategy::SingleSegment`) yields the Figure 12b kernel;
@@ -93,22 +185,11 @@ pub fn attention_program(
     tiling: &AttentionTiling,
     strategy: Strategy,
 ) -> TileProgram {
-    let block_q = tiling.block_q.min(shape.q_len).max(1);
-    let block_kv = tiling.block_kv.min(shape.kv_len).max(1);
-    let q_blocks = shape.q_len.div_ceil(block_q);
-    let segments = strategy.segments() as usize;
-    let kv_per_segment = shape.kv_len.div_ceil(segments);
-    let iterations = kv_per_segment.div_ceil(block_kv) as u64;
-    let grid = (shape.heads * q_blocks * segments) as u64;
+    let e = AttentionExtents::new(shape, tiling, strategy);
+    let (block_q, block_kv, segments) = (e.block_q, e.block_kv, e.segments);
 
-    let mut program = TileProgram::new(
-        match strategy {
-            Strategy::SingleSegment => "flash_attention",
-            Strategy::MultiSegment { .. } => "flash_decoding_partial",
-        },
-        grid,
-        tiling.threads,
-    );
+    let grid = (e.row_blocks * segments) as u64;
+    let mut program = TileProgram::new(e.kernel, grid, tiling.threads);
     program.pipeline_depth = tiling.pipeline_depth;
     program.buffers = vec![
         TileBuffer::new(
@@ -178,7 +259,7 @@ pub fn attention_program(
         },
     ];
     program.main_loop = StageLoop {
-        iterations,
+        iterations: e.iterations,
         ops: vec![
             TileOp::Copy {
                 src: "K".into(),
@@ -278,7 +359,7 @@ pub fn attention_program(
         ];
         let mut combine = TileProgram::new(
             "flash_decoding_combine",
-            (shape.heads * q_blocks) as u64,
+            e.row_blocks as u64,
             tiling.threads,
         );
         combine.buffers = vec![
@@ -369,6 +450,72 @@ pub fn attention_program(
     program
 }
 
+/// The per-segment problem [`cascade_program`] hands to `tensorize_cascade`
+/// and its combine kernel's tile height and grid; shared with `cascade_profile`.
+struct CascadeExtents {
+    segments: usize,
+    axis_per_segment: usize,
+    effective_rows: usize,
+    /// The combine kernel iterates over the original rows, so its tile height
+    /// clamps to them (as the main kernel's clamps to the effective rows).
+    combine_rows: usize,
+    combine_blocks: u64,
+}
+
+impl CascadeExtents {
+    fn new(rows: usize, axis_len: usize, strategy: Strategy, cfg: &TensorizeConfig) -> Self {
+        let segments = strategy.segments() as usize;
+        let combine_rows = cfg.block_rows.min(rows).max(1);
+        CascadeExtents {
+            segments,
+            axis_per_segment: axis_len.div_ceil(segments).max(1),
+            effective_rows: rows * segments,
+            combine_rows,
+            combine_blocks: rows.div_ceil(combine_rows).max(1) as u64,
+        }
+    }
+}
+
+/// Closed form of `KernelProfile::from_tile_program(&cascade_program(name,
+/// num_reductions, rows, axis_len, Mode::Incremental, strategy, cfg))` — the
+/// incremental lowering, the only one the tuner searches.
+pub(crate) fn cascade_profile(
+    name: &str,
+    num_reductions: usize,
+    rows: usize,
+    axis_len: usize,
+    strategy: Strategy,
+    cfg: &TensorizeConfig,
+) -> KernelProfile {
+    let e = CascadeExtents::new(rows, axis_len, strategy, cfg);
+    // `tensorize_cascade`'s own clamps, over the per-segment problem.
+    let br = cfg.block_rows.min(e.effective_rows).max(1) as u64;
+    let ba = cfg.block_axis.min(e.axis_per_segment).max(1) as u64;
+    let blocks = (e.effective_rows as u64).div_ceil(br);
+    let iterations = (e.axis_per_segment as u64).div_ceil(ba);
+    let (r, s) = (num_reductions as u64, e.segments as u64);
+    let width = u64::from(cfg.element_bytes);
+    // The combine kernel (none: 0) reads every partial, reduces over the
+    // segments and writes the results: this many fp32 values per segment.
+    let combine = u64::from(strategy.needs_combine_kernel());
+    let merged = combine * e.combine_blocks * e.combine_rows as u64 * r;
+    KernelProfile {
+        name: format!("fused_{name}"),
+        // One main-loop trip: a row reduction per cascade member and a 3-flop
+        // correction for each but the first; the input tile in. Once per
+        // block: the fp32 results out.
+        flops: blocks * iterations * br * (r * ba + 3 * (r - 1)) + merged * s,
+        hbm_bytes: blocks * br * (iterations * ba * width + 4 * r) + merged * 4 * (s + 1),
+        blocks,
+        threads_per_block: cfg.threads_per_block,
+        shared_mem_per_block: br * ba * width,
+        precision: precision_for_element_bytes(cfg.element_bytes),
+        compute_efficiency: 0.6,
+        overlap: pipeline_overlap(cfg.pipeline_depth),
+        launches: 1 + combine as u32,
+    }
+}
+
 /// Lowers a generic row-parallel cascade (softmax / MoE routing / Quant+GEMM
 /// rows / variance / inertia) to a tile program via the tensorization pass,
 /// honouring the computation mode and strategy.
@@ -381,9 +528,8 @@ pub fn cascade_program(
     strategy: Strategy,
     cfg: &TensorizeConfig,
 ) -> TileProgram {
-    let segments = strategy.segments() as usize;
-    let axis_per_segment = axis_len.div_ceil(segments).max(1);
-    let effective_rows = rows * segments;
+    let e = CascadeExtents::new(rows, axis_len, strategy, cfg);
+    let (segments, combine_rows) = (e.segments, e.combine_rows);
     let tensorize_cfg = TensorizeConfig {
         incremental: mode == Mode::Incremental,
         ..*cfg
@@ -391,18 +537,14 @@ pub fn cascade_program(
     let mut program = tensorize_cascade(
         name,
         num_reductions,
-        axis_per_segment,
-        effective_rows,
+        e.axis_per_segment,
+        e.effective_rows,
         &tensorize_cfg,
     );
     if strategy.needs_combine_kernel() {
-        // The combine kernel iterates over the original rows, so its tile
-        // height clamps to them (exactly like the main kernel's tiles clamp
-        // to the effective rows).
-        let combine_rows = cfg.block_rows.min(rows).max(1);
         let mut combine = TileProgram::new(
             format!("{name}_combine"),
-            rows.div_ceil(combine_rows).max(1) as u64,
+            e.combine_blocks,
             cfg.threads_per_block,
         );
         combine.precision = program.precision;

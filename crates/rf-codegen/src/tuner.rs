@@ -5,35 +5,55 @@
 //!
 //! Compilation is the serving hot path (the `rf-runtime` plan cache pays the
 //! full tuner cost on every miss), so the search is staged instead of brute
-//! force:
+//! force, and a candidate is *costed*, never constructed: the `build` closure
+//! the compiler passes in is closed-form arithmetic over the lowering's
+//! extents (`lower.rs`), ~0.06 µs per candidate with the latency estimate,
+//! where lowering one to a `TileProgram` took 2.3–3.1 µs. Only the winner is
+//! lowered.
 //!
 //! 1. **Canonicalization + dedup** — an optional [`TuneHooks::normalize`] hook
 //!    maps every raw point to the point the lowering will actually build
 //!    (tile sizes clamped to the shape, the `segments` knob collapsed where
-//!    the strategy ignores it). Points that collapse to the same canonical
-//!    point are evaluated once instead of once per alias.
+//!    the strategy ignores it). Each distinct canonical point becomes one
+//!    candidate, whose id is its position in first-occurrence order — also
+//!    the tie-break between equal latencies — held in the search's one hash
+//!    map, under a private multiply-xor hasher over the point's five integers.
 //! 2. **Static feasibility** — an optional [`TuneHooks::footprint`] hook
-//!    reports the launch resources of a point without lowering it; points
-//!    that can never fit the target [`GpuArch`] (shared memory, per-block
-//!    thread limit) are rejected by [`GpuArch::launch_feasible`] before a
-//!    [`KernelProfile`] is ever built.
-//! 3. **Search** — [`SearchMode::Guided`] seeds a stratified sample (plus any
-//!    [`TuningCache`] warm-start points) and refines the best seeds by
-//!    coordinate descent over one knob at a time; the exhaustive scan of the
-//!    surviving candidates is kept behind [`SearchMode::Exhaustive`] /
-//!    [`TuningSpace::exhaustive`] as the oracle.
-//! 4. **Parallel evaluation** — large candidate batches are evaluated on a
-//!    scoped thread pool (`std::thread::scope`); results are memoized per
-//!    point and the winner is selected with a deterministic tie-break, so the
-//!    parallel and serial paths choose identical configurations.
+//!    reports the launch resources of a point; points that can never fit the
+//!    target [`GpuArch`] (shared memory, per-block thread limit) are rejected
+//!    by [`GpuArch::launch_feasible`] and never become candidates. Stages 1
+//!    and 2 are one pass over the raw space: 12–24 ns a point, 10–20 µs for
+//!    the default 840.
+//! 3. **Search** — [`SearchMode::Guided`] seeds a coarse lattice and a
+//!    stratified sample (plus any [`TuningCache`] warm-start points) and
+//!    refines the best seeds by coordinate descent over the coupled knobs;
+//!    the exhaustive scan of the candidates is kept behind
+//!    [`SearchMode::Exhaustive`] / [`TuningSpace::exhaustive`] as the oracle.
+//!    Latencies are memoized in a vector indexed by candidate id, so a
+//!    candidate is costed once however often descent revisits it, and the
+//!    winner is the minimum by `(latency, id)` in both modes.
+//!
+//! The search is serial. While a candidate cost microseconds a fourth stage
+//! fanned large batches out over `std::thread::scope`; at ~0.06 µs a
+//! candidate the largest guided batch (a descent neighbourhood, under 90
+//! candidates) is ~5 µs and the oracle's whole 840-candidate scan ~55 µs,
+//! against ~18 µs for an empty spawn + join, so the stage, its `Sync` bounds
+//! and the `available_parallelism()` call per compile (~10 µs) are gone.
+//! Measured on the 22 tuned `perf` configs (H800 preset, 2-vCPU host): a
+//! guided compile fell from 527 to 36–43 µs and the exhaustive oracle from
+//! 1905 to 55–64 µs, choosing bit-identical kernels
+//! (`tests/tuner_choices.rs`). Guided stays the default: a third fewer µs on
+//! average and five times fewer candidates, though where the space dedups to
+//! ~200 candidates the oracle is now as fast.
 //!
 //! A [`TuningCache`] remembers winning points per `(workload class, arch
 //! fingerprint)` pair and warm-starts later searches of the same class, the
 //! way the `rf-runtime` plan cache amortizes whole compilations.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 
@@ -206,11 +226,6 @@ impl TuningSpace {
 /// [`SearchMode::Guided`].
 pub const DEFAULT_BEAM_WIDTH: usize = 2;
 
-/// Candidate batches at least this large are evaluated on the scoped thread
-/// pool; smaller batches (a single coordinate-descent sweep) stay inline,
-/// where thread spawn overhead would dominate.
-const PARALLEL_BATCH_THRESHOLD: usize = 64;
-
 /// How the tuner walks the (deduplicated, statically feasible) candidate set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMode {
@@ -257,9 +272,15 @@ pub struct TuneHooks<'a> {
     /// Maps a raw point to the canonical point the lowering actually builds
     /// (e.g. tile sizes clamped to the workload shape, `segments` collapsed
     /// to 1 where the Single-Segment strategy ignores it).
-    pub normalize: Option<&'a (dyn Fn(&TuningPoint) -> TuningPoint + Sync)>,
+    pub normalize: Option<&'a dyn Fn(&TuningPoint) -> TuningPoint>,
     /// Reports the static launch resources of a canonical point.
-    pub footprint: Option<&'a (dyn Fn(&TuningPoint) -> PointFootprint + Sync)>,
+    pub footprint: Option<&'a dyn Fn(&TuningPoint) -> PointFootprint>,
+}
+
+impl TuneHooks<'_> {
+    fn canonical(&self, point: &TuningPoint) -> TuningPoint {
+        self.normalize.map_or(*point, |normalize| normalize(point))
+    }
 }
 
 impl std::fmt::Debug for TuneHooks<'_> {
@@ -373,10 +394,85 @@ pub struct TuningChoice {
     pub mode: SearchMode,
 }
 
-#[derive(Clone)]
-struct Evaluation {
-    profile: KernelProfile,
-    latency_us: f64,
+/// Hasher of the canonical-point → candidate-id map: one rotate-xor-multiply
+/// round per field of a [`TuningPoint`] (its derived `Hash` writes five
+/// integers) in place of SipHash. The keys are the tuner's own lattice, never
+/// outside input, so SipHash's resistance to crafted collisions buys nothing
+/// here.
+#[derive(Default)]
+struct PointHasher(u64);
+
+impl Hasher for PointHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    fn finish(&self) -> u64 {
+        // Tile sizes are multiples of 16, so the low bits of the products
+        // carry little; the table indexes with them, so fold the high half in.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The working state of one `tune` call: the deduplicated, statically
+/// feasible candidates in first-raw-occurrence order (a candidate's position
+/// is its id and the deterministic tie-break between equal latencies), the
+/// one map from canonical point to id, and the latency memo indexed by id.
+struct Search<'a, F> {
+    arch: &'a GpuArch,
+    build: &'a F,
+    hooks: TuneHooks<'a>,
+    candidates: Vec<TuningPoint>,
+    index: HashMap<TuningPoint, usize, BuildHasherDefault<PointHasher>>,
+    /// `None` until the candidate has been costed; each is costed once.
+    latency_us: Vec<Option<f64>>,
+}
+
+impl<F: Fn(&TuningPoint) -> KernelProfile> Search<'_, F> {
+    /// The candidate `point` canonicalizes to, if it survived stages 1–2.
+    fn id_of(&self, point: &TuningPoint) -> Option<usize> {
+        self.index.get(&self.hooks.canonical(point)).copied()
+    }
+
+    /// Costs every not-yet-costed candidate of `ids`.
+    fn evaluate(&mut self, ids: impl IntoIterator<Item = usize>) {
+        for id in ids {
+            if self.latency_us[id].is_none() {
+                let profile = (self.build)(&self.candidates[id]);
+                self.latency_us[id] = Some(estimate_latency(self.arch, &profile).total_us);
+            }
+        }
+    }
+
+    fn latency(&self, id: usize) -> f64 {
+        self.latency_us[id].expect("candidate compared before it was costed")
+    }
+
+    /// The search's one ordering: by latency, then by candidate id.
+    fn order(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        self.latency(a)
+            .total_cmp(&self.latency(b))
+            .then_with(|| a.cmp(&b))
+    }
+
+    /// Latencies of the candidates costed so far.
+    fn costed(&self) -> impl Iterator<Item = f64> + '_ {
+        self.latency_us.iter().flatten().copied()
+    }
 }
 
 /// Evaluates a search space against one architecture using the staged search
@@ -386,7 +482,6 @@ pub struct AutoTuner {
     arch: GpuArch,
     space: TuningSpace,
     mode: SearchMode,
-    parallelism: usize,
     oracle_check: bool,
     cache: Option<(Arc<TuningCache>, String)>,
 }
@@ -395,15 +490,10 @@ impl AutoTuner {
     /// Creates a tuner for one architecture with the default search space and
     /// the default (guided) search mode.
     pub fn new(arch: GpuArch) -> Self {
-        let parallelism = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
         AutoTuner {
             arch,
             space: TuningSpace::default(),
             mode: SearchMode::default(),
-            parallelism,
             oracle_check: false,
             cache: None,
         }
@@ -418,12 +508,6 @@ impl AutoTuner {
     /// Replaces the search mode.
     pub fn with_mode(mut self, mode: SearchMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Caps the number of evaluation threads (1 forces serial evaluation).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
         self
     }
 
@@ -458,30 +542,29 @@ impl AutoTuner {
     /// Single-Segment point, which is feasible on every supported GPU.
     pub fn tune<F>(&self, build: F) -> TuningChoice
     where
-        F: Fn(&TuningPoint) -> KernelProfile + Sync,
+        F: Fn(&TuningPoint) -> KernelProfile,
     {
         self.tune_with_hooks(&build, TuneHooks::default())
     }
 
     /// Like [`AutoTuner::tune`], with workload-specific canonicalization and
     /// static-footprint hooks enabling the dedup and feasibility stages.
+    /// `build` is the cost of one candidate: it runs once per candidate the
+    /// search visits and once more for the winner's profile.
     pub fn tune_with_hooks<F>(&self, build: &F, hooks: TuneHooks<'_>) -> TuningChoice
     where
-        F: Fn(&TuningPoint) -> KernelProfile + Sync,
+        F: Fn(&TuningPoint) -> KernelProfile,
     {
         let raw = self.space.points();
         assert!(!raw.is_empty(), "tuning space must not be empty");
         let space_size = raw.len();
 
-        // Stages 1 + 2: canonicalize, dedup, reject statically infeasible
-        // points before anything is lowered.
-        let mut seen = HashSet::with_capacity(raw.len());
+        // Stages 1 + 2, one pass: canonicalize, drop what can never launch,
+        // and give each distinct survivor an id the first time it is seen.
         let mut candidates = Vec::with_capacity(raw.len());
+        let mut index = HashMap::with_capacity_and_hasher(raw.len(), Default::default());
         for point in &raw {
-            let canonical = hooks.normalize.map_or(*point, |n| n(point));
-            if !seen.insert(canonical) {
-                continue;
-            }
+            let canonical = hooks.canonical(point);
             let footprint = hooks.footprint.map_or(
                 PointFootprint {
                     threads_per_block: canonical.threads,
@@ -489,62 +572,55 @@ impl AutoTuner {
                 },
                 |f| f(&canonical),
             );
-            if !self
+            if self
                 .arch
                 .launch_feasible(footprint.threads_per_block, footprint.shared_mem_per_block)
             {
-                continue;
+                index.entry(canonical).or_insert_with(|| {
+                    candidates.push(canonical);
+                    candidates.len() - 1
+                });
             }
-            candidates.push(canonical);
         }
         assert!(
             !candidates.is_empty(),
             "every point of the tuning space is statically infeasible on {}",
             self.arch.name
         );
-        // Candidate order defines the deterministic tie-break, so parallel,
-        // serial, guided and exhaustive runs agree on equal-latency winners.
-        let index: HashMap<TuningPoint, usize> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (*p, i))
-            .collect();
+        let mut search = Search {
+            arch: &self.arch,
+            build,
+            hooks,
+            latency_us: vec![None; candidates.len()],
+            candidates,
+            index,
+        };
+        let all = 0..search.candidates.len();
 
-        let memo: Mutex<HashMap<TuningPoint, Evaluation>> = Mutex::new(HashMap::new());
         match self.mode {
-            SearchMode::Exhaustive => self.evaluate(build, &memo, &candidates),
+            SearchMode::Exhaustive => search.evaluate(all.clone()),
             SearchMode::Guided { beam_width } => {
-                self.guided_search(build, &memo, &candidates, &index, &hooks, beam_width);
+                self.guided_search(&mut search, beam_width);
                 // Safety net: if the guided walk only ever saw model-infeasible
                 // profiles (possible without a footprint hook), fall back to
                 // the oracle rather than panic on an infinite winner.
-                let all_infinite = {
-                    let map = memo.lock().expect("tuner memo poisoned");
-                    map.values().all(|e| !e.latency_us.is_finite())
-                };
-                if all_infinite {
-                    self.evaluate(build, &memo, &candidates);
+                if search.costed().all(|latency| !latency.is_finite()) {
+                    search.evaluate(all.clone());
                 }
             }
         }
 
-        let (point, evaluation, evaluated) = {
-            let map = memo.lock().expect("tuner memo poisoned");
-            let (point, evaluation) = map
-                .iter()
-                .min_by(|a, b| {
-                    a.1.latency_us
-                        .total_cmp(&b.1.latency_us)
-                        .then_with(|| index[a.0].cmp(&index[b.0]))
-                })
-                .expect("at least one tuning point evaluated");
-            (*point, evaluation.clone(), map.len())
-        };
+        let winner = all
+            .clone()
+            .filter(|&id| search.latency_us[id].is_some())
+            .min_by(|&a, &b| search.order(a, b))
+            .expect("at least one tuning point evaluated");
+        let point = search.candidates[winner];
         let choice = TuningChoice {
             point,
-            profile: evaluation.profile,
-            latency_us: evaluation.latency_us,
-            evaluated,
+            profile: build(&point),
+            latency_us: search.latency(winner),
+            evaluated: search.costed().count(),
             space_size,
             mode: self.mode,
         };
@@ -558,7 +634,7 @@ impl AutoTuner {
         // built kernel requests (an over-estimate would silently prune
         // feasible points from both search modes, an under-estimate would
         // defeat the prefilter).
-        if let Some(footprint) = hooks.footprint {
+        if let Some(footprint) = search.hooks.footprint {
             let fp = footprint(&choice.point);
             debug_assert!(
                 fp.threads_per_block == choice.profile.threads_per_block
@@ -579,12 +655,8 @@ impl AutoTuner {
             && self.oracle_check
             && matches!(self.mode, SearchMode::Guided { .. })
         {
-            self.evaluate(build, &memo, &candidates);
-            let map = memo.lock().expect("tuner memo poisoned");
-            let oracle = map
-                .values()
-                .map(|e| e.latency_us)
-                .fold(f64::INFINITY, f64::min);
+            search.evaluate(all);
+            let oracle = search.costed().fold(f64::INFINITY, f64::min);
             debug_assert!(
                 choice.latency_us <= oracle * 1.05,
                 "guided search chose {:.3} us but the exhaustive oracle found {:.3} us \
@@ -598,26 +670,16 @@ impl AutoTuner {
     }
 
     /// Seeds + coordinate descent (stage 3).
-    fn guided_search<F>(
-        &self,
-        build: &F,
-        memo: &Mutex<HashMap<TuningPoint, Evaluation>>,
-        candidates: &[TuningPoint],
-        index: &HashMap<TuningPoint, usize>,
-        hooks: &TuneHooks<'_>,
-        beam_width: usize,
-    ) where
-        F: Fn(&TuningPoint) -> KernelProfile + Sync,
+    fn guided_search<F>(&self, search: &mut Search<'_, F>, beam_width: usize)
+    where
+        F: Fn(&TuningPoint) -> KernelProfile,
     {
-        let beam = beam_width.clamp(1, candidates.len());
-        let mut seeds: Vec<TuningPoint> = Vec::new();
+        let count = search.candidates.len();
+        let beam = beam_width.clamp(1, count);
+        let mut seeds: Vec<usize> = Vec::new();
         if let Some((cache, class)) = &self.cache {
-            for warm in cache.seeds(class, crate::compile::arch_fingerprint(&self.arch)) {
-                let canonical = hooks.normalize.map_or(warm, |n| n(&warm));
-                if index.contains_key(&canonical) {
-                    seeds.push(canonical);
-                }
-            }
+            let warm = cache.seeds(class, crate::compile::arch_fingerprint(&self.arch));
+            seeds.extend(warm.iter().filter_map(|point| search.id_of(point)));
         }
         // A coarse half-resolution lattice over the three coupled knobs
         // (`block_rows`, `block_axis`, `segments`): they all trade off
@@ -644,129 +706,47 @@ impl AutoTuner {
         for block_rows in halved(&self.space.block_rows) {
             for block_axis in halved(&self.space.block_axis) {
                 for segments in halved(&self.space.segments) {
-                    let lattice = TuningPoint {
+                    seeds.extend(search.id_of(&TuningPoint {
                         block_rows,
                         block_axis,
                         threads,
                         pipeline_depth,
                         segments,
-                    };
-                    let canonical = hooks.normalize.map_or(lattice, |n| n(&lattice));
-                    if index.contains_key(&canonical) {
-                        seeds.push(canonical);
-                    }
+                    }));
                 }
             }
         }
         // Plus a stratified sample across the whole candidate list.
-        let stride = (candidates.len() / beam).max(1);
-        for i in (0..candidates.len()).step_by(stride) {
-            seeds.push(candidates[i]);
-        }
-        let mut seed_set = HashSet::new();
-        seeds.retain(|p| seed_set.insert(*p));
-        self.evaluate(build, memo, &seeds);
+        seeds.extend((0..count).step_by((count / beam).max(1)));
+        search.evaluate(seeds.iter().copied());
 
-        // Keep the best `beam` seeds as descent starting points.
-        {
-            let map = memo.lock().expect("tuner memo poisoned");
-            seeds.sort_by(|a, b| {
-                map[a]
-                    .latency_us
-                    .total_cmp(&map[b].latency_us)
-                    .then_with(|| index[a].cmp(&index[b]))
-            });
-        }
+        // Keep the best `beam` distinct seeds as descent starting points
+        // (equal ids are adjacent once sorted).
+        seeds.sort_by(|&a, &b| search.order(a, b));
+        seeds.dedup();
         seeds.truncate(beam);
 
         for start in seeds {
             let mut current = start;
             loop {
-                let neighborhood: Vec<TuningPoint> = self
+                let neighborhood: Vec<usize> = self
                     .space
-                    .neighborhood(&current)
-                    .into_iter()
-                    .map(|p| hooks.normalize.map_or(p, |n| n(&p)))
-                    .filter(|p| index.contains_key(p))
-                    .collect();
-                self.evaluate(build, memo, &neighborhood);
-                let map = memo.lock().expect("tuner memo poisoned");
-                let best = neighborhood
+                    .neighborhood(&search.candidates[current])
                     .iter()
-                    .min_by(|a, b| {
-                        map[*a]
-                            .latency_us
-                            .total_cmp(&map[*b].latency_us)
-                            .then_with(|| index[*a].cmp(&index[*b]))
-                    })
-                    .copied()
+                    .filter_map(|point| search.id_of(point))
+                    .collect();
+                search.evaluate(neighborhood.iter().copied());
+                let best = neighborhood
+                    .into_iter()
+                    .min_by(|&a, &b| search.order(a, b))
                     .unwrap_or(current);
                 // Move only on strict improvement so descent terminates.
-                if map[&best].latency_us < map[&current].latency_us {
-                    drop(map);
+                if search.latency(best) < search.latency(current) {
                     current = best;
                 } else {
                     break;
                 }
             }
-        }
-    }
-
-    /// Evaluates every not-yet-memoized point of `points`, inline for small
-    /// batches and on a scoped thread pool for large ones (stage 4). The memo
-    /// guarantees each distinct point is costed exactly once per `tune` call.
-    fn evaluate<F>(
-        &self,
-        build: &F,
-        memo: &Mutex<HashMap<TuningPoint, Evaluation>>,
-        points: &[TuningPoint],
-    ) where
-        F: Fn(&TuningPoint) -> KernelProfile + Sync,
-    {
-        let todo: Vec<TuningPoint> = {
-            let map = memo.lock().expect("tuner memo poisoned");
-            let mut fresh = HashSet::new();
-            points
-                .iter()
-                .filter(|p| !map.contains_key(*p) && fresh.insert(**p))
-                .copied()
-                .collect()
-        };
-        if todo.is_empty() {
-            return;
-        }
-        let evaluate_one = |point: &TuningPoint| {
-            let profile = build(point);
-            let latency_us = estimate_latency(&self.arch, &profile).total_us;
-            (
-                *point,
-                Evaluation {
-                    profile,
-                    latency_us,
-                },
-            )
-        };
-        if self.parallelism <= 1 || todo.len() < PARALLEL_BATCH_THRESHOLD {
-            let evaluations: Vec<_> = todo.iter().map(evaluate_one).collect();
-            memo.lock()
-                .expect("tuner memo poisoned")
-                .extend(evaluations);
-        } else {
-            let workers = self.parallelism.min(todo.len());
-            let chunk_len = todo.len().div_ceil(workers);
-            let evaluate_one = &evaluate_one;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = todo
-                    .chunks(chunk_len)
-                    .map(|chunk| {
-                        scope.spawn(move || chunk.iter().map(evaluate_one).collect::<Vec<_>>())
-                    })
-                    .collect();
-                let mut map = memo.lock().expect("tuner memo poisoned");
-                for handle in handles {
-                    map.extend(handle.join().expect("tuning evaluation thread panicked"));
-                }
-            });
         }
     }
 }
@@ -825,19 +805,68 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_exhaustive_agree() {
+    fn exhaustive_costs_each_distinct_feasible_canonical_point_once() {
+        // Hooks shaped like a real workload's: tiles clamp to a 40 x 100
+        // problem, the footprint grows with the tile and the pipeline.
         let arch = GpuArch::a10();
-        let serial = AutoTuner::new(arch.clone())
+        let normalize = |p: &TuningPoint| TuningPoint {
+            block_rows: p.block_rows.min(40),
+            block_axis: p.block_axis.min(100usize.div_ceil(p.segments as usize)),
+            ..*p
+        };
+        let footprint = |p: &TuningPoint| PointFootprint {
+            threads_per_block: p.threads,
+            shared_mem_per_block: (p.block_rows * p.block_axis) as u64
+                * 16
+                * u64::from(p.pipeline_depth),
+        };
+        // Counted independently of the tuner's map: sort, then dedup.
+        let mut expected: Vec<_> = TuningSpace::default()
+            .points()
+            .iter()
+            .map(normalize)
+            .filter(|p| {
+                let fp = footprint(p);
+                arch.launch_feasible(fp.threads_per_block, fp.shared_mem_per_block)
+            })
+            .map(|p| {
+                (
+                    p.block_rows,
+                    p.block_axis,
+                    p.threads,
+                    p.pipeline_depth,
+                    p.segments,
+                )
+            })
+            .collect();
+        let feasible_raw = expected.len();
+        expected.sort_unstable();
+        expected.dedup();
+        assert!(expected.len() < feasible_raw, "the hook must alias points");
+        assert!(feasible_raw < 840, "the hook must prune points");
+
+        let calls = std::cell::Cell::new(0usize);
+        let build = |p: &TuningPoint| {
+            calls.set(calls.get() + 1);
+            let fp = footprint(p);
+            KernelProfile {
+                shared_mem_per_block: fp.shared_mem_per_block,
+                ..artificial_build(p)
+            }
+        };
+        let hooks = TuneHooks {
+            normalize: Some(&normalize),
+            footprint: Some(&footprint),
+        };
+        let oracle = AutoTuner::new(arch)
             .with_mode(SearchMode::Exhaustive)
-            .with_parallelism(1)
-            .tune(artificial_build);
-        let parallel = AutoTuner::new(arch)
-            .with_mode(SearchMode::Exhaustive)
-            .with_parallelism(8)
-            .tune(artificial_build);
-        assert_eq!(serial.point, parallel.point);
-        assert_eq!(serial.latency_us, parallel.latency_us);
-        assert_eq!(serial.evaluated, parallel.evaluated);
+            .tune_with_hooks(&build, hooks);
+        assert_eq!(oracle.evaluated, expected.len());
+        assert_eq!(
+            calls.get(),
+            expected.len() + 1,
+            "one costing per candidate, one more for the winner's profile"
+        );
     }
 
     #[test]

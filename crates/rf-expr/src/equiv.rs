@@ -67,8 +67,10 @@ impl EquivConfig {
 pub fn semantically_equal(lhs: &Expr, rhs: &Expr, vars: &[&str], config: &EquivConfig) -> bool {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut valid_samples = 0usize;
+    // One environment for the whole check: after the first trial every `set`
+    // overwrites a bound name in place, so a trial allocates nothing.
+    let mut env = Env::new();
     for _ in 0..config.trials {
-        let mut env = Env::new();
         for &v in vars {
             env.set(v, rng.gen_range(config.low..=config.high));
         }

@@ -1,6 +1,5 @@
 //! Expression evaluation against a variable environment.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::ast::{Expr, ExprKind};
@@ -24,6 +23,12 @@ impl std::error::Error for EvalError {}
 
 /// A variable environment mapping names to `f64` values.
 ///
+/// Cascades bind a handful of names (inputs plus earlier reduction results),
+/// and the ACRF equivalence checker rebinds the same names for every random
+/// trial, so the bindings are a small vector searched linearly: a lookup
+/// compares a few short strings instead of hashing one, and rebinding a
+/// bound name overwrites its value in place without allocating.
+///
 /// # Examples
 ///
 /// ```
@@ -33,9 +38,22 @@ impl std::error::Error for EvalError {}
 /// let env = Env::from_pairs([("a", 2.0), ("b", 3.0)]);
 /// assert_eq!(e.eval(&env).unwrap(), 6.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct Env {
-    bindings: HashMap<String, f64>,
+    /// One entry per bound name (names are unique), in first-binding order.
+    bindings: Vec<(String, f64)>,
+}
+
+/// Two environments are equal when they bind the same names to equal values,
+/// whatever order the names were bound in.
+impl PartialEq for Env {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self
+                .bindings
+                .iter()
+                .all(|(name, value)| other.get(name) == Some(*value))
+    }
 }
 
 impl Env {
@@ -48,7 +66,7 @@ impl Env {
     pub fn from_pairs<I, S>(pairs: I) -> Self
     where
         I: IntoIterator<Item = (S, f64)>,
-        S: Into<String>,
+        S: Into<String> + AsRef<str>,
     {
         let mut env = Env::new();
         for (name, value) in pairs {
@@ -57,15 +75,22 @@ impl Env {
         env
     }
 
-    /// Binds (or rebinds) a variable.
-    pub fn set(&mut self, name: impl Into<String>, value: f64) -> &mut Self {
-        self.bindings.insert(name.into(), value);
+    /// Binds (or rebinds) a variable. Rebinding overwrites the value in
+    /// place; only a name not yet bound is converted to an owned `String`.
+    pub fn set(&mut self, name: impl Into<String> + AsRef<str>, value: f64) -> &mut Self {
+        match self.bindings.iter_mut().find(|(n, _)| n == name.as_ref()) {
+            Some(binding) => binding.1 = value,
+            None => self.bindings.push((name.into(), value)),
+        }
         self
     }
 
     /// Looks up a variable.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.bindings.get(name).copied()
+        self.bindings
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, value)| *value)
     }
 
     /// Number of bound variables.
@@ -158,6 +183,21 @@ mod tests {
         assert_eq!(env.len(), 2);
         assert_eq!(env.get("a"), Some(1.0));
         assert_eq!(env.get("c"), None);
+    }
+
+    #[test]
+    fn rebinding_overwrites_in_place_and_equality_ignores_order() {
+        let mut env = Env::from_pairs([("a", 1.0), ("b", 2.0)]);
+        env.set("a", 5.0).set(String::from("b"), 6.0);
+        assert_eq!(env.len(), 2, "a re-set name must not add a binding");
+        assert_eq!(env.get("a"), Some(5.0));
+        assert_eq!(env.get("b"), Some(6.0));
+
+        let reversed = Env::from_pairs([("b", 6.0), ("a", 5.0)]);
+        assert_eq!(env, reversed, "binding order is not part of the value");
+        assert_ne!(env, Env::from_pairs([("a", 5.0), ("b", 7.0)]));
+        assert_ne!(env, Env::from_pairs([("a", 5.0)]));
+        assert_ne!(env, Env::from_pairs([("a", 5.0), ("c", 6.0)]));
     }
 
     #[test]

@@ -224,10 +224,10 @@ fn substitute_group(expr: &Expr, vars: &[String], value: f64) -> Expr {
 fn eval_at(expr: &Expr, input_vars: &[String], x0: f64, deps: &[String], d0: f64) -> Option<f64> {
     let mut env = Env::new();
     for v in input_vars {
-        env.set(v.clone(), x0);
+        env.set(v.as_str(), x0);
     }
     for v in deps {
-        env.set(v.clone(), d0);
+        env.set(v.as_str(), d0);
     }
     expr.eval(&env).ok()
 }

@@ -252,7 +252,7 @@ impl CascadeInput {
     /// Binds the input variables at position `l` into an environment.
     pub fn bind_position(&self, l: usize, env: &mut Env) {
         for (name, col) in self.names.iter().zip(&self.columns) {
-            env.set(name.clone(), col[l]);
+            env.set(name.as_str(), col[l]);
         }
     }
 }

@@ -54,7 +54,7 @@ impl NaiveCascadeEvaluator {
             for l in 0..input.len() {
                 input.bind_position(l, &mut env);
                 for (prev, value) in spec.reductions.iter().zip(&results) {
-                    env.set(prev.name.clone(), *value);
+                    env.set(prev.name.as_str(), *value);
                 }
                 let mapped = reduction
                     .map
@@ -242,7 +242,7 @@ fn eval_with_states(expr: &Expr, input_env: &Env, plan: &FusionPlan, states: &[f
 
 fn bind_states(plan: &FusionPlan, states: &[f64], env: &mut Env) {
     for (reduction, value) in plan.reductions.iter().zip(states) {
-        env.set(reduction.name.clone(), *value);
+        env.set(reduction.name.as_str(), *value);
     }
 }
 

@@ -93,7 +93,6 @@ pub struct RuntimeMetrics {
     shed_retry_last_bits: AtomicU64,
     /// Sum of shed retry hints, in integer microseconds (mean = sum/shed).
     shed_retry_sum_us: AtomicU64,
-    submitted: AtomicU64,
     /// Submissions shed by admission control (`RuntimeError::Overloaded`).
     shed: AtomicU64,
     /// Per-priority-lane traffic, indexed by [`Priority::lane`].
@@ -360,7 +359,6 @@ impl RuntimeMetrics {
     /// shed retry hint is taken from `other` when it has seen any shed.
     pub fn merge_from(&self, other: &RuntimeMetrics) {
         for (mine, theirs) in [
-            (&self.submitted, &other.submitted),
             (&self.shed, &other.shed),
             (&self.batches, &other.batches),
             (&self.batched_requests, &other.batched_requests),
@@ -431,7 +429,6 @@ impl RuntimeMetrics {
 
     /// Records one accepted submission on `priority`'s lane.
     pub fn record_submit(&self, priority: Priority) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         self.lanes[priority.lane()]
             .submitted
             .fetch_add(1, Ordering::Relaxed);
@@ -443,7 +440,6 @@ impl RuntimeMetrics {
     /// Rolls back one [`RuntimeMetrics::record_submit`] whose submission was
     /// rejected after counting (scheduler shutdown race or admission shed).
     pub fn cancel_submit(&self, priority: Priority) {
-        self.submitted.fetch_sub(1, Ordering::Relaxed);
         self.lanes[priority.lane()]
             .submitted
             .fetch_sub(1, Ordering::Relaxed);
@@ -705,11 +701,16 @@ impl RuntimeMetrics {
             .iter()
             .map(|priority| {
                 let track = &self.lanes[priority.lane()];
+                // Outcomes before submissions: a request is counted as
+                // submitted before it can complete, so read in this order a
+                // lane never shows more outcomes than submissions.
+                let completed = track.completed.load(Ordering::Relaxed);
+                let failed = track.failed.load(Ordering::Relaxed);
                 LaneSnapshot {
                     lane: priority.name(),
                     submitted: track.submitted.load(Ordering::Relaxed),
-                    completed: track.completed.load(Ordering::Relaxed),
-                    failed: track.failed.load(Ordering::Relaxed),
+                    completed,
+                    failed,
                     shed: track.shed.load(Ordering::Relaxed),
                     wall: track.wall.snapshot(),
                 }
@@ -730,7 +731,11 @@ impl RuntimeMetrics {
             self.shed_retry_sum_us.load(Ordering::Relaxed) as f64 / shed as f64
         };
         MetricsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
+            // Derived from the lanes like `completed` and `failed`: a shed
+            // submission is counted and then rolled back (`cancel_submit`),
+            // so the counters are not monotonic and no read order keeps a
+            // separately read global figure at or above the lane sum.
+            submitted: lanes.iter().map(|lane| lane.submitted).sum(),
             completed: lanes.iter().map(|lane| lane.completed).sum(),
             failed: lanes.iter().map(|lane| lane.failed).sum(),
             shed,

@@ -12,7 +12,6 @@
 //! covered so far, not over the full width.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -59,17 +58,29 @@ impl Slot {
 pub struct RollingTelemetry {
     width_ms: u64,
     slots: usize,
-    /// Streams merged into this ring (1 per device; fleet merges sum it so
-    /// busy fractions stay normalised).
-    streams: AtomicU64,
     state: Mutex<State>,
 }
 
-/// The windows and the instant their indices count from.
+/// The windows, the instant their indices count from, and how many streams
+/// (devices) the ring stands for.
 #[derive(Debug)]
 struct State {
     epoch: Instant,
     ring: VecDeque<Slot>,
+    /// Whether an event was ever recorded into this ring directly.
+    recorded: bool,
+    /// Streams of the rings merged into this one.
+    merged_streams: u64,
+}
+
+impl State {
+    /// Streams the busy fraction is normalised by: the merged rings' plus
+    /// this ring's own — unless it never recorded and exists only to hold a
+    /// merge (an N-device fleet is N streams, not N + 1). An idle device's
+    /// ring, never merged into, still counts as one.
+    fn streams(&self) -> u64 {
+        self.merged_streams + u64::from(self.recorded || self.merged_streams == 0)
+    }
 }
 
 impl Default for RollingTelemetry {
@@ -84,10 +95,11 @@ impl RollingTelemetry {
         RollingTelemetry {
             width_ms: width_ms.max(1),
             slots: slots.max(1),
-            streams: AtomicU64::new(1),
             state: Mutex::new(State {
                 epoch: Instant::now(),
                 ring: VecDeque::new(),
+                recorded: false,
+                merged_streams: 0,
             }),
         }
     }
@@ -108,6 +120,7 @@ impl RollingTelemetry {
 
     fn with_slot<R>(&self, f: impl FnOnce(&mut Slot) -> R) -> R {
         let mut state = self.lock();
+        state.recorded = true;
         let index = (state.epoch.elapsed().as_millis() as u64) / self.width_ms;
         let ring = &mut state.ring;
         if ring.back().is_none_or(|slot| slot.index < index) {
@@ -162,12 +175,11 @@ impl RollingTelemetry {
     /// below the window width; the merged ring counts from the earliest epoch
     /// it has seen, so a ring created only to hold a merge still knows how
     /// long its newest window has been open. The merged busy fraction
-    /// renormalises by the summed stream count.
+    /// renormalises by the summed stream count (see `State::streams`).
     pub fn merge_from(&self, other: &RollingTelemetry) {
-        self.streams
-            .fetch_add(other.streams.load(Ordering::Relaxed), Ordering::Relaxed);
         let theirs = other.lock();
         let mut guard = self.lock();
+        guard.merged_streams += theirs.streams();
         guard.epoch = guard.epoch.min(theirs.epoch);
         let ours = &mut guard.ring;
         for slot in theirs.ring.iter() {
@@ -210,7 +222,7 @@ impl RollingTelemetry {
         let state = self.lock();
         let now_ms = now.as_secs_f64() * 1000.0;
         let width_ms = self.width_ms as f64;
-        let streams = self.streams.load(Ordering::Relaxed) as f64;
+        let streams = state.streams() as f64;
         let newest = state.ring.back().map(|slot| slot.index);
         let windows = state
             .ring
@@ -360,6 +372,32 @@ mod tests {
         // Two streams, same busy time each: the merged fraction matches one
         // device's fraction instead of doubling.
         assert!((w.busy_frac - busy_alone).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_ring_that_only_holds_a_merge_is_not_a_stream_of_its_own() {
+        // What `Engine::metrics()` does for a fleet: N device rings folded
+        // into a fresh one that never records. Two devices, each busy for
+        // half of a window read as it closes, are a fleet busy for half.
+        let devices = [
+            RollingTelemetry::new(60_000, 4),
+            RollingTelemetry::new(60_000, 4),
+        ];
+        let fleet = RollingTelemetry::new(60_000, 4);
+        for device in &devices {
+            device.record_batch(1, 0, 30_000_000.0, 1);
+            fleet.merge_from(device);
+        }
+        let closing = Duration::from_secs(60);
+        let busy = |t: &RollingTelemetry| t.snapshot_at(closing).windows[0].busy_frac;
+        assert!((busy(&fleet) - 0.5).abs() < 1e-12, "{}", busy(&fleet));
+        // An idle device still counts as capacity: a third ring that never
+        // recorded makes the same busy time a third of the fleet's.
+        fleet.merge_from(&RollingTelemetry::new(60_000, 4));
+        assert!((busy(&fleet) - 1.0 / 3.0).abs() < 1e-12);
+        // And a holder that then records for itself becomes a fourth stream.
+        fleet.record_batch(0, 0, 0.0, 0);
+        assert!((busy(&fleet) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    workers are mid-iteration must never panic and never show more
 //!    completions than submissions.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -46,30 +46,47 @@ fn concurrent_submissions_balance_the_per_lane_ledger() {
     // the "snapshot never panics" half of the test. Invariants that must
     // hold at *any* instant are asserted on every poll.
     let stop = Arc::new(AtomicBool::new(false));
+    // Polls completed so far, and whether the monitor has exited (set on
+    // unwind too, so a failed invariant fails the test instead of hanging
+    // the clients that wait on it).
+    struct Progress {
+        polls: AtomicU64,
+        exited: AtomicBool,
+    }
+    struct ExitFlag(Arc<Progress>);
+    impl Drop for ExitFlag {
+        fn drop(&mut self) {
+            self.0.exited.store(true, Ordering::Relaxed);
+        }
+    }
+    let progress = Arc::new(Progress {
+        polls: AtomicU64::new(0),
+        exited: AtomicBool::new(false),
+    });
     let monitor = {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
+        let progress = Arc::clone(&progress);
         thread::spawn(move || {
-            let mut polls = 0u64;
+            let _exit = ExitFlag(Arc::clone(&progress));
             while !stop.load(Ordering::Relaxed) {
                 let snapshot = engine.metrics();
                 assert!(snapshot.completed + snapshot.failed <= snapshot.submitted);
-                // Lane counters are read before the global counter and each
-                // submit bumps global-then-lane, so mid-flight the lane sum
-                // can only trail the global figure, never lead it.
+                // The global figure is derived from the lane counters, so
+                // mid-flight the lane sum can never lead it.
                 let lane_submitted: u64 = snapshot.lanes.iter().map(|l| l.submitted).sum();
                 assert!(lane_submitted <= snapshot.submitted);
                 let _ = snapshot.report();
-                polls += 1;
+                progress.polls.fetch_add(1, Ordering::Relaxed);
                 thread::yield_now();
             }
-            polls
         })
     };
 
     let clients: Vec<_> = (0..6u64)
         .map(|client| {
             let engine = Arc::clone(&engine);
+            let progress = Arc::clone(&progress);
             thread::spawn(move || {
                 let mut tickets = Vec::new();
                 let mut shed = [0u64; LANES];
@@ -85,6 +102,16 @@ fn concurrent_submissions_balance_the_per_lane_ledger() {
                         }
                         Err(other) => panic!("unexpected submit error: {other}"),
                     }
+                }
+                // Hold the run open until the monitor completes one more
+                // poll, so a snapshot is taken strictly mid-flight whatever
+                // the scheduler does (a cold compile no longer takes long
+                // enough for the monitor thread to come up on its own).
+                let seen = progress.polls.load(Ordering::Relaxed);
+                while progress.polls.load(Ordering::Relaxed) == seen
+                    && !progress.exited.load(Ordering::Relaxed)
+                {
+                    thread::yield_now();
                 }
                 let mut completed = 0u64;
                 for ticket in tickets {
@@ -107,8 +134,11 @@ fn concurrent_submissions_balance_the_per_lane_ledger() {
     }
     engine.run_until_drained();
     stop.store(true, Ordering::Relaxed);
-    let polls = monitor.join().expect("monitor thread succeeds");
-    assert!(polls > 0, "the monitor must observe the run mid-flight");
+    monitor.join().expect("monitor thread succeeds");
+    assert!(
+        progress.polls.load(Ordering::Relaxed) > 0,
+        "the monitor must observe the run mid-flight"
+    );
 
     // The ledger: what clients saw must equal what the engine recorded,
     // globally and per lane. Arrivals conserve exactly — sheds are disjoint
