@@ -14,6 +14,8 @@
 //! analysis and by property tests, and the paper's Table 1 mapping from a
 //! reduction operator to its compatible combine operator.
 
+#![forbid(unsafe_code)]
+
 pub mod laws;
 pub mod op;
 pub mod reduce;

@@ -25,6 +25,8 @@
 //! * **FlashAttention2 / FlashMLA** are single fused kernels with minimal
 //!   traffic and highly tuned inner loops.
 
+#![forbid(unsafe_code)]
+
 pub mod ops;
 pub mod sequences;
 

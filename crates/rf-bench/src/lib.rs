@@ -16,6 +16,8 @@
 //! The Criterion benches in `benches/` measure the CPU numeric kernels
 //! (fused vs unfused) and the analysis/lowering passes themselves.
 
+#![forbid(unsafe_code)]
+
 /// One row of a normalized-performance table: a workload configuration and the
 /// speedup of each system relative to the first (baseline) system.
 #[derive(Debug, Clone)]

@@ -22,6 +22,8 @@
 //! * [`level`] — the fusion-level latency model behind Figure 6a and the
 //!   incremental/non-incremental comparison behind Figure 6b.
 
+#![forbid(unsafe_code)]
+
 pub mod compile;
 pub mod level;
 pub mod lower;

@@ -29,6 +29,8 @@
 //! assert!((e.eval(&env).unwrap() - (2.0f64).exp()).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod equiv;
 pub mod eval;

@@ -32,6 +32,8 @@
 //! assert_eq!(sum_exp.combine, rf_algebra::BinaryOp::Mul);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod acrf;
 pub mod cascade;
 pub mod eval;

@@ -16,6 +16,8 @@
 //! Latencies are reported in microseconds. Absolute values are *not* expected
 //! to match the paper's hardware; the comparisons between implementations are.
 
+#![forbid(unsafe_code)]
+
 pub mod arch;
 pub mod model;
 

@@ -16,7 +16,7 @@
 use std::fmt;
 
 use rf_algebra::ReduceOp;
-use rf_workloads::{fp8_round, Matrix};
+use rf_workloads::{exp, fp8_round, Matrix};
 
 /// Index of a node inside its [`OpGraph`]. Ids are dense and topologically
 /// ordered: every node's arguments have smaller ids.
@@ -82,7 +82,7 @@ impl MapOp {
     /// Applies the operation to one element.
     pub fn apply(self, x: f64) -> f64 {
         match self {
-            MapOp::Exp => x.exp(),
+            MapOp::Exp => exp(x),
             MapOp::Abs => x.abs(),
             MapOp::Sqrt => x.sqrt(),
             MapOp::Neg => -x,
@@ -644,9 +644,9 @@ mod tests {
         for r in 0..x.rows() {
             let row = x.row(r);
             let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let t: f64 = row.iter().map(|v| (v - m).exp()).sum();
+            let t: f64 = row.iter().map(|v| exp(v - m)).sum();
             for (c, v) in row.iter().enumerate() {
-                out.set(r, c, (v - m).exp() / t);
+                out.set(r, c, exp(v - m) / t);
             }
         }
         out

@@ -41,6 +41,8 @@
 //! assert!(plan.glue_ops() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builders;
 pub mod cost;
 pub mod detect;

@@ -18,7 +18,7 @@
 //!   is partitioned into `num_splits` chunks processed independently, and the
 //!   partial results are merged with the level-`k` fused expression (Eq. 31).
 
-use rf_workloads::Matrix;
+use rf_workloads::{exp, Matrix};
 
 use crate::softmax::softmax_rows;
 
@@ -98,7 +98,7 @@ pub fn flash_attention(q: &Matrix, k: &Matrix, v: &Matrix, scale: f64, block_kv:
                 scores.push(s);
             }
             let new_max = row_max[i].max(block_max);
-            let correction = (row_max[i] - new_max).exp();
+            let correction = exp(row_max[i] - new_max);
 
             // Correct the running sum and output (step 2 of the paper's
             // three-step reduction template), then accumulate the new block.
@@ -108,7 +108,7 @@ pub fn flash_attention(q: &Matrix, k: &Matrix, v: &Matrix, scale: f64, block_kv:
                 out.set(i, t, cur * correction);
             }
             for (offset, &s) in scores.iter().enumerate() {
-                let p = (s - new_max).exp();
+                let p = exp(s - new_max);
                 row_sum[i] += p;
                 let j = start + offset;
                 for t in 0..head_dim {
@@ -177,14 +177,14 @@ pub fn flash_attention_partial(
                 scores.push(s);
             }
             let new_max = row_max[i].max(block_max);
-            let correction = (row_max[i] - new_max).exp();
+            let correction = exp(row_max[i] - new_max);
             row_sum[i] *= correction;
             for t in 0..head_dim {
                 let cur = out.get(i, t);
                 out.set(i, t, cur * correction);
             }
             for (offset, &s) in scores.iter().enumerate() {
-                let p = (s - new_max).exp();
+                let p = exp(s - new_max);
                 row_sum[i] += p;
                 let j = block_start + offset;
                 for t in 0..head_dim {
@@ -217,12 +217,12 @@ pub fn merge_partials(partials: &[SplitPartial]) -> Matrix {
             .fold(f64::NEG_INFINITY, f64::max);
         let mut global_sum = 0.0;
         for p in partials {
-            global_sum += p.row_sum[i] * (p.row_max[i] - global_max).exp();
+            global_sum += p.row_sum[i] * exp(p.row_max[i] - global_max);
         }
         for t in 0..head_dim {
             let mut acc = 0.0;
             for p in partials {
-                acc += p.out.get(i, t) * (p.row_max[i] - global_max).exp();
+                acc += p.out.get(i, t) * exp(p.row_max[i] - global_max);
             }
             final_out.set(i, t, acc / global_sum);
         }

@@ -21,6 +21,8 @@
 //! * [`nonml`] — variance and moment of inertia, multi-pass and fused.
 //! * [`topk`] — top-k selection helpers shared by the MoE kernels.
 
+#![forbid(unsafe_code)]
+
 pub mod attention;
 pub mod moe;
 pub mod nonml;

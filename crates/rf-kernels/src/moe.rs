@@ -8,7 +8,7 @@
 //! normalises only the selected entries at the end (softmax preserves order, so
 //! top-k can be applied to raw scores and normalised afterwards).
 
-use rf_workloads::{Matrix, MoeConfig};
+use rf_workloads::{exp, Matrix, MoeConfig};
 
 use crate::softmax::softmax_rows;
 use crate::topk::{topk_streaming, TopKEntry};
@@ -74,7 +74,7 @@ pub fn route_fused(x: &Matrix, w: &Matrix, topk: usize) -> Vec<RoutingDecision> 
             }
             // Incremental softmax statistics (Eq. 37).
             let new_max = running_max.max(score);
-            running_sum = running_sum * (running_max - new_max).exp() + (score - new_max).exp();
+            running_sum = running_sum * exp(running_max - new_max) + exp(score - new_max);
             running_max = new_max;
             // Streaming top-k over the raw scores (order-preserving).
             let pos = best
@@ -94,7 +94,7 @@ pub fn route_fused(x: &Matrix, w: &Matrix, topk: usize) -> Vec<RoutingDecision> 
         }
         let probs = best
             .iter()
-            .map(|b| (b.value - running_max).exp() / running_sum)
+            .map(|b| exp(b.value - running_max) / running_sum)
             .collect();
         decisions.push(RoutingDecision {
             experts: best.iter().map(|b| b.index).collect(),

@@ -10,7 +10,7 @@
 //! * [`softmax_rows`] — row-wise application over a matrix, used by the
 //!   attention and MoE kernels.
 
-use rf_workloads::Matrix;
+use rf_workloads::{exp, Matrix};
 
 /// The statistics produced by a softmax reduction pass: the row maximum and
 /// the sum of shifted exponentials.
@@ -30,7 +30,7 @@ pub struct SoftmaxStats {
 pub fn softmax_stats_naive(x: &[f64]) -> SoftmaxStats {
     assert!(!x.is_empty(), "softmax input must not be empty");
     let max = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let sum = x.iter().map(|&v| (v - max).exp()).sum();
+    let sum = x.iter().map(|&v| exp(v - max)).sum();
     SoftmaxStats { max, sum }
 }
 
@@ -49,7 +49,7 @@ pub fn softmax_stats_online(x: &[f64]) -> SoftmaxStats {
         let new_max = max.max(v);
         // Correction step of Eq. 16: rescale the running sum when the maximum
         // moves, then add the new term under the updated maximum.
-        sum = sum * (max - new_max).exp() + (v - new_max).exp();
+        sum = sum * exp(max - new_max) + exp(v - new_max);
         max = new_max;
     }
     SoftmaxStats { max, sum }
@@ -58,9 +58,7 @@ pub fn softmax_stats_online(x: &[f64]) -> SoftmaxStats {
 /// Full unfused safe softmax: three passes over the input.
 pub fn softmax_naive(x: &[f64]) -> Vec<f64> {
     let stats = softmax_stats_naive(x);
-    x.iter()
-        .map(|&v| (v - stats.max).exp() / stats.sum)
-        .collect()
+    x.iter().map(|&v| exp(v - stats.max) / stats.sum).collect()
 }
 
 /// Safe softmax using the fused statistics pass followed by the normalisation
@@ -68,9 +66,7 @@ pub fn softmax_naive(x: &[f64]) -> Vec<f64> {
 /// before the statistics are known).
 pub fn softmax_online(x: &[f64]) -> Vec<f64> {
     let stats = softmax_stats_online(x);
-    x.iter()
-        .map(|&v| (v - stats.max).exp() / stats.sum)
-        .collect()
+    x.iter().map(|&v| exp(v - stats.max) / stats.sum).collect()
 }
 
 /// Applies [`softmax_naive`] to every row of a matrix.
@@ -88,7 +84,7 @@ pub fn softmax_rows(scores: &Matrix) -> Matrix {
 /// decoding and by the multi-segment strategy.
 pub fn merge_stats(a: SoftmaxStats, b: SoftmaxStats) -> SoftmaxStats {
     let max = a.max.max(b.max);
-    let sum = a.sum * (a.max - max).exp() + b.sum * (b.max - max).exp();
+    let sum = a.sum * exp(a.max - max) + b.sum * exp(b.max - max);
     SoftmaxStats { max, sum }
 }
 

@@ -55,11 +55,11 @@ impl DeviceShared {
     /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed:
     /// roughly how long until this device's in-flight budget frees up,
     /// estimated as the mean simulated request latency times the iterations
-    /// queued ahead.
-    fn retry_hint(&self) -> Duration {
+    /// queued ahead of a submission refused at `depth`. Only a shed reads it:
+    /// the mean sits behind the mutex the worker records every batch under.
+    fn retry_hint(&self, depth: usize) -> Duration {
         let mean_us = self.metrics.mean_us();
-        let depth = self.scheduler.depth() as f64;
-        let iterations_ahead = (depth / self.scheduler.max_batch() as f64).max(1.0);
+        let iterations_ahead = (depth as f64 / self.scheduler.max_batch() as f64).max(1.0);
         let hint_us = (mean_us.max(10.0) * iterations_ahead).clamp(100.0, 100_000.0);
         Duration::from_micros(hint_us as u64)
     }
@@ -80,7 +80,10 @@ impl DeviceShared {
         // scheduler rejects the request (shutdown or shed), so rejected
         // requests never inflate the counter.
         self.metrics.record_submit(priority);
-        if let Err(err) = self.scheduler.enqueue(queued, self.retry_hint()) {
+        let admitted = self
+            .scheduler
+            .enqueue_or_shed(queued, |refused| self.retry_hint(refused.in_flight));
+        if let Err(err) = admitted {
             self.metrics.cancel_submit(priority);
             if let RuntimeError::Overloaded { retry_hint, source } = &err {
                 self.metrics.record_shed(priority, *retry_hint);

@@ -54,6 +54,8 @@
 //! [`std::sync::OnceLock`] and kernel execution runs on `Arc` snapshots — no
 //! lock is ever held across either.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod cache;
 pub mod config;

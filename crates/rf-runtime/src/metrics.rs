@@ -512,9 +512,8 @@ impl RuntimeMetrics {
     }
 
     /// Mean simulated request latency over the engine's lifetime, in
-    /// microseconds (`0.0` before the first served request). Cheap enough
-    /// for the submission path: the engine derives overload retry hints
-    /// from it.
+    /// microseconds (`0.0` before the first served request). The engine
+    /// derives a shed submission's retry hint from it.
     pub fn mean_us(&self) -> f64 {
         let track = self.latencies_us.lock().expect("metrics lock poisoned");
         if track.count == 0 {

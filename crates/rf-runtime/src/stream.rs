@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 
-use crate::request::{RequestId, RuntimeError};
+use crate::request::{OverloadInfo, RequestId, RuntimeError};
 use crate::submit::{Priority, Response, Submission, LANES};
 
 #[derive(Debug)]
@@ -65,7 +65,16 @@ impl Ticket {
     /// Returns the result if the submission has already completed. Taking
     /// the result consumes it: a later [`Ticket::wait`] on the same ticket
     /// panics instead of blocking forever.
+    ///
+    /// A poll of an unfinished ticket is one atomic load: callers poll many
+    /// tickets per pass from the core next to the worker, and the slot mutex
+    /// is the one the worker takes to deliver.
     pub fn try_take(&self) -> Option<Result<Response, RuntimeError>> {
+        // Pairs with the `Release` store in `deliver`, made under the slot
+        // lock after the slot is written: a `true` here sees the result.
+        if !self.state.delivered.load(Ordering::Acquire) {
+            return None;
+        }
         self.state.slot.lock().expect("ticket lock poisoned").take()
     }
 
@@ -337,14 +346,30 @@ impl StreamScheduler {
 
     /// Enqueues a submission onto its priority lane, enforcing the in-flight
     /// budget. `retry_hint` is the backoff estimate to embed in the
-    /// [`RuntimeError::Overloaded`] shed error (computed by the engine from
-    /// its recent latency).
+    /// [`RuntimeError::Overloaded`] shed error, for a caller that has it at
+    /// hand; see [`StreamScheduler::enqueue_or_shed`].
     ///
     /// # Errors
     ///
     /// [`RuntimeError::ShuttingDown`] after [`StreamScheduler::shutdown`];
     /// [`RuntimeError::Overloaded`] when the budget is exhausted.
-    pub fn enqueue(&self, mut work: QueuedWork, retry_hint: Duration) -> Result<(), RuntimeError> {
+    pub fn enqueue(&self, work: QueuedWork, retry_hint: Duration) -> Result<(), RuntimeError> {
+        self.enqueue_or_shed(work, |_| retry_hint)
+    }
+
+    /// [`StreamScheduler::enqueue`] with the backoff estimate computed only
+    /// when the submission is shed: `retry_hint` is called, outside the
+    /// queue lock, with the depth and budget that refused it. An admitted
+    /// submission — every one of them below saturation — pays for no estimate.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamScheduler::enqueue`].
+    pub fn enqueue_or_shed(
+        &self,
+        mut work: QueuedWork,
+        retry_hint: impl FnOnce(&OverloadInfo) -> Duration,
+    ) -> Result<(), RuntimeError> {
         {
             let mut state = self.state.lock().expect("scheduler lock poisoned");
             if state.shutdown {
@@ -352,12 +377,14 @@ impl StreamScheduler {
             }
             let depth = state.queued() + state.in_flight;
             if depth >= self.max_in_flight {
+                drop(state);
+                let source = OverloadInfo {
+                    in_flight: depth,
+                    budget: self.max_in_flight,
+                };
                 return Err(RuntimeError::Overloaded {
-                    retry_hint,
-                    source: crate::request::OverloadInfo {
-                        in_flight: depth,
-                        budget: self.max_in_flight,
-                    },
+                    retry_hint: retry_hint(&source),
+                    source,
                 });
             }
             work.iterations_at_submit = state.iterations;
@@ -668,6 +695,25 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_hint_is_computed_only_for_a_shed_submission() {
+        let s = sched(2, 1);
+        let (work, _ticket) = softmax_work(0, 16);
+        s.enqueue_or_shed(work, |_| unreachable!("admitted: nobody reads a hint"))
+            .unwrap();
+        // The estimator sees the depth and budget that refused the submission.
+        let (work, _ticket) = softmax_work(1, 16);
+        let hint = |refused: &OverloadInfo| {
+            Duration::from_millis((10 * refused.in_flight + refused.budget) as u64)
+        };
+        let err = s.enqueue_or_shed(work, hint).unwrap_err();
+        let RuntimeError::Overloaded { retry_hint, source } = &err else {
+            panic!("expected Overloaded, got {err:?}");
+        };
+        assert_eq!(*retry_hint, Duration::from_millis(11));
+        assert_eq!((source.in_flight, source.budget), (1, 1));
+    }
+
+    #[test]
     fn weighted_lanes_prefer_high_priority_but_never_starve_low() {
         // 12 high-priority and 3 low-priority requests of distinct shapes
         // (so nothing batches across lanes). With weights [4, 2, 1] the high
@@ -837,6 +883,26 @@ mod tests {
         work.fulfil(Err(RuntimeError::ShuttingDown));
         assert!(ticket.try_take().is_some());
         let _ = ticket.wait_timeout(Duration::from_millis(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "already taken via try_take")]
+    fn try_take_is_none_then_some_exactly_once() {
+        let (work, ticket) = softmax_work(23, 16);
+        assert!(ticket.try_take().is_none());
+        assert!(ticket.try_take().is_none());
+        // An undelivered poll never touches the slot: it returns while
+        // another thread holds the lock the worker delivers under.
+        {
+            let _held = work.state.slot.lock().unwrap();
+            assert!(ticket.try_take().is_none());
+        }
+        work.fulfil(Err(RuntimeError::ShuttingDown));
+        let taken = ticket.try_take().expect("delivered");
+        assert_eq!(taken.unwrap_err(), RuntimeError::ShuttingDown);
+        assert!(ticket.try_take().is_none());
+        assert!(ticket.try_take().is_none());
+        let _ = ticket.wait();
     }
 
     #[test]

@@ -46,6 +46,16 @@
 //! `add_scaled_rows`), and nothing is allocated per row, segment or tile: a
 //! call sizes its scratch once.
 //!
+//! **The exponential.** Softmax, attention and routing reduce a tile in four
+//! passes over a slice that sits in L1: its maximum, one `advance` of the
+//! running statistics (the store and correct steps), the exponentials of the
+//! whole tile under the new maximum, their sum. Every exponential is
+//! [`rf_workloads::exp`](mod@rf_workloads::exp): the tile's through the slice
+//! forms, which run at the widest vector width the CPU offers, and the
+//! per-tile factors — `advance`, `merge`, the epilogue and combine rescales —
+//! through the scalar form. Both return the same bits on every CPU; that
+//! module holds the numerics policy.
+//!
 //! **Parallel grid.** The generated kernel is a grid — every row block, and
 //! under Multi-Segment every `(row, segment)` cell, is an independent CTA —
 //! and the VM walks it on every core: softmax, variance, attention, routing
@@ -61,13 +71,13 @@
 //! FlashDecoding partials in the row's cell buffer and the combine kernel
 //! runs on the caller as the join (rows or segments, never both: no spawn
 //! nests). A call — or a row's cells — under the splitter's threshold (2²²
-//! multiply-add equivalents, an exponential counted as 32 and an FP8 rounding
-//! as 16, all measured on the benchmark host, see
+//! multiply-add equivalents, an exponential and an FP8 rounding counted as 16
+//! each, all measured on the benchmark host, see
 //! [`rf_workloads::PARALLEL_MIN_WORK`]) or with one row block runs the same
 //! body inline as its only range. Of `perf`'s `exec_decode` cases MLA
-//! 1×4096×(576→512) is over it (4.59 M: p50 1.9–2.1 → 1.2–1.4 ms on two
-//! cores); MHA 1×8192 (1.31 M; forced, 750–840 → 620–720 µs: under the
-//! gain/cost ratio the threshold was set by), both softmax shapes (2²⁰) and
+//! 1×4096×(576→512) is over it (4.52 M: p50 1.9–2.1 → 1.2–1.4 ms on two
+//! cores); MHA 1×8192 (1.18 M; forced, 750–840 → 620–720 µs: under the
+//! gain/cost ratio the threshold was set by), both softmax shapes (2¹⁹) and
 //! variance run inline and cost what they did. Inertia is one system per
 //! request and stays on one thread. There is no thread pool (a parked worker
 //! starts 60–100 µs sooner than a scoped thread, 1–5 % of the calls that
@@ -81,8 +91,10 @@
 //! For a fixed program and input the VM performs the same floating-point
 //! operations in the same order on every run. The order in which one output
 //! adds up its terms is fixed by the tuning point's `block_axis` and
-//! `segments` — ascending along the axis inside a tile, tiles in order,
-//! segment partials merged in order — and is **independent of `block_rows`**,
+//! `segments` — ascending along the axis inside a tile (a tile's maximum and
+//! the sum of its exponentials: over eight lanes and one tree, both written in
+//! the source), tiles in order, segment partials merged in order — and is
+//! independent of the CPU's vector width and **of `block_rows`**,
 //! so a request split by rows across calls (row-sharded serving) concatenates
 //! to the bits of the unsplit run — and so does a call split across threads: a
 //! range computes its rows, or its cells of one row, exactly as the unsplit
@@ -104,7 +116,10 @@ use std::fmt;
 use std::ops::Range;
 
 use rf_algebra::BinaryOp;
-use rf_workloads::{add_scaled_rows, available_cores, for_row_ranges, Matrix};
+use rf_workloads::{
+    add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
+    Matrix,
+};
 
 use crate::ops::TileProgram;
 
@@ -393,10 +408,24 @@ struct Launch<'a> {
 }
 
 /// What one exponential and one FP8 rounding cost in multiply-adds of a
-/// vectorised inner loop (5–8 ns and 2.7–3.0 ns against 0.17–0.32 ns on the
-/// benchmark host): the weights that put a row's element operations on the
-/// one scale [`for_row_ranges`] compares with its threshold.
-const EXP_WORK: usize = 32;
+/// vectorised inner loop: the weights that put a row's element operations on
+/// the one scale [`for_row_ranges`] compares with its threshold. Measured on
+/// the benchmark host (`cargo test --release -p rf-workloads timing --
+/// --ignored --nocapture`): `add_scaled_rows` runs a multiply-add in
+/// 0.23–0.29 ns; an element of `exp_shifted` costs 2.4–2.7 ns on the widest
+/// tier (AVX-512F, what that host runs), 3.3–3.8 ns under AVX2 and 6.2–7.3 ns
+/// at the x86-64 baseline — 9–12, 13–16 and 25–27 multiply-adds — and the
+/// tile's maximum and sum add about one each; an FP8 rounding costs
+/// 2.7–3.0 ns. One number for every tier: 16, right for the middle one and
+/// within a factor of 1.7 at either end, where it moves the point a call
+/// starts to split by less than the threshold's own margin (a split too
+/// early costs 3 %, too late forgoes a third). Against the 32 that libm's
+/// 5–8 ns stood for, no benchmark shape changes sides of
+/// [`rf_workloads::PARALLEL_MIN_WORK`]: `softmax 512×4096` (33.5 M),
+/// `mha 256×1024` (37.7 M), `moe 512×64` (8.9 M) and `mla 1×4096` (4.52 M)
+/// still split; `mha 1×8192` (1.18 M), `softmax 1×32768` and `4×8192`
+/// (0.52 M) and every `serve_tiny` shape still run inline.
+const EXP_WORK: usize = 16;
 const FP8_WORK: usize = 16;
 
 /// Per-op-kind counters of one profiled program execution.
@@ -699,6 +728,56 @@ fn dot_rows<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut 
     }
 }
 
+/// Independent chains in a tile's maximum and in the sum of its exponentials.
+/// A constant of the source, not of the CPU: the order in which a tile's terms
+/// meet is the same under every vector width, thread count and `block_rows`.
+const LANES: usize = 8;
+
+/// Folds `xs` into [`LANES`] accumulators — element `i` into lane `i mod 8` —
+/// and the lanes in one fixed tree.
+fn fold_lanes(xs: &[f64], identity: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut lanes = [identity; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = op(*lane, x);
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = op(*lane, x);
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    op(op(op(a, b), op(c, d)), op(op(e, f), op(g, h)))
+}
+
+/// The largest element of a tile, NaN entries ignored (`-inf` when nothing
+/// else is there) — `f64::max` over the tile, as one instruction per lane.
+fn tile_max(xs: &[f64]) -> f64 {
+    fold_lanes(
+        xs,
+        BinaryOp::Max.identity(),
+        |m, x| if x > m { x } else { m },
+    )
+}
+
+/// The sum of a tile's exponentials.
+fn tile_sum(xs: &[f64]) -> f64 {
+    fold_lanes(xs, BinaryOp::Add.identity(), |sum, x| sum + x)
+}
+
+/// `exp(shift)`, the factor that moves an accumulator to a maximum `-shift`
+/// above its own — skipping the routine when the maximum did not move, the
+/// common case once a row's largest tile has been seen. `exp(0)` is exactly
+/// 1, so the shortcut cannot show in a result (`inf − inf` is NaN, not 0, and
+/// takes the routine).
+fn rescale_factor(shift: f64) -> f64 {
+    if shift == 0.0 {
+        1.0
+    } else {
+        exp(shift)
+    }
+}
+
 /// Running online-softmax statistics: the fused max / rescaled-sum pair.
 #[derive(Debug, Clone, Copy)]
 struct OnlineStats {
@@ -718,18 +797,28 @@ impl OnlineStats {
     /// rescales the running sum to it and returns the factor that brings any
     /// other accumulator kept under the previous maximum along. While nothing
     /// finite has been seen the factor is 0, not `exp(-inf − -inf)`; the
-    /// caller skips the reduce step while the maximum is still `-inf`, so a
-    /// fully masked prefix contributes nothing.
+    /// caller replaces the reduce step by [`OnlineStats::skip_masked`] while
+    /// the maximum is still `-inf`, so a fully masked prefix contributes
+    /// nothing.
     fn advance(&mut self, tile_max: f64) -> f64 {
         let new_max = BinaryOp::Max.apply(self.max, tile_max);
         let correction = if self.max == f64::NEG_INFINITY {
             0.0
         } else {
-            (self.max - new_max).exp()
+            rescale_factor(self.max - new_max)
         };
         self.sum *= correction;
         self.max = new_max;
         correction
+    }
+
+    /// The reduce step of a tile that left the maximum at `-inf`: it holds
+    /// nothing but `-inf` and NaN. The masked entries add nothing; a NaN
+    /// makes the sum NaN, as it does in the unfused form.
+    fn skip_masked(&mut self, tile: &[f64]) {
+        if tile.iter().any(|x| x.is_nan()) {
+            self.sum = f64::NAN;
+        }
     }
 
     /// The level-`k` fused combine of two disjoint segments (Eq. 31).
@@ -739,7 +828,7 @@ impl OnlineStats {
             if s.sum == 0.0 {
                 0.0
             } else {
-                s.sum * (s.max - max).exp()
+                s.sum * rescale_factor(s.max - max)
             }
         };
         OnlineStats {
@@ -760,7 +849,8 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
     let n_tiles = segments.clone().flat_map(tiles).count();
     let mut out = vec![0.0f64; rows * len];
     let body = |range: Range<usize>, out: &mut [f64]| {
-        // The running maximum each tile's exponentials were stored under.
+        // The running maximum each tile's exponentials were stored under,
+        // then the factor that moves them to the row's.
         let mut stored_under = vec![0.0f64; n_tiles];
         for (r, out_row) in range.zip(out.chunks_exact_mut(len)) {
             let row = m.row(r);
@@ -770,34 +860,32 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
                 let mut stats = OnlineStats::identity();
                 for ((tile_start, tile_end), under) in tiles(segment).zip(&mut slots) {
                     let tile = &row[tile_start..tile_end];
-                    let tile_max = tile
-                        .iter()
-                        .copied()
-                        .fold(BinaryOp::Max.identity(), f64::max);
                     // Store + correct: the running sum moves to the new maximum.
-                    stats.advance(tile_max);
+                    stats.advance(tile_max(tile));
                     *under = stats.max;
                     if stats.max == f64::NEG_INFINITY {
                         // Every element so far is masked: the tile adds nothing
                         // and its outputs stay the zeros `out` was created with.
+                        stats.skip_masked(tile);
                         continue;
                     }
                     // Reduce: fold the tile under the updated maximum, keeping
                     // each exponential as the still-unnormalised output.
-                    for (slot, &v) in out_row[tile_start..tile_end].iter_mut().zip(tile) {
-                        *slot = (v - stats.max).exp();
-                        stats.sum += *slot;
-                    }
+                    let stored = &mut out_row[tile_start..tile_end];
+                    exp_shifted(stored, tile, stats.max);
+                    stats.sum += tile_sum(stored);
                 }
                 // Combine kernel: Eq. 31 over the segment statistics.
                 global = global.merge(stats);
             }
             // Epilogue: the correct step applied to the stored output — one
             // exponential per tile moves it from the maximum it was stored
-            // under to the global one — fused with the normalisation.
+            // under to the global one, the row's tiles in one slice call —
+            // fused with the normalisation.
+            exp_shifted_in_place(&mut stored_under, global.max);
             let all_tiles = segments.clone().flat_map(tiles);
-            for ((tile_start, tile_end), &under) in all_tiles.zip(&stored_under) {
-                let factor = (under - global.max).exp() / global.sum;
+            for ((tile_start, tile_end), &moved) in all_tiles.zip(&stored_under) {
+                let factor = moved / global.sum;
                 for slot in &mut out_row[tile_start..tile_end] {
                     *slot *= factor;
                 }
@@ -932,15 +1020,14 @@ fn exec_attention(
                         // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
                         let scores = &mut scores[..tile_end - tile_start];
                         dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
-                        let mut tile_max = BinaryOp::Max.identity();
                         for s in scores.iter_mut() {
                             *s *= scale;
-                            tile_max = tile_max.max(*s);
                         }
                         // Store: snapshot the previous maximum; correct: rescale the
                         // running sum and the output accumulator for the moved maximum.
-                        let correction = stats.advance(tile_max);
+                        let correction = stats.advance(tile_max(scores));
                         if stats.max == f64::NEG_INFINITY {
+                            stats.skip_masked(scores);
                             continue;
                         }
                         if correction != 1.0 {
@@ -950,10 +1037,8 @@ fn exec_attention(
                         }
                         // Reduce (reductions 2–4): accumulate the tile's probabilities
                         // and value contributions under the updated maximum.
-                        for s in scores.iter_mut() {
-                            *s = (*s - stats.max).exp();
-                            stats.sum += *s;
-                        }
+                        exp_shifted_in_place(scores, stats.max);
+                        stats.sum += tile_sum(scores);
                         let values = (tile_start..tile_end).map(|j| v.row(j));
                         add_scaled_rows(acc, scores.iter().copied().zip(values));
                     }
@@ -974,7 +1059,7 @@ fn exec_attention(
                 })
             });
             for cell in cells {
-                let rescale = (cell[head_dim] - global.max).exp();
+                let rescale = rescale_factor(cell[head_dim] - global.max);
                 if rescale == 0.0 {
                     continue;
                 }
@@ -1066,17 +1151,21 @@ fn exec_routing(
                     scores.fill(0.0);
                     let weights = (0..hidden).map(|h| &w.row(h)[tile_start..tile_end]);
                     add_scaled_rows(scores, x_row.iter().copied().zip(weights));
+                    // Streaming top-k over the raw scores (softmax is
+                    // order-preserving, so selection and normalisation
+                    // commute).
                     for (index, &score) in (tile_start..tile_end).zip(scores.iter()) {
-                        // Store + correct + reduce on the softmax statistics.
-                        stats.advance(score);
-                        if stats.max != f64::NEG_INFINITY {
-                            stats.sum += (score - stats.max).exp();
-                        }
-                        // Streaming top-k over the raw scores (softmax is
-                        // order-preserving, so selection and normalisation
-                        // commute).
                         insert_candidate(&mut best, Candidate { index, score }, topk);
                     }
+                    // Store + correct + reduce on the softmax statistics, the
+                    // scores turning into their exponentials where they are.
+                    stats.advance(tile_max(scores));
+                    if stats.max == f64::NEG_INFINITY {
+                        stats.skip_masked(scores);
+                        continue;
+                    }
+                    exp_shifted_in_place(scores, stats.max);
+                    stats.sum += tile_sum(scores);
                 }
                 // Combine kernel: merge statistics with Eq. 31 and the
                 // candidate lists under the shared comparator.
@@ -1085,12 +1174,15 @@ fn exec_routing(
                     insert_candidate(&mut merged_best, candidate, topk);
                 }
             }
+            // Epilogue: only the selected scores are normalised.
+            let mut probs: Vec<f64> = merged_best.iter().map(|c| c.score).collect();
+            exp_shifted_in_place(&mut probs, merged_stats.max);
+            for prob in &mut probs {
+                *prob /= merged_stats.sum;
+            }
             *decision = TopKDecision {
                 experts: merged_best.iter().map(|c| c.index).collect(),
-                probs: merged_best
-                    .iter()
-                    .map(|c| (c.score - merged_stats.max).exp() / merged_stats.sum)
-                    .collect(),
+                probs,
             };
         }
     };
@@ -1280,8 +1372,8 @@ mod tests {
 
     fn naive_softmax_row(row: &[f64]) -> Vec<f64> {
         let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let sum: f64 = row.iter().map(|&v| (v - max).exp()).sum();
-        row.iter().map(|&v| (v - max).exp() / sum).collect()
+        let sum: f64 = row.iter().map(|&v| exp(v - max)).sum();
+        row.iter().map(|&v| exp(v - max) / sum).collect()
     }
 
     #[test]
@@ -1426,25 +1518,40 @@ mod tests {
         }
     }
 
+    /// The output on one thread, the same bits on each of `threads`. `work` is
+    /// the case's `rows × work_per_row` (one row's, where the segments are
+    /// what splits): the comparison means something only when the splitter
+    /// does split.
+    fn same_output_on(
+        threads: &[usize],
+        program: &TileProgram,
+        input: &ExecInput<'_>,
+        work: usize,
+    ) -> ExecOutput {
+        assert!(
+            work >= rf_workloads::PARALLEL_MIN_WORK,
+            "case too small to split"
+        );
+        let serial = execute_with_threads(1, program, input).unwrap();
+        let serial_bits = output_bits(serial.clone());
+        for &threads in threads {
+            let split = output_bits(execute_with_threads(threads, program, input).unwrap());
+            assert!(
+                serial_bits == split,
+                "{threads} threads changed the output bits"
+            );
+        }
+        serial
+    }
+
     /// Runs one case on 1, 2, 3 and 7 threads, compares the output bits and
-    /// returns them. `work` is the case's `rows × work_per_row` (one row's,
-    /// where the segments are what splits): the comparison means something
-    /// only when the splitter does split.
+    /// returns them.
     fn assert_bits_ignore_the_thread_count(
         program: &TileProgram,
         input: &ExecInput<'_>,
         work: usize,
     ) -> Vec<u64> {
-        assert!(
-            work >= rf_workloads::PARALLEL_MIN_WORK,
-            "case too small to split"
-        );
-        let serial = output_bits(execute_with_threads(1, program, input).unwrap());
-        for threads in [2, 3, 7] {
-            let split = output_bits(execute_with_threads(threads, program, input).unwrap());
-            assert!(serial == split, "{threads} threads changed the output bits");
-        }
-        serial
+        output_bits(same_output_on(&[2, 3, 7], program, input, work))
     }
 
     /// Row counts that leave every split ragged: `7k + 1` (also `2k + 1` and
@@ -1454,7 +1561,7 @@ mod tests {
     #[test]
     fn softmax_bits_ignore_the_thread_count() {
         for rows in RAGGED_ROWS {
-            let len = 9_000 * 15 / rows;
+            let len = 18_000 * 15 / rows;
             let m = random_matrix(rows, len, 20, -3.0, 3.0);
             for point in [(4, 4096, 1), (2, 1000, 3)] {
                 let program = bound_program(Semantics::Softmax, rows, len, point);
@@ -1544,6 +1651,19 @@ mod tests {
         out
     }
 
+    /// `actual` against the unfused computation: NaN exactly where that is
+    /// NaN, within `tolerance` of it everywhere else.
+    fn assert_matches_unfused(actual: &[f64], expected: &[f64], tolerance: f64, case: &str) {
+        assert_eq!(actual.len(), expected.len(), "{case}");
+        for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
+            assert_eq!(a.is_nan(), e.is_nan(), "{case} [{i}]: {a} vs {e}");
+            assert!(
+                a.is_nan() || (a - e).abs() <= tolerance,
+                "{case} [{i}]: {a} vs {e}"
+            );
+        }
+    }
+
     /// A decode-shaped attention case: `q_rows` queries over `kv` keys, one
     /// row alone over the splitter's threshold.
     struct DecodeCase {
@@ -1601,14 +1721,7 @@ mod tests {
         fn check(&self, point: (usize, usize, usize)) -> Vec<f64> {
             let out = self.bits_ignore_the_thread_count(point);
             let expected = naive_attention(&self.q, &self.k, &self.v);
-            assert_eq!(out.len(), expected.len());
-            for (i, (a, e)) in out.iter().zip(&expected).enumerate() {
-                assert_eq!(a.is_nan(), e.is_nan(), "{point:?} [{i}]: {a} vs {e}");
-                assert!(
-                    a.is_nan() || (a - e).abs() < 1e-9,
-                    "{point:?} [{i}]: {a} vs {e}"
-                );
-            }
+            assert_matches_unfused(&out, &expected, 1e-9, &format!("{point:?}"));
             out
         }
     }
@@ -1749,6 +1862,253 @@ mod tests {
                 let program = bound_program(Semantics::QuantGemm { n }, rows, k_len, point);
                 assert_bits_ignore_the_thread_count(&program, &input, rows * k_len * n);
             }
+        }
+    }
+
+    /// What a row of scores can carry besides ordinary numbers. `apply(row,
+    /// t)` rewrites a row of ordinary scores whose tiles are `t` long.
+    struct Hostile {
+        name: &'static str,
+        apply: fn(&mut [f64], usize),
+    }
+
+    const NEG_INF: f64 = f64::NEG_INFINITY;
+
+    /// `row[start..start + t]`, clipped to the row, becomes `-inf`.
+    fn mask_tile(row: &mut [f64], start: usize, t: usize) {
+        let end = (start + t).min(row.len());
+        row[start.min(end)..end].fill(NEG_INF);
+    }
+
+    const HOSTILE: [Hostile; 11] = [
+        Hostile {
+            name: "ordinary",
+            apply: |_, _| {},
+        },
+        Hostile {
+            name: "all -inf",
+            apply: |row, _| row.fill(NEG_INF),
+        },
+        Hostile {
+            name: "leading -inf tile",
+            apply: |row, t| mask_tile(row, 0, t),
+        },
+        Hostile {
+            name: "interior -inf tile",
+            apply: |row, t| mask_tile(row, t, t),
+        },
+        Hostile {
+            name: "trailing -inf tile",
+            apply: |row, t| mask_tile(row, row.len().saturating_sub(t), t),
+        },
+        Hostile {
+            name: "only the last entry finite",
+            apply: |row, _| mask_tile(row, 0, row.len() - 1),
+        },
+        Hostile {
+            name: "+inf entry",
+            apply: |row, _| row[row.len() / 2] = f64::INFINITY,
+        },
+        Hostile {
+            name: "NaN entry",
+            apply: |row, _| row[row.len() / 2] = f64::NAN,
+        },
+        Hostile {
+            name: "NaN inside a -inf leading tile",
+            apply: |row, t| {
+                mask_tile(row, 0, t);
+                row[0] = f64::NAN;
+            },
+        },
+        Hostile {
+            name: "magnitudes of 700, both signs",
+            apply: |row, _| {
+                for (i, x) in row.iter_mut().enumerate() {
+                    *x += if i % 2 == 0 { 700.0 } else { -700.0 };
+                }
+            },
+        },
+        Hostile {
+            name: "one 700 among ordinary scores",
+            apply: |row, _| row[row.len() / 3] = 700.0,
+        },
+    ];
+
+    /// `(tile length, axis length)`: an axis of one element, then for every
+    /// tile length 1..=9 three whole tiles and a one-element tail.
+    fn hostile_axes() -> impl Iterator<Item = (usize, usize)> {
+        std::iter::once((1, 1)).chain((1..=9).map(|t| (t, 3 * t + 1)))
+    }
+
+    /// Single-tile, multi-tile and multi-segment tuning points for tiles of `t`.
+    fn hostile_points(t: usize) -> [(usize, usize, usize); 3] {
+        [(128, 128, 1), (2, t, 1), (2, t, 3)]
+    }
+
+    /// Rows that put a call of `work_per_row` over the splitter's threshold.
+    fn rows_that_split(work_per_row: usize) -> usize {
+        rf_workloads::PARALLEL_MIN_WORK / work_per_row + 1
+    }
+
+    /// The big case of hostile kind `i`: a tile length and a tuning point, so
+    /// that the kinds between them cross a split at every length and point.
+    fn split_case(i: usize) -> (usize, usize, (usize, usize, usize)) {
+        let t = 1 + i % 9;
+        (t, 3 * t + 1, hostile_points(t)[i % 3])
+    }
+
+    #[test]
+    fn softmax_agrees_with_the_unfused_form_on_hostile_rows() {
+        // Every kind of row `copies` times over, each copy on other scores.
+        let check = |t: usize, len: usize, copies: usize, points: &[(usize, usize, usize)]| {
+            let rows = copies * HOSTILE.len();
+            let mut m = random_matrix(rows, len, 30 + t as u64, -4.0, 4.0);
+            for r in 0..rows {
+                (HOSTILE[r % HOSTILE.len()].apply)(m.row_mut(r), t);
+            }
+            let expected: Vec<f64> = (0..rows)
+                .flat_map(|r| naive_softmax_row(m.row(r)))
+                .collect();
+            for &point in points {
+                let program = bound_program(Semantics::Softmax, rows, len, point);
+                let input = ExecInput::Rows(&m);
+                let out = if copies == 1 {
+                    execute_with_threads(1, &program, &input).unwrap()
+                } else {
+                    same_output_on(&[3], &program, &input, rows * len * EXP_WORK)
+                };
+                let ExecOutput::Matrix(out) = out else {
+                    panic!("softmax returns a matrix");
+                };
+                let case = format!("tiles of {t} over {len} at {point:?}, row = [i] / {len}");
+                assert_matches_unfused(out.as_slice(), &expected, 1e-12, &case);
+            }
+        };
+        for (t, len) in hostile_axes() {
+            check(t, len, 1, &hostile_points(t));
+        }
+        for i in [0, 4, 8] {
+            let (t, len, point) = split_case(i);
+            let copies = rows_that_split(len * EXP_WORK).div_ceil(HOSTILE.len());
+            check(t, len, copies, &[point]);
+        }
+    }
+
+    /// Attention whose scores are `query × pattern`: one key coordinate, every
+    /// query positive, so a key's `-inf` / `+inf` / NaN is its score's.
+    fn hostile_attention(hostile: &Hostile, t: usize, len: usize, q_rows: usize) -> DecodeCase {
+        let mut keys = random_vec(len, 40 + t as u64, -4.0, 4.0);
+        (hostile.apply)(&mut keys, t);
+        DecodeCase {
+            q: random_matrix(q_rows, 1, 41, 0.5, 1.5),
+            k: Matrix::from_vec(len, 1, keys),
+            v: random_matrix(len, 2, 42, -1.0, 1.0),
+        }
+    }
+
+    #[test]
+    fn attention_agrees_with_the_unfused_form_on_hostile_scores() {
+        for (i, hostile) in HOSTILE.iter().enumerate() {
+            let check = |case: &DecodeCase, t: usize, point, out: ExecOutput| {
+                let ExecOutput::Matrix(out) = out else {
+                    panic!("attention returns a matrix");
+                };
+                let expected = naive_attention(&case.q, &case.k, &case.v);
+                let len = case.k.rows();
+                let name = format!("{}, tiles of {t} over {len} at {point:?}", hostile.name);
+                assert_matches_unfused(out.as_slice(), &expected, 1e-12, &name);
+            };
+            // One thread, three queries: every tile length at every point.
+            for (t, len) in hostile_axes() {
+                let case = hostile_attention(hostile, t, len, 3);
+                for point in hostile_points(t) {
+                    check(&case, t, point, case.run(1, point));
+                }
+            }
+            // Enough queries to split.
+            let (t, len, point) = split_case(i);
+            let work_per_row = len * (1 + 2 + EXP_WORK);
+            let rows = rows_that_split(work_per_row);
+            let case = hostile_attention(hostile, t, len, rows);
+            let work = rows * work_per_row;
+            let out = same_output_on(&[3], &case.program(point), &case.input(), work);
+            check(&case, t, point, out);
+        }
+    }
+
+    /// Routing whose scores are `token × pattern` (one hidden coordinate,
+    /// every token positive), with the unfused decisions: a whole-row softmax,
+    /// then the `topk` largest scores under the VM's comparator.
+    fn hostile_routing(
+        hostile: &Hostile,
+        t: usize,
+        len: usize,
+        tokens: usize,
+    ) -> (Matrix, Matrix, Vec<TopKDecision>) {
+        let mut weights = random_vec(len, 50 + t as u64, -4.0, 4.0);
+        (hostile.apply)(&mut weights, t);
+        let x = random_matrix(tokens, 1, 51, 0.5, 1.5);
+        let expected = (0..tokens)
+            .map(|token| {
+                let scores: Vec<f64> = weights.iter().map(|w| x.get(token, 0) * w).collect();
+                let probs = naive_softmax_row(&scores);
+                let mut best = Vec::new();
+                for (index, &score) in scores.iter().enumerate() {
+                    insert_candidate(&mut best, Candidate { index, score }, len.min(3));
+                }
+                TopKDecision {
+                    experts: best.iter().map(|c| c.index).collect(),
+                    probs: best.iter().map(|c| probs[c.index]).collect(),
+                }
+            })
+            .collect();
+        (x, Matrix::from_vec(1, len, weights), expected)
+    }
+
+    #[test]
+    fn routing_agrees_with_the_unfused_form_on_hostile_scores() {
+        for (i, hostile) in HOSTILE.iter().enumerate() {
+            // The probabilities NaN exactly where the unfused ones are and
+            // within 1e-12 elsewhere; the same experts, unless a score is NaN
+            // — a NaN compares with nothing, so which experts surround it
+            // depends on the order they were offered in, and every
+            // probability is NaN anyway.
+            let check = |expected: &[TopKDecision], t: usize, point, out: ExecOutput| {
+                let ExecOutput::TopK(out) = out else {
+                    panic!("routing returns decisions");
+                };
+                let name = format!("{}, tiles of {t} at {point:?}", hostile.name);
+                let probs = |decisions: &[TopKDecision]| -> Vec<f64> {
+                    decisions.iter().flat_map(|d| d.probs.clone()).collect()
+                };
+                assert_matches_unfused(&probs(&out), &probs(expected), 1e-12, &name);
+                if !hostile.name.contains("NaN") {
+                    let experts = |decisions: &[TopKDecision]| -> Vec<usize> {
+                        decisions.iter().flat_map(|d| d.experts.clone()).collect()
+                    };
+                    assert_eq!(experts(&out), experts(expected), "{name}");
+                }
+            };
+            let program = |tokens: usize, len: usize, point| {
+                let topk = len.min(3);
+                bound_program(Semantics::Routing { topk }, tokens, len, point)
+            };
+            for (t, len) in hostile_axes() {
+                let (x, w, expected) = hostile_routing(hostile, t, len, 3);
+                let input = ExecInput::Routing { x: &x, w: &w };
+                for point in hostile_points(t) {
+                    let out = execute_with_threads(1, &program(3, len, point), &input).unwrap();
+                    check(&expected, t, point, out);
+                }
+            }
+            let (t, len, point) = split_case(i);
+            let work_per_row = len * (1 + EXP_WORK);
+            let tokens = rows_that_split(work_per_row);
+            let (x, w, expected) = hostile_routing(hostile, t, len, tokens);
+            let input = ExecInput::Routing { x: &x, w: &w };
+            let program = program(tokens, len, point);
+            let out = same_output_on(&[3], &program, &input, tokens * work_per_row);
+            check(&expected, t, point, out);
         }
     }
 

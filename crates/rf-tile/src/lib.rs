@@ -18,6 +18,8 @@
 //!   tile program over real tensors, honouring the tuned tile sizes, segment
 //!   counts and the store → correct → reduce template.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod exec;
 pub mod ops;

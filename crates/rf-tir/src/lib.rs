@@ -20,6 +20,8 @@
 //! * [`fuse`] — fused-kernel generation from a [`rf_fusion::FusionPlan`]: a
 //!   single loop over the shared axis applying the three-step template.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod detect;
 pub mod fuse;

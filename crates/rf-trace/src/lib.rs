@@ -33,6 +33,8 @@
 //! runtime re-exports it as `redfuser::trace` and threads the collector
 //! through its hot path.
 
+#![forbid(unsafe_code)]
+
 pub mod calib;
 pub mod chrome;
 pub mod hist;

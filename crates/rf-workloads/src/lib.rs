@@ -14,10 +14,17 @@
 //! accounting used by the analytical GPU model and the baselines. The
 //! [`data`] module provides deterministic random tensor generation shared by
 //! kernels, tests and benchmarks; [`rows`] runs a computation's independent
-//! rows on the host's cores.
+//! rows on the host's cores; [`exp`](mod@exp) is the exponential the tile VM
+//! and its unfused oracles share (and the workspace's only `unsafe`: the
+//! run-time choice of vector width).
+
+// `forbid` everywhere else in the workspace; here `exp` alone opts out, for
+// the run-time choice of vector width.
+#![deny(unsafe_code)]
 
 pub mod attention;
 pub mod data;
+pub mod exp;
 pub mod moe;
 pub mod nonml;
 pub mod quant;
@@ -25,6 +32,7 @@ pub mod rows;
 
 pub use attention::{mha_configs, mha_tiny, mla_configs, mla_tiny, MhaConfig, MlaConfig};
 pub use data::{random_matrix, random_vec, Matrix};
+pub use exp::{exp, exp_shifted, exp_shifted_in_place};
 pub use moe::{moe_configs, moe_tiny, MoeConfig};
 pub use nonml::{
     inertia_configs, inertia_tiny, variance_configs, variance_tiny, InertiaConfig, VarianceConfig,

@@ -30,9 +30,9 @@ use std::sync::OnceLock;
 ///
 /// The same threshold decides when decode attention splits one row's
 /// *segments* (`rf_tile::exec`, the rows being too few to fill the cores):
-/// MLA 1×4096×(576→512), 4.59 M, reads 1.94–2.06 → 1.23–1.35 ms p50 split
+/// MLA 1×4096×(576→512), 4.52 M, reads 1.94–2.06 → 1.23–1.35 ms p50 split
 /// in two (2.3–2.4 → 1.4–1.6 ms while the host was busy), where MHA 1×8192,
-/// 1.31 M, forced to split reads 750–840 → 620–720 µs: a fifth off, below
+/// 1.18 M, forced to split reads 750–840 → 620–720 µs: a fifth off, below
 /// the third the threshold was set by, so it stays inline.
 pub const PARALLEL_MIN_WORK: usize = 1 << 22;
 

@@ -45,6 +45,8 @@
 //! assert_eq!(plan.reductions.len(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rf_algebra as algebra;
 pub use rf_baselines as baselines;
 pub use rf_codegen as codegen;
