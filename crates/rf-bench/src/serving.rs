@@ -29,10 +29,10 @@ use rf_codegen::Workload;
 use rf_gpusim::GpuArch;
 use rf_graph::{partition, GraphPlan, OpGraph};
 use rf_runtime::{
-    metrics::percentile_sorted, CalibrationSnapshot, DeviceSpec, Engine, FleetConfig, Priority,
-    Request, RequestInput, RoutingPolicy, RuntimeConfig, RuntimeError, Submission, Ticket,
-    TimeSeriesSnapshot,
+    CalibrationSnapshot, DeviceSpec, Engine, FleetConfig, Priority, Request, RequestInput,
+    RoutingPolicy, RuntimeConfig, RuntimeError, Submission, Ticket, TimeSeriesSnapshot,
 };
+use rf_trace::quantile_sorted;
 use rf_workloads::{
     inertia_tiny, mha_tiny, mla_tiny, moe_tiny, quant_tiny, random_matrix, random_vec,
     variance_tiny, Matrix,
@@ -710,8 +710,8 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
             submitted: d.metrics.submitted,
             completed: d.metrics.completed,
             shed: d.metrics.shed,
-            p50_us: d.metrics.p50_us,
-            p99_us: d.metrics.p99_us,
+            p50_us: d.metrics.lifetime.p50_us,
+            p99_us: d.metrics.lifetime.p99_us,
             busy_sim_us: d.metrics.busy_us,
         })
         .collect();
@@ -741,10 +741,10 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
         } else {
             0.0
         },
-        wall_p50_us: percentile_sorted(&outcome.latencies_us, 50.0),
-        wall_p99_us: percentile_sorted(&outcome.latencies_us, 99.0),
-        sim_p50_us: metrics.p50_us,
-        sim_p99_us: metrics.p99_us,
+        wall_p50_us: quantile_sorted(&outcome.latencies_us, 0.50),
+        wall_p99_us: quantile_sorted(&outcome.latencies_us, 0.99),
+        sim_p50_us: metrics.lifetime.p50_us,
+        sim_p99_us: metrics.lifetime.p99_us,
         sim_throughput_rps: if busiest_us > 0.0 {
             outcome.completed as f64 / (busiest_us * 1e-6)
         } else {

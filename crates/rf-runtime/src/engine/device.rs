@@ -55,8 +55,7 @@ impl DeviceShared {
     /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed:
     /// roughly how long until this device's in-flight budget frees up,
     /// estimated as the mean simulated request latency times the iterations
-    /// queued ahead of a submission refused at `depth`. Only a shed reads it:
-    /// the mean sits behind the mutex the worker records every batch under.
+    /// queued ahead of a submission refused at `depth`. Only a shed reads it.
     fn retry_hint(&self, depth: usize) -> Duration {
         let mean_us = self.metrics.mean_us();
         let iterations_ahead = (depth as f64 / self.scheduler.max_batch() as f64).max(1.0);

@@ -317,8 +317,8 @@ impl Engine {
     ///
     /// For a one-device fleet this is exactly the device's own snapshot.
     /// For a larger fleet the per-device metrics are folded together:
-    /// counters and lifetime histograms merge exactly; the recent-window
-    /// percentiles become an approximation over the concatenated windows.
+    /// counters add and histograms merge exactly, so the fleet's percentiles
+    /// are those of one ledger fed every device's stream.
     pub fn metrics(&self) -> MetricsSnapshot {
         if self.fleet.devices.len() == 1 {
             let device = &self.fleet.devices[0].shared;
@@ -457,7 +457,7 @@ mod tests {
         assert_eq!(metrics.queue_depth, 0);
         assert_eq!(metrics.shed, 0);
         assert_eq!(metrics.cache.misses, 1, "one shape => one compile");
-        assert!(metrics.p99_us >= metrics.p50_us);
+        assert!(metrics.lifetime.p99_us >= metrics.lifetime.p50_us);
     }
 
     #[test]
@@ -565,13 +565,16 @@ mod tests {
         assert_eq!(metrics.submitted, 1);
         assert_eq!(metrics.completed, 0);
         assert_eq!(metrics.failed, 1);
-        assert_eq!(metrics.p50_us, 0.0, "failures contribute no latency");
+        assert_eq!(
+            metrics.lifetime.p50_us, 0.0,
+            "failures contribute no latency"
+        );
         let class = &metrics.classes[0];
         assert_eq!(
             (class.class, class.completed, class.failed),
             ("inertia", 0, 1)
         );
-        assert_eq!(class.p99_us, 0.0);
+        assert_eq!(class.lifetime.p99_us, 0.0);
         assert!(metrics.report().contains("requests failed"));
     }
 
@@ -602,8 +605,8 @@ mod tests {
         for class in &metrics.classes {
             assert_eq!(class.completed, 4);
             assert!(class.batches >= 1);
-            assert!(class.p99_us >= class.p50_us);
-            assert!(class.p50_us > 0.0);
+            assert!(class.lifetime.p99_us >= class.lifetime.p50_us);
+            assert!(class.lifetime.p50_us > 0.0);
         }
         let total_class_batches: u64 = metrics.classes.iter().map(|c| c.batches).sum();
         assert_eq!(total_class_batches, metrics.batches);
@@ -871,7 +874,12 @@ mod tests {
         let metrics = engine.metrics();
         assert_eq!(metrics.trace_level, rf_trace::TraceLevel::Off);
         assert!(metrics.stages.iter().all(|s| s.wall.count == 0));
-        assert_eq!(metrics.lifetime.count, 0);
+        assert!(metrics.lanes.iter().all(|l| l.wall.count == 0));
+        assert!(metrics.calibration.is_empty() && metrics.timeseries.is_empty());
+        // The simulated-latency statistic is on at every level; a batch is
+        // recorded once its iteration finishes.
+        engine.run_until_drained();
+        assert_eq!(engine.metrics().lifetime.count, 1);
     }
 
     #[test]

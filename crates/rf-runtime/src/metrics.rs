@@ -2,67 +2,54 @@
 //! queue depth and cache effectiveness, with a plain-text report and a
 //! Prometheus-style exposition.
 //!
-//! Two latency families coexist here:
+//! Two latency families coexist here, one statistic under both — the
+//! mergeable, lifetime-accurate [`LogHistogram`]:
 //!
 //! * **Simulated** latencies from the analytical GPU model (`rf-gpusim`) —
-//!   the quantity the paper's evaluation reasons about. They feed both the
-//!   bounded sliding windows (recent percentiles, as before) and, at
-//!   [`TraceLevel::Histograms`] and above, lifetime-accurate HDR-style
-//!   [`LogHistogram`]s ([`MetricsSnapshot::lifetime`], per class).
+//!   the quantity the paper's evaluation reasons about. One histogram
+//!   engine-wide and one per workload class, recorded at every
+//!   [`TraceLevel`] ([`MetricsSnapshot::lifetime`],
+//!   [`ClassSnapshot::lifetime`]): a batch is one
+//!   [`LogHistogram::record_n`] into each.
 //! * **Wall-clock** per-stage times measured by the engine
 //!   ([`crate::RequestTiming`]): queue wait, compile, tune, execute and
-//!   end-to-end, recorded into per-[`Stage`] and per-lane histograms so a
-//!   long run can attribute its served latency to pipeline stages.
+//!   end-to-end, recorded at [`TraceLevel::Histograms`] and above into
+//!   per-[`Stage`] and per-lane histograms so a long run can attribute its
+//!   served latency to pipeline stages.
+//!
+//! "Lifetime" is the histograms' job; "recent" is the telemetry ring's
+//! ([`MetricsSnapshot::timeseries`]). The exposition is rendered from one
+//! table of metric families ([`metric_reference`] prints it).
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use rf_codegen::TuningCacheStats;
 use rf_trace::{
     CalibrationLedger, CalibrationSnapshot, HistogramSnapshot, LogHistogram, RollingTelemetry,
-    Stage, TimeSeriesSnapshot, TraceConfig, TraceLevel, STAGES,
+    Stage, TimeSeriesSnapshot, TraceConfig, TraceLevel, WindowSnapshot, STAGES,
 };
 
 use crate::cache::CacheStats;
+use crate::engine::DeviceSnapshot;
 use crate::submit::{Priority, RequestTiming, LANES};
 
-/// Number of most-recent latency samples kept for the percentile estimates.
-/// Bounds the engine's memory at one `f64` per slot regardless of how long it
-/// serves; the mean is maintained over the full lifetime separately.
-pub const LATENCY_WINDOW: usize = 8192;
-
-/// Per-workload-class latency window size. Classes are few (one per workload
-/// family), so a smaller window per class keeps the total bound comparable to
-/// the global one.
-pub const CLASS_LATENCY_WINDOW: usize = 2048;
-
-/// A sliding window of latency samples plus lifetime totals.
-#[derive(Debug, Default)]
-struct LatencyTrack {
-    window: VecDeque<f64>,
-    total_us: f64,
-    count: u64,
-    /// Simulated device-busy time: each executed batch's latency counted
-    /// once (unlike `total_us`, which weights by batch size). The fleet's
-    /// simulated-time throughput is served requests over the busiest
-    /// device's `busy_us`.
-    busy_us: f64,
-}
-
 /// Accumulators for one [`rf_codegen::Workload::class`]: request/batch
-/// counters, plan-cache effectiveness, a bounded latency window and a
-/// lifetime histogram.
+/// counters, plan-cache effectiveness, simulated busy time and the class's
+/// lifetime simulated-latency histogram. The engine-wide batch count, mean
+/// batch size and busy time are sums over the classes.
 #[derive(Debug, Default)]
 struct ClassTrack {
     completed: u64,
     failed: u64,
     batches: u64,
     cache_hits: u64,
-    window: VecDeque<f64>,
-    /// Lifetime simulated-latency histogram (populated at
-    /// [`TraceLevel::Histograms`] and above).
+    /// Simulated device-busy time in nanoseconds: each executed batch's
+    /// latency counted once (the histogram weights it by batch size).
+    busy_ns: u64,
     lifetime: LogHistogram,
 }
 
@@ -82,12 +69,13 @@ struct LaneTrack {
 /// worker pool.
 #[derive(Debug, Default)]
 pub struct RuntimeMetrics {
-    /// How much telemetry to record (histograms are skipped at
-    /// [`TraceLevel::Off`]).
+    /// How much telemetry to record (the wall-clock histograms, the
+    /// telemetry ring and calibration are skipped at [`TraceLevel::Off`]).
     level: TraceLevel,
     /// Wall-clock per-stage histograms, indexed by [`Stage::index`].
     stage_walls: [LogHistogram; STAGES],
-    /// Lifetime simulated-latency histogram (all classes).
+    /// Lifetime simulated per-request latency (all classes), recorded at
+    /// every level: its sum over its count is [`RuntimeMetrics::mean_us`].
     lifetime: LogHistogram,
     /// Last retry hint attached to a shed, as `f64::to_bits` microseconds.
     shed_retry_last_bits: AtomicU64,
@@ -97,13 +85,9 @@ pub struct RuntimeMetrics {
     shed: AtomicU64,
     /// Per-priority-lane traffic, indexed by [`Priority::lane`].
     lanes: [LaneTrack; LANES],
-    batches: AtomicU64,
-    /// Simulated per-request latencies, in microseconds.
-    latencies_us: Mutex<LatencyTrack>,
-    /// Per-workload-class accumulators, keyed by `Workload::class()`.
-    classes: Mutex<HashMap<&'static str, ClassTrack>>,
-    /// Sum of batch sizes, for the mean batch size.
-    batched_requests: AtomicU64,
+    /// Per-workload-class accumulators, keyed (and so sorted) by
+    /// `Workload::class()`.
+    classes: Mutex<BTreeMap<&'static str, ClassTrack>>,
     /// Whole graphs served end-to-end via graph submissions.
     graphs_served: AtomicU64,
     /// Graph ops executed inside fused regions, over all served graphs.
@@ -135,13 +119,8 @@ pub struct ClassSnapshot {
     pub batches: u64,
     /// Batches of this class served from an already-compiled plan.
     pub cache_hits: u64,
-    /// Median simulated latency over the class's recent window, in µs.
-    pub p50_us: f64,
-    /// 99th-percentile simulated latency over the class's recent window, µs.
-    pub p99_us: f64,
-    /// Lifetime simulated-latency histogram summary (p50/p99/p999 over the
-    /// whole run, not just the recent window). All-zero at
-    /// [`TraceLevel::Off`].
+    /// The class's simulated request latency over the whole run: count,
+    /// mean, p50/p99/p999 and maximum, in µs. Recorded at every level.
     pub lifetime: HistogramSnapshot,
 }
 
@@ -149,11 +128,7 @@ impl ClassSnapshot {
     /// Fraction of this class's batches served from the plan cache, in
     /// `[0, 1]`.
     pub fn cache_hit_rate(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.batches as f64
-        }
+        ratio(self.cache_hits as f64, self.batches)
     }
 }
 
@@ -180,12 +155,7 @@ impl LaneSnapshot {
     /// `[0, 1]` (sheds never count as submitted, so arrivals are
     /// `submitted + shed`).
     pub fn shed_rate(&self) -> f64 {
-        let arrivals = self.submitted + self.shed;
-        if arrivals == 0 {
-            0.0
-        } else {
-            self.shed as f64 / arrivals as f64
-        }
+        ratio(self.shed as f64, self.submitted + self.shed)
     }
 }
 
@@ -221,25 +191,17 @@ pub struct MetricsSnapshot {
     pub queue_depth: usize,
     /// Mean batch size over all executed batches.
     pub mean_batch_size: f64,
-    /// Median simulated request latency over the last [`LATENCY_WINDOW`]
-    /// requests, in microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile simulated request latency over the last
-    /// [`LATENCY_WINDOW`] requests, in microseconds.
-    pub p99_us: f64,
-    /// Mean simulated request latency over the engine's lifetime, in
-    /// microseconds.
-    pub mean_us: f64,
     /// Total simulated device-busy time in microseconds: each executed
-    /// batch's simulated latency counted once, regardless of batch size.
-    /// In a fleet this is per device, so served requests over the busiest
-    /// device's `busy_us` is the fleet's simulated-time throughput.
+    /// batch's simulated latency counted once, regardless of batch size
+    /// (accumulated in whole nanoseconds). In a fleet this is per device, so
+    /// served requests over the busiest device's `busy_us` is the fleet's
+    /// simulated-time throughput.
     pub busy_us: f64,
     /// The telemetry level the engine ran with.
     pub trace_level: TraceLevel,
-    /// Lifetime simulated-latency histogram summary: p50/p99/p999 over the
-    /// whole run (unbiased, unlike the sliding-window `p50_us`/`p99_us`).
-    /// All-zero at [`TraceLevel::Off`].
+    /// Simulated request latency over the whole run: count, mean,
+    /// p50/p99/p999 (bucket-quantised, ≤ 1/16 relative) and maximum, in µs.
+    /// Recorded at every level; a fleet's is its devices' merged exactly.
     pub lifetime: HistogramSnapshot,
     /// Wall-clock per-stage breakdown in lifecycle order (queue, compile,
     /// tune, execute, e2e). Counts are zero at [`TraceLevel::Off`].
@@ -280,61 +242,19 @@ impl MetricsSnapshot {
     /// Fraction of fused-region plan lookups served from the plan cache, in
     /// `[0, 1]`.
     pub fn region_hit_rate(&self) -> f64 {
-        if self.region_lookups == 0 {
-            0.0
-        } else {
-            self.region_hits as f64 / self.region_lookups as f64
-        }
+        ratio(self.region_hits as f64, self.region_lookups)
     }
 }
 
-/// Linear-interpolation percentile of an unsorted sample set, `p` in `[0, 100]`.
-///
-/// Non-finite samples (the infinite latency of an infeasible kernel, or a NaN
-/// from downstream arithmetic on one) are ignored rather than allowed to
-/// poison the ordering: the metrics path must never panic on a pathological
-/// sample. Returns `0.0` when no finite samples remain.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
-    sorted.sort_by(f64::total_cmp);
-    percentile_sorted(&sorted, p)
-}
-
-/// [`percentile`] over an already-sorted, all-finite sample set (sort once,
-/// query many). Callers computing several percentiles of one window should
-/// sort once and use this instead of paying [`percentile`]'s copy+sort per
-/// call.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+/// `numerator / denominator`, `0.0` while nothing has been counted.
+fn ratio(numerator: f64, denominator: u64) -> f64 {
+    match denominator {
+        0 => 0.0,
+        n => numerator / n as f64,
     }
 }
 
 impl RuntimeMetrics {
-    /// Creates zeroed metrics at the default [`TraceLevel::Histograms`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates zeroed metrics recording at `level`. At [`TraceLevel::Off`]
-    /// every histogram update is skipped (one predictable branch), keeping
-    /// the hot path as cheap as before tracing existed.
-    pub fn with_level(level: TraceLevel) -> Self {
-        RuntimeMetrics {
-            level,
-            ..Self::default()
-        }
-    }
-
     /// Creates zeroed metrics from a full [`TraceConfig`]: the trace level
     /// plus the rolling-telemetry window geometry (`window_ms` × `windows`).
     pub fn with_trace(config: TraceConfig) -> Self {
@@ -353,15 +273,13 @@ impl RuntimeMetrics {
     /// Folds another metrics instance into this one — how a multi-device
     /// engine builds its fleet-wide snapshot from the per-device ledgers.
     ///
-    /// Counters add and lifetime histograms merge exactly (bucket-aligned);
-    /// the bounded recent-latency windows concatenate up to their capacity,
-    /// so windowed percentiles over the merge are an approximation. The last
-    /// shed retry hint is taken from `other` when it has seen any shed.
+    /// Counters add and histograms merge exactly (bucket-aligned), so every
+    /// percentile of the merge is what one ledger fed both streams would
+    /// report. The last shed retry hint is taken from `other` when it has
+    /// seen any shed.
     pub fn merge_from(&self, other: &RuntimeMetrics) {
         for (mine, theirs) in [
             (&self.shed, &other.shed),
-            (&self.batches, &other.batches),
-            (&self.batched_requests, &other.batched_requests),
             (&self.graphs_served, &other.graphs_served),
             (&self.graph_fused_ops, &other.graph_fused_ops),
             (&self.graph_glue_ops, &other.graph_glue_ops),
@@ -369,13 +287,11 @@ impl RuntimeMetrics {
             (&self.region_hits, &other.region_hits),
             (&self.shed_retry_sum_us, &other.shed_retry_sum_us),
         ] {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+            mine.fetch_add(theirs.load(Relaxed), Relaxed);
         }
-        if other.shed.load(Ordering::Relaxed) > 0 {
-            self.shed_retry_last_bits.store(
-                other.shed_retry_last_bits.load(Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
+        if other.shed.load(Relaxed) > 0 {
+            self.shed_retry_last_bits
+                .store(other.shed_retry_last_bits.load(Relaxed), Relaxed);
         }
         for (mine, theirs) in self.lanes.iter().zip(&other.lanes) {
             for (m, t) in [
@@ -384,7 +300,7 @@ impl RuntimeMetrics {
                 (&mine.failed, &theirs.failed),
                 (&mine.shed, &theirs.shed),
             ] {
-                m.fetch_add(t.load(Ordering::Relaxed), Ordering::Relaxed);
+                m.fetch_add(t.load(Relaxed), Relaxed);
             }
             mine.wall.merge_from(&theirs.wall);
         }
@@ -392,19 +308,8 @@ impl RuntimeMetrics {
             mine.merge_from(theirs);
         }
         self.lifetime.merge_from(&other.lifetime);
-        {
-            let theirs = other.latencies_us.lock().expect("metrics lock poisoned");
-            let mut mine = self.latencies_us.lock().expect("metrics lock poisoned");
-            mine.total_us += theirs.total_us;
-            mine.count += theirs.count;
-            mine.busy_us += theirs.busy_us;
-            for &sample in &theirs.window {
-                if mine.window.len() == LATENCY_WINDOW {
-                    mine.window.pop_front();
-                }
-                mine.window.push_back(sample);
-            }
-        }
+        self.calibration.merge_from(&other.calibration);
+        self.telemetry.merge_from(&other.telemetry);
         let theirs = other.classes.lock().expect("metrics lock poisoned");
         let mut mine = self.classes.lock().expect("metrics lock poisoned");
         for (class, track) in theirs.iter() {
@@ -413,25 +318,14 @@ impl RuntimeMetrics {
             merged.failed += track.failed;
             merged.batches += track.batches;
             merged.cache_hits += track.cache_hits;
-            for &sample in &track.window {
-                if merged.window.len() == CLASS_LATENCY_WINDOW {
-                    merged.window.pop_front();
-                }
-                merged.window.push_back(sample);
-            }
+            merged.busy_ns += track.busy_ns;
             merged.lifetime.merge_from(&track.lifetime);
         }
-        drop(mine);
-        drop(theirs);
-        self.calibration.merge_from(&other.calibration);
-        self.telemetry.merge_from(&other.telemetry);
     }
 
     /// Records one accepted submission on `priority`'s lane.
     pub fn record_submit(&self, priority: Priority) {
-        self.lanes[priority.lane()]
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
+        self.lanes[priority.lane()].submitted.fetch_add(1, Relaxed);
         if self.level.histograms_enabled() {
             self.telemetry.record_submit();
         }
@@ -440,9 +334,7 @@ impl RuntimeMetrics {
     /// Rolls back one [`RuntimeMetrics::record_submit`] whose submission was
     /// rejected after counting (scheduler shutdown race or admission shed).
     pub fn cancel_submit(&self, priority: Priority) {
-        self.lanes[priority.lane()]
-            .submitted
-            .fetch_sub(1, Ordering::Relaxed);
+        self.lanes[priority.lane()].submitted.fetch_sub(1, Relaxed);
         if self.level.histograms_enabled() {
             self.telemetry.cancel_submit();
         }
@@ -453,15 +345,11 @@ impl RuntimeMetrics {
     /// [`MetricsSnapshot`] so operators can see what backoff the engine is
     /// asking for).
     pub fn record_shed(&self, priority: Priority, retry_hint: Duration) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-        self.lanes[priority.lane()]
-            .shed
-            .fetch_add(1, Ordering::Relaxed);
+        self.shed.fetch_add(1, Relaxed);
+        self.lanes[priority.lane()].shed.fetch_add(1, Relaxed);
         let hint_us = retry_hint.as_secs_f64() * 1e6;
-        self.shed_retry_last_bits
-            .store(hint_us.to_bits(), Ordering::Relaxed);
-        self.shed_retry_sum_us
-            .fetch_add(hint_us as u64, Ordering::Relaxed);
+        self.shed_retry_last_bits.store(hint_us.to_bits(), Relaxed);
+        self.shed_retry_sum_us.fetch_add(hint_us as u64, Relaxed);
         if self.level.histograms_enabled() {
             self.telemetry.record_shed();
         }
@@ -477,7 +365,7 @@ impl RuntimeMetrics {
     pub fn record_failed(&self, priority: Priority, failed: usize) {
         self.lanes[priority.lane()]
             .failed
-            .fetch_add(failed as u64, Ordering::Relaxed);
+            .fetch_add(failed as u64, Relaxed);
     }
 
     /// Records one served request's wall-clock stage breakdown into the
@@ -508,19 +396,16 @@ impl RuntimeMetrics {
     pub fn record_served(&self, priority: Priority, served: usize) {
         self.lanes[priority.lane()]
             .completed
-            .fetch_add(served as u64, Ordering::Relaxed);
+            .fetch_add(served as u64, Relaxed);
     }
 
     /// Mean simulated request latency over the engine's lifetime, in
-    /// microseconds (`0.0` before the first served request). The engine
-    /// derives a shed submission's retry hint from it.
+    /// microseconds (`0.0` before the first served request): two relaxed
+    /// loads of the lifetime histogram. The engine derives a shed
+    /// submission's retry hint and an uncalibrated device's routing cost
+    /// from it.
     pub fn mean_us(&self) -> f64 {
-        let track = self.latencies_us.lock().expect("metrics lock poisoned");
-        if track.count == 0 {
-            0.0
-        } else {
-            track.total_us / track.count as f64
-        }
+        self.lifetime.mean_us()
     }
 
     /// Records one batch of workload class `class`: `executed` requests were
@@ -536,8 +421,8 @@ impl RuntimeMetrics {
     /// Failed requests are never counted as completed and contribute no
     /// latency samples. Non-finite latencies (an infeasible kernel's infinite
     /// estimate) still count their requests as completed but are excluded
-    /// from the latency distributions — a single infinite sample would
-    /// otherwise poison the lifetime mean forever.
+    /// from the latency distributions and the busy time — a single infinite
+    /// sample would otherwise poison the lifetime mean forever.
     pub fn record_batch(
         &self,
         class: &'static str,
@@ -546,54 +431,24 @@ impl RuntimeMetrics {
         latency_us: f64,
         cache_hit: bool,
     ) {
-        let size = executed + failed;
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
+        let (executed, failed) = (executed as u64, failed as u64);
         {
             let mut classes = self.classes.lock().expect("metrics lock poisoned");
             let track = classes.entry(class).or_default();
-            track.completed += executed as u64;
-            track.failed += failed as u64;
+            track.completed += executed;
+            track.failed += failed;
             track.batches += 1;
-            if cache_hit {
-                track.cache_hits += 1;
-            }
+            track.cache_hits += u64::from(cache_hit);
             if latency_us.is_finite() {
-                for _ in 0..executed {
-                    if track.window.len() == CLASS_LATENCY_WINDOW {
-                        track.window.pop_front();
-                    }
-                    track.window.push_back(latency_us);
-                }
-                if self.level.histograms_enabled() {
-                    for _ in 0..executed {
-                        track.lifetime.record_us(latency_us);
-                    }
-                }
+                // `as` saturates: a negative estimate adds no busy time.
+                track.busy_ns += (latency_us * 1000.0).round() as u64;
             }
+            track.lifetime.record_n(latency_us, executed);
         }
+        self.lifetime.record_n(latency_us, executed);
         if self.level.histograms_enabled() {
             self.telemetry
-                .record_batch(executed as u64, failed as u64, latency_us, size as u64);
-        }
-        if !latency_us.is_finite() {
-            return;
-        }
-        if self.level.histograms_enabled() {
-            for _ in 0..executed {
-                self.lifetime.record_us(latency_us);
-            }
-        }
-        let mut track = self.latencies_us.lock().expect("metrics lock poisoned");
-        track.total_us += latency_us * executed as f64;
-        track.count += executed as u64;
-        track.busy_us += latency_us;
-        for _ in 0..executed {
-            if track.window.len() == LATENCY_WINDOW {
-                track.window.pop_front();
-            }
-            track.window.push_back(latency_us);
+                .record_batch(executed, failed, latency_us, executed + failed);
         }
     }
 
@@ -604,10 +459,10 @@ impl RuntimeMetrics {
     /// [`TraceLevel::Off`].
     pub fn record_calibration(
         &self,
-        class: &str,
-        arch: &str,
+        class: &'static str,
+        arch: &'static str,
         fingerprint: u64,
-        backend: &str,
+        backend: &'static str,
         predicted_us: f64,
         measured_us: f64,
     ) {
@@ -636,66 +491,36 @@ impl RuntimeMetrics {
         region_hits: usize,
         region_lookups: usize,
     ) {
-        self.graphs_served.fetch_add(1, Ordering::Relaxed);
-        self.graph_fused_ops
-            .fetch_add(fused_ops as u64, Ordering::Relaxed);
-        self.graph_glue_ops
-            .fetch_add(glue_ops as u64, Ordering::Relaxed);
-        self.region_hits
-            .fetch_add(region_hits as u64, Ordering::Relaxed);
+        self.graphs_served.fetch_add(1, Relaxed);
+        self.graph_fused_ops.fetch_add(fused_ops as u64, Relaxed);
+        self.graph_glue_ops.fetch_add(glue_ops as u64, Relaxed);
+        self.region_hits.fetch_add(region_hits as u64, Relaxed);
         self.region_lookups
-            .fetch_add(region_lookups as u64, Ordering::Relaxed);
+            .fetch_add(region_lookups as u64, Relaxed);
     }
 
     /// Builds a snapshot; the caller supplies the current queue depth plus the
-    /// plan-cache and tuning-cache counters (owned by the engine). The latency
-    /// window is copied out under the lock (dropping non-finite samples, see
-    /// [`percentile`]) and sorted once outside it.
+    /// plan-cache and tuning-cache counters (owned by the engine).
     pub fn snapshot(
         &self,
         queue_depth: usize,
         cache: CacheStats,
         tuning: TuningCacheStats,
     ) -> MetricsSnapshot {
-        let (mut window, mean_us, busy_us) = {
-            let track = self.latencies_us.lock().expect("metrics lock poisoned");
-            let mean = if track.count == 0 {
-                0.0
-            } else {
-                track.total_us / track.count as f64
-            };
-            (
-                Vec::from_iter(track.window.iter().copied().filter(|v| v.is_finite())),
-                mean,
-                track.busy_us,
-            )
-        };
-        window.sort_by(f64::total_cmp);
-        let mut classes: Vec<ClassSnapshot> = {
+        let (classes, busy_ns): (Vec<ClassSnapshot>, u64) = {
             let tracks = self.classes.lock().expect("metrics lock poisoned");
-            tracks
-                .iter()
-                .map(|(&class, track)| {
-                    // `record_batch` only admits finite samples, so the
-                    // window can be sorted as-is.
-                    let mut class_window: Vec<f64> = track.window.iter().copied().collect();
-                    class_window.sort_by(f64::total_cmp);
-                    ClassSnapshot {
-                        class,
-                        completed: track.completed,
-                        failed: track.failed,
-                        batches: track.batches,
-                        cache_hits: track.cache_hits,
-                        p50_us: percentile_sorted(&class_window, 50.0),
-                        p99_us: percentile_sorted(&class_window, 99.0),
-                        lifetime: track.lifetime.snapshot(),
-                    }
-                })
-                .collect()
+            let classes = tracks.iter().map(|(&class, track)| ClassSnapshot {
+                class,
+                completed: track.completed,
+                failed: track.failed,
+                batches: track.batches,
+                cache_hits: track.cache_hits,
+                lifetime: track.lifetime.snapshot(),
+            });
+            (classes.collect(), tracks.values().map(|t| t.busy_ns).sum())
         };
-        classes.sort_by_key(|c| c.class);
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
+        let batches = classes.iter().map(|c| c.batches).sum();
+        let batched: u64 = classes.iter().map(|c| c.completed + c.failed).sum();
         let lanes: Vec<LaneSnapshot> = Priority::ALL
             .iter()
             .map(|priority| {
@@ -703,14 +528,14 @@ impl RuntimeMetrics {
                 // Outcomes before submissions: a request is counted as
                 // submitted before it can complete, so read in this order a
                 // lane never shows more outcomes than submissions.
-                let completed = track.completed.load(Ordering::Relaxed);
-                let failed = track.failed.load(Ordering::Relaxed);
+                let completed = track.completed.load(Relaxed);
+                let failed = track.failed.load(Relaxed);
                 LaneSnapshot {
                     lane: priority.name(),
-                    submitted: track.submitted.load(Ordering::Relaxed),
+                    submitted: track.submitted.load(Relaxed),
                     completed,
                     failed,
-                    shed: track.shed.load(Ordering::Relaxed),
+                    shed: track.shed.load(Relaxed),
                     wall: track.wall.snapshot(),
                 }
             })
@@ -722,13 +547,7 @@ impl RuntimeMetrics {
                 wall: self.stage_walls[stage.index()].snapshot(),
             })
             .collect();
-        let shed = self.shed.load(Ordering::Relaxed);
-        let shed_retry_last_us = f64::from_bits(self.shed_retry_last_bits.load(Ordering::Relaxed));
-        let shed_retry_mean_us = if shed == 0 {
-            0.0
-        } else {
-            self.shed_retry_sum_us.load(Ordering::Relaxed) as f64 / shed as f64
-        };
+        let shed = self.shed.load(Relaxed);
         MetricsSnapshot {
             // Derived from the lanes like `completed` and `failed`: a shed
             // submission is counted and then rolled back (`cancel_submit`),
@@ -741,28 +560,21 @@ impl RuntimeMetrics {
             lanes,
             batches,
             queue_depth,
-            mean_batch_size: if batches == 0 {
-                0.0
-            } else {
-                batched as f64 / batches as f64
-            },
-            p50_us: percentile_sorted(&window, 50.0),
-            p99_us: percentile_sorted(&window, 99.0),
-            mean_us,
-            busy_us,
+            mean_batch_size: ratio(batched as f64, batches),
+            busy_us: busy_ns as f64 / 1000.0,
             trace_level: self.level,
             lifetime: self.lifetime.snapshot(),
             stages,
-            shed_retry_last_us,
-            shed_retry_mean_us,
+            shed_retry_last_us: f64::from_bits(self.shed_retry_last_bits.load(Relaxed)),
+            shed_retry_mean_us: ratio(self.shed_retry_sum_us.load(Relaxed) as f64, shed),
             cache,
             tuning,
             classes,
-            graphs_served: self.graphs_served.load(Ordering::Relaxed),
-            graph_fused_ops: self.graph_fused_ops.load(Ordering::Relaxed),
-            graph_glue_ops: self.graph_glue_ops.load(Ordering::Relaxed),
-            region_lookups: self.region_lookups.load(Ordering::Relaxed),
-            region_hits: self.region_hits.load(Ordering::Relaxed),
+            graphs_served: self.graphs_served.load(Relaxed),
+            graph_fused_ops: self.graph_fused_ops.load(Relaxed),
+            graph_glue_ops: self.graph_glue_ops.load(Relaxed),
+            region_lookups: self.region_lookups.load(Relaxed),
+            region_hits: self.region_hits.load(Relaxed),
             calibration: self.calibration.snapshot(),
             timeseries: self.telemetry.snapshot(),
         }
@@ -772,6 +584,7 @@ impl RuntimeMetrics {
 impl MetricsSnapshot {
     /// Renders the snapshot as an aligned plain-text report.
     pub fn report(&self) -> String {
+        let sim = &self.lifetime;
         let mut out = String::new();
         out.push_str("runtime metrics\n");
         out.push_str(&format!("  requests submitted   {:>12}\n", self.submitted));
@@ -787,24 +600,18 @@ impl MetricsSnapshot {
             "  queue depth          {:>12}\n",
             self.queue_depth
         ));
-        out.push_str(&format!("  p50 latency (sim)    {:>9.2} us\n", self.p50_us));
-        out.push_str(&format!("  p99 latency (sim)    {:>9.2} us\n", self.p99_us));
-        out.push_str(&format!(
-            "  mean latency (sim)   {:>9.2} us\n",
-            self.mean_us
-        ));
-        if self.lifetime.count > 0 {
+        out.push_str(&format!("  p50 latency (sim)    {:>9.2} us\n", sim.p50_us));
+        out.push_str(&format!("  p99 latency (sim)    {:>9.2} us\n", sim.p99_us));
+        out.push_str(&format!("  mean latency (sim)   {:>9.2} us\n", sim.mean_us));
+        if sim.count > 0 {
             out.push_str(&format!(
                 "  lifetime sim latency p50 {:>9.2} us  p99 {:>9.2} us  p999 {:>9.2} us\n",
-                self.lifetime.p50_us, self.lifetime.p99_us, self.lifetime.p999_us
+                sim.p50_us, sim.p99_us, sim.p999_us
             ));
         }
         if self.stages.iter().any(|s| s.wall.count > 0) {
             out.push_str("  per-stage wall time\n");
-            for stage in &self.stages {
-                if stage.wall.count == 0 {
-                    continue;
-                }
+            for stage in self.stages.iter().filter(|s| s.wall.count > 0) {
                 out.push_str(&format!(
                     "    {:<8} n {:>8}  p50 {:>9.2} us  p99 {:>9.2} us  p999 {:>9.2} us\n",
                     stage.stage,
@@ -875,8 +682,8 @@ impl MetricsSnapshot {
                     "    {:<10} reqs {:>8}  p50 {:>9.2} us  p99 {:>9.2} us  cache {:>5.1}%\n",
                     class.class,
                     class.completed,
-                    class.p50_us,
-                    class.p99_us,
+                    class.lifetime.p50_us,
+                    class.lifetime.p99_us,
                     class.cache_hit_rate() * 100.0
                 ));
             }
@@ -918,338 +725,268 @@ impl MetricsSnapshot {
     /// `quantile` labels from the lifetime histograms). The string is
     /// scrape-ready: serve it verbatim under a `/metrics` endpoint.
     pub fn prometheus(&self) -> String {
-        fn meta(out: &mut String, name: &str, kind: &str, help: &str) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        }
-        fn summary(out: &mut String, name: &str, labels: &str, hist: &HistogramSnapshot) {
-            let sep = if labels.is_empty() { "" } else { "," };
-            for (q, v) in [
-                ("0.5", hist.p50_us),
-                ("0.99", hist.p99_us),
-                ("0.999", hist.p999_us),
-            ] {
-                out.push_str(&format!("{name}{{{labels}{sep}quantile=\"{q}\"}} {v}\n"));
-            }
-            let braces = if labels.is_empty() {
-                String::new()
-            } else {
-                format!("{{{labels}}}")
-            };
-            out.push_str(&format!(
-                "{name}_sum{braces} {}\n",
-                hist.mean_us * hist.count as f64
-            ));
-            out.push_str(&format!("{name}_count{braces} {}\n", hist.count));
-        }
-        let mut out = String::new();
-        meta(
-            &mut out,
-            "redfuser_requests_total",
-            "counter",
-            "Request traffic by outcome (submitted/completed/failed/shed).",
-        );
-        for (outcome, value) in [
-            ("submitted", self.submitted),
-            ("completed", self.completed),
-            ("failed", self.failed),
-            ("shed", self.shed),
-        ] {
-            out.push_str(&format!(
-                "redfuser_requests_total{{outcome=\"{outcome}\"}} {value}\n"
-            ));
-        }
-        meta(
-            &mut out,
-            "redfuser_batches_total",
-            "counter",
-            "Engine iterations that executed a batch.",
-        );
-        out.push_str(&format!("redfuser_batches_total {}\n", self.batches));
-        meta(
-            &mut out,
-            "redfuser_queue_depth",
-            "gauge",
-            "Submissions queued or executing right now.",
-        );
-        out.push_str(&format!("redfuser_queue_depth {}\n", self.queue_depth));
-        meta(
-            &mut out,
-            "redfuser_mean_batch_size",
-            "gauge",
-            "Mean requests per executed batch over the engine lifetime.",
-        );
-        out.push_str(&format!(
-            "redfuser_mean_batch_size {}\n",
-            self.mean_batch_size
-        ));
-        meta(
-            &mut out,
-            "redfuser_plan_cache_total",
-            "counter",
-            "Plan-cache lookups by result.",
-        );
-        for (result, value) in [
-            ("hit", self.cache.hits),
-            ("miss", self.cache.misses),
-            ("eviction", self.cache.evictions),
-        ] {
-            out.push_str(&format!(
-                "redfuser_plan_cache_total{{result=\"{result}\"}} {value}\n"
-            ));
-        }
-        meta(
-            &mut out,
-            "redfuser_shed_retry_hint_us",
-            "gauge",
-            "Retry hint attached to the most recent shed, microseconds.",
-        );
-        out.push_str(&format!(
-            "redfuser_shed_retry_hint_us {}\n",
-            self.shed_retry_last_us
-        ));
-        meta(
-            &mut out,
-            "redfuser_sim_latency_us",
-            "summary",
-            "Lifetime simulated request latency, microseconds.",
-        );
-        summary(&mut out, "redfuser_sim_latency_us", "", &self.lifetime);
-        meta(
-            &mut out,
-            "redfuser_stage_wall_us",
-            "summary",
-            "Wall-clock time per pipeline stage, microseconds.",
-        );
-        for stage in &self.stages {
-            summary(
-                &mut out,
-                "redfuser_stage_wall_us",
-                &format!("stage=\"{}\"", stage.stage),
-                &stage.wall,
-            );
-        }
-        meta(
-            &mut out,
-            "redfuser_lane_requests_total",
-            "counter",
-            "Per-priority-lane traffic by outcome.",
-        );
-        for lane in &self.lanes {
-            for (outcome, value) in [
-                ("submitted", lane.submitted),
-                ("completed", lane.completed),
-                ("failed", lane.failed),
-                ("shed", lane.shed),
-            ] {
-                out.push_str(&format!(
-                    "redfuser_lane_requests_total{{lane=\"{}\",outcome=\"{outcome}\"}} {value}\n",
-                    lane.lane
-                ));
-            }
-        }
-        meta(
-            &mut out,
-            "redfuser_lane_wall_us",
-            "summary",
-            "Per-lane end-to-end wall-clock latency, microseconds.",
-        );
-        for lane in &self.lanes {
-            summary(
-                &mut out,
-                "redfuser_lane_wall_us",
-                &format!("lane=\"{}\"", lane.lane),
-                &lane.wall,
-            );
-        }
-        meta(
-            &mut out,
-            "redfuser_class_sim_latency_us",
-            "summary",
-            "Per-workload-class lifetime simulated latency, microseconds.",
-        );
-        for class in &self.classes {
-            summary(
-                &mut out,
-                "redfuser_class_sim_latency_us",
-                &format!("class=\"{}\"", class.class),
-                &class.lifetime,
-            );
-        }
-        if !self.calibration.is_empty() {
-            meta(
-                &mut out,
-                "redfuser_calibration_samples_total",
-                "counter",
-                "Predicted-vs-measured latency pairs recorded per (class, arch, backend).",
-            );
-            for entry in &self.calibration {
-                out.push_str(&format!(
-                    "redfuser_calibration_samples_total{{{}}} {}\n",
-                    calibration_labels(entry),
-                    entry.samples
-                ));
-            }
-            type Gauge = fn(&CalibrationSnapshot) -> f64;
-            for (name, help, value) in [
-                (
-                    "redfuser_calibration_mape_pct",
-                    "Mean absolute percentage error of the cost model's predictions.",
-                    (|e: &CalibrationSnapshot| e.mape_pct) as Gauge,
-                ),
-                (
-                    "redfuser_calibration_rel_err_p50",
-                    "Median relative error of the cost model's predictions (windowed).",
-                    |e: &CalibrationSnapshot| e.rel_err_p50,
-                ),
-                (
-                    "redfuser_calibration_rel_err_p95",
-                    "95th-percentile relative error of the cost model's predictions (windowed).",
-                    |e: &CalibrationSnapshot| e.rel_err_p95,
-                ),
-                (
-                    "redfuser_calibration_mean_ratio",
-                    "Lifetime mean measured/predicted latency ratio.",
-                    |e: &CalibrationSnapshot| e.mean_ratio,
-                ),
-                (
-                    "redfuser_calibration_drifting",
-                    "1 when the mean measured/predicted ratio left the drift band.",
-                    |e: &CalibrationSnapshot| f64::from(e.drifting),
-                ),
-            ] {
-                meta(&mut out, name, "gauge", help);
-                for entry in &self.calibration {
-                    out.push_str(&format!(
-                        "{name}{{{}}} {}\n",
-                        calibration_labels(entry),
-                        value(entry)
-                    ));
-                }
-            }
-        }
-        if let Some(window) = self.timeseries.latest_active() {
-            for (name, help, value) in [
-                (
-                    "redfuser_window_throughput_rps",
-                    "Completions per second over the latest active telemetry window.",
-                    window.throughput_rps,
-                ),
-                (
-                    "redfuser_window_p99_us",
-                    "p99 simulated batch latency in the latest active window, microseconds.",
-                    window.p99_us,
-                ),
-                (
-                    "redfuser_window_shed_rate",
-                    "Shed fraction of arrivals in the latest active window.",
-                    window.shed_rate,
-                ),
-                (
-                    "redfuser_window_mean_batch",
-                    "Mean batch occupancy in the latest active window.",
-                    window.mean_batch,
-                ),
-                (
-                    "redfuser_window_busy_frac",
-                    "Simulated device-busy fraction of the latest active window.",
-                    window.busy_frac,
-                ),
-            ] {
-                meta(&mut out, name, "gauge", help);
-                out.push_str(&format!("{name} {value}\n"));
-            }
-        }
-        out
+        self.prometheus_with_devices(&[])
     }
 
-    /// [`MetricsSnapshot::prometheus`] plus per-device gauges: each device of
-    /// the fleet contributes its own traffic counters, queue depth and
-    /// latency summary under `device`/`arch`/`backend` labels (from
+    /// [`MetricsSnapshot::prometheus`] plus per-device families: each device
+    /// of the fleet contributes its own traffic counters, queue depth, busy
+    /// time and p99 under `device`/`arch`/`backend` labels (from
     /// [`crate::Engine::device_snapshots`]), so a scrape can tell a hot
     /// device from an idle one inside an otherwise-aggregated fleet.
-    pub fn prometheus_with_devices(&self, devices: &[crate::engine::DeviceSnapshot]) -> String {
-        fn meta(out: &mut String, name: &str, kind: &str, help: &str) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-        }
-        let mut out = self.prometheus();
-        if devices.is_empty() {
-            return out;
-        }
-        let label = |d: &crate::engine::DeviceSnapshot| {
-            format!(
-                "device=\"{}\",arch=\"{}\",backend=\"{}\"",
-                d.device, d.arch, d.backend
-            )
-        };
-        meta(
-            &mut out,
-            "redfuser_device_requests_total",
-            "counter",
-            "Per-device request traffic by outcome.",
-        );
-        for d in devices {
-            for (outcome, value) in [
-                ("submitted", d.metrics.submitted),
-                ("completed", d.metrics.completed),
-                ("failed", d.metrics.failed),
-                ("shed", d.metrics.shed),
-            ] {
-                out.push_str(&format!(
-                    "redfuser_device_requests_total{{{},outcome=\"{outcome}\"}} {value}\n",
-                    label(d)
-                ));
-            }
-        }
-        meta(
-            &mut out,
-            "redfuser_device_queue_depth",
-            "gauge",
-            "Per-device submissions queued or executing right now.",
-        );
-        for d in devices {
-            out.push_str(&format!(
-                "redfuser_device_queue_depth{{{}}} {}\n",
-                label(d),
-                d.metrics.queue_depth
-            ));
-        }
-        meta(
-            &mut out,
-            "redfuser_device_busy_us",
-            "gauge",
-            "Per-device lifetime simulated busy time, microseconds.",
-        );
-        for d in devices {
-            out.push_str(&format!(
-                "redfuser_device_busy_us{{{}}} {}\n",
-                label(d),
-                d.metrics.busy_us
-            ));
-        }
-        meta(
-            &mut out,
-            "redfuser_device_p99_us",
-            "gauge",
-            "Per-device recent-window p99 simulated latency, microseconds.",
-        );
-        for d in devices {
-            out.push_str(&format!(
-                "redfuser_device_p99_us{{{}}} {}\n",
-                label(d),
-                d.metrics.p99_us
-            ));
-        }
+    pub fn prometheus_with_devices(&self, devices: &[DeviceSnapshot]) -> String {
+        let devices: Vec<(String, &MetricsSnapshot)> = devices
+            .iter()
+            .map(|d| {
+                let labels = format!(
+                    "device=\"{}\",arch=\"{}\",backend=\"{}\"",
+                    d.device, d.arch, d.backend
+                );
+                (labels, &d.metrics)
+            })
+            .collect();
+        let mut out = String::new();
+        render(&mut out, FLEET_FAMILIES, &[(String::new(), self)]);
+        render(&mut out, DEVICE_FAMILIES, &devices);
         out
     }
 }
 
-/// The Prometheus label set of one calibration entry.
-fn calibration_labels(entry: &CalibrationSnapshot) -> String {
-    format!(
-        "class=\"{}\",arch=\"{}\",backend=\"{}\"",
-        entry.class, entry.arch, entry.backend
-    )
+/// The exposition's metric reference as a markdown table, one row per
+/// family in exposition order: name, kind, the clock its value is on
+/// (`sim` = simulated GPU time from the `rf-gpusim` model, `host` = wall
+/// time of this process, `sim+host` = a ratio or error relating the two,
+/// `-` = a count), unit and help text. README embeds it; a test keeps the
+/// two equal.
+pub fn metric_reference() -> String {
+    let mut out = String::from("| family | kind | clock | unit | help |\n|---|---|---|---|---|\n");
+    for f in FLEET_FAMILIES.iter().chain(DEVICE_FAMILIES) {
+        out.push_str(&format!(
+            "| `{}` | {} | {} | {} | {} |\n",
+            f.name, f.kind, f.clock, f.unit, f.help
+        ));
+    }
+    out
 }
+
+/// Receives one exposition line of the family being sampled: a name suffix
+/// (`""`, `"_sum"`, `"_count"`), `key="value"` labels (possibly empty) and
+/// the value — Prometheus values are float64, and `f64` prints an integral
+/// count without a fraction.
+type Emit<'a> = dyn FnMut(&str, &str, f64) + 'a;
+
+/// One exported metric family, declared once: the HELP/TYPE header, the
+/// README reference row and the samples all come from here. A family that
+/// yields no sample (an empty ledger, no active window) prints nothing.
+struct Family {
+    name: &'static str,
+    kind: &'static str,
+    clock: &'static str,
+    unit: &'static str,
+    help: &'static str,
+    samples: fn(&MetricsSnapshot, &mut Emit),
+}
+
+/// One row of a family table: `kind "name" [clock, unit] help => samples`.
+macro_rules! family {
+    ($kind:ident $name:literal [$clock:literal, $unit:literal] $help:literal => $samples:expr) => {
+        Family {
+            name: $name,
+            kind: stringify!($kind),
+            clock: $clock,
+            unit: $unit,
+            help: $help,
+            samples: $samples,
+        }
+    };
+}
+
+/// Appends `families` sampled from each `(labels, snapshot)` scope: the fleet
+/// snapshot under no label, or every device's under its identity.
+fn render(out: &mut String, families: &[Family], scopes: &[(String, &MetricsSnapshot)]) {
+    for family in families {
+        let (name, kind, help) = (family.name, family.kind, family.help);
+        let mut described = false;
+        for (scope, snapshot) in scopes {
+            (family.samples)(snapshot, &mut |suffix, labels, value| {
+                if !described {
+                    described = true;
+                    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+                }
+                let _ = match join(scope, labels) {
+                    all if all.is_empty() => writeln!(out, "{name}{suffix} {value}"),
+                    all => writeln!(out, "{name}{suffix}{{{all}}} {value}"),
+                };
+            });
+        }
+    }
+}
+
+/// Two label lists as one.
+fn join(a: &str, b: &str) -> String {
+    let comma = if a.is_empty() || b.is_empty() {
+        ""
+    } else {
+        ","
+    };
+    format!("{a}{comma}{b}")
+}
+
+fn label(key: &str, value: &str) -> String {
+    format!("{key}=\"{value}\"")
+}
+
+/// A histogram as a Prometheus summary: its quantiles, `_sum` and `_count`.
+fn summary(emit: &mut Emit, labels: &str, hist: &HistogramSnapshot) {
+    for (q, v) in [
+        ("0.5", hist.p50_us),
+        ("0.99", hist.p99_us),
+        ("0.999", hist.p999_us),
+    ] {
+        emit("", &join(labels, &label("quantile", q)), v);
+    }
+    emit("_sum", labels, hist.mean_us * hist.count as f64);
+    emit("_count", labels, hist.count as f64);
+}
+
+/// One ledger's requests by outcome.
+fn outcomes(emit: &mut Emit, labels: &str, [submitted, completed, failed, shed]: [u64; 4]) {
+    for (outcome, value) in [
+        ("submitted", submitted),
+        ("completed", completed),
+        ("failed", failed),
+        ("shed", shed),
+    ] {
+        emit("", &join(labels, &label("outcome", outcome)), value as f64);
+    }
+}
+
+fn requests(m: &MetricsSnapshot, emit: &mut Emit) {
+    outcomes(emit, "", [m.submitted, m.completed, m.failed, m.shed]);
+}
+
+fn calibration(m: &MetricsSnapshot, emit: &mut Emit, value: fn(&CalibrationSnapshot) -> f64) {
+    for e in &m.calibration {
+        let labels = format!(
+            "class=\"{}\",arch=\"{}\",backend=\"{}\"",
+            e.class, e.arch, e.backend
+        );
+        emit("", &labels, value(e));
+    }
+}
+
+fn latest_window(m: &MetricsSnapshot, emit: &mut Emit, value: fn(&WindowSnapshot) -> f64) {
+    if let Some(window) = m.timeseries.latest_active() {
+        emit("", "", value(window));
+    }
+}
+
+/// The fleet-wide families, in exposition order.
+const FLEET_FAMILIES: &[Family] = &[
+    family!(counter "redfuser_requests_total" ["-", "requests"]
+        "Request traffic by outcome (submitted/completed/failed/shed)."
+        => requests),
+    family!(counter "redfuser_batches_total" ["-", "batches"]
+        "Engine iterations that executed a batch."
+        => |m, emit| emit("", "", m.batches as f64)),
+    family!(gauge "redfuser_queue_depth" ["-", "requests"]
+        "Submissions queued or executing right now."
+        => |m, emit| emit("", "", m.queue_depth as f64)),
+    family!(gauge "redfuser_mean_batch_size" ["-", "requests/batch"]
+        "Mean requests per executed batch over the engine lifetime."
+        => |m, emit| emit("", "", m.mean_batch_size)),
+    family!(counter "redfuser_plan_cache_total" ["-", "events"]
+    "Plan-cache lookups by result."
+    => |m, emit| {
+        emit("", "result=\"hit\"", m.cache.hits as f64);
+        emit("", "result=\"miss\"", m.cache.misses as f64);
+        emit("", "result=\"eviction\"", m.cache.evictions as f64);
+    }),
+    family!(gauge "redfuser_shed_retry_hint_us" ["sim", "us"]
+        "Retry hint attached to the most recent shed, microseconds."
+        => |m, emit| emit("", "", m.shed_retry_last_us)),
+    family!(summary "redfuser_sim_latency_us" ["sim", "us"]
+        "Lifetime simulated request latency, microseconds."
+        => |m, emit| summary(emit, "", &m.lifetime)),
+    family!(summary "redfuser_stage_wall_us" ["host", "us"]
+    "Wall-clock time per pipeline stage, microseconds."
+    => |m, emit| {
+        for s in &m.stages {
+            summary(emit, &label("stage", s.stage), &s.wall);
+        }
+    }),
+    family!(counter "redfuser_lane_requests_total" ["-", "requests"]
+    "Per-priority-lane traffic by outcome."
+    => |m, emit| {
+        for l in &m.lanes {
+            let counts = [l.submitted, l.completed, l.failed, l.shed];
+            outcomes(emit, &label("lane", l.lane), counts);
+        }
+    }),
+    family!(summary "redfuser_lane_wall_us" ["host", "us"]
+    "Per-lane end-to-end wall-clock latency, microseconds."
+    => |m, emit| {
+        for l in &m.lanes {
+            summary(emit, &label("lane", l.lane), &l.wall);
+        }
+    }),
+    family!(summary "redfuser_class_sim_latency_us" ["sim", "us"]
+    "Per-workload-class lifetime simulated latency, microseconds."
+    => |m, emit| {
+        for c in &m.classes {
+            summary(emit, &label("class", c.class), &c.lifetime);
+        }
+    }),
+    family!(counter "redfuser_calibration_samples_total" ["-", "pairs"]
+        "Predicted-vs-measured latency pairs recorded per (class, arch, backend)."
+        => |m, emit| calibration(m, emit, |e| e.samples as f64)),
+    family!(gauge "redfuser_calibration_mape_pct" ["sim+host", "percent"]
+        "Mean absolute percentage error of the cost model's predictions."
+        => |m, emit| calibration(m, emit, |e| e.mape_pct)),
+    family!(gauge "redfuser_calibration_rel_err_p50" ["sim+host", "ratio"]
+        "Median relative error of the cost model's predictions (windowed)."
+        => |m, emit| calibration(m, emit, |e| e.rel_err_p50)),
+    family!(gauge "redfuser_calibration_rel_err_p95" ["sim+host", "ratio"]
+        "95th-percentile relative error of the cost model's predictions (windowed)."
+        => |m, emit| calibration(m, emit, |e| e.rel_err_p95)),
+    family!(gauge "redfuser_calibration_mean_ratio" ["sim+host", "ratio"]
+        "Lifetime mean measured/predicted latency ratio."
+        => |m, emit| calibration(m, emit, |e| e.mean_ratio)),
+    family!(gauge "redfuser_calibration_drifting" ["sim+host", "bool"]
+        "1 when the mean measured/predicted ratio left the drift band."
+        => |m, emit| calibration(m, emit, |e| f64::from(e.drifting))),
+    family!(gauge "redfuser_window_throughput_rps" ["host", "requests/s"]
+        "Completions per second over the latest active telemetry window."
+        => |m, emit| latest_window(m, emit, |w| w.throughput_rps)),
+    family!(gauge "redfuser_window_p99_us" ["sim", "us"]
+        "p99 simulated batch latency in the latest active window, microseconds."
+        => |m, emit| latest_window(m, emit, |w| w.p99_us)),
+    family!(gauge "redfuser_window_shed_rate" ["-", "ratio"]
+        "Shed fraction of arrivals in the latest active window."
+        => |m, emit| latest_window(m, emit, |w| w.shed_rate)),
+    family!(gauge "redfuser_window_mean_batch" ["-", "requests/batch"]
+        "Mean batch occupancy in the latest active window."
+        => |m, emit| latest_window(m, emit, |w| w.mean_batch)),
+    family!(gauge "redfuser_window_busy_frac" ["sim+host", "ratio"]
+        "Simulated device-busy fraction of the latest active window."
+        => |m, emit| latest_window(m, emit, |w| w.busy_frac)),
+];
+
+/// The per-device families, each sampled from every device's own snapshot
+/// under its `device`/`arch`/`backend` labels.
+const DEVICE_FAMILIES: &[Family] = &[
+    family!(counter "redfuser_device_requests_total" ["-", "requests"]
+        "Per-device request traffic by outcome."
+        => requests),
+    family!(gauge "redfuser_device_queue_depth" ["-", "requests"]
+        "Per-device submissions queued or executing right now."
+        => |m, emit| emit("", "", m.queue_depth as f64)),
+    family!(gauge "redfuser_device_busy_us" ["sim", "us"]
+        "Per-device lifetime simulated busy time, microseconds."
+        => |m, emit| emit("", "", m.busy_us)),
+    family!(gauge "redfuser_device_p99_us" ["sim", "us"]
+        "Per-device lifetime p99 simulated latency, microseconds."
+        => |m, emit| emit("", "", m.lifetime.p99_us)),
+];
 
 #[cfg(test)]
 mod tests {
@@ -1268,52 +1005,48 @@ mod tests {
         TuningCacheStats::default()
     }
 
-    #[test]
-    fn percentile_interpolates() {
-        let samples = vec![4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&samples, 0.0), 1.0);
-        assert_eq!(percentile(&samples, 100.0), 4.0);
-        assert!((percentile(&samples, 50.0) - 2.5).abs() < 1e-12);
-        assert_eq!(percentile(&[], 50.0), 0.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
+    /// A ledger at the default level, [`TraceLevel::Histograms`].
+    fn ledger() -> RuntimeMetrics {
+        RuntimeMetrics::with_trace(TraceConfig::default())
+    }
+
+    /// A histogram quantile is its bucket's midpoint: within one bucket
+    /// width (1/16 relative) of the sample it stands for.
+    fn within_a_bucket(actual: f64, exact: f64) -> bool {
+        (actual - exact).abs() <= exact / rf_trace::SUB_BUCKETS as f64
     }
 
     #[test]
     fn non_finite_samples_do_not_panic_the_metrics_path() {
         // Regression: sorting with `partial_cmp(...).expect(...)` panicked the
         // metrics path as soon as an infeasible kernel's infinite (or NaN)
-        // latency reached a sample. Non-finite samples are now ignored.
-        let samples = vec![
-            4.0,
-            f64::INFINITY,
-            1.0,
-            f64::NAN,
-            3.0,
-            f64::NEG_INFINITY,
-            2.0,
-        ];
-        assert_eq!(percentile(&samples, 0.0), 1.0);
-        assert_eq!(percentile(&samples, 100.0), 4.0);
-        assert!((percentile(&samples, 50.0) - 2.5).abs() < 1e-12);
-        assert_eq!(percentile(&[f64::NAN, f64::INFINITY], 50.0), 0.0);
-
-        // The snapshot path filters the window the same way.
-        let metrics = RuntimeMetrics::new();
-        metrics.record_batch("softmax", 2, 0, 10.0, false);
-        metrics.record_batch("softmax", 1, 0, f64::INFINITY, true);
-        metrics.record_batch("softmax", 1, 0, f64::NAN, true);
-        metrics.record_served(Priority::Normal, 4);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        assert_eq!(snap.p50_us, 10.0);
-        assert_eq!(snap.p99_us, 10.0);
-        assert_eq!(snap.completed, 4);
-        assert_eq!(snap.mean_us, 10.0, "the lifetime mean must stay finite");
+        // latency reached a sample. A non-finite estimate still counts its
+        // requests as completed and contributes no sample, at either level.
+        for config in [TraceConfig::default(), TraceConfig::off()] {
+            let metrics = RuntimeMetrics::with_trace(config);
+            metrics.record_batch("softmax", 2, 0, 10.0, false);
+            metrics.record_batch("softmax", 1, 0, f64::INFINITY, true);
+            metrics.record_batch("softmax", 1, 0, f64::NAN, true);
+            metrics.record_batch("softmax", 1, 0, f64::NEG_INFINITY, true);
+            metrics.record_served(Priority::Normal, 5);
+            let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+            assert_eq!(snap.completed, 5);
+            assert_eq!(snap.classes[0].completed, 5);
+            assert_eq!(snap.lifetime.count, 2);
+            assert_eq!(snap.classes[0].lifetime.count, 2);
+            assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
+            assert_eq!(snap.lifetime.p99_us, snap.lifetime.p50_us);
+            assert_eq!(snap.lifetime.max_us, 10.0);
+            assert_eq!(snap.lifetime.mean_us, 10.0, "the mean must stay finite");
+            assert_eq!(metrics.mean_us(), 10.0);
+            assert_eq!(snap.busy_us, 10.0, "only the finite batch was busy time");
+        }
     }
 
     #[test]
     fn merge_from_folds_per_device_ledgers_into_one() {
-        let a = RuntimeMetrics::new();
-        let b = RuntimeMetrics::new();
+        let a = ledger();
+        let b = ledger();
         for _ in 0..3 {
             a.record_submit(Priority::Normal);
         }
@@ -1329,7 +1062,7 @@ mod tests {
         b.record_shed(Priority::Low, Duration::from_micros(750));
         b.record_graph(4, 1, 1, 2);
 
-        let merged = RuntimeMetrics::new();
+        let merged = ledger();
         merged.merge_from(&a);
         merged.merge_from(&b);
         let snap = merged.snapshot(0, empty_cache_stats(), empty_tuning_stats());
@@ -1339,10 +1072,10 @@ mod tests {
         assert_eq!(snap.shed, 1);
         assert_eq!(snap.batches, 3);
         assert_eq!(snap.shed_retry_last_us, 750.0);
-        // Latency distribution spans both ledgers' windows.
-        assert_eq!(snap.p50_us, 10.0);
-        assert!(snap.p99_us > 10.0 && snap.p99_us <= 50.0);
-        assert!((snap.mean_us - 22.0).abs() < 1e-12);
+        // Latency distribution spans both ledgers.
+        assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
+        assert!(within_a_bucket(snap.lifetime.p99_us, 50.0));
+        assert!((snap.lifetime.mean_us - 22.0).abs() < 1e-12);
         // Busy time counts each batch's latency once: 10 + 30 + 50.
         assert!((snap.busy_us - 90.0).abs() < 1e-12);
         // Classes merge by name, keeping their per-class counters.
@@ -1364,7 +1097,7 @@ mod tests {
 
     #[test]
     fn batches_update_counters_and_latency_distribution() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         for _ in 0..4 {
             metrics.record_submit(Priority::Normal);
         }
@@ -1377,10 +1110,10 @@ mod tests {
         assert_eq!(snap.completed, 4);
         assert_eq!(snap.batches, 2);
         assert!((snap.mean_batch_size - 2.0).abs() < 1e-12);
-        assert_eq!(snap.p50_us, 10.0);
-        assert!(snap.p99_us > 10.0 && snap.p99_us <= 50.0);
-        assert!((snap.mean_us - 20.0).abs() < 1e-12);
-        assert_eq!(metrics.mean_us(), snap.mean_us);
+        assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
+        assert!(within_a_bucket(snap.lifetime.p99_us, 50.0));
+        assert!((snap.lifetime.mean_us - 20.0).abs() < 1e-12);
+        assert_eq!(metrics.mean_us(), snap.lifetime.mean_us);
         // Lane attribution: 4 normal submissions, 3 normal + 1 high served.
         assert_eq!(snap.lanes.len(), LANES);
         assert_eq!(snap.lanes[0].lane, "high");
@@ -1390,7 +1123,7 @@ mod tests {
 
     #[test]
     fn sheds_are_counted_per_lane_and_reported() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         assert_eq!(metrics.mean_us(), 0.0, "no samples => zero mean");
         // An overloaded submission is first counted, then rolled back and
         // recorded as a shed — it must not inflate `submitted`.
@@ -1419,7 +1152,7 @@ mod tests {
 
     #[test]
     fn shed_rate_is_zero_on_an_idle_lane() {
-        let snap = RuntimeMetrics::new().snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = ledger().snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(snap.lanes[0].shed_rate(), 0.0);
         assert_eq!(snap.shed_retry_last_us, 0.0);
         assert_eq!(snap.shed_retry_mean_us, 0.0);
@@ -1427,25 +1160,6 @@ mod tests {
             !snap.report().contains("shed retry hint"),
             "the retry-hint line is omitted until something is shed"
         );
-    }
-
-    #[test]
-    fn percentile_sorted_matches_percentile_on_a_shared_sort() {
-        // Satellite regression: computing several percentiles of one window
-        // must sort once, not once per call — and the shared-sort path must
-        // agree exactly with the sort-per-call one.
-        let samples: Vec<f64> = (0..1000)
-            .map(|i| ((i * 7919) % 1000) as f64 * 0.5)
-            .collect();
-        let mut sorted = samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        for p in [0.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
-            assert_eq!(
-                percentile(&samples, p),
-                percentile_sorted(&sorted, p),
-                "p{p} must be identical through both paths"
-            );
-        }
     }
 
     #[test]
@@ -1463,7 +1177,7 @@ mod tests {
             tune_us: 0.0,
             ..timing
         };
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         metrics.record_timing(Priority::Normal, &timing);
         metrics.record_timing(Priority::High, &hit);
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
@@ -1485,42 +1199,52 @@ mod tests {
         assert_eq!(snap.lanes[Priority::High.lane()].wall.count, 1);
         assert!(snap.report().contains("per-stage wall time"));
 
-        // At TraceLevel::Off the same recording is a no-op.
-        let off = RuntimeMetrics::with_level(TraceLevel::Off);
+        // The Off contract: the wall-clock histograms, the telemetry ring
+        // and calibration record nothing; the simulated-latency statistic
+        // (and the counters) are always on.
+        let off = RuntimeMetrics::with_trace(TraceConfig::off());
+        off.record_submit(Priority::Normal);
         off.record_timing(Priority::Normal, &timing);
         off.record_batch("softmax", 4, 0, 10.0, true);
+        off.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 10.0, 9.0);
         let snap = off.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(snap.trace_level, TraceLevel::Off);
         assert!(snap.stages.iter().all(|s| s.wall.count == 0));
-        assert_eq!(snap.lifetime.count, 0);
-        // The sliding-window estimates still work at Off.
-        assert_eq!(snap.p50_us, 10.0);
+        assert!(snap.lanes.iter().all(|l| l.wall.count == 0));
+        assert!(snap.timeseries.is_empty());
+        assert!(snap.calibration.is_empty());
+        assert_eq!(snap.lifetime.count, 4);
+        assert_eq!(snap.classes[0].lifetime.count, 4);
+        assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
+        assert_eq!((snap.batches, snap.busy_us), (1, 10.0));
+        assert_eq!(off.mean_us(), 10.0);
     }
 
     #[test]
     fn lifetime_histograms_track_the_full_run() {
-        let metrics = RuntimeMetrics::new();
-        // Overfill the sliding window with late slow samples: the window
-        // forgets the fast early traffic, the lifetime histogram does not.
-        metrics.record_batch("softmax", LATENCY_WINDOW, 0, 1.0, false);
-        metrics.record_batch("softmax", LATENCY_WINDOW, 0, 1.0, true);
-        metrics.record_batch("softmax", LATENCY_WINDOW, 0, 9.0, true);
+        let metrics = ledger();
+        // Late slow traffic does not displace the fast early majority: no
+        // statistic here forgets.
+        metrics.record_batch("softmax", 8192, 0, 1.0, false);
+        metrics.record_batch("softmax", 8192, 0, 1.0, true);
+        metrics.record_batch("softmax", 8192, 0, 9.0, true);
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        assert_eq!(snap.p50_us, 9.0, "the window only remembers the tail");
         assert!(
             snap.lifetime.p50_us < 2.0,
             "the lifetime histogram remembers the 2/3 fast majority, got {}",
             snap.lifetime.p50_us
         );
-        assert_eq!(snap.lifetime.count as usize, 3 * LATENCY_WINDOW);
+        assert!(within_a_bucket(snap.lifetime.p99_us, 9.0));
+        assert!((snap.lifetime.mean_us - 11.0 / 3.0).abs() < 1e-12);
+        assert_eq!(snap.lifetime.count, 3 * 8192);
         let softmax = &snap.classes[0];
-        assert_eq!(softmax.lifetime.count as usize, 3 * LATENCY_WINDOW);
+        assert_eq!(softmax.lifetime, snap.lifetime);
         assert!(snap.report().contains("lifetime sim latency"));
     }
 
     #[test]
     fn prometheus_exposition_contains_every_family() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         metrics.record_submit(Priority::Normal);
         metrics.record_batch("softmax", 1, 0, 12.5, false);
         metrics.record_served(Priority::Normal, 1);
@@ -1572,7 +1296,7 @@ mod tests {
 
     #[test]
     fn calibration_and_timeseries_ride_the_snapshot() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         metrics.record_submit(Priority::Normal);
         metrics.record_batch("softmax", 2, 0, 10.0, false);
         // 10% over-prediction on every sample: MAPE 10, no drift.
@@ -1592,7 +1316,7 @@ mod tests {
         assert_eq!(window.submitted, 1);
         assert_eq!(window.completed, 2);
         assert!(window.throughput_rps > 0.0);
-        assert!(window.p99_us >= 10.0);
+        assert!(within_a_bucket(window.p99_us, 10.0));
         // Both surface in the report and the exposition.
         let report = snap.report();
         assert!(report.contains("cost-model calibration"));
@@ -1628,7 +1352,7 @@ mod tests {
     #[test]
     fn calibration_is_gated_off_and_merges_across_devices() {
         // At TraceLevel::Off neither ledger records anything.
-        let off = RuntimeMetrics::with_level(TraceLevel::Off);
+        let off = RuntimeMetrics::with_trace(TraceConfig::off());
         off.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
         off.record_submit(Priority::Normal);
         off.record_batch("softmax", 1, 0, 10.0, false);
@@ -1638,13 +1362,13 @@ mod tests {
         assert_eq!(off.calibrated_us("softmax"), None);
 
         // Two device ledgers fold into one fleet view.
-        let a = RuntimeMetrics::new();
-        let b = RuntimeMetrics::new();
+        let a = ledger();
+        let b = ledger();
         a.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
         b.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 110.0);
         b.record_calibration("mha", "NVIDIA H800", 7, "cost-model", 50.0, 50.0);
         b.record_batch("mha", 1, 0, 20.0, true);
-        let merged = RuntimeMetrics::new();
+        let merged = ledger();
         merged.merge_from(&a);
         merged.merge_from(&b);
         let snap = merged.snapshot(0, empty_cache_stats(), empty_tuning_stats());
@@ -1666,15 +1390,15 @@ mod tests {
 
     #[test]
     fn per_device_prometheus_carries_device_labels() {
-        let a = RuntimeMetrics::new();
+        let a = ledger();
         a.record_submit(Priority::Normal);
         a.record_batch("softmax", 1, 0, 10.0, false);
         a.record_served(Priority::Normal, 1);
-        let b = RuntimeMetrics::new();
-        let devices: Vec<crate::engine::DeviceSnapshot> = [("NVIDIA A10", &a), ("NVIDIA H800", &b)]
+        let b = ledger();
+        let devices: Vec<DeviceSnapshot> = [("NVIDIA A10", &a), ("NVIDIA H800", &b)]
             .into_iter()
             .enumerate()
-            .map(|(id, (arch, metrics))| crate::engine::DeviceSnapshot {
+            .map(|(id, (arch, metrics))| DeviceSnapshot {
                 device: id,
                 arch,
                 backend: "tile-vm",
@@ -1682,7 +1406,7 @@ mod tests {
                 metrics: metrics.snapshot(id, empty_cache_stats(), empty_tuning_stats()),
             })
             .collect();
-        let merged = RuntimeMetrics::new();
+        let merged = ledger();
         merged.merge_from(&a);
         merged.merge_from(&b);
         let text = merged
@@ -1720,26 +1444,8 @@ mod tests {
     }
 
     #[test]
-    fn latency_window_is_bounded_but_mean_is_lifetime() {
-        let metrics = RuntimeMetrics::new();
-        // Overfill the window: the old 1.0us samples must be displaced by the
-        // later 9.0us ones for the percentiles, while the mean still sees all.
-        metrics.record_batch("softmax", LATENCY_WINDOW, 0, 1.0, false);
-        metrics.record_batch("softmax", LATENCY_WINDOW, 0, 9.0, true);
-        metrics.record_batch("softmax", LATENCY_WINDOW, 0, 9.0, true);
-        metrics.record_served(Priority::Normal, 3 * LATENCY_WINDOW);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        assert_eq!(snap.completed as usize, 3 * LATENCY_WINDOW);
-        assert_eq!(snap.p50_us, 9.0, "window holds only the latest samples");
-        let track = metrics.latencies_us.lock().unwrap();
-        assert_eq!(track.window.len(), LATENCY_WINDOW);
-        drop(track);
-        assert!((snap.mean_us - (1.0 + 9.0 + 9.0) / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn report_mentions_every_headline_number() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         metrics.record_submit(Priority::Normal);
         metrics.record_batch("softmax", 1, 0, 12.5, false);
         let report = metrics
@@ -1771,7 +1477,7 @@ mod tests {
 
     #[test]
     fn per_class_breakdown_tracks_each_class_separately() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         // softmax: 3 batches (2 cache hits), fast; mha: 1 batch (miss), slow.
         metrics.record_batch("softmax", 2, 0, 10.0, false);
         metrics.record_batch("softmax", 4, 0, 12.0, true);
@@ -1785,28 +1491,29 @@ mod tests {
         assert_eq!(mha.class, "mha");
         assert_eq!((mha.completed, mha.batches, mha.cache_hits), (1, 1, 0));
         assert_eq!(mha.cache_hit_rate(), 0.0);
-        assert_eq!(mha.p50_us, 200.0);
+        assert!(within_a_bucket(mha.lifetime.p50_us, 200.0));
         assert_eq!(softmax.class, "softmax");
         assert_eq!(
             (softmax.completed, softmax.batches, softmax.cache_hits),
             (8, 3, 2)
         );
         assert!((softmax.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(softmax.p50_us, 12.0);
-        assert!(softmax.p99_us <= 14.0 && softmax.p99_us > 12.0);
+        assert!(within_a_bucket(softmax.lifetime.p50_us, 12.0));
+        assert!(within_a_bucket(softmax.lifetime.p99_us, 14.0));
         // Class percentiles are independent of the global distribution.
-        assert!(snap.p99_us > softmax.p99_us);
-        // Non-finite latencies count requests but never enter the window.
+        assert!(snap.lifetime.p99_us > softmax.lifetime.p99_us);
+        // Non-finite latencies count requests but never enter the histogram.
         metrics.record_batch("mha", 1, 0, f64::INFINITY, true);
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         let mha = &snap.classes[0];
         assert_eq!((mha.completed, mha.batches, mha.cache_hits), (2, 2, 1));
-        assert_eq!(mha.p99_us, 200.0);
+        assert_eq!(mha.lifetime.count, 1);
+        assert!(within_a_bucket(mha.lifetime.p99_us, 200.0));
     }
 
     #[test]
     fn graph_counters_accumulate_and_render() {
-        let metrics = RuntimeMetrics::new();
+        let metrics = ledger();
         let before = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(before.graphs_served, 0);
         assert_eq!(before.region_hit_rate(), 0.0);
@@ -1832,15 +1539,89 @@ mod tests {
     }
 
     #[test]
-    fn class_windows_are_bounded() {
-        let metrics = RuntimeMetrics::new();
-        metrics.record_batch("quant", CLASS_LATENCY_WINDOW, 0, 1.0, false);
-        metrics.record_batch("quant", CLASS_LATENCY_WINDOW, 0, 9.0, true);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        let quant = &snap.classes[0];
-        assert_eq!(quant.completed as usize, 2 * CLASS_LATENCY_WINDOW);
-        assert_eq!(quant.p50_us, 9.0, "old samples displaced");
-        let tracks = metrics.classes.lock().unwrap();
-        assert_eq!(tracks["quant"].window.len(), CLASS_LATENCY_WINDOW);
+    fn a_fleets_percentiles_are_those_of_one_ledger_fed_the_union() {
+        // Two devices x 10 000 batches of different latencies, more than any
+        // sample window ever held: the merged view must not be the second
+        // device's.
+        let devices = [ledger(), ledger()];
+        let union = ledger();
+        for i in 0..10_000u64 {
+            for (device, class, base_us) in
+                [(&devices[0], "softmax", 8.0), (&devices[1], "mha", 300.0)]
+            {
+                let latency_us = base_us * (1.0 + (i * 7919 % 1000) as f64 / 250.0);
+                let class = if i % 5 == 0 { "quant" } else { class };
+                let executed = 1 + (i % 4) as usize;
+                for ledger in [device, &union] {
+                    ledger.record_batch(class, executed, 0, latency_us, i % 2 == 0);
+                }
+            }
+        }
+        let fleet = ledger();
+        for device in &devices {
+            fleet.merge_from(device);
+        }
+        let merged = fleet.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let single = union.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        assert_eq!(merged.lifetime, single.lifetime);
+        assert_eq!(merged.classes, single.classes);
+        assert_eq!(merged.busy_us, single.busy_us);
+        assert_eq!(fleet.mean_us(), union.mean_us());
+        // The fast device holds half the requests: the fleet median sits at
+        // the top of its range, p99 and p999 in the slow device's tail.
+        let alone = devices[1].snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        assert!(merged.lifetime.p50_us < 50.0, "{}", merged.lifetime.p50_us);
+        assert!(merged.lifetime.p50_us < alone.lifetime.p50_us / 4.0);
+        assert!(
+            merged.lifetime.p99_us > 1_000.0,
+            "{}",
+            merged.lifetime.p99_us
+        );
+        assert!(merged.lifetime.p999_us >= merged.lifetime.p99_us);
+    }
+
+    #[test]
+    fn every_family_states_its_kind_clock_and_unit() {
+        let families = || FLEET_FAMILIES.iter().chain(DEVICE_FAMILIES);
+        let mut names: Vec<&str> = families().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), families().count(), "family names are unique");
+        for f in families() {
+            let name = f.name;
+            assert!(name.starts_with("redfuser_"), "{name}");
+            assert!(["counter", "gauge", "summary"].contains(&f.kind), "{name}");
+            assert!(
+                ["sim", "host", "sim+host", "-"].contains(&f.clock),
+                "{name}"
+            );
+            assert!(!f.unit.is_empty() && !f.help.is_empty(), "{name}");
+            assert_eq!(f.kind == "counter", name.ends_with("_total"), "{name}");
+            // A time is on a stated clock, in the unit its name ends with.
+            assert_eq!(name.ends_with("_us"), f.unit == "us", "{name}");
+            assert!(f.unit != "us" || f.clock != "-", "{name}");
+            assert_eq!(
+                name.starts_with("redfuser_device_"),
+                DEVICE_FAMILIES.iter().any(|d| d.name == name),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn readme_metric_reference_is_generated_from_the_family_table() {
+        const BEGIN: &str = "<!-- metric-reference:begin -->\n";
+        const END: &str = "<!-- metric-reference:end -->";
+        let readme = include_str!("../../../README.md");
+        let start = readme.find(BEGIN).expect("README has the begin marker") + BEGIN.len();
+        let len = readme[start..]
+            .find(END)
+            .expect("README has the end marker");
+        let reference = metric_reference();
+        assert!(
+            readme[start..start + len] == reference,
+            "README's metric reference is out of date; replace the block between the \
+             markers with:\n{reference}"
+        );
     }
 }

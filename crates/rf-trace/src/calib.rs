@@ -8,29 +8,34 @@
 //! surfaces MAPE plus p50/p95 relative error so estimate drift is auditable
 //! per class and architecture.
 //!
-//! A **drift flag** raises when the measured/predicted ratio leaves a
-//! configurable band (default [`DEFAULT_DRIFT_BAND`]): the cost model is
-//! simulating a GPU while the VM runs on a host CPU, so the interesting
-//! signal is the ratio *moving*, not its absolute value.
+//! A **drift flag** raises when the measured/predicted ratio leaves a wide
+//! band (0.02–50): the cost model is simulating a GPU while the VM runs on
+//! a host CPU, so the interesting signal is the ratio *moving*, not its
+//! absolute value.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
-/// Default measured/predicted ratio band outside which an entry is flagged
-/// as drifting. Wide on purpose: predicted latency simulates the target GPU
+use crate::hist::quantile_sorted;
+
+/// Measured/predicted ratio band outside which an entry is flagged as
+/// drifting. Wide on purpose: predicted latency simulates the target GPU
 /// while measured latency is host CPU interpretation, so only large shifts
 /// are meaningful.
-pub const DEFAULT_DRIFT_BAND: (f64, f64) = (0.02, 50.0);
+const DRIFT_BAND: (f64, f64) = (0.02, 50.0);
 
-/// Bounded number of recent relative-error samples kept per entry for the
-/// p50/p95 estimates (MAPE and the mean ratio use lifetime sums).
+/// Most recent relative-error samples kept per entry for the p50/p95
+/// estimates (MAPE and the mean ratio use lifetime sums).
 const REL_ERR_WINDOW: usize = 2048;
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Every caller names its class, arch and backend with a `&'static str`
+/// (`Workload::class()`, `GpuArch::name`, `ExecBackend::name()`), so a
+/// recorded batch allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct CalibKey {
-    class: String,
-    arch: String,
-    backend: String,
+    class: &'static str,
+    arch: &'static str,
+    backend: &'static str,
     fingerprint: u64,
 }
 
@@ -41,13 +46,21 @@ struct CalibTrack {
     measured_sum: f64,
     abs_pct_err_sum: f64,
     ratio_sum: f64,
-    rel_errs: Vec<f64>,
+    /// The last [`REL_ERR_WINDOW`] relative errors, oldest first.
+    rel_errs: VecDeque<f64>,
     last_ratio: f64,
     drift_count: u64,
 }
 
 impl CalibTrack {
-    fn record(&mut self, predicted_us: f64, measured_us: f64, band: (f64, f64)) {
+    fn push_rel_err(&mut self, rel_err: f64) {
+        if self.rel_errs.len() == REL_ERR_WINDOW {
+            self.rel_errs.pop_front();
+        }
+        self.rel_errs.push_back(rel_err);
+    }
+
+    fn record(&mut self, predicted_us: f64, measured_us: f64) {
         let ratio = measured_us / predicted_us;
         let rel_err = (measured_us - predicted_us).abs() / predicted_us;
         self.samples += 1;
@@ -55,11 +68,9 @@ impl CalibTrack {
         self.measured_sum += measured_us;
         self.abs_pct_err_sum += rel_err * 100.0;
         self.ratio_sum += ratio;
-        if self.rel_errs.len() < REL_ERR_WINDOW {
-            self.rel_errs.push(rel_err);
-        }
+        self.push_rel_err(rel_err);
         self.last_ratio = ratio;
-        if ratio < band.0 || ratio > band.1 {
+        if ratio < DRIFT_BAND.0 || ratio > DRIFT_BAND.1 {
             self.drift_count += 1;
         }
     }
@@ -70,9 +81,9 @@ impl CalibTrack {
         self.measured_sum += other.measured_sum;
         self.abs_pct_err_sum += other.abs_pct_err_sum;
         self.ratio_sum += other.ratio_sum;
-        let room = REL_ERR_WINDOW.saturating_sub(self.rel_errs.len());
-        self.rel_errs
-            .extend(other.rel_errs.iter().take(room).copied());
+        for &rel_err in &other.rel_errs {
+            self.push_rel_err(rel_err);
+        }
         if other.samples > 0 {
             self.last_ratio = other.last_ratio;
         }
@@ -82,41 +93,15 @@ impl CalibTrack {
 
 /// Concurrent predicted-vs-measured latency ledger, keyed by
 /// `(workload class, arch, arch fingerprint, backend)`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CalibrationLedger {
-    band: (f64, f64),
     entries: Mutex<BTreeMap<CalibKey, CalibTrack>>,
 }
 
-impl Default for CalibrationLedger {
-    fn default() -> CalibrationLedger {
-        CalibrationLedger::new()
-    }
-}
-
 impl CalibrationLedger {
-    /// A ledger with the default drift band.
+    /// An empty ledger.
     pub fn new() -> CalibrationLedger {
-        CalibrationLedger::with_band(DEFAULT_DRIFT_BAND.0, DEFAULT_DRIFT_BAND.1)
-    }
-
-    /// A ledger flagging drift when measured/predicted leaves `[lo, hi]`.
-    /// An inverted or non-positive band falls back to the default.
-    pub fn with_band(lo: f64, hi: f64) -> CalibrationLedger {
-        let band = if lo > 0.0 && hi > lo {
-            (lo, hi)
-        } else {
-            DEFAULT_DRIFT_BAND
-        };
-        CalibrationLedger {
-            band,
-            entries: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The configured drift band.
-    pub fn band(&self) -> (f64, f64) {
-        self.band
+        CalibrationLedger::default()
     }
 
     /// Records one executed batch: the cost model's predicted latency and
@@ -125,10 +110,10 @@ impl CalibrationLedger {
     /// expressed as a ratio).
     pub fn record(
         &self,
-        class: &str,
-        arch: &str,
+        class: &'static str,
+        arch: &'static str,
         fingerprint: u64,
-        backend: &str,
+        backend: &'static str,
         predicted_us: f64,
         measured_us: f64,
     ) {
@@ -139,16 +124,16 @@ impl CalibrationLedger {
             return;
         }
         let key = CalibKey {
-            class: class.to_string(),
-            arch: arch.to_string(),
-            backend: backend.to_string(),
+            class,
+            arch,
+            backend,
             fingerprint,
         };
         let mut entries = self.entries.lock().expect("calibration ledger poisoned");
         entries
             .entry(key)
             .or_default()
-            .record(predicted_us, measured_us, self.band);
+            .record(predicted_us, measured_us);
     }
 
     /// Folds another ledger's entries into this one (fleet-level merge).
@@ -156,7 +141,7 @@ impl CalibrationLedger {
         let theirs = other.entries.lock().expect("calibration ledger poisoned");
         let mut ours = self.entries.lock().expect("calibration ledger poisoned");
         for (key, track) in theirs.iter() {
-            ours.entry(key.clone()).or_default().merge_from(track);
+            ours.entry(*key).or_default().merge_from(track);
         }
     }
 
@@ -182,38 +167,29 @@ impl CalibrationLedger {
         entries
             .iter()
             .map(|(key, track)| {
-                let mut sorted = track.rel_errs.clone();
-                sorted.sort_by(|a, b| a.total_cmp(b));
+                let mut sorted = Vec::from_iter(track.rel_errs.iter().copied());
+                sorted.sort_by(f64::total_cmp);
                 let n = track.samples as f64;
                 let mean_ratio = track.ratio_sum / n.max(1.0);
                 CalibrationSnapshot {
-                    class: key.class.clone(),
-                    arch: key.arch.clone(),
-                    backend: key.backend.clone(),
+                    class: key.class.to_string(),
+                    arch: key.arch.to_string(),
+                    backend: key.backend.to_string(),
                     fingerprint: key.fingerprint,
                     samples: track.samples,
                     predicted_mean_us: track.predicted_sum / n.max(1.0),
                     measured_mean_us: track.measured_sum / n.max(1.0),
                     mape_pct: track.abs_pct_err_sum / n.max(1.0),
-                    rel_err_p50: percentile_sorted(&sorted, 50.0),
-                    rel_err_p95: percentile_sorted(&sorted, 95.0),
+                    rel_err_p50: quantile_sorted(&sorted, 0.50),
+                    rel_err_p95: quantile_sorted(&sorted, 0.95),
                     mean_ratio,
                     last_ratio: track.last_ratio,
                     drift_count: track.drift_count,
-                    drifting: mean_ratio < self.band.0 || mean_ratio > self.band.1,
+                    drifting: mean_ratio < DRIFT_BAND.0 || mean_ratio > DRIFT_BAND.1,
                 }
             })
             .collect()
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (`p` in 0..=100).
-fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Calibration summary of one `(class, arch, backend)` entry.
@@ -235,9 +211,9 @@ pub struct CalibrationSnapshot {
     pub measured_mean_us: f64,
     /// Mean absolute percentage error of the predictions.
     pub mape_pct: f64,
-    /// Median relative error (windowed).
+    /// Median relative error over the entry's most recent 2048 samples.
     pub rel_err_p50: f64,
-    /// 95th-percentile relative error (windowed).
+    /// 95th-percentile relative error over the same window.
     pub rel_err_p95: f64,
     /// Lifetime mean measured/predicted ratio.
     pub mean_ratio: f64,
@@ -278,13 +254,54 @@ mod tests {
 
     #[test]
     fn ratios_outside_the_band_raise_the_drift_flag() {
-        let ledger = CalibrationLedger::with_band(0.5, 2.0);
-        ledger.record("softmax", "a", 1, "tile-vm", 100.0, 450.0);
-        ledger.record("softmax", "a", 1, "tile-vm", 100.0, 420.0);
+        let ledger = CalibrationLedger::new();
+        ledger.record("softmax", "a", 1, "tile-vm", 1.0, 64.0);
+        ledger.record("softmax", "a", 1, "tile-vm", 1.0, 58.0);
+        // Inside the band: measured 40× the prediction is still "a host CPU
+        // interpreting a GPU kernel".
+        ledger.record("mha", "a", 1, "tile-vm", 1.0, 40.0);
+        ledger.record("quant", "a", 1, "tile-vm", 1000.0, 10.0);
+        let snapshot = ledger.snapshot();
+        let (mha, quant, softmax) = (&snapshot[0], &snapshot[1], &snapshot[2]);
+        assert_eq!(softmax.drift_count, 2);
+        assert!(softmax.drifting);
+        assert!(softmax.mean_ratio > 50.0);
+        assert_eq!((mha.drift_count, mha.drifting), (0, false));
+        assert_eq!((quant.drift_count, quant.drifting), (1, true));
+    }
+
+    #[test]
+    fn relative_error_percentiles_cover_only_the_latest_window() {
+        let ledger = CalibrationLedger::new();
+        let fleet = CalibrationLedger::new();
+        // Three eras of REL_ERR_WINDOW samples each: 10 %, 50 %, then 20 %
+        // relative error.
+        for measured_us in [110.0, 150.0, 120.0] {
+            for _ in 0..REL_ERR_WINDOW {
+                ledger.record("softmax", "a", 1, "tile-vm", 100.0, measured_us);
+            }
+        }
         let entry = &ledger.snapshot()[0];
-        assert_eq!(entry.drift_count, 2);
-        assert!(entry.drifting);
-        assert!(entry.mean_ratio > 4.0);
+        assert_eq!(entry.samples as usize, 3 * REL_ERR_WINDOW);
+        assert!(
+            (entry.rel_err_p50 - 0.2).abs() < 1e-12,
+            "{}",
+            entry.rel_err_p50
+        );
+        assert!(
+            (entry.rel_err_p95 - 0.2).abs() < 1e-12,
+            "{}",
+            entry.rel_err_p95
+        );
+        // Lifetime figures still see all three eras.
+        assert!((entry.mape_pct - 80.0 / 3.0).abs() < 1e-9);
+        // A merge appends the other ledger's window behind this one's: after
+        // one more sample here and a merge, the newest samples are theirs.
+        fleet.record("softmax", "a", 1, "tile-vm", 100.0, 190.0);
+        fleet.merge_from(&ledger);
+        let merged = &fleet.snapshot()[0];
+        assert_eq!(merged.samples as usize, 3 * REL_ERR_WINDOW + 1);
+        assert!((merged.rel_err_p95 - 0.2).abs() < 1e-12);
     }
 
     #[test]

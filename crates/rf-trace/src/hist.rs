@@ -5,12 +5,19 @@
 //! [`SUB_BUCKETS`] linear sub-buckets — so any quantile is recoverable with
 //! bounded relative error (at most `1 / SUB_BUCKETS`, ~6%) over the full
 //! lifetime of the process, using a fixed 8 KiB of atomics per histogram.
-//! This complements the engine's bounded sliding windows: the window answers
-//! "what is latency *recently*", the histogram answers "what was p999 over
-//! the whole run" without keeping every sample.
+//! It is the workspace's one latency statistic: two histograms merge exactly
+//! (a bucket-wise add), so a fleet's distribution is its devices' merged and
+//! "what was p999 over the whole run" needs no sample kept.
 //!
-//! Recording is one atomic increment plus a handful of atomic max/add
-//! updates — no locks, safe from any worker thread.
+//! Every percentile in `rf-trace` and `rf-runtime` follows one rank rule,
+//! `rank = ⌈q·n⌉` clamped to `1..=n`: [`quantile_sorted`] applies it to
+//! sorted samples, the histogram (and a telemetry window's sparse buckets)
+//! to `(bucket, count)` pairs.
+//!
+//! Recording is a bucket add, a count add, a saturating sum add and a
+//! maximum that is written only when raised — relaxed atomics, no locks,
+//! safe from any worker thread — whether one sample is recorded or a whole
+//! batch of equal ones ([`LogHistogram::record_n`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,6 +47,54 @@ impl Default for LogHistogram {
     fn default() -> Self {
         LogHistogram::new()
     }
+}
+
+/// The 1-based rank of quantile `q` (in `0..=1`) among `n ≥ 1` ascending
+/// samples.
+fn rank(q: f64, n: u64) -> u64 {
+    ((q * n as f64).ceil() as u64).clamp(1, n)
+}
+
+/// Quantile `q` (in `0..=1`) of an ascending-sorted slice: its
+/// `⌈q·n⌉`-th smallest sample, `0.0` when the slice is empty.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    match sorted.len() {
+        0 => 0.0,
+        n => sorted[rank(q, n as u64) as usize - 1],
+    }
+}
+
+/// Quantile `q` of `total` samples held as `(bucket, count)` pairs in
+/// ascending bucket order, in microseconds: the midpoint of the bucket the
+/// `⌈q·total⌉`-th smallest sample fell into. `total` must be the sum of the
+/// counts.
+pub(crate) fn quantile_us(
+    buckets: impl IntoIterator<Item = (usize, u64)>,
+    total: u64,
+    q: f64,
+) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = rank(q, total);
+    let mut seen = 0u64;
+    for (index, n) in buckets {
+        seen += n;
+        if seen >= rank {
+            return bucket_mid_ns(index) / 1000.0;
+        }
+    }
+    0.0
+}
+
+/// The bucket a microsecond value lands in and the value in nanoseconds;
+/// `None` for non-finite or negative values, which no histogram records.
+pub(crate) fn bucket_of_us(value_us: f64) -> Option<(usize, u64)> {
+    if !value_us.is_finite() || value_us < 0.0 {
+        return None;
+    }
+    let v_ns = (value_us * 1000.0).round().min(u64::MAX as f64) as u64;
+    Some((bucket_index(v_ns), v_ns))
 }
 
 /// Bucket index of a nanosecond value: octave = position of the highest set
@@ -81,19 +136,55 @@ impl LogHistogram {
     /// Records one microsecond value. Non-finite or negative values are
     /// ignored.
     pub fn record_us(&self, value_us: f64) {
-        if !value_us.is_finite() || value_us < 0.0 {
+        self.record_n(value_us, 1);
+    }
+
+    /// Records `n` samples of the same microsecond value — a batch whose
+    /// requests all experienced one latency — at the cost of one. Non-finite
+    /// or negative values are ignored; the nanosecond sum saturates.
+    pub fn record_n(&self, value_us: f64, n: u64) {
+        let Some((bucket, v_ns)) = bucket_of_us(value_us) else {
+            return;
+        };
+        if n == 0 {
             return;
         }
-        let v_ns = (value_us * 1000.0).round().min(u64::MAX as f64) as u64;
-        self.buckets[bucket_index(v_ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(v_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(v_ns, Ordering::Relaxed);
+        self.buckets[bucket].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.add_sum_ns(v_ns.saturating_mul(n));
+        self.raise_max_ns(v_ns);
+    }
+
+    /// Adds to the nanosecond sum, saturating instead of wrapping: a mean
+    /// that reads too low after 584 years of latency beats one that restarts.
+    /// The common case is one `fetch_add`; an add that wraps pins the sum at
+    /// `u64::MAX`, and so does every add after it.
+    fn add_sum_ns(&self, ns: u64) {
+        let before = self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        if before.checked_add(ns).is_none() {
+            self.sum_ns.store(u64::MAX, Ordering::Relaxed);
+        }
+    }
+
+    /// Raises the maximum; a sample below it costs a load, not a write.
+    fn raise_max_ns(&self, ns: u64) {
+        if ns > self.max_ns.load(Ordering::Relaxed) {
+            self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        }
     }
 
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
+    }
+
+    /// Lifetime mean in microseconds (`0.0` before the first sample): two
+    /// relaxed loads, no bucket walk.
+    pub fn mean_us(&self) -> f64 {
+        match self.count() {
+            0 => 0.0,
+            n => self.sum_ns.load(Ordering::Relaxed) as f64 / n as f64 / 1000.0,
+        }
     }
 
     /// Adds every sample of `other` into `self` — used to fold per-device
@@ -111,10 +202,8 @@ impl LogHistogram {
         }
         self.count
             .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_ns
-            .fetch_add(other.sum_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_ns
-            .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.add_sum_ns(other.sum_ns.load(Ordering::Relaxed));
+        self.raise_max_ns(other.max_ns.load(Ordering::Relaxed));
     }
 
     /// A point-in-time summary: count, mean and the headline quantiles.
@@ -129,20 +218,7 @@ impl LogHistogram {
         let total: u64 = counts.iter().sum();
         let sum_ns = self.sum_ns.load(Ordering::Relaxed);
         let max_ns = self.max_ns.load(Ordering::Relaxed);
-        let quantile = |q: f64| -> f64 {
-            if total == 0 {
-                return 0.0;
-            }
-            let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-            let mut seen = 0u64;
-            for (index, &n) in counts.iter().enumerate() {
-                seen += n;
-                if seen >= rank {
-                    return bucket_mid_ns(index) / 1000.0;
-                }
-            }
-            max_ns as f64 / 1000.0
-        };
+        let quantile = |q: f64| quantile_us(counts.iter().copied().enumerate(), total, q);
         HistogramSnapshot {
             count: total,
             mean_us: if total == 0 {
@@ -285,18 +361,81 @@ mod tests {
         assert_eq!(merged.snapshot(), before);
     }
 
+    /// Everything a histogram holds: bucket counts, count, sum and maximum.
+    fn state(h: &LogHistogram) -> (Vec<u64>, u64, u64, u64) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        (
+            h.buckets.iter().map(load).collect(),
+            load(&h.count),
+            load(&h.sum_ns),
+            load(&h.max_ns),
+        )
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        for n in [0u64, 1, 7, 1_000_000] {
+            let batched = LogHistogram::new();
+            let single = LogHistogram::new();
+            for value_us in [12.5, 0.0, 1e6] {
+                batched.record_n(value_us, n);
+                for _ in 0..n {
+                    single.record_us(value_us);
+                }
+            }
+            assert_eq!(state(&batched), state(&single), "n = {n}");
+            assert_eq!(batched.snapshot(), single.snapshot(), "n = {n}");
+            assert_eq!(batched.mean_us(), batched.snapshot().mean_us);
+        }
+        let h = LogHistogram::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            h.record_n(bad, 5);
+        }
+        assert_eq!(state(&h), state(&LogHistogram::new()));
+    }
+
+    #[test]
+    fn the_nanosecond_sum_saturates_instead_of_wrapping() {
+        let h = LogHistogram::new();
+        h.record_n(1e12, 10_000); // 10¹⁹ ns, just inside `u64`
+        h.record_n(1e12, 10_000); // the second would wrap to ~1.5·10¹⁸
+        assert_eq!(h.sum_ns.load(Ordering::Relaxed), u64::MAX);
+        h.record_us(5.0);
+        let other = LogHistogram::new();
+        other.record_us(5.0);
+        other.merge_from(&h);
+        assert_eq!(other.sum_ns.load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(other.count(), 20_002);
+        // One overflowing product saturates too.
+        let one = LogHistogram::new();
+        one.record_n(1e15, u64::MAX);
+        assert_eq!(one.sum_ns.load(Ordering::Relaxed), u64::MAX);
+    }
+
+    #[test]
+    fn quantile_sorted_takes_the_ceil_rank_sample() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(quantile_sorted(&sorted, 0.0), 1.0);
+        assert_eq!(quantile_sorted(&sorted, 0.25), 1.0);
+        assert_eq!(quantile_sorted(&sorted, 0.5), 2.0);
+        assert_eq!(quantile_sorted(&sorted, 0.51), 3.0);
+        assert_eq!(quantile_sorted(&sorted, 0.99), 4.0);
+        assert_eq!(quantile_sorted(&sorted, 1.0), 4.0);
+        assert_eq!(quantile_sorted(&[7.0], 0.99), 7.0);
+        assert_eq!(quantile_sorted(&[], 0.5), 0.0);
+        // The bucket walk follows the same rule: ranks 1..=4 over counts 1, 3.
+        let pairs = [(bucket_index(1_000), 1), (bucket_index(9_000), 3)];
+        let low = bucket_mid_ns(pairs[0].0) / 1000.0;
+        let high = bucket_mid_ns(pairs[1].0) / 1000.0;
+        assert_eq!(quantile_us(pairs, 4, 0.25), low);
+        assert_eq!(quantile_us(pairs, 4, 0.26), high);
+        assert_eq!(quantile_us(pairs, 4, 1.0), high);
+        assert_eq!(quantile_us([], 0, 0.5), 0.0);
+    }
+
     mod percentile_bound {
         use super::super::*;
         use proptest::prelude::*;
-
-        /// The exact percentile under the histogram's own rank rule:
-        /// `rank = ceil(q·n)` clamped to `1..=n`, value = the rank-th
-        /// smallest sample.
-        fn exact_percentile(sorted: &[f64], q: f64) -> f64 {
-            let total = sorted.len() as f64;
-            let rank = ((q * total).ceil() as usize).clamp(1, sorted.len());
-            sorted[rank - 1]
-        }
 
         /// Adversarial sample distributions: sub-bucket-resolution values,
         /// huge values, log-uniform spreads across many octaves, tight
@@ -324,8 +463,9 @@ mod tests {
 
         proptest! {
             /// Every exposed quantile is within one bucket's relative width
-            /// (`1/SUB_BUCKETS`) of the exact sorted-sample percentile, plus
-            /// the nanosecond quantisation slack.
+            /// (`1/SUB_BUCKETS`) of the exact sorted-sample percentile under
+            /// the same rank rule ([`quantile_sorted`]), plus the nanosecond
+            /// quantisation slack.
             #[test]
             fn quantile_error_is_bounded_by_one_bucket_width(values in samples()) {
                 let h = LogHistogram::new();
@@ -340,7 +480,7 @@ mod tests {
                     (snap.p99_us, 0.99),
                     (snap.p999_us, 0.999),
                 ] {
-                    let exact = exact_percentile(&sorted, q);
+                    let exact = quantile_sorted(&sorted, q);
                     let tolerance = exact / SUB_BUCKETS as f64 + 0.002;
                     prop_assert!(
                         (estimate - exact).abs() <= tolerance,

@@ -24,7 +24,7 @@
 //! * [`CalibrationLedger`] — predicted-vs-measured latency reconciliation
 //!   per `(class, arch, backend)`: MAPE, relative-error percentiles and a
 //!   drift flag that fires when the measured/predicted ratio leaves a
-//!   configurable band.
+//!   wide fixed band.
 //! * [`RollingTelemetry`] — a ring of fixed-width time windows (default
 //!   250 ms × 64) tracking throughput, p99, shed rate, batch occupancy and
 //!   busy fraction over time.
@@ -43,9 +43,9 @@ pub mod profile;
 pub mod span;
 pub mod timeseries;
 
-pub use calib::{CalibrationLedger, CalibrationSnapshot, DEFAULT_DRIFT_BAND};
+pub use calib::{CalibrationLedger, CalibrationSnapshot};
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceStats};
-pub use hist::{HistogramSnapshot, LogHistogram, SUB_BUCKETS};
+pub use hist::{quantile_sorted, HistogramSnapshot, LogHistogram, SUB_BUCKETS};
 pub use profile::{validate_folded, OpProfileEntry, OpProfileSnapshot, OpProfiler, OpSample};
 pub use span::{
     ArgValue, EventPhase, TraceCollector, TraceConfig, TraceEvent, TraceLevel, TraceSnapshot,

@@ -15,6 +15,8 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::hist::{bucket_of_us, quantile_us};
+
 /// Default window width, milliseconds.
 pub const DEFAULT_WINDOW_MS: u64 = 250;
 
@@ -26,10 +28,6 @@ pub const DEFAULT_WINDOWS: usize = 64;
 /// window opens must not divide by ~0.
 const MIN_COVERED_MS: f64 = 1.0;
 
-/// Bounded number of latency samples kept per window for the p99 estimate
-/// (counters remain exact; excess samples are dropped and counted).
-const WINDOW_SAMPLES: usize = 512;
-
 #[derive(Debug, Default)]
 struct Slot {
     index: u64,
@@ -40,8 +38,11 @@ struct Slot {
     batches: u64,
     batched_requests: u64,
     busy_us: f64,
-    latencies: Vec<f64>,
-    dropped_samples: u64,
+    /// The window's batch latencies as sparse [`crate::LogHistogram`]
+    /// buckets, `(bucket, count)` in ascending bucket order: simulated
+    /// latencies in one window take a handful of distinct values, and two
+    /// devices' windows merge exactly.
+    latencies: Vec<(usize, u64)>,
 }
 
 impl Slot {
@@ -49,6 +50,13 @@ impl Slot {
         Slot {
             index,
             ..Slot::default()
+        }
+    }
+
+    fn add_latencies(&mut self, bucket: usize, n: u64) {
+        match self.latencies.binary_search_by_key(&bucket, |&(b, _)| b) {
+            Ok(at) => self.latencies[at].1 += n,
+            Err(at) => self.latencies.insert(at, (bucket, n)),
         }
     }
 }
@@ -159,13 +167,9 @@ impl RollingTelemetry {
             slot.failed += failed;
             slot.batches += 1;
             slot.batched_requests += batch_size;
-            if latency_us.is_finite() && latency_us >= 0.0 {
+            if let Some((bucket, _)) = bucket_of_us(latency_us) {
                 slot.busy_us += latency_us;
-                if slot.latencies.len() < WINDOW_SAMPLES {
-                    slot.latencies.push(latency_us);
-                } else {
-                    slot.dropped_samples += 1;
-                }
+                slot.add_latencies(bucket, 1);
             }
         });
     }
@@ -198,12 +202,9 @@ impl RollingTelemetry {
             target.batches += slot.batches;
             target.batched_requests += slot.batched_requests;
             target.busy_us += slot.busy_us;
-            let room = WINDOW_SAMPLES.saturating_sub(target.latencies.len());
-            target.dropped_samples +=
-                slot.dropped_samples + slot.latencies.len().saturating_sub(room) as u64;
-            target
-                .latencies
-                .extend(slot.latencies.iter().take(room).copied());
+            for &(bucket, n) in &slot.latencies {
+                target.add_latencies(bucket, n);
+            }
         }
         while ours.len() > self.slots {
             ours.pop_front();
@@ -228,8 +229,7 @@ impl RollingTelemetry {
             .ring
             .iter()
             .map(|slot| {
-                let mut sorted = slot.latencies.clone();
-                sorted.sort_by(|a, b| a.total_cmp(b));
+                let samples = slot.latencies.iter().map(|&(_, n)| n).sum();
                 let arrivals = slot.completed + slot.failed + slot.shed;
                 let start_ms = slot.index * self.width_ms;
                 // Closed windows cover their full width; the newest one has
@@ -247,7 +247,7 @@ impl RollingTelemetry {
                     shed: slot.shed,
                     batches: slot.batches,
                     throughput_rps: slot.completed as f64 / (covered_ms / 1000.0),
-                    p99_us: percentile_sorted(&sorted, 99.0),
+                    p99_us: quantile_us(slot.latencies.iter().copied(), samples, 0.99),
                     shed_rate: if arrivals > 0 {
                         slot.shed as f64 / arrivals as f64
                     } else {
@@ -267,15 +267,6 @@ impl RollingTelemetry {
             windows,
         }
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice (`p` in 0..=100).
-fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Exportable per-window time series, oldest window first.
@@ -318,7 +309,9 @@ pub struct WindowSnapshot {
     /// Completions per second over the time the window covers: its width,
     /// or for the newest window the time since it opened.
     pub throughput_rps: f64,
-    /// p99 of the simulated batch latencies landing in the window, µs.
+    /// p99 of the simulated batch latencies landing in the window, µs
+    /// (bucket-quantised like every [`crate::LogHistogram`] quantile, ≤ 1/16
+    /// relative; no sample is dropped).
     pub p99_us: f64,
     /// Shed submissions over all arrivals resolved in the window.
     pub shed_rate: f64,
@@ -332,6 +325,7 @@ pub struct WindowSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::{quantile_sorted, SUB_BUCKETS};
 
     #[test]
     fn batches_land_in_the_current_window_with_derived_rates() {
@@ -349,7 +343,7 @@ mod tests {
         assert!((w.throughput_rps - 2.0 / 60.0).abs() < 1e-12);
         assert!((w.shed_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!((w.mean_batch - 2.0).abs() < 1e-12);
-        assert!((w.p99_us - 1000.0).abs() < 1e-12);
+        assert!((w.p99_us - 1000.0).abs() <= 1000.0 / SUB_BUCKETS as f64);
         assert!(w.busy_frac > 0.0);
         assert_eq!(snapshot.latest_active().unwrap().completed, 2);
     }
@@ -521,6 +515,49 @@ mod tests {
         merged.merge_from(&telemetry);
         assert_eq!(rates(&merged, 294), rates(&telemetry, 294));
         assert_eq!(merged.lock().epoch, telemetry.lock().epoch);
+    }
+
+    #[test]
+    fn a_windows_p99_is_within_one_bucket_of_the_raw_samples_and_loses_none() {
+        // 2 000 batches in one window (four times what the old 512-sample
+        // store kept), latencies spread over three octaves.
+        let latency = |i: u64| 40.0 + (i * 7919 % 2000) as f64 * 0.37;
+        let telemetry = RollingTelemetry::new(60_000, 4);
+        let (evens, odds) = (
+            RollingTelemetry::new(60_000, 4),
+            RollingTelemetry::new(60_000, 4),
+        );
+        let mut raw: Vec<f64> = Vec::new();
+        for i in 0..2000 {
+            telemetry.record_batch(1, 0, latency(i), 1);
+            [&evens, &odds][(i % 2) as usize].record_batch(1, 0, latency(i), 1);
+            raw.push(latency(i));
+        }
+        raw.sort_by(f64::total_cmp);
+        let exact = quantile_sorted(&raw, 0.99);
+        let at = Duration::from_secs(30);
+        let window = telemetry.snapshot_at(at).windows[0];
+        assert!(
+            (window.p99_us - exact).abs() <= exact / SUB_BUCKETS as f64,
+            "p99 {} vs exact {exact}",
+            window.p99_us
+        );
+        let kept = |t: &RollingTelemetry| -> u64 {
+            let state = t.lock();
+            state.ring[0].latencies.iter().map(|&(_, n)| n).sum()
+        };
+        assert_eq!(kept(&telemetry), 2000);
+        // Merging two rings' windows is recording the union: same buckets,
+        // same counts, same p99 — nothing truncated, nothing dropped.
+        let fleet = RollingTelemetry::new(60_000, 4);
+        fleet.merge_from(&evens);
+        fleet.merge_from(&odds);
+        assert_eq!(
+            fleet.lock().ring[0].latencies,
+            telemetry.lock().ring[0].latencies
+        );
+        assert_eq!(fleet.snapshot_at(at).windows[0].p99_us, window.p99_us);
+        assert_eq!(fleet.snapshot_at(at).windows[0].completed, 2000);
     }
 
     #[test]

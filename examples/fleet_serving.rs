@@ -98,8 +98,8 @@ pub fn main() {
                 device.fingerprint,
                 m.completed,
                 m.shed,
-                m.p50_us,
-                m.p99_us,
+                m.lifetime.p50_us,
+                m.lifetime.p99_us,
                 m.mean_batch_size,
                 m.cache.hit_rate() * 100.0,
             );

@@ -115,7 +115,7 @@ fn concurrent_mixed_workloads_complete_and_compile_once_per_shape() {
     let metrics = engine.metrics();
     assert_eq!(metrics.completed, completed);
     assert_eq!(metrics.queue_depth, 0);
-    assert!(metrics.p99_us >= metrics.p50_us);
+    assert!(metrics.lifetime.p99_us >= metrics.lifetime.p50_us);
     // The cache is consulted once per batch: every lookup beyond the four
     // compiling ones must hit.
     assert_eq!(stats.hits, metrics.batches - distinct.len() as u64);
