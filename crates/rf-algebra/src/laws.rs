@@ -4,6 +4,14 @@
 //! that `(S, ⊗_i)` is a commutative monoid and that `⊕_i` distributes over
 //! `⊗_i`. These helpers check the laws on sampled points; they back both the
 //! ACRF analysis in `rf-fusion` and the property-test suites.
+//!
+//! The verdict depends on the operator pair alone, and the vocabulary has
+//! four operators: [`LawReport::of`] reads a 4 × 4 table that
+//! [`LawReport::evaluate`] fills once per process. That table is Table 1
+//! closed under its own vocabulary — nothing in it is derived from a cascade,
+//! a workload or any other input, so it is not a plan cache.
+
+use std::sync::OnceLock;
 
 use crate::op::BinaryOp;
 
@@ -90,7 +98,18 @@ pub struct LawReport {
 }
 
 impl LawReport {
-    /// Evaluates all laws for the pair `(plus, times)`.
+    /// The report for the pair `(plus, times)`: [`LawReport::evaluate`]'s
+    /// answer, computed once per process for all sixteen pairs.
+    pub fn of(plus: BinaryOp, times: BinaryOp) -> Self {
+        static TABLE: OnceLock<[[LawReport; 4]; 4]> = OnceLock::new();
+        // `BinaryOp::ALL` is in declaration order, so a discriminant indexes it.
+        let table = TABLE.get_or_init(|| {
+            BinaryOp::ALL.map(|plus| BinaryOp::ALL.map(|times| LawReport::evaluate(plus, times)))
+        });
+        table[plus as usize][times as usize]
+    }
+
+    /// Evaluates all laws for the pair `(plus, times)` on the sample grid.
     pub fn evaluate(plus: BinaryOp, times: BinaryOp) -> Self {
         LawReport {
             combine_associative: check_associative(times),
@@ -131,6 +150,20 @@ mod tests {
             let times = compatible_combine(reduce);
             let report = LawReport::evaluate(plus, times);
             assert!(report.all_hold(), "{reduce}: {report:?}");
+        }
+    }
+
+    #[test]
+    fn the_table_holds_evaluate_for_every_pair() {
+        for (i, plus) in BinaryOp::ALL.into_iter().enumerate() {
+            assert_eq!(plus as usize, i, "`of` indexes the table by discriminant");
+            for times in BinaryOp::ALL {
+                assert_eq!(
+                    LawReport::of(plus, times),
+                    LawReport::evaluate(plus, times),
+                    "({plus}, {times})"
+                );
+            }
         }
     }
 

@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ast::Expr;
-use crate::eval::Env;
 
 /// Configuration for [`semantically_equal`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,24 +58,30 @@ impl EquivConfig {
     }
 }
 
-/// Tests whether `lhs` and `rhs` agree on random assignments to `vars`.
+/// The one sampler behind every randomized identity in the workspace: draws
+/// `config.trials` points of `arity` values each — seeded by `config.seed`,
+/// the values of one point drawn in slot order before the next point's — and
+/// asks `sides` for the two values to compare at each.
 ///
-/// Sample points where either side evaluates to a non-finite value are skipped
-/// (they are outside the shared domain); if every sample is skipped the
-/// expressions are conservatively reported as *not* equivalent.
-pub fn semantically_equal(lhs: &Expr, rhs: &Expr, vars: &[&str], config: &EquivConfig) -> bool {
+/// A point where either side is non-finite is skipped (it is outside the
+/// shared domain); the sides agree when every remaining point matches within
+/// the relative tolerance **and** at least one point remained, so a pair that
+/// is undefined everywhere — or `trials: 0` — is conservatively *not* equal.
+/// A `true` is a randomized test, not a proof; a `false` on a finite point is
+/// a counterexample.
+pub fn agree_on_samples(
+    arity: usize,
+    config: &EquivConfig,
+    mut sides: impl FnMut(&[f64]) -> (f64, f64),
+) -> bool {
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut point = vec![0.0; arity];
     let mut valid_samples = 0usize;
-    // One environment for the whole check: after the first trial every `set`
-    // overwrites a bound name in place, so a trial allocates nothing.
-    let mut env = Env::new();
     for _ in 0..config.trials {
-        for &v in vars {
-            env.set(v, rng.gen_range(config.low..=config.high));
+        for value in &mut point {
+            *value = rng.gen_range(config.low..=config.high);
         }
-        let (Ok(a), Ok(b)) = (lhs.eval(&env), rhs.eval(&env)) else {
-            return false;
-        };
+        let (a, b) = sides(&point);
         if !a.is_finite() || !b.is_finite() {
             continue;
         }
@@ -88,9 +93,29 @@ pub fn semantically_equal(lhs: &Expr, rhs: &Expr, vars: &[&str], config: &EquivC
     valid_samples > 0
 }
 
+/// Tests whether `lhs` and `rhs` agree on random assignments to `vars`
+/// ([`agree_on_samples`] over the two compiled expressions).
+///
+/// Both sides are compiled against `vars` first, so a variable outside `vars`
+/// is rejected — the expressions are reported *not* equivalent — before any
+/// sample is drawn, and a trial is two runs of a flat program over one array
+/// of drawn values.
+pub fn semantically_equal(lhs: &Expr, rhs: &Expr, vars: &[&str], config: &EquivConfig) -> bool {
+    let (Ok(lhs), Ok(rhs)) = (lhs.compile(vars), rhs.compile(vars)) else {
+        return false;
+    };
+    agree_on_samples(vars.len(), config, |point| {
+        (lhs.eval(point), rhs.eval(point))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::tests::arb_expr;
+    use crate::eval::Env;
+    use crate::simplify::simplify;
+    use proptest::prelude::*;
 
     #[test]
     fn identical_expressions_are_equal() {
@@ -168,6 +193,75 @@ mod tests {
             &[],
             &EquivConfig::default()
         ));
+    }
+
+    #[test]
+    fn zero_trials_is_not_equal() {
+        let x = Expr::var("x");
+        let config = EquivConfig {
+            trials: 0,
+            ..EquivConfig::default()
+        };
+        assert!(!semantically_equal(&x, &x, &["x"], &config));
+    }
+
+    #[test]
+    fn default_config_is_the_documented_one() {
+        let config = EquivConfig::default();
+        assert_eq!((config.trials, config.low, config.high), (64, -4.0, 4.0));
+        assert_eq!((config.tolerance, config.seed), (1e-7, 0x52ED_F05E));
+    }
+
+    /// The checker as it was before expressions had a compiled form — a
+    /// by-name [`Env`] rebound per trial and a tree walk per side — kept as
+    /// the reference the sampler's verdicts are held to.
+    fn reference_equal(lhs: &Expr, rhs: &Expr, vars: &[&str], config: &EquivConfig) -> bool {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut valid_samples = 0usize;
+        let mut env = Env::new();
+        for _ in 0..config.trials {
+            for &v in vars {
+                env.set(v, rng.gen_range(config.low..=config.high));
+            }
+            let (Ok(a), Ok(b)) = (lhs.eval(&env), rhs.eval(&env)) else {
+                return false;
+            };
+            if !a.is_finite() || !b.is_finite() {
+                continue;
+            }
+            valid_samples += 1;
+            if (a - b).abs() > config.tolerance * (1.0 + a.abs().max(b.abs())) {
+                return false;
+            }
+        }
+        valid_samples > 0
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_verdicts_match_the_reference_checker(a in arb_expr(), b in arb_expr()) {
+            // Equal pairs (a rewrite of `a`, `a` itself), unequal pairs (an
+            // independent draw, `a` shifted), and `y` left unbound.
+            let pairs = [
+                (a.clone(), simplify(&a)),
+                (a.clone(), a.clone()),
+                (a.clone(), b),
+                (a.clone(), a.clone() + Expr::one()),
+            ];
+            for config in [EquivConfig::default(), EquivConfig::positive()] {
+                for (lhs, rhs) in &pairs {
+                    for vars in [&["x", "y", "z"][..], &["z", "x"][..]] {
+                        prop_assert_eq!(
+                            semantically_equal(lhs, rhs, vars, &config),
+                            reference_equal(lhs, rhs, vars, &config),
+                            "lhs={} rhs={} vars={:?}", lhs, rhs, vars
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@ impl std::error::Error for EvalError {}
 
 /// A variable environment mapping names to `f64` values.
 ///
-/// Cascades bind a handful of names (inputs plus earlier reduction results),
-/// and the ACRF equivalence checker rebinds the same names for every random
-/// trial, so the bindings are a small vector searched linearly: a lookup
-/// compares a few short strings instead of hashing one, and rebinding a
-/// bound name overwrites its value in place without allocating.
+/// `Env` is for one-shot evaluation — a test, an example, a single value of
+/// `H` — where naming the variables is the point. Cascades bind a handful of
+/// names, so the bindings are a small vector searched linearly. Code that
+/// evaluates one expression at many points (the equivalence checker, ACRF,
+/// the cascade evaluators) compiles it instead: [`Expr::compile`] resolves
+/// the names to slots once and [`crate::CompiledExpr::eval`] looks nothing up.
 ///
 /// # Examples
 ///
@@ -105,7 +106,9 @@ impl Env {
 }
 
 impl Expr {
-    /// Evaluates the expression against `env`.
+    /// Evaluates the expression against `env`: the *definition* of
+    /// evaluation, a tree walk. [`crate::CompiledExpr::eval`] is its fast
+    /// form and returns the same bits.
     ///
     /// # Errors
     ///

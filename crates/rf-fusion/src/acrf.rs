@@ -7,8 +7,9 @@
 //! 2. selects a *fixed point* `(x_0, d_0)` such that `F_i(x_0, d_0)` is
 //!    invertible under `⊗_i` (non-zero when `⊗_i = *`);
 //! 3. checks the **fixed-point identity** (Eq. 23)
-//!    `F(x, d) ⊗ F(x0, d0) = F(x, d0) ⊗ F(x0, d)` by randomized semantic
-//!    equivalence (the SymPy substitute, see `rf_expr::equiv`);
+//!    `F(x, d) ⊗ F(x0, d0) = F(x, d0) ⊗ F(x0, d)` on the seeded sample
+//!    points of `rf_expr::equiv` (the SymPy substitute), evaluating the one
+//!    compiled `F` with its input or dependency slots bound to the fixed point;
 //! 4. extracts `G_i(x) = F_i(x, d0)` (Eq. 24) and
 //!    `H_i(d) = F_i(x0, d) ⊗ F_i(x0, d0)^{-1}` (Eq. 25);
 //! 5. validates the decomposition `F = G ⊗ H` numerically, then instantiates
@@ -18,7 +19,7 @@
 use std::fmt;
 
 use rf_algebra::{compatible_combine, BinaryOp, LawReport};
-use rf_expr::{semantically_equal, simplify, Env, EquivConfig, Expr};
+use rf_expr::{agree_on_samples, semantically_equal, simplify, EquivConfig, Expr};
 
 use crate::cascade::{CascadeError, CascadeSpec};
 use crate::plan::{FusedReduction, FusionPlan};
@@ -83,8 +84,12 @@ impl From<CascadeError> for AcrfError {
 /// Candidate constants tried (in order) for the fixed-point components.
 ///
 /// Zero is tried first for dependency variables because it yields the most
-/// readable `G_i` (e.g. `exp(x - 0) → exp(x)` for softmax); values that put
-/// `F(x0, d0)` outside the invertible domain are skipped automatically.
+/// readable `G_i` (e.g. `exp(x - 0) → exp(x)` for softmax). All 6 × 6 pairs
+/// `(x0, d0)` are tried in order: a pair whose `F(x0, d0)` is non-finite or
+/// not invertible under `⊗` is skipped, and so is one whose identity or
+/// recomposition check fails. If no pair was invertible the verdict is
+/// [`AcrfError::NoValidFixedPoint`]; if some were but none passed the checks
+/// it is [`AcrfError::NotDecomposable`].
 const FIXED_POINT_CANDIDATES: [f64; 6] = [0.0, 1.0, 0.5, 2.0, -1.0, 1.7];
 
 /// Analyzes a single reduction of the cascade and extracts its decomposition.
@@ -100,8 +105,7 @@ pub fn analyze_reduction(spec: &CascadeSpec, index: usize) -> Result<FusedReduct
     let combine = compatible_combine(reduction.reduce);
     let plus = reduction.reduce.fusion_plus();
 
-    let laws = LawReport::evaluate(plus, combine);
-    if !laws.all_hold() {
+    if !LawReport::of(plus, combine).all_hold() {
         return Err(AcrfError::LawViolation { reduction: name });
     }
 
@@ -130,47 +134,51 @@ pub fn analyze_reduction(spec: &CascadeSpec, index: usize) -> Result<FusedReduct
         });
     }
 
-    let all_vars: Vec<&str> = input_vars
-        .iter()
-        .map(|s| s.as_str())
-        .chain(deps.iter().map(|s| s.as_str()))
-        .collect();
+    // F compiled once over [inputs…, deps…]: a fixed point, and each of the
+    // identity's partial bindings, is a slot array, not a rewritten tree.
+    let all_vars: Vec<&str> = input_vars.iter().chain(&deps).map(|s| s.as_str()).collect();
+    let n_inputs = input_vars.len();
+    let Ok(f) = reduction.map.compile(&all_vars) else {
+        // Only an unvalidated spec gets here: F has no value at any point.
+        return Err(AcrfError::NoValidFixedPoint { reduction: name });
+    };
+    // F(x, d0) and F(x0, d) read these; the sampler's point overwrites the free half.
+    let (mut x_d0, mut x0_d) = (vec![0.0; all_vars.len()], vec![0.0; all_vars.len()]);
+    let config = EquivConfig::default();
 
     let mut found_fixed_point = false;
     for &x0 in &FIXED_POINT_CANDIDATES {
         for &d0 in &FIXED_POINT_CANDIDATES {
-            let Some(f00) = eval_at(&reduction.map, &input_vars, x0, &deps, d0) else {
-                continue;
-            };
+            x_d0[n_inputs..].fill(d0);
+            x0_d[..n_inputs].fill(x0);
+            x0_d[n_inputs..].fill(d0);
+            let f00 = f.eval(&x0_d);
             if !f00.is_finite() || !is_invertible(combine, f00) {
                 continue;
             }
             found_fixed_point = true;
 
-            // Fixed-point identity (Eq. 23):
+            // Fixed-point identity (Eq. 23), on the sampler's points p = (x, d):
             //   F(x, d) ⊗ F(x0, d0) == F(x, d0) ⊗ F(x0, d).
-            let f_x_d = reduction.map.clone();
-            let f_x_d0 = substitute_group(&reduction.map, &deps, d0);
-            let f_x0_d = substitute_group(&reduction.map, &input_vars, x0);
-            let lhs = Expr::binary(combine, f_x_d.clone(), Expr::constant(f00));
-            let rhs = Expr::binary(combine, f_x_d0.clone(), f_x0_d.clone());
-            if !semantically_equal(&lhs, &rhs, &all_vars, &EquivConfig::default()) {
+            let identity_holds = agree_on_samples(all_vars.len(), &config, |p| {
+                x_d0[..n_inputs].copy_from_slice(&p[..n_inputs]);
+                x0_d[n_inputs..].copy_from_slice(&p[n_inputs..]);
+                let rhs = combine.apply(f.eval(&x_d0), f.eval(&x0_d));
+                (combine.apply(f.eval(p), f00), rhs)
+            });
+            if !identity_holds {
                 continue;
             }
 
             // G_i(x) = F_i(x, d0)                         (Eq. 24)
             // H_i(d) = F_i(x0, d) ⊗ F_i(x0, d0)^{-1}       (Eq. 25)
-            let g = simplify(&f_x_d0);
+            let g = simplify(&substitute_group(&reduction.map, &deps, d0));
+            let f_x0_d = substitute_group(&reduction.map, &input_vars, x0);
             let h = simplify(&apply_inverse(combine, &f_x0_d, f00));
 
             // Validate F == G ⊗ H before accepting the fixed point.
             let recomposed = Expr::binary(combine, g.clone(), h.clone());
-            if !semantically_equal(
-                &reduction.map,
-                &recomposed,
-                &all_vars,
-                &EquivConfig::default(),
-            ) {
+            if !semantically_equal(&reduction.map, &recomposed, &all_vars, &config) {
                 continue;
             }
 
@@ -221,17 +229,6 @@ fn substitute_group(expr: &Expr, vars: &[String], value: f64) -> Expr {
         .fold(expr.clone(), |acc, v| acc.substitute(v, &constant))
 }
 
-fn eval_at(expr: &Expr, input_vars: &[String], x0: f64, deps: &[String], d0: f64) -> Option<f64> {
-    let mut env = Env::new();
-    for v in input_vars {
-        env.set(v.as_str(), x0);
-    }
-    for v in deps {
-        env.set(v.as_str(), d0);
-    }
-    expr.eval(&env).ok()
-}
-
 fn is_invertible(combine: BinaryOp, value: f64) -> bool {
     match combine {
         BinaryOp::Add => value.is_finite(),
@@ -257,6 +254,7 @@ mod tests {
     use crate::cascade::ReductionSpec;
     use crate::patterns;
     use rf_algebra::ReduceOp;
+    use rf_expr::Env;
 
     #[test]
     fn softmax_decomposition_matches_paper() {
@@ -344,6 +342,150 @@ mod tests {
         let f = q.map.eval(&env).unwrap();
         let gh = q.g.eval(&env).unwrap() * q.h.eval(&env).unwrap();
         assert!((f - gh).abs() < 1e-9);
+    }
+
+    /// `m = Σ x` followed by `t = Σ map`, `map` over `x` and `m`.
+    fn sum_then(map: Expr) -> CascadeSpec {
+        CascadeSpec::new(
+            "probe",
+            vec!["x".to_string()],
+            vec![
+                ReductionSpec::new("m", ReduceOp::Sum, Expr::var("x")),
+                ReductionSpec::new("t", ReduceOp::Sum, map),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn fixed_point_search_reports_which_arm_failed() {
+        let (x, m) = (Expr::var("x"), Expr::var("m"));
+        let no_fixed_point = |spec: &CascadeSpec| {
+            matches!(
+                analyze_cascade(spec),
+                Err(AcrfError::NoValidFixedPoint { reduction }) if reduction == "t"
+            )
+        };
+        // F(x0, d0) = 0 at all 36 candidates: never invertible under `*`.
+        assert!(no_fixed_point(&sum_then(
+            x.clone() * Expr::zero() * m.clone()
+        )));
+        // F(x0, d0) = NaN at all 36 candidates: outside its domain everywhere.
+        assert!(no_fixed_point(&sum_then(
+            (x.clone() - Expr::constant(100.0)).ln() * m.clone()
+        )));
+        // Invertible at (0, 1), but (x + d)(x0 + d0) != (x + d0)(x0 + d).
+        assert!(matches!(
+            analyze_cascade(&sum_then(x + m)),
+            Err(AcrfError::NotDecomposable { reduction }) if reduction == "t"
+        ));
+    }
+
+    #[test]
+    fn a_map_undefined_at_every_sample_point_is_not_decomposable() {
+        // sqrt(-(x - 1)²) is 0 at the candidate x0 = 1 and NaN at every point
+        // the sampler draws: F(1, d0) = d0 is invertible, but no sample is
+        // valid, and "no valid sample" must read "identity not shown".
+        let x_minus_1 = Expr::var("x") - Expr::one();
+        let spike = (-(x_minus_1.clone() * x_minus_1)).sqrt() + Expr::one();
+        assert!(matches!(
+            analyze_cascade(&sum_then(spike * Expr::var("m"))),
+            Err(AcrfError::NotDecomposable { reduction }) if reduction == "t"
+        ));
+    }
+
+    #[test]
+    fn unvalidated_spec_with_an_unknown_variable_does_not_panic() {
+        let spec = CascadeSpec {
+            name: "unvalidated".into(),
+            inputs: vec!["x".into()],
+            reductions: vec![
+                ReductionSpec::new("m", ReduceOp::Sum, Expr::var("x")),
+                ReductionSpec::new("t", ReduceOp::Sum, Expr::var("ghost") * Expr::var("m")),
+            ],
+        };
+        assert_eq!(
+            analyze_reduction(&spec, 1),
+            Err(AcrfError::NoValidFixedPoint {
+                reduction: "t".into()
+            })
+        );
+    }
+
+    #[test]
+    fn a_24_input_cascade_analyses_like_a_small_one() {
+        // t = Σ exp(x0 - m) * (x1 * (x2 * (… * x23))): 25 slots, and a product
+        // nested deeper than the compiled form's inline operand stack.
+        let inputs: Vec<String> = (0..24).map(|i| format!("x{i}")).collect();
+        let product = inputs[1..]
+            .iter()
+            .rev()
+            .map(Expr::var)
+            .reduce(|nested, v| v * nested)
+            .unwrap();
+        let spec = CascadeSpec::new(
+            "wide",
+            inputs.clone(),
+            vec![
+                ReductionSpec::new("m", ReduceOp::Max, Expr::var("x0")),
+                ReductionSpec::new(
+                    "t",
+                    ReduceOp::Sum,
+                    (Expr::var("x0") - Expr::var("m")).exp() * product.clone(),
+                ),
+            ],
+        )
+        .unwrap();
+        let plan = analyze_cascade(&spec).unwrap();
+        let t = &plan.reductions[1];
+        // x0 = 0 zeroes the product, so the fixed point is (1, 0).
+        assert_eq!(t.g.to_string(), format!("(exp(x0) * {product})"));
+        assert_eq!(t.h.to_string(), "(exp((1 - m)) / 2.718281828459045)");
+        assert_eq!(t.deps, vec!["m".to_string()]);
+        assert_eq!(t.input_vars, inputs);
+    }
+
+    /// Not a check: prints µs per call of `analyze_cascade` per pattern, of
+    /// one `LawReport::evaluate` and of one four-variable
+    /// `semantically_equal` (20 000 calls after 2 000 warm-up).
+    /// `cargo test --release -p rf-fusion timing -- --ignored --nocapture`
+    #[test]
+    #[ignore = "prints timings"]
+    fn timing_per_pattern() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        fn us_per_call(mut call: impl FnMut()) -> f64 {
+            (0..2_000).for_each(|_| call());
+            let start = Instant::now();
+            (0..20_000).for_each(|_| call());
+            start.elapsed().as_secs_f64() * 1e6 / 20_000.0
+        }
+        let mut specs = patterns::all_fusable();
+        specs.push(patterns::non_decomposable_variance());
+        for spec in &specs {
+            let us = us_per_call(|| {
+                black_box(analyze_cascade(black_box(spec)).is_ok());
+            });
+            println!("analyze_cascade {:<26} {us:7.2} us", spec.name);
+        }
+        let us = us_per_call(|| {
+            black_box(LawReport::evaluate(
+                black_box(BinaryOp::Add),
+                black_box(BinaryOp::Mul),
+            ));
+        });
+        println!("LawReport::evaluate(+, *)                  {us:7.2} us");
+        let o = &patterns::attention_row().reductions[2].map;
+        let same = o.clone() * Expr::one();
+        let us = us_per_call(|| {
+            black_box(semantically_equal(
+                black_box(o),
+                &same,
+                &["p", "v", "m", "t"],
+                &EquivConfig::default(),
+            ));
+        });
+        println!("semantically_equal (attention o, 4 vars)   {us:7.2} us");
     }
 
     #[test]

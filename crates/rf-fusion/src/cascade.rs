@@ -249,6 +249,15 @@ impl CascadeInput {
             .map(|idx| self.columns[idx].as_slice())
     }
 
+    /// Writes the input values at position `l` into `out`, one per column in
+    /// [`CascadeInput::names`] order — the per-element step of an evaluator
+    /// that compiled its expressions against that order.
+    pub fn write_position(&self, l: usize, out: &mut [f64]) {
+        for (value, col) in out.iter_mut().zip(&self.columns) {
+            *value = col[l];
+        }
+    }
+
     /// Binds the input variables at position `l` into an environment.
     pub fn bind_position(&self, l: usize, env: &mut Env) {
         for (name, col) in self.names.iter().zip(&self.columns) {

@@ -15,12 +15,17 @@
 //!   and higher levels merge same-level partial results with the correction
 //!   term `d^{k-1} ⊗ H(D^{k-1})^{-1} ⊗ H(D^k)`.
 //!
+//! Every evaluator compiles its expressions (`F`, or `G` and `H`) once per call
+//! against the slot layout `[input columns…, reduction results…]` and then
+//! writes slots per position: no name is looked up, and nothing is allocated,
+//! per element.
+//!
 //! Non-invertible `H` values are handled with the reversibility repair of
 //! Appendix A.1 (substituting the identity element), implemented by
 //! [`rf_algebra::BinaryOp::inverse_or_repair`].
 
 use rf_algebra::ReduceOp;
-use rf_expr::{Env, Expr};
+use rf_expr::CompiledExpr;
 
 use crate::cascade::{CascadeInput, CascadeSpec};
 use crate::plan::{FusedReduction, FusionPlan};
@@ -46,25 +51,25 @@ impl NaiveCascadeEvaluator {
     /// input is empty.
     pub fn evaluate(&self, spec: &CascadeSpec, input: &CascadeInput) -> Vec<f64> {
         assert!(!input.is_empty(), "cascade input must not be empty");
-        let mut results: Vec<f64> = Vec::with_capacity(spec.reductions.len());
-        let mut env = Env::new();
-        for reduction in &spec.reductions {
+        let vars = layout(input, spec.reductions.iter().map(|r| &r.name));
+        let n_inputs = input.names().len();
+        let mut slots = vec![0.0; vars.len()];
+        for (i, reduction) in spec.reductions.iter().enumerate() {
+            // Reduction `i` sees the inputs and the `i` results before it.
+            let seen = n_inputs + i;
+            let map = reduction
+                .map
+                .compile(&vars[..seen])
+                .expect("validated cascade evaluates without unbound variables");
             let op = reduction.reduce.binary_op();
             let mut acc = op.identity();
             for l in 0..input.len() {
-                input.bind_position(l, &mut env);
-                for (prev, value) in spec.reductions.iter().zip(&results) {
-                    env.set(prev.name.as_str(), *value);
-                }
-                let mapped = reduction
-                    .map
-                    .eval(&env)
-                    .expect("validated cascade evaluates without unbound variables");
-                acc = op.apply(acc, mapped);
+                input.write_position(l, &mut slots[..n_inputs]);
+                acc = op.apply(acc, map.eval(&slots[..seen]));
             }
-            results.push(acc);
+            slots[seen] = acc;
         }
-        results
+        slots.split_off(n_inputs)
     }
 }
 
@@ -98,36 +103,13 @@ impl IncrementalEvaluator {
         start: usize,
         end: usize,
     ) -> Vec<f64> {
-        assert!(
-            start < end && end <= input.len(),
-            "invalid segment range [{start}, {end})"
-        );
-        assert_prod_free(plan);
-        let n = plan.reductions.len();
-        let mut states: Vec<f64> = plan.reductions.iter().map(|r| r.plus.identity()).collect();
-        let mut env = Env::new();
-        for l in start..end {
-            input.bind_position(l, &mut env);
-            let prev_states = states.clone();
-            for i in 0..n {
-                let r = &plan.reductions[i];
-                let g_val = eval_with_states(&r.g, &env, plan, &states);
-                if r.is_independent() {
-                    states[i] = r.plus.apply(states[i], g_val);
-                    continue;
-                }
-                let h_prev = eval_h(r, plan, &prev_states);
-                let h_cur = eval_h(r, plan, &states);
-                let corrected = r.combine.apply(
-                    r.combine
-                        .apply(states[i], r.combine.inverse_or_repair(h_prev)),
-                    h_cur,
-                );
-                let incoming = r.combine.apply(g_val, h_cur);
-                states[i] = r.plus.apply(corrected, incoming);
-            }
-        }
-        states
+        evaluate_range(
+            plan,
+            &compile_g(plan, input),
+            &compile_h(plan),
+            input,
+            start..end,
+        )
     }
 
     /// Merges same-level partial results of several segments into the next
@@ -139,34 +121,7 @@ impl IncrementalEvaluator {
     /// Panics if `partials` is empty or the inner vectors do not match the
     /// plan's reduction count.
     pub fn merge_partials(&self, plan: &FusionPlan, partials: &[Vec<f64>]) -> Vec<f64> {
-        assert!(!partials.is_empty(), "cannot merge zero segments");
-        assert!(
-            partials.iter().all(|p| p.len() == plan.reductions.len()),
-            "each partial must contain one value per reduction"
-        );
-        assert_prod_free(plan);
-        let n = plan.reductions.len();
-        let mut merged: Vec<f64> = plan.reductions.iter().map(|r| r.plus.identity()).collect();
-        for i in 0..n {
-            let r = &plan.reductions[i];
-            let mut acc = r.plus.identity();
-            for segment in partials {
-                let contribution = if r.is_independent() {
-                    segment[i]
-                } else {
-                    let h_seg = eval_h(r, plan, segment);
-                    let h_merged = eval_h(r, plan, &merged);
-                    r.combine.apply(
-                        r.combine
-                            .apply(segment[i], r.combine.inverse_or_repair(h_seg)),
-                        h_merged,
-                    )
-                };
-                acc = r.plus.apply(acc, contribution);
-            }
-            merged[i] = acc;
-        }
-        merged
+        merge_partials(plan, &compile_h(plan), partials)
     }
 }
 
@@ -191,13 +146,13 @@ impl FusedTreeEvaluator {
             input.len(),
             "tree shape input length must match the cascade input length"
         );
-        let incremental = IncrementalEvaluator::new();
+        let (g, h) = (compile_g(plan, input), compile_h(plan));
 
         // Level 1: evaluate each segment over its slice of the input.
         let level1_segments = shape.segments(1);
         let seg_len = shape.segment_len(1);
         let mut current: Vec<Vec<f64>> = (0..level1_segments)
-            .map(|j| incremental.evaluate_range(plan, input, j * seg_len, (j + 1) * seg_len))
+            .map(|j| evaluate_range(plan, &g, &h, input, j * seg_len..(j + 1) * seg_len))
             .collect();
 
         // Levels 2..=K: merge groups of same-level partials.
@@ -205,7 +160,7 @@ impl FusedTreeEvaluator {
             let group = shape.segment_len(k);
             current = current
                 .chunks(group)
-                .map(|chunk| incremental.merge_partials(plan, chunk))
+                .map(|chunk| merge_partials(plan, &h, chunk))
                 .collect();
         }
         assert_eq!(
@@ -224,26 +179,112 @@ fn assert_prod_free(plan: &FusionPlan) {
     );
 }
 
-fn eval_h(reduction: &FusedReduction, plan: &FusionPlan, states: &[f64]) -> f64 {
-    let mut env = Env::new();
-    bind_states(plan, states, &mut env);
-    reduction
-        .h
-        .eval(&env)
-        .expect("H only references earlier reduction results")
+/// The slot layout `[input columns…, reduction results…]`.
+fn layout<'a>(input: &'a CascadeInput, results: impl Iterator<Item = &'a String>) -> Vec<&'a str> {
+    input
+        .names()
+        .iter()
+        .chain(results)
+        .map(|s| s.as_str())
+        .collect()
 }
 
-fn eval_with_states(expr: &Expr, input_env: &Env, plan: &FusionPlan, states: &[f64]) -> f64 {
-    let mut env = input_env.clone();
-    bind_states(plan, states, &mut env);
-    expr.eval(&env)
-        .expect("G only references input variables and earlier reduction results")
+/// Every `G_i`, compiled over the whole layout.
+fn compile_g(plan: &FusionPlan, input: &CascadeInput) -> Vec<CompiledExpr> {
+    let vars = layout(input, plan.reductions.iter().map(|r| &r.name));
+    plan.reductions
+        .iter()
+        .map(|r| {
+            r.g.compile(&vars)
+                .expect("G only references input variables and earlier reduction results")
+        })
+        .collect()
 }
 
-fn bind_states(plan: &FusionPlan, states: &[f64], env: &mut Env) {
-    for (reduction, value) in plan.reductions.iter().zip(states) {
-        env.set(reduction.name.as_str(), *value);
+/// Every `H_i`, compiled over the results alone — the running states of a
+/// pass, or one segment's partials.
+fn compile_h(plan: &FusionPlan) -> Vec<CompiledExpr> {
+    let vars: Vec<&str> = plan.reductions.iter().map(|r| r.name.as_str()).collect();
+    plan.reductions
+        .iter()
+        .map(|r| {
+            r.h.compile(&vars)
+                .expect("H only references earlier reduction results")
+        })
+        .collect()
+}
+
+/// The correction term of Eq. 11 / Eq. 15, `value ⊗ H(D_from)⁻¹ ⊗ H(D_to)`:
+/// a partial result re-based from the dependency values it was accumulated
+/// under to the current ones (a non-invertible `H` is repaired, Appendix A.1).
+fn rebase(r: &FusedReduction, value: f64, h_from: f64, h_to: f64) -> f64 {
+    let unscaled = r.combine.apply(value, r.combine.inverse_or_repair(h_from));
+    r.combine.apply(unscaled, h_to)
+}
+
+/// [`IncrementalEvaluator::evaluate_range`] over compiled `G` / `H`.
+fn evaluate_range(
+    plan: &FusionPlan,
+    g: &[CompiledExpr],
+    h: &[CompiledExpr],
+    input: &CascadeInput,
+    range: std::ops::Range<usize>,
+) -> Vec<f64> {
+    assert!(
+        range.start < range.end && range.end <= input.len(),
+        "invalid segment range [{}, {})",
+        range.start,
+        range.end
+    );
+    assert_prod_free(plan);
+    let n_inputs = input.names().len();
+    // The running states are the results part of the slots.
+    let mut slots = vec![0.0; n_inputs];
+    slots.extend(plan.reductions.iter().map(|r| r.plus.identity()));
+    let mut prev_states = slots[n_inputs..].to_vec();
+    for l in range {
+        input.write_position(l, &mut slots[..n_inputs]);
+        prev_states.copy_from_slice(&slots[n_inputs..]);
+        for (i, r) in plan.reductions.iter().enumerate() {
+            let g_val = g[i].eval(&slots);
+            let state = slots[n_inputs + i];
+            slots[n_inputs + i] = if r.is_independent() {
+                r.plus.apply(state, g_val)
+            } else {
+                let h_prev = h[i].eval(&prev_states);
+                let h_cur = h[i].eval(&slots[n_inputs..]);
+                r.plus.apply(
+                    rebase(r, state, h_prev, h_cur),
+                    r.combine.apply(g_val, h_cur),
+                )
+            };
+        }
     }
+    slots.split_off(n_inputs)
+}
+
+/// [`IncrementalEvaluator::merge_partials`] over compiled `H`.
+fn merge_partials(plan: &FusionPlan, h: &[CompiledExpr], partials: &[Vec<f64>]) -> Vec<f64> {
+    assert!(!partials.is_empty(), "cannot merge zero segments");
+    assert!(
+        partials.iter().all(|p| p.len() == plan.reductions.len()),
+        "each partial must contain one value per reduction"
+    );
+    assert_prod_free(plan);
+    let mut merged: Vec<f64> = plan.reductions.iter().map(|r| r.plus.identity()).collect();
+    for (i, r) in plan.reductions.iter().enumerate() {
+        let mut acc = r.plus.identity();
+        for segment in partials {
+            let contribution = if r.is_independent() {
+                segment[i]
+            } else {
+                rebase(r, segment[i], h[i].eval(segment), h[i].eval(&merged))
+            };
+            acc = r.plus.apply(acc, contribution);
+        }
+        merged[i] = acc;
+    }
+    merged
 }
 
 #[cfg(test)]

@@ -132,10 +132,9 @@ pub fn detect_cascades(graph: &OpGraph) -> Vec<CascadeCandidate> {
                 inputs: c.inputs.iter().map(|(n, _)| n.clone()).collect(),
                 reductions: c.specs,
             };
-            let proof = spec
-                .validate()
-                .map_err(AcrfError::from)
-                .and_then(|()| analyze_cascade(&spec));
+            // `analyze_cascade` validates the lifted spec itself (an invalid
+            // one is an `AcrfError::Cascade`).
+            let proof = analyze_cascade(&spec);
             CascadeCandidate {
                 reductions: c.reductions,
                 rows: c.rows,
