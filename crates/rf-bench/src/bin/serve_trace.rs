@@ -15,7 +15,6 @@
 //! | `arch` | `h800` | `a10 \| a100 \| h800 \| mi308x` |
 //! | `devices` | unset | homogeneous fleet: N tile-VM devices of `arch` |
 //! | `fleet` | unset | heterogeneous fleet: `+`-separated `arch[:backend]` specs, e.g. `a10+h800:cost` (backends: `vm \| cost`); overrides `arch`/`devices` |
-//! | `routing` | `least-loaded` | fleet placement: `least-loaded \| sticky \| row-shard \| predicted` |
 //! | `suite` | unset | `fleet`: run the single/fleet4/hetero scenario suite and write one multi-scenario document |
 //! | `requests` | `256` | total submissions (workloads + graphs) |
 //! | `mode` | `closed` | `closed` (client windows) or `open` (Poisson) |
@@ -52,7 +51,7 @@ use std::process::ExitCode;
 
 use rf_bench::serving::{run_traced, suite_to_json, Mode, TraceConfig};
 use rf_gpusim::GpuArch;
-use rf_runtime::{BackendKind, DeviceSpec, RoutingPolicy, RuntimeConfig};
+use rf_runtime::{BackendKind, DeviceSpec, RuntimeConfig};
 use rf_trace::TraceLevel;
 
 struct Args {
@@ -88,7 +87,6 @@ fn parse_args() -> Result<Args, String> {
     let mut arch = GpuArch::h800();
     let mut device_count: usize = 0;
     let mut fleet_spec: Option<String> = None;
-    let mut routing = RoutingPolicy::LeastLoaded;
     let mut suite = false;
     let mut requests: u64 = 256;
     let mut mode = "closed".to_string();
@@ -128,11 +126,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "devices" => device_count = value.parse().map_err(|_| parse_err("an integer"))?,
             "fleet" => fleet_spec = Some(value),
-            "routing" => {
-                routing = RoutingPolicy::by_name(&value).ok_or(format!(
-                    "unknown routing `{value}` (expected least-loaded|sticky|row-shard|predicted)"
-                ))?;
-            }
             "suite" => {
                 if value != "fleet" {
                     return Err(format!("unknown suite `{value}` (expected fleet)"));
@@ -223,7 +216,6 @@ fn parse_args() -> Result<Args, String> {
         config: TraceConfig {
             arch,
             devices,
-            routing,
             requests,
             mode,
             graph_every,
@@ -251,17 +243,12 @@ fn write_profile(path: &str, folded: &str) -> Result<(), String> {
 /// tile-VM + cost-model pair. Returns the named reports in that order.
 fn run_fleet_suite(base: &TraceConfig) -> Vec<(String, rf_bench::serving::ServingReport)> {
     let scenarios = [
-        (
-            "single",
-            vec![DeviceSpec::tile_vm(base.arch.clone())],
-            base.routing,
-        ),
+        ("single", vec![DeviceSpec::tile_vm(base.arch.clone())]),
         (
             "fleet4",
             (0..4)
                 .map(|_| DeviceSpec::tile_vm(base.arch.clone()))
                 .collect(),
-            base.routing,
         ),
         (
             "hetero",
@@ -269,15 +256,13 @@ fn run_fleet_suite(base: &TraceConfig) -> Vec<(String, rf_bench::serving::Servin
                 DeviceSpec::tile_vm(GpuArch::a10()),
                 DeviceSpec::cost_model(GpuArch::h800()),
             ],
-            RoutingPolicy::LeastLoaded,
         ),
     ];
     scenarios
         .into_iter()
-        .map(|(name, devices, routing)| {
+        .map(|(name, devices)| {
             let config = TraceConfig {
                 devices,
-                routing,
                 ..base.clone()
             };
             let (report, _) = run_traced(&config);
@@ -335,12 +320,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     println!(
-        "serving trace: {} requests, {:?}, arch {}, {} device(s), routing {}",
+        "serving trace: {} requests, {:?}, arch {}, {} device(s)",
         args.config.requests,
         args.config.mode,
         args.config.arch.name,
-        args.config.devices.len().max(1),
-        args.config.routing.name()
+        args.config.devices.len().max(1)
     );
     let (report, trace_json) = run_traced(&args.config);
     println!("{}", report.summary());

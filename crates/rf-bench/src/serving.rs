@@ -29,8 +29,8 @@ use rf_codegen::Workload;
 use rf_gpusim::GpuArch;
 use rf_graph::{partition, GraphPlan, OpGraph};
 use rf_runtime::{
-    CalibrationSnapshot, DeviceSpec, Engine, FleetConfig, Priority, Request, RequestInput,
-    RoutingPolicy, RuntimeConfig, RuntimeError, Submission, Ticket, TimeSeriesSnapshot,
+    DeviceSpec, Engine, FleetConfig, Priority, Request, RequestInput, RuntimeConfig, RuntimeError,
+    Submission, Ticket, TimeSeriesSnapshot,
 };
 use rf_trace::quantile_sorted;
 use rf_workloads::{
@@ -169,9 +169,6 @@ pub struct TraceConfig {
     /// tile-VM device of `arch`; otherwise the engine is built as a fleet
     /// of exactly these devices and `arch` is ignored.
     pub devices: Vec<DeviceSpec>,
-    /// How fleet submissions are placed onto devices (only meaningful for
-    /// multi-device runs).
-    pub routing: RoutingPolicy,
     /// Total submissions to offer (workloads + graphs).
     pub requests: u64,
     /// Load-generation mode.
@@ -190,7 +187,6 @@ impl Default for TraceConfig {
         TraceConfig {
             arch: GpuArch::h800(),
             devices: Vec::new(),
-            routing: RoutingPolicy::LeastLoaded,
             requests: 256,
             mode: Mode::Closed {
                 clients: 4,
@@ -264,8 +260,6 @@ pub struct DeviceReport {
 pub struct ServingReport {
     /// Architecture name; a fleet joins its device architectures with `+`.
     pub arch: String,
-    /// The routing policy the run placed submissions with.
-    pub routing: String,
     /// `"closed"` or `"open"`.
     pub mode: String,
     /// Submissions offered to the engine.
@@ -310,10 +304,6 @@ pub struct ServingReport {
     /// Wall-clock per-stage breakdown (queue/compile/tune/execute/e2e), in
     /// lifecycle order. Empty when the engine ran with tracing off.
     pub stages: Vec<StageReport>,
-    /// Cost-model calibration ledger: per (class, arch, backend) predicted
-    /// vs measured error statistics. Empty when the engine ran with tracing
-    /// off.
-    pub calibration: Vec<CalibrationSnapshot>,
     /// Rolling time-windowed telemetry over the run. Empty when the engine
     /// ran with tracing off.
     pub timeseries: TimeSeriesSnapshot,
@@ -382,32 +372,6 @@ impl ServingReport {
             })
             .collect::<Vec<_>>()
             .join(",");
-        let calibration = self
-            .calibration
-            .iter()
-            .map(|entry| {
-                format!(
-                    concat!(
-                        "{{\"class\":\"{}\",\"arch\":\"{}\",\"backend\":\"{}\",",
-                        "\"samples\":{},\"predicted_mean_us\":{},\"measured_mean_us\":{},",
-                        "\"mape_pct\":{},\"rel_err_p50\":{},\"rel_err_p95\":{},",
-                        "\"mean_ratio\":{},\"drifting\":{}}}"
-                    ),
-                    entry.class,
-                    entry.arch,
-                    entry.backend,
-                    entry.samples,
-                    json_num(entry.predicted_mean_us),
-                    json_num(entry.measured_mean_us),
-                    json_num(entry.mape_pct),
-                    json_num(entry.rel_err_p50),
-                    json_num(entry.rel_err_p95),
-                    json_num(entry.mean_ratio),
-                    entry.drifting
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
         let windows = self
             .timeseries
             .windows
@@ -440,7 +404,6 @@ impl ServingReport {
                 "{{\n",
                 "  \"bench\": \"serving\",\n",
                 "  \"arch\": \"{}\",\n",
-                "  \"routing\": \"{}\",\n",
                 "  \"mode\": \"{}\",\n",
                 "  \"offered\": {},\n",
                 "  \"completed\": {},\n",
@@ -460,12 +423,10 @@ impl ServingReport {
                 "  \"devices\": [{}],\n",
                 "  \"lanes\": [{}],\n",
                 "  \"stages\": [{}],\n",
-                "  \"calibration\": [{}],\n",
                 "  \"timeseries\": {{\"window_ms\": {}, \"windows\": [{}]}}\n",
                 "}}\n",
             ),
             self.arch,
-            self.routing,
             self.mode,
             self.offered,
             self.completed,
@@ -485,7 +446,6 @@ impl ServingReport {
             devices,
             lanes,
             stages,
-            calibration,
             self.timeseries.window_ms,
             windows
         )
@@ -495,7 +455,7 @@ impl ServingReport {
     pub fn summary(&self) -> String {
         let mut out = format!(
             concat!(
-                "serving trace ({} loop, arch {}, {} device(s), routing {})\n",
+                "serving trace ({} loop, arch {}, {} device(s))\n",
                 "  offered {} | completed {} | failed {} | shed {} ({:.1}%)\n",
                 "  wall-clock {:.3} s -> {:.1} req/s (sim {:.1} req/s)\n",
                 "  latency (wall) p50 {:.1} us, p99 {:.1} us\n",
@@ -505,7 +465,6 @@ impl ServingReport {
             self.mode,
             self.arch,
             self.devices.len().max(1),
-            self.routing,
             self.offered,
             self.completed,
             self.failed,
@@ -543,20 +502,6 @@ impl ServingReport {
             out.push_str(&format!(
                 "\n  stage {:<8} n {:>6}  p50 {:>9.1} us  p99 {:>9.1} us",
                 stage.stage, stage.count, stage.p50_us, stage.p99_us
-            ));
-        }
-        if !self.calibration.is_empty() {
-            let drifting = self.calibration.iter().filter(|e| e.drifting).count();
-            let worst = self
-                .calibration
-                .iter()
-                .map(|e| e.mape_pct)
-                .fold(0.0, f64::max);
-            out.push_str(&format!(
-                "\n  calibration: {} ledger entries, worst MAPE {:.1}%, {} drifting",
-                self.calibration.len(),
-                worst,
-                drifting
             ));
         }
         if let Some(window) = self.timeseries.latest_active() {
@@ -663,7 +608,6 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
     } else {
         Arc::new(Engine::with_fleet(FleetConfig {
             devices: config.devices.clone(),
-            routing: config.routing,
             runtime: config.runtime,
         }))
     };
@@ -729,7 +673,6 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
     };
     let report = ServingReport {
         arch,
-        routing: config.routing.name().to_string(),
         mode: config.mode.name().to_string(),
         offered,
         completed: outcome.completed,
@@ -780,7 +723,6 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
                 p99_us: stage.wall.p99_us,
             })
             .collect(),
-        calibration: metrics.calibration,
         timeseries: metrics.timeseries,
         folded_profile: engine.op_profile().folded(),
     };
@@ -992,7 +934,6 @@ mod tests {
     fn report_json_carries_every_headline_field() {
         let report = ServingReport {
             arch: "h800".into(),
-            routing: "least-loaded".into(),
             mode: "open".into(),
             offered: 100,
             completed: 90,
@@ -1032,22 +973,6 @@ mod tests {
                 p50_us: 120.0,
                 p99_us: 800.0,
             }],
-            calibration: vec![CalibrationSnapshot {
-                class: "softmax".into(),
-                arch: "NVIDIA H800".into(),
-                backend: "tile-vm".into(),
-                fingerprint: 7,
-                samples: 80,
-                predicted_mean_us: 10.0,
-                measured_mean_us: 9.0,
-                mape_pct: 10.0,
-                rel_err_p50: 0.1,
-                rel_err_p95: 0.1,
-                mean_ratio: 0.9,
-                last_ratio: 0.9,
-                drift_count: 0,
-                drifting: false,
-            }],
             timeseries: TimeSeriesSnapshot {
                 window_ms: 250,
                 windows: vec![WindowSnapshot {
@@ -1063,7 +988,6 @@ mod tests {
         let json = report.to_json();
         for key in [
             "\"bench\": \"serving\"",
-            "\"routing\": \"least-loaded\"",
             "\"throughput_rps\": 60.000",
             "\"wall_p99_us\": 900.000",
             "\"sim_p50_us\": 5.000",
@@ -1074,9 +998,6 @@ mod tests {
             "\"busy_sim_us\":75000.000",
             "\"lanes\": [{\"lane\":\"high\"",
             "\"stages\": [{\"stage\":\"e2e\",\"count\":90,\"p50_us\":120.000",
-            "\"calibration\": [{\"class\":\"softmax\",\"arch\":\"NVIDIA H800\"",
-            "\"mape_pct\":10.000",
-            "\"drifting\":false",
             "\"timeseries\": {\"window_ms\": 250, \"windows\": [{\"start_ms\":0",
             "\"throughput_rps\":360.000",
         ] {
@@ -1085,7 +1006,6 @@ mod tests {
         assert!(report.summary().contains("90"));
         assert!(report.summary().contains("stage e2e"));
         assert!(report.summary().contains("device 0 [h800 / tile-vm]"));
-        assert!(report.summary().contains("calibration: 1 ledger entries"));
         assert!(report.summary().contains("latest window (250 ms)"));
         // Non-finite metrics must not produce invalid JSON.
         assert_eq!(json_num(f64::NAN), "null");
@@ -1093,7 +1013,7 @@ mod tests {
         let suite = suite_to_json(&[("single".to_string(), report.clone())]);
         assert!(suite.contains("\"bench\": \"serving-suite\""));
         assert!(suite.contains("\"name\": \"single\""));
-        assert!(suite.contains("\"routing\": \"least-loaded\""));
+        assert!(suite.contains("\"mode\": \"open\""));
     }
 
     #[test]
@@ -1130,13 +1050,8 @@ mod tests {
             .expect("e2e stage present");
         assert_eq!(e2e.count, report.completed);
         assert!(e2e.p99_us >= e2e.p50_us);
-        // …and the calibration ledger and rolling telemetry, which the CI
-        // serving-smoke job asserts are non-empty in the committed report.
-        assert!(
-            report.calibration.iter().any(|e| e.class == "softmax"),
-            "softmax-heavy traffic calibrates the softmax estimate"
-        );
-        assert!(report.calibration.iter().all(|e| e.samples > 0));
+        // …and the rolling telemetry, which the CI serving-smoke job asserts
+        // is non-empty in the committed report.
         assert!(
             report.timeseries.latest_active().is_some(),
             "completions land in at least one telemetry window"
@@ -1249,7 +1164,6 @@ mod tests {
                 DeviceSpec::tile_vm(GpuArch::h800()),
                 DeviceSpec::tile_vm(GpuArch::h800()),
             ],
-            routing: RoutingPolicy::LeastLoaded,
             mode: Mode::Closed {
                 clients: 2,
                 window: 8,
@@ -1265,7 +1179,6 @@ mod tests {
         let report = run_trace(&config);
         assert_eq!(report.completed + report.failed + report.shed, 40);
         assert_eq!(report.arch, "NVIDIA H800+NVIDIA H800");
-        assert_eq!(report.routing, "least-loaded");
         assert_eq!(report.devices.len(), 2);
         let per_device: u64 = report.devices.iter().map(|d| d.completed).sum();
         assert_eq!(

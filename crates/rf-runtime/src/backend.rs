@@ -123,9 +123,8 @@ pub fn make_backend(kind: BackendKind, arch: GpuArch) -> Arc<dyn ExecBackend> {
 /// Multi-Segment segments of each row — so a device built with `workers(n)`
 /// can run up to `n × cores` threads while its workers all hold large
 /// requests, few-row long-context ones included; small requests stay on their
-/// worker's thread. `RoutingPolicy::RowShard` and the in-call row split divide
-/// the same rows — one across devices, one across cores — and every split
-/// leaves every output bit where the unsplit run puts it.
+/// worker's thread. Every split leaves every output bit where the unsplit run
+/// puts it.
 #[derive(Debug)]
 pub struct TileVmBackend {
     arch: GpuArch,

@@ -7,10 +7,10 @@
 //! letting the engine panic later.
 //!
 //! [`FleetConfig`] scales one engine to N devices: each [`DeviceSpec`] names
-//! an architecture and a [`BackendKind`], a [`RoutingPolicy`] decides
-//! placement at the shared front door, and the per-device tunables
-//! (`RuntimeConfig`) apply to every device uniformly — each device gets its
-//! own worker pool, plan cache and in-flight budget of that size.
+//! an architecture and a [`BackendKind`], the shared front door places each
+//! submission on the device with the shallowest queue, and the per-device
+//! tunables (`RuntimeConfig`) apply to every device uniformly — each device
+//! gets its own worker pool, plan cache and in-flight budget of that size.
 
 use crate::request::RuntimeError;
 use crate::submit::LANES;
@@ -224,68 +224,13 @@ impl DeviceSpec {
     }
 }
 
-/// How the fleet front door places submissions onto devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// Route to the device with the shallowest queue (ties to the lowest
-    /// device id). The default: balances load without any workload insight.
-    #[default]
-    LeastLoaded,
-    /// Route by a stable hash of the workload key, so identical shapes
-    /// always land on the same device — maximising that device's plan-cache
-    /// and batch locality.
-    StickyByKey,
-    /// Tensor-parallel row-sharding for the GEMM-dominated families whose
-    /// output rows are independent (MHA over query rows, quant-GEMM over
-    /// activation rows): the row block is split across every device and the
-    /// partial results are merged deterministically in device order.
-    /// Everything that cannot shard falls back to [`Self::LeastLoaded`].
-    RowShard,
-    /// Route to the device with the lowest *predicted completion time*:
-    /// queue backlog × the device's calibrated per-class latency estimate
-    /// (measured wall µs from the calibration ledger, falling back to the
-    /// device's observed mean and finally to plain least-loaded while cold).
-    /// Opt-in: unlike [`Self::LeastLoaded`] this biases toward devices that
-    /// have *measured* faster, so a straggler arch stops absorbing half the
-    /// queue just because its queue drains slowly.
-    PredictedLatency,
-}
-
-impl RoutingPolicy {
-    /// The policy's stable name (`"least-loaded"`, `"sticky"`,
-    /// `"row-shard"`, `"predicted-latency"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            RoutingPolicy::LeastLoaded => "least-loaded",
-            RoutingPolicy::StickyByKey => "sticky",
-            RoutingPolicy::RowShard => "row-shard",
-            RoutingPolicy::PredictedLatency => "predicted-latency",
-        }
-    }
-
-    /// Looks a policy up by (case-insensitive) name.
-    pub fn by_name(name: &str) -> Option<RoutingPolicy> {
-        match name.to_ascii_lowercase().as_str() {
-            "least-loaded" | "leastloaded" | "least" => Some(RoutingPolicy::LeastLoaded),
-            "sticky" | "sticky-by-key" => Some(RoutingPolicy::StickyByKey),
-            "row-shard" | "rowshard" | "shard" => Some(RoutingPolicy::RowShard),
-            "predicted-latency" | "predicted" | "predictedlatency" => {
-                Some(RoutingPolicy::PredictedLatency)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Configuration of a multi-device fleet engine: the device list, the
-/// routing policy, and the per-device tunables.
+/// Configuration of a multi-device fleet engine: the device list and the
+/// per-device tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// The devices, in id order. Device `i` of the running fleet is
     /// `devices[i]`.
     pub devices: Vec<DeviceSpec>,
-    /// How the front door places submissions.
-    pub routing: RoutingPolicy,
     /// Per-device tunables: every device gets its own worker pool, plan
     /// cache, and in-flight budget of this size. The trace level is shared
     /// (one collector serves the whole fleet, events are device-tagged).
@@ -306,24 +251,13 @@ impl FleetConfig {
             devices: (0..devices)
                 .map(|_| DeviceSpec::tile_vm(arch.clone()))
                 .collect(),
-            routing: RoutingPolicy::default(),
             runtime,
         }
     }
 
     /// An explicitly mixed fleet.
     pub fn heterogeneous(devices: Vec<DeviceSpec>, runtime: RuntimeConfig) -> Self {
-        FleetConfig {
-            devices,
-            routing: RoutingPolicy::default(),
-            runtime,
-        }
-    }
-
-    /// Returns the configuration with `routing` as the placement policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
+        FleetConfig { devices, runtime }
     }
 
     /// Checks the fleet's invariants: a non-empty device list and a valid
@@ -486,7 +420,6 @@ mod tests {
     fn fleet_config_validates_devices_and_names_round_trip() {
         let fleet = FleetConfig::homogeneous(GpuArch::a10(), 4, RuntimeConfig::default());
         assert_eq!(fleet.devices.len(), 4);
-        assert_eq!(fleet.routing, RoutingPolicy::LeastLoaded);
         assert!(fleet.validate().is_ok());
         let empty = FleetConfig::heterogeneous(Vec::new(), RuntimeConfig::default());
         let err = empty.validate().unwrap_err();
@@ -496,18 +429,9 @@ mod tests {
         let mut bad = FleetConfig::single(GpuArch::a10());
         bad.runtime.workers = 0;
         assert!(bad.validate().is_err());
-        for policy in [
-            RoutingPolicy::LeastLoaded,
-            RoutingPolicy::StickyByKey,
-            RoutingPolicy::RowShard,
-            RoutingPolicy::PredictedLatency,
-        ] {
-            assert_eq!(RoutingPolicy::by_name(policy.name()), Some(policy));
-        }
         for kind in [BackendKind::TileVm, BackendKind::CostModel] {
             assert_eq!(BackendKind::by_name(kind.name()), Some(kind));
         }
-        assert!(RoutingPolicy::by_name("fifo").is_none());
         assert!(BackendKind::by_name("fpga").is_none());
     }
 

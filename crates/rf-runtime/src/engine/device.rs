@@ -9,6 +9,7 @@
 //! [`TraceCollector`]; every event a device records is tagged with its id so
 //! the exported trace groups per device.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,7 +26,7 @@ use crate::submit::{GraphStats, Priority, RequestTiming, Response, Submission};
 
 /// Microseconds from `from` to `to` (0 when the clock says they inverted —
 /// the metrics path must never panic on a monotonic-clock edge case).
-pub(crate) fn duration_us(from: Instant, to: Instant) -> f64 {
+fn duration_us(from: Instant, to: Instant) -> f64 {
     to.checked_duration_since(from)
         .map(|d| d.as_secs_f64() * 1e6)
         .unwrap_or(0.0)
@@ -49,15 +50,22 @@ pub(crate) struct DeviceShared {
     /// Disabled unless [`rf_trace::TraceConfig::profile`] is set, in which
     /// case workload batches execute through the backend's profiled path.
     pub profiler: Arc<OpProfiler>,
+    /// Host nanoseconds the executed workload batches took, plan ready to
+    /// the last delivery, and the requests they held: their ratio is the
+    /// host time one request costs this device.
+    batch_host_ns: AtomicU64,
+    batch_requests: AtomicU64,
 }
 
 impl DeviceShared {
     /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed:
     /// roughly how long until this device's in-flight budget frees up,
-    /// estimated as the mean simulated request latency times the iterations
-    /// queued ahead of a submission refused at `depth`. Only a shed reads it.
+    /// estimated as the mean host time per executed request times the
+    /// iterations queued ahead of a submission refused at `depth`. A client
+    /// sleeps on it, so it is on the host clock. Only a shed reads it.
     fn retry_hint(&self, depth: usize) -> Duration {
-        let mean_us = self.metrics.mean_us();
+        let requests = self.batch_requests.load(Relaxed).max(1);
+        let mean_us = self.batch_host_ns.load(Relaxed) as f64 / 1e3 / requests as f64;
         let iterations_ahead = (depth as f64 / self.scheduler.max_batch() as f64).max(1.0);
         let hint_us = (mean_us.max(10.0) * iterations_ahead).clamp(100.0, 100_000.0);
         Duration::from_micros(hint_us as u64)
@@ -162,6 +170,8 @@ impl Device {
             ),
             trace,
             profiler,
+            batch_host_ns: AtomicU64::new(0),
+            batch_requests: AtomicU64::new(0),
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -266,6 +276,7 @@ fn run_workload_batch(
     let batch_size = work.len();
     let simulated_us = shared.backend.estimate_us(&plan.profile, batch_size);
     let (mut executed, mut failed) = (0usize, 0usize);
+    let mut last_delivered = plan_ready;
     for queued in work {
         let priority = queued.priority();
         let Submission::Workload { request, .. } = &queued.submission else {
@@ -285,6 +296,7 @@ fn run_workload_batch(
             shared.backend.execute(&plan, request)
         };
         let delivered_at = Instant::now();
+        last_delivered = delivered_at;
         let timing = RequestTiming {
             queue_us: duration_us(queued.submitted_at, formed_at),
             compile_us,
@@ -335,17 +347,11 @@ fn run_workload_batch(
         }
         queued.fulfil(result);
     }
-    // Calibrate the cost model: the analytical estimate for this batch
-    // against the wall-clock time the backend actually took to serve it.
-    let measured_us = duration_us(plan_ready, Instant::now());
-    shared.metrics.record_calibration(
-        class,
-        shared.backend.arch().name,
-        shared.backend.fingerprint(),
-        shared.backend.name(),
-        simulated_us,
-        measured_us,
-    );
+    let host_ns = last_delivered
+        .saturating_duration_since(plan_ready)
+        .as_nanos() as u64;
+    shared.batch_host_ns.fetch_add(host_ns, Relaxed);
+    shared.batch_requests.fetch_add(batch_size as u64, Relaxed);
     shared
         .metrics
         .record_batch(class, executed, failed, simulated_us, cache_hit);
@@ -533,14 +539,6 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
             // already-compiled plan.
             let cache_hit =
                 stats.fused_regions > 0 && stats.region_cache_hits == stats.fused_regions;
-            shared.metrics.record_calibration(
-                "graph",
-                shared.backend.arch().name,
-                shared.backend.fingerprint(),
-                shared.backend.name(),
-                graph_response.simulated_us,
-                timing.execute_us,
-            );
             shared
                 .metrics
                 .record_batch("graph", 1, 0, graph_response.simulated_us, cache_hit);
@@ -686,6 +684,51 @@ mod tests {
         let snapshot = shared.snapshot();
         assert_eq!((snapshot.completed, snapshot.failed), (3, 0));
         assert_eq!(snapshot.batches, 2);
+        shared.scheduler.shutdown();
+        device.join_workers();
+    }
+
+    #[test]
+    fn a_shed_retry_hint_is_on_the_host_clock() {
+        // Call 0 is held ≥ 10 ms past its iteration's start, so one request
+        // has cost this device ≥ 5 ms of host time; call 1 then fills the
+        // one-slot budget and the next submission is shed. Its hint must
+        // reflect the host cost, not the few simulated microseconds.
+        let (backend, cues) = CuedBackend::new(2, &[0, 1]);
+        let config = RuntimeConfig::builder()
+            .workers(1)
+            .max_batch(1)
+            .max_in_flight(1)
+            .build()
+            .unwrap();
+        let trace = Arc::new(TraceCollector::new(TraceConfig::default()));
+        let profiler = Arc::new(OpProfiler::new(false));
+        let mut device = Device::start_with_backend(0, backend, &config, trace, profiler);
+        let shared = Arc::clone(&device.shared);
+        let request = |seed: u64| Request::softmax(Matrix::random(2, 16, seed, -1.0, 1.0));
+        // A warm plan: the iteration reaches `execute` without compiling.
+        shared.cache.get_or_compile(&request(0).workload);
+        let held = shared.enqueue(0, Submission::workload(request(0))).unwrap();
+        while shared.scheduler.iterations() == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        cues[0].send(()).unwrap();
+        held.wait().unwrap();
+        shared.scheduler.wait_drained();
+        let plug = shared.enqueue(1, Submission::workload(request(1))).unwrap();
+        let err = shared
+            .enqueue(2, Submission::workload(request(2)))
+            .unwrap_err();
+        let RuntimeError::Overloaded { retry_hint, .. } = err else {
+            panic!("a full budget sheds, got {err:?}");
+        };
+        assert!(
+            retry_hint >= Duration::from_millis(5),
+            "the hint follows the host cost of a request, got {retry_hint:?}"
+        );
+        cues[1].send(()).unwrap();
+        plug.wait().unwrap();
         shared.scheduler.shutdown();
         device.join_workers();
     }

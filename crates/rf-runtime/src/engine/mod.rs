@@ -6,11 +6,9 @@
 //! [`Submission`] and resolves to a [`crate::Response`] through the returned
 //! [`Ticket`]. The engine is a **fleet**: one or more devices (`device`
 //! module), each owning its own [`crate::backend::ExecBackend`], plan/tuning
-//! caches, work queue and workers, behind a routing policy (`router` module)
-//! that decides placement at submission time ([`crate::RoutingPolicy`]).
-//! Row-shardable workloads can fan out across every device and are
-//! reassembled deterministically by the `fleet` module's merger. A one-device
-//! fleet behaves exactly like the pre-fleet single-arch engine.
+//! caches, work queue and workers. A submission goes to the device with the
+//! shallowest queue (`fleet` module). A one-device fleet behaves exactly
+//! like the pre-fleet single-arch engine.
 //!
 //! ```
 //! use rf_gpusim::GpuArch;
@@ -56,7 +54,6 @@
 
 mod device;
 mod fleet;
-mod router;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,7 +61,7 @@ use rf_gpusim::GpuArch;
 use rf_trace::{OpProfileSnapshot, TraceCollector, TraceSnapshot};
 
 use crate::cache::CacheStats;
-use crate::config::{DeviceSpec, FleetConfig, RoutingPolicy, RuntimeConfig};
+use crate::config::{DeviceSpec, FleetConfig, RuntimeConfig};
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
 use crate::request::RuntimeError;
 use crate::stream::Ticket;
@@ -92,8 +89,8 @@ pub struct DeviceSnapshot {
 
 /// A concurrent serving engine over a fleet of one or more devices.
 ///
-/// [`Engine::submit`] validates a [`Submission`], routes it to a device per
-/// the fleet's [`RoutingPolicy`] and returns a [`Ticket`]; each device's
+/// [`Engine::submit`] validates a [`Submission`], places it on the device
+/// with the shallowest queue and returns a [`Ticket`]; each device's
 /// worker pool serves its stream in iterations, grouping shape-compatible
 /// requests into batches formed at each iteration boundary, compiling (or
 /// re-using) fused plans via its own [`crate::PlanCache`] and executing
@@ -142,7 +139,6 @@ impl Engine {
     pub fn try_with_config(arch: GpuArch, config: RuntimeConfig) -> Result<Self, RuntimeError> {
         Engine::try_with_fleet(FleetConfig {
             devices: vec![DeviceSpec::tile_vm(arch)],
-            routing: RoutingPolicy::default(),
             runtime: config,
         })
     }
@@ -187,25 +183,15 @@ impl Engine {
         self.fleet.devices.len()
     }
 
-    /// The placement policy the front door routes with.
-    pub fn routing(&self) -> RoutingPolicy {
-        self.fleet.routing
-    }
-
     /// Validates and enqueues a submission, returning the completion ticket.
     /// Accepts anything convertible into a [`Submission`] — in particular a
     /// bare [`Request`](crate::Request), which submits at
     /// [`crate::Priority::Normal`].
     ///
-    /// Placement follows the fleet's [`RoutingPolicy`]: least-loaded picks
-    /// the shallowest queue, sticky-by-key hashes the workload key,
-    /// predicted-latency weighs each device's backlog by its calibrated
-    /// per-class cost, and row-shard fans eligible workloads out across
-    /// every device (the returned ticket then resolves to the merged
-    /// response). The request
-    /// joins its device's open stream immediately: if a batch is executing
-    /// right now, the request is eligible for the next iteration boundary —
-    /// it never waits for the queue to drain.
+    /// The submission goes to the device with the shallowest queue (ties to
+    /// the lowest id) and joins its open stream immediately: if a batch is
+    /// executing right now, the request is eligible for the next iteration
+    /// boundary — it never waits for the queue to drain.
     ///
     /// # Errors
     ///
@@ -219,58 +205,17 @@ impl Engine {
             crate::request::validate(&request.workload, &request.input)?;
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if self.fleet.routing == RoutingPolicy::RowShard && self.fleet.devices.len() > 1 {
-            if let Submission::Workload { request, priority } = &submission {
-                if let Some(shards) = router::shard_request(request, self.fleet.devices.len()) {
-                    let priority = *priority;
-                    return self.fleet.submit_sharded(
-                        id,
-                        &self.next_id,
-                        submission,
-                        shards,
-                        priority,
-                    );
-                }
-            }
-        }
-        let target = if self.fleet.devices.len() == 1 {
-            0
-        } else if self.fleet.routing == RoutingPolicy::PredictedLatency {
-            // Predicted completion time: backlog × this device's calibrated
-            // per-class cost. An uncalibrated device falls back to its
-            // observed mean, and while everything is cold the costs are
-            // equal and the choice degrades to least-loaded.
-            let class = match &submission {
-                Submission::Workload { request, .. } => request.workload.class(),
-                Submission::Graph { .. } => "graph",
-            };
-            let costs: Vec<f64> = self
-                .fleet
-                .devices
-                .iter()
-                .map(|device| {
-                    let metrics = &device.shared.metrics;
-                    metrics
-                        .calibrated_us(class)
-                        .unwrap_or_else(|| metrics.mean_us())
-                })
-                .collect();
-            router::predicted_latency(&self.fleet.depths(), &costs)
-        } else {
-            router::route(self.fleet.routing, &submission, &self.fleet.depths())
-        };
-        self.fleet.devices[target].shared.enqueue(id, submission)
+        self.fleet.least_loaded().shared.enqueue(id, submission)
     }
 
-    /// Blocks until every accepted submission has been executed (and every
-    /// row-sharded submission has been merged and delivered).
+    /// Blocks until every accepted submission has been executed.
     pub fn run_until_drained(&self) {
         self.fleet.wait_drained();
     }
 
     /// Submissions currently queued or executing, summed over the fleet.
     pub fn queue_depth(&self) -> usize {
-        self.fleet.depths().iter().sum()
+        self.fleet.depth()
     }
 
     /// Queued submissions per priority lane (high, normal, low), summed over
@@ -404,7 +349,6 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("arch", &self.arch().name)
             .field("devices", &self.devices())
-            .field("routing", &self.fleet.routing.name())
             .field("queue_depth", &self.queue_depth())
             .finish()
     }
@@ -875,7 +819,7 @@ mod tests {
         assert_eq!(metrics.trace_level, rf_trace::TraceLevel::Off);
         assert!(metrics.stages.iter().all(|s| s.wall.count == 0));
         assert!(metrics.lanes.iter().all(|l| l.wall.count == 0));
-        assert!(metrics.calibration.is_empty() && metrics.timeseries.is_empty());
+        assert!(metrics.timeseries.is_empty());
         // The simulated-latency statistic is on at every level; a batch is
         // recorded once its iteration finishes.
         engine.run_until_drained();
@@ -919,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_populates_calibration_and_timeseries() {
+    fn serving_populates_the_timeseries() {
         let engine = tiny_engine(2);
         for seed in 0..6 {
             engine
@@ -928,15 +872,6 @@ mod tests {
         }
         engine.run_until_drained();
         let metrics = engine.metrics();
-        assert!(!metrics.calibration.is_empty());
-        let entry = &metrics.calibration[0];
-        assert_eq!(entry.class, "softmax");
-        assert_eq!(entry.arch, "NVIDIA A10");
-        assert_eq!(entry.backend, "tile-vm");
-        assert!(entry.samples >= 1);
-        assert!(entry.predicted_mean_us > 0.0);
-        assert!(entry.measured_mean_us > 0.0);
-        assert!(entry.mean_ratio > 0.0);
         let window = metrics
             .timeseries
             .latest_active()
@@ -946,7 +881,6 @@ mod tests {
         // The engine-level exposition carries the fleet families plus
         // per-device labels.
         let text = engine.prometheus();
-        assert!(text.contains("redfuser_calibration_mape_pct"));
         assert!(text.contains("redfuser_window_throughput_rps"));
         assert!(text.contains("redfuser_device_queue_depth{device=\"0\""));
     }
@@ -983,38 +917,6 @@ mod tests {
             .wait()
             .unwrap();
         assert!(plain.op_profile().is_empty());
-    }
-
-    #[test]
-    fn predicted_latency_fleet_serves_and_stays_correct() {
-        let engine = Engine::with_fleet(FleetConfig {
-            devices: vec![
-                DeviceSpec::tile_vm(GpuArch::a10()),
-                DeviceSpec::tile_vm(GpuArch::h800()),
-            ],
-            routing: RoutingPolicy::PredictedLatency,
-            runtime: RuntimeConfig::builder()
-                .workers(1)
-                .max_batch(4)
-                .build()
-                .unwrap(),
-        });
-        assert_eq!(engine.routing(), RoutingPolicy::PredictedLatency);
-        let requests: Vec<Request> = (0..12)
-            .map(|seed| Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
-            .collect();
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|r| engine.submit(r.clone()).unwrap())
-            .collect();
-        engine.run_until_drained();
-        for (request, ticket) in requests.iter().zip(tickets) {
-            let response = ticket.wait().unwrap();
-            let oracle = execute_reference(&request.workload, &request.input);
-            assert!(response.output.approx_eq(&oracle, 1e-9));
-            assert!(response.device < 2);
-        }
-        assert_eq!(engine.metrics().completed, 12);
     }
 
     #[test]

@@ -69,8 +69,7 @@ pub mod submit;
 pub use backend::{make_backend, CostModelBackend, ExecBackend, TileVmBackend};
 pub use cache::{CacheStats, PlanCache};
 pub use config::{
-    BackendKind, DeviceSpec, FleetConfig, LaneWeights, RoutingPolicy, RuntimeConfig,
-    RuntimeConfigBuilder,
+    BackendKind, DeviceSpec, FleetConfig, LaneWeights, RuntimeConfig, RuntimeConfigBuilder,
 };
 pub use engine::{DeviceSnapshot, Engine};
 pub use graph::{execute_graph_plan, execute_graph_plan_on, GraphResponse};
@@ -84,6 +83,6 @@ pub use submit::{GraphStats, Priority, RequestResult, RequestTiming, Response, S
 // Tracing/telemetry types (from `rf-trace`), re-exported so engine users
 // configure and consume tracing without naming the crate.
 pub use rf_trace::{
-    CalibrationSnapshot, HistogramSnapshot, OpProfileSnapshot, Stage, TimeSeriesSnapshot,
-    TraceCollector, TraceConfig, TraceLevel, TraceSnapshot, WindowSnapshot,
+    HistogramSnapshot, OpProfileSnapshot, Stage, TimeSeriesSnapshot, TraceCollector, TraceConfig,
+    TraceLevel, TraceSnapshot, WindowSnapshot,
 };

@@ -29,8 +29,8 @@ use std::time::Duration;
 
 use rf_codegen::TuningCacheStats;
 use rf_trace::{
-    CalibrationLedger, CalibrationSnapshot, HistogramSnapshot, LogHistogram, RollingTelemetry,
-    Stage, TimeSeriesSnapshot, TraceConfig, TraceLevel, WindowSnapshot, STAGES,
+    HistogramSnapshot, LogHistogram, RollingTelemetry, Stage, TimeSeriesSnapshot, TraceConfig,
+    TraceLevel, WindowSnapshot, STAGES,
 };
 
 use crate::cache::CacheStats;
@@ -69,13 +69,13 @@ struct LaneTrack {
 /// worker pool.
 #[derive(Debug, Default)]
 pub struct RuntimeMetrics {
-    /// How much telemetry to record (the wall-clock histograms, the
-    /// telemetry ring and calibration are skipped at [`TraceLevel::Off`]).
+    /// How much telemetry to record (the wall-clock histograms and the
+    /// telemetry ring are skipped at [`TraceLevel::Off`]).
     level: TraceLevel,
     /// Wall-clock per-stage histograms, indexed by [`Stage::index`].
     stage_walls: [LogHistogram; STAGES],
     /// Lifetime simulated per-request latency (all classes), recorded at
-    /// every level: its sum over its count is [`RuntimeMetrics::mean_us`].
+    /// every level.
     lifetime: LogHistogram,
     /// Last retry hint attached to a shed, as `f64::to_bits` microseconds.
     shed_retry_last_bits: AtomicU64,
@@ -98,8 +98,6 @@ pub struct RuntimeMetrics {
     region_lookups: AtomicU64,
     /// Fused-region plan lookups served from the plan cache.
     region_hits: AtomicU64,
-    /// Predicted-vs-measured latency ledger per (class, arch, backend).
-    calibration: CalibrationLedger,
     /// Rolling time-windowed telemetry (throughput, p99, shed rate, batch
     /// occupancy, busy fraction per fixed-width window).
     telemetry: RollingTelemetry,
@@ -229,10 +227,6 @@ pub struct MetricsSnapshot {
     pub region_lookups: u64,
     /// Fused-region plan lookups served from the plan cache.
     pub region_hits: u64,
-    /// Cost-model calibration per (class, arch, backend): predicted vs
-    /// measured latency, MAPE, relative-error percentiles and the drift
-    /// flag. Empty at [`TraceLevel::Off`].
-    pub calibration: Vec<CalibrationSnapshot>,
     /// Rolling time-windowed telemetry, oldest window first. Empty at
     /// [`TraceLevel::Off`].
     pub timeseries: TimeSeriesSnapshot,
@@ -308,7 +302,6 @@ impl RuntimeMetrics {
             mine.merge_from(theirs);
         }
         self.lifetime.merge_from(&other.lifetime);
-        self.calibration.merge_from(&other.calibration);
         self.telemetry.merge_from(&other.telemetry);
         let theirs = other.classes.lock().expect("metrics lock poisoned");
         let mut mine = self.classes.lock().expect("metrics lock poisoned");
@@ -399,15 +392,6 @@ impl RuntimeMetrics {
             .fetch_add(served as u64, Relaxed);
     }
 
-    /// Mean simulated request latency over the engine's lifetime, in
-    /// microseconds (`0.0` before the first served request): two relaxed
-    /// loads of the lifetime histogram. The engine derives a shed
-    /// submission's retry hint and an uncalibrated device's routing cost
-    /// from it.
-    pub fn mean_us(&self) -> f64 {
-        self.lifetime.mean_us()
-    }
-
     /// Records one batch of workload class `class`: `executed` requests were
     /// served successfully (each experiencing the batch's simulated latency
     /// `latency_us`) and `failed` requests were delivered an execution error.
@@ -450,34 +434,6 @@ impl RuntimeMetrics {
             self.telemetry
                 .record_batch(executed, failed, latency_us, executed + failed);
         }
-    }
-
-    /// Records one executed batch into the cost-model calibration ledger:
-    /// `predicted_us` is the analytical model's estimate for the batch,
-    /// `measured_us` the wall-clock time the backend actually took, keyed by
-    /// (workload class, arch, arch fingerprint, backend). No-op at
-    /// [`TraceLevel::Off`].
-    pub fn record_calibration(
-        &self,
-        class: &'static str,
-        arch: &'static str,
-        fingerprint: u64,
-        backend: &'static str,
-        predicted_us: f64,
-        measured_us: f64,
-    ) {
-        if !self.level.histograms_enabled() {
-            return;
-        }
-        self.calibration
-            .record(class, arch, fingerprint, backend, predicted_us, measured_us);
-    }
-
-    /// The calibrated (measured) mean latency in µs for `class`, `None`
-    /// until the ledger has seen at least one sample. The predicted-latency
-    /// router weighs per-device queue backlogs with this.
-    pub fn calibrated_us(&self, class: &str) -> Option<f64> {
-        self.calibration.calibrated_us(class)
     }
 
     /// Records one graph served end-to-end: `fused_ops` graph ops were
@@ -575,7 +531,6 @@ impl RuntimeMetrics {
             graph_glue_ops: self.graph_glue_ops.load(Relaxed),
             region_lookups: self.region_lookups.load(Relaxed),
             region_hits: self.region_hits.load(Relaxed),
-            calibration: self.calibration.snapshot(),
             timeseries: self.telemetry.snapshot(),
         }
     }
@@ -688,23 +643,6 @@ impl MetricsSnapshot {
                 ));
             }
         }
-        if !self.calibration.is_empty() {
-            out.push_str("  cost-model calibration\n");
-            for entry in &self.calibration {
-                out.push_str(&format!(
-                    "    {:<10} {:<10} n {:>6}  mape {:>6.1}%  rel-err p50 {:>5.2} p95 {:>5.2}  \
-                     ratio {:>9.2}{}\n",
-                    entry.class,
-                    entry.backend,
-                    entry.samples,
-                    entry.mape_pct,
-                    entry.rel_err_p50,
-                    entry.rel_err_p95,
-                    entry.mean_ratio,
-                    if entry.drifting { "  DRIFTING" } else { "" }
-                ));
-            }
-        }
         if let Some(window) = self.timeseries.latest_active() {
             out.push_str(&format!(
                 "  latest window ({} ms)  rps {:>8.1}  p99 {:>9.2} us  shed {:>5.1}%  \
@@ -754,7 +692,7 @@ impl MetricsSnapshot {
 /// The exposition's metric reference as a markdown table, one row per
 /// family in exposition order: name, kind, the clock its value is on
 /// (`sim` = simulated GPU time from the `rf-gpusim` model, `host` = wall
-/// time of this process, `sim+host` = a ratio or error relating the two,
+/// time of this process, `sim+host` = simulated time per host-clock window,
 /// `-` = a count), unit and help text. README embeds it; a test keeps the
 /// two equal.
 pub fn metric_reference() -> String {
@@ -776,7 +714,7 @@ type Emit<'a> = dyn FnMut(&str, &str, f64) + 'a;
 
 /// One exported metric family, declared once: the HELP/TYPE header, the
 /// README reference row and the samples all come from here. A family that
-/// yields no sample (an empty ledger, no active window) prints nothing.
+/// yields no sample (no active window, no device) prints nothing.
 struct Family {
     name: &'static str,
     kind: &'static str,
@@ -864,16 +802,6 @@ fn requests(m: &MetricsSnapshot, emit: &mut Emit) {
     outcomes(emit, "", [m.submitted, m.completed, m.failed, m.shed]);
 }
 
-fn calibration(m: &MetricsSnapshot, emit: &mut Emit, value: fn(&CalibrationSnapshot) -> f64) {
-    for e in &m.calibration {
-        let labels = format!(
-            "class=\"{}\",arch=\"{}\",backend=\"{}\"",
-            e.class, e.arch, e.backend
-        );
-        emit("", &labels, value(e));
-    }
-}
-
 fn latest_window(m: &MetricsSnapshot, emit: &mut Emit, value: fn(&WindowSnapshot) -> f64) {
     if let Some(window) = m.timeseries.latest_active() {
         emit("", "", value(window));
@@ -901,7 +829,7 @@ const FLEET_FAMILIES: &[Family] = &[
         emit("", "result=\"miss\"", m.cache.misses as f64);
         emit("", "result=\"eviction\"", m.cache.evictions as f64);
     }),
-    family!(gauge "redfuser_shed_retry_hint_us" ["sim", "us"]
+    family!(gauge "redfuser_shed_retry_hint_us" ["host", "us"]
         "Retry hint attached to the most recent shed, microseconds."
         => |m, emit| emit("", "", m.shed_retry_last_us)),
     family!(summary "redfuser_sim_latency_us" ["sim", "us"]
@@ -936,24 +864,6 @@ const FLEET_FAMILIES: &[Family] = &[
             summary(emit, &label("class", c.class), &c.lifetime);
         }
     }),
-    family!(counter "redfuser_calibration_samples_total" ["-", "pairs"]
-        "Predicted-vs-measured latency pairs recorded per (class, arch, backend)."
-        => |m, emit| calibration(m, emit, |e| e.samples as f64)),
-    family!(gauge "redfuser_calibration_mape_pct" ["sim+host", "percent"]
-        "Mean absolute percentage error of the cost model's predictions."
-        => |m, emit| calibration(m, emit, |e| e.mape_pct)),
-    family!(gauge "redfuser_calibration_rel_err_p50" ["sim+host", "ratio"]
-        "Median relative error of the cost model's predictions (windowed)."
-        => |m, emit| calibration(m, emit, |e| e.rel_err_p50)),
-    family!(gauge "redfuser_calibration_rel_err_p95" ["sim+host", "ratio"]
-        "95th-percentile relative error of the cost model's predictions (windowed)."
-        => |m, emit| calibration(m, emit, |e| e.rel_err_p95)),
-    family!(gauge "redfuser_calibration_mean_ratio" ["sim+host", "ratio"]
-        "Lifetime mean measured/predicted latency ratio."
-        => |m, emit| calibration(m, emit, |e| e.mean_ratio)),
-    family!(gauge "redfuser_calibration_drifting" ["sim+host", "bool"]
-        "1 when the mean measured/predicted ratio left the drift band."
-        => |m, emit| calibration(m, emit, |e| f64::from(e.drifting))),
     family!(gauge "redfuser_window_throughput_rps" ["host", "requests/s"]
         "Completions per second over the latest active telemetry window."
         => |m, emit| latest_window(m, emit, |w| w.throughput_rps)),
@@ -1038,7 +948,6 @@ mod tests {
             assert_eq!(snap.lifetime.p99_us, snap.lifetime.p50_us);
             assert_eq!(snap.lifetime.max_us, 10.0);
             assert_eq!(snap.lifetime.mean_us, 10.0, "the mean must stay finite");
-            assert_eq!(metrics.mean_us(), 10.0);
             assert_eq!(snap.busy_us, 10.0, "only the finite batch was busy time");
         }
     }
@@ -1113,7 +1022,6 @@ mod tests {
         assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
         assert!(within_a_bucket(snap.lifetime.p99_us, 50.0));
         assert!((snap.lifetime.mean_us - 20.0).abs() < 1e-12);
-        assert_eq!(metrics.mean_us(), snap.lifetime.mean_us);
         // Lane attribution: 4 normal submissions, 3 normal + 1 high served.
         assert_eq!(snap.lanes.len(), LANES);
         assert_eq!(snap.lanes[0].lane, "high");
@@ -1124,7 +1032,6 @@ mod tests {
     #[test]
     fn sheds_are_counted_per_lane_and_reported() {
         let metrics = ledger();
-        assert_eq!(metrics.mean_us(), 0.0, "no samples => zero mean");
         // An overloaded submission is first counted, then rolled back and
         // recorded as a shed — it must not inflate `submitted`.
         metrics.record_submit(Priority::Low);
@@ -1199,25 +1106,22 @@ mod tests {
         assert_eq!(snap.lanes[Priority::High.lane()].wall.count, 1);
         assert!(snap.report().contains("per-stage wall time"));
 
-        // The Off contract: the wall-clock histograms, the telemetry ring
-        // and calibration record nothing; the simulated-latency statistic
+        // The Off contract: the wall-clock histograms and the telemetry ring
+        // record nothing; the simulated-latency statistic
         // (and the counters) are always on.
         let off = RuntimeMetrics::with_trace(TraceConfig::off());
         off.record_submit(Priority::Normal);
         off.record_timing(Priority::Normal, &timing);
         off.record_batch("softmax", 4, 0, 10.0, true);
-        off.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 10.0, 9.0);
         let snap = off.snapshot(0, empty_cache_stats(), empty_tuning_stats());
         assert_eq!(snap.trace_level, TraceLevel::Off);
         assert!(snap.stages.iter().all(|s| s.wall.count == 0));
         assert!(snap.lanes.iter().all(|l| l.wall.count == 0));
         assert!(snap.timeseries.is_empty());
-        assert!(snap.calibration.is_empty());
         assert_eq!(snap.lifetime.count, 4);
         assert_eq!(snap.classes[0].lifetime.count, 4);
         assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
         assert_eq!((snap.batches, snap.busy_us), (1, 10.0));
-        assert_eq!(off.mean_us(), 10.0);
     }
 
     #[test]
@@ -1295,21 +1199,11 @@ mod tests {
     }
 
     #[test]
-    fn calibration_and_timeseries_ride_the_snapshot() {
+    fn timeseries_rides_the_snapshot() {
         let metrics = ledger();
         metrics.record_submit(Priority::Normal);
         metrics.record_batch("softmax", 2, 0, 10.0, false);
-        // 10% over-prediction on every sample: MAPE 10, no drift.
-        for _ in 0..4 {
-            metrics.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
-        }
         let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        assert_eq!(snap.calibration.len(), 1);
-        let entry = &snap.calibration[0];
-        assert_eq!((entry.class.as_str(), entry.samples), ("softmax", 4));
-        assert!((entry.mape_pct - 10.0).abs() < 1e-9);
-        assert!((entry.mean_ratio - 0.9).abs() < 1e-9);
-        assert!(!entry.drifting);
         // The telemetry ring saw both the submit and the batch in its
         // current window.
         let window = snap.timeseries.latest_active().expect("an active window");
@@ -1317,18 +1211,10 @@ mod tests {
         assert_eq!(window.completed, 2);
         assert!(window.throughput_rps > 0.0);
         assert!(within_a_bucket(window.p99_us, 10.0));
-        // Both surface in the report and the exposition.
-        let report = snap.report();
-        assert!(report.contains("cost-model calibration"));
-        assert!(!report.contains("DRIFTING"));
-        assert!(report.contains("latest window"));
+        // It surfaces in the report and the exposition.
+        assert!(snap.report().contains("latest window"));
         let text = snap.prometheus();
         for needle in [
-            "redfuser_calibration_samples_total{class=\"softmax\",arch=\"NVIDIA A10\",\
-             backend=\"tile-vm\"} 4",
-            "# TYPE redfuser_calibration_mape_pct gauge",
-            "redfuser_calibration_drifting{class=\"softmax\",arch=\"NVIDIA A10\",\
-             backend=\"tile-vm\"} 0",
             "redfuser_window_throughput_rps",
             "redfuser_window_busy_frac",
         ] {
@@ -1337,7 +1223,7 @@ mod tests {
                 "exposition must contain `{needle}`:\n{text}"
             );
         }
-        // The new families keep every line scrape-parseable.
+        // The window families keep every line scrape-parseable.
         for line in text.lines() {
             assert!(
                 line.starts_with('#')
@@ -1350,39 +1236,22 @@ mod tests {
     }
 
     #[test]
-    fn calibration_is_gated_off_and_merges_across_devices() {
-        // At TraceLevel::Off neither ledger records anything.
+    fn timeseries_is_gated_off_and_merges_across_devices() {
+        // At TraceLevel::Off the ring records nothing.
         let off = RuntimeMetrics::with_trace(TraceConfig::off());
-        off.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
         off.record_submit(Priority::Normal);
         off.record_batch("softmax", 1, 0, 10.0, false);
         let snap = off.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        assert!(snap.calibration.is_empty());
         assert!(snap.timeseries.is_empty());
-        assert_eq!(off.calibrated_us("softmax"), None);
 
         // Two device ledgers fold into one fleet view.
         let a = ledger();
         let b = ledger();
-        a.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
-        b.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 110.0);
-        b.record_calibration("mha", "NVIDIA H800", 7, "cost-model", 50.0, 50.0);
         b.record_batch("mha", 1, 0, 20.0, true);
         let merged = ledger();
         merged.merge_from(&a);
         merged.merge_from(&b);
         let snap = merged.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        assert_eq!(snap.calibration.len(), 2);
-        let softmax = snap
-            .calibration
-            .iter()
-            .find(|e| e.class == "softmax")
-            .unwrap();
-        assert_eq!(softmax.samples, 2);
-        assert!((softmax.mean_ratio - 1.0).abs() < 1e-9);
-        // Calibrated cost: the sample-weighted measured mean.
-        assert_eq!(merged.calibrated_us("softmax"), Some(100.0));
-        assert_eq!(merged.calibrated_us("mha"), Some(50.0));
         // The merged telemetry ring carries b's batch.
         let window = snap.timeseries.latest_active().expect("an active window");
         assert_eq!(window.completed, 1);
@@ -1566,7 +1435,6 @@ mod tests {
         assert_eq!(merged.lifetime, single.lifetime);
         assert_eq!(merged.classes, single.classes);
         assert_eq!(merged.busy_us, single.busy_us);
-        assert_eq!(fleet.mean_us(), union.mean_us());
         // The fast device holds half the requests: the fleet median sits at
         // the top of its range, p99 and p999 in the slow device's tail.
         let alone = devices[1].snapshot(0, empty_cache_stats(), empty_tuning_stats());

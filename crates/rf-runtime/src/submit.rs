@@ -236,8 +236,7 @@ pub struct Response {
     /// The lane the submission was served from.
     pub priority: Priority,
     /// The fleet device that served this submission (0 in a single-device
-    /// engine). A row-sharded submission ran on every device; this reports
-    /// the lowest participating id.
+    /// engine).
     pub device: usize,
     /// Graph-serving counters; `None` for workload submissions.
     pub graph: Option<GraphStats>,

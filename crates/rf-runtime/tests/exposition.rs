@@ -11,8 +11,10 @@
 //! table-driven and the sliding windows were deleted; that change moved the
 //! three `redfuser_device_p99_us` lines (HELP text, and both values from a
 //! linear-interpolation percentile over a sample window to the lifetime
-//! histogram's bucket-quantised p99) and nothing else. The
-//! `redfuser_window_*` lines are dropped: they depend on the wall clock.
+//! histogram's bucket-quantised p99) and nothing else. Deleting the
+//! calibration ledger then removed the `redfuser_calibration_*` and
+//! `calibration.*` lines and nothing else. The `redfuser_window_*` lines are
+//! dropped: they depend on the wall clock.
 //!
 //! Re-record (copy the file the failure message names over the golden one)
 //! only in a PR that adds or removes a metric family, and list the lines that
@@ -67,11 +69,6 @@ fn replay_device_0(m: &RuntimeMetrics) {
     m.record_served(Priority::High, 9);
     m.record_failed(Priority::Normal, 1);
     m.record_shed(Priority::Low, Duration::from_micros(750));
-    for _ in 0..5 {
-        m.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 90.0);
-    }
-    m.record_calibration("softmax", "NVIDIA A10", 42, "tile-vm", 100.0, 130.0);
-    m.record_calibration("mha", "NVIDIA A10", 42, "tile-vm", 2.0, 128.0);
     m.record_graph(9, 8, 0, 2);
     m.record_graph(9, 8, 2, 2);
     m.record_batch("graph", 1, 0, 75.5, false);
@@ -102,10 +99,6 @@ fn replay_device_1(m: &RuntimeMetrics) {
     m.record_served(Priority::Low, 6);
     m.record_shed(Priority::Low, Duration::from_micros(200));
     m.record_shed(Priority::High, Duration::from_micros(400));
-    for _ in 0..3 {
-        m.record_calibration("softmax", "NVIDIA H800", 7, "cost-model", 50.0, 50.0);
-    }
-    m.record_calibration("quant", "NVIDIA H800", 7, "cost-model", 40.0, 44.0);
 }
 
 fn cache(hits: u64, misses: u64, evictions: u64, entries: usize) -> CacheStats {
@@ -207,18 +200,6 @@ fn counters(s: &MetricsSnapshot) -> String {
                 class.batches,
                 class.cache_hits,
                 class.lifetime.count
-            ),
-        );
-    }
-    for entry in &s.calibration {
-        line(
-            &format!(
-                "calibration.{}.{}.{}",
-                entry.class, entry.arch, entry.backend
-            ),
-            format!(
-                "samples {} drift_count {}",
-                entry.samples, entry.drift_count
             ),
         );
     }

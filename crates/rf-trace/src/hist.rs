@@ -178,15 +178,6 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Lifetime mean in microseconds (`0.0` before the first sample): two
-    /// relaxed loads, no bucket walk.
-    pub fn mean_us(&self) -> f64 {
-        match self.count() {
-            0 => 0.0,
-            n => self.sum_ns.load(Ordering::Relaxed) as f64 / n as f64 / 1000.0,
-        }
-    }
-
     /// Adds every sample of `other` into `self` — used to fold per-device
     /// histograms into one fleet-wide distribution. Bucket counts, the sample
     /// count, the nanosecond sum and the maximum all combine exactly (the
@@ -385,7 +376,6 @@ mod tests {
             }
             assert_eq!(state(&batched), state(&single), "n = {n}");
             assert_eq!(batched.snapshot(), single.snapshot(), "n = {n}");
-            assert_eq!(batched.mean_us(), batched.snapshot().mean_us);
         }
         let h = LogHistogram::new();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {

@@ -21,10 +21,6 @@
 //!   per `(device, class, region, op)`, exportable as folded-stack text for
 //!   `inferno`-style flamegraph tools ([`validate_folded`] checks the
 //!   format).
-//! * [`CalibrationLedger`] — predicted-vs-measured latency reconciliation
-//!   per `(class, arch, backend)`: MAPE, relative-error percentiles and a
-//!   drift flag that fires when the measured/predicted ratio leaves a
-//!   wide fixed band.
 //! * [`RollingTelemetry`] — a ring of fixed-width time windows (default
 //!   250 ms × 64) tracking throughput, p99, shed rate, batch occupancy and
 //!   busy fraction over time.
@@ -35,7 +31,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod calib;
 pub mod chrome;
 pub mod hist;
 pub mod json;
@@ -43,7 +38,6 @@ pub mod profile;
 pub mod span;
 pub mod timeseries;
 
-pub use calib::{CalibrationLedger, CalibrationSnapshot};
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceStats};
 pub use hist::{quantile_sorted, HistogramSnapshot, LogHistogram, SUB_BUCKETS};
 pub use profile::{validate_folded, OpProfileEntry, OpProfileSnapshot, OpProfiler, OpSample};

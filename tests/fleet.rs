@@ -1,8 +1,7 @@
 //! Multi-device fleet serving: the differential guarantee that a one-device
-//! fleet behaves exactly like the single-arch engine, the routing-policy
-//! invariants (sticky keys stay put, least-loaded never routes to a device
-//! above the minimum backlog, row-sharded GEMMs merge back to the unsharded
-//! numbers), and per-device ledger conservation under a concurrent flood.
+//! fleet behaves exactly like the single-arch engine, the placement
+//! invariant (least-loaded never routes to a device above the minimum
+//! backlog), and per-device ledger conservation under a concurrent flood.
 
 use std::sync::Arc;
 
@@ -10,8 +9,8 @@ use rf_codegen::Workload;
 use rf_gpusim::GpuArch;
 use rf_graph::builders;
 use rf_runtime::{
-    DeviceSpec, Engine, FleetConfig, Request, RequestInput, RequestOutput, RoutingPolicy,
-    RuntimeConfig, RuntimeError, Submission,
+    DeviceSpec, Engine, FleetConfig, Request, RequestInput, RequestOutput, RuntimeConfig,
+    RuntimeError, Submission,
 };
 use rf_workloads::{
     inertia_tiny, mha_tiny, mla_tiny, moe_tiny, quant_tiny, random_matrix, variance_tiny, Matrix,
@@ -108,7 +107,6 @@ fn one_device_fleet_is_differentially_identical_to_the_plain_engine() {
     let plain = Engine::with_config(GpuArch::a10(), runtime_config(2, 4, 1024));
     let fleet = Engine::with_fleet(FleetConfig {
         devices: vec![DeviceSpec::tile_vm(GpuArch::a10())],
-        routing: RoutingPolicy::LeastLoaded,
         runtime: runtime_config(2, 4, 1024),
     });
     let plain_outputs = serve_all(&plain, &requests);
@@ -147,47 +145,6 @@ fn one_device_fleet_is_differentially_identical_to_the_plain_engine() {
     let snapshots = fleet.device_snapshots();
     assert_eq!(snapshots.len(), 1);
     assert_eq!(snapshots[0].metrics.completed, fm.completed);
-}
-
-/// Sticky routing: the same workload key always lands on the same device,
-/// regardless of tensor values, so its plan cache and batches stay hot.
-#[test]
-fn sticky_routing_pins_each_key_to_one_device() {
-    let engine = Engine::with_fleet(
-        FleetConfig::homogeneous(GpuArch::a10(), 4, runtime_config(1, 4, 4096))
-            .with_routing(RoutingPolicy::StickyByKey),
-    );
-    assert_eq!(engine.routing(), RoutingPolicy::StickyByKey);
-    // Several distinct keys (shapes), several submissions per key with
-    // different values.
-    let shapes = [(2usize, 32usize), (4, 64), (8, 16), (3, 48), (5, 96)];
-    let mut homes: Vec<Option<usize>> = vec![None; shapes.len()];
-    for round in 0..6 {
-        for (which, &(rows, cols)) in shapes.iter().enumerate() {
-            let seed = (round * 100 + which) as u64;
-            let response = engine
-                .submit(Request::softmax(random_matrix(rows, cols, seed, -1.0, 1.0)))
-                .unwrap()
-                .wait()
-                .unwrap();
-            match homes[which] {
-                None => homes[which] = Some(response.device),
-                Some(home) => assert_eq!(
-                    response.device, home,
-                    "shape {rows}x{cols} moved devices between submissions"
-                ),
-            }
-        }
-    }
-    engine.run_until_drained();
-    // Per-device cache misses: each device compiled exactly the keys pinned
-    // to it, once each — sticky keeps plan caches disjoint.
-    let total_misses: u64 = engine
-        .device_snapshots()
-        .iter()
-        .map(|d| d.metrics.cache.misses)
-        .sum();
-    assert_eq!(total_misses as usize, shapes.len());
 }
 
 /// Least-loaded routing: every submission goes to a device whose backlog, at
@@ -249,79 +206,6 @@ fn least_loaded_never_routes_above_the_minimum_backlog() {
         ticket.wait().unwrap();
     }
     assert_eq!(engine.metrics().completed, 32);
-}
-
-/// Row-shard routing: an MHA or quant-GEMM request fanned out across the
-/// fleet merges back to exactly the numbers a single device produces, and
-/// the merged response reports the fan-out.
-#[test]
-fn row_sharded_requests_merge_back_to_the_unsharded_numbers() {
-    let single = Engine::with_config(GpuArch::a10(), runtime_config(1, 4, 1024));
-    let sharded = Engine::with_fleet(
-        FleetConfig::homogeneous(GpuArch::a10(), 4, runtime_config(1, 4, 1024))
-            .with_routing(RoutingPolicy::RowShard),
-    );
-    let mha = mha_tiny();
-    let mha_request = Request::new(
-        Workload::Mha(rf_workloads::MhaConfig {
-            q: 8,
-            ..mha.clone()
-        }),
-        RequestInput::Attention {
-            q: random_matrix(8, mha.hd, 21, -1.0, 1.0),
-            k: random_matrix(mha.kv, mha.hd, 22, -1.0, 1.0),
-            v: random_matrix(mha.kv, mha.hd, 23, -1.0, 1.0),
-        },
-    )
-    .unwrap();
-    let quant = quant_tiny();
-    let quant_request = Request::new(
-        Workload::Quant(rf_workloads::QuantGemmConfig {
-            m: 8,
-            ..quant.clone()
-        }),
-        RequestInput::QuantGemm {
-            a: random_matrix(8, quant.k, 24, -2.0, 2.0),
-            w: random_matrix(quant.k, quant.n, 25, -1.0, 1.0),
-        },
-    )
-    .unwrap();
-    for request in [mha_request, quant_request] {
-        let reference = single
-            .submit(request.clone())
-            .unwrap()
-            .wait()
-            .unwrap()
-            .output;
-        let merged = sharded.submit(request.clone()).unwrap().wait().unwrap();
-        let RequestOutput::Matrix(merged_out) = &merged.output else {
-            panic!("row-shardable families produce matrices");
-        };
-        let RequestOutput::Matrix(reference_out) = &reference else {
-            panic!("row-shardable families produce matrices");
-        };
-        assert_eq!(
-            (merged_out.rows(), merged_out.cols()),
-            (reference_out.rows(), reference_out.cols())
-        );
-        assert_eq!(
-            merged_out,
-            reference_out,
-            "{}: sharded result diverged from the unsharded reference",
-            request.workload.name()
-        );
-    }
-    sharded.run_until_drained();
-    // The fan-out is visible in the per-device ledgers: every device served
-    // shards of both requests.
-    let snapshots = sharded.device_snapshots();
-    assert_eq!(snapshots.len(), 4);
-    assert!(snapshots.iter().all(|d| d.metrics.completed == 2));
-    // Non-shardable work under RowShard falls back to least-loaded and still
-    // serves correctly.
-    let softmax = Request::softmax(random_matrix(1, 64, 30, -1.0, 1.0));
-    let response = sharded.submit(softmax).unwrap().wait().unwrap();
-    assert!(response.simulated_us > 0.0);
 }
 
 /// Ledger conservation under a concurrent flood into a 4-device fleet with a
