@@ -13,9 +13,6 @@
 //! | key | default | meaning |
 //! |---|---|---|
 //! | `arch` | `h800` | `a10 \| a100 \| h800 \| mi308x` |
-//! | `devices` | unset | homogeneous fleet: N tile-VM devices of `arch` |
-//! | `fleet` | unset | heterogeneous fleet: `+`-separated `arch[:backend]` specs, e.g. `a10+h800:cost` (backends: `vm \| cost`); overrides `arch`/`devices` |
-//! | `suite` | unset | `fleet`: run the single/fleet4/hetero scenario suite and write one multi-scenario document |
 //! | `requests` | `256` | total submissions (workloads + graphs) |
 //! | `mode` | `closed` | `closed` (client windows) or `open` (Poisson) |
 //! | `clients` | `4` | closed loop: concurrent client threads |
@@ -40,8 +37,7 @@
 //! At `trace=full` the run additionally writes a Chrome trace-event JSON
 //! document (validated before writing) that loads directly into Perfetto
 //! (`ui.perfetto.dev`) or `chrome://tracing`. At `profile=1` it writes a
-//! folded-stack op profile (`device;class;region;op weight` lines — prefixed
-//! with the scenario name under `suite=fleet`) that feeds any
+//! folded-stack op profile (`class;region;op weight` lines) that feeds any
 //! inferno/flamegraph toolchain directly.
 //!
 //! The two historical positional arguments (`serve_trace [arch] [requests]`)
@@ -49,45 +45,20 @@
 
 use std::process::ExitCode;
 
-use rf_bench::serving::{run_traced, suite_to_json, Mode, TraceConfig};
+use rf_bench::serving::{run_traced, Mode, TraceConfig};
 use rf_gpusim::GpuArch;
-use rf_runtime::{BackendKind, DeviceSpec, RuntimeConfig};
+use rf_runtime::RuntimeConfig;
 use rf_trace::TraceLevel;
 
 struct Args {
     config: TraceConfig,
-    suite: bool,
     out: String,
     trace_out: String,
     profile_out: String,
 }
 
-/// Parses a `fleet=` spec: `+`-separated `arch[:backend]` items.
-fn parse_fleet(spec: &str) -> Result<Vec<DeviceSpec>, String> {
-    spec.split('+')
-        .map(|item| {
-            let (arch_name, backend) = match item.split_once(':') {
-                Some((arch_name, backend_name)) => (
-                    arch_name,
-                    BackendKind::by_name(backend_name).ok_or(format!(
-                        "unknown backend `{backend_name}` in fleet item `{item}` (expected vm|cost)"
-                    ))?,
-                ),
-                None => (item, BackendKind::TileVm),
-            };
-            let arch = GpuArch::by_name(arch_name).ok_or(format!(
-                "unknown arch `{arch_name}` in fleet item `{item}` (expected a10|a100|h800|mi308x)"
-            ))?;
-            Ok(DeviceSpec { arch, backend })
-        })
-        .collect()
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut arch = GpuArch::h800();
-    let mut device_count: usize = 0;
-    let mut fleet_spec: Option<String> = None;
-    let mut suite = false;
     let mut requests: u64 = 256;
     let mut mode = "closed".to_string();
     let mut clients: u64 = 4;
@@ -123,14 +94,6 @@ fn parse_args() -> Result<Args, String> {
                 arch = GpuArch::by_name(&value).ok_or(format!(
                     "unknown arch `{value}` (expected a10|a100|h800|mi308x)"
                 ))?;
-            }
-            "devices" => device_count = value.parse().map_err(|_| parse_err("an integer"))?,
-            "fleet" => fleet_spec = Some(value),
-            "suite" => {
-                if value != "fleet" {
-                    return Err(format!("unknown suite `{value}` (expected fleet)"));
-                }
-                suite = true;
             }
             "requests" => requests = value.parse().map_err(|_| parse_err("an integer"))?,
             "mode" => {
@@ -203,26 +166,15 @@ fn parse_args() -> Result<Args, String> {
     } else {
         Mode::Closed { clients, window }
     };
-    let devices = if let Some(spec) = fleet_spec {
-        parse_fleet(&spec)?
-    } else if device_count > 0 {
-        (0..device_count)
-            .map(|_| DeviceSpec::tile_vm(arch.clone()))
-            .collect()
-    } else {
-        Vec::new()
-    };
     Ok(Args {
         config: TraceConfig {
             arch,
-            devices,
             requests,
             mode,
             graph_every,
             seed,
             runtime,
         },
-        suite,
         out,
         trace_out,
         profile_out,
@@ -238,40 +190,6 @@ fn write_profile(path: &str, folded: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the fleet scenario suite off the base config: the same trace served
-/// by one device, by a homogeneous 4-device fleet, and by a heterogeneous
-/// tile-VM + cost-model pair. Returns the named reports in that order.
-fn run_fleet_suite(base: &TraceConfig) -> Vec<(String, rf_bench::serving::ServingReport)> {
-    let scenarios = [
-        ("single", vec![DeviceSpec::tile_vm(base.arch.clone())]),
-        (
-            "fleet4",
-            (0..4)
-                .map(|_| DeviceSpec::tile_vm(base.arch.clone()))
-                .collect(),
-        ),
-        (
-            "hetero",
-            vec![
-                DeviceSpec::tile_vm(GpuArch::a10()),
-                DeviceSpec::cost_model(GpuArch::h800()),
-            ],
-        ),
-    ];
-    scenarios
-        .into_iter()
-        .map(|(name, devices)| {
-            let config = TraceConfig {
-                devices,
-                ..base.clone()
-            };
-            let (report, _) = run_traced(&config);
-            println!("--- scenario {name} ---\n{}\n", report.summary());
-            (name.to_string(), report)
-        })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -280,51 +198,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if args.suite {
-        println!(
-            "serving fleet suite: {} requests per scenario, {:?}, base arch {}",
-            args.config.requests, args.config.mode, args.config.arch.name
-        );
-        let scenarios = run_fleet_suite(&args.config);
-        let single = scenarios[0].1.sim_throughput_rps;
-        let fleet4 = scenarios[1].1.sim_throughput_rps;
-        if single > 0.0 {
-            println!(
-                "fleet4 vs single simulated throughput: {:.2}x",
-                fleet4 / single
-            );
-        }
-        if let Err(err) = std::fs::write(&args.out, suite_to_json(&scenarios)) {
-            eprintln!("serve_trace: cannot write {}: {err}", args.out);
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", args.out);
-        if args.config.runtime.trace.profile {
-            // One folded-stack document for the whole suite: each frame is
-            // prefixed with its scenario name so the flamegraph separates
-            // single/fleet4/hetero at the root.
-            let folded: String = scenarios
-                .iter()
-                .flat_map(|(name, report)| {
-                    report
-                        .folded_profile
-                        .lines()
-                        .map(move |line| format!("{name};{line}\n"))
-                })
-                .collect();
-            if let Err(err) = write_profile(&args.profile_out, &folded) {
-                eprintln!("serve_trace: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
     println!(
-        "serving trace: {} requests, {:?}, arch {}, {} device(s)",
-        args.config.requests,
-        args.config.mode,
-        args.config.arch.name,
-        args.config.devices.len().max(1)
+        "serving trace: {} requests, {:?}, arch {}",
+        args.config.requests, args.config.mode, args.config.arch.name
     );
     let (report, trace_json) = run_traced(&args.config);
     println!("{}", report.summary());

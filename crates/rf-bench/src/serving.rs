@@ -29,8 +29,8 @@ use rf_codegen::Workload;
 use rf_gpusim::GpuArch;
 use rf_graph::{partition, GraphPlan, OpGraph};
 use rf_runtime::{
-    DeviceSpec, Engine, FleetConfig, Priority, Request, RequestInput, RuntimeConfig, RuntimeError,
-    Submission, Ticket, TimeSeriesSnapshot,
+    Engine, Priority, Request, RequestInput, RuntimeConfig, RuntimeError, Submission, Ticket,
+    TimeSeriesSnapshot,
 };
 use rf_trace::quantile_sorted;
 use rf_workloads::{
@@ -163,12 +163,8 @@ impl Mode {
 /// One serving-harness run.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
-    /// Target architecture (ignored when `devices` is non-empty).
+    /// Target architecture.
     pub arch: GpuArch,
-    /// Fleet devices to serve from. Empty (the default) runs a single
-    /// tile-VM device of `arch`; otherwise the engine is built as a fleet
-    /// of exactly these devices and `arch` is ignored.
-    pub devices: Vec<DeviceSpec>,
     /// Total submissions to offer (workloads + graphs).
     pub requests: u64,
     /// Load-generation mode.
@@ -186,7 +182,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             arch: GpuArch::h800(),
-            devices: Vec::new(),
             requests: 256,
             mode: Mode::Closed {
                 clients: 4,
@@ -231,34 +226,10 @@ pub struct StageReport {
     pub p99_us: f64,
 }
 
-/// Per-device outcome of a fleet run, carried in a [`ServingReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceReport {
-    /// Fleet device id (0-based).
-    pub device: usize,
-    /// The device's architecture name.
-    pub arch: String,
-    /// The device's execution backend name (`"tile-vm"` or `"cost-model"`).
-    pub backend: String,
-    /// Requests this device accepted.
-    pub submitted: u64,
-    /// Requests this device fully served.
-    pub completed: u64,
-    /// Requests shed at this device's admission control.
-    pub shed: u64,
-    /// Median simulated latency on this device, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile simulated latency on this device, microseconds.
-    pub p99_us: f64,
-    /// Total simulated busy time on this device, microseconds (each batch's
-    /// simulated latency counted once).
-    pub busy_sim_us: f64,
-}
-
 /// The outcome of one harness run — the numbers `BENCH_serving.json` records.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
-    /// Architecture name; a fleet joins its device architectures with `+`.
+    /// Architecture name.
     pub arch: String,
     /// `"closed"` or `"open"`.
     pub mode: String,
@@ -283,10 +254,7 @@ pub struct ServingReport {
     /// 99th-percentile simulated latency, microseconds.
     pub sim_p99_us: f64,
     /// Served requests per second of *simulated* device time: completions
-    /// over the busiest device's simulated busy time. This is the
-    /// device-domain throughput — wall-clock `throughput_rps` cannot show
-    /// fleet scaling when every simulated device shares one host core, but
-    /// simulated busy time can.
+    /// over the device's simulated busy time.
     pub sim_throughput_rps: f64,
     /// `shed / offered`, in `[0, 1]`.
     pub shed_rate: f64,
@@ -296,9 +264,6 @@ pub struct ServingReport {
     pub iterations: u64,
     /// Whole graphs served through the unified front door.
     pub graphs_served: u64,
-    /// Per-device outcomes, device 0 first (a single entry for a
-    /// single-device run).
-    pub devices: Vec<DeviceReport>,
     /// Per-lane traffic, highest lane first.
     pub lanes: Vec<LaneReport>,
     /// Wall-clock per-stage breakdown (queue/compile/tune/execute/e2e), in
@@ -307,7 +272,7 @@ pub struct ServingReport {
     /// Rolling time-windowed telemetry over the run. Empty when the engine
     /// ran with tracing off.
     pub timeseries: TimeSeriesSnapshot,
-    /// Folded-stack tile-VM op profile (`device;class;region;op weight`
+    /// Folded-stack tile-VM op profile (`class;region;op weight`
     /// lines, flamegraph-ready). Empty unless the run profiled
     /// ([`rf_trace::TraceConfig::profile`]).
     pub folded_profile: String,
@@ -324,29 +289,6 @@ fn json_num(value: f64) -> String {
 impl ServingReport {
     /// Serialises the report as the `BENCH_serving.json` document.
     pub fn to_json(&self) -> String {
-        let devices = self
-            .devices
-            .iter()
-            .map(|d| {
-                format!(
-                    concat!(
-                        "{{\"device\":{},\"arch\":\"{}\",\"backend\":\"{}\",",
-                        "\"submitted\":{},\"completed\":{},\"shed\":{},",
-                        "\"p50_us\":{},\"p99_us\":{},\"busy_sim_us\":{}}}"
-                    ),
-                    d.device,
-                    d.arch,
-                    d.backend,
-                    d.submitted,
-                    d.completed,
-                    d.shed,
-                    json_num(d.p50_us),
-                    json_num(d.p99_us),
-                    json_num(d.busy_sim_us)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
         let lanes = self
             .lanes
             .iter()
@@ -420,7 +362,6 @@ impl ServingReport {
                 "  \"mean_batch_occupancy\": {},\n",
                 "  \"iterations\": {},\n",
                 "  \"graphs_served\": {},\n",
-                "  \"devices\": [{}],\n",
                 "  \"lanes\": [{}],\n",
                 "  \"stages\": [{}],\n",
                 "  \"timeseries\": {{\"window_ms\": {}, \"windows\": [{}]}}\n",
@@ -443,7 +384,6 @@ impl ServingReport {
             json_num(self.mean_batch_occupancy),
             self.iterations,
             self.graphs_served,
-            devices,
             lanes,
             stages,
             self.timeseries.window_ms,
@@ -455,7 +395,7 @@ impl ServingReport {
     pub fn summary(&self) -> String {
         let mut out = format!(
             concat!(
-                "serving trace ({} loop, arch {}, {} device(s))\n",
+                "serving trace ({} loop, arch {})\n",
                 "  offered {} | completed {} | failed {} | shed {} ({:.1}%)\n",
                 "  wall-clock {:.3} s -> {:.1} req/s (sim {:.1} req/s)\n",
                 "  latency (wall) p50 {:.1} us, p99 {:.1} us\n",
@@ -464,7 +404,6 @@ impl ServingReport {
             ),
             self.mode,
             self.arch,
-            self.devices.len().max(1),
             self.offered,
             self.completed,
             self.failed,
@@ -481,20 +420,6 @@ impl ServingReport {
             self.mean_batch_occupancy,
             self.graphs_served
         );
-        for device in &self.devices {
-            out.push_str(&format!(
-                "\n  device {} [{} / {}]: {} served, {} shed, \
-                 p50 {:.1} us, p99 {:.1} us, busy {:.1} us",
-                device.device,
-                device.arch,
-                device.backend,
-                device.completed,
-                device.shed,
-                device.p50_us,
-                device.p99_us,
-                device.busy_sim_us
-            ));
-        }
         for stage in &self.stages {
             if stage.count == 0 {
                 continue;
@@ -518,28 +443,6 @@ impl ServingReport {
         }
         out
     }
-}
-
-/// Serialises several named runs as one multi-scenario
-/// `BENCH_serving.json` document: `{"bench": "serving-suite",
-/// "scenarios": [{"name": …, "report": {…}}, …]}`. Each embedded report is
-/// the exact [`ServingReport::to_json`] document.
-pub fn suite_to_json(scenarios: &[(String, ServingReport)]) -> String {
-    let body = scenarios
-        .iter()
-        .map(|(name, report)| {
-            let indented = report
-                .to_json()
-                .trim_end()
-                .lines()
-                .map(|line| format!("      {line}"))
-                .collect::<Vec<_>>()
-                .join("\n");
-            format!("    {{\n      \"name\": \"{name}\",\n      \"report\":\n{indented}\n    }}")
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!("{{\n  \"bench\": \"serving-suite\",\n  \"scenarios\": [\n{body}\n  ]\n}}\n")
 }
 
 /// The shared MoE-block graph every `graph_every`-th slot submits.
@@ -603,14 +506,7 @@ pub fn run_trace(config: &TraceConfig) -> ServingReport {
 /// [`rf_trace::TraceLevel::Full`] span recording (`None` otherwise). The
 /// JSON loads directly into Perfetto or `chrome://tracing`.
 pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
-    let engine = if config.devices.is_empty() {
-        Arc::new(Engine::with_config(config.arch.clone(), config.runtime))
-    } else {
-        Arc::new(Engine::with_fleet(FleetConfig {
-            devices: config.devices.clone(),
-            runtime: config.runtime,
-        }))
-    };
+    let engine = Arc::new(Engine::with_config(config.arch.clone(), config.runtime));
     let (graph, plan) = trace_graph();
     let start = Instant::now();
     let mut outcome = match config.mode {
@@ -644,35 +540,8 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
     // shared sort (they were previously re-sorted per percentile call).
     outcome.latencies_us.retain(|v| v.is_finite());
     outcome.latencies_us.sort_by(f64::total_cmp);
-    let devices: Vec<DeviceReport> = engine
-        .device_snapshots()
-        .iter()
-        .map(|d| DeviceReport {
-            device: d.device,
-            arch: d.arch.to_string(),
-            backend: d.backend.to_string(),
-            submitted: d.metrics.submitted,
-            completed: d.metrics.completed,
-            shed: d.metrics.shed,
-            p50_us: d.metrics.lifetime.p50_us,
-            p99_us: d.metrics.lifetime.p99_us,
-            busy_sim_us: d.metrics.busy_us,
-        })
-        .collect();
-    // Simulated-time throughput: the fleet finishes (in device time) when
-    // its busiest device does.
-    let busiest_us = devices.iter().map(|d| d.busy_sim_us).fold(0.0, f64::max);
-    let arch = if config.devices.is_empty() {
-        config.arch.name.to_string()
-    } else {
-        devices
-            .iter()
-            .map(|d| d.arch.as_str())
-            .collect::<Vec<_>>()
-            .join("+")
-    };
     let report = ServingReport {
-        arch,
+        arch: config.arch.name.to_string(),
         mode: config.mode.name().to_string(),
         offered,
         completed: outcome.completed,
@@ -688,8 +557,8 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
         wall_p99_us: quantile_sorted(&outcome.latencies_us, 0.99),
         sim_p50_us: metrics.lifetime.p50_us,
         sim_p99_us: metrics.lifetime.p99_us,
-        sim_throughput_rps: if busiest_us > 0.0 {
-            outcome.completed as f64 / (busiest_us * 1e-6)
+        sim_throughput_rps: if metrics.busy_us > 0.0 {
+            outcome.completed as f64 / (metrics.busy_us * 1e-6)
         } else {
             0.0
         },
@@ -701,7 +570,6 @@ pub fn run_traced(config: &TraceConfig) -> (ServingReport, Option<String>) {
         mean_batch_occupancy: metrics.mean_batch_size,
         iterations: metrics.batches,
         graphs_served: metrics.graphs_served,
-        devices,
         lanes: metrics
             .lanes
             .iter()
@@ -950,17 +818,6 @@ mod tests {
             mean_batch_occupancy: 3.5,
             iterations: 40,
             graphs_served: 9,
-            devices: vec![DeviceReport {
-                device: 0,
-                arch: "h800".into(),
-                backend: "tile-vm".into(),
-                submitted: 90,
-                completed: 90,
-                shed: 10,
-                p50_us: 5.0,
-                p99_us: 50.0,
-                busy_sim_us: 75000.0,
-            }],
             lanes: vec![LaneReport {
                 lane: "high".into(),
                 submitted: 25,
@@ -994,8 +851,6 @@ mod tests {
             "\"sim_throughput_rps\": 1200.000",
             "\"shed_rate\": 0.100",
             "\"mean_batch_occupancy\": 3.500",
-            "\"devices\": [{\"device\":0,\"arch\":\"h800\",\"backend\":\"tile-vm\"",
-            "\"busy_sim_us\":75000.000",
             "\"lanes\": [{\"lane\":\"high\"",
             "\"stages\": [{\"stage\":\"e2e\",\"count\":90,\"p50_us\":120.000",
             "\"timeseries\": {\"window_ms\": 250, \"windows\": [{\"start_ms\":0",
@@ -1005,15 +860,9 @@ mod tests {
         }
         assert!(report.summary().contains("90"));
         assert!(report.summary().contains("stage e2e"));
-        assert!(report.summary().contains("device 0 [h800 / tile-vm]"));
         assert!(report.summary().contains("latest window (250 ms)"));
         // Non-finite metrics must not produce invalid JSON.
         assert_eq!(json_num(f64::NAN), "null");
-        // The suite document embeds each named report verbatim.
-        let suite = suite_to_json(&[("single".to_string(), report.clone())]);
-        assert!(suite.contains("\"bench\": \"serving-suite\""));
-        assert!(suite.contains("\"name\": \"single\""));
-        assert!(suite.contains("\"mode\": \"open\""));
     }
 
     #[test]
@@ -1085,7 +934,10 @@ mod tests {
             rf_trace::validate_folded(&report.folded_profile).expect("folded profile is valid");
         assert!(frames >= 1, "profiled runs capture op frames");
         assert!(
-            report.folded_profile.contains(";softmax;"),
+            report
+                .folded_profile
+                .lines()
+                .any(|line| line.starts_with("softmax;")),
             "frames carry the workload class: {}",
             report.folded_profile
         );
@@ -1154,44 +1006,5 @@ mod tests {
             "admission control must still admit work"
         );
         assert!(report.mode == "open");
-    }
-
-    #[test]
-    fn fleet_trace_reports_per_device_outcomes_that_sum_to_the_total() {
-        let config = TraceConfig {
-            requests: 40,
-            devices: vec![
-                DeviceSpec::tile_vm(GpuArch::h800()),
-                DeviceSpec::tile_vm(GpuArch::h800()),
-            ],
-            mode: Mode::Closed {
-                clients: 2,
-                window: 8,
-            },
-            runtime: RuntimeConfig::builder()
-                .workers(1)
-                .max_batch(8)
-                .cache_capacity(32)
-                .build()
-                .unwrap(),
-            ..TraceConfig::default()
-        };
-        let report = run_trace(&config);
-        assert_eq!(report.completed + report.failed + report.shed, 40);
-        assert_eq!(report.arch, "NVIDIA H800+NVIDIA H800");
-        assert_eq!(report.devices.len(), 2);
-        let per_device: u64 = report.devices.iter().map(|d| d.completed).sum();
-        assert_eq!(
-            per_device, report.completed,
-            "per-device ledgers conserve the fleet total"
-        );
-        assert!(
-            report.devices.iter().all(|d| d.busy_sim_us > 0.0),
-            "least-loaded routing keeps both devices busy"
-        );
-        assert!(report.sim_throughput_rps > 0.0);
-        let json = report.to_json();
-        assert!(json.contains("\"devices\": [{\"device\":0,"));
-        assert!(json.contains("\"arch\": \"NVIDIA H800+NVIDIA H800\""));
     }
 }

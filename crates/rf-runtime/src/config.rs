@@ -5,16 +5,9 @@
 //! (zero worker counts, zero in-flight budgets, inverted priority-lane
 //! weights) with typed [`RuntimeError::InvalidConfig`] errors instead of
 //! letting the engine panic later.
-//!
-//! [`FleetConfig`] scales one engine to N devices: each [`DeviceSpec`] names
-//! an architecture and a [`BackendKind`], the shared front door places each
-//! submission on the device with the shallowest queue, and the per-device
-//! tunables (`RuntimeConfig`) apply to every device uniformly — each device
-//! gets its own worker pool, plan cache and in-flight budget of that size.
 
 use crate::request::RuntimeError;
 use crate::submit::LANES;
-use rf_gpusim::GpuArch;
 use rf_trace::{TraceConfig, TraceLevel};
 
 /// Deficit-round-robin weights of the three priority lanes. Each iteration
@@ -162,120 +155,6 @@ impl RuntimeConfig {
     }
 }
 
-/// Which [`crate::backend::ExecBackend`] implementation a device executes
-/// with. Selected per device in a [`DeviceSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendKind {
-    /// The real tile-program interpreter
-    /// ([`crate::backend::TileVmBackend`]): compiled plans actually run.
-    #[default]
-    TileVm,
-    /// The accounting-only latency simulation
-    /// ([`crate::backend::CostModelBackend`]): identical compile/tune/cost
-    /// pipeline, shape-correct zero outputs.
-    CostModel,
-}
-
-impl BackendKind {
-    /// The kind's stable name (`"tile-vm"`, `"cost-model"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::TileVm => "tile-vm",
-            BackendKind::CostModel => "cost-model",
-        }
-    }
-
-    /// Looks a kind up by (case-insensitive) name; accepts the canonical
-    /// names plus the `"vm"` / `"cost"` short forms used on CLI surfaces.
-    pub fn by_name(name: &str) -> Option<BackendKind> {
-        match name.to_ascii_lowercase().as_str() {
-            "tile-vm" | "tilevm" | "vm" => Some(BackendKind::TileVm),
-            "cost-model" | "costmodel" | "cost" => Some(BackendKind::CostModel),
-            _ => None,
-        }
-    }
-}
-
-/// One device of a fleet: its architecture plus the backend kind executing
-/// on it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceSpec {
-    /// The device's architecture (compilation, tuning and costing key).
-    pub arch: GpuArch,
-    /// How the device executes compiled plans.
-    pub backend: BackendKind,
-}
-
-impl DeviceSpec {
-    /// A device interpreting for real on the tile VM.
-    pub fn tile_vm(arch: GpuArch) -> Self {
-        DeviceSpec {
-            arch,
-            backend: BackendKind::TileVm,
-        }
-    }
-
-    /// A device that only accounts latency on the analytical model.
-    pub fn cost_model(arch: GpuArch) -> Self {
-        DeviceSpec {
-            arch,
-            backend: BackendKind::CostModel,
-        }
-    }
-}
-
-/// Configuration of a multi-device fleet engine: the device list and the
-/// per-device tunables.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetConfig {
-    /// The devices, in id order. Device `i` of the running fleet is
-    /// `devices[i]`.
-    pub devices: Vec<DeviceSpec>,
-    /// Per-device tunables: every device gets its own worker pool, plan
-    /// cache, and in-flight budget of this size. The trace level is shared
-    /// (one collector serves the whole fleet, events are device-tagged).
-    pub runtime: RuntimeConfig,
-}
-
-impl FleetConfig {
-    /// A single-device tile-VM fleet — behaviourally identical to the
-    /// pre-fleet single-arch engine.
-    pub fn single(arch: GpuArch) -> Self {
-        FleetConfig::homogeneous(arch, 1, RuntimeConfig::default())
-    }
-
-    /// `devices` identical tile-VM devices of `arch`, each tuned by
-    /// `runtime`.
-    pub fn homogeneous(arch: GpuArch, devices: usize, runtime: RuntimeConfig) -> Self {
-        FleetConfig {
-            devices: (0..devices)
-                .map(|_| DeviceSpec::tile_vm(arch.clone()))
-                .collect(),
-            runtime,
-        }
-    }
-
-    /// An explicitly mixed fleet.
-    pub fn heterogeneous(devices: Vec<DeviceSpec>, runtime: RuntimeConfig) -> Self {
-        FleetConfig { devices, runtime }
-    }
-
-    /// Checks the fleet's invariants: a non-empty device list and a valid
-    /// per-device [`RuntimeConfig`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] describing the first violation.
-    pub fn validate(&self) -> Result<(), RuntimeError> {
-        if self.devices.is_empty() {
-            return Err(RuntimeError::InvalidConfig {
-                detail: "fleet must have at least one device".into(),
-            });
-        }
-        self.runtime.validate()
-    }
-}
-
 /// Builder for [`RuntimeConfig`]; see [`RuntimeConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct RuntimeConfigBuilder {
@@ -414,25 +293,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("telemetry windows"));
-    }
-
-    #[test]
-    fn fleet_config_validates_devices_and_names_round_trip() {
-        let fleet = FleetConfig::homogeneous(GpuArch::a10(), 4, RuntimeConfig::default());
-        assert_eq!(fleet.devices.len(), 4);
-        assert!(fleet.validate().is_ok());
-        let empty = FleetConfig::heterogeneous(Vec::new(), RuntimeConfig::default());
-        let err = empty.validate().unwrap_err();
-        assert_eq!(err.code(), "invalid_config");
-        assert!(err.to_string().contains("at least one device"));
-        // An invalid per-device runtime fails fleet validation too.
-        let mut bad = FleetConfig::single(GpuArch::a10());
-        bad.runtime.workers = 0;
-        assert!(bad.validate().is_err());
-        for kind in [BackendKind::TileVm, BackendKind::CostModel] {
-            assert_eq!(BackendKind::by_name(kind.name()), Some(kind));
-        }
-        assert!(BackendKind::by_name("fpga").is_none());
     }
 
     #[test]

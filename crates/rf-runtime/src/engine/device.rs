@@ -1,14 +1,13 @@
-//! One fleet device: its [`ExecBackend`], plan/tuning caches, stream
-//! scheduler, worker pool and the per-iteration serving loop.
+//! The device: its [`ExecBackend`], plan/tuning caches, stream scheduler,
+//! worker pool and the per-iteration serving loop.
 //!
-//! A [`Device`] is the pre-fleet engine's whole execution half, owned per
-//! device id: requests admitted onto its scheduler are formed into
-//! shape-compatible batches at iteration boundaries, compiled (or re-used)
-//! through its own [`PlanCache`], executed by its backend and accounted into
-//! its own [`RuntimeMetrics`]. The only shared piece is the fleet-wide
-//! [`TraceCollector`]; every event a device records is tagged with its id so
-//! the exported trace groups per device.
+//! Requests admitted onto the scheduler are formed into shape-compatible
+//! batches at iteration boundaries, compiled (or re-used) through the
+//! [`PlanCache`], executed by the backend and accounted into the
+//! [`RuntimeMetrics`]. A backend call that panics fails the one request it
+//! was serving, through the same ledger path as any execution error.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -16,9 +15,9 @@ use std::time::{Duration, Instant};
 
 use rf_trace::{ArgValue, OpProfiler, OpSample, TraceCollector, TraceEvent, Track};
 
-use crate::backend::{make_backend, ExecBackend};
+use crate::backend::ExecBackend;
 use crate::cache::PlanCache;
-use crate::config::{DeviceSpec, RuntimeConfig};
+use crate::config::RuntimeConfig;
 use crate::metrics::RuntimeMetrics;
 use crate::request::{RequestOutput, RuntimeError};
 use crate::stream::{Iteration, QueuedWork, StreamScheduler, Ticket};
@@ -32,34 +31,32 @@ fn duration_us(from: Instant, to: Instant) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The state one device's workers and the fleet front door share.
+/// The state the workers and the engine's front door share.
 pub(crate) struct DeviceShared {
-    /// The device's position in the fleet (trace process id is `id + 2`).
-    pub id: usize,
-    /// How this device executes compiled plans.
+    /// How the device executes compiled plans.
     pub backend: Arc<dyn ExecBackend>,
-    /// This device's own compiled-plan cache (keyed by its backend's arch).
+    /// The compiled-plan cache (keyed by the backend's arch).
     pub cache: PlanCache,
-    /// This device's own serving counters.
+    /// The serving counters.
     pub metrics: RuntimeMetrics,
-    /// This device's own work queue and batching state.
+    /// The work queue and batching state.
     pub scheduler: StreamScheduler,
-    /// The fleet-wide span collector (events are device-tagged).
-    pub trace: Arc<TraceCollector>,
-    /// The fleet-wide tile-VM op profiler (entries are device-keyed).
-    /// Disabled unless [`rf_trace::TraceConfig::profile`] is set, in which
-    /// case workload batches execute through the backend's profiled path.
-    pub profiler: Arc<OpProfiler>,
+    /// The span collector (records only at `TraceLevel::Full`).
+    pub trace: TraceCollector,
+    /// The tile-VM op profiler. Disabled unless
+    /// [`rf_trace::TraceConfig::profile`] is set, in which case workload
+    /// batches execute through the backend's profiled path.
+    pub profiler: OpProfiler,
     /// Host nanoseconds the executed workload batches took, plan ready to
     /// the last delivery, and the requests they held: their ratio is the
-    /// host time one request costs this device.
+    /// host time one request costs.
     batch_host_ns: AtomicU64,
     batch_requests: AtomicU64,
 }
 
 impl DeviceShared {
     /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed:
-    /// roughly how long until this device's in-flight budget frees up,
+    /// roughly how long until the in-flight budget frees up,
     /// estimated as the mean host time per executed request times the
     /// iterations queued ahead of a submission refused at `depth`. A client
     /// sleeps on it, so it is on the host clock. Only a shed reads it.
@@ -71,14 +68,14 @@ impl DeviceShared {
         Duration::from_micros(hint_us as u64)
     }
 
-    /// Admits one already-validated submission onto this device's scheduler,
-    /// maintaining the device's submit/shed ledger and trace markers.
+    /// Admits one already-validated submission onto the scheduler,
+    /// maintaining the submit/shed ledger and trace markers.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Overloaded`] (with a retry hint) when this device's
-    /// bounded in-flight budget is exhausted, [`RuntimeError::ShuttingDown`]
-    /// once the fleet is being dropped.
+    /// [`RuntimeError::Overloaded`] (with a retry hint) when the bounded
+    /// in-flight budget is exhausted, [`RuntimeError::ShuttingDown`] once the
+    /// engine is being dropped.
     pub fn enqueue(&self, id: u64, submission: Submission) -> Result<Ticket, RuntimeError> {
         let priority = submission.priority();
         let (queued, ticket) = QueuedWork::new(id, submission);
@@ -97,7 +94,6 @@ impl DeviceShared {
                 if self.trace.enabled() {
                     self.trace.record(
                         TraceEvent::instant("shed", self.trace.now_us(), Track::FrontDoor)
-                            .with_device(self.id)
                             .with_request(id)
                             .with_lane(priority.name())
                             .with_arg("in_flight", ArgValue::U64(source.in_flight as u64))
@@ -111,7 +107,6 @@ impl DeviceShared {
         if self.trace.enabled() {
             self.trace.record(
                 TraceEvent::instant("submit", self.trace.now_us(), Track::Request(id))
-                    .with_device(self.id)
                     .with_request(id)
                     .with_lane(priority.name()),
             );
@@ -119,7 +114,7 @@ impl DeviceShared {
         Ok(ticket)
     }
 
-    /// This device's point-in-time metrics snapshot.
+    /// The point-in-time metrics snapshot.
     pub fn snapshot(&self) -> crate::metrics::MetricsSnapshot {
         self.metrics.snapshot(
             self.scheduler.depth(),
@@ -129,37 +124,19 @@ impl DeviceShared {
     }
 }
 
-/// One running device: its shared state plus its worker threads.
+/// The running device: its shared state plus its worker threads. Dropping
+/// it fails every queued submission, then joins the workers.
 pub(crate) struct Device {
     pub shared: Arc<DeviceShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Device {
-    /// Spawns device `id` per `spec`: instantiates its backend, its own
-    /// caches and scheduler, and `config.workers` worker threads.
-    pub fn start(
-        id: usize,
-        spec: &DeviceSpec,
-        config: &RuntimeConfig,
-        trace: Arc<TraceCollector>,
-        profiler: Arc<OpProfiler>,
-    ) -> Device {
-        let backend = make_backend(spec.backend, spec.arch.clone());
-        Device::start_with_backend(id, backend, config, trace, profiler)
-    }
-
-    /// [`Device::start`] around a backend that already exists (the tests
-    /// inject one that parks on cue).
-    fn start_with_backend(
-        id: usize,
-        backend: Arc<dyn ExecBackend>,
-        config: &RuntimeConfig,
-        trace: Arc<TraceCollector>,
-        profiler: Arc<OpProfiler>,
-    ) -> Device {
+    /// Spawns the device around `backend` (the tests inject one that parks,
+    /// fails or panics on cue): its caches, scheduler, trace collector and
+    /// profiler, and `config.workers` worker threads.
+    pub fn start(backend: Arc<dyn ExecBackend>, config: &RuntimeConfig) -> Device {
         let shared = Arc::new(DeviceShared {
-            id,
             cache: PlanCache::new(backend.arch().clone(), config.cache_capacity),
             backend,
             metrics: RuntimeMetrics::with_trace(config.trace),
@@ -168,8 +145,8 @@ impl Device {
                 config.max_in_flight,
                 config.lane_weights.as_array(),
             ),
-            trace,
-            profiler,
+            trace: TraceCollector::new(config.trace),
+            profiler: OpProfiler::new(config.trace.profile),
             batch_host_ns: AtomicU64::new(0),
             batch_requests: AtomicU64::new(0),
         });
@@ -177,31 +154,48 @@ impl Device {
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("rf-runtime-d{id}-worker-{i}"))
+                    .name(format!("rf-runtime-worker-{i}"))
                     .spawn(move || worker_loop(&shared, i))
                     .expect("spawning a runtime worker failed")
             })
             .collect();
         Device { shared, workers }
     }
+}
 
-    /// Joins the worker threads. The scheduler must already be shut down or
-    /// this blocks forever.
-    pub fn join_workers(&mut self) {
+impl Drop for Device {
+    fn drop(&mut self) {
+        self.shared.scheduler.shutdown();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
+/// Runs one backend call; a panic inside it becomes
+/// [`RuntimeError::ExecutionFailed`] for `workload`, so a panicking kernel
+/// fails the one request it was serving and the ledger counts it.
+fn unwind_to_error<T>(
+    workload: impl FnOnce() -> String,
+    call: impl FnOnce() -> Result<T, RuntimeError>,
+) -> Result<T, RuntimeError> {
+    catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|_| {
+        Err(RuntimeError::ExecutionFailed {
+            workload: workload(),
+        })
+    })
+}
+
 fn worker_loop(shared: &DeviceShared, worker: usize) {
     while let Some(iteration) = shared.scheduler.next_iteration() {
-        // A panicking kernel must not wedge the device: the unwind guard
-        // keeps the in-flight accounting balanced (so `run_until_drained`
-        // returns) and dropping the unfulfilled `QueuedWork`s delivers
-        // `ExecutionFailed` to their tickets (so `Ticket::wait` returns).
+        // The backstop: backend calls unwind one request at a time, but a
+        // panic anywhere else in the iteration must not wedge the device
+        // either. The guard keeps the in-flight accounting balanced (so
+        // `run_until_drained` returns) and dropping the unfulfilled
+        // `QueuedWork`s delivers `ExecutionFailed` to their tickets (so
+        // `Ticket::wait` returns).
         let size = iteration.work.len();
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
             run_iteration(shared, worker, iteration)
         }));
         shared.scheduler.finish_iteration(size);
@@ -235,7 +229,6 @@ fn run_iteration(shared: &DeviceShared, worker: usize, iteration: Iteration) {
                 shared.trace.now_us() - start,
                 Track::Worker(worker),
             )
-            .with_device(shared.id)
             .with_iteration(index)
             .with_lane(Priority::ALL[lane].name())
             .with_arg("batch", ArgValue::U64(size as u64))
@@ -247,7 +240,7 @@ fn run_iteration(shared: &DeviceShared, worker: usize, iteration: Iteration) {
     }
 }
 
-/// Executes one shape-compatible batch through the device's backend — a
+/// Executes one shape-compatible batch through the backend — a
 /// cache hit reuses both the tuning and the executable. No scheduler or
 /// cache lock is held here: the plan is an `Arc` snapshot and the backend
 /// runs on borrowed views of the queued tensors.
@@ -282,19 +275,19 @@ fn run_workload_batch(
         let Submission::Workload { request, .. } = &queued.submission else {
             unreachable!("workload iterations contain only workload submissions");
         };
-        let outcome = if shared.profiler.enabled() {
-            shared
-                .backend
-                .execute_profiled(&plan, request)
-                .map(|(output, profile)| {
-                    if let Some(profile) = &profile {
-                        record_op_profile(shared, class, &request.workload.name(), profile);
-                    }
-                    output
-                })
-        } else {
-            shared.backend.execute(&plan, request)
-        };
+        let outcome = unwind_to_error(
+            || request.workload.name(),
+            || {
+                if !shared.profiler.enabled() {
+                    return shared.backend.execute(&plan, request);
+                }
+                let (output, profile) = shared.backend.execute_profiled(&plan, request)?;
+                if let Some(profile) = &profile {
+                    record_op_profile(shared, class, &request.workload.name(), profile);
+                }
+                Ok(output)
+            },
+        );
         let delivered_at = Instant::now();
         last_delivered = delivered_at;
         let timing = RequestTiming {
@@ -314,7 +307,7 @@ fn run_workload_batch(
             cache_hit,
             iteration: index,
             priority,
-            device: shared.id,
+            device: 0,
             graph: None,
             timing,
         });
@@ -357,10 +350,9 @@ fn run_workload_batch(
         .record_batch(class, executed, failed, simulated_us, cache_hit);
 }
 
-/// Feeds one profiled execution's per-op counters into the fleet-wide op
-/// profiler: one folded-stack leaf per TileOp kind, under this device, the
-/// batch's workload class and the request's concrete shape (the region
-/// frame).
+/// Feeds one profiled execution's per-op counters into the op profiler: one
+/// folded-stack leaf per TileOp kind, under the batch's workload class and
+/// the request's concrete shape (the region frame).
 fn record_op_profile(
     shared: &DeviceShared,
     class: &'static str,
@@ -369,7 +361,6 @@ fn record_op_profile(
 ) {
     for op in &profile.ops {
         shared.profiler.record(
-            shared.id,
             class,
             region,
             op.op,
@@ -416,7 +407,6 @@ fn record_request_spans(
             timing.queue_us,
             track,
         )
-        .with_device(shared.id)
         .with_request(id)
         .with_lane(lane)
         .with_class(class)
@@ -425,14 +415,12 @@ fn record_request_spans(
     if cache_hit {
         trace.record(
             TraceEvent::instant("hit", execute_start, track)
-                .with_device(shared.id)
                 .with_request(id)
                 .with_class(class),
         );
     } else {
         trace.record(
             TraceEvent::span("compile", plan_start, timing.compile_us, track)
-                .with_device(shared.id)
                 .with_request(id)
                 .with_class(class)
                 .with_arg("tune_us", ArgValue::F64(timing.tune_us)),
@@ -440,7 +428,6 @@ fn record_request_spans(
     }
     trace.record(
         TraceEvent::span("execute", execute_start, timing.execute_us, track)
-            .with_device(shared.id)
             .with_request(id)
             .with_lane(lane)
             .with_class(class)
@@ -449,14 +436,13 @@ fn record_request_spans(
     );
     trace.record(
         TraceEvent::instant("deliver", execute_start + timing.execute_us, track)
-            .with_device(shared.id)
             .with_request(id)
             .with_arg("ok", ArgValue::U64(ok as u64)),
     );
 }
 
 /// Serves one graph submission: partitions (unless a plan was supplied),
-/// executes the region steps through the device's plan cache and backend,
+/// executes the region steps through the plan cache and backend,
 /// and answers with the graph outputs plus serving counters.
 fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
     let Submission::Graph {
@@ -473,16 +459,21 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
     let graph = Arc::clone(graph);
     let bindings = Arc::clone(bindings);
     let started = Instant::now();
-    let plan = plan
-        .clone()
-        .unwrap_or_else(|| Arc::new(rf_graph::partition(&graph)));
-    let result = crate::graph::execute_graph_plan_on(
-        &shared.cache,
-        shared.backend.as_ref(),
-        Some(&shared.metrics),
-        &graph,
-        &plan,
-        bindings.as_slice(),
+    let result = unwind_to_error(
+        || label.clone(),
+        || {
+            let plan = plan
+                .clone()
+                .unwrap_or_else(|| Arc::new(rf_graph::partition(&graph)));
+            crate::graph::execute_graph_plan_on(
+                &shared.cache,
+                shared.backend.as_ref(),
+                Some(&shared.metrics),
+                &graph,
+                &plan,
+                bindings.as_slice(),
+            )
+        },
     );
     let delivered_at = Instant::now();
     // For a graph the `execute` stage covers partitioning plus every region
@@ -506,7 +497,6 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
                 timing.queue_us,
                 track,
             )
-            .with_device(shared.id)
             .with_request(work.id)
             .with_lane(lane)
             .with_class("graph")
@@ -514,7 +504,6 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
         );
         trace.record(
             TraceEvent::span("execute", trace.ts_us_of(started), timing.execute_us, track)
-                .with_device(shared.id)
                 .with_request(work.id)
                 .with_lane(lane)
                 .with_class("graph")
@@ -522,7 +511,6 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
         );
         trace.record(
             TraceEvent::instant("deliver", trace.ts_us_of(delivered_at), track)
-                .with_device(shared.id)
                 .with_request(work.id)
                 .with_arg("ok", ArgValue::U64(result.is_ok() as u64)),
         );
@@ -554,7 +542,7 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
                 cache_hit,
                 iteration: index,
                 priority,
-                device: shared.id,
+                device: 0,
                 graph: Some(stats),
                 timing,
             }));
@@ -574,32 +562,48 @@ mod tests {
     use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Mutex;
 
-    use rf_codegen::{CompiledKernel, Workload};
+    use rf_codegen::CompiledKernel;
     use rf_gpusim::{GpuArch, KernelProfile};
     use rf_tile::exec::{ExecError, ExecInput, ExecOutput};
-    use rf_trace::TraceConfig;
     use rf_workloads::Matrix;
 
     use crate::backend::TileVmBackend;
     use crate::request::Request;
 
-    /// A tile-VM backend whose `n`-th `execute` call first waits for the
-    /// `n`-th cue of its script, when there is one.
+    /// What one scripted `execute` call does before running.
+    enum Cue {
+        /// Runs straight away.
+        Run,
+        /// Waits for the test's signal.
+        Wait(Receiver<()>),
+        /// Panics, as a buggy kernel would.
+        Panic,
+    }
+
+    /// A tile-VM backend whose `n`-th `execute` call follows the `n`-th cue
+    /// of its script, when there is one.
     struct CuedBackend {
         inner: TileVmBackend,
-        script: Mutex<VecDeque<Option<Receiver<()>>>>,
+        script: Mutex<VecDeque<Cue>>,
     }
 
     impl CuedBackend {
         /// The backend, and one sender per call in `cued`; `calls` are
-        /// scripted in all.
-        fn new(calls: usize, cued: &[usize]) -> (Arc<CuedBackend>, Vec<Sender<()>>) {
-            let mut script: VecDeque<Option<Receiver<()>>> = (0..calls).map(|_| None).collect();
+        /// scripted in all, and the calls in `panics` panic.
+        fn new(
+            calls: usize,
+            cued: &[usize],
+            panics: &[usize],
+        ) -> (Arc<CuedBackend>, Vec<Sender<()>>) {
+            let mut script: VecDeque<Cue> = (0..calls).map(|_| Cue::Run).collect();
             let mut cues = Vec::new();
             for &call in cued {
                 let (tx, rx) = channel();
-                script[call] = Some(rx);
+                script[call] = Cue::Wait(rx);
                 cues.push(tx);
+            }
+            for &call in panics {
+                script[call] = Cue::Panic;
             }
             let backend = CuedBackend {
                 inner: TileVmBackend::new(GpuArch::a10()),
@@ -610,10 +614,6 @@ mod tests {
     }
 
     impl ExecBackend for CuedBackend {
-        fn name(&self) -> &'static str {
-            "cued"
-        }
-
         fn arch(&self) -> &GpuArch {
             self.inner.arch()
         }
@@ -627,20 +627,21 @@ mod tests {
             plan: &CompiledKernel,
             request: &Request,
         ) -> Result<RequestOutput, RuntimeError> {
-            let cue = self.script.lock().unwrap().pop_front().flatten();
-            if let Some(cue) = cue {
-                cue.recv().expect("the test drives every cue");
+            let cue = self.script.lock().unwrap().pop_front();
+            match cue {
+                Some(Cue::Wait(cue)) => cue.recv().expect("the test drives every cue"),
+                Some(Cue::Panic) => panic!("scripted kernel panic"),
+                Some(Cue::Run) | None => {}
             }
             self.inner.execute(plan, request)
         }
 
         fn run_region(
             &self,
-            workload: &Workload,
             kernel: &CompiledKernel,
             input: &ExecInput<'_>,
         ) -> Result<ExecOutput, ExecError> {
-            self.inner.run_region(workload, kernel, input)
+            self.inner.run_region(kernel, input)
         }
     }
 
@@ -650,15 +651,13 @@ mod tests {
         // requests queue up behind it, so they form one batch of two; call 2,
         // the batch's second request, is held until the first request's
         // waiter has read the counters.
-        let (backend, cues) = CuedBackend::new(3, &[0, 2]);
+        let (backend, cues) = CuedBackend::new(3, &[0, 2], &[]);
         let config = RuntimeConfig::builder()
             .workers(1)
             .max_batch(2)
             .build()
             .unwrap();
-        let trace = Arc::new(TraceCollector::new(TraceConfig::default()));
-        let profiler = Arc::new(OpProfiler::new(false));
-        let mut device = Device::start_with_backend(0, backend, &config, trace, profiler);
+        let device = Device::start(backend, &config);
         let shared = Arc::clone(&device.shared);
         let submit = |id: u64, cols: usize| {
             let request = Request::softmax(Matrix::random(2, cols, id, -1.0, 1.0));
@@ -684,8 +683,50 @@ mod tests {
         let snapshot = shared.snapshot();
         assert_eq!((snapshot.completed, snapshot.failed), (3, 0));
         assert_eq!(snapshot.batches, 2);
-        shared.scheduler.shutdown();
-        device.join_workers();
+        drop(device);
+    }
+
+    #[test]
+    fn a_panicking_kernel_fails_only_its_own_request() {
+        // Call 0 is a plug that holds the one worker while four same-shape
+        // requests queue up behind it, so they form one batch of four; call
+        // 2, the batch's second request, panics.
+        let (backend, cues) = CuedBackend::new(5, &[0], &[2]);
+        let config = RuntimeConfig::builder()
+            .workers(1)
+            .max_batch(4)
+            .build()
+            .unwrap();
+        let device = Device::start(backend, &config);
+        let shared = Arc::clone(&device.shared);
+        let submit = |id: u64, cols: usize| {
+            let request = Request::softmax(Matrix::random(2, cols, id, -1.0, 1.0));
+            shared.enqueue(id, Submission::workload(request)).unwrap()
+        };
+        let plug = submit(0, 8);
+        let batch: Vec<Ticket> = (1..=4).map(|id| submit(id, 16)).collect();
+        cues[0].send(()).unwrap();
+        plug.wait().unwrap();
+        let outcomes: Vec<_> = batch.into_iter().map(Ticket::wait).collect();
+        let failed: Vec<usize> = (0..4).filter(|&i| outcomes[i].is_err()).collect();
+        assert_eq!(failed, [1], "only the panicking request fails");
+        assert!(matches!(
+            &outcomes[1],
+            Err(RuntimeError::ExecutionFailed { workload }) if workload == "softmax_2x16"
+        ));
+        for response in outcomes.iter().filter_map(|o| o.as_ref().ok()) {
+            assert_eq!(response.batch_size, 4, "the four requests share a batch");
+        }
+        // The failure went through the ledger: nothing is lost or uncounted.
+        shared.scheduler.wait_drained();
+        let snapshot = shared.snapshot();
+        assert_eq!(
+            (snapshot.submitted, snapshot.completed, snapshot.failed),
+            (5, 4, 1)
+        );
+        assert_eq!(snapshot.submitted, snapshot.completed + snapshot.failed);
+        assert_eq!(snapshot.classes[0].failed, 1);
+        drop(device);
     }
 
     #[test]
@@ -694,16 +735,14 @@ mod tests {
         // has cost this device ≥ 5 ms of host time; call 1 then fills the
         // one-slot budget and the next submission is shed. Its hint must
         // reflect the host cost, not the few simulated microseconds.
-        let (backend, cues) = CuedBackend::new(2, &[0, 1]);
+        let (backend, cues) = CuedBackend::new(2, &[0, 1], &[]);
         let config = RuntimeConfig::builder()
             .workers(1)
             .max_batch(1)
             .max_in_flight(1)
             .build()
             .unwrap();
-        let trace = Arc::new(TraceCollector::new(TraceConfig::default()));
-        let profiler = Arc::new(OpProfiler::new(false));
-        let mut device = Device::start_with_backend(0, backend, &config, trace, profiler);
+        let device = Device::start(backend, &config);
         let shared = Arc::clone(&device.shared);
         let request = |seed: u64| Request::softmax(Matrix::random(2, 16, seed, -1.0, 1.0));
         // A warm plan: the iteration reaches `execute` without compiling.
@@ -729,7 +768,6 @@ mod tests {
         );
         cues[1].send(()).unwrap();
         plug.wait().unwrap();
-        shared.scheduler.shutdown();
-        device.join_workers();
+        drop(device);
     }
 }

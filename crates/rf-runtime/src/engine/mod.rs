@@ -1,14 +1,12 @@
-//! The serving engine: the unified submission front door, a fleet of
-//! backend-driven devices and the engine lifecycle.
+//! The serving engine: the unified submission front door over one
+//! backend-driven device, and the engine lifecycle.
 //!
 //! Everything the engine serves — single workloads, whole operator graphs,
 //! pre-partitioned plans — enters through [`Engine::submit`] as a
 //! [`Submission`] and resolves to a [`crate::Response`] through the returned
-//! [`Ticket`]. The engine is a **fleet**: one or more devices (`device`
-//! module), each owning its own [`crate::backend::ExecBackend`], plan/tuning
-//! caches, work queue and workers. A submission goes to the device with the
-//! shallowest queue (`fleet` module). A one-device fleet behaves exactly
-//! like the pre-fleet single-arch engine.
+//! [`Ticket`]. The engine owns one device (`device` module): its
+//! [`crate::backend::ExecBackend`], plan/tuning caches, work queue and
+//! workers.
 //!
 //! ```
 //! use rf_gpusim::GpuArch;
@@ -31,87 +29,48 @@
 //! assert_eq!(result.workload, "softmax_4x64");
 //! assert!(urgent.wait().unwrap().iteration >= 1);
 //! ```
-//!
-//! Multi-device serving needs nothing but a [`FleetConfig`]:
-//!
-//! ```
-//! use rf_gpusim::GpuArch;
-//! use rf_runtime::{Engine, FleetConfig, Request, RuntimeConfig};
-//! use rf_workloads::random_matrix;
-//!
-//! let engine = Engine::with_fleet(FleetConfig::homogeneous(
-//!     GpuArch::a10(),
-//!     2,
-//!     RuntimeConfig::default(),
-//! ));
-//! let response = engine
-//!     .submit(Request::softmax(random_matrix(4, 64, 1, -2.0, 2.0)))
-//!     .unwrap()
-//!     .wait()
-//!     .unwrap();
-//! assert!(response.device < 2, "responses say which device served them");
-//! ```
 
 mod device;
-mod fleet;
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use rf_gpusim::GpuArch;
 use rf_trace::{OpProfileSnapshot, TraceCollector, TraceSnapshot};
 
+use crate::backend::TileVmBackend;
 use crate::cache::CacheStats;
-use crate::config::{DeviceSpec, FleetConfig, RuntimeConfig};
-use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
+use crate::config::RuntimeConfig;
+use crate::metrics::MetricsSnapshot;
 use crate::request::RuntimeError;
 use crate::stream::Ticket;
 use crate::submit::{Submission, LANES};
 
-use fleet::Fleet;
+use device::{Device, DeviceShared};
 
-/// A point-in-time view of one fleet device: identity plus its private
-/// serving metrics.
-#[derive(Debug, Clone)]
-pub struct DeviceSnapshot {
-    /// The device id (also its trace process: `device-<id>`).
-    pub device: usize,
-    /// The architecture the device compiles and costs for.
-    pub arch: &'static str,
-    /// The backend kind executing on it (`"tile-vm"`, `"cost-model"`).
-    pub backend: &'static str,
-    /// The backend's capability fingerprint (equal fingerprints mean
-    /// interchangeable compiled plans).
-    pub fingerprint: u64,
-    /// The device's own metrics snapshot (its queue depth, caches, latency
-    /// percentiles and ledger counters).
-    pub metrics: MetricsSnapshot,
-}
-
-/// A concurrent serving engine over a fleet of one or more devices.
+/// A concurrent serving engine.
 ///
-/// [`Engine::submit`] validates a [`Submission`], places it on the device
-/// with the shallowest queue and returns a [`Ticket`]; each device's
-/// worker pool serves its stream in iterations, grouping shape-compatible
-/// requests into batches formed at each iteration boundary, compiling (or
-/// re-using) fused plans via its own [`crate::PlanCache`] and executing
-/// through its [`crate::backend::ExecBackend`]. Admission is bounded per
-/// device: past [`RuntimeConfig::max_in_flight`] a device sheds with
+/// [`Engine::submit`] validates a [`Submission`], enqueues it and returns a
+/// [`Ticket`]; the worker pool serves the stream in iterations, grouping
+/// shape-compatible requests into batches formed at each iteration boundary,
+/// compiling (or re-using) fused plans via the [`crate::PlanCache`] and
+/// executing through the [`crate::backend::ExecBackend`]. Admission is
+/// bounded: past [`RuntimeConfig::max_in_flight`] the engine sheds with
 /// [`RuntimeError::Overloaded`] instead of queuing without bound. Dropping
-/// the engine shuts the fleet down; still-queued submissions fail with
+/// the engine shuts it down; still-queued submissions fail with
 /// [`RuntimeError::ShuttingDown`].
 pub struct Engine {
-    fleet: Fleet,
+    device: Device,
     next_id: AtomicU64,
 }
 
 impl Engine {
-    /// Creates a single-device engine for `arch` with the default
-    /// [`RuntimeConfig`].
+    /// Creates an engine for `arch` with the default [`RuntimeConfig`].
     pub fn new(arch: GpuArch) -> Self {
         Engine::with_config(arch, RuntimeConfig::default())
     }
 
-    /// Creates a single-device engine with explicit tunables.
+    /// Creates an engine with explicit tunables.
     ///
     /// This is a thin wrapper over [`Engine::try_with_config`] for callers
     /// that treat a bad configuration as a programming error; prefer the
@@ -129,58 +88,28 @@ impl Engine {
         }
     }
 
-    /// Creates a single-device engine with explicit tunables, returning the
-    /// typed validation error instead of panicking.
+    /// Creates an engine with explicit tunables, returning the typed
+    /// validation error instead of panicking.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::InvalidConfig`] describing the first violated
     /// invariant (see [`RuntimeConfig::validate`]).
     pub fn try_with_config(arch: GpuArch, config: RuntimeConfig) -> Result<Self, RuntimeError> {
-        Engine::try_with_fleet(FleetConfig {
-            devices: vec![DeviceSpec::tile_vm(arch)],
-            runtime: config,
-        })
-    }
-
-    /// Creates a multi-device engine from a [`FleetConfig`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` violates its invariants (see
-    /// [`FleetConfig::validate`]).
-    pub fn with_fleet(config: FleetConfig) -> Self {
-        match Engine::try_with_fleet(config) {
-            Ok(engine) => engine,
-            Err(err) => panic!("invalid FleetConfig: {err}"),
-        }
-    }
-
-    /// Creates a multi-device engine from a [`FleetConfig`], returning the
-    /// typed validation error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::InvalidConfig`] describing the first violated
-    /// invariant (an empty device list, or a bad per-device
-    /// [`RuntimeConfig`]).
-    pub fn try_with_fleet(config: FleetConfig) -> Result<Self, RuntimeError> {
         config.validate()?;
         Ok(Engine {
-            fleet: Fleet::start(&config),
+            device: Device::start(Arc::new(TileVmBackend::new(arch)), &config),
             next_id: AtomicU64::new(0),
         })
     }
 
-    /// The architecture of device 0 — the whole fleet's architecture when it
-    /// is homogeneous.
-    pub fn arch(&self) -> &GpuArch {
-        self.fleet.devices[0].shared.backend.arch()
+    fn shared(&self) -> &DeviceShared {
+        &self.device.shared
     }
 
-    /// Number of devices in the fleet.
-    pub fn devices(&self) -> usize {
-        self.fleet.devices.len()
+    /// The architecture the engine compiles, tunes and costs for.
+    pub fn arch(&self) -> &GpuArch {
+        self.shared().backend.arch()
     }
 
     /// Validates and enqueues a submission, returning the completion ticket.
@@ -188,8 +117,7 @@ impl Engine {
     /// bare [`Request`](crate::Request), which submits at
     /// [`crate::Priority::Normal`].
     ///
-    /// The submission goes to the device with the shallowest queue (ties to
-    /// the lowest id) and joins its open stream immediately: if a batch is
+    /// The submission joins the open stream immediately: if a batch is
     /// executing right now, the request is eligible for the next iteration
     /// boundary — it never waits for the queue to drain.
     ///
@@ -197,150 +125,80 @@ impl Engine {
     ///
     /// [`RuntimeError::InputMismatch`] / [`RuntimeError::ShapeMismatch`] for
     /// invalid workload requests, [`RuntimeError::Overloaded`] (with a retry
-    /// hint) when the target device's bounded in-flight budget is exhausted,
-    /// and [`RuntimeError::ShuttingDown`] once the engine is being dropped.
+    /// hint) when the bounded in-flight budget is exhausted, and
+    /// [`RuntimeError::ShuttingDown`] once the engine is being dropped.
     pub fn submit(&self, submission: impl Into<Submission>) -> Result<Ticket, RuntimeError> {
         let submission = submission.into();
         if let Submission::Workload { request, .. } = &submission {
             crate::request::validate(&request.workload, &request.input)?;
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.fleet.least_loaded().shared.enqueue(id, submission)
+        self.shared().enqueue(id, submission)
     }
 
     /// Blocks until every accepted submission has been executed.
     pub fn run_until_drained(&self) {
-        self.fleet.wait_drained();
+        self.shared().scheduler.wait_drained();
     }
 
-    /// Submissions currently queued or executing, summed over the fleet.
+    /// Submissions currently queued or executing.
     pub fn queue_depth(&self) -> usize {
-        self.fleet.depth()
+        self.shared().scheduler.depth()
     }
 
-    /// Queued submissions per priority lane (high, normal, low), summed over
-    /// the fleet.
+    /// Queued submissions per priority lane (high, normal, low).
     pub fn lane_depths(&self) -> [usize; LANES] {
-        let mut depths = [0usize; LANES];
-        for device in &self.fleet.devices {
-            for (total, lane) in depths.iter_mut().zip(device.shared.scheduler.lane_depths()) {
-                *total += lane;
-            }
-        }
-        depths
+        self.shared().scheduler.lane_depths()
     }
 
-    /// Engine iterations started so far, summed over the fleet.
+    /// Engine iterations started so far.
     pub fn iterations(&self) -> u64 {
-        self.fleet
-            .devices
-            .iter()
-            .map(|d| d.shared.scheduler.iterations())
-            .sum()
+        self.shared().scheduler.iterations()
     }
 
-    /// Plan-cache counters, summed over the fleet's per-device caches.
+    /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats {
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            entries: 0,
-        };
-        for device in &self.fleet.devices {
-            let stats = device.shared.cache.stats();
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-            total.evictions += stats.evictions;
-            total.entries += stats.entries;
-        }
-        total
+        self.shared().cache.stats()
     }
 
     /// A point-in-time metrics snapshot (latency percentiles, batch sizes,
     /// queue depth, shed counts, per-lane traffic, cache effectiveness).
-    ///
-    /// For a one-device fleet this is exactly the device's own snapshot.
-    /// For a larger fleet the per-device metrics are folded together:
-    /// counters add and histograms merge exactly, so the fleet's percentiles
-    /// are those of one ledger fed every device's stream.
     pub fn metrics(&self) -> MetricsSnapshot {
-        if self.fleet.devices.len() == 1 {
-            let device = &self.fleet.devices[0].shared;
-            return device.metrics.snapshot(
-                device.scheduler.depth(),
-                device.cache.stats(),
-                device.cache.tuning_stats(),
-            );
-        }
-        let merged = RuntimeMetrics::with_trace(self.fleet.trace_config);
-        let mut tuning = rf_codegen::TuningCacheStats::default();
-        for device in &self.fleet.devices {
-            merged.merge_from(&device.shared.metrics);
-            let t = device.shared.cache.tuning_stats();
-            tuning.lookups += t.lookups;
-            tuning.seeded += t.seeded;
-            tuning.insertions += t.insertions;
-            tuning.entries += t.entries;
-        }
-        merged.snapshot(self.queue_depth(), self.cache_stats(), tuning)
+        self.shared().snapshot()
     }
 
-    /// Per-device snapshots, in device order: each device's identity
-    /// (arch, backend, fingerprint) plus its own private metrics.
-    pub fn device_snapshots(&self) -> Vec<DeviceSnapshot> {
-        self.fleet
-            .devices
-            .iter()
-            .map(|device| {
-                let shared = &device.shared;
-                DeviceSnapshot {
-                    device: shared.id,
-                    arch: shared.backend.arch().name,
-                    backend: shared.backend.name(),
-                    fingerprint: shared.backend.fingerprint(),
-                    metrics: shared.snapshot(),
-                }
-            })
-            .collect()
-    }
-
-    /// The fleet-wide tile-VM op profile: per-op-kind invocation, row and
-    /// byte counters with attributed wall time, aggregated per (device,
-    /// workload class, region). Empty unless the engine was started with
+    /// The tile-VM op profile: per-op-kind invocation, row and byte counters
+    /// with attributed wall time, aggregated per (workload class, region).
+    /// Empty unless the engine was started with
     /// [`rf_trace::TraceConfig::with_profile`]; render it with
     /// [`OpProfileSnapshot::folded`] for inferno-style flamegraph tools.
     pub fn op_profile(&self) -> OpProfileSnapshot {
-        self.fleet.profiler.snapshot()
+        self.shared().profiler.snapshot()
     }
 
-    /// The fleet-wide metrics in Prometheus exposition format, including
-    /// per-device labelled gauges from [`Engine::device_snapshots`] —
-    /// serve it verbatim under a `/metrics` endpoint.
+    /// The metrics in Prometheus exposition format — serve it verbatim under
+    /// a `/metrics` endpoint.
     pub fn prometheus(&self) -> String {
-        self.metrics()
-            .prometheus_with_devices(&self.device_snapshots())
+        self.metrics().prometheus()
     }
 
-    /// The fleet's span collector (level, timestamps, drop count). Only
-    /// records at [`rf_trace::TraceLevel::Full`]; see
-    /// [`RuntimeConfig::builder`]'s `trace`/`trace_level`. One collector
-    /// serves the whole fleet; events are device-tagged, so the exported
-    /// trace groups one process per device.
+    /// The span collector (level, timestamps, drop count). Only records at
+    /// [`rf_trace::TraceLevel::Full`]; see [`RuntimeConfig::builder`]'s
+    /// `trace`/`trace_level`.
     pub fn trace_collector(&self) -> &TraceCollector {
-        &self.fleet.trace
+        &self.shared().trace
     }
 
     /// A copy of the buffered span events (empty below
     /// [`rf_trace::TraceLevel::Full`]).
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.fleet.trace.snapshot()
+        self.shared().trace.snapshot()
     }
 
     /// The buffered span events as Chrome trace-event JSON, loadable in
     /// Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
-        self.fleet.trace.chrome_trace()
+        self.shared().trace.chrome_trace()
     }
 }
 
@@ -348,7 +206,6 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("arch", &self.arch().name)
-            .field("devices", &self.devices())
             .field("queue_depth", &self.queue_depth())
             .finish()
     }
@@ -394,7 +251,7 @@ mod tests {
             assert!(result.simulated_us.is_finite() && result.simulated_us > 0.0);
             assert!(result.iteration >= 1, "responses carry their iteration");
             assert_eq!(result.priority, Priority::Normal);
-            assert_eq!(result.device, 0, "a one-device fleet serves on device 0");
+            assert_eq!(result.device, 0, "`Response::device` is always 0");
         }
         let metrics = engine.metrics();
         assert_eq!(metrics.completed, 6);
@@ -445,11 +302,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.code(), "invalid_config");
         assert!(err.to_string().contains("workers"));
-        // An empty fleet is the fleet-level invariant.
-        let err =
-            Engine::try_with_fleet(FleetConfig::heterogeneous(vec![], RuntimeConfig::default()))
-                .unwrap_err();
-        assert!(err.to_string().contains("at least one device"));
         // And the happy path actually serves.
         let engine = Engine::try_with_config(GpuArch::a10(), RuntimeConfig::default()).unwrap();
         let response = engine
@@ -772,9 +624,9 @@ mod tests {
                 "trace must contain `{name}` events"
             );
         }
-        // Every event of a one-device engine is tagged with device 0.
-        assert!(snapshot.events.iter().all(|e| e.device == Some(0)));
         let json = engine.chrome_trace();
+        // Every event renders under the one engine process.
+        assert_eq!(json.matches("\"process_name\"").count(), 1);
         let stats = rf_trace::validate_chrome_trace(&json).expect("trace must be well-formed");
         assert!(stats.spans >= 8 * 2, "≥ queue+execute per request");
         assert!(stats.request_tracks >= 1);
@@ -878,11 +730,10 @@ mod tests {
             .expect("serving filled a telemetry window");
         assert!(window.completed >= 1);
         assert!(window.throughput_rps > 0.0);
-        // The engine-level exposition carries the fleet families plus
-        // per-device labels.
+        // The engine-level exposition carries the window families.
         let text = engine.prometheus();
         assert!(text.contains("redfuser_window_throughput_rps"));
-        assert!(text.contains("redfuser_device_queue_depth{device=\"0\""));
+        assert!(text.contains("redfuser_queue_depth 0"));
     }
 
     #[test]
@@ -906,8 +757,10 @@ mod tests {
         let frames = rf_trace::validate_folded(&folded).expect("folded output validates");
         assert!(frames >= 3, "softmax runs several op kinds, got {frames}");
         assert!(
-            folded.contains("device-0;softmax;softmax_4x64;"),
-            "frames are device;class;region;op:\n{folded}"
+            folded
+                .lines()
+                .all(|l| l.starts_with("softmax;softmax_4x64;")),
+            "frames are class;region;op:\n{folded}"
         );
         // Without the opt-in the profiler records nothing.
         let plain = tiny_engine(1);
@@ -917,49 +770,5 @@ mod tests {
             .wait()
             .unwrap();
         assert!(plain.op_profile().is_empty());
-    }
-
-    #[test]
-    fn multi_device_fleet_spreads_load_and_merges_metrics() {
-        let engine = Engine::with_fleet(FleetConfig::homogeneous(
-            GpuArch::a10(),
-            3,
-            RuntimeConfig::builder()
-                .workers(1)
-                .max_batch(4)
-                .cache_capacity(16)
-                .build()
-                .unwrap(),
-        ));
-        assert_eq!(engine.devices(), 3);
-        let tickets: Vec<Ticket> = (0..24)
-            .map(|seed| {
-                engine
-                    .submit(Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
-                    .unwrap()
-            })
-            .collect();
-        engine.run_until_drained();
-        let mut devices_seen = std::collections::HashSet::new();
-        for ticket in tickets {
-            let response = ticket.wait().unwrap();
-            assert!(response.device < 3);
-            devices_seen.insert(response.device);
-        }
-        assert!(
-            devices_seen.len() > 1,
-            "least-loaded routing must use more than one device, saw {devices_seen:?}"
-        );
-        // The fleet-wide snapshot is the sum of the per-device ledgers.
-        let merged = engine.metrics();
-        assert_eq!(merged.completed, 24);
-        let snapshots = engine.device_snapshots();
-        assert_eq!(snapshots.len(), 3);
-        let per_device_completed: u64 = snapshots.iter().map(|d| d.metrics.completed).sum();
-        assert_eq!(per_device_completed, 24);
-        assert!(snapshots.iter().all(|d| d.backend == "tile-vm"));
-        assert!(snapshots.iter().all(|d| d.arch == "NVIDIA A10"));
-        // Every device compiled the (one) shape it saw.
-        assert!(merged.cache.misses >= devices_seen.len() as u64);
     }
 }

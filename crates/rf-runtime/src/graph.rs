@@ -75,9 +75,8 @@ pub fn execute_graph_plan<S: AsRef<str>>(
 
 /// Like [`execute_graph_plan`], but executing through an explicit
 /// [`ExecBackend`] instead of constructing the tile-VM backend from an arch —
-/// the form the fleet devices use, so graph regions run (or are synthesised)
-/// on the same backend as workload requests, and glue ops are costed on the
-/// backend's architecture.
+/// the form the engine uses, so graph regions run on the same backend as
+/// workload requests, and glue ops are costed on the backend's architecture.
 ///
 /// # Errors
 ///
@@ -134,7 +133,7 @@ pub fn execute_graph_plan_on<S: AsRef<str>>(
                             w: tensor(w)?,
                         },
                     };
-                    let output = backend.run_region(&region.workload, &kernel, &input);
+                    let output = backend.run_region(&kernel, &input);
                     let output = output.map_err(|e| {
                         graph_err(format!("region `{}`: {e}", region.workload.name()))
                     })?;

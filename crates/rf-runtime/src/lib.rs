@@ -66,12 +66,10 @@ pub mod request;
 pub mod stream;
 pub mod submit;
 
-pub use backend::{make_backend, CostModelBackend, ExecBackend, TileVmBackend};
+pub use backend::{ExecBackend, TileVmBackend};
 pub use cache::{CacheStats, PlanCache};
-pub use config::{
-    BackendKind, DeviceSpec, FleetConfig, LaneWeights, RuntimeConfig, RuntimeConfigBuilder,
-};
-pub use engine::{DeviceSnapshot, Engine};
+pub use config::{LaneWeights, RuntimeConfig, RuntimeConfigBuilder};
+pub use engine::Engine;
 pub use graph::{execute_graph_plan, execute_graph_plan_on, GraphResponse};
 pub use metrics::{ClassSnapshot, LaneSnapshot, MetricsSnapshot, RuntimeMetrics};
 pub use request::{

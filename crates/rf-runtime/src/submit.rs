@@ -235,8 +235,9 @@ pub struct Response {
     pub iteration: u64,
     /// The lane the submission was served from.
     pub priority: Priority,
-    /// The fleet device that served this submission (0 in a single-device
-    /// engine).
+    /// Always 0: the engine is one device. It stays only because `perf`'s
+    /// `serve.rs`, frozen outside `[benchmark]` PRs, builds a `Response` by
+    /// struct literal; ROADMAP item 1 removes it.
     pub device: usize,
     /// Graph-serving counters; `None` for workload submissions.
     pub graph: Option<GraphStats>,

@@ -1,20 +1,18 @@
 //! Golden Prometheus exposition: "same numbers, same families, same order"
 //! as a test.
 //!
-//! A scripted replay — fixed `record_*` calls on two device ledgers at
-//! [`TraceLevel::Histograms`], merged, snapshotted with fixed cache stats and
-//! two [`DeviceSnapshot`]s — is rendered with
-//! [`MetricsSnapshot::prometheus_with_devices`] and compared byte for byte
-//! with `tests/golden/exposition.prom`; every counter field of the merged
+//! A scripted replay — two fixed scripts of `record_*` calls into one ledger
+//! at `TraceLevel::Histograms`, snapshotted with fixed cache stats — is
+//! rendered with [`MetricsSnapshot::prometheus`] and compared byte for byte
+//! with `tests/golden/exposition.prom`; every counter field of the
 //! [`MetricsSnapshot`] is compared with `tests/golden/counters.txt`. Both
 //! files were recorded on the commit before the exposition became
-//! table-driven and the sliding windows were deleted; that change moved the
-//! three `redfuser_device_p99_us` lines (HELP text, and both values from a
-//! linear-interpolation percentile over a sample window to the lifetime
-//! histogram's bucket-quantised p99) and nothing else. Deleting the
-//! calibration ledger then removed the `redfuser_calibration_*` and
-//! `calibration.*` lines and nothing else. The `redfuser_window_*` lines are
-//! dropped: they depend on the wall clock.
+//! table-driven and the sliding windows were deleted. Since then: deleting
+//! the calibration ledger removed the `redfuser_calibration_*` and
+//! `calibration.*` lines; deleting the multi-device fleet removed the four
+//! per-device families (the scripts were then replayed into one ledger
+//! instead of two merged ones, which changes no other line). The
+//! `redfuser_window_*` lines are dropped: they depend on the wall clock.
 //!
 //! Re-record (copy the file the failure message names over the golden one)
 //! only in a PR that adds or removes a metric family, and list the lines that
@@ -25,8 +23,7 @@ use std::time::Duration;
 
 use rf_codegen::TuningCacheStats;
 use rf_runtime::{
-    CacheStats, DeviceSnapshot, MetricsSnapshot, Priority, RequestTiming, RuntimeMetrics,
-    TraceConfig,
+    CacheStats, MetricsSnapshot, Priority, RequestTiming, RuntimeMetrics, TraceConfig,
 };
 
 fn timing(queue_us: f64, compile_us: f64, tune_us: f64, execute_us: f64) -> RequestTiming {
@@ -40,9 +37,9 @@ fn timing(queue_us: f64, compile_us: f64, tune_us: f64, execute_us: f64) -> Requ
     }
 }
 
-/// Device 0: a tile-VM A10 serving softmax and MHA on the normal and high
-/// lanes, one failed request, one infeasible (infinite) estimate, two graphs.
-fn replay_device_0(m: &RuntimeMetrics) {
+/// Script 0: softmax and MHA on the normal and high lanes, one failed
+/// request, one infeasible (infinite) estimate, two graphs.
+fn replay_script_0(m: &RuntimeMetrics) {
     for _ in 0..40 {
         m.record_submit(Priority::Normal);
     }
@@ -76,9 +73,8 @@ fn replay_device_0(m: &RuntimeMetrics) {
     m.record_served(Priority::Normal, 2);
 }
 
-/// Device 1: a cost-model H800 serving the same classes faster, on the low
-/// lane too, with two sheds.
-fn replay_device_1(m: &RuntimeMetrics) {
+/// Script 1: the same classes faster, on the low lane too, with two sheds.
+fn replay_script_1(m: &RuntimeMetrics) {
     for _ in 0..24 {
         m.record_submit(Priority::Normal);
     }
@@ -119,36 +115,11 @@ fn tuning(lookups: u64, seeded: u64, insertions: u64, entries: usize) -> TuningC
     }
 }
 
-fn replay() -> (MetricsSnapshot, Vec<DeviceSnapshot>) {
-    let config = TraceConfig::default();
-    let ledgers = [
-        RuntimeMetrics::with_trace(config),
-        RuntimeMetrics::with_trace(config),
-    ];
-    replay_device_0(&ledgers[0]);
-    replay_device_1(&ledgers[1]);
-    let merged = RuntimeMetrics::with_trace(config);
-    for ledger in &ledgers {
-        merged.merge_from(ledger);
-    }
-    let devices = vec![
-        DeviceSnapshot {
-            device: 0,
-            arch: "NVIDIA A10",
-            backend: "tile-vm",
-            fingerprint: 42,
-            metrics: ledgers[0].snapshot(3, cache(13, 3, 0, 3), tuning(3, 1, 3, 2)),
-        },
-        DeviceSnapshot {
-            device: 1,
-            arch: "NVIDIA H800",
-            backend: "cost-model",
-            fingerprint: 7,
-            metrics: ledgers[1].snapshot(1, cache(4, 3, 1, 2), tuning(3, 0, 3, 3)),
-        },
-    ];
-    let fleet = merged.snapshot(4, cache(17, 6, 1, 5), tuning(6, 1, 6, 5));
-    (fleet, devices)
+fn replay() -> MetricsSnapshot {
+    let ledger = RuntimeMetrics::with_trace(TraceConfig::default());
+    replay_script_0(&ledger);
+    replay_script_1(&ledger);
+    ledger.snapshot(4, cache(17, 6, 1, 5), tuning(6, 1, 6, 5))
 }
 
 /// Every counter field of the snapshot, one per line. Latency *statistics*
@@ -245,16 +216,16 @@ fn check_golden(name: &str, actual: &str) -> Result<(), String> {
 
 #[test]
 fn exposition_and_counters_match_the_recorded_replay() {
-    let (fleet, devices) = replay();
-    let exposition: String = fleet
-        .prometheus_with_devices(&devices)
+    let snapshot = replay();
+    let exposition: String = snapshot
+        .prometheus()
         .lines()
         .filter(|line| !line.contains("redfuser_window_"))
         .map(|line| format!("{line}\n"))
         .collect();
     let differences: Vec<String> = [
         check_golden("exposition.prom", &exposition),
-        check_golden("counters.txt", &counters(&fleet)),
+        check_golden("counters.txt", &counters(&snapshot)),
     ]
     .into_iter()
     .filter_map(Result::err)

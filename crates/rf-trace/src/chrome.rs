@@ -3,9 +3,9 @@
 //! [`chrome_trace_json`] renders a [`TraceSnapshot`] in the Chrome
 //! trace-event JSON object format (`{"traceEvents": [...]}`) — loadable in
 //! Perfetto (`ui.perfetto.dev`) and `chrome://tracing`. Spans become `"X"`
-//! (complete) events, instants become `"i"` events, and every distinct track
-//! gets a `thread_name` metadata record so the viewer labels request and
-//! worker timelines.
+//! (complete) events, instants become `"i"` events, all under the one
+//! `engine` process, and every distinct track gets a `thread_name` metadata
+//! record so the viewer labels request and worker timelines.
 //!
 //! [`validate_chrome_trace`] is the inverse check used by tests, the
 //! `serve_trace` harness and CI: parse the JSON (own mini-parser — the
@@ -17,6 +17,9 @@ use std::collections::HashMap;
 
 use crate::json::{self, JsonValue};
 use crate::span::{ArgValue, EventPhase, TraceEvent, TraceSnapshot, Track};
+
+/// The Chrome `pid` of the one `engine` process every event renders under.
+const ENGINE_PID: u64 = 1;
 
 /// Renders a snapshot as Chrome trace-event JSON. Timestamps and durations
 /// are exported in microseconds, as the format specifies.
@@ -33,20 +36,19 @@ pub fn chrome_trace_json(snapshot: &TraceSnapshot) -> String {
         *first = false;
         out.push_str(&text);
     };
-    for (pid, label) in process_labels(&snapshot.events) {
+    if !snapshot.events.is_empty() {
         emit(
             format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json::escape(&label)
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{ENGINE_PID},\"tid\":0,\
+                 \"args\":{{\"name\":\"engine\"}}}}"
             ),
             &mut first,
         );
     }
-    for ((pid, track), label) in track_labels(&snapshot.events) {
+    for (track, label) in track_labels(&snapshot.events) {
         emit(
             format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{track},\
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{ENGINE_PID},\"tid\":{track},\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 json::escape(&label)
             ),
@@ -60,31 +62,11 @@ pub fn chrome_trace_json(snapshot: &TraceSnapshot) -> String {
     out
 }
 
-/// One label per distinct process (`pid`), in first-appearance order:
-/// `"engine"` for the shared process, `"device-N"` per fleet device.
-fn process_labels(events: &[TraceEvent]) -> Vec<(u64, String)> {
-    let mut seen: Vec<(u64, String)> = Vec::new();
-    for event in events {
-        let pid = event.process_id();
-        if seen.iter().any(|(p, _)| *p == pid) {
-            continue;
-        }
-        let label = match event.device {
-            Some(device) => format!("device-{device}"),
-            None => "engine".to_string(),
-        };
-        seen.push((pid, label));
-    }
-    seen
-}
-
-/// One label per distinct `(pid, tid)` track, in first-appearance order.
-/// Tids are only unique within a process: a fleet reuses `worker-0` on every
-/// device pid, so the key must carry both halves.
-fn track_labels(events: &[TraceEvent]) -> Vec<((u64, u64), String)> {
+/// One label per distinct track (`tid`), in first-appearance order.
+fn track_labels(events: &[TraceEvent]) -> Vec<(u64, String)> {
     let mut seen = Vec::new();
     for event in events {
-        let key = (event.process_id(), event.track_id());
+        let key = event.track_id();
         if seen.iter().any(|(k, _)| *k == key) {
             continue;
         }
@@ -112,9 +94,6 @@ fn event_json(event: &TraceEvent) -> String {
     if let Some(iteration) = event.iteration {
         args.push(format!("\"iteration\":{iteration}"));
     }
-    if let Some(device) = event.device {
-        args.push(format!("\"device\":{device}"));
-    }
     for (key, value) in &event.args {
         let rendered = match value {
             ArgValue::U64(n) => n.to_string(),
@@ -129,7 +108,7 @@ fn event_json(event: &TraceEvent) -> String {
         EventPhase::Span => format!("\"ph\":\"X\",\"dur\":{}", json::number(event.dur_us)),
     };
     format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",{phase},\"ts\":{},\"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
+        "{{\"name\":\"{}\",\"cat\":\"{}\",{phase},\"ts\":{},\"pid\":{ENGINE_PID},\"tid\":{},\"args\":{{{}}}}}",
         json::escape(event.name),
         match event.track {
             Track::Request(_) => "request",
@@ -137,7 +116,6 @@ fn event_json(event: &TraceEvent) -> String {
             Track::FrontDoor => "admission",
         },
         json::number(event.ts_us),
-        event.process_id(),
         event.track_id(),
         args.join(",")
     )
@@ -179,8 +157,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
         events: events.len(),
         ..TraceStats::default()
     };
-    // Tracks are only unique within a process (a fleet reuses worker tids on
-    // every device pid), so the nesting key must be the (pid, tid) pair.
+    // Tracks are only unique within a process, so the nesting key is the
+    // (pid, tid) pair.
     type TrackKey = (u64, u64);
     let mut spans_by_track: HashMap<TrackKey, Vec<(f64, f64, String)>> = HashMap::new();
     let mut request_tracks: Vec<TrackKey> = Vec::new();
@@ -354,27 +332,6 @@ mod tests {
             {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":10,\"pid\":1,\"tid\":7},\
             {\"name\":\"b\",\"ph\":\"X\",\"ts\":2,\"dur\":4,\"pid\":1,\"tid\":7}]}";
         assert!(validate_chrome_trace(nested).is_ok());
-    }
-
-    #[test]
-    fn device_events_export_under_their_own_process() {
-        let c = TraceCollector::new(TraceConfig::full());
-        // Identical tid and overlapping time ranges on two devices: only the
-        // (pid, tid) keying keeps these from "partially overlapping".
-        c.record(TraceEvent::span("iteration", 0.0, 10.0, Track::Worker(0)).with_device(0));
-        c.record(TraceEvent::span("iteration", 5.0, 10.0, Track::Worker(0)).with_device(1));
-        let json_text = chrome_trace_json(&c.snapshot());
-        let stats = validate_chrome_trace(&json_text).expect("per-device pids keep tracks apart");
-        assert_eq!(stats.spans, 2);
-        assert!(json_text.contains("\"pid\":2") && json_text.contains("\"pid\":3"));
-        assert!(json_text.contains("device-0") && json_text.contains("device-1"));
-        assert!(json_text.contains("\"device\":1"));
-        // The same overlapping pair on ONE device is still rejected.
-        let c = TraceCollector::new(TraceConfig::full());
-        c.record(TraceEvent::span("iteration", 0.0, 10.0, Track::Worker(0)).with_device(1));
-        c.record(TraceEvent::span("iteration", 5.0, 10.0, Track::Worker(0)).with_device(1));
-        let err = validate_chrome_trace(&chrome_trace_json(&c.snapshot())).unwrap_err();
-        assert!(err.contains("partially overlaps"), "got: {err}");
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! [`SUB_BUCKETS`] linear sub-buckets — so any quantile is recoverable with
 //! bounded relative error (at most `1 / SUB_BUCKETS`, ~6%) over the full
 //! lifetime of the process, using a fixed 8 KiB of atomics per histogram.
-//! It is the workspace's one latency statistic: two histograms merge exactly
-//! (a bucket-wise add), so a fleet's distribution is its devices' merged and
-//! "what was p999 over the whole run" needs no sample kept.
+//! It is the workspace's one latency statistic: "what was p999 over the
+//! whole run" needs no sample kept.
 //!
 //! Every percentile in `rf-trace` and `rf-runtime` follows one rank rule,
 //! `rank = ⌈q·n⌉` clamped to `1..=n`: [`quantile_sorted`] applies it to
@@ -178,25 +177,6 @@ impl LogHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Adds every sample of `other` into `self` — used to fold per-device
-    /// histograms into one fleet-wide distribution. Bucket counts, the sample
-    /// count, the nanosecond sum and the maximum all combine exactly (the
-    /// buckets are position-aligned, so no re-quantisation happens);
-    /// concurrent recording on either side yields an approximately consistent
-    /// merge, the same guarantee as [`LogHistogram::snapshot`].
-    pub fn merge_from(&self, other: &LogHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.add_sum_ns(other.sum_ns.load(Ordering::Relaxed));
-        self.raise_max_ns(other.max_ns.load(Ordering::Relaxed));
-    }
-
     /// A point-in-time summary: count, mean and the headline quantiles.
     /// Concurrent recording is fine; the snapshot is approximately
     /// consistent (bucket loads are not a single atomic cut).
@@ -326,32 +306,6 @@ mod tests {
         assert_eq!(h.snapshot().count, 4000);
     }
 
-    #[test]
-    fn merging_is_exact_at_the_bucket_level() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let whole = LogHistogram::new();
-        for v in 1..=500 {
-            a.record_us(v as f64);
-            whole.record_us(v as f64);
-        }
-        for v in 501..=1000 {
-            b.record_us(v as f64);
-            whole.record_us(v as f64);
-        }
-        let merged = LogHistogram::new();
-        merged.merge_from(&a);
-        merged.merge_from(&b);
-        // Merging position-aligned buckets is lossless: the merged snapshot
-        // is identical to recording every sample into one histogram.
-        assert_eq!(merged.snapshot(), whole.snapshot());
-        assert_eq!(merged.count(), 1000);
-        // Merging an empty histogram changes nothing.
-        let before = merged.snapshot();
-        merged.merge_from(&LogHistogram::new());
-        assert_eq!(merged.snapshot(), before);
-    }
-
     /// Everything a histogram holds: bucket counts, count, sum and maximum.
     fn state(h: &LogHistogram) -> (Vec<u64>, u64, u64, u64) {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -390,12 +344,10 @@ mod tests {
         h.record_n(1e12, 10_000); // 10¹⁹ ns, just inside `u64`
         h.record_n(1e12, 10_000); // the second would wrap to ~1.5·10¹⁸
         assert_eq!(h.sum_ns.load(Ordering::Relaxed), u64::MAX);
+        // …and so does every add after it.
         h.record_us(5.0);
-        let other = LogHistogram::new();
-        other.record_us(5.0);
-        other.merge_from(&h);
-        assert_eq!(other.sum_ns.load(Ordering::Relaxed), u64::MAX);
-        assert_eq!(other.count(), 20_002);
+        assert_eq!(h.sum_ns.load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(h.count(), 20_001);
         // One overflowing product saturates too.
         let one = LogHistogram::new();
         one.record_n(1e15, u64::MAX);

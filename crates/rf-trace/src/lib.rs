@@ -18,7 +18,7 @@
 //!   tests and CI (the workspace is offline, so the crate carries its own
 //!   minimal JSON reader, [`json::parse`]).
 //! * [`OpProfiler`] — op-level aggregation of tile-VM interpreter samples
-//!   per `(device, class, region, op)`, exportable as folded-stack text for
+//!   per `(class, region, op)`, exportable as folded-stack text for
 //!   `inferno`-style flamegraph tools ([`validate_folded`] checks the
 //!   format).
 //! * [`RollingTelemetry`] — a ring of fixed-width time windows (default

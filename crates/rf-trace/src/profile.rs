@@ -3,12 +3,12 @@
 //! The `rf_tile::exec` VM reports, per executed program, one [`OpSample`]
 //! for each op kind of the store → correct → reduce template (invocation
 //! counts, rows processed, modelled byte traffic and measured wall time).
-//! The runtime attributes every sample to the `(device, workload class,
-//! region, op)` it ran under and folds it into an [`OpProfiler`] — a small
-//! concurrent aggregation map shared by all workers of a fleet.
+//! The runtime attributes every sample to the `(workload class, region, op)`
+//! it ran under and folds it into an [`OpProfiler`] — a small concurrent
+//! aggregation map shared by all workers of the engine.
 //!
 //! The aggregate exports as **folded-stack text** (one
-//! `device;class;region;op <weight>` line per aggregate, weighted by wall
+//! `class;region;op <weight>` line per aggregate, weighted by wall
 //! nanoseconds), the input format of `inferno`-style flamegraph tools.
 //! [`validate_folded`] is the matching well-formedness check used by tests
 //! and CI.
@@ -45,10 +45,10 @@ impl OpSample {
     }
 }
 
-type ProfKey = (usize, String, String, &'static str);
+type ProfKey = (String, String, &'static str);
 
-/// Concurrent per-fleet aggregation of tile-VM op samples, keyed by
-/// `(device, workload class, region, op)`.
+/// Concurrent aggregation of tile-VM op samples, keyed by
+/// `(workload class, region, op)`.
 ///
 /// Construction fixes whether the profiler is live: a disabled profiler
 /// never takes its lock and the engine's serving path never produces samples
@@ -74,21 +74,14 @@ impl OpProfiler {
         self.enabled
     }
 
-    /// Folds one op sample into the `(device, class, region, op)` aggregate.
-    pub fn record(
-        &self,
-        device: usize,
-        class: &str,
-        region: &str,
-        op: &'static str,
-        sample: &OpSample,
-    ) {
+    /// Folds one op sample into the `(class, region, op)` aggregate.
+    pub fn record(&self, class: &str, region: &str, op: &'static str, sample: &OpSample) {
         if !self.enabled {
             return;
         }
         let mut entries = self.entries.lock().expect("op profiler poisoned");
         entries
-            .entry((device, class.to_string(), region.to_string(), op))
+            .entry((class.to_string(), region.to_string(), op))
             .or_default()
             .add(sample);
     }
@@ -99,8 +92,7 @@ impl OpProfiler {
         OpProfileSnapshot {
             entries: entries
                 .iter()
-                .map(|((device, class, region, op), sample)| OpProfileEntry {
-                    device: *device,
+                .map(|((class, region, op), sample)| OpProfileEntry {
                     class: class.clone(),
                     region: region.clone(),
                     op: op.to_string(),
@@ -111,11 +103,9 @@ impl OpProfiler {
     }
 }
 
-/// One `(device, class, region, op)` aggregate in an [`OpProfileSnapshot`].
+/// One `(class, region, op)` aggregate in an [`OpProfileSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpProfileEntry {
-    /// Fleet device id the samples ran on.
-    pub device: usize,
     /// Workload class served (e.g. `softmax`, `mha`, `graph`).
     pub class: String,
     /// Region: the compiled plan (tile program) name.
@@ -129,7 +119,7 @@ pub struct OpProfileEntry {
 /// Exportable aggregate of a profiling run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpProfileSnapshot {
-    /// Aggregates sorted by `(device, class, region, op)`.
+    /// Aggregates sorted by `(class, region, op)`.
     pub entries: Vec<OpProfileEntry>,
 }
 
@@ -139,7 +129,7 @@ impl OpProfileSnapshot {
         self.entries.is_empty()
     }
 
-    /// Folded-stack export: one `device-N;class;region;op <wall_ns>` line per
+    /// Folded-stack export: one `class;region;op <wall_ns>` line per
     /// aggregate, the input of `inferno-flamegraph` and friends. Frames never
     /// contain `;` or whitespace (offending characters are replaced by `_`),
     /// and the weight is the aggregate's measured wall nanoseconds (clamped
@@ -148,8 +138,7 @@ impl OpProfileSnapshot {
         let mut out = String::new();
         for entry in &self.entries {
             out.push_str(&format!(
-                "device-{};{};{};{} {}\n",
-                entry.device,
+                "{};{};{} {}\n",
                 frame(&entry.class),
                 frame(&entry.region),
                 frame(&entry.op),
@@ -225,35 +214,35 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         let profiler = OpProfiler::new(false);
-        profiler.record(0, "softmax", "softmax_4x64", "reduce", &sample(4, 100));
+        profiler.record("softmax", "softmax_4x64", "reduce", &sample(4, 100));
         assert!(!profiler.enabled());
         assert!(profiler.snapshot().is_empty());
         assert_eq!(profiler.snapshot().folded(), "");
     }
 
     #[test]
-    fn samples_aggregate_by_device_class_region_and_op() {
+    fn samples_aggregate_by_class_region_and_op() {
         let profiler = OpProfiler::new(true);
-        profiler.record(0, "softmax", "softmax_4x64", "reduce", &sample(4, 100));
-        profiler.record(0, "softmax", "softmax_4x64", "reduce", &sample(2, 50));
-        profiler.record(1, "softmax", "softmax_4x64", "reduce", &sample(1, 10));
+        profiler.record("softmax", "softmax_4x64", "reduce", &sample(4, 100));
+        profiler.record("softmax", "softmax_4x64", "reduce", &sample(2, 50));
+        profiler.record("softmax", "softmax_4x64", "correct", &sample(1, 10));
         let snapshot = profiler.snapshot();
         assert_eq!(snapshot.entries.len(), 2);
-        assert_eq!(snapshot.entries[0].counters.invocations, 6);
-        assert_eq!(snapshot.entries[0].counters.wall_ns, 150);
-        assert_eq!(snapshot.entries[1].device, 1);
+        assert_eq!(snapshot.entries[1].counters.invocations, 6);
+        assert_eq!(snapshot.entries[1].counters.wall_ns, 150);
+        assert_eq!(snapshot.entries[0].op, "correct");
     }
 
     #[test]
     fn folded_export_validates_and_sanitises_frames() {
         let profiler = OpProfiler::new(true);
-        profiler.record(0, "quant gemm", "q;prog", "reduce", &sample(3, 900));
-        profiler.record(0, "quant gemm", "q;prog", "epilogue", &sample(1, 0));
+        profiler.record("quant gemm", "q;prog", "reduce", &sample(3, 900));
+        profiler.record("quant gemm", "q;prog", "epilogue", &sample(1, 0));
         let folded = profiler.snapshot().folded();
         assert_eq!(validate_folded(&folded), Ok(2));
-        assert!(folded.contains("device-0;quant_gemm;q_prog;reduce 900"));
+        assert!(folded.contains("quant_gemm;q_prog;reduce 900\n"));
         // Zero wall time still produces a visible weight.
-        assert!(folded.contains("device-0;quant_gemm;q_prog;epilogue 1"));
+        assert!(folded.starts_with("quant_gemm;q_prog;epilogue 1\n"));
     }
 
     #[test]

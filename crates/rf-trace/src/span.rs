@@ -174,11 +174,6 @@ pub struct TraceEvent {
     pub class: Option<&'static str>,
     /// The engine iteration, if known.
     pub iteration: Option<u64>,
-    /// The fleet device this event happened on, if any. Device-tagged events
-    /// are exported under their own Chrome process (`pid = device + 2`), so
-    /// each device renders as its own track group in Perfetto; untagged
-    /// events stay on the engine-wide process (`pid = 1`).
-    pub device: Option<usize>,
     /// Extra key/values exported into the trace viewer's args pane.
     pub args: Vec<(&'static str, ArgValue)>,
 }
@@ -207,7 +202,6 @@ impl TraceEvent {
             lane: None,
             class: None,
             iteration: None,
-            device: None,
             args: Vec::new(),
         }
     }
@@ -245,29 +239,14 @@ impl TraceEvent {
         self
     }
 
-    /// Attaches the fleet device index.
-    pub fn with_device(mut self, device: usize) -> Self {
-        self.device = Some(device);
-        self
-    }
-
     /// Attaches one extra key/value.
     pub fn with_arg(mut self, key: &'static str, value: ArgValue) -> Self {
         self.args.push((key, value));
         self
     }
 
-    /// The Chrome `pid` this event renders under: every device-tagged event
-    /// gets its device's own process (`device + 2`), so a fleet exports one
-    /// track group per device; untagged events share process 1.
-    pub fn process_id(&self) -> u64 {
-        self.device.map_or(1, |d| d as u64 + 2)
-    }
-
     /// The numeric track (Chrome `tid`) this event renders on. Request
-    /// tracks are offset so they never collide with worker tracks. Tracks
-    /// are only unique *within* a process — a fleet reuses the same worker
-    /// tids on every device pid (see [`TraceEvent::process_id`]).
+    /// tracks are offset so they never collide with worker tracks.
     pub fn track_id(&self) -> u64 {
         match self.track {
             Track::FrontDoor => 0,
@@ -435,15 +414,5 @@ mod tests {
         assert_eq!(front.track_id(), 0);
         assert_eq!(worker.track_id(), 4);
         assert_eq!(request.track_id(), REQUEST_TRACK_BASE + 3);
-    }
-
-    #[test]
-    fn device_tags_select_the_process_but_not_the_track() {
-        let plain = TraceEvent::span("iteration", 0.0, 1.0, Track::Worker(0));
-        assert_eq!(plain.process_id(), 1);
-        let tagged = plain.clone().with_device(3);
-        assert_eq!(tagged.process_id(), 5);
-        assert_eq!(tagged.track_id(), plain.track_id());
-        assert_eq!(tagged.device, Some(3));
     }
 }

@@ -40,8 +40,7 @@ struct Slot {
     busy_us: f64,
     /// The window's batch latencies as sparse [`crate::LogHistogram`]
     /// buckets, `(bucket, count)` in ascending bucket order: simulated
-    /// latencies in one window take a handful of distinct values, and two
-    /// devices' windows merge exactly.
+    /// latencies in one window take a handful of distinct values.
     latencies: Vec<(usize, u64)>,
 }
 
@@ -53,42 +52,22 @@ impl Slot {
         }
     }
 
-    fn add_latencies(&mut self, bucket: usize, n: u64) {
+    fn add_latency(&mut self, bucket: usize) {
         match self.latencies.binary_search_by_key(&bucket, |&(b, _)| b) {
-            Ok(at) => self.latencies[at].1 += n,
-            Err(at) => self.latencies.insert(at, (bucket, n)),
+            Ok(at) => self.latencies[at].1 += 1,
+            Err(at) => self.latencies.insert(at, (bucket, 1)),
         }
     }
 }
 
-/// A ring of fixed-width telemetry windows shared by one device's workers.
+/// A ring of fixed-width telemetry windows shared by the engine's workers.
 #[derive(Debug)]
 pub struct RollingTelemetry {
     width_ms: u64,
     slots: usize,
-    state: Mutex<State>,
-}
-
-/// The windows, the instant their indices count from, and how many streams
-/// (devices) the ring stands for.
-#[derive(Debug)]
-struct State {
+    /// The instant window indices count from.
     epoch: Instant,
-    ring: VecDeque<Slot>,
-    /// Whether an event was ever recorded into this ring directly.
-    recorded: bool,
-    /// Streams of the rings merged into this one.
-    merged_streams: u64,
-}
-
-impl State {
-    /// Streams the busy fraction is normalised by: the merged rings' plus
-    /// this ring's own — unless it never recorded and exists only to hold a
-    /// merge (an N-device fleet is N streams, not N + 1). An idle device's
-    /// ring, never merged into, still counts as one.
-    fn streams(&self) -> u64 {
-        self.merged_streams + u64::from(self.recorded || self.merged_streams == 0)
-    }
+    ring: Mutex<VecDeque<Slot>>,
 }
 
 impl Default for RollingTelemetry {
@@ -103,12 +82,8 @@ impl RollingTelemetry {
         RollingTelemetry {
             width_ms: width_ms.max(1),
             slots: slots.max(1),
-            state: Mutex::new(State {
-                epoch: Instant::now(),
-                ring: VecDeque::new(),
-                recorded: false,
-                merged_streams: 0,
-            }),
+            epoch: Instant::now(),
+            ring: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -122,15 +97,13 @@ impl RollingTelemetry {
         self.slots
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.state.lock().expect("telemetry ring poisoned")
+    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<Slot>> {
+        self.ring.lock().expect("telemetry ring poisoned")
     }
 
     fn with_slot<R>(&self, f: impl FnOnce(&mut Slot) -> R) -> R {
-        let mut state = self.lock();
-        state.recorded = true;
-        let index = (state.epoch.elapsed().as_millis() as u64) / self.width_ms;
-        let ring = &mut state.ring;
+        let mut ring = self.lock();
+        let index = (self.epoch.elapsed().as_millis() as u64) / self.width_ms;
         if ring.back().is_none_or(|slot| slot.index < index) {
             ring.push_back(Slot::new(index));
         }
@@ -169,64 +142,24 @@ impl RollingTelemetry {
             slot.batched_requests += batch_size;
             if let Some((bucket, _)) = bucket_of_us(latency_us) {
                 slot.busy_us += latency_us;
-                slot.add_latencies(bucket, 1);
+                slot.add_latency(bucket);
             }
         });
     }
 
-    /// Folds another ring into this one, aligning windows by index. The
-    /// devices' epochs differ by start-up skew (microseconds), which is far
-    /// below the window width; the merged ring counts from the earliest epoch
-    /// it has seen, so a ring created only to hold a merge still knows how
-    /// long its newest window has been open. The merged busy fraction
-    /// renormalises by the summed stream count (see `State::streams`).
-    pub fn merge_from(&self, other: &RollingTelemetry) {
-        let theirs = other.lock();
-        let mut guard = self.lock();
-        guard.merged_streams += theirs.streams();
-        guard.epoch = guard.epoch.min(theirs.epoch);
-        let ours = &mut guard.ring;
-        for slot in theirs.ring.iter() {
-            let target = match ours.iter_mut().find(|s| s.index == slot.index) {
-                Some(existing) => existing,
-                None => {
-                    let at = ours.partition_point(|s| s.index < slot.index);
-                    ours.insert(at, Slot::new(slot.index));
-                    &mut ours[at]
-                }
-            };
-            target.submitted += slot.submitted;
-            target.completed += slot.completed;
-            target.failed += slot.failed;
-            target.shed += slot.shed;
-            target.batches += slot.batches;
-            target.batched_requests += slot.batched_requests;
-            target.busy_us += slot.busy_us;
-            for &(bucket, n) in &slot.latencies {
-                target.add_latencies(bucket, n);
-            }
-        }
-        while ours.len() > self.slots {
-            ours.pop_front();
-        }
-    }
-
     /// A point-in-time per-window summary, oldest window first.
     pub fn snapshot(&self) -> TimeSeriesSnapshot {
-        let now = self.lock().epoch.elapsed();
-        self.snapshot_at(now)
+        self.snapshot_at(self.epoch.elapsed())
     }
 
     /// [`RollingTelemetry::snapshot`] taken `now` after the epoch; the tests
     /// fix the instant through it.
     fn snapshot_at(&self, now: Duration) -> TimeSeriesSnapshot {
-        let state = self.lock();
+        let ring = self.lock();
         let now_ms = now.as_secs_f64() * 1000.0;
         let width_ms = self.width_ms as f64;
-        let streams = state.streams() as f64;
-        let newest = state.ring.back().map(|slot| slot.index);
-        let windows = state
-            .ring
+        let newest = ring.back().map(|slot| slot.index);
+        let windows = ring
             .iter()
             .map(|slot| {
                 let samples = slot.latencies.iter().map(|&(_, n)| n).sum();
@@ -258,7 +191,7 @@ impl RollingTelemetry {
                     } else {
                         0.0
                     },
-                    busy_frac: (slot.busy_us / (covered_ms * 1000.0 * streams)).min(1.0),
+                    busy_frac: (slot.busy_us / (covered_ms * 1000.0)).min(1.0),
                 }
             })
             .collect();
@@ -318,7 +251,7 @@ pub struct WindowSnapshot {
     /// Mean batch occupancy (requests per executed batch).
     pub mean_batch: f64,
     /// Fraction of the time the window covers (as for `throughput_rps`) that
-    /// the device(s) spent busy (simulated), 0..=1.
+    /// the device spent busy (simulated), 0..=1.
     pub busy_frac: f64,
 }
 
@@ -346,52 +279,6 @@ mod tests {
         assert!((w.p99_us - 1000.0).abs() <= 1000.0 / SUB_BUCKETS as f64);
         assert!(w.busy_frac > 0.0);
         assert_eq!(snapshot.latest_active().unwrap().completed, 2);
-    }
-
-    #[test]
-    fn merge_aligns_windows_and_renormalises_busy() {
-        let a = RollingTelemetry::new(60_000, 4);
-        let b = RollingTelemetry::new(60_000, 4);
-        a.record_batch(1, 0, 30_000_000.0, 1);
-        b.record_batch(3, 1, 30_000_000.0, 4);
-        // Both read as the window closes: half of it busy.
-        let closing = Duration::from_secs(60);
-        let busy_alone = a.snapshot_at(closing).windows[0].busy_frac;
-        assert!((busy_alone - 0.5).abs() < 1e-12);
-        a.merge_from(&b);
-        let snapshot = a.snapshot_at(closing);
-        assert_eq!(snapshot.windows.len(), 1);
-        let w = &snapshot.windows[0];
-        assert_eq!((w.completed, w.failed, w.batches), (4, 1, 2));
-        // Two streams, same busy time each: the merged fraction matches one
-        // device's fraction instead of doubling.
-        assert!((w.busy_frac - busy_alone).abs() < 1e-9);
-    }
-
-    #[test]
-    fn a_ring_that_only_holds_a_merge_is_not_a_stream_of_its_own() {
-        // What `Engine::metrics()` does for a fleet: N device rings folded
-        // into a fresh one that never records. Two devices, each busy for
-        // half of a window read as it closes, are a fleet busy for half.
-        let devices = [
-            RollingTelemetry::new(60_000, 4),
-            RollingTelemetry::new(60_000, 4),
-        ];
-        let fleet = RollingTelemetry::new(60_000, 4);
-        for device in &devices {
-            device.record_batch(1, 0, 30_000_000.0, 1);
-            fleet.merge_from(device);
-        }
-        let closing = Duration::from_secs(60);
-        let busy = |t: &RollingTelemetry| t.snapshot_at(closing).windows[0].busy_frac;
-        assert!((busy(&fleet) - 0.5).abs() < 1e-12, "{}", busy(&fleet));
-        // An idle device still counts as capacity: a third ring that never
-        // recorded makes the same busy time a third of the fleet's.
-        fleet.merge_from(&RollingTelemetry::new(60_000, 4));
-        assert!((busy(&fleet) - 1.0 / 3.0).abs() < 1e-12);
-        // And a holder that then records for itself becomes a fourth stream.
-        fleet.record_batch(0, 0, 0.0, 0);
-        assert!((busy(&fleet) - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -456,13 +343,6 @@ mod tests {
         assert_eq!(busy_at(&single, 11), 1.0);
         assert!((busy_at(&single, 60_000) - busy_us / 60e6).abs() < 1e-15);
         assert!((busy_at(&single, 600_000) - busy_us / 60e6).abs() < 1e-15);
-        // A second stream with the same load doubles work and capacity alike.
-        let other = RollingTelemetry::new(60_000, 4);
-        for latency_us in batches_us {
-            other.record_batch(1, 0, latency_us, 1);
-        }
-        single.merge_from(&other);
-        assert!((busy_at(&single, 44) - 2.0 * busy_us / 88_000.0).abs() < 1e-12);
         // Closed windows keep the full width whatever `now` is.
         let closed = RollingTelemetry::new(250, 4);
         for (index, busy_us) in [(0, 125_000.0), (1, 11_000.0)] {
@@ -470,7 +350,7 @@ mod tests {
                 busy_us,
                 ..Slot::new(index)
             };
-            closed.lock().ring.push_back(slot);
+            closed.lock().push_back(slot);
         }
         let snapshot = closed.snapshot_at(Duration::from_millis(294));
         let busy: Vec<f64> = snapshot.windows.iter().map(|w| w.busy_frac).collect();
@@ -494,27 +374,18 @@ mod tests {
     }
 
     #[test]
-    fn closed_windows_keep_the_full_width_and_merges_keep_the_epoch() {
+    fn closed_windows_keep_the_full_width() {
         let telemetry = RollingTelemetry::new(250, 4);
         for (index, completed) in [(0, 100), (1, 11)] {
             let slot = Slot {
                 completed,
                 ..Slot::new(index)
             };
-            telemetry.lock().ring.push_back(slot);
+            telemetry.lock().push_back(slot);
         }
-        let rates = |t: &RollingTelemetry, now_ms| -> Vec<f64> {
-            let snapshot = t.snapshot_at(Duration::from_millis(now_ms));
-            snapshot.windows.iter().map(|w| w.throughput_rps).collect()
-        };
-        assert_eq!(rates(&telemetry, 294), [100.0 / 0.25, 11.0 / 0.044]);
-        // A ring created later, only to hold the merge, counts from the
-        // merged ring's epoch: its clock reads no less than the source's.
-        std::thread::sleep(Duration::from_millis(2));
-        let merged = RollingTelemetry::new(250, 4);
-        merged.merge_from(&telemetry);
-        assert_eq!(rates(&merged, 294), rates(&telemetry, 294));
-        assert_eq!(merged.lock().epoch, telemetry.lock().epoch);
+        let snapshot = telemetry.snapshot_at(Duration::from_millis(294));
+        let rates: Vec<f64> = snapshot.windows.iter().map(|w| w.throughput_rps).collect();
+        assert_eq!(rates, [100.0 / 0.25, 11.0 / 0.044]);
     }
 
     #[test]
@@ -523,14 +394,9 @@ mod tests {
         // store kept), latencies spread over three octaves.
         let latency = |i: u64| 40.0 + (i * 7919 % 2000) as f64 * 0.37;
         let telemetry = RollingTelemetry::new(60_000, 4);
-        let (evens, odds) = (
-            RollingTelemetry::new(60_000, 4),
-            RollingTelemetry::new(60_000, 4),
-        );
         let mut raw: Vec<f64> = Vec::new();
         for i in 0..2000 {
             telemetry.record_batch(1, 0, latency(i), 1);
-            [&evens, &odds][(i % 2) as usize].record_batch(1, 0, latency(i), 1);
             raw.push(latency(i));
         }
         raw.sort_by(f64::total_cmp);
@@ -542,22 +408,8 @@ mod tests {
             "p99 {} vs exact {exact}",
             window.p99_us
         );
-        let kept = |t: &RollingTelemetry| -> u64 {
-            let state = t.lock();
-            state.ring[0].latencies.iter().map(|&(_, n)| n).sum()
-        };
-        assert_eq!(kept(&telemetry), 2000);
-        // Merging two rings' windows is recording the union: same buckets,
-        // same counts, same p99 — nothing truncated, nothing dropped.
-        let fleet = RollingTelemetry::new(60_000, 4);
-        fleet.merge_from(&evens);
-        fleet.merge_from(&odds);
-        assert_eq!(
-            fleet.lock().ring[0].latencies,
-            telemetry.lock().ring[0].latencies
-        );
-        assert_eq!(fleet.snapshot_at(at).windows[0].p99_us, window.p99_us);
-        assert_eq!(fleet.snapshot_at(at).windows[0].completed, 2000);
+        let kept: u64 = telemetry.lock()[0].latencies.iter().map(|&(_, n)| n).sum();
+        assert_eq!(kept, 2000);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 mod attention_fusion;
 #[path = "../examples/custom_reduction.rs"]
 mod custom_reduction;
-#[path = "../examples/fleet_serving.rs"]
-mod fleet_serving;
 #[path = "../examples/graph_serving.rs"]
 mod graph_serving;
 #[path = "../examples/moe_routing.rs"]
@@ -40,11 +38,6 @@ fn attention_fusion_runs() {
 #[test]
 fn custom_reduction_runs() {
     custom_reduction::main();
-}
-
-#[test]
-fn fleet_serving_runs() {
-    fleet_serving::main();
 }
 
 #[test]

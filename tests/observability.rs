@@ -249,7 +249,10 @@ fn tracing_off_is_bit_identical_to_fully_instrumented_serving() {
     assert!(snapshot.timeseries.latest_active().is_some());
     let folded = instrumented.op_profile().folded();
     redfuser::trace::validate_folded(&folded).expect("profile exports valid folded stacks");
-    assert!(folded.contains(";softmax;"), "frames carry the class");
+    assert!(
+        folded.lines().all(|line| line.starts_with("softmax;")),
+        "frames carry the class"
+    );
 }
 
 /// Full tracing under concurrency: the exported Chrome trace must stay
