@@ -11,7 +11,7 @@
 //! `D_i = {d_1, …, d_{i-1}}` are the results of the preceding reductions.
 //! Vector-valued outputs (e.g. the attention output row) are modelled as one
 //! scalar reduction per output component sharing the same dependencies; the
-//! batched kernels in `rf-kernels` handle the vectorised layouts.
+//! tile VM's kernels (`rf_tile::exec`) handle the vectorised layouts.
 
 use std::collections::BTreeSet;
 use std::fmt;

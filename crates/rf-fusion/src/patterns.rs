@@ -84,7 +84,8 @@ pub fn fp8_quant_gemm() -> CascadeSpec {
 
 /// The softmax part of MoE routing (Appendix A.2.2, Eq. 34): gating scores are
 /// normalised by a max + sum-of-exp cascade. The top-k selection itself is a
-/// segmented max-family reduction handled by `rf-kernels::moe`.
+/// segmented max-family reduction the tile VM's routing kernel
+/// (`rf_tile::exec`, `Semantics::Routing`) merges alongside the statistics.
 pub fn moe_routing_scores() -> CascadeSpec {
     let x = Expr::var("score");
     let m = Expr::var("m");
@@ -134,8 +135,8 @@ pub fn sum_sum() -> CascadeSpec {
 /// ```
 ///
 /// The epilogue `var = q/L - (s/L)^2` is pure scalar arithmetic on the fused
-/// results. This is the form `rf-kernels::nonml` and the tile-program lowering
-/// execute; the algebraically equivalent *dependent* two-pass form is the
+/// results. This is the form the tile-program lowering and the tile VM
+/// (`Semantics::Variance`) execute; the algebraically equivalent *dependent* two-pass form is the
 /// canonical non-fusable pattern ([`non_decomposable_variance`]).
 pub fn variance_sufficient_stats() -> CascadeSpec {
     let x = Expr::var("x");
@@ -162,8 +163,8 @@ pub fn variance_sufficient_stats() -> CascadeSpec {
 ///
 /// All three reductions are independent, so the cascade is trivially fusable;
 /// the per-dimension vectorisation (`Σ m·x_d` for every axis `d`) is handled
-/// by the batched kernels in `rf-kernels::nonml`, exactly as the attention
-/// output row is vectorised over head components.
+/// by the tile VM's inertia kernel (`Semantics::Inertia`), exactly as the
+/// attention output row is vectorised over head components.
 pub fn inertia_sufficient_stats() -> CascadeSpec {
     let mass = Expr::var("mass");
     let x = Expr::var("x");
@@ -184,7 +185,8 @@ pub fn inertia_sufficient_stats() -> CascadeSpec {
 ///
 /// ACRF correctly reports this as not fusable; the variance *workload* of the
 /// paper's Appendix A.6 is instead lowered to the algebraically equivalent
-/// single-pass sum / sum-of-squares form by `rf-kernels::nonml`.
+/// single-pass sum / sum-of-squares form the tile VM runs
+/// (`Semantics::Variance`).
 pub fn non_decomposable_variance() -> CascadeSpec {
     let x = Expr::var("x");
     let m = Expr::var("m");

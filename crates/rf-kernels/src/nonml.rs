@@ -1,20 +1,15 @@
-//! Non-ML cascaded reductions: variance and moment of inertia (Appendix A.6).
+//! Unfused non-ML cascaded reductions: variance and moment of inertia
+//! (Appendix A.6).
 //!
-//! Both workloads are chains of dependent reductions:
+//! Both workloads are chains of dependent reductions, evaluated here with one
+//! pass per reduction:
 //!
 //! * **Variance** (Eq. 44): a mean reduction followed by a sum of squared
 //!   deviations that depends on the mean.
 //! * **Moment of inertia** (Eq. 45): total mass, center of mass (which depends
 //!   on the total mass), and the mass-weighted squared distances to the center.
-//!
-//! The naive kernels evaluate the definitions with one pass per reduction.
-//! The fused kernels stream over the data once, accumulating the algebraically
-//! equivalent sufficient statistics (`Σx`, `Σx²`, `Σm`, `Σm·x`, `Σm·‖x‖²`) and
-//! combining them at the end — the same "fuse the chain into a single
-//! reduction" transformation RedFuser derives, applied after expanding the
-//! squared terms so the map functions become decomposable.
 
-use rf_workloads::{InertiaConfig, Matrix, VarianceConfig};
+use rf_workloads::Matrix;
 
 /// Two-pass (unfused) population variance.
 ///
@@ -28,39 +23,11 @@ pub fn variance_naive(x: &[f64]) -> f64 {
     x.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / n
 }
 
-/// Single-pass (fused) population variance via the sum / sum-of-squares
-/// sufficient statistics.
-///
-/// # Panics
-///
-/// Panics if the input is empty.
-pub fn variance_fused(x: &[f64]) -> f64 {
-    assert!(!x.is_empty(), "variance input must not be empty");
-    let n = x.len() as f64;
-    let (sum, sum_sq) = x.iter().fold((0.0, 0.0), |(s, ss), &v| (s + v, ss + v * v));
-    let mean = sum / n;
-    (sum_sq / n - mean * mean).max(0.0)
-}
-
-/// Streaming (Welford) variance: numerically stable single pass maintaining
-/// the running mean and the running sum of squared deviations. Included as the
-/// incremental-form equivalent with `O(1)` state.
-pub fn variance_welford(x: &[f64]) -> f64 {
-    assert!(!x.is_empty(), "variance input must not be empty");
-    let mut mean = 0.0;
-    let mut m2 = 0.0;
-    for (i, &v) in x.iter().enumerate() {
-        let count = (i + 1) as f64;
-        let delta = v - mean;
-        mean += delta / count;
-        m2 += delta * (v - mean);
-    }
-    m2 / x.len() as f64
-}
-
-/// Per-row variance of a batch matrix, with a pluggable scalar kernel.
-pub fn variance_rows<F: Fn(&[f64]) -> f64>(batch: &Matrix, kernel: F) -> Vec<f64> {
-    (0..batch.rows()).map(|r| kernel(batch.row(r))).collect()
+/// [`variance_naive`] of every row of a batch matrix.
+pub fn variance_rows(batch: &Matrix) -> Vec<f64> {
+    (0..batch.rows())
+        .map(|r| variance_naive(batch.row(r)))
+        .collect()
 }
 
 /// Three-pass (unfused) moment of inertia about the center of mass.
@@ -101,101 +68,20 @@ pub fn inertia_naive(masses: &[f64], positions: &Matrix) -> f64 {
     inertia
 }
 
-/// Single-pass (fused) moment of inertia using the parallel-axis identity
-/// `I = Σ m‖x‖² − ‖Σ m·x‖² / Σ m`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`inertia_naive`].
-pub fn inertia_fused(masses: &[f64], positions: &Matrix) -> f64 {
-    assert_eq!(
-        masses.len(),
-        positions.rows(),
-        "one mass per particle is required"
-    );
-    assert!(!masses.is_empty(), "inertia input must not be empty");
-    let dim = positions.cols();
-    let mut total_mass = 0.0;
-    let mut weighted = vec![0.0; dim];
-    let mut weighted_sq = 0.0;
-    for (i, &m) in masses.iter().enumerate() {
-        total_mass += m;
-        let mut norm_sq = 0.0;
-        for (d, w) in weighted.iter_mut().enumerate() {
-            let x = positions.get(i, d);
-            *w += m * x;
-            norm_sq += x * x;
-        }
-        weighted_sq += m * norm_sq;
-    }
-    assert!(total_mass > 0.0, "total mass must be positive");
-    let center_norm_sq: f64 = weighted.iter().map(|w| w * w).sum::<f64>() / total_mass;
-    (weighted_sq - center_norm_sq).max(0.0)
-}
-
-/// Generates deterministic inputs for a variance configuration and runs a
-/// kernel per batch row, shrinking the problem by `scale` for quick runs.
-pub fn run_variance_config<F>(
-    config: &VarianceConfig,
-    scale: usize,
-    seed: u64,
-    kernel: F,
-) -> Vec<f64>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    let bs = (config.bs / scale.max(1)).max(1);
-    let l = (config.l / scale.max(1)).max(2);
-    let batch = Matrix::random(bs, l, seed, -3.0, 3.0);
-    variance_rows(&batch, kernel)
-}
-
-/// Generates deterministic inputs for a moment-of-inertia configuration and
-/// runs a kernel per batch entry, shrinking the problem by `scale`.
-pub fn run_inertia_config<F>(config: &InertiaConfig, scale: usize, seed: u64, kernel: F) -> Vec<f64>
-where
-    F: Fn(&[f64], &Matrix) -> f64,
-{
-    let bs = (config.bs / scale.max(1)).max(1);
-    let n = (config.n / scale.max(1)).max(2);
-    (0..bs)
-        .map(|b| {
-            let masses = rf_workloads::random_vec(n, seed + b as u64, 0.1, 2.0);
-            let positions = Matrix::random(n, config.dim, seed + 1000 + b as u64, -5.0, 5.0);
-            kernel(&masses, &positions)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rf_workloads::random_vec;
 
     #[test]
-    fn variance_kernels_agree() {
-        let x = random_vec(1000, 13, -4.0, 4.0);
-        let naive = variance_naive(&x);
-        assert!((naive - variance_fused(&x)).abs() < 1e-9 * (1.0 + naive));
-        assert!((naive - variance_welford(&x)).abs() < 1e-9 * (1.0 + naive));
-    }
-
-    #[test]
     fn variance_of_constant_is_zero() {
-        let x = vec![2.5; 64];
-        assert!(variance_naive(&x).abs() < 1e-12);
-        assert_eq!(variance_fused(&x), 0.0);
-        assert!(variance_welford(&x).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inertia_kernels_agree() {
-        let masses = random_vec(256, 21, 0.1, 2.0);
-        let positions = Matrix::random(256, 3, 22, -5.0, 5.0);
-        let naive = inertia_naive(&masses, &positions);
-        let fused = inertia_fused(&masses, &positions);
-        assert!((naive - fused).abs() < 1e-7 * (1.0 + naive));
+        assert!(variance_naive(&[2.5; 64]).abs() < 1e-12);
+        let rows = variance_rows(&Matrix::from_vec(
+            2,
+            3,
+            vec![1.0, 1.0, 1.0, -4.0, -4.0, -4.0],
+        ));
+        assert_eq!(rows, vec![0.0, 0.0]);
     }
 
     #[test]
@@ -209,50 +95,20 @@ mod tests {
                 shifted.set(i, d, v);
             }
         }
-        let a = inertia_fused(&masses, &positions);
-        let b = inertia_fused(&masses, &shifted);
+        let a = inertia_naive(&masses, &positions);
+        let b = inertia_naive(&masses, &shifted);
         assert!((a - b).abs() < 1e-6 * (1.0 + a));
-    }
-
-    #[test]
-    fn config_runners_produce_one_result_per_batch() {
-        let v = run_variance_config(&rf_workloads::nonml::variance_tiny(), 1, 5, variance_fused);
-        assert_eq!(v.len(), rf_workloads::nonml::variance_tiny().bs);
-        let i = run_inertia_config(&rf_workloads::nonml::inertia_tiny(), 1, 5, inertia_fused);
-        assert_eq!(i.len(), rf_workloads::nonml::inertia_tiny().bs);
     }
 
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_variance_panics() {
-        variance_fused(&[]);
+        variance_naive(&[]);
     }
 
     #[test]
     #[should_panic(expected = "total mass must be positive")]
     fn massless_system_panics() {
         inertia_naive(&[0.0, 0.0], &Matrix::zeros(2, 3));
-    }
-
-    proptest! {
-        #[test]
-        fn prop_variance_fused_matches_naive(x in prop::collection::vec(-50.0f64..50.0, 2..256)) {
-            let a = variance_naive(&x);
-            let b = variance_fused(&x);
-            prop_assert!((a - b).abs() <= 1e-6 * (1.0 + a.abs()));
-            prop_assert!(b >= 0.0);
-        }
-
-        #[test]
-        fn prop_inertia_fused_matches_naive(
-            n in 2usize..64,
-            seed in 0u64..500,
-        ) {
-            let masses = random_vec(n, seed, 0.1, 3.0);
-            let positions = Matrix::random(n, 3, seed + 1, -4.0, 4.0);
-            let a = inertia_naive(&masses, &positions);
-            let b = inertia_fused(&masses, &positions);
-            prop_assert!((a - b).abs() <= 1e-6 * (1.0 + a.abs()));
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! FP8 per-token quantization + GEMM kernels (§3.4 of the paper).
+//! Unfused FP8 per-token quantization + GEMM oracle (§3.4 of the paper).
 //!
 //! The activation matrix `A [M, K]` is quantized row-by-row with a dynamic
 //! scale derived from the row's absolute maximum, then multiplied with the
@@ -10,24 +10,18 @@
 //! C      = (Q W) * m_i / MAX                   (GEMM + dequant)
 //! ```
 //!
-//! * [`quant_gemm_naive`] executes the three stages separately, materialising
-//!   the quantized matrix — this is what an eager framework does and is the
-//!   source of the redundant memory traffic the paper eliminates.
-//! * [`quant_gemm_fused`] streams over `K` once per output tile, maintaining
-//!   the running abs-max and rescaling the partial GEMM accumulator whenever
-//!   the maximum grows (the incremental form of Eq. 21–22).
+//! [`quant_gemm_naive`] executes the three stages separately, materialising
+//! the quantized matrix — what an eager framework does, and the source of the
+//! redundant memory traffic the paper eliminates.
 //!
 //! FP8 itself is simulated: values are rounded to the E4M3 grid (4 exponent
-//! bits, 3 mantissa bits, max 448) on top of `f64` storage. Only the reduction
-//! *structure* matters for fusion; the rounding model keeps the numerics
-//! faithful enough that fused and unfused results match bit-for-bit (they
-//! perform the same roundings in the same order per output).
-
-use rf_workloads::{Matrix, QuantGemmConfig};
+//! bits, 3 mantissa bits, max 448) on top of `f64` storage. A fused kernel
+//! that sees the whole row in one tile performs the same roundings in the
+//! same order per output and matches this oracle bit for bit.
 
 // The E4M3 grid is defined once in `rf_workloads::quant` and shared with the
 // tile-program VM, so every execution path performs identical roundings.
-pub use rf_workloads::{fp8_round, FP8_MAX};
+use rf_workloads::{fp8_round, Matrix, FP8_MAX};
 
 /// Per-row quantization scales: `m_i / MAX` where `m_i` is the row abs-max.
 pub fn row_scales(a: &Matrix) -> Vec<f64> {
@@ -71,90 +65,9 @@ pub fn quant_gemm_naive(a: &Matrix, w: &Matrix) -> Matrix {
     c
 }
 
-/// Fused kernel: one streaming pass over `K` per row maintains the running
-/// abs-max and a quantized accumulator that is rescaled whenever the maximum
-/// grows, never materialising the quantized activation matrix.
-///
-/// The incremental update mirrors Eq. 22: when the running maximum `m` grows
-/// to `m'`, the accumulated contribution (computed with scale `m/MAX`) is
-/// multiplied by `m/m'` so that the final result equals the one computed with
-/// the global scale.
-pub fn quant_gemm_fused(a: &Matrix, w: &Matrix, block_k: usize) -> Matrix {
-    assert_eq!(a.cols(), w.rows(), "inner dimensions must agree");
-    assert!(block_k > 0, "block_k must be positive");
-    let (m, k_len) = (a.rows(), a.cols());
-    let n = w.cols();
-    let mut c = Matrix::zeros(m, n);
-
-    for i in 0..m {
-        let mut running_amax = 0.0f64;
-        let mut acc = vec![0.0f64; n];
-        let mut start = 0;
-        while start < k_len {
-            let end = (start + block_k).min(k_len);
-            // Block-local abs-max (the level-1 segment of the max reduction).
-            let mut block_amax = 0.0f64;
-            for k in start..end {
-                block_amax = block_amax.max(a.get(i, k).abs());
-            }
-            let new_amax = running_amax.max(block_amax);
-            if new_amax == 0.0 {
-                start = end;
-                continue;
-            }
-            // Correction step (Eq. 21): rescale the accumulator from the old
-            // scale to the new one.
-            if running_amax > 0.0 && new_amax > running_amax {
-                let correction = running_amax / new_amax;
-                for v in acc.iter_mut() {
-                    *v *= correction;
-                }
-            }
-            // Reduction step: accumulate this block's contribution, quantized
-            // with the current (block-updated) scale.
-            let scale = new_amax / FP8_MAX;
-            for k in start..end {
-                let qv = fp8_round(a.get(i, k) / scale);
-                if qv == 0.0 {
-                    continue;
-                }
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    *slot += qv * w.get(k, j);
-                }
-            }
-            running_amax = new_amax;
-            start = end;
-        }
-        let scale = if running_amax == 0.0 {
-            1.0 / FP8_MAX
-        } else {
-            running_amax / FP8_MAX
-        };
-        for (j, &sum) in acc.iter().enumerate() {
-            c.set(i, j, sum * scale);
-        }
-    }
-    c
-}
-
-/// Generates deterministic inputs for a configuration and runs a kernel over
-/// them, shrinking the problem by `scale` for quick runs.
-pub fn run_config<F>(config: &QuantGemmConfig, scale: usize, seed: u64, kernel: F) -> Matrix
-where
-    F: Fn(&Matrix, &Matrix) -> Matrix,
-{
-    let m = (config.m / scale.max(1)).max(1);
-    let n = (config.n / scale.max(1)).max(1);
-    let k = (config.k / scale.max(1)).max(1);
-    let a = Matrix::random(m, k, seed, -2.0, 2.0);
-    let w = Matrix::random(k, n, seed + 1, -1.0, 1.0);
-    kernel(&a, &w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn fp8_rounding_properties() {
@@ -186,62 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_is_close_to_naive() {
-        let a = Matrix::random(6, 48, 9, -2.0, 2.0);
-        let w = Matrix::random(48, 10, 10, -1.0, 1.0);
-        let naive = quant_gemm_naive(&a, &w);
-        // With the full row as a single block, the fused kernel performs the
-        // same roundings as the unfused one and matches exactly.
-        let fused_full = quant_gemm_fused(&a, &w, 48);
-        assert!(naive.max_abs_diff(&fused_full) < 1e-12);
-        // With smaller blocks, early blocks are quantized under provisional
-        // scales; the difference stays within the quantization noise floor.
-        let fused_blocked = quant_gemm_fused(&a, &w, 8);
-        let noise = 0.05 * naive.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs())) + 1e-9;
-        assert!(naive.max_abs_diff(&fused_blocked) < noise);
-    }
-
-    #[test]
     fn zero_rows_produce_zero_outputs() {
         let a = Matrix::zeros(3, 16);
         let w = Matrix::random(16, 4, 2, -1.0, 1.0);
         let naive = quant_gemm_naive(&a, &w);
-        let fused = quant_gemm_fused(&a, &w, 4);
         assert!(naive.as_slice().iter().all(|&v| v == 0.0));
-        assert!(fused.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn run_config_shrinks_problem() {
-        let config = rf_workloads::quant::quant_tiny();
-        let out = run_config(&config, 2, 3, quant_gemm_naive);
-        assert_eq!(out.rows(), config.m / 2);
-        assert_eq!(out.cols(), config.n / 2);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
-        #[test]
-        fn prop_fused_tracks_naive(
-            seed in 0u64..200,
-            m in 1usize..6,
-            k in 4usize..40,
-            n in 1usize..8,
-        ) {
-            let a = Matrix::random(m, k, seed, -2.0, 2.0);
-            let w = Matrix::random(k, n, seed + 1, -1.0, 1.0);
-            let naive = quant_gemm_naive(&a, &w);
-            let fused = quant_gemm_fused(&a, &w, k); // single block: exact match
-            prop_assert!(naive.max_abs_diff(&fused) < 1e-12);
-            // Blocked execution stays within the FP8 quantization noise floor:
-            // each of the k products can differ by at most one E4M3 ulp of the
-            // row maximum (amax/8 after de-quantization) times the weight.
-            let blocked = quant_gemm_fused(&a, &w, 5);
-            let amax = a.as_slice().iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-            let wmax = w.as_slice().iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-            let noise_bound = (k as f64) * (amax / 8.0) * wmax + 1e-9;
-            prop_assert!(naive.max_abs_diff(&blocked) <= noise_bound);
-        }
     }
 }

@@ -1,8 +1,9 @@
-//! Top-k selection helpers shared by the MoE routing kernels.
+//! Top-k selection for the MoE routing oracle.
 //!
 //! The paper treats top-k as a max-family reduction (Table 1): selecting the
 //! `k` largest elements is a segmented reduction whose partial results can be
-//! merged, which is exactly what the streaming implementation below exploits.
+//! merged. [`topk_sort`] is the definition; [`topk_streaming`] is the one pass
+//! [`crate::moe::route_naive`] selects with.
 
 /// An index/value pair produced by top-k selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,38 +41,22 @@ pub fn topk_sort(values: &[f64], k: usize) -> Vec<TopKEntry> {
 }
 
 /// Streaming top-k: maintains the current k best entries while scanning the
-/// input once. Equivalent to [`topk_sort`] but single-pass and mergeable,
-/// which is what makes it fusable with the preceding softmax reductions.
+/// input once. Equivalent to [`topk_sort`] but single-pass.
 pub fn topk_streaming(values: &[f64], k: usize) -> Vec<TopKEntry> {
     assert!(k > 0, "k must be positive");
     assert!(k <= values.len(), "k must not exceed the number of values");
     let mut best: Vec<TopKEntry> = Vec::with_capacity(k + 1);
     for (index, &value) in values.iter().enumerate() {
-        insert_entry(&mut best, TopKEntry { index, value }, k);
+        let pos = best
+            .iter()
+            .position(|e| value > e.value || (value == e.value && index < e.index))
+            .unwrap_or(best.len());
+        best.insert(pos, TopKEntry { index, value });
+        if best.len() > k {
+            best.pop();
+        }
     }
     best
-}
-
-/// Merges two top-k partial results into the top-k of their union (the
-/// level-`k` fused expression for the top-k reduction, Eq. 36/38).
-pub fn merge_topk(a: &[TopKEntry], b: &[TopKEntry], k: usize) -> Vec<TopKEntry> {
-    assert!(k > 0, "k must be positive");
-    let mut best: Vec<TopKEntry> = Vec::with_capacity(k + 1);
-    for &entry in a.iter().chain(b) {
-        insert_entry(&mut best, entry, k);
-    }
-    best
-}
-
-fn insert_entry(best: &mut Vec<TopKEntry>, entry: TopKEntry, k: usize) {
-    let pos = best
-        .iter()
-        .position(|e| entry.value > e.value || (entry.value == e.value && entry.index < e.index))
-        .unwrap_or(best.len());
-    best.insert(pos, entry);
-    if best.len() > k {
-        best.pop();
-    }
 }
 
 #[cfg(test)]
@@ -94,20 +79,6 @@ mod tests {
         let top = topk_streaming(&values, 2);
         assert_eq!(top[0].index, 1);
         assert_eq!(top[1].index, 2);
-    }
-
-    #[test]
-    fn merge_matches_whole_input() {
-        let values = random_vec(64, 23, -3.0, 3.0);
-        let k = 5;
-        let whole = topk_streaming(&values, k);
-        let left = topk_streaming(&values[..30], k);
-        let mut right: Vec<TopKEntry> = topk_streaming(&values[30..], k);
-        for e in &mut right {
-            e.index += 30;
-        }
-        let merged = merge_topk(&left, &right, k);
-        assert_eq!(whole, merged);
     }
 
     #[test]

@@ -9,18 +9,18 @@
 //!   strategy. This is the path the [`crate::engine::Engine`] worker pool
 //!   serves: the cached [`CompiledKernel`] *is* the executable, there is no
 //!   parallel hand-rolled kernel dispatch;
-//! * [`execute_reference`] — the unfused naive kernels from `rf-kernels`,
-//!   used by tests as the correctness oracle for everything the runtime
-//!   serves.
+//! * [`execute_reference`] — the unfused oracles from `rf-kernels`, one pass
+//!   per reduction as the definition (Eq. 1) reads, used by tests and the
+//!   benchmark as the correctness oracle for everything the runtime serves.
 
 use std::fmt;
 use std::time::Duration;
 
 use rf_codegen::{CompiledKernel, Workload};
 use rf_graph::GraphError;
-use rf_kernels::moe::RoutingDecision;
 use rf_kernels::{attention, moe, nonml, quant, softmax};
 use rf_tile::exec::{ExecInput, ExecOutput};
+use rf_workloads::moe::RoutingDecision;
 use rf_workloads::Matrix;
 
 /// Monotonically increasing identifier assigned to each submitted request.
@@ -276,25 +276,17 @@ pub enum RequestOutput {
 }
 
 impl RequestOutput {
-    /// Converts a VM output into a request output (the routing decision
-    /// types map field-for-field).
+    /// Converts a VM output into a request output.
     pub fn from_exec(output: ExecOutput) -> RequestOutput {
         match output {
             ExecOutput::Matrix(m) => RequestOutput::Matrix(m),
             ExecOutput::Values(v) => RequestOutput::Values(v),
-            ExecOutput::TopK(decisions) => RequestOutput::Routing(
-                decisions
-                    .into_iter()
-                    .map(|d| RoutingDecision {
-                        experts: d.experts,
-                        probs: d.probs,
-                    })
-                    .collect(),
-            ),
+            ExecOutput::TopK(decisions) => RequestOutput::Routing(decisions),
         }
     }
 
     /// Whether two outputs agree element-wise within a relative tolerance.
+    /// A NaN matches only a NaN at the same position.
     pub fn approx_eq(&self, other: &RequestOutput, tolerance: f64) -> bool {
         match (self, other) {
             (RequestOutput::Matrix(a), RequestOutput::Matrix(b)) => {
@@ -486,8 +478,9 @@ pub fn validate(workload: &Workload, input: &RequestInput) -> Result<(), Runtime
         },
         Workload::Moe(c) => match input {
             RequestInput::Routing { x, w } => {
-                // The fused routing kernel asserts topk <= experts; reject
-                // inconsistent configurations at the front door instead.
+                // The unfused routing oracle asserts topk <= experts and the
+                // tile VM rejects it; refuse such configurations at the front
+                // door instead.
                 if c.topk == 0 || c.topk > c.en {
                     return Err(shape_err(
                         workload,
@@ -620,7 +613,7 @@ pub fn execute_reference(workload: &Workload, input: &RequestInput) -> RequestOu
             RequestOutput::Matrix(softmax::softmax_rows(m))
         }
         (Workload::Variance(_), RequestInput::Rows(m)) => {
-            RequestOutput::Values(nonml::variance_rows(m, nonml::variance_naive))
+            RequestOutput::Values(nonml::variance_rows(m))
         }
         (Workload::Mha(_) | Workload::Mla(_), RequestInput::Attention { q, k, v }) => {
             RequestOutput::Matrix(attention::attention_naive(
@@ -822,6 +815,55 @@ mod tests {
         let a = RequestOutput::Values(vec![1.0]);
         let b = RequestOutput::Matrix(Matrix::zeros(1, 1));
         assert!(!a.approx_eq(&b, 1.0));
+    }
+
+    #[test]
+    fn a_nan_matches_only_a_nan_at_the_same_position() {
+        let nan = f64::NAN;
+        let matrix = |v: Vec<f64>| RequestOutput::Matrix(Matrix::from_vec(1, v.len(), v));
+        let routing = |p: f64| {
+            RequestOutput::Routing(vec![RoutingDecision {
+                experts: vec![2],
+                probs: vec![p],
+            }])
+        };
+        let tensors = |v: f64| RequestOutput::Tensors(vec![Matrix::from_vec(1, 1, vec![v])]);
+        let cases = [
+            (matrix(vec![nan, 1.0]), matrix(vec![0.25, 1.0]), false),
+            (matrix(vec![0.25, 1.0]), matrix(vec![nan, 1.0]), false),
+            (matrix(vec![nan, 1.0]), matrix(vec![nan, 1.0]), true),
+            (matrix(vec![nan, 1.0]), matrix(vec![1.0, nan]), false),
+            (
+                RequestOutput::Values(vec![nan]),
+                RequestOutput::Values(vec![3.0]),
+                false,
+            ),
+            (
+                RequestOutput::Values(vec![nan]),
+                RequestOutput::Values(vec![nan]),
+                true,
+            ),
+            (routing(nan), routing(0.5), false),
+            (routing(0.5), routing(nan), false),
+            (routing(nan), routing(nan), true),
+            (tensors(nan), tensors(7.0), false),
+            (tensors(nan), tensors(nan), true),
+            (
+                matrix(vec![f64::INFINITY]),
+                matrix(vec![f64::INFINITY]),
+                true,
+            ),
+            (matrix(vec![f64::INFINITY]), matrix(vec![1.0]), false),
+        ];
+        for (i, (a, b, equal)) in cases.iter().enumerate() {
+            assert_eq!(a.approx_eq(b, 1e-9), *equal, "case {i}: {a:?} vs {b:?}");
+        }
+        let (a, b) = (
+            Matrix::from_vec(1, 1, vec![nan]),
+            Matrix::from_vec(1, 1, vec![7.0]),
+        );
+        assert_eq!(a.max_abs_diff(&b), f64::INFINITY);
+        assert_eq!(a.max_abs_diff(&a), 0.0);
     }
 
     #[test]

@@ -106,8 +106,8 @@
 //! outputs across tuning points agree to rounding error — never more. The one
 //! intentional exception is FP8 quant + GEMM, where early tiles are quantised
 //! under a provisional scale (Eq. 21–22); there the tile size moves results
-//! within the quantisation noise floor, the same behaviour the hand-written
-//! fused kernel and the real generated kernel exhibit.
+//! within the quantisation noise floor, the same behaviour a fused kernel on
+//! hardware exhibits.
 //!
 //! Inputs are borrowed views ([`ExecInput`]) so the serving hot path never
 //! copies a tensor; outputs ([`ExecOutput`]) are owned.
@@ -116,6 +116,7 @@ use std::fmt;
 use std::ops::Range;
 
 use rf_algebra::BinaryOp;
+use rf_workloads::moe::RoutingDecision;
 use rf_workloads::{
     add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
     Matrix,
@@ -124,8 +125,8 @@ use rf_workloads::{
 use crate::ops::TileProgram;
 
 // The simulated FP8 E4M3 grid is defined once in `rf_workloads::quant` and
-// shared with the hand-written kernels, so the VM and the oracles perform
-// bit-identical roundings.
+// shared with the unfused oracles in `rf-kernels`, so the VM and the oracles
+// perform bit-identical roundings.
 pub use rf_workloads::{fp8_round, FP8_MAX};
 
 /// The reduction semantics of an executable cascade: what the store → correct
@@ -270,16 +271,6 @@ impl ExecInput<'_> {
     }
 }
 
-/// One token's routing decision: selected experts in decreasing probability
-/// order with their normalised probabilities.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopKDecision {
-    /// Indices of the selected experts.
-    pub experts: Vec<usize>,
-    /// Normalised probabilities of the selected experts.
-    pub probs: Vec<f64>,
-}
-
 /// Owned result of one program execution.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecOutput {
@@ -288,7 +279,7 @@ pub enum ExecOutput {
     /// One scalar per row/system (variance, moment of inertia).
     Values(Vec<f64>),
     /// Per-token expert selections (MoE routing).
-    TopK(Vec<TopKDecision>),
+    TopK(Vec<RoutingDecision>),
 }
 
 /// Errors reported by the VM.
@@ -1128,12 +1119,12 @@ fn exec_routing(
     }
     let segments = segment_ranges(experts, binding.segments);
     let work_per_row = experts * (hidden + EXP_WORK);
-    let undecided = TopKDecision {
+    let undecided = RoutingDecision {
         experts: Vec::new(),
         probs: Vec::new(),
     };
     let mut decisions = vec![undecided; tokens];
-    let body = |range: Range<usize>, out: &mut [TopKDecision]| {
+    let body = |range: Range<usize>, out: &mut [RoutingDecision]| {
         let mut scores = vec![0.0f64; binding.block_axis.clamp(1, experts)];
         let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
         let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk + 1);
@@ -1180,7 +1171,7 @@ fn exec_routing(
             for prob in &mut probs {
                 *prob /= merged_stats.sum;
             }
-            *decision = TopKDecision {
+            *decision = RoutingDecision {
                 experts: merged_best.iter().map(|c| c.index).collect(),
                 probs,
             };
@@ -2044,7 +2035,7 @@ mod tests {
         t: usize,
         len: usize,
         tokens: usize,
-    ) -> (Matrix, Matrix, Vec<TopKDecision>) {
+    ) -> (Matrix, Matrix, Vec<RoutingDecision>) {
         let mut weights = random_vec(len, 50 + t as u64, -4.0, 4.0);
         (hostile.apply)(&mut weights, t);
         let x = random_matrix(tokens, 1, 51, 0.5, 1.5);
@@ -2056,7 +2047,7 @@ mod tests {
                 for (index, &score) in scores.iter().enumerate() {
                     insert_candidate(&mut best, Candidate { index, score }, len.min(3));
                 }
-                TopKDecision {
+                RoutingDecision {
                     experts: best.iter().map(|c| c.index).collect(),
                     probs: best.iter().map(|c| probs[c.index]).collect(),
                 }
@@ -2073,17 +2064,17 @@ mod tests {
             // — a NaN compares with nothing, so which experts surround it
             // depends on the order they were offered in, and every
             // probability is NaN anyway.
-            let check = |expected: &[TopKDecision], t: usize, point, out: ExecOutput| {
+            let check = |expected: &[RoutingDecision], t: usize, point, out: ExecOutput| {
                 let ExecOutput::TopK(out) = out else {
                     panic!("routing returns decisions");
                 };
                 let name = format!("{}, tiles of {t} at {point:?}", hostile.name);
-                let probs = |decisions: &[TopKDecision]| -> Vec<f64> {
+                let probs = |decisions: &[RoutingDecision]| -> Vec<f64> {
                     decisions.iter().flat_map(|d| d.probs.clone()).collect()
                 };
                 assert_matches_unfused(&probs(&out), &probs(expected), 1e-12, &name);
                 if !hostile.name.contains("NaN") {
-                    let experts = |decisions: &[TopKDecision]| -> Vec<usize> {
+                    let experts = |decisions: &[RoutingDecision]| -> Vec<usize> {
                         decisions.iter().flat_map(|d| d.experts.clone()).collect()
                     };
                     assert_eq!(experts(&out), experts(expected), "{name}");

@@ -26,9 +26,7 @@ pub mod ops;
 pub mod tensorize;
 
 pub use cost::{CostSummary, MemoryScope};
-pub use exec::{
-    ExecBinding, ExecError, ExecInput, ExecOutput, ExecProfile, OpStats, Semantics, TopKDecision,
-};
+pub use exec::{ExecBinding, ExecError, ExecInput, ExecOutput, ExecProfile, OpStats, Semantics};
 pub use ops::{precision_for_element_bytes, StageLoop, TileBuffer, TileOp, TileProgram};
 pub use tensorize::{parallelize, tensorize_cascade, TensorizeConfig};
 

@@ -143,7 +143,9 @@ impl Matrix {
         out
     }
 
-    /// Maximum absolute element-wise difference to another matrix.
+    /// Maximum absolute element-wise difference to another matrix. Equal
+    /// elements (infinities included) and NaN facing NaN differ by 0; NaN
+    /// facing a number differs by `+inf`.
     ///
     /// # Panics
     ///
@@ -154,8 +156,22 @@ impl Matrix {
         self.data
             .iter()
             .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
+            .map(|(&a, &b)| nan_aware_diff(a, b, (a - b).abs()))
             .fold(0.0, f64::max)
+    }
+}
+
+/// The NaN rule every output comparison shares: `diff` (the distance between
+/// `a` and `b` by some measure) when it is a number, 0 when `a == b` or both
+/// are NaN, and `+inf` otherwise — so a NaN on one side only can never hide
+/// behind `f64::max`, which drops NaN.
+pub fn nan_aware_diff(a: f64, b: f64, diff: f64) -> f64 {
+    if a == b || (a.is_nan() && b.is_nan()) {
+        0.0
+    } else if diff.is_nan() {
+        f64::INFINITY
+    } else {
+        diff
     }
 }
 

@@ -2,9 +2,22 @@
 //!
 //! The routing function computes expert scores with a GEMM between the token
 //! activations `[s, hd]` and the routing weights `[hd, en]`, then applies a
-//! softmax + top-k over the `en` experts of every token.
+//! softmax + top-k over the `en` experts of every token. [`RoutingDecision`]
+//! is that function's per-token result, the one type both the tile VM and
+//! the unfused oracle return.
 
 use crate::Precision;
+
+/// The routing decision for one token: the selected experts and their
+/// normalised probabilities.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoutingDecision {
+    /// Indices of the selected experts, in decreasing probability order.
+    pub experts: Vec<usize>,
+    /// Normalised probabilities of the selected experts (softmax over all
+    /// experts, restricted to the selected ones).
+    pub probs: Vec<f64>,
+}
 
 /// One MoE routing configuration (a row of Table 2c).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -26,10 +26,9 @@ const DROPPED_BITS: u32 = f64::MANTISSA_DIGITS - 1 - 3;
 /// Between 2⁻⁹ and the E4M3 minimum normal 2⁻⁶ the grid stays relative to the
 /// value's own exponent (real E4M3 subnormals step by 2⁻⁹ there).
 ///
-/// This is the single definition of the rounding model; the hand-written
-/// kernels (`rf-kernels`) and the tile-program VM (`rf_tile::exec`) both
-/// re-export it, so fused, unfused and interpreted executions perform
-/// bit-identical roundings.
+/// This is the single definition of the rounding model; the unfused oracles
+/// (`rf-kernels`) and the tile-program VM (`rf_tile::exec`) both use it, so
+/// fused and unfused executions perform bit-identical roundings.
 pub fn fp8_round(x: f64) -> f64 {
     let magnitude = x.abs();
     // NaN is in no range.

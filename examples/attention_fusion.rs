@@ -1,6 +1,7 @@
 //! End-to-end attention fusion: detect the cascade in a scalar loop nest,
 //! fuse it, generate the FlashAttention-style tile program, auto-tune it for
-//! an A10, and compare against the compiler baselines and FlashAttention2.
+//! an A10, run it against the unfused oracle, and compare its latency with
+//! the compiler baselines and FlashAttention2.
 //!
 //! Run with `cargo run --example attention_fusion`.
 
@@ -9,9 +10,9 @@ use std::collections::HashMap;
 use redfuser::baselines::{flash_attention2_profile, mha_op_list, CompilerBaseline};
 use redfuser::codegen::{compile_workload, Workload};
 use redfuser::gpusim::{estimate_latency, sequence_latency, GpuArch};
-use redfuser::kernels::attention::{attention_naive, flash_attention};
+use redfuser::runtime::{execute_plan, execute_reference, Request, RequestInput, RequestOutput};
 use redfuser::tir::{builder, detect_cascade, generate_fused, Interpreter};
-use redfuser::workloads::{mha_configs, Matrix};
+use redfuser::workloads::{mha_configs, mha_tiny, Matrix};
 
 pub fn main() {
     // --- Front end: scalar loop nest -> cascade -> fused scalar kernel. ---
@@ -42,17 +43,36 @@ pub fn main() {
     let b = interp.run(&fused, &inputs).unwrap();
     println!("unfused o = {:.9}, fused o = {:.9}", a["o"][0], b["o"][0]);
 
-    // --- Numeric kernels: the dense FlashAttention port matches the naive one. ---
-    let q = Matrix::random(32, 64, 1, -1.0, 1.0);
-    let k = Matrix::random(128, 64, 2, -1.0, 1.0);
-    let v = Matrix::random(128, 64, 3, -1.0, 1.0);
-    let scale = 1.0 / 8.0;
-    let diff =
-        attention_naive(&q, &k, &v, scale).max_abs_diff(&flash_attention(&q, &k, &v, scale, 64));
-    println!("max |naive - flash| = {diff:.3e}");
+    // --- The generated kernel: a tiny MHA slice compiled, run on the tile VM
+    //     and checked against the unfused oracle. ---
+    let arch = GpuArch::a10();
+    let tiny = mha_tiny();
+    let request = Request::new(
+        Workload::Mha(tiny.clone()),
+        RequestInput::Attention {
+            q: Matrix::random(tiny.q, tiny.hd, 1, -1.0, 1.0),
+            k: Matrix::random(tiny.kv, tiny.hd, 2, -1.0, 1.0),
+            v: Matrix::random(tiny.kv, tiny.hd, 3, -1.0, 1.0),
+        },
+    )
+    .expect("tensors fit the workload");
+    let kernel = compile_workload(&request.workload, &arch);
+    let generated = execute_plan(&kernel, &request).expect("the compiled kernel runs");
+    let reference = execute_reference(&request.workload, &request.input);
+    let (RequestOutput::Matrix(g), RequestOutput::Matrix(r)) = (&generated, &reference) else {
+        panic!("attention returns a matrix");
+    };
+    println!(
+        "max |unfused - generated| = {:.3e} (tuned {:?})",
+        r.max_abs_diff(g),
+        kernel.tuning.point
+    );
+    assert!(
+        generated.approx_eq(&reference, 1e-9),
+        "the generated attention kernel disagrees with the unfused oracle"
+    );
 
     // --- Back end: compile BERT-base MHA for an A10 and compare latencies. ---
-    let arch = GpuArch::a10();
     let config = mha_configs()
         .into_iter()
         .find(|c| c.model == "BERT-Base")

@@ -5,13 +5,16 @@
 //! Run with `cargo run --example custom_reduction`.
 
 use redfuser::algebra::ReduceOp;
+use redfuser::codegen::{compile_workload, Workload};
 use redfuser::expr::Expr;
 use redfuser::fusion::{
     acrf::analyze_cascade, CascadeInput, CascadeSpec, IncrementalEvaluator, NaiveCascadeEvaluator,
     ReductionSpec,
 };
-use redfuser::kernels::nonml::{inertia_fused, inertia_naive, variance_fused, variance_naive};
-use redfuser::workloads::{random_vec, Matrix};
+use redfuser::gpusim::GpuArch;
+use redfuser::kernels::max_rel_diff;
+use redfuser::runtime::{execute_plan, execute_reference, Request, RequestInput, RequestOutput};
+use redfuser::workloads::{inertia_tiny, random_vec, variance_tiny, Matrix};
 
 pub fn main() {
     // A custom cascade built from scratch: a scaled-normalisation pattern
@@ -35,18 +38,41 @@ pub fn main() {
     println!("s: unfused {:.9} vs fused {:.9}", naive[0], fused[0]);
     println!("q: unfused {:.9} vs fused {:.9}", naive[1], fused[1]);
 
-    // The paper's non-ML workloads, evaluated with the dedicated kernels.
-    let data = random_vec(32768, 13, -3.0, 3.0);
-    println!(
-        "\nvariance:   two-pass {:.6} vs fused single-pass {:.6}",
-        variance_naive(&data),
-        variance_fused(&data)
-    );
-    let masses = random_vec(8192, 17, 0.1, 2.0);
-    let positions = Matrix::random(8192, 3, 18, -5.0, 5.0);
-    println!(
-        "inertia:    three-pass {:.3} vs fused single-pass {:.3}",
-        inertia_naive(&masses, &positions),
-        inertia_fused(&masses, &positions)
-    );
+    // The paper's non-ML workloads: the generated single-pass kernels for the
+    // tiny configs, run on the tile VM, against the one-pass-per-reduction
+    // oracles.
+    let arch = GpuArch::a10();
+    let (variance, inertia) = (variance_tiny(), inertia_tiny());
+    let requests = [
+        Request::new(
+            Workload::Variance(variance.clone()),
+            RequestInput::Rows(Matrix::random(variance.bs, variance.l, 13, -3.0, 3.0)),
+        ),
+        Request::new(
+            Workload::Inertia(inertia.clone()),
+            RequestInput::Inertia {
+                masses: random_vec(inertia.n, 17, 0.1, 2.0),
+                positions: Matrix::random(inertia.n, inertia.dim, 18, -5.0, 5.0),
+            },
+        ),
+    ];
+    for request in requests {
+        let request = request.expect("tensors fit the workload");
+        let kernel = compile_workload(&request.workload, &arch);
+        let generated = execute_plan(&kernel, &request).expect("the compiled kernel runs");
+        let reference = execute_reference(&request.workload, &request.input);
+        let (RequestOutput::Values(g), RequestOutput::Values(r)) = (&generated, &reference) else {
+            panic!("variance and inertia return values");
+        };
+        println!(
+            "{}: unfused {r:.6?} vs generated {g:.6?} (max relative difference {:.3e})",
+            request.workload.name(),
+            max_rel_diff(g, r)
+        );
+        assert!(
+            generated.approx_eq(&reference, 1e-9),
+            "{}: the generated kernel disagrees with the unfused oracle",
+            request.workload.name()
+        );
+    }
 }

@@ -27,7 +27,7 @@
 //! | [`tile`] | `rf-tile` | tile-level IR (TileOps), tensorization, parallelization, interpreter |
 //! | [`gpusim`] | `rf-gpusim` | analytical GPU performance model (A10/A100/H800/MI308X) |
 //! | [`codegen`] | `rf-codegen` | lowering, Single/Multi-Segment strategies, fusion levels, auto-tuner |
-//! | [`kernels`] | `rf-kernels` | reference + hand-optimized CPU numeric kernels |
+//! | [`kernels`] | `rf-kernels` | unfused CPU oracles (the definition, one pass per reduction) |
 //! | [`runtime`] | `rf-runtime` | continuous-batching serving engine: unified submission API, priority lanes, admission control, plan cache, metrics |
 //! | [`trace`] | `rf-trace` | tracing/telemetry: span collector, HDR-style histograms, Chrome trace export |
 //! | [`baselines`] | `rf-baselines` | eager / inductor-like / tvm-like compiler behaviour models |

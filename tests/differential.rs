@@ -20,7 +20,7 @@
 //! damped-relative): tiling only re-associates exact `f64` reductions. FP8
 //! quant + GEMM quantises early tiles under a provisional scale (Eq. 21–22),
 //! so across tile sizes its results move within the quantisation noise floor
-//! — the same behaviour the hand-written fused kernel exhibits — and are
+//! — the same behaviour a fused kernel on hardware exhibits — and are
 //! compared against an absolute bound of 5% of the output peak.
 
 use std::collections::HashMap;
@@ -210,8 +210,9 @@ fn compiled_kernels_run_and_match_reference_on_every_arch() {
     }
 }
 
-/// Element-wise agreement that also pins *which* outputs are NaN
-/// (`RequestOutput::approx_eq` folds with `f64::max`, which drops NaNs).
+/// Element-wise agreement at a tighter tolerance than `TIGHT_TOL`, pinning
+/// *which* outputs are NaN — the rule `RequestOutput::approx_eq` applies too:
+/// a NaN matches only a NaN at the same position.
 fn assert_same_including_nans(actual: &[f64], expected: &[f64], context: &str) {
     assert_eq!(actual.len(), expected.len(), "{context}: length");
     for (i, (a, e)) in actual.iter().zip(expected).enumerate() {
@@ -465,7 +466,7 @@ proptest! {
         }
     }
 
-    /// Attention specifically: arbitrary point vs the flash/naive oracles.
+    /// Attention specifically: arbitrary point vs the unfused oracle.
     #[test]
     fn prop_attention_vm_is_invariant(tuning in any_point(), seed in 0u64..64) {
         let arch = GpuArch::a10();
