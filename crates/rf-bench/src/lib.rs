@@ -13,8 +13,11 @@
 //! | `fig9_multiplatform` | Figure 9 (ML workloads on A100 / H800 / MI308X) |
 //! | `fig11_13_ir_dump` | Figures 11–13 (unfused TIR, fused scalar and tile IR) |
 //!
-//! The Criterion benches in `benches/` measure the CPU numeric kernels
-//! (fused vs unfused) and the analysis/lowering passes themselves.
+//! The `perf` binary (`src/bin/perf/`, also a package of its own) is the
+//! benchmark: compile, tile-VM execution and serving load, host-clock and
+//! sim-clock. The Criterion benches in `benches/` time the compiler side
+//! alone: the ACRF analysis and fused evaluators, the analytical GPU model,
+//! and the staged auto-tuner against its exhaustive oracle.
 
 #![forbid(unsafe_code)]
 
@@ -109,4 +112,3 @@ mod tests {
     }
 }
 pub mod eval;
-pub mod serving;

@@ -145,12 +145,6 @@ impl RuntimeConfig {
                     .into(),
             );
         }
-        if self.trace.window_ms == 0 || self.trace.windows == 0 {
-            return invalid(format!(
-                "telemetry windows must be non-degenerate, got window_ms={} windows={}",
-                self.trace.window_ms, self.trace.windows
-            ));
-        }
         Ok(())
     }
 }
@@ -287,12 +281,6 @@ mod tests {
             .trace(TraceConfig::off().with_capacity(0))
             .build()
             .is_ok());
-        // Degenerate telemetry windows are rejected at any level.
-        let err = RuntimeConfig::builder()
-            .trace(TraceConfig::off().with_windows(0, 64))
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("telemetry windows"));
     }
 
     #[test]

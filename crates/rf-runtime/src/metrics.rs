@@ -247,12 +247,12 @@ fn ratio(numerator: f64, denominator: u64) -> f64 {
 }
 
 impl RuntimeMetrics {
-    /// Creates zeroed metrics from a full [`TraceConfig`]: the trace level
-    /// plus the rolling-telemetry window geometry (`window_ms` × `windows`).
+    /// Creates zeroed metrics recording at `config`'s trace level. The
+    /// rolling telemetry has the fixed geometry
+    /// [`rf_trace::DEFAULT_WINDOWS`] × [`rf_trace::DEFAULT_WINDOW_MS`].
     pub fn with_trace(config: TraceConfig) -> Self {
         RuntimeMetrics {
             level: config.level,
-            telemetry: RollingTelemetry::new(config.window_ms, config.windows),
             ..Self::default()
         }
     }

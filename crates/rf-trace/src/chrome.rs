@@ -7,8 +7,8 @@
 //! `engine` process, and every distinct track gets a `thread_name` metadata
 //! record so the viewer labels request and worker timelines.
 //!
-//! [`validate_chrome_trace`] is the inverse check used by tests, the
-//! `serve_trace` harness and CI: parse the JSON (own mini-parser — the
+//! [`validate_chrome_trace`] is the inverse check used by tests and the
+//! observability example: parse the JSON (own mini-parser — the
 //! workspace is offline, no serde), require a non-empty `traceEvents` array,
 //! sane timestamps, and that spans sharing a track nest properly instead of
 //! partially overlapping.

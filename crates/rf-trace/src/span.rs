@@ -64,11 +64,6 @@ pub struct TraceConfig {
     /// only takes the profiled interpreter entry point when this is set, so
     /// the plain path stays bit-identical and overhead-free.
     pub profile: bool,
-    /// Width of one rolling-telemetry window, milliseconds (see
-    /// [`crate::timeseries::RollingTelemetry`]).
-    pub window_ms: u64,
-    /// Number of rolling-telemetry windows retained.
-    pub windows: usize,
 }
 
 impl Default for TraceConfig {
@@ -77,8 +72,6 @@ impl Default for TraceConfig {
             level: TraceLevel::default(),
             capacity: 65_536,
             profile: false,
-            window_ms: crate::timeseries::DEFAULT_WINDOW_MS,
-            windows: crate::timeseries::DEFAULT_WINDOWS,
         }
     }
 }
@@ -119,14 +112,6 @@ impl TraceConfig {
     /// span tracing off.
     pub fn with_profile(mut self, profile: bool) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// Returns the configuration with a rolling-telemetry ring of `windows`
-    /// windows of `window_ms` milliseconds each.
-    pub fn with_windows(mut self, window_ms: u64, windows: usize) -> Self {
-        self.window_ms = window_ms;
-        self.windows = windows;
         self
     }
 }

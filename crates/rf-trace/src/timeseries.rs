@@ -1,13 +1,14 @@
 //! Rolling time-windowed telemetry: the bench trajectory, not just its
 //! endpoints.
 //!
-//! A [`RollingTelemetry`] keeps a ring of fixed-width time windows (default
-//! 250 ms × 64). Each completed batch, shed decision and admission lands in
-//! the window that contains its wall-clock instant; windows older than the
-//! ring rolls off. The snapshot derives per-window throughput, p99 simulated
-//! latency, shed rate, mean batch occupancy and busy fraction — exported as
-//! the `timeseries` section of `BENCH_serving.json` and as Prometheus
-//! gauges for the most recent active window. The newest window is still
+//! A [`RollingTelemetry`] keeps a ring of fixed-width time windows (the
+//! engine's is [`DEFAULT_WINDOWS`] × [`DEFAULT_WINDOW_MS`], 64 × 250 ms).
+//! Each completed batch, shed decision and admission lands in the window
+//! that contains its wall-clock instant; windows older than the ring rolls
+//! off. The snapshot derives per-window throughput, p99 simulated latency,
+//! shed rate, mean batch occupancy and busy fraction — read through the
+//! engine's `metrics().timeseries` and exported as Prometheus gauges for the
+//! most recent active window. The newest window is still
 //! open: its throughput and busy fraction are taken over the time it has
 //! covered so far, not over the full width.
 
@@ -17,10 +18,10 @@ use std::time::{Duration, Instant};
 
 use crate::hist::{bucket_of_us, quantile_us};
 
-/// Default window width, milliseconds.
+/// Window width of the engine's telemetry, milliseconds.
 pub const DEFAULT_WINDOW_MS: u64 = 250;
 
-/// Default number of windows the ring retains.
+/// Number of windows the engine's telemetry ring retains.
 pub const DEFAULT_WINDOWS: usize = 64;
 
 /// Shortest time, milliseconds, the open window is taken to cover: window

@@ -10,6 +10,10 @@
 //! tolerance; the FP8-quantized MLP is held to the established provisional-
 //! scale noise floor of the quant VM (see `tests/differential.rs`).
 //!
+//! On the analytical A10 model, each builder graph's fused plan must also
+//! beat the fully-unfused whole-graph baseline: the speedup the graph
+//! frontend exists for.
+//!
 //! The property tests embed the known non-fusable pattern (the dependent
 //! two-pass variance) in larger graphs under random glue-op decorations of a
 //! fusable softmax core, and check the partitioner never fuses it, never
@@ -19,9 +23,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rf_algebra::ReduceOp;
-use rf_gpusim::GpuArch;
-use rf_graph::partition::{partition, Step};
-use rf_graph::{builders, MapOp, NodeId, Op, OpGraph, ZipOp};
+use rf_codegen::compile_workload;
+use rf_gpusim::{estimate_latency, sequence_latency, GpuArch};
+use rf_graph::partition::{partition, GraphPlan, Step};
+use rf_graph::{builders, glue_profile, unfused_profiles, MapOp, NodeId, Op, OpGraph, ZipOp};
 use rf_runtime::{
     Engine, GraphStats, PlanCache, RequestOutput, RuntimeConfig, RuntimeError, Submission,
 };
@@ -153,6 +158,40 @@ fn graph_serving_reports_missing_inputs() {
     let engine = tiny_engine();
     let err = serve_graph(&engine, &graph, &[]).unwrap_err();
     assert!(err.to_string().contains("not bound"));
+}
+
+/// Simulated latency of executing a fused plan: each region's tuned compiled
+/// kernel plus one unfused launch per glue op.
+fn fused_plan_latency_us(graph: &OpGraph, plan: &GraphPlan, arch: &GpuArch) -> f64 {
+    plan.steps
+        .iter()
+        .map(|step| match step {
+            Step::Region(region) => compile_workload(&region.workload, arch).latency_us,
+            Step::Glue(id) => estimate_latency(arch, &glue_profile(graph, *id)).total_us,
+        })
+        .sum()
+}
+
+#[test]
+fn fused_plans_beat_the_unfused_baseline_on_the_simulated_clock() {
+    let arch = GpuArch::a10();
+    for (name, graph) in [
+        (
+            "transformer_layer",
+            builders::transformer_decoder_layer(64, 64, 256),
+        ),
+        ("moe_block", builders::moe_block(64, 64, 8)),
+        ("quantized_mlp", builders::quantized_mlp(64, 256, 128, 64)),
+    ] {
+        let plan = partition(&graph);
+        assert!(plan.fused_regions() >= 1, "{name}: nothing fused");
+        let fused_us = fused_plan_latency_us(&graph, &plan, &arch);
+        let unfused_us = sequence_latency(&arch, &unfused_profiles(&graph));
+        assert!(
+            fused_us < unfused_us,
+            "{name}: fused plan ({fused_us} us) must beat the unfused baseline ({unfused_us} us)"
+        );
+    }
 }
 
 /// Appends the dependent two-pass variance of `y` — the canonical

@@ -234,8 +234,7 @@ fn tracing_off_is_bit_identical_to_fully_instrumented_serving() {
         (engine, outputs)
     };
     let (dark, plain) = serve(TraceConfig::off());
-    let (instrumented, traced) =
-        serve(TraceConfig::full().with_profile(true).with_windows(100, 32));
+    let (instrumented, traced) = serve(TraceConfig::full().with_profile(true));
     assert_eq!(
         plain, traced,
         "profiling and telemetry must not perturb results"
