@@ -2,9 +2,9 @@
 //!
 //! [`RuntimeConfig`] is constructed through [`RuntimeConfig::builder`],
 //! which rejects configurations that would deadlock or misbehave at runtime
-//! (zero worker counts, zero in-flight budgets, inverted priority-lane
-//! weights) with typed [`RuntimeError::InvalidConfig`] errors instead of
-//! letting the engine panic later.
+//! (zero worker counts, zero in-flight budgets) with typed
+//! [`RuntimeError::InvalidConfig`] errors instead of letting the engine
+//! panic later.
 
 use crate::request::RuntimeError;
 use crate::submit::LANES;
@@ -14,7 +14,8 @@ use rf_trace::{TraceConfig, TraceLevel};
 /// boundary, every backlogged lane's credit grows by its weight and the lane
 /// with the most credit seeds the batch, so a lane with weight `w` gets
 /// roughly `w / (sum of backlogged weights)` of the iterations — and even
-/// the lightest lane is served at a bounded interval (no starvation).
+/// the lightest lane is served at a bounded interval (no starvation). The
+/// engine schedules with the [`Default`] weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneWeights {
     /// Weight of the [`crate::Priority::High`] lane.
@@ -59,8 +60,6 @@ pub struct RuntimeConfig {
     /// executing at once. Submissions beyond it are shed with
     /// [`RuntimeError::Overloaded`] instead of queuing without bound.
     pub max_in_flight: usize,
-    /// Priority-lane scheduling weights.
-    pub lane_weights: LaneWeights,
     /// Tracing/telemetry level and span-buffer bound (see
     /// [`TraceConfig`]). Defaults to headline histograms only;
     /// [`TraceLevel::Full`] additionally buffers per-request spans for
@@ -79,7 +78,6 @@ impl Default for RuntimeConfig {
             max_batch: 16,
             cache_capacity: 64,
             max_in_flight: 1024,
-            lane_weights: LaneWeights::default(),
             trace: TraceConfig::default(),
         }
     }
@@ -99,9 +97,8 @@ impl RuntimeConfig {
     ///
     /// [`RuntimeError::InvalidConfig`] describing the first violated
     /// invariant: zero workers / batch bound / cache capacity / in-flight
-    /// budget, an in-flight budget smaller than one batch, a zero lane
-    /// weight, or inverted lane weights (a lower-priority lane weighted
-    /// above a higher-priority one).
+    /// budget, an in-flight budget smaller than one batch, or a zero span
+    /// buffer at [`TraceLevel::Full`].
     pub fn validate(&self) -> Result<(), RuntimeError> {
         let invalid = |detail: String| Err(RuntimeError::InvalidConfig { detail });
         if self.workers == 0 {
@@ -122,20 +119,6 @@ impl RuntimeConfig {
             return invalid(format!(
                 "max_in_flight ({}) must be >= max_batch ({}): a full batch must fit the budget",
                 self.max_in_flight, self.max_batch
-            ));
-        }
-        let w = self.lane_weights;
-        if w.high == 0 || w.normal == 0 || w.low == 0 {
-            return invalid(format!(
-                "lane weights must all be positive, got high={} normal={} low={}",
-                w.high, w.normal, w.low
-            ));
-        }
-        if w.high < w.normal || w.normal < w.low {
-            return invalid(format!(
-                "lane weights are inverted (high={} normal={} low={}): \
-                 a higher-priority lane must never be weighted below a lower one",
-                w.high, w.normal, w.low
             ));
         }
         if self.trace.level == TraceLevel::Full && self.trace.capacity == 0 {
@@ -177,12 +160,6 @@ impl RuntimeConfigBuilder {
     /// Sets the bounded in-flight budget.
     pub fn max_in_flight(mut self, max_in_flight: usize) -> Self {
         self.config.max_in_flight = max_in_flight;
-        self
-    }
-
-    /// Sets the priority-lane weights (high, normal, low).
-    pub fn lane_weights(mut self, high: u32, normal: u32, low: u32) -> Self {
-        self.config.lane_weights = LaneWeights { high, normal, low };
         self
     }
 
@@ -235,26 +212,6 @@ mod tests {
                 "error `{err}` should mention `{needle}`"
             );
         }
-    }
-
-    #[test]
-    fn builder_rejects_inverted_and_zero_lane_weights() {
-        let err = RuntimeConfig::builder()
-            .lane_weights(1, 2, 4)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("inverted"));
-        let err = RuntimeConfig::builder()
-            .lane_weights(4, 0, 1)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("positive"));
-        // Equal weights are fine (plain round-robin).
-        assert!(RuntimeConfig::builder()
-            .lane_weights(1, 1, 1)
-            .build()
-            .is_ok());
     }
 
     #[test]

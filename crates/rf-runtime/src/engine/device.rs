@@ -3,9 +3,10 @@
 //!
 //! Requests admitted onto the scheduler are formed into shape-compatible
 //! batches at iteration boundaries, compiled (or re-used) through the
-//! [`PlanCache`], executed by the backend and accounted into the
-//! [`RuntimeMetrics`]. A backend call that panics fails the one request it
-//! was serving, through the same ledger path as any execution error.
+//! [`PlanCache`], costed on its arch, executed by the backend and accounted
+//! into the [`RuntimeMetrics`]. A backend call that panics fails the one
+//! request it was serving, through the same ledger path as any execution
+//! error.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -13,14 +14,16 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use rf_gpusim::GpuArch;
 use rf_trace::{ArgValue, OpProfiler, OpSample, TraceCollector, TraceEvent, Track};
 
 use crate::backend::ExecBackend;
 use crate::cache::PlanCache;
-use crate::config::RuntimeConfig;
+use crate::config::{LaneWeights, RuntimeConfig};
+use crate::graph::execute_graph_plan;
 use crate::metrics::RuntimeMetrics;
-use crate::request::{RequestOutput, RuntimeError};
-use crate::stream::{Iteration, QueuedWork, StreamScheduler, Ticket};
+use crate::request::{execute_plan_profiled, RequestOutput, RuntimeError};
+use crate::stream::{batch_latency_us, Iteration, QueuedWork, StreamScheduler, Ticket};
 use crate::submit::{GraphStats, Priority, RequestTiming, Response, Submission};
 
 /// Microseconds from `from` to `to` (0 when the clock says they inverted —
@@ -35,7 +38,8 @@ fn duration_us(from: Instant, to: Instant) -> f64 {
 pub(crate) struct DeviceShared {
     /// How the device executes compiled plans.
     pub backend: Arc<dyn ExecBackend>,
-    /// The compiled-plan cache (keyed by the backend's arch).
+    /// The compiled-plan cache; its arch is the one the device compiles,
+    /// tunes and costs for.
     pub cache: PlanCache,
     /// The serving counters.
     pub metrics: RuntimeMetrics,
@@ -45,7 +49,7 @@ pub(crate) struct DeviceShared {
     pub trace: TraceCollector,
     /// The tile-VM op profiler. Disabled unless
     /// [`rf_trace::TraceConfig::profile`] is set, in which case workload
-    /// batches execute through the backend's profiled path.
+    /// batches execute through [`execute_plan_profiled`].
     pub profiler: OpProfiler,
     /// Host nanoseconds the executed workload batches took, plan ready to
     /// the last delivery, and the requests they held: their ratio is the
@@ -132,18 +136,18 @@ pub(crate) struct Device {
 }
 
 impl Device {
-    /// Spawns the device around `backend` (the tests inject one that parks,
-    /// fails or panics on cue): its caches, scheduler, trace collector and
-    /// profiler, and `config.workers` worker threads.
-    pub fn start(backend: Arc<dyn ExecBackend>, config: &RuntimeConfig) -> Device {
+    /// Spawns the device for `arch` around `backend` (the tests inject one
+    /// that parks, fails or panics on cue): its caches, scheduler, trace
+    /// collector and profiler, and `config.workers` worker threads.
+    pub fn start(arch: GpuArch, backend: Arc<dyn ExecBackend>, config: &RuntimeConfig) -> Device {
         let shared = Arc::new(DeviceShared {
-            cache: PlanCache::new(backend.arch().clone(), config.cache_capacity),
+            cache: PlanCache::new(arch, config.cache_capacity),
             backend,
             metrics: RuntimeMetrics::with_trace(config.trace),
             scheduler: StreamScheduler::new(
                 config.max_batch,
                 config.max_in_flight,
-                config.lane_weights.as_array(),
+                LaneWeights::default().as_array(),
             ),
             trace: TraceCollector::new(config.trace),
             profiler: OpProfiler::new(config.trace.profile),
@@ -267,7 +271,7 @@ fn run_workload_batch(
         (duration_us(plan_started, plan_ready), plan.timing.tune_us)
     };
     let batch_size = work.len();
-    let simulated_us = shared.backend.estimate_us(&plan.profile, batch_size);
+    let simulated_us = batch_latency_us(shared.cache.arch(), &plan.profile, batch_size);
     let (mut executed, mut failed) = (0usize, 0usize);
     let mut last_delivered = plan_ready;
     for queued in work {
@@ -281,10 +285,8 @@ fn run_workload_batch(
                 if !shared.profiler.enabled() {
                     return shared.backend.execute(&plan, request);
                 }
-                let (output, profile) = shared.backend.execute_profiled(&plan, request)?;
-                if let Some(profile) = &profile {
-                    record_op_profile(shared, class, &request.workload.name(), profile);
-                }
+                let (output, profile) = execute_plan_profiled(&plan, request)?;
+                record_op_profile(shared, class, &request.workload.name(), &profile);
                 Ok(output)
             },
         );
@@ -465,9 +467,9 @@ fn run_graph(shared: &DeviceShared, index: u64, work: QueuedWork) {
             let plan = plan
                 .clone()
                 .unwrap_or_else(|| Arc::new(rf_graph::partition(&graph)));
-            crate::graph::execute_graph_plan_on(
+            execute_graph_plan(
                 &shared.cache,
-                shared.backend.as_ref(),
+                shared.cache.arch(),
                 Some(&shared.metrics),
                 &graph,
                 &plan,
@@ -563,8 +565,6 @@ mod tests {
     use std::sync::Mutex;
 
     use rf_codegen::CompiledKernel;
-    use rf_gpusim::{GpuArch, KernelProfile};
-    use rf_tile::exec::{ExecError, ExecInput, ExecOutput};
     use rf_workloads::Matrix;
 
     use crate::backend::TileVmBackend;
@@ -583,7 +583,6 @@ mod tests {
     /// A tile-VM backend whose `n`-th `execute` call follows the `n`-th cue
     /// of its script, when there is one.
     struct CuedBackend {
-        inner: TileVmBackend,
         script: Mutex<VecDeque<Cue>>,
     }
 
@@ -606,7 +605,6 @@ mod tests {
                 script[call] = Cue::Panic;
             }
             let backend = CuedBackend {
-                inner: TileVmBackend::new(GpuArch::a10()),
                 script: Mutex::new(script),
             };
             (Arc::new(backend), cues)
@@ -614,14 +612,6 @@ mod tests {
     }
 
     impl ExecBackend for CuedBackend {
-        fn arch(&self) -> &GpuArch {
-            self.inner.arch()
-        }
-
-        fn estimate_us(&self, profile: &KernelProfile, batch: usize) -> f64 {
-            self.inner.estimate_us(profile, batch)
-        }
-
         fn execute(
             &self,
             plan: &CompiledKernel,
@@ -633,15 +623,7 @@ mod tests {
                 Some(Cue::Panic) => panic!("scripted kernel panic"),
                 Some(Cue::Run) | None => {}
             }
-            self.inner.execute(plan, request)
-        }
-
-        fn run_region(
-            &self,
-            kernel: &CompiledKernel,
-            input: &ExecInput<'_>,
-        ) -> Result<ExecOutput, ExecError> {
-            self.inner.run_region(kernel, input)
+            TileVmBackend.execute(plan, request)
         }
     }
 
@@ -657,7 +639,7 @@ mod tests {
             .max_batch(2)
             .build()
             .unwrap();
-        let device = Device::start(backend, &config);
+        let device = Device::start(GpuArch::a10(), backend, &config);
         let shared = Arc::clone(&device.shared);
         let submit = |id: u64, cols: usize| {
             let request = Request::softmax(Matrix::random(2, cols, id, -1.0, 1.0));
@@ -697,7 +679,7 @@ mod tests {
             .max_batch(4)
             .build()
             .unwrap();
-        let device = Device::start(backend, &config);
+        let device = Device::start(GpuArch::a10(), backend, &config);
         let shared = Arc::clone(&device.shared);
         let submit = |id: u64, cols: usize| {
             let request = Request::softmax(Matrix::random(2, cols, id, -1.0, 1.0));
@@ -742,7 +724,7 @@ mod tests {
             .max_in_flight(1)
             .build()
             .unwrap();
-        let device = Device::start(backend, &config);
+        let device = Device::start(GpuArch::a10(), backend, &config);
         let shared = Arc::clone(&device.shared);
         let request = |seed: u64| Request::softmax(Matrix::random(2, 16, seed, -1.0, 1.0));
         // A warm plan: the iteration reaches `execute` without compiling.

@@ -98,7 +98,7 @@ impl Engine {
     pub fn try_with_config(arch: GpuArch, config: RuntimeConfig) -> Result<Self, RuntimeError> {
         config.validate()?;
         Ok(Engine {
-            device: Device::start(Arc::new(TileVmBackend::new(arch)), &config),
+            device: Device::start(arch, Arc::new(TileVmBackend), &config),
             next_id: AtomicU64::new(0),
         })
     }
@@ -109,7 +109,7 @@ impl Engine {
 
     /// The architecture the engine compiles, tunes and costs for.
     pub fn arch(&self) -> &GpuArch {
-        self.shared().backend.arch()
+        self.shared().cache.arch()
     }
 
     /// Validates and enqueues a submission, returning the completion ticket.
@@ -671,7 +671,6 @@ mod tests {
         assert_eq!(metrics.trace_level, rf_trace::TraceLevel::Off);
         assert!(metrics.stages.iter().all(|s| s.wall.count == 0));
         assert!(metrics.lanes.iter().all(|l| l.wall.count == 0));
-        assert!(metrics.timeseries.is_empty());
         // The simulated-latency statistic is on at every level; a batch is
         // recorded once its iteration finishes.
         engine.run_until_drained();
@@ -715,25 +714,36 @@ mod tests {
     }
 
     #[test]
-    fn serving_populates_the_timeseries() {
+    fn rates_over_an_interval_are_differences_of_exported_counters() {
+        const BURST: u64 = 6;
         let engine = tiny_engine(2);
-        for seed in 0..6 {
-            engine
-                .submit(Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
-                .unwrap();
-        }
-        engine.run_until_drained();
-        let metrics = engine.metrics();
-        let window = metrics
-            .timeseries
-            .latest_active()
-            .expect("serving filled a telemetry window");
-        assert!(window.completed >= 1);
-        assert!(window.throughput_rps > 0.0);
-        // The engine-level exposition carries the window families.
-        let text = engine.prometheus();
-        assert!(text.contains("redfuser_window_throughput_rps"));
-        assert!(text.contains("redfuser_queue_depth 0"));
+        let burst = |first_seed: u64| {
+            let tickets: Vec<Ticket> = (first_seed..first_seed + BURST)
+                .map(|seed| {
+                    engine
+                        .submit(Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
+                        .unwrap()
+                })
+                .collect();
+            engine.run_until_drained();
+            for ticket in tickets {
+                ticket.wait().unwrap();
+            }
+        };
+        // The first burst pays the compile; the interval is the second.
+        burst(0);
+        let before = engine.metrics();
+        burst(BURST);
+        let after = engine.metrics();
+        assert_eq!(after.trace_level, rf_trace::TraceLevel::Histograms);
+        assert_eq!(after.completed - before.completed, BURST);
+        assert!(after.batches - before.batches >= 1);
+        assert!(after.busy_us - before.busy_us > 0.0);
+        // The busy time is exported as a counter; no windowed gauge is.
+        let text = after.prometheus();
+        let busy = format!("redfuser_sim_busy_us_total {}", after.busy_us);
+        assert!(text.lines().any(|line| line == busy), "{text}");
+        assert!(!text.contains("window"), "{text}");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!   queue depth and cache hit rate, with a plain-text
 //!   [`MetricsSnapshot::report`];
 //! * [`RuntimeConfig`] — a validating [`RuntimeConfig::builder`] that rejects
-//!   impossible configurations (zero workers, zero budgets, inverted lane
-//!   weights) with typed [`RuntimeError::InvalidConfig`] errors.
+//!   impossible configurations (zero workers, zero budgets) with typed
+//!   [`RuntimeError::InvalidConfig`] errors.
 //!
 //! The [`Engine`] facade ties them together:
 //!
@@ -70,17 +70,17 @@ pub use backend::{ExecBackend, TileVmBackend};
 pub use cache::{CacheStats, PlanCache};
 pub use config::{LaneWeights, RuntimeConfig, RuntimeConfigBuilder};
 pub use engine::Engine;
-pub use graph::{execute_graph_plan, execute_graph_plan_on, GraphResponse};
+pub use graph::{execute_graph_plan, GraphResponse};
 pub use metrics::{ClassSnapshot, LaneSnapshot, MetricsSnapshot, RuntimeMetrics};
 pub use request::{
     execute_plan, execute_reference, OverloadInfo, Request, RequestId, RequestInput, RequestOutput,
     RuntimeError,
 };
 pub use stream::{QueuedWork, StreamScheduler, Ticket};
-pub use submit::{GraphStats, Priority, RequestResult, RequestTiming, Response, Submission, LANES};
+pub use submit::{GraphStats, Priority, RequestTiming, Response, Submission, LANES};
 // Tracing/telemetry types (from `rf-trace`), re-exported so engine users
 // configure and consume tracing without naming the crate.
 pub use rf_trace::{
-    HistogramSnapshot, OpProfileSnapshot, Stage, TimeSeriesSnapshot, TraceCollector, TraceConfig,
-    TraceLevel, TraceSnapshot, WindowSnapshot,
+    HistogramSnapshot, OpProfileSnapshot, Stage, TraceCollector, TraceConfig, TraceLevel,
+    TraceSnapshot,
 };

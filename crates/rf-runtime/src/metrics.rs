@@ -17,9 +17,10 @@
 //!   per-[`Stage`] and per-lane histograms so a long run can attribute its
 //!   served latency to pipeline stages.
 //!
-//! "Lifetime" is the histograms' job; "recent" is the telemetry ring's
-//! ([`MetricsSnapshot::timeseries`]). The exposition is rendered from one
-//! table of metric families ([`metric_reference`] prints it).
+//! Every number is a lifetime total. A rate over an interval — throughput,
+//! shed rate, batch occupancy, busy fraction — is the difference of two
+//! snapshots' counters (`rate()` to a scraper). The exposition is rendered
+//! from one table of metric families ([`metric_reference`] prints it).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -28,10 +29,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use rf_codegen::TuningCacheStats;
-use rf_trace::{
-    HistogramSnapshot, LogHistogram, RollingTelemetry, Stage, TimeSeriesSnapshot, TraceConfig,
-    TraceLevel, WindowSnapshot, STAGES,
-};
+use rf_trace::{HistogramSnapshot, LogHistogram, Stage, TraceConfig, TraceLevel, STAGES};
 
 use crate::cache::CacheStats;
 use crate::submit::{Priority, RequestTiming, LANES};
@@ -68,8 +66,8 @@ struct LaneTrack {
 /// worker pool.
 #[derive(Debug, Default)]
 pub struct RuntimeMetrics {
-    /// How much telemetry to record (the wall-clock histograms and the
-    /// telemetry ring are skipped at [`TraceLevel::Off`]).
+    /// How much telemetry to record (the wall-clock histograms are skipped
+    /// at [`TraceLevel::Off`]).
     level: TraceLevel,
     /// Wall-clock per-stage histograms, indexed by [`Stage::index`].
     stage_walls: [LogHistogram; STAGES],
@@ -97,9 +95,6 @@ pub struct RuntimeMetrics {
     region_lookups: AtomicU64,
     /// Fused-region plan lookups served from the plan cache.
     region_hits: AtomicU64,
-    /// Rolling time-windowed telemetry (throughput, p99, shed rate, batch
-    /// occupancy, busy fraction per fixed-width window).
-    telemetry: RollingTelemetry,
 }
 
 /// A point-in-time view of one workload class's serving health.
@@ -191,7 +186,8 @@ pub struct MetricsSnapshot {
     /// Total simulated device-busy time in microseconds: each executed
     /// batch's simulated latency counted once, regardless of batch size
     /// (accumulated in whole nanoseconds). Served requests over `busy_us` is
-    /// the simulated-time throughput.
+    /// the simulated-time throughput; its change over a host-clock interval
+    /// is the device's simulated busy fraction in it.
     pub busy_us: f64,
     /// The telemetry level the engine ran with.
     pub trace_level: TraceLevel,
@@ -225,9 +221,6 @@ pub struct MetricsSnapshot {
     pub region_lookups: u64,
     /// Fused-region plan lookups served from the plan cache.
     pub region_hits: u64,
-    /// Rolling time-windowed telemetry, oldest window first. Empty at
-    /// [`TraceLevel::Off`].
-    pub timeseries: TimeSeriesSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -247,9 +240,7 @@ fn ratio(numerator: f64, denominator: u64) -> f64 {
 }
 
 impl RuntimeMetrics {
-    /// Creates zeroed metrics recording at `config`'s trace level. The
-    /// rolling telemetry has the fixed geometry
-    /// [`rf_trace::DEFAULT_WINDOWS`] × [`rf_trace::DEFAULT_WINDOW_MS`].
+    /// Creates zeroed metrics recording at `config`'s trace level.
     pub fn with_trace(config: TraceConfig) -> Self {
         RuntimeMetrics {
             level: config.level,
@@ -260,18 +251,12 @@ impl RuntimeMetrics {
     /// Records one accepted submission on `priority`'s lane.
     pub fn record_submit(&self, priority: Priority) {
         self.lanes[priority.lane()].submitted.fetch_add(1, Relaxed);
-        if self.level.histograms_enabled() {
-            self.telemetry.record_submit();
-        }
     }
 
     /// Rolls back one [`RuntimeMetrics::record_submit`] whose submission was
     /// rejected after counting (scheduler shutdown race or admission shed).
     pub fn cancel_submit(&self, priority: Priority) {
         self.lanes[priority.lane()].submitted.fetch_sub(1, Relaxed);
-        if self.level.histograms_enabled() {
-            self.telemetry.cancel_submit();
-        }
     }
 
     /// Records one submission shed by admission control, together with the
@@ -284,9 +269,6 @@ impl RuntimeMetrics {
         let hint_us = retry_hint.as_secs_f64() * 1e6;
         self.shed_retry_last_bits.store(hint_us.to_bits(), Relaxed);
         self.shed_retry_sum_us.fetch_add(hint_us as u64, Relaxed);
-        if self.level.histograms_enabled() {
-            self.telemetry.record_shed();
-        }
     }
 
     /// Records `failed` submissions from `priority`'s lane delivered an
@@ -371,10 +353,6 @@ impl RuntimeMetrics {
             track.lifetime.record_n(latency_us, executed);
         }
         self.lifetime.record_n(latency_us, executed);
-        if self.level.histograms_enabled() {
-            self.telemetry
-                .record_batch(executed, failed, latency_us, executed + failed);
-        }
     }
 
     /// Records one graph served end-to-end: `fused_ops` graph ops were
@@ -472,7 +450,6 @@ impl RuntimeMetrics {
             graph_glue_ops: self.graph_glue_ops.load(Relaxed),
             region_lookups: self.region_lookups.load(Relaxed),
             region_hits: self.region_hits.load(Relaxed),
-            timeseries: self.telemetry.snapshot(),
         }
     }
 }
@@ -584,18 +561,6 @@ impl MetricsSnapshot {
                 ));
             }
         }
-        if let Some(window) = self.timeseries.latest_active() {
-            out.push_str(&format!(
-                "  latest window ({} ms)  rps {:>8.1}  p99 {:>9.2} us  shed {:>5.1}%  \
-                 batch {:>5.2}  busy {:>5.1}%\n",
-                self.timeseries.window_ms,
-                window.throughput_rps,
-                window.p99_us,
-                window.shed_rate * 100.0,
-                window.mean_batch,
-                window.busy_frac * 100.0
-            ));
-        }
         out
     }
 
@@ -626,9 +591,8 @@ impl MetricsSnapshot {
 /// The exposition's metric reference as a markdown table, one row per
 /// family in exposition order: name, kind, the clock its value is on
 /// (`sim` = simulated GPU time from the `rf-gpusim` model, `host` = wall
-/// time of this process, `sim+host` = simulated time per host-clock window,
-/// `-` = a count), unit and help text. README embeds it; a test keeps the
-/// two equal.
+/// time of this process, `-` = a count), unit and help text. README embeds
+/// it; a test keeps the two equal.
 pub fn metric_reference() -> String {
     let mut out = String::from("| family | kind | clock | unit | help |\n|---|---|---|---|---|\n");
     for f in FAMILIES {
@@ -648,7 +612,7 @@ type Emit<'a> = dyn FnMut(&str, &str, f64) + 'a;
 
 /// One exported metric family, declared once: the HELP/TYPE header, the
 /// README reference row and the samples all come from here. A family that
-/// yields no sample (no active window) prints nothing.
+/// yields no sample (no class served yet) prints nothing.
 struct Family {
     name: &'static str,
     kind: &'static str,
@@ -711,12 +675,6 @@ fn outcomes(emit: &mut Emit, labels: &str, [submitted, completed, failed, shed]:
     }
 }
 
-fn latest_window(m: &MetricsSnapshot, emit: &mut Emit, value: fn(&WindowSnapshot) -> f64) {
-    if let Some(window) = m.timeseries.latest_active() {
-        emit("", "", value(window));
-    }
-}
-
 /// The exported families, in exposition order.
 const FAMILIES: &[Family] = &[
     family!(counter "redfuser_requests_total" ["-", "requests"]
@@ -725,6 +683,9 @@ const FAMILIES: &[Family] = &[
     family!(counter "redfuser_batches_total" ["-", "batches"]
         "Engine iterations that executed a batch."
         => |m, emit| emit("", "", m.batches as f64)),
+    family!(counter "redfuser_sim_busy_us_total" ["sim", "us"]
+        "Simulated device-busy time, each executed batch's latency counted once, microseconds."
+        => |m, emit| emit("", "", m.busy_us)),
     family!(gauge "redfuser_queue_depth" ["-", "requests"]
         "Submissions queued or executing right now."
         => |m, emit| emit("", "", m.queue_depth as f64)),
@@ -773,21 +734,6 @@ const FAMILIES: &[Family] = &[
             summary(emit, &label("class", c.class), &c.lifetime);
         }
     }),
-    family!(gauge "redfuser_window_throughput_rps" ["host", "requests/s"]
-        "Completions per second over the latest active telemetry window."
-        => |m, emit| latest_window(m, emit, |w| w.throughput_rps)),
-    family!(gauge "redfuser_window_p99_us" ["sim", "us"]
-        "p99 simulated batch latency in the latest active window, microseconds."
-        => |m, emit| latest_window(m, emit, |w| w.p99_us)),
-    family!(gauge "redfuser_window_shed_rate" ["-", "ratio"]
-        "Shed fraction of arrivals in the latest active window."
-        => |m, emit| latest_window(m, emit, |w| w.shed_rate)),
-    family!(gauge "redfuser_window_mean_batch" ["-", "requests/batch"]
-        "Mean batch occupancy in the latest active window."
-        => |m, emit| latest_window(m, emit, |w| w.mean_batch)),
-    family!(gauge "redfuser_window_busy_frac" ["sim+host", "ratio"]
-        "Simulated device-busy fraction of the latest active window."
-        => |m, emit| latest_window(m, emit, |w| w.busy_frac)),
 ];
 
 #[cfg(test)]
@@ -946,9 +892,8 @@ mod tests {
         assert_eq!(snap.lanes[Priority::High.lane()].wall.count, 1);
         assert!(snap.report().contains("per-stage wall time"));
 
-        // The Off contract: the wall-clock histograms and the telemetry ring
-        // record nothing; the simulated-latency statistic
-        // (and the counters) are always on.
+        // The Off contract: the wall-clock histograms record nothing; the
+        // simulated-latency statistic (and the counters) are always on.
         let off = RuntimeMetrics::with_trace(TraceConfig::off());
         off.record_submit(Priority::Normal);
         off.record_timing(Priority::Normal, &timing);
@@ -957,7 +902,6 @@ mod tests {
         assert_eq!(snap.trace_level, TraceLevel::Off);
         assert!(snap.stages.iter().all(|s| s.wall.count == 0));
         assert!(snap.lanes.iter().all(|l| l.wall.count == 0));
-        assert!(snap.timeseries.is_empty());
         assert_eq!(snap.lifetime.count, 4);
         assert_eq!(snap.classes[0].lifetime.count, 4);
         assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
@@ -1019,6 +963,7 @@ mod tests {
             "redfuser_lane_wall_us{lane=\"normal\",quantile=\"0.99\"}",
             "redfuser_class_sim_latency_us{class=\"softmax\",quantile=\"0.5\"}",
             "redfuser_shed_retry_hint_us 250",
+            "redfuser_sim_busy_us_total 12.5",
             "redfuser_sim_latency_us_count 1",
         ] {
             assert!(
@@ -1039,40 +984,28 @@ mod tests {
     }
 
     #[test]
-    fn timeseries_rides_the_snapshot() {
+    fn busy_time_is_a_sim_clock_counter_in_the_exposition() {
         let metrics = ledger();
-        metrics.record_submit(Priority::Normal);
-        metrics.record_batch("softmax", 2, 0, 10.0, false);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
-        // The telemetry ring saw both the submit and the batch in its
-        // current window.
-        let window = snap.timeseries.latest_active().expect("an active window");
-        assert_eq!(window.submitted, 1);
-        assert_eq!(window.completed, 2);
-        assert!(window.throughput_rps > 0.0);
-        assert!(within_a_bucket(window.p99_us, 10.0));
-        // It surfaces in the report and the exposition.
-        assert!(snap.report().contains("latest window"));
-        let text = snap.prometheus();
-        for needle in [
-            "redfuser_window_throughput_rps",
-            "redfuser_window_busy_frac",
-        ] {
-            assert!(
-                text.contains(needle),
-                "exposition must contain `{needle}`:\n{text}"
-            );
-        }
-        // The window families keep every line scrape-parseable.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#')
-                    || line
-                        .rsplit_once(' ')
-                        .is_some_and(|(_, v)| v.parse::<f64>().is_ok()),
-                "malformed exposition line: `{line}`"
-            );
-        }
+        let busy = |metrics: &RuntimeMetrics| {
+            let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+            let text = snap.prometheus();
+            let line = text
+                .lines()
+                .find(|line| line.starts_with("redfuser_sim_busy_us_total "))
+                .map(str::to_owned);
+            (snap.busy_us, line)
+        };
+        // Each batch's latency counts once, whatever its size; a failed
+        // batch's latency counts like any other.
+        metrics.record_batch("softmax", 4, 0, 10.5, false);
+        metrics.record_batch("mha", 1, 1, 2.25, true);
+        let (before, line) = busy(&metrics);
+        assert_eq!(before, 12.75);
+        assert_eq!(line.as_deref(), Some("redfuser_sim_busy_us_total 12.75"));
+        // The difference of two readings is the busy time in between.
+        metrics.record_batch("softmax", 16, 0, 40.0, true);
+        let (after, _) = busy(&metrics);
+        assert_eq!(after - before, 40.0);
     }
 
     #[test]
@@ -1180,14 +1113,13 @@ mod tests {
             let name = f.name;
             assert!(name.starts_with("redfuser_"), "{name}");
             assert!(["counter", "gauge", "summary"].contains(&f.kind), "{name}");
-            assert!(
-                ["sim", "host", "sim+host", "-"].contains(&f.clock),
-                "{name}"
-            );
+            assert!(["sim", "host", "-"].contains(&f.clock), "{name}");
             assert!(!f.unit.is_empty() && !f.help.is_empty(), "{name}");
             assert_eq!(f.kind == "counter", name.ends_with("_total"), "{name}");
-            // A time is on a stated clock, in the unit its name ends with.
-            assert_eq!(name.ends_with("_us"), f.unit == "us", "{name}");
+            // A time is on a stated clock, in the unit its name ends with
+            // (before a counter's `_total`).
+            let base = name.strip_suffix("_total").unwrap_or(name);
+            assert_eq!(base.ends_with("_us"), f.unit == "us", "{name}");
             assert!(f.unit != "us" || f.clock != "-", "{name}");
         }
     }

@@ -109,7 +109,7 @@ pub enum RuntimeError {
         source: OverloadInfo,
     },
     /// A [`crate::RuntimeConfig`] failed validation (zero worker count, zero
-    /// in-flight budget, inverted priority-lane weights, …).
+    /// in-flight budget, …).
     InvalidConfig {
         /// Human-readable description of the rejected configuration.
         detail: String,

@@ -290,8 +290,9 @@ impl StreamScheduler {
     /// # Panics
     ///
     /// Panics if `max_batch` or `max_in_flight` is zero or any weight is
-    /// zero — engine construction validates via
-    /// [`crate::RuntimeConfig::validate`] first.
+    /// zero — engine construction validates the sizes via
+    /// [`crate::RuntimeConfig::validate`] first and passes the
+    /// [`crate::LaneWeights`] defaults.
     pub fn new(max_batch: usize, max_in_flight: usize, weights: [u64; LANES]) -> Self {
         assert!(max_batch > 0, "max_batch must be positive");
         assert!(max_in_flight > 0, "max_in_flight must be positive");

@@ -19,8 +19,8 @@ use rf_workloads::Matrix;
 use crate::request::{Request, RequestId, RequestOutput};
 
 /// The scheduling lane of one submission. Lanes are served by
-/// deficit-weighted round-robin (see
-/// [`crate::RuntimeConfig::lane_weights`]): high-priority work is preferred
+/// deficit-weighted round-robin (see [`crate::LaneWeights`], 4 : 2 : 1):
+/// high-priority work is preferred
 /// in proportion to its weight, while any backlogged lane accumulates credit
 /// every iteration, so no lane starves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -209,10 +209,8 @@ impl RequestTiming {
 
 /// The outcome of one served submission.
 ///
-/// For workload submissions this is the historical request result (the
-/// compat alias [`RequestResult`] still names it); for graph submissions the
-/// `output` is [`RequestOutput::Tensors`] and `graph` carries the region
-/// counters.
+/// For graph submissions the `output` is [`RequestOutput::Tensors`] and
+/// `graph` carries the region counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// The id assigned at submission.
@@ -253,10 +251,6 @@ impl Response {
         &self.timing
     }
 }
-
-/// Compatibility alias: the pre-stream name for [`Response`]. Prefer
-/// `Response` in new code.
-pub type RequestResult = Response;
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,9 @@
 //! the calibration ledger removed the `redfuser_calibration_*` and
 //! `calibration.*` lines; deleting the multi-device fleet removed the four
 //! per-device families (the scripts were then replayed into one ledger
-//! instead of two merged ones, which changes no other line). The
-//! `redfuser_window_*` lines are dropped: they depend on the wall clock.
+//! instead of two merged ones, which changes no other line); deleting the
+//! telemetry ring removed its counters line (its wall-clock window gauges
+//! were never compared) and added the `redfuser_sim_busy_us_total` counter.
 //!
 //! Re-record (copy the file the failure message names over the golden one)
 //! only in a PR that adds or removes a metric family, and list the lines that
@@ -174,18 +175,6 @@ fn counters(s: &MetricsSnapshot) -> String {
             ),
         );
     }
-    let windows = &s.timeseries.windows;
-    line(
-        "timeseries",
-        format!(
-            "submitted {} completed {} failed {} shed {} batches {}",
-            windows.iter().map(|w| w.submitted).sum::<u64>(),
-            windows.iter().map(|w| w.completed).sum::<u64>(),
-            windows.iter().map(|w| w.failed).sum::<u64>(),
-            windows.iter().map(|w| w.shed).sum::<u64>(),
-            windows.iter().map(|w| w.batches).sum::<u64>(),
-        ),
-    );
     out
 }
 
@@ -217,14 +206,8 @@ fn check_golden(name: &str, actual: &str) -> Result<(), String> {
 #[test]
 fn exposition_and_counters_match_the_recorded_replay() {
     let snapshot = replay();
-    let exposition: String = snapshot
-        .prometheus()
-        .lines()
-        .filter(|line| !line.contains("redfuser_window_"))
-        .map(|line| format!("{line}\n"))
-        .collect();
     let differences: Vec<String> = [
-        check_golden("exposition.prom", &exposition),
+        check_golden("exposition.prom", &snapshot.prometheus()),
         check_golden("counters.txt", &counters(&snapshot)),
     ]
     .into_iter()

@@ -10,8 +10,7 @@
 //!
 //! Every percentile in `rf-trace` and `rf-runtime` follows one rank rule,
 //! `rank = ⌈q·n⌉` clamped to `1..=n`: [`quantile_sorted`] applies it to
-//! sorted samples, the histogram (and a telemetry window's sparse buckets)
-//! to `(bucket, count)` pairs.
+//! sorted samples, the histogram to its `(bucket, count)` pairs.
 //!
 //! Recording is a bucket add, a count add, a saturating sum add and a
 //! maximum that is written only when raised — relaxed atomics, no locks,
@@ -67,11 +66,7 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 /// ascending bucket order, in microseconds: the midpoint of the bucket the
 /// `⌈q·total⌉`-th smallest sample fell into. `total` must be the sum of the
 /// counts.
-pub(crate) fn quantile_us(
-    buckets: impl IntoIterator<Item = (usize, u64)>,
-    total: u64,
-    q: f64,
-) -> f64 {
+fn quantile_us(buckets: impl IntoIterator<Item = (usize, u64)>, total: u64, q: f64) -> f64 {
     if total == 0 {
         return 0.0;
     }
@@ -88,7 +83,7 @@ pub(crate) fn quantile_us(
 
 /// The bucket a microsecond value lands in and the value in nanoseconds;
 /// `None` for non-finite or negative values, which no histogram records.
-pub(crate) fn bucket_of_us(value_us: f64) -> Option<(usize, u64)> {
+fn bucket_of_us(value_us: f64) -> Option<(usize, u64)> {
     if !value_us.is_finite() || value_us < 0.0 {
         return None;
     }

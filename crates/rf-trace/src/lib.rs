@@ -21,9 +21,9 @@
 //!   per `(class, region, op)`, exportable as folded-stack text for
 //!   `inferno`-style flamegraph tools ([`validate_folded`] checks the
 //!   format).
-//! * [`RollingTelemetry`] — a ring of fixed-width time windows (default
-//!   250 ms × 64) tracking throughput, p99, shed rate, batch occupancy and
-//!   busy fraction over time.
+//!
+//! Nothing here keeps windows over time: a rate over an interval is the
+//! difference of two readings of the runtime's lifetime counters.
 //!
 //! The crate is dependency-free and knows nothing about the engine; the
 //! runtime re-exports it as `redfuser::trace` and threads the collector
@@ -36,7 +36,6 @@ pub mod hist;
 pub mod json;
 pub mod profile;
 pub mod span;
-pub mod timeseries;
 
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceStats};
 pub use hist::{quantile_sorted, HistogramSnapshot, LogHistogram, SUB_BUCKETS};
@@ -44,9 +43,6 @@ pub use profile::{validate_folded, OpProfileEntry, OpProfileSnapshot, OpProfiler
 pub use span::{
     ArgValue, EventPhase, TraceCollector, TraceConfig, TraceEvent, TraceLevel, TraceSnapshot,
     Track, REQUEST_TRACK_BASE,
-};
-pub use timeseries::{
-    RollingTelemetry, TimeSeriesSnapshot, WindowSnapshot, DEFAULT_WINDOWS, DEFAULT_WINDOW_MS,
 };
 
 /// The instrumented stages of the serving pipeline, in lifecycle order.

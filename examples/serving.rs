@@ -29,7 +29,6 @@ pub fn main() {
         .max_batch(8)
         .cache_capacity(32)
         .max_in_flight(64)
-        .lane_weights(4, 2, 1)
         .build()
         .expect("the configuration is valid");
     let engine = Arc::new(Engine::with_config(GpuArch::h800(), config));

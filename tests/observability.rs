@@ -212,9 +212,8 @@ fn a_flood_surfaces_retry_hints_and_shed_rates() {
 
 /// Instrumentation is observational only: the same requests served with
 /// tracing fully off and with everything on (full spans, the tile-VM op
-/// profiler, rolling telemetry windows) produce bit-identical outputs. With
-/// tracing off, the profiler and the window ring both stay empty — the off
-/// path never touches them.
+/// profiler) produce bit-identical outputs. With tracing off, the profiler
+/// stays empty — the off path never touches it.
 #[test]
 fn tracing_off_is_bit_identical_to_fully_instrumented_serving() {
     let serve = |trace: TraceConfig| -> (Engine, Vec<RequestOutput>) {
@@ -240,12 +239,7 @@ fn tracing_off_is_bit_identical_to_fully_instrumented_serving() {
         "profiling and telemetry must not perturb results"
     );
 
-    let snapshot = dark.metrics();
-    assert!(snapshot.timeseries.latest_active().is_none());
     assert!(dark.op_profile().is_empty(), "off never profiles");
-
-    let snapshot = instrumented.metrics();
-    assert!(snapshot.timeseries.latest_active().is_some());
     let folded = instrumented.op_profile().folded();
     redfuser::trace::validate_folded(&folded).expect("profile exports valid folded stacks");
     assert!(
