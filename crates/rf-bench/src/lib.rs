@@ -13,11 +13,11 @@
 //! | `fig9_multiplatform` | Figure 9 (ML workloads on A100 / H800 / MI308X) |
 //! | `fig11_13_ir_dump` | Figures 11–13 (unfused TIR, fused scalar and tile IR) |
 //!
-//! The `perf` binary (`src/bin/perf/`, also a package of its own) is the
+//! The `perf` binary (`src/bin/perf/`, also a package of its own) is the one
 //! benchmark: compile, tile-VM execution and serving load, host-clock and
-//! sim-clock. The Criterion benches in `benches/` time the compiler side
-//! alone: the ACRF analysis and fused evaluators, the analytical GPU model,
-//! and the staged auto-tuner against its exhaustive oracle.
+//! sim-clock. The compiler side is its `compile_cold` workload, whose traced
+//! run reports the ACRF analysis, the analytical GPU model and the guided
+//! auto-tuner against its exhaustive oracle per layer.
 
 #![forbid(unsafe_code)]
 

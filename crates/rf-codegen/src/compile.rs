@@ -29,9 +29,6 @@ pub struct CompileOptions {
     /// Warm-start cache shared across compilations (keyed by
     /// [`Workload::class`] and architecture fingerprint).
     pub tuning_cache: Option<Arc<TuningCache>>,
-    /// Debug-build verification of the guided search against the exhaustive
-    /// oracle (see [`AutoTuner::with_oracle_check`]).
-    pub oracle_check: bool,
 }
 
 /// A workload RedFuser can compile end-to-end.
@@ -136,7 +133,9 @@ impl Workload {
 /// cannot implement `Hash`/`Eq` directly; the fingerprint folds the canonical
 /// IEEE-754 bit patterns of every field into a `u64`, so a preset whose `pub`
 /// fields were tweaked (a what-if study) keys differently from the stock
-/// preset of the same name.
+/// preset of the same name. Callers that build many keys for one
+/// architecture (e.g. the `rf-runtime` plan cache) compute
+/// [`GpuArch::fingerprint`] once and assemble keys from the public fields.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// The workload shape being compiled.
@@ -153,20 +152,9 @@ impl PlanKey {
         PlanKey {
             workload: workload.clone(),
             arch: arch.name,
-            arch_fingerprint: arch_fingerprint(arch),
+            arch_fingerprint: arch.fingerprint(),
         }
     }
-}
-
-/// Folds every latency-relevant [`GpuArch`] field (floats via their canonical
-/// bit patterns) into a stable-within-process `u64`. Callers that build many
-/// keys for one architecture (e.g. the `rf-runtime` plan cache) can compute
-/// this once and assemble [`PlanKey`]s from its public fields.
-///
-/// Thin forwarding wrapper around [`GpuArch::fingerprint`], kept so existing
-/// callers (and the `PlanKey` constructor above) need no `rf-gpusim` import.
-pub fn arch_fingerprint(arch: &GpuArch) -> u64 {
-    arch.fingerprint()
 }
 
 /// Wall-clock cost of producing one [`CompiledKernel`], for the runtime's
@@ -369,9 +357,7 @@ pub fn executable_program(workload: &Workload, point: &TuningPoint) -> TileProgr
 }
 
 fn tuner_for(arch: &GpuArch, class: &'static str, opts: &CompileOptions) -> AutoTuner {
-    let mut tuner = AutoTuner::new(arch.clone())
-        .with_mode(opts.mode)
-        .with_oracle_check(opts.oracle_check);
+    let mut tuner = AutoTuner::new(arch.clone()).with_mode(opts.mode);
     if let Some(cache) = &opts.tuning_cache {
         tuner = tuner.with_cache(Arc::clone(cache), class);
     }
@@ -566,7 +552,7 @@ pub fn compile_workload(workload: &Workload, arch: &GpuArch) -> CompiledKernel {
 }
 
 /// Like [`compile_workload`], with explicit tuner options (search mode,
-/// warm-start [`TuningCache`], oracle verification).
+/// warm-start [`TuningCache`]).
 pub fn compile_workload_with(
     workload: &Workload,
     arch: &GpuArch,
@@ -647,13 +633,6 @@ pub fn compile_workload_with(
     }
     kernel.timing.total_us = compile_started.elapsed().as_secs_f64() * 1e6;
     kernel
-}
-
-/// Compiles a workload and wraps the result in an [`Arc`] so it can be shared
-/// across threads (the `rf-runtime` plan cache stores these; executing a
-/// cached kernel never clones the tile program).
-pub fn compile_workload_arc(workload: &Workload, arch: &GpuArch) -> Arc<CompiledKernel> {
-    Arc::new(compile_workload(workload, arch))
 }
 
 #[cfg(test)]
@@ -813,20 +792,16 @@ mod tests {
 
     #[test]
     fn guided_search_matches_oracle_on_tiny_configs() {
-        // Exercises the debug assertion in `AutoTuner::tune` (pruned search
-        // within 5% of the exhaustive oracle) on every tuned tiny workload.
+        // The guided search within 5% of the exhaustive oracle on every
+        // tuned tiny workload, with fewer candidates costed.
         use rf_workloads::{mha_tiny, mla_tiny};
-        let opts = CompileOptions {
-            oracle_check: true,
-            ..CompileOptions::default()
-        };
         for arch in [GpuArch::a10(), GpuArch::h800()] {
             for workload in [
                 Workload::Mha(mha_tiny()),
                 Workload::Mla(mla_tiny()),
                 Workload::Softmax { rows: 32, len: 128 },
             ] {
-                let guided = compile_workload_with(&workload, &arch, &opts);
+                let guided = compile_workload(&workload, &arch);
                 let oracle = compile_workload_with(
                     &workload,
                     &arch,
@@ -1046,23 +1021,6 @@ mod tests {
         assert_eq!(stats.insertions, 2);
         assert_eq!(stats.entries, 1, "one (class, arch) key");
         assert!(cold.latency_us.is_finite() && warm.latency_us.is_finite());
-    }
-
-    #[test]
-    fn arc_compile_matches_direct_compile() {
-        let arch = GpuArch::a10();
-        let workload = Workload::Softmax { rows: 64, len: 256 };
-        let shared = compile_workload_arc(&workload, &arch);
-        let direct = compile_workload(&workload, &arch);
-        // Wall-clock compile timing legitimately differs between two runs;
-        // everything the kernel *is* must not.
-        let mut shared = (*shared).clone();
-        let mut direct = direct;
-        assert!(shared.timing.total_us >= shared.timing.tune_us);
-        assert!(shared.timing.tune_us >= 0.0);
-        shared.timing = CompileTiming::default();
-        direct.timing = CompileTiming::default();
-        assert_eq!(shared, direct);
     }
 
     #[test]

@@ -31,15 +31,15 @@ pub mod strategy;
 pub mod tuner;
 
 pub use compile::{
-    arch_fingerprint, compile_workload, compile_workload_arc, compile_workload_with,
-    executable_program, CompileOptions, CompileTiming, CompiledKernel, PlanKey, Workload,
+    compile_workload, compile_workload_with, executable_program, CompileOptions, CompileTiming,
+    CompiledKernel, PlanKey, Workload,
 };
 pub use level::{fusion_level_latency, incremental_sweep, FusionLevelReport, IncrementalPoint};
 pub use lower::{attention_program, cascade_program, AttentionShape};
 pub use strategy::{FusionLevel, Mode, Strategy};
 pub use tuner::{
     AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningCache, TuningCacheStats, TuningChoice,
-    TuningPoint, TuningSpace, DEFAULT_BEAM_WIDTH,
+    TuningPoint, TuningSpace,
 };
 
 #[cfg(test)]

@@ -28,7 +28,7 @@
 //!    stratified sample (plus any [`TuningCache`] warm-start points) and
 //!    refines the best seeds by coordinate descent over the coupled knobs;
 //!    the exhaustive scan of the candidates is kept behind
-//!    [`SearchMode::Exhaustive`] / [`TuningSpace::exhaustive`] as the oracle.
+//!    [`SearchMode::Exhaustive`] as the oracle.
 //!    Latencies are memoized in a vector indexed by candidate id, so a
 //!    candidate is costed once however often descent revisits it, and the
 //!    winner is the minimum by `(latency, id)` in both modes.
@@ -134,13 +134,6 @@ impl TuningSpace {
         out
     }
 
-    /// The full cartesian scan, for exhaustive-oracle comparisons (alias of
-    /// [`TuningSpace::points`]; the guided search only ever evaluates a
-    /// subset of these).
-    pub fn exhaustive(&self) -> Vec<TuningPoint> {
-        self.points()
-    }
-
     /// Size of the cartesian product.
     pub fn len(&self) -> usize {
         self.block_rows.len()
@@ -222,32 +215,20 @@ impl TuningSpace {
     }
 }
 
-/// Default number of coordinate-descent starting points for
-/// [`SearchMode::Guided`].
-pub const DEFAULT_BEAM_WIDTH: usize = 2;
+/// Number of coordinate-descent starting points of [`SearchMode::Guided`].
+const BEAM_WIDTH: usize = 2;
 
 /// How the tuner walks the (deduplicated, statically feasible) candidate set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SearchMode {
     /// Evaluate every candidate. This is the oracle the guided mode is
     /// validated against; it is also what the tuner did historically.
     Exhaustive,
     /// Evaluate a stratified seed sample (plus [`TuningCache`] warm starts)
-    /// and refine the best `beam_width` seeds by coordinate descent: sweep
-    /// one knob at a time, move on strict improvement, stop when no knob
-    /// improves.
-    Guided {
-        /// Number of seeds refined by coordinate descent.
-        beam_width: usize,
-    },
-}
-
-impl Default for SearchMode {
-    fn default() -> Self {
-        SearchMode::Guided {
-            beam_width: DEFAULT_BEAM_WIDTH,
-        }
-    }
+    /// and refine the best two seeds by coordinate descent: sweep one knob
+    /// at a time, move on strict improvement, stop when no knob improves.
+    #[default]
+    Guided,
 }
 
 /// Static launch resources of one candidate point, cheap to compute without
@@ -482,7 +463,6 @@ pub struct AutoTuner {
     arch: GpuArch,
     space: TuningSpace,
     mode: SearchMode,
-    oracle_check: bool,
     cache: Option<(Arc<TuningCache>, String)>,
 }
 
@@ -494,29 +474,13 @@ impl AutoTuner {
             arch,
             space: TuningSpace::default(),
             mode: SearchMode::default(),
-            oracle_check: false,
             cache: None,
         }
-    }
-
-    /// Replaces the search space.
-    pub fn with_space(mut self, space: TuningSpace) -> Self {
-        self.space = space;
-        self
     }
 
     /// Replaces the search mode.
     pub fn with_mode(mut self, mode: SearchMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// In debug builds, re-runs the exhaustive oracle after a guided search
-    /// and asserts the guided choice is within 5% of the oracle's latency.
-    /// Intended for tests on tiny configurations; it makes `tune` pay the
-    /// full exhaustive cost.
-    pub fn with_oracle_check(mut self, check: bool) -> Self {
-        self.oracle_check = check;
         self
     }
 
@@ -599,8 +563,8 @@ impl AutoTuner {
 
         match self.mode {
             SearchMode::Exhaustive => search.evaluate(all.clone()),
-            SearchMode::Guided { beam_width } => {
-                self.guided_search(&mut search, beam_width);
+            SearchMode::Guided => {
+                self.guided_search(&mut search);
                 // Safety net: if the guided walk only ever saw model-infeasible
                 // profiles (possible without a footprint hook), fall back to
                 // the oracle rather than panic on an infinite winner.
@@ -611,7 +575,6 @@ impl AutoTuner {
         }
 
         let winner = all
-            .clone()
             .filter(|&id| search.latency_us[id].is_some())
             .min_by(|&a, &b| search.order(a, b))
             .expect("at least one tuning point evaluated");
@@ -649,36 +612,21 @@ impl AutoTuner {
             );
         }
         if let Some((cache, class)) = &self.cache {
-            cache.record(class, crate::compile::arch_fingerprint(&self.arch), point);
-        }
-        if cfg!(debug_assertions)
-            && self.oracle_check
-            && matches!(self.mode, SearchMode::Guided { .. })
-        {
-            search.evaluate(all);
-            let oracle = search.costed().fold(f64::INFINITY, f64::min);
-            debug_assert!(
-                choice.latency_us <= oracle * 1.05,
-                "guided search chose {:.3} us but the exhaustive oracle found {:.3} us \
-                 (>5% slower) on {}",
-                choice.latency_us,
-                oracle,
-                self.arch.name
-            );
+            cache.record(class, self.arch.fingerprint(), point);
         }
         choice
     }
 
     /// Seeds + coordinate descent (stage 3).
-    fn guided_search<F>(&self, search: &mut Search<'_, F>, beam_width: usize)
+    fn guided_search<F>(&self, search: &mut Search<'_, F>)
     where
         F: Fn(&TuningPoint) -> KernelProfile,
     {
         let count = search.candidates.len();
-        let beam = beam_width.clamp(1, count);
+        let beam = BEAM_WIDTH.min(count);
         let mut seeds: Vec<usize> = Vec::new();
         if let Some((cache, class)) = &self.cache {
-            let warm = cache.seeds(class, crate::compile::arch_fingerprint(&self.arch));
+            let warm = cache.seeds(class, self.arch.fingerprint());
             seeds.extend(warm.iter().filter_map(|point| search.id_of(point)));
         }
         // A coarse half-resolution lattice over the three coupled knobs
@@ -760,7 +708,6 @@ mod tests {
         let space = TuningSpace::default();
         assert_eq!(space.points().len(), 4 * 5 * 2 * 3 * 7);
         assert_eq!(space.len(), space.points().len());
-        assert_eq!(space.exhaustive(), space.points());
         assert!(!space.is_empty());
     }
 
@@ -791,9 +738,7 @@ mod tests {
         let oracle = AutoTuner::new(arch.clone())
             .with_mode(SearchMode::Exhaustive)
             .tune(artificial_build);
-        let guided = AutoTuner::new(arch)
-            .with_oracle_check(true)
-            .tune(artificial_build);
+        let guided = AutoTuner::new(arch).tune(artificial_build);
         assert_eq!(guided.point, oracle.point);
         assert_eq!(guided.latency_us, oracle.latency_us);
         assert!(

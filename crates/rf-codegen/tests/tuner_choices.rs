@@ -12,6 +12,10 @@
 //! rewritten to cost candidates in closed form; re-record them (the failure
 //! message prints the new folds) only when a change of search behaviour is
 //! the point of the PR.
+//!
+//! Beside the folds, one test states the guided search's claims over every
+//! Table 2/3 config: it chooses the exhaustive oracle's point, and costs at
+//! most a fifth of the raw space on each config it tunes.
 
 use std::sync::Arc;
 
@@ -20,7 +24,10 @@ use rf_codegen::{
     Workload,
 };
 use rf_gpusim::GpuArch;
-use rf_workloads::{mha_configs, mha_tiny, mla_configs, mla_tiny};
+use rf_workloads::{
+    inertia_configs, mha_configs, mha_tiny, mla_configs, mla_tiny, moe_configs, quant_configs,
+    variance_configs,
+};
 
 /// The 29 tuned workloads, in the order the folds were recorded.
 fn workloads() -> Vec<Workload> {
@@ -153,6 +160,48 @@ fn warm_started_guided_choices_are_pinned_on_every_arch() {
             ..CompileOptions::default()
         },
     );
+}
+
+/// The 52 Table 2/3 configs: MHA, MLA, MoE, Quant, Variance, Inertia.
+fn table23_workloads() -> Vec<Workload> {
+    let mut out: Vec<Workload> = Vec::new();
+    out.extend(mha_configs().into_iter().map(Workload::Mha));
+    out.extend(mla_configs().into_iter().map(Workload::Mla));
+    out.extend(moe_configs().into_iter().map(Workload::Moe));
+    out.extend(quant_configs().into_iter().map(Workload::Quant));
+    out.extend(variance_configs().into_iter().map(Workload::Variance));
+    out.extend(inertia_configs().into_iter().map(Workload::Inertia));
+    out
+}
+
+/// On every preset, the guided search picks the exhaustive oracle's point
+/// on all 52 configs, and each of the 18 attention configs it tunes costs at
+/// most a fifth of the 840-point raw space. (The other four families compile
+/// from a one-point space.)
+#[test]
+fn guided_picks_the_oracle_point_at_a_fifth_of_the_space() {
+    let workloads = table23_workloads();
+    assert_eq!(workloads.len(), 52);
+    for arch in GpuArch::all() {
+        let mut tuned = 0;
+        for workload in &workloads {
+            let guided = compile_workload_with(workload, &arch, &CompileOptions::default()).tuning;
+            let oracle = compile_workload_with(workload, &arch, &exhaustive()).tuning;
+            let name = workload.name();
+            assert_eq!(guided.point, oracle.point, "{name} on {}", arch.name);
+            if guided.space_size > 1 {
+                tuned += 1;
+                assert!(
+                    guided.evaluated * 5 <= guided.space_size,
+                    "{name} on {}: guided costed {} of a {}-point space",
+                    arch.name,
+                    guided.evaluated,
+                    guided.space_size
+                );
+            }
+        }
+        assert_eq!(tuned, 18, "tuned configs on {}", arch.name);
+    }
 }
 
 /// A handful of rows spelled out, so a moved fold can be read: `(workload

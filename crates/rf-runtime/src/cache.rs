@@ -86,10 +86,9 @@ impl PlanCache {
     /// Panics if `capacity` is zero.
     pub fn new(arch: GpuArch, capacity: usize) -> Self {
         assert!(capacity > 0, "plan cache capacity must be positive");
-        let arch_fingerprint = rf_codegen::arch_fingerprint(&arch);
         PlanCache {
+            arch_fingerprint: arch.fingerprint(),
             arch,
-            arch_fingerprint,
             capacity,
             tuning: Arc::new(TuningCache::new()),
             clock: AtomicU64::new(0),

@@ -473,15 +473,10 @@ impl MetricsSnapshot {
             "  queue depth          {:>12}\n",
             self.queue_depth
         ));
-        out.push_str(&format!("  p50 latency (sim)    {:>9.2} us\n", sim.p50_us));
-        out.push_str(&format!("  p99 latency (sim)    {:>9.2} us\n", sim.p99_us));
-        out.push_str(&format!("  mean latency (sim)   {:>9.2} us\n", sim.mean_us));
-        if sim.count > 0 {
-            out.push_str(&format!(
-                "  lifetime sim latency p50 {:>9.2} us  p99 {:>9.2} us  p999 {:>9.2} us\n",
-                sim.p50_us, sim.p99_us, sim.p999_us
-            ));
-        }
+        out.push_str(&format!(
+            "  lifetime sim latency p50 {:>9.2} us  p99 {:>9.2} us  p999 {:>9.2} us  mean {:>9.2} us\n",
+            sim.p50_us, sim.p99_us, sim.p999_us, sim.mean_us
+        ));
         if self.stages.iter().any(|s| s.wall.count > 0) {
             out.push_str("  per-stage wall time\n");
             for stage in self.stages.iter().filter(|s| s.wall.count > 0) {
@@ -1031,7 +1026,12 @@ mod tests {
             )
             .report();
         assert!(report.contains("requests completed"));
-        assert!(report.contains("p99 latency"));
+        // One line carries every simulated-latency statistic.
+        let latency: Vec<&str> = report.lines().filter(|l| l.contains("latency")).collect();
+        assert_eq!(latency.len(), 1, "report:\n{report}");
+        for stat in ["p50", "p99", "p999", "mean"] {
+            assert!(latency[0].contains(stat), "{stat} missing: {}", latency[0]);
+        }
         assert!(report.contains("90.0% hit rate"));
         assert!(report.contains("queue depth"));
         assert!(report.contains("tuner warm starts"));
