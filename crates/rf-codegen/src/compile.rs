@@ -211,10 +211,10 @@ impl CompiledKernel {
 
     /// Executes the compiled kernel like [`CompiledKernel::run`] and
     /// additionally returns the tile-VM's op-level profile
-    /// ([`rf_tile::ExecProfile`]): per-op invocation/row/byte counts plus
-    /// the measured wall time. The numeric output is bit-identical to
-    /// [`CompiledKernel::run`]'s — the profiled VM entry point wraps the
-    /// same interpreter.
+    /// ([`rf_tile::ExecProfile`]): per-op invocations and tensor bytes as the
+    /// kernel's loops counted them, plus the call's measured wall time. The
+    /// numeric output is bit-identical to [`CompiledKernel::run`]'s — the
+    /// same kernels run with a counting tally.
     ///
     /// # Errors
     ///

@@ -5,8 +5,8 @@
 //! compiled plan ([`execute`](ExecBackend::execute)). That call is the one a
 //! test fake intercepts to park, fail or panic on cue. The engine costs a
 //! batch with [`crate::stream::batch_latency_us`] on its plan cache's arch,
-//! profiles through [`crate::request::execute_plan_profiled`] and runs graph
-//! regions through [`crate::execute_graph_plan`].
+//! profiles through `CompiledKernel::run_profiled` and runs graph regions
+//! through [`crate::execute_graph_plan`].
 //!
 //! [`TileVmBackend`] interprets the compiled tile program on the
 //! `rf_tile::exec` VM — the only place [`execute_plan`] is invoked on behalf

@@ -22,7 +22,7 @@ use crate::cache::PlanCache;
 use crate::config::{LaneWeights, RuntimeConfig};
 use crate::graph::execute_graph_plan;
 use crate::metrics::RuntimeMetrics;
-use crate::request::{execute_plan_profiled, RequestOutput, RuntimeError};
+use crate::request::{RequestOutput, RuntimeError};
 use crate::stream::{batch_latency_us, Iteration, QueuedWork, StreamScheduler, Ticket};
 use crate::submit::{GraphStats, Priority, RequestTiming, Response, Submission};
 
@@ -49,7 +49,7 @@ pub(crate) struct DeviceShared {
     pub trace: TraceCollector,
     /// The tile-VM op profiler. Disabled unless
     /// [`rf_trace::TraceConfig::profile`] is set, in which case workload
-    /// batches execute through [`execute_plan_profiled`].
+    /// batches execute through `CompiledKernel::run_profiled`.
     pub profiler: OpProfiler,
     /// Host nanoseconds the executed workload batches took, plan ready to
     /// the last delivery, and the requests they held: their ratio is the
@@ -285,9 +285,14 @@ fn run_workload_batch(
                 if !shared.profiler.enabled() {
                     return shared.backend.execute(&plan, request);
                 }
-                let (output, profile) = execute_plan_profiled(&plan, request)?;
+                let failed = |_| RuntimeError::ExecutionFailed {
+                    workload: request.workload.name(),
+                };
+                let (output, profile) = plan
+                    .run_profiled(&request.input.as_exec())
+                    .map_err(failed)?;
                 record_op_profile(shared, class, &request.workload.name(), &profile);
-                Ok(output)
+                Ok(RequestOutput::from_exec(output))
             },
         );
         let delivered_at = Instant::now();
@@ -352,9 +357,9 @@ fn run_workload_batch(
         .record_batch(class, executed, failed, simulated_us, cache_hit);
 }
 
-/// Feeds one profiled execution's per-op counters into the op profiler: one
-/// folded-stack leaf per TileOp kind, under the batch's workload class and
-/// the request's concrete shape (the region frame).
+/// Feeds one profiled execution's per-op counts into the op profiler: one
+/// folded-stack leaf per op the kernel ran, under the batch's workload class
+/// and the request's concrete shape (the region frame).
 fn record_op_profile(
     shared: &DeviceShared,
     class: &'static str,
@@ -368,10 +373,8 @@ fn record_op_profile(
             op.op,
             &OpSample {
                 invocations: op.invocations,
-                rows: op.rows,
                 bytes_read: op.bytes_read,
                 bytes_written: op.bytes_written,
-                wall_ns: op.wall_ns,
             },
         );
     }

@@ -167,11 +167,13 @@ impl Engine {
         self.shared().snapshot()
     }
 
-    /// The tile-VM op profile: per-op-kind invocation, row and byte counters
-    /// with attributed wall time, aggregated per (workload class, region).
-    /// Empty unless the engine was started with
+    /// The tile-VM op profile: per op kind, the invocations and tensor bytes
+    /// loaded and stored that the kernels counted as they ran, aggregated per
+    /// (workload class, region). No wall time is split across ops. Empty
+    /// unless the engine was started with
     /// [`rf_trace::TraceConfig::with_profile`]; render it with
-    /// [`OpProfileSnapshot::folded`] for inferno-style flamegraph tools.
+    /// [`OpProfileSnapshot::folded`] (weighted by bytes) for inferno-style
+    /// flamegraph tools.
     pub fn op_profile(&self) -> OpProfileSnapshot {
         self.shared().profiler.snapshot()
     }

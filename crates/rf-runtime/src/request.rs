@@ -586,25 +586,6 @@ pub fn execute_plan(
         })
 }
 
-/// Executes a validated request like [`execute_plan`] and additionally
-/// returns the tile-VM's op-level profile. The output is bit-identical to
-/// [`execute_plan`]'s — the profiled kernel entry point wraps the same
-/// interpreter call.
-///
-/// # Errors
-///
-/// Exactly the errors of [`execute_plan`].
-pub fn execute_plan_profiled(
-    plan: &CompiledKernel,
-    request: &Request,
-) -> Result<(RequestOutput, rf_tile::ExecProfile), RuntimeError> {
-    plan.run_profiled(&request.input.as_exec())
-        .map(|(output, profile)| (RequestOutput::from_exec(output), profile))
-        .map_err(|_| RuntimeError::ExecutionFailed {
-            workload: request.workload.name(),
-        })
-}
-
 /// Executes a validated request with the **unfused** reference kernels (the
 /// correctness oracle for [`execute_plan`]).
 pub fn execute_reference(workload: &Workload, input: &RequestInput) -> RequestOutput {

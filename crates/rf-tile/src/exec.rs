@@ -94,9 +94,8 @@
 //! `segments` — ascending along the axis inside a tile (a tile's maximum and
 //! the sum of its exponentials: over eight lanes and one tree, both written in
 //! the source), tiles in order, segment partials merged in order — and is
-//! independent of the CPU's vector width and **of `block_rows`**,
-//! so a request split by rows across calls (row-sharded serving) concatenates
-//! to the bits of the unsplit run — and so does a call split across threads: a
+//! independent of the CPU's vector width and **of `block_rows`**, so a call
+//! split across threads returns the bits of the unsplit run: a
 //! range computes its rows, or its cells of one row, exactly as the unsplit
 //! loop would and writes only its own chunk of the output or of the cell
 //! buffer, and the combine merges the cells in segment order on one thread, so
@@ -111,6 +110,15 @@
 //!
 //! Inputs are borrowed views ([`ExecInput`]) so the serving hot path never
 //! copies a tensor; outputs ([`ExecOutput`]) are owned.
+//!
+//! # Profiling
+//!
+//! The kernels are the only description of their loops. Each takes a
+//! private tally that it tells, at the code that runs a template step, that
+//! the step ran and which tensor bytes it loaded or stored: [`execute`]
+//! passes one that ignores it, [`execute_profiled`] one that counts. The
+//! profile is those counts ([`OpStats`]) and the call's measured wall time;
+//! no time is apportioned to ops.
 
 use std::fmt;
 use std::ops::Range;
@@ -344,16 +352,17 @@ impl std::error::Error for ExecError {}
 /// [`ExecError::InputMismatch`] / [`ExecError::ShapeMismatch`] when the input
 /// cannot feed the binding.
 pub fn execute(program: &TileProgram, input: &ExecInput<'_>) -> Result<ExecOutput, ExecError> {
-    execute_with_threads(available_cores(), program, input)
+    run::<()>(available_cores(), program, input).map(|(output, ())| output)
 }
 
-/// [`execute`] with the grid on up to `threads` threads. The output does
-/// not depend on `threads`; the unit tests call this to show it.
-fn execute_with_threads(
+/// Runs `program` with the grid on up to `threads` threads and returns the
+/// output with the kernel's [`Tally`]. Neither depends on `threads`; the unit
+/// tests call this to show it.
+fn run<K: Tally>(
     threads: usize,
     program: &TileProgram,
     input: &ExecInput<'_>,
-) -> Result<ExecOutput, ExecError> {
+) -> Result<(ExecOutput, K), ExecError> {
     let binding = program
         .binding
         .as_ref()
@@ -419,49 +428,44 @@ struct Launch<'a> {
 const EXP_WORK: usize = 16;
 const FP8_WORK: usize = 16;
 
-/// Per-op-kind counters of one profiled program execution.
+/// What one op kind of the template did in one profiled execution, counted
+/// by the kernel's loops where they do it.
 ///
-/// Invocation, row and byte counts are the deterministic loop-structure
-/// counts of the tile template — they depend only on the live shapes and the
-/// tuned extents, never on tensor values — so profiles of identical
-/// (program, shape) pairs are identical. `wall_ns` is measured: the
-/// execution's host wall time apportioned across the ops by their share of
-/// modelled traffic (the VM interleaves the template steps per tile, so
-/// per-op timers would perturb exactly the loop being measured).
+/// Bytes are the call's tensors at the points a step loads an input slice
+/// or stores an output value for the last time — scratch (running
+/// statistics, accumulators, attention's cell buffer, an output row still
+/// being accumulated) is not traffic. A slice a step reads twice while it
+/// sits in L1 counts once. Counts follow the data only where a kernel skips
+/// work on it (a fully masked tile loads no values, a zero row nothing after
+/// its abs-max), so profiles of one (program, input) pair are identical on
+/// every run and every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
     /// Op kind within the store → correct → reduce template.
     pub op: &'static str,
     /// Times the op ran (e.g. once per main-loop tile per row).
     pub invocations: u64,
-    /// Output rows the op contributed to.
-    pub rows: u64,
-    /// Modelled bytes read.
+    /// Bytes of input tensors the op loaded.
     pub bytes_read: u64,
-    /// Modelled bytes written.
+    /// Bytes of the output tensor the op stored.
     pub bytes_written: u64,
-    /// Measured wall time attributed to this op, in nanoseconds.
-    pub wall_ns: u64,
 }
 
 /// The op-level profile of one [`execute_profiled`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecProfile {
-    /// Per-op counters, in template order.
+    /// Per-op counters of the ops that ran, in template order.
     pub ops: Vec<OpStats>,
-    /// Total measured wall time of the execution, in nanoseconds. The
-    /// per-op `wall_ns` values sum exactly to this.
+    /// Measured wall time of the whole execution, in nanoseconds.
     pub wall_ns: u64,
 }
 
-/// Executes `program` over `input` exactly like [`execute`] and additionally
-/// returns the op-level profile: the template's per-op invocation/row/byte
-/// counts plus the measured wall time.
+/// Executes `program` over `input` like [`execute`] and additionally returns
+/// the op-level profile: what each op of the template counted as it ran,
+/// and the call's measured wall time.
 ///
-/// The numeric output is bit-identical to [`execute`]'s — this entry point
-/// wraps the same interpreter without touching its loops, which is what lets
-/// the serving engine keep the unprofiled path byte-for-byte unchanged when
-/// profiling is off.
+/// The numeric output is bit-identical to [`execute`]'s: the same kernels
+/// run, instantiated with a counting tally instead of `()`.
 ///
 /// # Errors
 ///
@@ -471,192 +475,102 @@ pub fn execute_profiled(
     input: &ExecInput<'_>,
 ) -> Result<(ExecOutput, ExecProfile), ExecError> {
     let start = std::time::Instant::now();
-    let output = execute(program, input)?;
+    let (output, Counts(counts)) = run(available_cores(), program, input)?;
     let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let binding = program
-        .binding
-        .as_ref()
-        .expect("execute succeeded, so the program is bound");
-    let mut ops = op_breakdown(binding, input);
-    attribute_wall(&mut ops, wall_ns);
+    let ops = (STEP_NAMES.into_iter().zip(counts))
+        .filter(|(_, [runs, ..])| *runs > 0)
+        .map(|(op, [invocations, bytes_read, bytes_written])| OpStats {
+            op,
+            invocations,
+            bytes_read,
+            bytes_written,
+        })
+        .collect();
     Ok((output, ExecProfile { ops, wall_ns }))
 }
 
-/// Number of main-loop tiles and non-empty segments for a live axis length
-/// under the binding's (clamped) segment count and tile width.
-fn loop_extents(axis_len: usize, segments: usize, block_axis: usize) -> (u64, u64) {
-    let ranges = segment_ranges(axis_len, segments);
-    let tiles: usize = ranges
-        .clone()
-        .map(|(start, end)| chunks(start, end, block_axis).count())
-        .sum();
-    (tiles as u64, ranges.count() as u64)
+/// The steps of the template a profile counts, in template order.
+#[derive(Clone, Copy)]
+enum Step {
+    /// The GEMM that produces a tile's scores (attention, routing).
+    ScoreGemm,
+    /// Keeping the running state a tile is about to move.
+    Store,
+    /// Moving the dependent accumulators to the new state.
+    Correct,
+    /// Folding a tile — a whole segment, for plain sums — into the state.
+    Reduce,
+    /// Merging one segment's partial into its row's; a Single-Segment row
+    /// has nothing to merge.
+    Combine,
+    /// Finishing a row and storing it.
+    Epilogue,
 }
 
-/// The deterministic per-op counts of one execution: which template ops ran,
-/// how often, over how many rows, touching how many modelled bytes. Mirrors
-/// the loop structure of the `exec_*` interpreters (including their clamps).
-fn op_breakdown(binding: &ExecBinding, input: &ExecInput<'_>) -> Vec<OpStats> {
-    const F64: u64 = 8;
-    let op = |op, invocations, rows, bytes_read, bytes_written| OpStats {
-        op,
-        invocations,
-        rows,
-        bytes_read,
-        bytes_written,
-        wall_ns: 0,
-    };
-    match (&binding.semantics, input) {
-        (Semantics::Softmax, ExecInput::Rows(m)) => {
-            let (rows, len) = (m.rows() as u64, m.cols() as u64);
-            let (tiles, segs) = loop_extents(m.cols(), binding.segments, binding.block_axis);
-            let mut ops = vec![
-                op("store", rows * tiles, rows, 0, 0),
-                op("correct", rows * tiles, rows, 0, 0),
-                op("reduce", rows * tiles, rows, rows * len * F64, 0),
-            ];
-            if segs > 1 {
-                ops.push(op("combine", rows * segs, rows, 0, 0));
-            }
-            ops.push(op(
-                "epilogue",
-                rows,
-                rows,
-                rows * len * F64,
-                rows * len * F64,
-            ));
-            ops
+/// [`OpStats::op`] of each [`Step`].
+const STEP_NAMES: [&str; 6] = [
+    "score-gemm",
+    "store",
+    "correct",
+    "reduce",
+    "combine",
+    "epilogue",
+];
+
+/// What a kernel says about its own loops as they run. [`execute`] passes
+/// `()`, which ignores it and compiles to the bare loops; [`execute_profiled`]
+/// passes [`Counts`]. Each range of a split grid keeps its own tally and the
+/// ranges' tallies add up, so no split changes a count.
+trait Tally: Default + Send {
+    /// `runs` more runs of `step`, which loaded `read` and stored `written`
+    /// bytes of the call's tensors.
+    fn add(&mut self, step: Step, runs: u64, read: u64, written: u64);
+
+    /// This tally plus another range's.
+    fn merge(self, other: Self) -> Self;
+
+    /// One run of each of `steps`, moving no tensor bytes.
+    fn ran(&mut self, steps: &[Step]) {
+        for &step in steps {
+            self.add(step, 1, 0, 0);
         }
-        (Semantics::Variance, ExecInput::Rows(m)) => {
-            let (rows, len) = (m.rows() as u64, m.cols() as u64);
-            let (tiles, segs) = loop_extents(m.cols(), binding.segments, binding.block_axis);
-            let mut ops = vec![op("reduce", rows * tiles, rows, rows * len * F64, 0)];
-            if segs > 1 {
-                ops.push(op("combine", rows * segs, rows, 0, 0));
-            }
-            ops.push(op("epilogue", rows, rows, 0, rows * F64));
-            ops
-        }
-        (Semantics::Attention { qk_dim, head_dim }, ExecInput::Attention { q, k, .. }) => {
-            let (rows, kv) = (q.rows() as u64, k.rows() as u64);
-            let (qk, hd) = (*qk_dim as u64, *head_dim as u64);
-            let (tiles, segs) = loop_extents(k.rows(), binding.segments, binding.block_axis);
-            let mut ops = vec![
-                op(
-                    "score-gemm",
-                    rows * tiles,
-                    rows,
-                    rows * (tiles * qk + kv * qk) * F64,
-                    0,
-                ),
-                op("store", rows * tiles, rows, 0, 0),
-                op("correct", rows * tiles, rows, 0, rows * tiles * hd * F64),
-                op(
-                    "reduce",
-                    rows * tiles,
-                    rows,
-                    rows * kv * hd * F64,
-                    rows * kv * hd * F64,
-                ),
-            ];
-            if segs > 1 {
-                ops.push(op("combine", rows * segs, rows, rows * segs * hd * F64, 0));
-            }
-            ops.push(op("epilogue", rows, rows, 0, rows * hd * F64));
-            ops
-        }
-        (Semantics::Routing { topk }, ExecInput::Routing { x, w }) => {
-            let (tokens, hidden, experts) = (x.rows() as u64, x.cols() as u64, w.cols() as u64);
-            let (_, segs) = loop_extents(w.cols(), binding.segments, binding.block_axis);
-            let scores = tokens * experts;
-            let mut ops = vec![
-                op("score-gemm", scores, tokens, scores * hidden * 2 * F64, 0),
-                op("store", scores, tokens, 0, 0),
-                op("correct", scores, tokens, 0, 0),
-                op("reduce", scores, tokens, 0, 0),
-            ];
-            if segs > 1 {
-                ops.push(op("combine", tokens * segs, tokens, 0, 0));
-            }
-            ops.push(op(
-                "epilogue",
-                tokens,
-                tokens,
-                0,
-                tokens * (*topk as u64) * 2 * F64,
-            ));
-            ops
-        }
-        (Semantics::QuantGemm { n }, ExecInput::QuantGemm { a, .. }) => {
-            let (rows, k_len, width) = (a.rows() as u64, a.cols() as u64, *n as u64);
-            let (tiles, segs) = loop_extents(a.cols(), binding.segments, binding.block_axis);
-            let mut ops = vec![
-                op("store", rows * tiles, rows, 0, 0),
-                op("correct", rows * tiles, rows, 0, rows * tiles * width * F64),
-                op(
-                    "reduce",
-                    rows * tiles,
-                    rows,
-                    rows * (2 * k_len + k_len * width) * F64,
-                    0,
-                ),
-            ];
-            if segs > 1 {
-                ops.push(op(
-                    "combine",
-                    rows * segs,
-                    rows,
-                    rows * segs * width * F64,
-                    0,
-                ));
-            }
-            ops.push(op("epilogue", rows, rows, 0, rows * width * F64));
-            ops
-        }
-        (Semantics::Inertia { dim }, ExecInput::Inertia { masses, .. }) => {
-            let particles = masses.len() as u64;
-            let (tiles, segs) = loop_extents(masses.len(), binding.segments, binding.block_axis);
-            let mut ops = vec![op(
-                "reduce",
-                tiles,
-                1,
-                particles * (1 + *dim as u64) * F64,
-                0,
-            )];
-            if segs > 1 {
-                ops.push(op("combine", segs, 1, 0, 0));
-            }
-            ops.push(op("epilogue", 1, 1, 0, F64));
-            ops
-        }
-        // `execute` validated the (semantics, input) pairing already.
-        _ => Vec::new(),
+    }
+
+    /// The total of the tallies [`for_row_ranges`] returns.
+    fn sum(ranges: Vec<Self>) -> Self {
+        ranges.into_iter().fold(Self::default(), Self::merge)
     }
 }
 
-/// Apportions the measured wall time across ops by their modelled traffic
-/// (bytes moved, plus a small per-invocation term so compute-only ops like
-/// `store` keep a visible share). The shares sum exactly to `wall_ns`.
-fn attribute_wall(ops: &mut [OpStats], wall_ns: u64) {
-    if ops.is_empty() {
-        return;
-    }
-    let weights: Vec<u128> = ops
-        .iter()
-        .map(|o| (o.bytes_read + o.bytes_written).max(1) as u128 + 16 * o.invocations as u128)
-        .collect();
-    let total_weight: u128 = weights.iter().sum();
-    let mut assigned = 0u64;
-    let mut heaviest = 0usize;
-    for (index, (stats, weight)) in ops.iter_mut().zip(&weights).enumerate() {
-        let share = (wall_ns as u128 * weight / total_weight) as u64;
-        stats.wall_ns = share;
-        assigned += share;
-        if *weight > weights[heaviest] {
-            heaviest = index;
+impl Tally for () {
+    fn add(&mut self, _: Step, _: u64, _: u64, _: u64) {}
+
+    fn merge(self, _: ()) {}
+}
+
+/// `[runs, bytes read, bytes written]` per [`Step`].
+#[derive(Debug, Default, PartialEq)]
+struct Counts([[u64; 3]; 6]);
+
+impl Tally for Counts {
+    fn add(&mut self, step: Step, runs: u64, read: u64, written: u64) {
+        for (count, more) in self.0[step as usize].iter_mut().zip([runs, read, written]) {
+            *count += more;
         }
     }
-    ops[heaviest].wall_ns += wall_ns - assigned;
+
+    fn merge(mut self, other: Counts) -> Counts {
+        let more = other.0.into_iter().flatten();
+        for (count, more) in self.0.iter_mut().flatten().zip(more) {
+            *count += more;
+        }
+        self
+    }
+}
+
+/// Bytes of `elements` f64 values.
+fn f64_bytes(elements: usize) -> u64 {
+    (elements * std::mem::size_of::<f64>()) as u64
 }
 
 fn expected_kind(semantics: &Semantics) -> &'static str {
@@ -676,22 +590,29 @@ fn shape_err(program: &str, detail: impl Into<String>) -> ExecError {
     }
 }
 
+/// `[rows x cols]` of `m`, for error messages.
+fn dims(m: &Matrix) -> String {
+    format!("[{}x{}]", m.rows(), m.cols())
+}
+
 /// The contiguous pieces of `[start, end)` that are `step` elements long (the
 /// last one shorter): the main-loop tiles of a segment.
-fn chunks(start: usize, end: usize, step: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+fn chunks(start: usize, end: usize, step: usize) -> impl Pieces {
     let step = step.max(1);
     (start..end)
         .step_by(step)
         .map(move |piece| (piece, (piece + step).min(end)))
 }
 
+/// Contiguous `(start, end)` pieces of an axis, counted in advance.
+trait Pieces: ExactSizeIterator<Item = (usize, usize)> + Clone {}
+
+impl<I: ExactSizeIterator<Item = (usize, usize)> + Clone> Pieces for I {}
+
 /// The contiguous `[start, end)` axis ranges of the Multi-Segment split:
 /// `ceil(axis_len / segments)` elements per segment, empty trailing segments
 /// dropped (the lowering launches no blocks for them either).
-fn segment_ranges(
-    axis_len: usize,
-    segments: usize,
-) -> impl Iterator<Item = (usize, usize)> + Clone {
+fn segment_ranges(axis_len: usize, segments: usize) -> impl Pieces {
     let segments = segments.clamp(1, axis_len.max(1));
     chunks(0, axis_len, axis_len.div_ceil(segments))
 }
@@ -829,7 +750,7 @@ impl OnlineStats {
     }
 }
 
-fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError> {
+fn exec_softmax<K: Tally>(launch: Launch<'_>, m: &Matrix) -> Result<(ExecOutput, K), ExecError> {
     let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     let (rows, len) = (m.rows(), m.cols());
     if rows == 0 || len == 0 {
@@ -840,6 +761,7 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
     let n_tiles = segments.clone().flat_map(tiles).count();
     let mut out = vec![0.0f64; rows * len];
     let body = |range: Range<usize>, out: &mut [f64]| {
+        let mut tally = K::default();
         // The running maximum each tile's exponentials were stored under,
         // then the factor that moves them to the row's.
         let mut stored_under = vec![0.0f64; n_tiles];
@@ -851,7 +773,9 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
                 let mut stats = OnlineStats::identity();
                 for ((tile_start, tile_end), under) in tiles(segment).zip(&mut slots) {
                     let tile = &row[tile_start..tile_end];
+                    tally.add(Step::Reduce, 1, f64_bytes(tile.len()), 0);
                     // Store + correct: the running sum moves to the new maximum.
+                    tally.ran(&[Step::Store, Step::Correct]);
                     stats.advance(tile_max(tile));
                     *under = stats.max;
                     if stats.max == f64::NEG_INFINITY {
@@ -867,12 +791,14 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
                     stats.sum += tile_sum(stored);
                 }
                 // Combine kernel: Eq. 31 over the segment statistics.
+                tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
                 global = global.merge(stats);
             }
             // Epilogue: the correct step applied to the stored output — one
             // exponential per tile moves it from the maximum it was stored
             // under to the global one, the row's tiles in one slice call —
             // fused with the normalisation.
+            tally.add(Step::Epilogue, 1, 0, f64_bytes(len));
             exp_shifted_in_place(&mut stored_under, global.max);
             let all_tiles = segments.clone().flat_map(tiles);
             for ((tile_start, tile_end), &moved) in all_tiles.zip(&stored_under) {
@@ -882,9 +808,11 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
                 }
             }
         }
+        tally
     };
-    for_row_ranges(threads, rows, 1, len * EXP_WORK, &mut out, len, body);
-    Ok(ExecOutput::Matrix(Matrix::from_vec(rows, len, out)))
+    let ranges = for_row_ranges(threads, rows, 1, len * EXP_WORK, &mut out, len, body);
+    let out = Matrix::from_vec(rows, len, out);
+    Ok((ExecOutput::Matrix(out), K::sum(ranges)))
 }
 
 /// Sum and sum of squares of `N` rows, each segment's partial added to the
@@ -894,10 +822,13 @@ fn exec_softmax(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError>
 /// chains of dependent additions; `N` rows in lockstep are `2N`.
 fn sum_and_squares<const N: usize>(
     rows: [&[f64]; N],
-    segments: impl Iterator<Item = (usize, usize)>,
+    segments: impl Pieces,
+    tally: &mut impl Tally,
 ) -> [(f64, f64); N] {
     let mut totals = [(0.0f64, 0.0f64); N];
+    let partials_per_row = u64::from(segments.len() > 1);
     for (start, end) in segments {
+        tally.add(Step::Reduce, N as u64, f64_bytes(N * (end - start)), 0);
         let pieces = rows.map(|row| &row[start..end]);
         let mut partials = [(0.0f64, 0.0f64); N];
         for j in 0..end - start {
@@ -906,6 +837,7 @@ fn sum_and_squares<const N: usize>(
                 partial.1 += piece[j] * piece[j];
             }
         }
+        tally.add(Step::Combine, N as u64 * partials_per_row, 0, 0);
         for (total, partial) in totals.iter_mut().zip(&partials) {
             total.0 = BinaryOp::Add.apply(total.0, partial.0);
             total.1 = BinaryOp::Add.apply(total.1, partial.1);
@@ -914,7 +846,7 @@ fn sum_and_squares<const N: usize>(
     totals
 }
 
-fn exec_variance(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError> {
+fn exec_variance<K: Tally>(launch: Launch<'_>, m: &Matrix) -> Result<(ExecOutput, K), ExecError> {
     let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     let (rows, len) = (m.rows(), m.cols());
     if rows == 0 || len == 0 {
@@ -928,52 +860,43 @@ fn exec_variance(launch: Launch<'_>, m: &Matrix) -> Result<ExecOutput, ExecError
     };
     let mut out = vec![0.0f64; rows];
     // Ranges start on multiples of 4, so every range walks whole quads.
-    for_row_ranges(threads, rows, 4, len, &mut out, 1, |range, out| {
+    let ranges = for_row_ranges(threads, rows, 4, len, &mut out, 1, |range, out| {
+        let mut tally = K::default();
         let mut quads = out.chunks_exact_mut(4);
         for (quad, r) in (&mut quads).zip(range.clone().step_by(4)) {
             let lanes = [m.row(r), m.row(r + 1), m.row(r + 2), m.row(r + 3)];
-            quad.copy_from_slice(&sum_and_squares(lanes, segments.clone()).map(finish));
+            tally.add(Step::Epilogue, 4, 0, f64_bytes(4));
+            quad.copy_from_slice(&sum_and_squares(lanes, segments.clone(), &mut tally).map(finish));
         }
         let rest = quads.into_remainder();
         let rest_rows = range.end - rest.len()..range.end;
         for (slot, r) in rest.iter_mut().zip(rest_rows) {
-            *slot = finish(sum_and_squares([m.row(r)], segments.clone())[0]);
+            tally.add(Step::Epilogue, 1, 0, f64_bytes(1));
+            *slot = finish(sum_and_squares([m.row(r)], segments.clone(), &mut tally)[0]);
         }
+        tally
     });
-    Ok(ExecOutput::Values(out))
+    Ok((ExecOutput::Values(out), K::sum(ranges)))
 }
 
-fn exec_attention(
+fn exec_attention<K: Tally>(
     launch: Launch<'_>,
     qk_dim: usize,
     head_dim: usize,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
-) -> Result<ExecOutput, ExecError> {
+) -> Result<(ExecOutput, K), ExecError> {
     let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     if q.cols() != qk_dim || k.cols() != qk_dim {
-        return Err(shape_err(
-            name,
-            format!(
-                "q/k width must be {qk_dim}, got q [{}x{}], k [{}x{}]",
-                q.rows(),
-                q.cols(),
-                k.rows(),
-                k.cols()
-            ),
-        ));
+        let (q, k) = (dims(q), dims(k));
+        let detail = format!("q/k width must be {qk_dim}, got q {q}, k {k}");
+        return Err(shape_err(name, detail));
     }
     if v.cols() != head_dim || v.rows() != k.rows() {
-        return Err(shape_err(
-            name,
-            format!(
-                "v must be [{}x{head_dim}], got [{}x{}]",
-                k.rows(),
-                v.rows(),
-                v.cols()
-            ),
-        ));
+        let (kv, v) = (k.rows(), dims(v));
+        let detail = format!("v must be [{kv}x{head_dim}], got {v}");
+        return Err(shape_err(name, detail));
     }
     let (q_rows, kv_len) = (q.rows(), k.rows());
     if q_rows == 0 || kv_len == 0 {
@@ -981,7 +904,7 @@ fn exec_attention(
     }
     let scale = 1.0 / (qk_dim.max(1) as f64).sqrt();
     let segments = segment_ranges(kv_len, binding.segments);
-    let n_segments = segments.clone().count();
+    let n_segments = segments.len();
     let (_, seg_len) = segments.clone().next().expect("kv_len > 0");
     let tile = binding.block_axis.clamp(1, seg_len);
     let work_per_row = kv_len * (qk_dim + head_dim + EXP_WORK);
@@ -995,10 +918,12 @@ fn exec_attention(
     let (row_par, seg_par) = if by_seg { (1, threads) } else { (threads, 1) };
     let mut out = vec![0.0f64; q_rows * head_dim];
     let body = |range: Range<usize>, out: &mut [f64]| {
+        let mut tally = K::default();
         let mut cells = vec![0.0f64; n_segments * cell_len];
         for (row, out_row) in range.zip(out.chunks_exact_mut(head_dim.max(1))) {
             let q_row = q.row(row);
             let run = |cell_range: Range<usize>, cells: &mut [f64]| {
+                let mut tally = K::default();
                 let segments = segments.clone().skip(cell_range.start);
                 for ((start, end), cell) in segments.zip(cells.chunks_exact_mut(cell_len)) {
                     #[cfg(test)]
@@ -1010,12 +935,15 @@ fn exec_attention(
                     for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
                         // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
                         let scores = &mut scores[..tile_end - tile_start];
+                        let loaded = f64_bytes((1 + scores.len()) * qk_dim);
+                        tally.add(Step::ScoreGemm, 1, loaded, 0);
                         dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
                         for s in scores.iter_mut() {
                             *s *= scale;
                         }
                         // Store: snapshot the previous maximum; correct: rescale the
                         // running sum and the output accumulator for the moved maximum.
+                        tally.ran(&[Step::Store, Step::Correct]);
                         let correction = stats.advance(tile_max(scores));
                         if stats.max == f64::NEG_INFINITY {
                             stats.skip_masked(scores);
@@ -1028,6 +956,7 @@ fn exec_attention(
                         }
                         // Reduce (reductions 2–4): accumulate the tile's probabilities
                         // and value contributions under the updated maximum.
+                        tally.add(Step::Reduce, 1, f64_bytes(scores.len() * head_dim), 0);
                         exp_shifted_in_place(scores, stats.max);
                         stats.sum += tile_sum(scores);
                         let values = (tile_start..tile_end).map(|j| v.row(j));
@@ -1035,9 +964,12 @@ fn exec_attention(
                     }
                     stat_slots.copy_from_slice(&[stats.max, stats.sum]);
                 }
+                tally
             };
             let cell_work = work_per_row / n_segments;
-            for_row_ranges(seg_par, n_segments, 1, cell_work, &mut cells, cell_len, run);
+            let split =
+                for_row_ranges(seg_par, n_segments, 1, cell_work, &mut cells, cell_len, run);
+            tally = tally.merge(K::sum(split));
             // Combine kernel, on this thread once the cells are joined, in segment
             // order whatever the split: merge the statistics (Eq. 31), rescale the
             // partials to the global maximum, normalise (one segment: the plain
@@ -1050,6 +982,7 @@ fn exec_attention(
                 })
             });
             for cell in cells {
+                tally.add(Step::Combine, u64::from(n_segments > 1), 0, 0);
                 let rescale = rescale_factor(cell[head_dim] - global.max);
                 if rescale == 0.0 {
                     continue;
@@ -1058,13 +991,16 @@ fn exec_attention(
                     *slot += a * rescale;
                 }
             }
+            tally.add(Step::Epilogue, 1, 0, f64_bytes(head_dim));
             for slot in out_row.iter_mut() {
                 *slot /= global.sum;
             }
         }
+        tally
     };
-    for_row_ranges(row_par, q_rows, 1, work_per_row, &mut out, head_dim, body);
-    Ok(ExecOutput::Matrix(Matrix::from_vec(q_rows, head_dim, out)))
+    let ranges = for_row_ranges(row_par, q_rows, 1, work_per_row, &mut out, head_dim, body);
+    let out = Matrix::from_vec(q_rows, head_dim, out);
+    Ok((ExecOutput::Matrix(out), K::sum(ranges)))
 }
 
 /// One streaming top-k candidate.
@@ -1090,29 +1026,22 @@ fn insert_candidate(best: &mut Vec<Candidate>, candidate: Candidate, topk: usize
     }
 }
 
-fn exec_routing(
+fn exec_routing<K: Tally>(
     launch: Launch<'_>,
     topk: usize,
     x: &Matrix,
     w: &Matrix,
-) -> Result<ExecOutput, ExecError> {
+) -> Result<(ExecOutput, K), ExecError> {
     let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
     let (tokens, hidden) = (x.rows(), x.cols());
-    let experts = w.cols();
-    if w.rows() != hidden {
-        return Err(shape_err(
-            name,
-            format!(
-                "activation width {hidden} must match weight height {}",
-                w.rows()
-            ),
-        ));
+    let (height, experts) = (w.rows(), w.cols());
+    if height != hidden {
+        let detail = format!("activation width {hidden} must match weight height {height}");
+        return Err(shape_err(name, detail));
     }
     if topk == 0 || topk > experts {
-        return Err(shape_err(
-            name,
-            format!("topk ({topk}) must be in 1..={experts} (expert count)"),
-        ));
+        let detail = format!("topk ({topk}) must be in 1..={experts} (expert count)");
+        return Err(shape_err(name, detail));
     }
     if tokens == 0 || experts == 0 {
         return Err(shape_err(name, "routing input must be non-empty"));
@@ -1125,6 +1054,7 @@ fn exec_routing(
     };
     let mut decisions = vec![undecided; tokens];
     let body = |range: Range<usize>, out: &mut [RoutingDecision]| {
+        let mut tally = K::default();
         let mut scores = vec![0.0f64; binding.block_axis.clamp(1, experts)];
         let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
         let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk + 1);
@@ -1140,6 +1070,8 @@ fn exec_routing(
                     // reduction — `hidden`-outer over contiguous weight rows.
                     let scores = &mut scores[..tile_end - tile_start];
                     scores.fill(0.0);
+                    let loaded = f64_bytes(hidden * (1 + scores.len()));
+                    tally.add(Step::ScoreGemm, 1, loaded, 0);
                     let weights = (0..hidden).map(|h| &w.row(h)[tile_start..tile_end]);
                     add_scaled_rows(scores, x_row.iter().copied().zip(weights));
                     // Streaming top-k over the raw scores (softmax is
@@ -1150,6 +1082,7 @@ fn exec_routing(
                     }
                     // Store + correct + reduce on the softmax statistics, the
                     // scores turning into their exponentials where they are.
+                    tally.ran(&[Step::Store, Step::Correct, Step::Reduce]);
                     stats.advance(tile_max(scores));
                     if stats.max == f64::NEG_INFINITY {
                         stats.skip_masked(scores);
@@ -1160,12 +1093,15 @@ fn exec_routing(
                 }
                 // Combine kernel: merge statistics with Eq. 31 and the
                 // candidate lists under the shared comparator.
+                tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
                 merged_stats = merged_stats.merge(stats);
                 for &candidate in &best {
                     insert_candidate(&mut merged_best, candidate, topk);
                 }
             }
-            // Epilogue: only the selected scores are normalised.
+            // Epilogue: only the selected scores are normalised; an expert
+            // index and a probability stored per selection.
+            tally.add(Step::Epilogue, 1, 0, f64_bytes(2 * merged_best.len()));
             let mut probs: Vec<f64> = merged_best.iter().map(|c| c.score).collect();
             exp_shifted_in_place(&mut probs, merged_stats.max);
             for prob in &mut probs {
@@ -1176,69 +1112,64 @@ fn exec_routing(
                 probs,
             };
         }
+        tally
     };
-    for_row_ranges(threads, tokens, 1, work_per_row, &mut decisions, 1, body);
-    Ok(ExecOutput::TopK(decisions))
+    let ranges = for_row_ranges(threads, tokens, 1, work_per_row, &mut decisions, 1, body);
+    Ok((ExecOutput::TopK(decisions), K::sum(ranges)))
 }
 
-fn exec_quant_gemm(
+fn exec_quant_gemm<K: Tally>(
     launch: Launch<'_>,
     n: usize,
     a: &Matrix,
     w: &Matrix,
-) -> Result<ExecOutput, ExecError> {
+) -> Result<(ExecOutput, K), ExecError> {
     let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
-    if w.rows() != a.cols() {
-        return Err(shape_err(
-            name,
-            format!(
-                "activation width {} must match weight height {}",
-                a.cols(),
-                w.rows()
-            ),
-        ));
+    let (m, k_len, height, width) = (a.rows(), a.cols(), w.rows(), w.cols());
+    if height != k_len {
+        let detail = format!("activation width {k_len} must match weight height {height}");
+        return Err(shape_err(name, detail));
     }
-    if w.cols() != n {
-        return Err(shape_err(
-            name,
-            format!(
-                "weight width {} must match the bound GEMM width {n}",
-                w.cols()
-            ),
-        ));
+    if width != n {
+        let detail = format!("weight width {width} must match the bound GEMM width {n}");
+        return Err(shape_err(name, detail));
     }
-    let (m, k_len) = (a.rows(), a.cols());
     if m == 0 || k_len == 0 || n == 0 {
         return Err(shape_err(name, "quant-gemm input must be non-empty"));
     }
     let block_rows = binding.block_rows.clamp(1, m);
+    let segments = segment_ranges(k_len, binding.segments);
     let work_per_row = k_len * (n + FP8_WORK);
     let mut out = vec![0.0f64; m * n];
     // Ranges start on multiples of `block_rows`: the same row blocks run,
     // and each weight tile is still fetched once per block.
     let body = |range: Range<usize>, out: &mut [f64]| {
+        let mut tally = K::default();
         // Per row of a block: the accumulator and the abs-max it is scaled by.
         let mut accs = vec![0.0f64; block_rows * n];
         let mut amaxes = vec![0.0f64; block_rows];
         let blocks = chunks(range.start, range.end, block_rows);
         for ((r0, r1), out_block) in blocks.zip(out.chunks_mut(block_rows * n)) {
-            for (start, end) in segment_ranges(k_len, binding.segments) {
+            for (start, end) in segments.clone() {
                 accs.fill(0.0);
                 amaxes.fill(0.0);
                 for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
                     // The weight tile is visited once per row block: it
                     // stays cache-resident while every row of the block
                     // consumes it.
+                    tally.add(Step::Reduce, 0, f64_bytes((tile_end - tile_start) * n), 0);
                     let rows = (r0..r1).zip(accs.chunks_exact_mut(n)).zip(&mut amaxes);
                     for ((row, acc), amax) in rows {
                         // Reduce (reduction 1): the tile's abs-max.
                         let tile = &a.row(row)[tile_start..tile_end];
+                        tally.add(Step::Reduce, 1, f64_bytes(tile.len()), 0);
                         let new_amax = tile.iter().fold(*amax, |m, v| m.max(v.abs()));
                         if new_amax == 0.0 {
                             continue;
                         }
                         // Store + correct: rescale the accumulator from the
                         // provisional scale to the updated one (Eq. 21).
+                        tally.ran(&[Step::Store, Step::Correct]);
                         if *amax > 0.0 && new_amax > *amax {
                             let correction = *amax / new_amax;
                             for slot in acc.iter_mut() {
@@ -1261,6 +1192,7 @@ fn exec_quant_gemm(
                 // de-quantisation.
                 let partials = accs.chunks_exact(n).zip(&amaxes);
                 for (out_row, (acc, &amax)) in out_block.chunks_exact_mut(n).zip(partials) {
+                    tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
                     if amax == 0.0 {
                         continue;
                     }
@@ -1270,19 +1202,24 @@ fn exec_quant_gemm(
                     }
                 }
             }
+            // Epilogue: the block's rows are final once the last segment is in.
+            let stored = r1 - r0;
+            tally.add(Step::Epilogue, stored as u64, 0, f64_bytes(stored * n));
         }
+        tally
     };
-    for_row_ranges(threads, m, block_rows, work_per_row, &mut out, n, body);
-    Ok(ExecOutput::Matrix(Matrix::from_vec(m, n, out)))
+    let ranges = for_row_ranges(threads, m, block_rows, work_per_row, &mut out, n, body);
+    let out = Matrix::from_vec(m, n, out);
+    Ok((ExecOutput::Matrix(out), K::sum(ranges)))
 }
 
-fn exec_inertia(
+fn exec_inertia<K: Tally>(
     name: &str,
     binding: &ExecBinding,
     dim: usize,
     masses: &[f64],
     positions: &Matrix,
-) -> Result<ExecOutput, ExecError> {
+) -> Result<(ExecOutput, K), ExecError> {
     if masses.len() != positions.rows() {
         return Err(shape_err(
             name,
@@ -1302,11 +1239,14 @@ fn exec_inertia(
     // One independent system per request: the cascade's axis is the particle
     // index; all three sufficient statistics are group-like sums, so tile
     // boundaries inside a segment do not show in the result.
+    let mut tally = K::default();
+    let segments = segment_ranges(particles, binding.segments);
     let mut total_mass = 0.0f64;
     let mut scratch = vec![0.0f64; 2 * dim];
     let (weighted, seg_weighted) = scratch.split_at_mut(dim);
     let mut weighted_sq = 0.0f64;
-    for (start, end) in segment_ranges(particles, binding.segments) {
+    for (start, end) in segments.clone() {
+        tally.add(Step::Reduce, 1, f64_bytes((end - start) * (1 + dim)), 0);
         let mut seg_mass = 0.0f64;
         seg_weighted.fill(0.0);
         let mut seg_weighted_sq = 0.0f64;
@@ -1319,6 +1259,7 @@ fn exec_inertia(
             }
             seg_weighted_sq += mass * norm_sq;
         }
+        tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
         total_mass += seg_mass;
         for (slot, &partial) in weighted.iter_mut().zip(seg_weighted.iter()) {
             *slot += partial;
@@ -1329,9 +1270,9 @@ fn exec_inertia(
         return Err(shape_err(name, "total mass must be positive"));
     }
     let center_norm_sq: f64 = weighted.iter().map(|w| w * w).sum::<f64>() / total_mass;
-    Ok(ExecOutput::Values(vec![
-        (weighted_sq - center_norm_sq).max(0.0)
-    ]))
+    tally.add(Step::Epilogue, 1, 0, f64_bytes(1));
+    let inertia = (weighted_sq - center_norm_sq).max(0.0);
+    Ok((ExecOutput::Values(vec![inertia]), tally))
 }
 
 #[cfg(test)]
@@ -1423,38 +1364,111 @@ mod tests {
         for (program, input) in &cases {
             let plain = execute(program, input).expect("plain execution");
             let (profiled, profile) = execute_profiled(program, input).expect("profiled execution");
-            // Bit-identical: the profiled entry point wraps the exact same
-            // interpreter call.
+            // Bit-identical: the same kernels run, only the tally differs.
             assert_eq!(plain, profiled);
             assert!(!profile.ops.is_empty());
-            let attributed: u64 = profile.ops.iter().map(|o| o.wall_ns).sum();
-            assert_eq!(attributed, profile.wall_ns, "wall time fully attributed");
         }
+    }
+
+    /// [`execute`] on up to `threads` threads.
+    fn execute_with_threads(
+        threads: usize,
+        program: &TileProgram,
+        input: &ExecInput<'_>,
+    ) -> Result<ExecOutput, ExecError> {
+        run::<()>(threads, program, input).map(|(output, ())| output)
+    }
+
+    /// The op counts of one profiled call.
+    fn profile_of(program: &TileProgram, input: &ExecInput<'_>) -> Vec<OpStats> {
+        execute_profiled(program, input).unwrap().1.ops
+    }
+
+    /// The counts of op `name` in `ops`.
+    fn op(ops: &[OpStats], name: &str) -> OpStats {
+        let found = ops.iter().find(|o| o.op == name);
+        *found.unwrap_or_else(|| panic!("missing op {name} in {ops:?}"))
     }
 
     #[test]
     fn profiled_counts_mirror_the_loop_structure() {
         let m = random_matrix(4, 64, 10, -3.0, 3.0);
         let program = bound_program(Semantics::Softmax, 4, 64, (2, 16, 2));
-        let (_, profile) = execute_profiled(&program, &ExecInput::Rows(&m)).unwrap();
-        let find = |op: &str| {
-            profile
-                .ops
-                .iter()
-                .find(|o| o.op == op)
-                .unwrap_or_else(|| panic!("missing op {op}"))
-        };
+        let ops = profile_of(&program, &ExecInput::Rows(&m));
         // 2 segments × 2 tiles each × 4 rows = 16 main-loop reductions.
-        assert_eq!(find("reduce").invocations, 16);
-        assert_eq!(find("reduce").rows, 4);
-        assert_eq!(find("reduce").bytes_read, 4 * 64 * 8);
+        assert_eq!(op(&ops, "reduce").invocations, 16);
+        assert_eq!(op(&ops, "reduce").bytes_read, 4 * 64 * 8);
         // Multi-Segment: the combine op is present.
-        assert_eq!(find("combine").invocations, 4 * 2);
-        assert_eq!(find("epilogue").bytes_written, 4 * 64 * 8);
+        assert_eq!(op(&ops, "combine").invocations, 4 * 2);
+        assert_eq!(op(&ops, "epilogue").bytes_written, 4 * 64 * 8);
         // Single-Segment drops the combine op entirely.
         let single = bound_program(Semantics::Softmax, 4, 64, (2, 16, 1));
-        let (_, profile) = execute_profiled(&single, &ExecInput::Rows(&m)).unwrap();
-        assert!(profile.ops.iter().all(|o| o.op != "combine"));
+        let ops = profile_of(&single, &ExecInput::Rows(&m));
+        assert!(ops.iter().all(|o| o.op != "combine"));
+    }
+
+    #[test]
+    fn plain_sums_reduce_once_per_segment() {
+        // Tiles of 8 or 16 do not show in a plain sum's loop, so they do not
+        // show in its counts either: one reduce per (row, segment).
+        let m = random_matrix(4, 64, 10, -3.0, 3.0);
+        let program = bound_program(Semantics::Variance, 4, 64, (2, 16, 2));
+        let ops = profile_of(&program, &ExecInput::Rows(&m));
+        let names: Vec<_> = ops.iter().map(|o| o.op).collect();
+        assert_eq!(names, ["reduce", "combine", "epilogue"]);
+        assert_eq!(op(&ops, "reduce").invocations, 4 * 2);
+        assert_eq!(op(&ops, "reduce").bytes_read, 4 * 64 * 8);
+        assert_eq!(op(&ops, "epilogue").bytes_written, 4 * 8);
+        let masses = random_vec(24, 8, 0.1, 2.0);
+        let positions = random_matrix(24, 3, 9, -1.0, 1.0);
+        let input = ExecInput::Inertia {
+            masses: &masses,
+            positions: &positions,
+        };
+        let program = bound_program(Semantics::Inertia { dim: 3 }, 1, 24, (1, 8, 2));
+        let ops = profile_of(&program, &input);
+        assert_eq!(op(&ops, "reduce").invocations, 2);
+        assert_eq!(op(&ops, "reduce").bytes_read, 24 * (1 + 3) * 8);
+        assert_eq!(op(&ops, "combine").invocations, 2);
+    }
+
+    #[test]
+    fn attention_stores_its_output_once() {
+        // The running accumulator and the cells are scratch: the only tensor
+        // stored is the `q_rows × head_dim` output.
+        let q = random_matrix(4, 16, 1, -1.0, 1.0);
+        let k = random_matrix(32, 16, 2, -1.0, 1.0);
+        let v = random_matrix(32, 8, 3, -1.0, 1.0);
+        let input = ExecInput::Attention {
+            q: &q,
+            k: &k,
+            v: &v,
+        };
+        for point in [(2, 8, 1), (2, 8, 2), (4, 5, 3)] {
+            let semantics = Semantics::Attention {
+                qk_dim: 16,
+                head_dim: 8,
+            };
+            let ops = profile_of(&bound_program(semantics, 4, 32, point), &input);
+            let written: u64 = ops.iter().map(|o| o.bytes_written).sum();
+            assert_eq!(written, 4 * 8 * 8, "{point:?}");
+            // Each query row reads every key and value once.
+            assert_eq!(op(&ops, "reduce").bytes_read, 4 * 32 * 8 * 8, "{point:?}");
+        }
+    }
+
+    #[test]
+    fn routing_loads_a_token_once_per_tile() {
+        let x = random_matrix(6, 16, 4, -1.0, 1.0);
+        let w = random_matrix(16, 8, 5, -1.0, 1.0);
+        let program = bound_program(Semantics::Routing { topk: 2 }, 6, 8, (2, 4, 2));
+        let ops = profile_of(&program, &ExecInput::Routing { x: &x, w: &w });
+        // 6 tokens × 2 tiles of 4 experts: the token's 16 activations and
+        // the tile's 16 × 4 weights per tile.
+        let gemm = op(&ops, "score-gemm");
+        assert_eq!(gemm.invocations, 6 * 2);
+        assert_eq!(gemm.bytes_read, 6 * 2 * (16 + 16 * 4) * 8);
+        assert_eq!(op(&ops, "epilogue").bytes_written, 6 * 2 * 2 * 8);
     }
 
     #[test]
@@ -1509,10 +1523,11 @@ mod tests {
         }
     }
 
-    /// The output on one thread, the same bits on each of `threads`. `work` is
-    /// the case's `rows × work_per_row` (one row's, where the segments are
-    /// what splits): the comparison means something only when the splitter
-    /// does split.
+    /// The output on one thread, the same bits on each of `threads`, and the
+    /// same profile on one thread, on each of `threads` and on one thread
+    /// again. `work` is the case's `rows × work_per_row` (one row's, where the
+    /// segments are what splits): the comparison means something only when
+    /// the splitter does split.
     fn same_output_on(
         threads: &[usize],
         program: &TileProgram,
@@ -1525,11 +1540,16 @@ mod tests {
         );
         let serial = execute_with_threads(1, program, input).unwrap();
         let serial_bits = output_bits(serial.clone());
-        for &threads in threads {
-            let split = output_bits(execute_with_threads(threads, program, input).unwrap());
+        let (_, serial_counts) = run::<Counts>(1, program, input).unwrap();
+        for &threads in threads.iter().chain(&[1]) {
+            let (split, counts) = run::<Counts>(threads, program, input).unwrap();
             assert!(
-                serial_bits == split,
+                serial_bits == output_bits(split),
                 "{threads} threads changed the output bits"
+            );
+            assert!(
+                serial_counts == counts,
+                "{threads} threads changed the profile"
             );
         }
         serial

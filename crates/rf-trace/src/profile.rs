@@ -1,47 +1,40 @@
 //! Op-level profile aggregation for the tile-VM interpreter.
 //!
 //! The `rf_tile::exec` VM reports, per executed program, one [`OpSample`]
-//! for each op kind of the store → correct → reduce template (invocation
-//! counts, rows processed, modelled byte traffic and measured wall time).
-//! The runtime attributes every sample to the `(workload class, region, op)`
-//! it ran under and folds it into an [`OpProfiler`] — a small concurrent
-//! aggregation map shared by all workers of the engine.
+//! for each op kind of the store → correct → reduce template that ran: how
+//! often it ran and the tensor bytes it loaded and stored, counted by the
+//! kernel's own loops. The runtime attributes every sample to the
+//! `(workload class, region, op)` it ran under and folds it into an
+//! [`OpProfiler`] — a small concurrent aggregation map shared by all workers
+//! of the engine.
 //!
 //! The aggregate exports as **folded-stack text** (one
-//! `class;region;op <weight>` line per aggregate, weighted by wall
-//! nanoseconds), the input format of `inferno`-style flamegraph tools.
+//! `class;region;op <weight>` line per aggregate, weighted by counted bytes),
+//! the input format of `inferno`-style flamegraph tools. No time is
+//! attributed to ops: the VM measures one wall time per call, not per op.
 //! [`validate_folded`] is the matching well-formedness check used by tests
 //! and CI.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Aggregatable counters of one op kind within one program execution.
-///
-/// Invocations and byte counts are the deterministic loop-structure counts of
-/// the tile template (they depend only on shapes and tuning, not on data);
-/// `wall_ns` is measured host wall time.
+/// Aggregatable counters of one op kind within one program execution, as
+/// the VM's kernels counted them (`rf_tile::OpStats`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpSample {
     /// Times the op ran (e.g. one per main-loop tile per row).
     pub invocations: u64,
-    /// Output rows the op contributed to.
-    pub rows: u64,
-    /// Modelled bytes read by the op.
+    /// Bytes of input tensors the op loaded.
     pub bytes_read: u64,
-    /// Modelled bytes written by the op.
+    /// Bytes of the output tensor the op stored.
     pub bytes_written: u64,
-    /// Measured wall time attributed to the op, in nanoseconds.
-    pub wall_ns: u64,
 }
 
 impl OpSample {
     fn add(&mut self, other: &OpSample) {
         self.invocations += other.invocations;
-        self.rows += other.rows;
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
-        self.wall_ns += other.wall_ns;
     }
 }
 
@@ -129,11 +122,12 @@ impl OpProfileSnapshot {
         self.entries.is_empty()
     }
 
-    /// Folded-stack export: one `class;region;op <wall_ns>` line per
+    /// Folded-stack export: one `class;region;op <bytes>` line per
     /// aggregate, the input of `inferno-flamegraph` and friends. Frames never
     /// contain `;` or whitespace (offending characters are replaced by `_`),
-    /// and the weight is the aggregate's measured wall nanoseconds (clamped
-    /// to ≥ 1 so an op that ran is never invisible in the flamegraph).
+    /// and the weight is the aggregate's counted bytes read plus written
+    /// (clamped to ≥ 1 so an op that moved no tensor bytes, like `store`, is
+    /// never invisible in the flamegraph).
     pub fn folded(&self) -> String {
         let mut out = String::new();
         for entry in &self.entries {
@@ -142,7 +136,7 @@ impl OpProfileSnapshot {
                 frame(&entry.class),
                 frame(&entry.region),
                 frame(&entry.op),
-                entry.counters.wall_ns.max(1),
+                (entry.counters.bytes_read + entry.counters.bytes_written).max(1),
             ));
         }
         out
@@ -201,13 +195,11 @@ pub fn validate_folded(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn sample(invocations: u64, wall_ns: u64) -> OpSample {
+    fn sample(invocations: u64, bytes_read: u64) -> OpSample {
         OpSample {
             invocations,
-            rows: invocations,
-            bytes_read: invocations * 8,
-            bytes_written: invocations * 8,
-            wall_ns,
+            bytes_read,
+            bytes_written: 0,
         }
     }
 
@@ -229,7 +221,7 @@ mod tests {
         let snapshot = profiler.snapshot();
         assert_eq!(snapshot.entries.len(), 2);
         assert_eq!(snapshot.entries[1].counters.invocations, 6);
-        assert_eq!(snapshot.entries[1].counters.wall_ns, 150);
+        assert_eq!(snapshot.entries[1].counters.bytes_read, 150);
         assert_eq!(snapshot.entries[0].op, "correct");
     }
 
@@ -241,7 +233,7 @@ mod tests {
         let folded = profiler.snapshot().folded();
         assert_eq!(validate_folded(&folded), Ok(2));
         assert!(folded.contains("quant_gemm;q_prog;reduce 900\n"));
-        // Zero wall time still produces a visible weight.
+        // An op that moved no bytes still produces a visible weight.
         assert!(folded.starts_with("quant_gemm;q_prog;epilogue 1\n"));
     }
 

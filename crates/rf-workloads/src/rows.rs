@@ -10,6 +10,7 @@
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::OnceLock;
 
 /// Element operations (`rows × work_per_row`, in multiply-add equivalents)
@@ -59,7 +60,8 @@ fn row_ranges(rows: usize, align: usize, parts: usize) -> impl Iterator<Item = R
 }
 
 /// Runs `body(range, out_chunk)` over contiguous row ranges that tile
-/// `0..rows`, on up to `threads` threads.
+/// `0..rows`, on up to `threads` threads, and returns what each range's body
+/// returned, in range order.
 ///
 /// `out` holds `out_per_row` elements per row; each range receives exactly its
 /// rows' chunk of it. Range starts are multiples of `align`, so a body that
@@ -77,15 +79,15 @@ fn row_ranges(rows: usize, align: usize, parts: usize) -> impl Iterator<Item = R
 /// # Panics
 ///
 /// Panics if `out.len() != rows * out_per_row`, or if `body` panics.
-pub fn for_row_ranges<T: Send>(
+pub fn for_row_ranges<T: Send, R: Send>(
     threads: usize,
     rows: usize,
     align: usize,
     work_per_row: usize,
     out: &mut [T],
     out_per_row: usize,
-    body: impl Fn(Range<usize>, &mut [T]) + Sync,
-) {
+    body: impl Fn(Range<usize>, &mut [T]) -> R + Sync,
+) -> Vec<R> {
     assert_eq!(out.len(), rows * out_per_row, "out must hold every row");
     let parts = if rows.saturating_mul(work_per_row) < PARALLEL_MIN_WORK {
         1
@@ -95,18 +97,23 @@ pub fn for_row_ranges<T: Send>(
     let mut ranges = row_ranges(rows, align, parts);
     let first = ranges.next().expect("row_ranges yields at least one range");
     if first.end == rows {
-        return body(first, out);
+        return vec![body(first, out)];
     }
     let body = &body;
     std::thread::scope(|scope| {
         let (first_chunk, mut rest) = out.split_at_mut(first.len() * out_per_row);
+        let mut spawned = Vec::new();
         for range in ranges {
             let (chunk, tail) = rest.split_at_mut(range.len() * out_per_row);
             rest = tail;
-            scope.spawn(move || body(range, chunk));
+            spawned.push(scope.spawn(move || body(range, chunk)));
         }
-        body(first, first_chunk);
-    });
+        let mut results = vec![body(first, first_chunk)];
+        for range in spawned {
+            results.push(range.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        results
+    })
 }
 
 /// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
