@@ -4,7 +4,9 @@
 //! The routing pipeline computes expert scores `S = X W` (`[s, en]`), applies a
 //! softmax over the expert axis, and selects the top-k experts per token.
 //! [`route_naive`] materialises the score and probability matrices between
-//! the three stages.
+//! the three stages. It selects on the scores, as the fused kernel does: the
+//! softmax preserves their order, and a NaN score (which makes every
+//! probability of its token NaN) still ranks below every number.
 
 use rf_workloads::Matrix;
 
@@ -18,16 +20,17 @@ pub fn routing_scores(x: &Matrix, w: &Matrix) -> Matrix {
     x.matmul(w)
 }
 
-/// Unfused routing: GEMM → full softmax matrix → top-k per row.
+/// Unfused routing: GEMM → full softmax matrix → top-k per row, the
+/// selected experts' probabilities read from the softmax matrix.
 pub fn route_naive(x: &Matrix, w: &Matrix, topk: usize) -> Vec<RoutingDecision> {
     let scores = routing_scores(x, w);
     let probs = softmax_rows(&scores);
     (0..scores.rows())
         .map(|r| {
-            let top = topk_streaming(probs.row(r), topk);
+            let top = topk_streaming(scores.row(r), topk);
             RoutingDecision {
                 experts: top.iter().map(|e| e.index).collect(),
-                probs: top.iter().map(|e| e.value).collect(),
+                probs: top.iter().map(|e| probs.get(r, e.index)).collect(),
             }
         })
         .collect()

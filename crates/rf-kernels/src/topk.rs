@@ -5,6 +5,10 @@
 //! merged. [`topk_sort`] is the definition; [`topk_streaming`] is the one pass
 //! [`crate::moe::route_naive`] selects with.
 
+use std::cmp::Ordering;
+
+use rf_workloads::moe::score_order;
+
 /// An index/value pair produced by top-k selection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopKEntry {
@@ -14,10 +18,18 @@ pub struct TopKEntry {
     pub value: f64,
 }
 
+impl TopKEntry {
+    /// The ordering of [`score_order`]: larger first, ties to the smaller
+    /// index, NaN last.
+    fn order(&self, other: &TopKEntry) -> Ordering {
+        score_order((self.index, self.value), (other.index, other.value))
+    }
+}
+
 /// Selects the `k` largest elements by fully sorting a copy of the input
-/// (the unfused reference implementation).
-///
-/// Ties are broken towards the smaller index, matching the streaming variant.
+/// (the unfused reference implementation), under routing's [`score_order`]:
+/// ties go to the smaller index and NaN ranks below every number, as in the
+/// streaming variant and the tile VM.
 ///
 /// # Panics
 ///
@@ -30,12 +42,7 @@ pub fn topk_sort(values: &[f64], k: usize) -> Vec<TopKEntry> {
         .enumerate()
         .map(|(index, &value)| TopKEntry { index, value })
         .collect();
-    entries.sort_by(|a, b| {
-        b.value
-            .partial_cmp(&a.value)
-            .unwrap()
-            .then(a.index.cmp(&b.index))
-    });
+    entries.sort_by(TopKEntry::order);
     entries.truncate(k);
     entries
 }
@@ -47,11 +54,9 @@ pub fn topk_streaming(values: &[f64], k: usize) -> Vec<TopKEntry> {
     assert!(k <= values.len(), "k must not exceed the number of values");
     let mut best: Vec<TopKEntry> = Vec::with_capacity(k + 1);
     for (index, &value) in values.iter().enumerate() {
-        let pos = best
-            .iter()
-            .position(|e| value > e.value || (value == e.value && index < e.index))
-            .unwrap_or(best.len());
-        best.insert(pos, TopKEntry { index, value });
+        let entry = TopKEntry { index, value };
+        let pos = best.partition_point(|e| e.order(&entry).is_lt());
+        best.insert(pos, entry);
         if best.len() > k {
             best.pop();
         }
@@ -79,6 +84,19 @@ mod tests {
         let top = topk_streaming(&values, 2);
         assert_eq!(top[0].index, 1);
         assert_eq!(top[1].index, 2);
+    }
+
+    #[test]
+    fn nan_ranks_below_every_number() {
+        // Before the total order, the NaN at 0 blocked every later value and
+        // `topk_sort` panicked.
+        let values = [f64::NAN, 1.0, f64::NAN, 3.0, f64::NEG_INFINITY, 2.0];
+        let indices = |top: Vec<TopKEntry>| -> Vec<usize> { top.iter().map(|e| e.index).collect() };
+        for k in 1..=values.len() {
+            let expected = &[3, 5, 1, 4, 0, 2][..k];
+            assert_eq!(indices(topk_streaming(&values, k)), expected, "k={k}");
+            assert_eq!(indices(topk_sort(&values, k)), expected, "k={k}");
+        }
     }
 
     #[test]

@@ -46,15 +46,23 @@
 //! `add_scaled_rows`), and nothing is allocated per row, segment or tile: a
 //! call sizes its scratch once.
 //!
+//! **Vector width.** Two loops run at the widest vector tier the CPU offers
+//! (AVX-512F on the benchmark host), picked at run time inside
+//! `rf-workloads`: [`add_scaled_rows`], the GEMM of attention's P·V, routing's
+//! scores and quant + GEMM's accumulate (its `fp8_round` map inlined into the
+//! loop), and the slice exponentials. Both return the bits of the baseline
+//! build on every CPU. Everything else here — `dot_rows`, the tile maximum and
+//! sum, variance, inertia, the combines — is built for the baseline;
+//! `dot_rows` was measured at the wider tiers and gained nothing.
+//!
 //! **The exponential.** Softmax, attention and routing reduce a tile in four
 //! passes over a slice that sits in L1: its maximum, one `advance` of the
 //! running statistics (the store and correct steps), the exponentials of the
 //! whole tile under the new maximum, their sum. Every exponential is
 //! [`rf_workloads::exp`](mod@rf_workloads::exp): the tile's through the slice
-//! forms, which run at the widest vector width the CPU offers, and the
-//! per-tile factors — `advance`, `merge`, the epilogue and combine rescales —
-//! through the scalar form. Both return the same bits on every CPU; that
-//! module holds the numerics policy.
+//! forms and the per-tile factors — `advance`, `merge`, the epilogue and
+//! combine rescales — through the scalar form. Both return the same bits on
+//! every CPU; that module holds the numerics policy.
 //!
 //! **Parallel grid.** The generated kernel is a grid — every row block, and
 //! under Multi-Segment every `(row, segment)` cell, is an independent CTA —
@@ -124,7 +132,7 @@ use std::fmt;
 use std::ops::Range;
 
 use rf_algebra::BinaryOp;
-use rf_workloads::moe::RoutingDecision;
+use rf_workloads::moe::{score_order, RoutingDecision};
 use rf_workloads::{
     add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
     Matrix,
@@ -410,21 +418,24 @@ struct Launch<'a> {
 /// What one exponential and one FP8 rounding cost in multiply-adds of a
 /// vectorised inner loop: the weights that put a row's element operations on
 /// the one scale [`for_row_ranges`] compares with its threshold. Measured on
-/// the benchmark host (`cargo test --release -p rf-workloads timing --
-/// --ignored --nocapture`): `add_scaled_rows` runs a multiply-add in
-/// 0.23–0.29 ns; an element of `exp_shifted` costs 2.4–2.7 ns on the widest
-/// tier (AVX-512F, what that host runs), 3.3–3.8 ns under AVX2 and 6.2–7.3 ns
-/// at the x86-64 baseline — 9–12, 13–16 and 25–27 multiply-adds — and the
-/// tile's maximum and sum add about one each; an FP8 rounding costs
-/// 2.7–3.0 ns. One number for every tier: 16, right for the middle one and
-/// within a factor of 1.7 at either end, where it moves the point a call
-/// starts to split by less than the threshold's own margin (a split too
-/// early costs 3 %, too late forgoes a third). Against the 32 that libm's
-/// 5–8 ns stood for, no benchmark shape changes sides of
-/// [`rf_workloads::PARALLEL_MIN_WORK`]: `softmax 512×4096` (33.5 M),
-/// `mha 256×1024` (37.7 M), `moe 512×64` (8.9 M) and `mla 1×4096` (4.52 M)
-/// still split; `mha 1×8192` (1.18 M), `softmax 1×32768` and `4×8192`
-/// (0.52 M) and every `serve_tiny` shape still run inline.
+/// the benchmark host, both loops at the same tier (`cargo test --release -p
+/// rf-workloads timing -- --ignored --nocapture`). That host's speed moves by
+/// about 2× with its other tenants, so the ratios are what carry over: a
+/// multiply-add of `add_scaled_rows` costs 0.056–0.14 ns under AVX-512F (what
+/// that host runs), 0.076–0.22 ns under AVX2 and 0.11–0.35 ns at the x86-64
+/// baseline; an element of `exp_shifted`, measured in the same runs,
+/// 1.1–2.7, 1.7–4.0 and 3.2–7.6 ns — 17–25, 16–32 and 19–31 multiply-adds —
+/// and the tile's maximum and sum add about one each; an FP8 rounding
+/// (2.7–3.0 ns when last measured, the slow state) about 20 at the widest
+/// tier. One number for every tier and both: 16, within a factor of 2 of
+/// each, which moves the point a call starts to split by less than the
+/// threshold's own margin (a split too early costs 3 %, too late forgoes a
+/// third). With any weight from 9 to 33 no benchmark shape changes sides of
+/// [`rf_workloads::PARALLEL_MIN_WORK`] (work at 16): `quant 256×1024→256`
+/// (71.3 M), `mha 256×1024` (37.7 M), `softmax 512×4096` (33.5 M),
+/// `moe 512×64` (8.9 M) and `mla 1×4096` (4.52 M) split; `mha 1×8192`
+/// (1.18 M), `softmax 1×32768` and `4×8192` (0.52 M) and every `serve_tiny`
+/// shape run inline.
 const EXP_WORK: usize = 16;
 const FP8_WORK: usize = 16;
 
@@ -1010,16 +1021,12 @@ struct Candidate {
     score: f64,
 }
 
-/// Inserts into a descending-(score, ascending-index) bounded candidate list —
-/// the same comparator for the streaming pass and the segment merge, so the
-/// selected expert *set* is independent of the tiling.
+/// Inserts into a bounded candidate list sorted by [`score_order`] (the
+/// oracle's, total over NaN) — for the streaming pass and the segment merge,
+/// so the selected expert *set* is independent of the tiling and segments.
 fn insert_candidate(best: &mut Vec<Candidate>, candidate: Candidate, topk: usize) {
-    let pos = best
-        .iter()
-        .position(|b| {
-            candidate.score > b.score || (candidate.score == b.score && candidate.index < b.index)
-        })
-        .unwrap_or(best.len());
+    let key = |c: &Candidate| (c.index, c.score);
+    let pos = best.partition_point(|b| score_order(key(b), key(&candidate)).is_lt());
     best.insert(pos, candidate);
     if best.len() > topk {
         best.pop();
@@ -2080,10 +2087,9 @@ mod tests {
     fn routing_agrees_with_the_unfused_form_on_hostile_scores() {
         for (i, hostile) in HOSTILE.iter().enumerate() {
             // The probabilities NaN exactly where the unfused ones are and
-            // within 1e-12 elsewhere; the same experts, unless a score is NaN
-            // — a NaN compares with nothing, so which experts surround it
-            // depends on the order they were offered in, and every
-            // probability is NaN anyway.
+            // within 1e-12 elsewhere; the same experts, NaN scores included
+            // (they rank below every number, whatever order the tiles and
+            // segments offer them in).
             let check = |expected: &[RoutingDecision], t: usize, point, out: ExecOutput| {
                 let ExecOutput::TopK(out) = out else {
                     panic!("routing returns decisions");
@@ -2093,12 +2099,10 @@ mod tests {
                     decisions.iter().flat_map(|d| d.probs.clone()).collect()
                 };
                 assert_matches_unfused(&probs(&out), &probs(expected), 1e-12, &name);
-                if !hostile.name.contains("NaN") {
-                    let experts = |decisions: &[RoutingDecision]| -> Vec<usize> {
-                        decisions.iter().flat_map(|d| d.experts.clone()).collect()
-                    };
-                    assert_eq!(experts(&out), experts(expected), "{name}");
-                }
+                let experts = |decisions: &[RoutingDecision]| -> Vec<usize> {
+                    decisions.iter().flat_map(|d| d.experts.clone()).collect()
+                };
+                assert_eq!(experts(&out), experts(expected), "{name}");
             };
             let program = |tokens: usize, len: usize, point| {
                 let topk = len.min(3);

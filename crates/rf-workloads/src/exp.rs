@@ -11,14 +11,14 @@
 //!   smallest normal underflow gradually (one rounding into the subnormals).
 //! * **One set of bits** — the scalar [`exp`] and the slice forms
 //!   [`exp_shifted`] / [`exp_shifted_in_place`] return identical bits on every
-//!   CPU. The slice loops are compiled three times — at the build's baseline,
-//!   under `avx2` and under `avx512f` — and the widest one this CPU offers is
-//!   picked at run time by `is_x86_feature_detected!` (other architectures: the
-//!   baseline). The body is the same source in all of them and contains only
-//!   IEEE multiplications, additions, comparisons-and-selects and integer
-//!   shifts: **no `mul_add`**, nothing a wider unit could fuse or reorder, so
-//!   vector width cannot show in a result. There is no Cargo feature,
-//!   environment variable or compiler flag to set.
+//!   CPU. The slice loops run at the widest vector tier this CPU offers —
+//!   baseline, AVX2 or AVX-512F, picked at run time by the crate's `tier`
+//!   module, with no Cargo feature, environment variable or compiler flag to
+//!   set, and shared with [`add_scaled_rows`](crate::add_scaled_rows). The
+//!   body is the same source at every tier and contains only IEEE
+//!   multiplications, additions, comparisons-and-selects and integer shifts:
+//!   **no `mul_add`**, nothing a wider unit could fuse or reorder, so vector
+//!   width cannot show in a result.
 //! * **Who uses it** — `rf_tile::exec` (the VM) and the unfused references the
 //!   served path is checked against: `rf-kernels` softmax / attention / moe and
 //!   `rf-graph`'s `MapOp::Exp`. Fused and unfused paths share the routine so
@@ -50,7 +50,7 @@
 //! loops vectorise; the exponent is built with a *left* shift because AVX2 has
 //! no 64-bit arithmetic right shift.
 
-#![allow(unsafe_code)]
+use crate::tier::Tier;
 
 /// `1.5 · 2⁵²`: adding it to `|v| < 2⁵¹` rounds `v` to an integer (ties to
 /// even) and leaves that integer in the low bits of the sum's mantissa.
@@ -129,109 +129,23 @@ fn in_place_body(xs: &mut [f64], shift: f64) {
     }
 }
 
-/// The slice loops compiled with a wider vector unit enabled. Same source as
-/// the baseline, so same bits; callable only once the feature was detected.
-#[cfg(target_arch = "x86_64")]
-mod wide {
-    /// # Safety
-    ///
-    /// The CPU must support `avx2`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn shifted_avx2(out: &mut [f64], xs: &[f64], shift: f64) {
-        super::shifted_body(out, xs, shift);
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support `avx2`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn in_place_avx2(xs: &mut [f64], shift: f64) {
-        super::in_place_body(xs, shift);
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn shifted_avx512(out: &mut [f64], xs: &[f64], shift: f64) {
-        super::shifted_body(out, xs, shift);
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support `avx512f`.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn in_place_avx512(xs: &mut [f64], shift: f64) {
-        super::in_place_body(xs, shift);
-    }
-}
-
-/// One compilation of the slice loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Baseline,
-    Avx2,
-    Avx512,
-}
-
-impl Tier {
-    /// Widest first.
-    const ALL: [Tier; 3] = [Tier::Avx512, Tier::Avx2, Tier::Baseline];
-
-    /// Whether this CPU can run the tier. The standard library detects the
-    /// features once per process and answers from a cached word afterwards.
-    fn is_available(self) -> bool {
-        match self {
-            Tier::Baseline => true,
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            #[cfg(not(target_arch = "x86_64"))]
-            Tier::Avx2 | Tier::Avx512 => false,
-        }
-    }
-
-    /// The widest tier this CPU offers.
-    fn widest() -> Tier {
-        let available = Tier::ALL.into_iter().find(|tier| tier.is_available());
-        available.unwrap_or(Tier::Baseline)
-    }
-}
-
-/// [`exp_shifted`] on `tier`, or on the baseline if this CPU lacks it.
+/// [`exp_shifted`] compiled for `tier` (the baseline if this CPU lacks it).
+/// Callers outside tests pass [`Tier::widest`].
 fn exp_shifted_on(tier: Tier, out: &mut [f64], xs: &[f64], shift: f64) {
     assert_eq!(out.len(), xs.len(), "one output per input");
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 if tier.is_available() => {
-            // SAFETY: `avx512f` was detected on this CPU by the guard above.
-            unsafe { wide::shifted_avx512(out, xs, shift) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 if tier.is_available() => {
-            // SAFETY: `avx2` was detected on this CPU by the guard above.
-            unsafe { wide::shifted_avx2(out, xs, shift) }
-        }
-        _ => shifted_body(out, xs, shift),
-    }
+    tier.run(
+        #[inline(always)]
+        || shifted_body(out, xs, shift),
+    );
 }
 
-/// [`exp_shifted_in_place`] on `tier`, or on the baseline if this CPU lacks it.
+/// [`exp_shifted_in_place`] compiled for `tier` (the baseline if this CPU
+/// lacks it). Callers outside tests pass [`Tier::widest`].
 fn exp_shifted_in_place_on(tier: Tier, xs: &mut [f64], shift: f64) {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 if tier.is_available() => {
-            // SAFETY: `avx512f` was detected on this CPU by the guard above.
-            unsafe { wide::in_place_avx512(xs, shift) }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Tier::Avx2 if tier.is_available() => {
-            // SAFETY: `avx2` was detected on this CPU by the guard above.
-            unsafe { wide::in_place_avx2(xs, shift) }
-        }
-        _ => in_place_body(xs, shift),
-    }
+    tier.run(
+        #[inline(always)]
+        || in_place_body(xs, shift),
+    );
 }
 
 /// `out[i] = exp(xs[i] − shift)`: a tile's reduce step under its maximum.
@@ -350,12 +264,8 @@ mod tests {
         for (slot, value) in values.iter_mut().step_by(7).zip(hostile) {
             *slot = value;
         }
-        let tiers: Vec<Tier> = Tier::ALL
-            .into_iter()
-            .filter(|tier| tier.is_available())
-            .collect();
+        let tiers = Tier::available();
         println!("compared with the scalar form: {tiers:?}");
-        assert!(tiers.contains(&Tier::Baseline) && tiers[0] == Tier::widest());
         for shift in [0.0, 1.25, -3.5] {
             // Every vector remainder (lengths 0..=67) at every misalignment.
             for offset in 0..=3 {
@@ -397,22 +307,26 @@ mod tests {
         }
     }
 
-    /// Not a check: prints what `rf_tile::exec`'s `EXP_WORK` and the README
-    /// quote — ns per element of libm, the scalar form and every tier on a
-    /// 4096-element tile, beside ns per multiply-add of `add_scaled_rows`.
+    /// Not a check: prints what `rf_tile::exec`'s `EXP_WORK`, the README and
+    /// [`crate::PARALLEL_MIN_WORK`] quote — ns per element of libm, the scalar
+    /// form and every tier on a 4096-element tile, and ns per multiply-add of
+    /// `add_scaled_rows` at every tier (64 rows of 64 into a 64-wide
+    /// accumulator).
     /// `cargo test --release -p rf-workloads timing -- --ignored --nocapture`
     #[test]
     #[ignore = "prints timings"]
     fn timing_per_tier() {
+        use crate::rows::add_scaled_rows_on;
         use std::hint::black_box;
         use std::time::Instant;
         const LEN: usize = 4096;
         let xs: Vec<f64> = (0..LEN)
             .map(|i| -8.0 + 8.0 * i as f64 / LEN as f64)
             .collect();
+        let rows: Vec<f64> = (0..LEN).map(|i| i as f64 * 1e-3).collect();
         let mut out = vec![0.0; LEN];
-        // Median of 31 timings of 64 passes over the tile.
-        let mut ns_per_element = |pass: &mut dyn FnMut(&mut [f64])| {
+        // Median of 31 timings of 64 passes, per one of LEN operations.
+        let mut ns_per_op = |pass: &mut dyn FnMut(&mut [f64])| {
             let mut samples: Vec<f64> = (0..31)
                 .map(|_| {
                     let start = Instant::now();
@@ -425,7 +339,7 @@ mod tests {
             samples.sort_by(f64::total_cmp);
             samples[15]
         };
-        let libm = ns_per_element(&mut |out| {
+        let libm = ns_per_op(&mut |out| {
             for (slot, &x) in out.iter_mut().zip(&xs) {
                 *slot = (x - 0.5).exp();
             }
@@ -433,22 +347,21 @@ mod tests {
         println!("libm, per element        {libm:6.2} ns");
         // One element feeds the next: the scalar form's latency.
         for (name, f) in [("libm", f64::exp as fn(f64) -> f64), ("scalar form", exp)] {
-            let chained = ns_per_element(&mut |out| {
+            let chained = ns_per_op(&mut |out| {
                 out[0] = (0..LEN).fold(out[0], |x, _| f(x * 0.25));
             });
             println!("{name}, dependent chain {chained:6.2} ns");
         }
-        for tier in Tier::ALL.into_iter().filter(|tier| tier.is_available()) {
-            let ns = ns_per_element(&mut |out| exp_shifted_on(tier, out, black_box(&xs), 0.5));
-            println!("{tier:?}, slice form {ns:6.2} ns");
+        for tier in Tier::available() {
+            let ns = ns_per_op(&mut |out| exp_shifted_on(tier, out, black_box(&xs), 0.5));
+            let fma = ns_per_op(&mut |out| {
+                let terms = xs.iter().copied().zip(rows.chunks_exact(64));
+                add_scaled_rows_on(tier, &mut out[..64], terms);
+            });
+            println!(
+                "{tier:?}, slice form {ns:6.2} ns, add_scaled_rows {fma:6.3} ns per multiply-add"
+            );
         }
-        // 64 rows of 64 added into a 64-wide accumulator: 4096 multiply-adds.
-        let rows: Vec<f64> = (0..LEN).map(|i| i as f64 * 1e-3).collect();
-        let fma = ns_per_element(&mut |out| {
-            let terms = xs.iter().copied().zip(rows.chunks_exact(64));
-            crate::add_scaled_rows(&mut out[..64], terms);
-        });
-        println!("add_scaled_rows, per multiply-add {fma:6.3} ns");
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! accounting used by the analytical GPU model and the baselines. The
 //! [`data`] module provides deterministic random tensor generation shared by
 //! kernels, tests and benchmarks; [`rows`] runs a computation's independent
-//! rows on the host's cores; [`exp`](mod@exp) is the exponential the tile VM
-//! and its unfused oracles share (and the workspace's only `unsafe`: the
-//! run-time choice of vector width).
+//! rows on the host's cores and holds [`add_scaled_rows`], the GEMM loop of
+//! every cascade that carries one; [`exp`](mod@exp) is the exponential the
+//! tile VM and its unfused oracles share. Both run their slice loops at the
+//! widest vector tier the CPU offers, with the same bits at every tier; the
+//! private `tier` module makes that run-time choice.
 
-// `forbid` everywhere else in the workspace; here `exp` alone opts out, for
-// the run-time choice of vector width.
+// `forbid` everywhere else in the workspace; here the `tier` module alone
+// opts out, for the run-time choice of vector width (CI checks that no other
+// file does).
 #![deny(unsafe_code)]
 
 pub mod attention;
@@ -29,6 +32,7 @@ pub mod moe;
 pub mod nonml;
 pub mod quant;
 pub mod rows;
+mod tier;
 
 pub use attention::{mha_configs, mha_tiny, mla_configs, mla_tiny, MhaConfig, MlaConfig};
 pub use data::{random_matrix, random_vec, Matrix};

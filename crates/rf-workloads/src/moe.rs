@@ -4,9 +4,24 @@
 //! activations `[s, hd]` and the routing weights `[hd, en]`, then applies a
 //! softmax + top-k over the `en` experts of every token. [`RoutingDecision`]
 //! is that function's per-token result, the one type both the tile VM and
-//! the unfused oracle return.
+//! the unfused oracle return, and [`score_order`] the one ranking both
+//! select experts by.
+
+use std::cmp::Ordering;
 
 use crate::Precision;
+
+/// Routing's ranking of `(expert index, score)` pairs: the higher score
+/// first, equal scores (`-0.0 == 0.0`) by the lower index, and NaN below
+/// every number (NaNs among themselves by index). The order is total, so the
+/// `k` best of a set do not depend on the order the candidates arrive in —
+/// not on the tiling or the segments of the kernel that streams them.
+pub fn score_order((a_index, a): (usize, f64), (b_index, b): (usize, f64)) -> Ordering {
+    let by_score = b.partial_cmp(&a).unwrap_or(Ordering::Equal);
+    (a.is_nan().cmp(&b.is_nan()))
+        .then(by_score)
+        .then(a_index.cmp(&b_index))
+}
 
 /// The routing decision for one token: the selected experts and their
 /// normalised probabilities.
@@ -169,6 +184,34 @@ mod tests {
         }
         // R3 has a larger hidden dim than R1 and therefore more flops.
         assert!(configs[2].flops() > configs[0].flops());
+    }
+
+    #[test]
+    fn score_order_is_total_with_nan_last() {
+        let mut pairs = vec![
+            (3, f64::NAN),
+            (0, 1.0),
+            (5, f64::NEG_INFINITY),
+            (1, f64::NAN),
+            (4, 0.0),
+            (2, -0.0),
+            (6, f64::INFINITY),
+            (7, 1.0),
+        ];
+        let expected = [6, 0, 7, 2, 4, 5, 1, 3];
+        for rotation in 0..pairs.len() {
+            pairs.rotate_left(1);
+            let mut sorted = pairs.clone();
+            sorted.sort_by(|&a, &b| score_order(a, b));
+            let order: Vec<usize> = sorted.iter().map(|&(index, _)| index).collect();
+            assert_eq!(order, expected, "rotation {rotation}");
+            for &a in &pairs {
+                assert_eq!(score_order(a, a), Ordering::Equal);
+                for &b in &pairs {
+                    assert_eq!(score_order(a, b), score_order(b, a).reverse());
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,13 +5,17 @@
 //! accelerator) never read each other's results. [`for_row_ranges`] runs such
 //! a grid on the host's cores with scoped threads — no pool, no state beyond
 //! the cached core count — and [`add_scaled_rows`] is the inner loop of every
-//! row-times-matrix product in the tile VM and in [`Matrix::matmul`].
+//! row-times-matrix product in the tile VM and in [`Matrix::matmul`]. That
+//! loop runs at the widest vector tier the CPU offers, chosen at run time as
+//! [`exp`](mod@crate::exp)'s slice loops are, with the baseline's bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
 use std::ops::Range;
 use std::panic::resume_unwind;
 use std::sync::OnceLock;
+
+use crate::tier::Tier;
 
 /// Element operations (`rows × work_per_row`, in multiply-add equivalents)
 /// below which [`for_row_ranges`] runs its rows inline.
@@ -28,6 +32,16 @@ use std::sync::OnceLock;
 /// 2²² 1538 → 996 µs. At 2²² the gain on two cores (−31 %) is ten times the
 /// cost on one (+3 %); under it a call (the memory-bound `variance 256×4096`,
 /// 2²⁰ elements in 340 µs, is one) stays inline and costs what it did.
+///
+/// Those multiply-adds ran at the x86-64 baseline. Since [`add_scaled_rows`]
+/// runs at the widest vector tier (AVX-512F there: 0.4–0.5× the time per
+/// multiply-add of the baseline), a call of the same work is shorter and
+/// the split's fixed cost weighs more. Re-measured with a 256-wide
+/// row-times-matrix body, medians of 5 × 41 alternating runs: balanced,
+/// 2²⁰ 167 → 144 µs, 2²¹ 335 → 254 µs, 2²² 750 → 391 µs, 2²³ 1414 → 838 µs;
+/// on one core, 2²¹ 389–405 → 447–456 µs, 2²² 650–776 → 684–834 µs. At 2²²
+/// the gain (−48 %) is still six times the cost (+5–8 %); at 2²¹ (−24 %
+/// against +10–17 %) it is not, so the threshold stays.
 ///
 /// The same threshold decides when decode attention splits one row's
 /// *segments* (`rf_tile::exec`, the rows being too few to fill the cores):
@@ -119,12 +133,33 @@ pub fn for_row_ranges<T: Send, R: Send>(
 /// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
 /// adding its terms in the order they arrive. Four terms share one pass over
 /// `acc`, so it is loaded and stored once per four rows; the inner loop runs
-/// over contiguous slices and vectorises across `j`.
+/// over contiguous slices and vectorises across `j`, at the widest vector
+/// tier this CPU offers (picked at run time, like [`exp`](mod@crate::exp)'s)
+/// — with the bits of every other tier, since each product is rounded and
+/// added on its own.
 ///
 /// # Panics
 ///
 /// Panics if a row is shorter than `acc`.
 pub fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
+    add_scaled_rows_on(Tier::widest(), acc, terms);
+}
+
+/// [`add_scaled_rows`] compiled for `tier` (the baseline if this CPU lacks
+/// it). Callers outside tests pass [`Tier::widest`].
+pub(crate) fn add_scaled_rows_on<'a>(
+    tier: Tier,
+    acc: &mut [f64],
+    terms: impl Iterator<Item = (f64, &'a [f64])>,
+) {
+    tier.run(
+        #[inline(always)]
+        || scaled_rows_body(acc, terms),
+    );
+}
+
+#[inline(always)]
+fn scaled_rows_body<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
     let n = acc.len();
     let mut terms = terms.map(|(c, row)| (c, &row[..n])).fuse();
     loop {
@@ -233,6 +268,78 @@ mod tests {
             .zip(rows.iter().map(Vec::as_slice));
         add_scaled_rows(&mut acc, terms);
         assert_eq!(acc, expected);
+    }
+
+    #[test]
+    fn every_tier_returns_the_bits_of_the_baseline() {
+        // Ordinary values with NaN, infinities, zeros of both signs and
+        // subnormals sprinkled through accumulators, rows and coefficients.
+        let hostile = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            1e300,
+        ];
+        let values = |seed: usize, len: usize| -> Vec<f64> {
+            let mut values: Vec<f64> = (0..len)
+                .map(|i| ((i * 37 + seed * 11) % 101) as f64 / 7.0 - 6.5)
+                .collect();
+            let hostile = hostile.iter().cycle().skip(seed);
+            for (slot, &value) in values.iter_mut().skip(seed % 5).step_by(6).zip(hostile) {
+                *slot = value;
+            }
+            values
+        };
+        let rows: Vec<Vec<f64>> = (0..11).map(|i| values(i + 1, 71)).collect();
+        let mut coefficients = values(3, 11);
+        coefficients[2] = -0.0;
+        coefficients[5] = f64::from_bits(3);
+        coefficients[7] = f64::NEG_INFINITY;
+        coefficients[10] = f64::NAN;
+        let base = values(0, 71);
+        let tiers = Tier::available();
+        println!("compared with the baseline: {tiers:?}");
+        // Which NaN an operation on two NaNs returns (sign, payload) is left
+        // open by Rust and moves when LLVM commutes an addition: a NaN is
+        // compared as "NaN here", every other value bit for bit.
+        let bits = |xs: &[f64]| -> Vec<u64> {
+            let canonical = |v: &f64| if v.is_nan() { f64::NAN } else { *v };
+            xs.iter().map(|v| canonical(v).to_bits()).collect()
+        };
+        let terms = |offset: usize, n_terms: usize| {
+            let rows = rows.iter().map(move |row| &row[offset..]);
+            coefficients.iter().copied().zip(rows).take(n_terms)
+        };
+        // Every vector remainder (lengths 0..=67) at every misalignment of
+        // accumulator and rows, and whole four-term passes plus every
+        // remainder of terms. Comparing all of `base` also shows nothing
+        // outside the accumulator was written.
+        for offset in 0..=3 {
+            for len in 0..=67 {
+                for n_terms in 0..=11 {
+                    let mut expected = base.clone();
+                    let acc = &mut expected[offset..offset + len];
+                    add_scaled_rows_on(Tier::Baseline, acc, terms(offset, n_terms));
+                    for &tier in &tiers {
+                        let mut got = base.clone();
+                        let acc = &mut got[offset..offset + len];
+                        add_scaled_rows_on(tier, acc, terms(offset, n_terms));
+                        let case = format!("{tier:?} len {len} offset {offset} terms {n_terms}");
+                        assert_eq!(bits(&got), bits(&expected), "{case}");
+                    }
+                }
+            }
+        }
+        // The public entry point is the widest tier.
+        let mut widest = base.clone();
+        add_scaled_rows_on(tiers[0], &mut widest[..67], terms(0, 11));
+        let mut public = base.clone();
+        add_scaled_rows(&mut public[..67], terms(0, 11));
+        assert_eq!(bits(&public), bits(&widest));
     }
 
     proptest! {

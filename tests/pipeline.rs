@@ -5,15 +5,19 @@
 use std::collections::HashMap;
 
 use redfuser::baselines::{mha_op_list, moe_op_list, quant_op_list, CompilerBaseline};
-use redfuser::codegen::{compile_workload, Workload};
+use redfuser::codegen::{compile_workload, executable_program, TuningPoint, Workload};
 use redfuser::fusion::{
     acrf::analyze_cascade, patterns, CascadeInput, FusedTreeEvaluator, IncrementalEvaluator,
     NaiveCascadeEvaluator, TreeShape,
 };
 use redfuser::gpusim::{sequence_latency, GpuArch};
 use redfuser::kernels::attention::attention_naive;
+use redfuser::kernels::moe::route_naive;
+use redfuser::tile::exec::{self, ExecInput, ExecOutput};
 use redfuser::tir::{builder, detect_cascade, generate_fused, Interpreter};
-use redfuser::workloads::{mha_configs, moe_configs, quant_configs, random_vec, Matrix};
+use redfuser::workloads::{
+    mha_configs, moe_configs, moe_tiny, quant_configs, random_vec, Matrix, MoeConfig,
+};
 
 fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-7 * (1.0 + a.abs().max(b.abs()))
@@ -173,6 +177,53 @@ fn every_fig5_workload_compiles_on_every_platform() {
                 "{} on {}",
                 compiled.name,
                 arch.name
+            );
+        }
+    }
+}
+
+#[test]
+fn routing_selects_the_oracles_experts_around_nan_scores_at_any_segment_count() {
+    // Three experts score NaN for every token (a NaN weight under positive
+    // activations) and token 4 scores NaN everywhere (a NaN activation). NaN
+    // ranks below every number in the tile VM and in `route_naive` alike, so
+    // the order in which tiles and segments offer the scores cannot move the
+    // selection; every probability of a row with a NaN score is NaN.
+    let moe = MoeConfig { s: 6, ..moe_tiny() };
+    let x = {
+        let mut x = Matrix::random(moe.s, moe.hd, 41, 0.1, 1.0);
+        x.set(4, 7, f64::NAN);
+        x
+    };
+    let mut w = Matrix::random(moe.hd, moe.en, 42, -1.0, 1.0);
+    for expert in [0, 5, 9] {
+        w.set(3, expert, f64::NAN);
+    }
+    let expected = route_naive(&x, &w, moe.topk);
+    assert_eq!(expected[0].experts.len(), moe.topk);
+    assert!(!expected[0].experts.contains(&0), "a NaN score ranks last");
+    assert_eq!(expected[4].experts, [0, 1, 2, 3], "all NaN: by index");
+    let workload = Workload::Moe(moe.clone());
+    for (block_axis, segments) in [(moe.en, 1), (3, 1), (2, 4), (1, moe.en)] {
+        let tuning = TuningPoint {
+            block_rows: 1,
+            block_axis,
+            threads: 128,
+            pipeline_depth: 2,
+            segments: segments as u32,
+        };
+        let program = executable_program(&workload, &tuning);
+        assert_eq!(program.binding.as_ref().unwrap().segments, segments);
+        let input = ExecInput::Routing { x: &x, w: &w };
+        let ExecOutput::TopK(decisions) = exec::execute(&program, &input).unwrap() else {
+            panic!("routing returns decisions");
+        };
+        for (token, (got, want)) in decisions.iter().zip(&expected).enumerate() {
+            let context = format!("token {token}, tiles of {block_axis}, {segments} segments");
+            assert_eq!(got.experts, want.experts, "{context}");
+            assert!(
+                got.probs.iter().chain(&want.probs).all(|p| p.is_nan()),
+                "{context}"
             );
         }
     }
