@@ -3,7 +3,7 @@
 //! Everything above this module — batching, caching, costing, metrics —
 //! decides *what* to run; an [`ExecBackend`] runs one request against its
 //! compiled plan ([`execute`](ExecBackend::execute)). That call is the one a
-//! test fake intercepts to park, fail or panic on cue. The engine costs a
+//! test fake intercepts to park or panic on cue. The engine costs a
 //! batch with [`crate::stream::batch_latency_us`] on its plan cache's arch,
 //! profiles through `CompiledKernel::run_profiled` and runs graph regions
 //! through [`crate::execute_graph_plan`].
@@ -16,7 +16,7 @@ use rf_codegen::CompiledKernel;
 
 use crate::request::{execute_plan, Request, RequestOutput, RuntimeError};
 
-/// How the device executes compiled plans. See the module docs.
+/// How the engine executes compiled plans. See the module docs.
 ///
 /// Implementations must be `Send + Sync`: one backend instance is shared by
 /// every worker thread.

@@ -1,12 +1,11 @@
-//! The serving engine: the unified submission front door over one
-//! backend-driven device, and the engine lifecycle.
+//! The serving engine: the submission front door, the state its workers
+//! share, and the engine lifecycle. The workers' loop is the `serve` module.
 //!
 //! Everything the engine serves — single workloads, whole operator graphs,
 //! pre-partitioned plans — enters through [`Engine::submit`] as a
 //! [`Submission`] and resolves to a [`crate::Response`] through the returned
-//! [`Ticket`]. The engine owns one device (`device` module): its
-//! [`crate::backend::ExecBackend`], plan/tuning caches, work queue and
-//! workers.
+//! [`Ticket`]. The engine owns one [`crate::backend::ExecBackend`], one
+//! plan/tuning cache, one work queue and one worker pool.
 //!
 //! ```
 //! use rf_gpusim::GpuArch;
@@ -30,23 +29,25 @@
 //! assert!(urgent.wait().unwrap().iteration >= 1);
 //! ```
 
-mod device;
+mod serve;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use rf_gpusim::GpuArch;
-use rf_trace::{OpProfileSnapshot, TraceCollector, TraceSnapshot};
+use rf_trace::{
+    ArgValue, OpProfileSnapshot, OpProfiler, TraceCollector, TraceEvent, TraceSnapshot, Track,
+};
 
-use crate::backend::TileVmBackend;
-use crate::cache::CacheStats;
-use crate::config::RuntimeConfig;
-use crate::metrics::MetricsSnapshot;
+use crate::backend::{ExecBackend, TileVmBackend};
+use crate::cache::{CacheStats, PlanCache};
+use crate::config::{LaneWeights, RuntimeConfig};
+use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
 use crate::request::RuntimeError;
-use crate::stream::Ticket;
+use crate::stream::{QueuedWork, StreamScheduler, Ticket};
 use crate::submit::{Submission, LANES};
-
-use device::{Device, DeviceShared};
 
 /// A concurrent serving engine.
 ///
@@ -60,8 +61,48 @@ use device::{Device, DeviceShared};
 /// the engine shuts it down; still-queued submissions fail with
 /// [`RuntimeError::ShuttingDown`].
 pub struct Engine {
-    device: Device,
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
+}
+
+/// The state the front door and the workers share.
+struct Shared {
+    /// How the engine executes compiled plans.
+    backend: Arc<dyn ExecBackend>,
+    /// The compiled-plan cache; its arch is the one the engine compiles,
+    /// tunes and costs for.
+    cache: PlanCache,
+    /// The serving counters.
+    metrics: RuntimeMetrics,
+    /// The work queue and batching state.
+    scheduler: StreamScheduler,
+    /// The span collector (records only at `TraceLevel::Full`).
+    trace: TraceCollector,
+    /// The tile-VM op profiler. Disabled unless
+    /// [`rf_trace::TraceConfig::profile`] is set, in which case workload
+    /// requests execute through `CompiledKernel::run_profiled`.
+    profiler: OpProfiler,
+    /// Host nanoseconds the delivered submissions took, each from the start
+    /// of its own execution to its delivery, and how many there were: their
+    /// ratio is the host time one submission costs.
+    host_ns: AtomicU64,
+    delivered: AtomicU64,
+}
+
+impl Shared {
+    /// The backoff to suggest alongside an [`RuntimeError::Overloaded`] shed:
+    /// roughly how long until the in-flight budget frees up, estimated as the
+    /// mean host time per delivered submission times the iterations queued
+    /// ahead of a submission refused at `depth`. A client sleeps on it, so it
+    /// is on the host clock. Only a shed reads it.
+    fn retry_hint(&self, depth: usize) -> Duration {
+        let delivered = self.delivered.load(Relaxed).max(1);
+        let mean_us = self.host_ns.load(Relaxed) as f64 / 1e3 / delivered as f64;
+        let iterations_ahead = (depth as f64 / self.scheduler.max_batch() as f64).max(1.0);
+        let hint_us = (mean_us.max(10.0) * iterations_ahead).clamp(100.0, 100_000.0);
+        Duration::from_micros(hint_us as u64)
+    }
 }
 
 impl Engine {
@@ -97,19 +138,46 @@ impl Engine {
     /// invariant (see [`RuntimeConfig::validate`]).
     pub fn try_with_config(arch: GpuArch, config: RuntimeConfig) -> Result<Self, RuntimeError> {
         config.validate()?;
-        Ok(Engine {
-            device: Device::start(arch, Arc::new(TileVmBackend), &config),
-            next_id: AtomicU64::new(0),
-        })
+        Ok(Engine::start(arch, Arc::new(TileVmBackend), &config))
     }
 
-    fn shared(&self) -> &DeviceShared {
-        &self.device.shared
+    /// Spawns the engine for `arch` around `backend` (the tests inject one
+    /// that parks or panics on cue): its caches, scheduler, trace collector
+    /// and profiler, and `config.workers` worker threads.
+    fn start(arch: GpuArch, backend: Arc<dyn ExecBackend>, config: &RuntimeConfig) -> Engine {
+        let shared = Arc::new(Shared {
+            backend,
+            cache: PlanCache::new(arch, config.cache_capacity),
+            metrics: RuntimeMetrics::with_trace(config.trace),
+            scheduler: StreamScheduler::new(
+                config.max_batch,
+                config.max_in_flight,
+                LaneWeights::default().as_array(),
+            ),
+            trace: TraceCollector::new(config.trace),
+            profiler: OpProfiler::new(config.trace.profile),
+            host_ns: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+        });
+        let workers = (0..config.workers)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("rf-runtime-worker-{i}"))
+                    .spawn(move || serve::worker_loop(&shared, i))
+                    .expect("spawning a runtime worker failed")
+            })
+            .collect();
+        Engine {
+            shared,
+            workers,
+            next_id: AtomicU64::new(0),
+        }
     }
 
     /// The architecture the engine compiles, tunes and costs for.
     pub fn arch(&self) -> &GpuArch {
-        self.shared().cache.arch()
+        self.shared.cache.arch()
     }
 
     /// Validates and enqueues a submission, returning the completion ticket.
@@ -132,39 +200,84 @@ impl Engine {
         if let Submission::Workload { request, .. } = &submission {
             crate::request::validate(&request.workload, &request.input)?;
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shared().enqueue(id, submission)
+        let id = self.next_id.fetch_add(1, Relaxed);
+        let Shared {
+            metrics,
+            scheduler,
+            trace,
+            ..
+        } = &*self.shared;
+        let priority = submission.priority();
+        let (queued, ticket) = QueuedWork::new(id, submission);
+        // Count before enqueueing so a snapshot can never observe a completed
+        // request that was not yet counted as submitted; roll back if the
+        // scheduler rejects the request (shutdown or shed), so rejected
+        // requests never inflate the counter.
+        metrics.record_submit(priority);
+        let admitted =
+            scheduler.enqueue_or_shed(queued, |refused| self.shared.retry_hint(refused.in_flight));
+        if let Err(err) = admitted {
+            metrics.cancel_submit(priority);
+            if let RuntimeError::Overloaded { retry_hint, source } = &err {
+                metrics.record_shed(priority, *retry_hint);
+                if trace.enabled() {
+                    trace.record(
+                        TraceEvent::instant("shed", trace.now_us(), Track::FrontDoor)
+                            .with_request(id)
+                            .with_lane(priority.name())
+                            .with_arg("in_flight", ArgValue::U64(source.in_flight as u64))
+                            .with_arg("budget", ArgValue::U64(source.budget as u64))
+                            .with_arg("retry_us", ArgValue::F64(retry_hint.as_secs_f64() * 1e6)),
+                    );
+                }
+            }
+            return Err(err);
+        }
+        if trace.enabled() {
+            trace.record(
+                TraceEvent::instant("submit", trace.now_us(), Track::Request(id))
+                    .with_request(id)
+                    .with_lane(priority.name()),
+            );
+        }
+        Ok(ticket)
     }
 
     /// Blocks until every accepted submission has been executed.
     pub fn run_until_drained(&self) {
-        self.shared().scheduler.wait_drained();
+        self.shared.scheduler.wait_drained();
     }
 
     /// Submissions currently queued or executing.
     pub fn queue_depth(&self) -> usize {
-        self.shared().scheduler.depth()
+        self.shared.scheduler.depth()
     }
 
     /// Queued submissions per priority lane (high, normal, low).
     pub fn lane_depths(&self) -> [usize; LANES] {
-        self.shared().scheduler.lane_depths()
+        self.shared.scheduler.lane_depths()
     }
 
     /// Engine iterations started so far.
     pub fn iterations(&self) -> u64 {
-        self.shared().scheduler.iterations()
+        self.shared.scheduler.iterations()
     }
 
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared().cache.stats()
+        self.shared.cache.stats()
     }
 
     /// A point-in-time metrics snapshot (latency percentiles, batch sizes,
     /// queue depth, shed counts, per-lane traffic, cache effectiveness).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared().snapshot()
+        let Shared {
+            metrics,
+            scheduler,
+            cache,
+            ..
+        } = &*self.shared;
+        metrics.snapshot(scheduler.depth(), cache.stats(), cache.tuning_stats())
     }
 
     /// The tile-VM op profile: per op kind, the invocations and tensor bytes
@@ -175,7 +288,7 @@ impl Engine {
     /// [`OpProfileSnapshot::folded`] (weighted by bytes) for inferno-style
     /// flamegraph tools.
     pub fn op_profile(&self) -> OpProfileSnapshot {
-        self.shared().profiler.snapshot()
+        self.shared.profiler.snapshot()
     }
 
     /// The metrics in Prometheus exposition format — serve it verbatim under
@@ -188,19 +301,29 @@ impl Engine {
     /// [`rf_trace::TraceLevel::Full`]; see [`RuntimeConfig::builder`]'s
     /// `trace`/`trace_level`.
     pub fn trace_collector(&self) -> &TraceCollector {
-        &self.shared().trace
+        &self.shared.trace
     }
 
     /// A copy of the buffered span events (empty below
     /// [`rf_trace::TraceLevel::Full`]).
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.shared().trace.snapshot()
+        self.shared.trace.snapshot()
     }
 
     /// The buffered span events as Chrome trace-event JSON, loadable in
     /// Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
-        self.shared().trace.chrome_trace()
+        self.shared.trace.chrome_trace()
+    }
+}
+
+impl Drop for Engine {
+    /// Fails every queued submission, then joins the workers.
+    fn drop(&mut self) {
+        self.shared.scheduler.shutdown();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }
 
@@ -214,573 +337,4 @@ impl std::fmt::Debug for Engine {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::request::{execute_reference, Request, RequestInput, RequestOutput};
-    use crate::stream::Ticket;
-    use crate::submit::{Priority, Response};
-    use rf_codegen::Workload;
-    use rf_workloads::{moe_tiny, random_matrix};
-    use std::sync::Arc;
-
-    fn tiny_engine(workers: usize) -> Engine {
-        Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(workers)
-                .max_batch(4)
-                .cache_capacity(16)
-                .build()
-                .unwrap(),
-        )
-    }
-
-    #[test]
-    fn served_results_match_the_reference_kernels() {
-        let engine = tiny_engine(2);
-        let requests: Vec<Request> = (0..6)
-            .map(|seed| Request::softmax(random_matrix(2, 32, seed, -2.0, 2.0)))
-            .collect();
-        let tickets: Vec<Ticket> = requests
-            .iter()
-            .map(|r| engine.submit(r.clone()).unwrap())
-            .collect();
-        engine.run_until_drained();
-        for (request, ticket) in requests.iter().zip(tickets) {
-            let result = ticket.wait().unwrap();
-            let oracle = execute_reference(&request.workload, &request.input);
-            assert!(result.output.approx_eq(&oracle, 1e-9));
-            assert!(result.simulated_us.is_finite() && result.simulated_us > 0.0);
-            assert!(result.iteration >= 1, "responses carry their iteration");
-            assert_eq!(result.priority, Priority::Normal);
-            assert_eq!(result.device, 0, "`Response::device` is always 0");
-        }
-        let metrics = engine.metrics();
-        assert_eq!(metrics.completed, 6);
-        assert_eq!(metrics.queue_depth, 0);
-        assert_eq!(metrics.shed, 0);
-        assert_eq!(metrics.cache.misses, 1, "one shape => one compile");
-        assert!(metrics.lifetime.p99_us >= metrics.lifetime.p50_us);
-    }
-
-    #[test]
-    fn invalid_requests_are_rejected_at_the_front_door() {
-        let engine = tiny_engine(1);
-        let c = moe_tiny();
-        let err = engine
-            .submit(Request {
-                workload: Workload::Moe(c.clone()),
-                input: RequestInput::Rows(random_matrix(2, 4, 1, 0.0, 1.0)),
-            })
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::InputMismatch { .. }));
-        assert_eq!(err.code(), "input_mismatch");
-        assert_eq!(engine.metrics().submitted, 0);
-    }
-
-    #[test]
-    fn invalid_configs_panic_with_the_typed_detail() {
-        let config = RuntimeConfig {
-            workers: 0,
-            ..RuntimeConfig::default()
-        };
-        let panic = std::panic::catch_unwind(|| Engine::with_config(GpuArch::a10(), config))
-            .expect_err("zero workers must be rejected");
-        let message = panic
-            .downcast_ref::<String>()
-            .expect("panic carries a message");
-        assert!(message.contains("workers"), "got: {message}");
-    }
-
-    #[test]
-    fn try_with_config_returns_the_typed_error_instead_of_panicking() {
-        let err = Engine::try_with_config(
-            GpuArch::a10(),
-            RuntimeConfig {
-                workers: 0,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.code(), "invalid_config");
-        assert!(err.to_string().contains("workers"));
-        // And the happy path actually serves.
-        let engine = Engine::try_with_config(GpuArch::a10(), RuntimeConfig::default()).unwrap();
-        let response = engine
-            .submit(Request::softmax(random_matrix(2, 16, 1, -1.0, 1.0)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(response.workload, "softmax_2x16");
-    }
-
-    #[test]
-    fn drop_fails_pending_tickets_cleanly() {
-        let engine = tiny_engine(1);
-        // Queue more work than one worker can finish instantly, then drop.
-        let tickets: Vec<Ticket> = (0..16)
-            .map(|seed| {
-                engine
-                    .submit(Request::softmax(random_matrix(8, 128, seed, -1.0, 1.0)))
-                    .unwrap()
-            })
-            .collect();
-        drop(engine);
-        for ticket in tickets {
-            match ticket.wait() {
-                Ok(result) => assert!(result.simulated_us > 0.0),
-                Err(err) => assert_eq!(err, RuntimeError::ShuttingDown),
-            }
-        }
-    }
-
-    #[test]
-    fn failed_executions_are_counted_as_failures_not_completions() {
-        use rf_workloads::inertia_tiny;
-        // A massless inertia system passes shape validation but is rejected
-        // by the VM at execution time: the ticket must receive the error and
-        // the metrics must report a failure, not a served request.
-        let engine = tiny_engine(1);
-        let inertia = inertia_tiny();
-        let ticket = engine
-            .submit(
-                Request::new(
-                    Workload::Inertia(inertia.clone()),
-                    RequestInput::Inertia {
-                        masses: vec![0.0; 8],
-                        positions: random_matrix(8, inertia.dim, 1, -1.0, 1.0),
-                    },
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        engine.run_until_drained();
-        assert!(matches!(
-            ticket.wait(),
-            Err(RuntimeError::ExecutionFailed { .. })
-        ));
-        let metrics = engine.metrics();
-        assert_eq!(metrics.submitted, 1);
-        assert_eq!(metrics.completed, 0);
-        assert_eq!(metrics.failed, 1);
-        assert_eq!(
-            metrics.lifetime.p50_us, 0.0,
-            "failures contribute no latency"
-        );
-        let class = &metrics.classes[0];
-        assert_eq!(
-            (class.class, class.completed, class.failed),
-            ("inertia", 0, 1)
-        );
-        assert_eq!(class.lifetime.p99_us, 0.0);
-        assert!(metrics.report().contains("requests failed"));
-    }
-
-    #[test]
-    fn metrics_break_down_per_workload_class() {
-        use rf_workloads::variance_tiny;
-        let engine = tiny_engine(2);
-        let var = variance_tiny();
-        for seed in 0..4 {
-            engine
-                .submit(Request::softmax(random_matrix(2, 32, seed, -1.0, 1.0)))
-                .unwrap();
-            engine
-                .submit(
-                    Request::new(
-                        Workload::Variance(var.clone()),
-                        RequestInput::Rows(random_matrix(3, var.l, seed + 50, -2.0, 2.0)),
-                    )
-                    .unwrap(),
-                )
-                .unwrap();
-        }
-        engine.run_until_drained();
-        let metrics = engine.metrics();
-        assert_eq!(metrics.completed, 8);
-        let classes: Vec<&str> = metrics.classes.iter().map(|c| c.class).collect();
-        assert_eq!(classes, ["softmax", "variance"]);
-        for class in &metrics.classes {
-            assert_eq!(class.completed, 4);
-            assert!(class.batches >= 1);
-            assert!(class.lifetime.p99_us >= class.lifetime.p50_us);
-            assert!(class.lifetime.p50_us > 0.0);
-        }
-        let total_class_batches: u64 = metrics.classes.iter().map(|c| c.batches).sum();
-        assert_eq!(total_class_batches, metrics.batches);
-        let report = metrics.report();
-        assert!(report.contains("per-class breakdown"));
-        assert!(report.contains("variance"));
-    }
-
-    #[test]
-    fn graph_serving_shares_the_engine_cache_and_surfaces_metrics() {
-        use rf_graph::builders;
-        let engine = tiny_engine(1);
-        let graph = Arc::new(builders::moe_block(4, 8, 4));
-        let bindings: Vec<(String, rf_workloads::Matrix)> = builders::moe_block_inputs(4, 8, 4, 3)
-            .into_iter()
-            .map(|(n, m)| (n.to_string(), m))
-            .collect();
-        let serve = || -> Response {
-            engine
-                .submit(Submission::graph(Arc::clone(&graph), bindings.clone()))
-                .unwrap()
-                .wait()
-                .unwrap()
-        };
-        let first = serve();
-        let second = serve();
-        assert_eq!(first.output, second.output);
-        let first_stats = first.graph.expect("graph stats attached");
-        let second_stats = second.graph.expect("graph stats attached");
-        assert_eq!(first_stats.region_cache_hits, 0);
-        assert_eq!(
-            second_stats.region_cache_hits, 1,
-            "the region plan is cached"
-        );
-        let metrics = engine.metrics();
-        assert_eq!(metrics.graphs_served, 2);
-        assert_eq!(metrics.graph_fused_ops, 2 * first_stats.fused_ops as u64);
-        assert_eq!(metrics.graph_glue_ops, 2 * first_stats.glue_ops as u64);
-        assert_eq!((metrics.region_hits, metrics.region_lookups), (1, 2));
-        assert!(metrics.report().contains("graphs served"));
-        // Graphs ride the unified stream, so they also count as served
-        // requests under the "graph" class.
-        assert_eq!(metrics.submitted, 2);
-        assert_eq!(metrics.completed, 2);
-        assert!(metrics.classes.iter().any(|c| c.class == "graph"));
-        // The routing-softmax region landed in the same plan cache the
-        // request path uses.
-        assert_eq!(engine.cache_stats().misses, 1);
-    }
-
-    #[test]
-    fn unified_submit_serves_graphs_asynchronously() {
-        use rf_graph::builders;
-        let engine = tiny_engine(2);
-        let graph = Arc::new(builders::moe_block(4, 8, 4));
-        let bindings: Vec<(String, rf_workloads::Matrix)> = builders::moe_block_inputs(4, 8, 4, 3)
-            .into_iter()
-            .map(|(n, m)| (n.to_string(), m))
-            .collect();
-        let reference = graph
-            .evaluate(&builders::moe_block_inputs(4, 8, 4, 3))
-            .unwrap();
-        let ticket = engine
-            .submit(Submission::graph(Arc::clone(&graph), bindings).with_priority(Priority::High))
-            .unwrap();
-        let response = ticket.wait().unwrap();
-        assert_eq!(response.priority, Priority::High);
-        assert_eq!(response.batch_size, 1, "graphs are singleton iterations");
-        let stats = response.graph.expect("graph stats attached");
-        assert!(stats.fused_regions >= 1);
-        let RequestOutput::Tensors(outputs) = &response.output else {
-            panic!("graph submissions produce tensors");
-        };
-        assert_eq!(outputs.len(), reference.len());
-        assert!(outputs[0].max_abs_diff(&reference[0]) < 1e-9);
-        assert!(response.workload.starts_with("graph["));
-    }
-
-    #[test]
-    fn mean_batch_size_grows_when_shapes_repeat() {
-        let engine = Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(1)
-                .max_batch(8)
-                .cache_capacity(16)
-                .build()
-                .unwrap(),
-        );
-        for seed in 0..8 {
-            engine
-                .submit(Request::softmax(random_matrix(2, 64, seed, -1.0, 1.0)))
-                .unwrap();
-        }
-        engine.run_until_drained();
-        let metrics = engine.metrics();
-        assert_eq!(metrics.completed, 8);
-        assert!(
-            metrics.mean_batch_size > 1.0,
-            "identical shapes should have been batched (mean {})",
-            metrics.mean_batch_size
-        );
-    }
-
-    #[test]
-    fn overload_sheds_are_counted_per_lane() {
-        // One worker, a budget of 2: flood the engine and require typed,
-        // counted sheds while everything admitted still completes.
-        let engine = Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(1)
-                .max_batch(2)
-                .max_in_flight(2)
-                .cache_capacity(8)
-                .build()
-                .unwrap(),
-        );
-        let mut admitted = Vec::new();
-        let mut sheds = 0usize;
-        for seed in 0..64 {
-            match engine.submit(Request::softmax(random_matrix(8, 256, seed, -1.0, 1.0))) {
-                Ok(ticket) => admitted.push(ticket),
-                Err(err @ RuntimeError::Overloaded { .. }) => {
-                    assert_eq!(err.code(), "overloaded");
-                    sheds += 1;
-                }
-                Err(other) => panic!("unexpected error: {other:?}"),
-            }
-        }
-        engine.run_until_drained();
-        for ticket in admitted {
-            ticket.wait().unwrap();
-        }
-        let metrics = engine.metrics();
-        assert_eq!(metrics.shed as usize, sheds);
-        assert_eq!(metrics.submitted + metrics.shed, 64);
-        assert_eq!(metrics.completed, metrics.submitted);
-        let normal = &metrics.lanes[Priority::Normal.lane()];
-        assert_eq!(normal.shed as usize, sheds);
-        assert_eq!(normal.completed, metrics.completed);
-        assert!(metrics.report().contains("requests shed"));
-        if sheds > 0 {
-            assert!(metrics.shed_retry_last_us > 0.0, "sheds carry retry hints");
-            assert!(metrics.shed_retry_mean_us > 0.0);
-            assert!(normal.shed_rate() > 0.0);
-            assert!(metrics.report().contains("shed retry hint"));
-        }
-    }
-
-    #[test]
-    fn responses_carry_a_wall_clock_timing_breakdown() {
-        let engine = tiny_engine(1);
-        let first = engine
-            .submit(Request::softmax(random_matrix(2, 64, 1, -1.0, 1.0)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let timing = *first.timing();
-        assert!(!first.cache_hit);
-        assert!(timing.total_us > 0.0);
-        assert!(timing.execute_us > 0.0);
-        assert!(
-            timing.compile_us > 0.0,
-            "the first request of a shape pays the compile"
-        );
-        assert!(
-            timing.tune_us <= timing.compile_us,
-            "tuning is inside compile"
-        );
-        assert!(timing.accounted_us() <= timing.total_us * 1.001);
-        // Same shape again: served off the cache, so no compile share.
-        let second = engine
-            .submit(Request::softmax(random_matrix(2, 64, 2, -1.0, 1.0)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(second.cache_hit);
-        assert_eq!(second.timing().compile_us, 0.0);
-        assert_eq!(second.timing().tune_us, 0.0);
-        // The stage histograms saw both requests.
-        let metrics = engine.metrics();
-        let e2e = metrics.stages.iter().find(|s| s.stage == "e2e").unwrap();
-        assert_eq!(e2e.wall.count, 2);
-        let compile = metrics
-            .stages
-            .iter()
-            .find(|s| s.stage == "compile")
-            .unwrap();
-        assert_eq!(compile.wall.count, 1, "cache hits record no compile sample");
-    }
-
-    #[test]
-    fn full_tracing_exports_a_valid_nested_chrome_trace() {
-        let engine = Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(2)
-                .max_batch(4)
-                .trace_level(rf_trace::TraceLevel::Full)
-                .build()
-                .unwrap(),
-        );
-        let tickets: Vec<Ticket> = (0..8)
-            .map(|seed| {
-                engine
-                    .submit(Request::softmax(random_matrix(2, 32, seed, -1.0, 1.0)))
-                    .unwrap()
-            })
-            .collect();
-        engine.run_until_drained();
-        let responses: Vec<Response> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-        let snapshot = engine.trace_snapshot();
-        assert_eq!(snapshot.dropped, 0);
-        // Every lifecycle stage appears, plus worker iteration spans.
-        for name in ["submit", "queue", "execute", "deliver", "iteration"] {
-            assert!(
-                snapshot.events.iter().any(|e| e.name == name),
-                "trace must contain `{name}` events"
-            );
-        }
-        let json = engine.chrome_trace();
-        // Every event renders under the one engine process.
-        assert_eq!(json.matches("\"process_name\"").count(), 1);
-        let stats = rf_trace::validate_chrome_trace(&json).expect("trace must be well-formed");
-        assert!(stats.spans >= 8 * 2, "≥ queue+execute per request");
-        assert!(stats.request_tracks >= 1);
-        // The sampled request's spans account for its reported e2e latency.
-        let sampled = &responses[0];
-        let span_sum: f64 = snapshot
-            .events
-            .iter()
-            .filter(|e| e.request == Some(sampled.id) && e.dur_us > 0.0)
-            .map(|e| e.dur_us)
-            .sum();
-        let total = sampled.timing().total_us;
-        assert!(
-            span_sum <= total * 1.001 && span_sum >= total * 0.9,
-            "request spans must sum to within 10% of the e2e latency \
-             (spans {span_sum:.1} us vs e2e {total:.1} us)"
-        );
-    }
-
-    #[test]
-    fn tracing_off_records_no_spans_but_still_times_responses() {
-        let engine = Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(1)
-                .trace(rf_trace::TraceConfig::off())
-                .build()
-                .unwrap(),
-        );
-        let response = engine
-            .submit(Request::softmax(random_matrix(2, 32, 7, -1.0, 1.0)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(
-            response.timing().total_us > 0.0,
-            "timing is always measured"
-        );
-        assert!(engine.trace_snapshot().events.is_empty());
-        assert_eq!(engine.trace_collector().dropped(), 0);
-        let metrics = engine.metrics();
-        assert_eq!(metrics.trace_level, rf_trace::TraceLevel::Off);
-        assert!(metrics.stages.iter().all(|s| s.wall.count == 0));
-        assert!(metrics.lanes.iter().all(|l| l.wall.count == 0));
-        // The simulated-latency statistic is on at every level; a batch is
-        // recorded once its iteration finishes.
-        engine.run_until_drained();
-        assert_eq!(engine.metrics().lifetime.count, 1);
-    }
-
-    #[test]
-    fn graph_submissions_time_their_execute_stage() {
-        use rf_graph::builders;
-        let engine = Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(1)
-                .trace_level(rf_trace::TraceLevel::Full)
-                .build()
-                .unwrap(),
-        );
-        let graph = Arc::new(builders::moe_block(4, 8, 4));
-        let bindings: Vec<(String, rf_workloads::Matrix)> = builders::moe_block_inputs(4, 8, 4, 3)
-            .into_iter()
-            .map(|(n, m)| (n.to_string(), m))
-            .collect();
-        let response = engine
-            .submit(Submission::graph(graph, bindings))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let timing = response.timing();
-        assert!(timing.execute_us > 0.0);
-        assert_eq!(
-            timing.compile_us, 0.0,
-            "region compiles hide inside execute"
-        );
-        assert!(timing.total_us >= timing.execute_us);
-        let snapshot = engine.trace_snapshot();
-        assert!(snapshot
-            .events
-            .iter()
-            .any(|e| e.name == "execute" && e.class == Some("graph")));
-        rf_trace::validate_chrome_trace(&engine.chrome_trace()).expect("graph trace well-formed");
-    }
-
-    #[test]
-    fn rates_over_an_interval_are_differences_of_exported_counters() {
-        const BURST: u64 = 6;
-        let engine = tiny_engine(2);
-        let burst = |first_seed: u64| {
-            let tickets: Vec<Ticket> = (first_seed..first_seed + BURST)
-                .map(|seed| {
-                    engine
-                        .submit(Request::softmax(random_matrix(4, 64, seed, -1.0, 1.0)))
-                        .unwrap()
-                })
-                .collect();
-            engine.run_until_drained();
-            for ticket in tickets {
-                ticket.wait().unwrap();
-            }
-        };
-        // The first burst pays the compile; the interval is the second.
-        burst(0);
-        let before = engine.metrics();
-        burst(BURST);
-        let after = engine.metrics();
-        assert_eq!(after.trace_level, rf_trace::TraceLevel::Histograms);
-        assert_eq!(after.completed - before.completed, BURST);
-        assert!(after.batches - before.batches >= 1);
-        assert!(after.busy_us - before.busy_us > 0.0);
-        // The busy time is exported as a counter; no windowed gauge is.
-        let text = after.prometheus();
-        let busy = format!("redfuser_sim_busy_us_total {}", after.busy_us);
-        assert!(text.lines().any(|line| line == busy), "{text}");
-        assert!(!text.contains("window"), "{text}");
-    }
-
-    #[test]
-    fn op_profiler_captures_folded_stacks_only_when_enabled() {
-        let engine = Engine::with_config(
-            GpuArch::a10(),
-            RuntimeConfig::builder()
-                .workers(1)
-                .trace(rf_trace::TraceConfig::default().with_profile(true))
-                .build()
-                .unwrap(),
-        );
-        engine
-            .submit(Request::softmax(random_matrix(4, 64, 1, -2.0, 2.0)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        let profile = engine.op_profile();
-        assert!(!profile.is_empty(), "profiling was on");
-        let folded = profile.folded();
-        let frames = rf_trace::validate_folded(&folded).expect("folded output validates");
-        assert!(frames >= 3, "softmax runs several op kinds, got {frames}");
-        assert!(
-            folded
-                .lines()
-                .all(|l| l.starts_with("softmax;softmax_4x64;")),
-            "frames are class;region;op:\n{folded}"
-        );
-        // Without the opt-in the profiler records nothing.
-        let plain = tiny_engine(1);
-        plain
-            .submit(Request::softmax(random_matrix(4, 64, 1, -2.0, 2.0)))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(plain.op_profile().is_empty());
-    }
-}
+mod tests;

@@ -23,20 +23,16 @@ use rf_workloads::Matrix;
 use crate::cache::PlanCache;
 use crate::metrics::RuntimeMetrics;
 use crate::request::RuntimeError;
+use crate::submit::GraphStats;
 
 /// The result of serving one graph end-to-end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphResponse {
     /// The graph's declared outputs, in declaration order.
     pub outputs: Vec<Matrix>,
-    /// Fused region steps executed.
-    pub fused_regions: usize,
-    /// Graph ops covered by fused regions.
-    pub fused_ops: usize,
-    /// Glue ops executed unfused.
-    pub glue_ops: usize,
-    /// Region steps whose compiled plan came from the plan cache.
-    pub region_cache_hits: usize,
+    /// The region and glue counters; the engine returns them on the graph's
+    /// [`crate::Response`].
+    pub stats: GraphStats,
     /// Total simulated latency of the plan on the analytical GPU model:
     /// every fused region's tuned kernel plus one launch per glue op, in
     /// microseconds.
@@ -150,10 +146,12 @@ pub fn execute_graph_plan<S: AsRef<str>>(
         .collect::<Result<Vec<_>, _>>()?;
     Ok(GraphResponse {
         outputs,
-        fused_regions: region_lookups,
-        fused_ops,
-        glue_ops,
-        region_cache_hits: region_hits,
+        stats: GraphStats {
+            fused_regions: region_lookups,
+            fused_ops,
+            glue_ops,
+            region_cache_hits: region_hits,
+        },
         simulated_us,
     })
 }
@@ -176,10 +174,10 @@ mod tests {
         assert_eq!(response.outputs.len(), 1);
         assert!(response.outputs[0].max_abs_diff(&reference[0]) < 1e-9);
         assert!(response.simulated_us.is_finite() && response.simulated_us > 0.0);
-        assert_eq!(response.region_cache_hits, 0);
+        assert_eq!(response.stats.region_cache_hits, 0);
         // Serving the same graph again hits the cached region plan.
         let again = execute_graph_plan(&cache, &arch, None, &graph, &plan, &inputs).unwrap();
-        assert_eq!(again.region_cache_hits, 1);
+        assert_eq!(again.stats.region_cache_hits, 1);
     }
 
     #[test]

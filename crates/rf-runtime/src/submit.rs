@@ -142,6 +142,15 @@ impl Submission {
         }
     }
 
+    /// The class the ledger and the spans file the submission under: the
+    /// workload's family, or `graph`.
+    pub(crate) fn class(&self) -> &'static str {
+        match self {
+            Submission::Workload { request, .. } => request.workload.class(),
+            Submission::Graph { .. } => "graph",
+        }
+    }
+
     /// A display label: the workload name, or `graph[N nodes]`.
     pub fn label(&self) -> String {
         match self {
@@ -174,11 +183,13 @@ pub struct GraphStats {
 /// engine regardless of trace level (a handful of monotonic-clock reads per
 /// request) and returned on every [`Response`] via [`Response::timing`].
 ///
-/// The stages tile the request's lifetime: `queue_us + compile_us +
-/// execute_us ≈ total_us` (plan-cache hits contribute a near-zero
-/// `compile_us`). `tune_us` is the auto-tuner share *inside* `compile_us`,
-/// not an additional stage. All times are host wall-clock microseconds —
-/// distinct from the *simulated* GPU latency in `Response::simulated_us`.
+/// The stages never overlap: `queue_us + compile_us + execute_us ≤ total_us`
+/// (plan-cache hits contribute a zero `compile_us`). The remainder is the
+/// time the request waited behind the batch-mates served before it, plus
+/// bookkeeping; for the first member of a batch it is bookkeeping only.
+/// `tune_us` is the auto-tuner share *inside* `compile_us`, not an additional
+/// stage. All times are host wall-clock microseconds — distinct from the
+/// *simulated* GPU latency in `Response::simulated_us`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestTiming {
     /// Submission accepted → the iteration that served it formed.
@@ -188,8 +199,9 @@ pub struct RequestTiming {
     pub compile_us: f64,
     /// Auto-tuner search time inside `compile_us` (zero on a cache hit).
     pub tune_us: f64,
-    /// Plan ready → this request's result delivered, including its share of
-    /// batch execution.
+    /// This request's own execution: its kernel call (for a graph: the
+    /// partition and every step) → its result delivered. Batch-mates served
+    /// before it are not in it.
     pub execute_us: f64,
     /// Submission accepted → result delivered, end to end.
     pub total_us: f64,
@@ -200,8 +212,8 @@ pub struct RequestTiming {
 }
 
 impl RequestTiming {
-    /// The part of `total_us` attributed to the three pipeline stages;
-    /// the remainder (if any) is scheduler/bookkeeping overhead.
+    /// The part of `total_us` attributed to the three pipeline stages; the
+    /// remainder is the wait behind earlier batch-mates plus bookkeeping.
     pub fn accounted_us(&self) -> f64 {
         self.queue_us + self.compile_us + self.execute_us
     }

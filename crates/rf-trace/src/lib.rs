@@ -61,8 +61,8 @@ pub enum Stage {
     /// The auto-tuner search inside a compile (a subset of
     /// [`Stage::Compile`]'s wall time).
     Tune,
-    /// Plan ready → this request's result delivered (includes its share of
-    /// batch execution). Span name `"execute"`.
+    /// This request's own execution → its result delivered (the batch-mates
+    /// served before it are not in it). Span name `"execute"`.
     Execute,
     /// Submission accepted → result delivered, end to end.
     EndToEnd,

@@ -60,9 +60,10 @@ pub fn main() {
     engine.run_until_drained();
 
     // 3. Every response carries a wall-clock breakdown: queue wait, plan
-    //    acquisition (compile + tune on a cache miss, ~0 on a hit), execute
-    //    share and the end-to-end total, plus how many engine iterations the
-    //    request sat out. The stages tile the total by construction.
+    //    acquisition (compile + tune on a cache miss, ~0 on a hit), its own
+    //    execution and the end-to-end total, plus how many engine iterations
+    //    the request sat out. The stages never overlap, so they sum to at
+    //    most the total; the rest is the wait behind earlier batch-mates.
     println!("per-request wall-clock breakdowns (first four + the graph):");
     let responses: Vec<_> = tickets
         .into_iter()

@@ -158,6 +158,18 @@ fn graph_serving_reports_missing_inputs() {
     let engine = tiny_engine();
     let err = serve_graph(&engine, &graph, &[]).unwrap_err();
     assert!(err.to_string().contains("not bound"));
+    // A failed graph goes through the same ledger as a failed request.
+    engine.run_until_drained();
+    let metrics = engine.metrics();
+    assert_eq!(
+        (metrics.submitted, metrics.completed, metrics.failed),
+        (1, 0, 1)
+    );
+    let class = &metrics.classes[0];
+    assert_eq!(
+        (class.class, class.completed, class.failed, class.batches),
+        ("graph", 0, 1, 1)
+    );
 }
 
 /// Simulated latency of executing a fused plan: each region's tuned compiled
