@@ -113,6 +113,48 @@ impl Workload {
         }
     }
 
+    /// The reduction semantics the executable program binds — with the inner
+    /// dimensions this workload fixes, the family's input contract
+    /// ([`Semantics::check`]).
+    #[inline]
+    pub fn semantics(&self) -> Semantics {
+        match self {
+            Workload::Mha(c) => Semantics::Attention {
+                qk_dim: c.hd,
+                head_dim: c.hd,
+            },
+            Workload::Mla(c) => Semantics::Attention {
+                qk_dim: c.qk_dim(),
+                head_dim: c.hd,
+            },
+            Workload::Moe(c) => Semantics::Routing {
+                topk: c.topk,
+                hidden: c.hd,
+            },
+            Workload::Quant(c) => Semantics::QuantGemm { n: c.n },
+            Workload::Variance(_) => Semantics::Variance,
+            Workload::Inertia(c) => Semantics::Inertia { dim: c.dim },
+            Workload::Softmax { .. } => Semantics::Softmax,
+        }
+    }
+
+    /// The `(rows, axis length)` a request for this workload must bring, in
+    /// the terms of [`Semantics::check`]'s result; `None` where any count is
+    /// served (variance, routing and quant + GEMM take any number of rows,
+    /// inertia any number of particles).
+    #[inline]
+    pub fn fixed_extents(&self) -> (Option<usize>, Option<usize>) {
+        match self {
+            Workload::Mha(c) => (Some(c.q), Some(c.kv)),
+            Workload::Mla(c) => (Some(1), Some(c.kv)),
+            Workload::Moe(c) => (None, Some(c.en)),
+            Workload::Quant(c) => (None, Some(c.k)),
+            Workload::Variance(c) => (None, Some(c.l)),
+            Workload::Inertia(_) => (None, None),
+            Workload::Softmax { rows, len } => (Some(*rows), Some(*len)),
+        }
+    }
+
     /// Number of reduction passes the tile-program lowering materialises for
     /// this workload: the cascade's reduction count, plus the segmented top-k
     /// selection pass for MoE routing that `rf_fusion::patterns` documents as
@@ -197,8 +239,9 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// [`ExecError::NotExecutable`] if the kernel carries no program, and the
-    /// VM's input/shape mismatch errors for tensors that do not feed the
-    /// program's binding.
+    /// VM's errors ([`ExecError::Input`] for tensors that break the binding's
+    /// [`Semantics::check`], [`ExecError::Value`] for a massless inertia
+    /// system).
     pub fn run(&self, input: &ExecInput<'_>) -> Result<ExecOutput, ExecError> {
         let program = self
             .program
@@ -246,16 +289,15 @@ fn attention_tiling_for(shape: &AttentionShape, point: &TuningPoint) -> Attentio
 
 /// Lowers an attention shape at one tuning point to a fully-bound program:
 /// the Figure 12b/13b tile structure plus the [`ExecBinding`] the VM needs.
-fn bound_attention_program(shape: &AttentionShape, point: &TuningPoint) -> TileProgram {
+fn bound_attention_program(
+    shape: &AttentionShape,
+    semantics: Semantics,
+    point: &TuningPoint,
+) -> TileProgram {
     let tiling = attention_tiling_for(shape, point);
     let mut program = attention_program(shape, &tiling, point.strategy());
     program.binding = Some(ExecBinding {
-        semantics: Semantics::Attention {
-            qk_dim: shape.qk_dim,
-            head_dim: shape.head_dim,
-        },
-        rows: shape.q_len,
-        axis_len: shape.kv_len,
+        semantics,
         block_rows: tiling.block_q,
         block_axis: tiling.block_kv,
         segments: (point.segments.max(1) as usize).min(shape.kv_len.max(1)),
@@ -299,8 +341,6 @@ fn bound_cascade_program(
     );
     program.binding = Some(ExecBinding {
         semantics,
-        rows,
-        axis_len,
         block_rows: point.block_rows.min(rows).max(1),
         block_axis: point.block_axis.min(axis_len.div_ceil(segments)).max(1),
         segments,
@@ -313,47 +353,25 @@ fn bound_cascade_program(
 /// point, exposed so verification harnesses can pin the point themselves and
 /// prove that tuning choices change cost, never results.
 pub fn executable_program(workload: &Workload, point: &TuningPoint) -> TileProgram {
-    let name = workload.name();
+    let semantics = workload.semantics();
+    let (rows, axis_len, element_bytes) = match workload {
+        Workload::Mha(c) => {
+            return bound_attention_program(&AttentionShape::from_mha(c), semantics, point)
+        }
+        Workload::Mla(c) => {
+            return bound_attention_program(&AttentionShape::from_mla(c), semantics, point)
+        }
+        Workload::Softmax { rows, len } => (*rows, *len, 2),
+        Workload::Variance(c) => (c.bs, c.l, 4),
+        Workload::Moe(c) => (c.s, c.en, 2),
+        Workload::Quant(c) => (c.m, c.k, 1),
+        Workload::Inertia(c) => (c.bs, c.n, 4),
+    };
     // The per-family reduction count comes from the canonical cascade spec
     // (`Workload::cascade_spec`), not a hand-maintained table.
     let num = workload.lowered_reductions();
-    match workload {
-        Workload::Mha(c) => bound_attention_program(&AttentionShape::from_mha(c), point),
-        Workload::Mla(c) => bound_attention_program(&AttentionShape::from_mla(c), point),
-        Workload::Softmax { rows, len } => {
-            bound_cascade_program(&name, num, *rows, *len, 2, Semantics::Softmax, point)
-        }
-        Workload::Variance(c) => {
-            bound_cascade_program(&name, num, c.bs, c.l, 4, Semantics::Variance, point)
-        }
-        Workload::Moe(c) => bound_cascade_program(
-            &name,
-            num,
-            c.s,
-            c.en,
-            2,
-            Semantics::Routing { topk: c.topk },
-            point,
-        ),
-        Workload::Quant(c) => bound_cascade_program(
-            &name,
-            num,
-            c.m,
-            c.k,
-            1,
-            Semantics::QuantGemm { n: c.n },
-            point,
-        ),
-        Workload::Inertia(c) => bound_cascade_program(
-            &name,
-            num,
-            c.bs,
-            c.n,
-            4,
-            Semantics::Inertia { dim: c.dim },
-            point,
-        ),
-    }
+    let name = workload.name();
+    bound_cascade_program(&name, num, rows, axis_len, element_bytes, semantics, point)
 }
 
 fn tuner_for(arch: &GpuArch, class: &'static str, opts: &CompileOptions) -> AutoTuner {
@@ -402,10 +420,9 @@ fn tune_then_lower(
 }
 
 fn tuned_attention(
+    workload: &Workload,
     shape: AttentionShape,
     arch: &GpuArch,
-    name: &str,
-    class: &'static str,
     opts: &CompileOptions,
 ) -> CompiledKernel {
     // Canonicalization mirrors the clamps `attention_program` applies, so two
@@ -436,23 +453,21 @@ fn tuned_attention(
         normalize: Some(&normalize),
         footprint: Some(&footprint),
     };
-    tune_then_lower(name, tuner_for(arch, class, opts), hooks, profile, |p| {
-        bound_attention_program(&shape, p)
+    let tuner = tuner_for(arch, workload.class(), opts);
+    tune_then_lower(&workload.name(), tuner, hooks, profile, |p| {
+        bound_attention_program(&shape, workload.semantics(), p)
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn tuned_cascade(
-    name: &str,
-    num_reductions: usize,
+    workload: &Workload,
     rows: usize,
     axis_len: usize,
-    semantics: Semantics,
     arch: &GpuArch,
-    class: &'static str,
     opts: &CompileOptions,
 ) -> CompiledKernel {
     const ELEMENT_BYTES: u32 = 2;
+    let (name, num_reductions) = (&workload.name(), workload.lowered_reductions());
     // Mirror the clamps of `tensorize_cascade`: the cascade is lowered with
     // `rows * segments` effective rows over `ceil(axis_len / segments)` axis
     // elements per segment, so larger tile sizes collapse onto those bounds.
@@ -483,7 +498,9 @@ fn tuned_cascade(
         normalize: Some(&normalize),
         footprint: Some(&footprint),
     };
-    tune_then_lower(name, tuner_for(arch, class, opts), hooks, profile, |p| {
+    let tuner = tuner_for(arch, workload.class(), opts);
+    tune_then_lower(name, tuner, hooks, profile, |p| {
+        let semantics = workload.semantics();
         bound_cascade_program(
             name,
             num_reductions,
@@ -559,32 +576,10 @@ pub fn compile_workload_with(
     opts: &CompileOptions,
 ) -> CompiledKernel {
     let compile_started = Instant::now();
-    let class = workload.class();
     let mut kernel = match workload {
-        Workload::Mha(c) => tuned_attention(
-            AttentionShape::from_mha(c),
-            arch,
-            &workload.name(),
-            class,
-            opts,
-        ),
-        Workload::Mla(c) => tuned_attention(
-            AttentionShape::from_mla(c),
-            arch,
-            &workload.name(),
-            class,
-            opts,
-        ),
-        Workload::Softmax { rows, len } => tuned_cascade(
-            &workload.name(),
-            workload.lowered_reductions(),
-            *rows,
-            *len,
-            Semantics::Softmax,
-            arch,
-            class,
-            opts,
-        ),
+        Workload::Mha(c) => tuned_attention(workload, AttentionShape::from_mha(c), arch, opts),
+        Workload::Mla(c) => tuned_attention(workload, AttentionShape::from_mla(c), arch, opts),
+        Workload::Softmax { rows, len } => tuned_cascade(workload, *rows, *len, arch, opts),
         Workload::Moe(c) => {
             // Scoring GEMM + softmax + top-k fused into one pass over experts.
             let correction_flops = 6 * (c.s * c.en) as u64;
@@ -885,7 +880,14 @@ mod tests {
                 );
                 assert_eq!(
                     attention_profile(shape, &attention_tiling_for(shape, p), p.strategy()),
-                    KernelProfile::from_tile_program(&bound_attention_program(shape, p)),
+                    KernelProfile::from_tile_program(&bound_attention_program(
+                        shape,
+                        Semantics::Attention {
+                            qk_dim: shape.qk_dim,
+                            head_dim: shape.head_dim
+                        },
+                        p
+                    )),
                     "{shape:?} at clamped {p:?}"
                 );
             }

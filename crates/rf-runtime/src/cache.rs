@@ -1,10 +1,11 @@
 //! The compiled-plan cache: one tuned [`CompiledKernel`] per
 //! `(workload, architecture)` pair, shared across worker threads.
 //!
-//! Compilation (detection, ACRF analysis, lowering, auto-tuning) costs
-//! milliseconds; a warm lookup costs a hash-map probe. The cache therefore
-//! amortizes the whole compiler pipeline across repeated request shapes, the
-//! way DNNFusion amortizes fusion analysis across repeated graphs.
+//! Compilation (auto-tuning, then lowering the chosen point; a workload names
+//! its cascade, so no detection or ACRF runs here) costs far more than a warm
+//! lookup, which is a hash-map probe. The cache therefore amortizes the
+//! compile across repeated request shapes, the way DNNFusion amortizes fusion
+//! analysis across repeated graphs.
 //!
 //! Concurrency design:
 //!

@@ -80,9 +80,11 @@ fn run_iteration(shared: &Shared, worker: usize, iteration: Iteration) {
     for queued in work {
         let outcome = catch_unwind(AssertUnwindSafe(|| batch.run(shared, &queued.submission)))
             .unwrap_or_else(|_| {
-                Err(RuntimeError::ExecutionFailed {
-                    workload: queued.submission.label(),
-                })
+                let workload = queued.submission.label();
+                Err(RuntimeError::execution_failed(
+                    workload,
+                    "the execution panicked",
+                ))
             });
         executed += usize::from(batch.deliver(shared, queued, outcome));
     }
@@ -313,11 +315,9 @@ fn run_workload(
         return shared.backend.execute(plan, request);
     }
     let region = request.workload.name();
-    let (output, profile) =
-        plan.run_profiled(&request.input.as_exec())
-            .map_err(|_| RuntimeError::ExecutionFailed {
-                workload: region.clone(),
-            })?;
+    let (output, profile) = plan
+        .run_profiled(&request.input.as_exec())
+        .map_err(|err| RuntimeError::execution_failed(region.clone(), err))?;
     for op in &profile.ops {
         shared.profiler.record(
             class,

@@ -208,10 +208,13 @@ fn failed_executions_are_counted_as_failures_not_completions() {
         )
         .unwrap();
     engine.run_until_drained();
-    assert!(matches!(
-        ticket.wait(),
-        Err(RuntimeError::ExecutionFailed { .. })
-    ));
+    let err = ticket.wait().unwrap_err();
+    assert!(matches!(err, RuntimeError::ExecutionFailed { .. }));
+    assert_eq!(err.code(), "execution_failed");
+    assert!(
+        err.to_string().contains("total mass must be positive"),
+        "the VM's reason reaches the ticket: {err}"
+    );
     let metrics = engine.metrics();
     assert_eq!(metrics.submitted, 1);
     assert_eq!(metrics.completed, 0);
@@ -685,7 +688,7 @@ fn a_panicking_kernel_fails_only_its_own_request() {
     assert_eq!(failed, [1], "only the panicking request fails");
     assert!(matches!(
         &outcomes[1],
-        Err(RuntimeError::ExecutionFailed { workload }) if workload == "softmax_2x16"
+        Err(RuntimeError::ExecutionFailed { workload, .. }) if workload == "softmax_2x16"
     ));
     for response in outcomes.iter().filter_map(|o| o.as_ref().ok()) {
         assert_eq!(response.batch_size, 4, "the four requests share a batch");

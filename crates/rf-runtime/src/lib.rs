@@ -11,8 +11,10 @@
 //!
 //! * [`PlanCache`] — a bounded, thread-safe LRU cache of tuned
 //!   [`rf_codegen::CompiledKernel`]s keyed by [`rf_codegen::PlanKey`]
-//!   (`(workload, arch)`), so detection, ACRF analysis, lowering and
-//!   auto-tuning run once per distinct shape instead of once per request;
+//!   (`(workload, arch)`), so auto-tuning and lowering run once per distinct
+//!   shape instead of once per request (a miss runs only those two: a
+//!   workload names its cascade, and ACRF runs in `rf-graph`'s detector and
+//!   partitioner, not here);
 //! * [`StreamScheduler`] — iteration-level continuous batching: each engine
 //!   iteration's batch is formed at the iteration boundary from whatever
 //!   shape-compatible work is queued, so a request submitted while a batch is

@@ -229,9 +229,9 @@ impl Drop for QueuedWork {
     /// returns instead of blocking forever.
     fn drop(&mut self) {
         if !self.state.delivered.load(Ordering::Acquire) {
-            self.deliver(Err(RuntimeError::ExecutionFailed {
-                workload: self.submission.label(),
-            }));
+            let workload = self.submission.label();
+            let detail = "the work was dropped before it was served";
+            self.deliver(Err(RuntimeError::execution_failed(workload, detail)));
         }
     }
 }
@@ -847,7 +847,7 @@ mod tests {
         drop(work);
         assert!(matches!(
             ticket.wait(),
-            Err(RuntimeError::ExecutionFailed { workload }) if workload == "softmax_2x16"
+            Err(RuntimeError::ExecutionFailed { workload, .. }) if workload == "softmax_2x16"
         ));
     }
 

@@ -119,6 +119,16 @@
 //! Inputs are borrowed views ([`ExecInput`]) so the serving hot path never
 //! copies a tensor; outputs ([`ExecOutput`]) are owned.
 //!
+//! # The input contract
+//!
+//! [`Semantics::check`] is each family's one input contract: the input kind,
+//! the inner dimensions, no empty row or reduction axis, `topk` in
+//! `1..=experts`. [`execute`] runs it once, before any kernel, and the kernels
+//! read their shapes without checking them again; the serving front door
+//! (`rf_runtime::validate`) runs the same check plus the row count and axis
+//! length its workload fixes. Only a value can still fail a call that passed
+//! it: an inertia system whose total mass is not positive.
+//!
 //! # Profiling
 //!
 //! The kernels are the only description of their loops. Each takes a
@@ -177,6 +187,8 @@ pub enum Semantics {
     Routing {
         /// Experts selected per token.
         topk: usize,
+        /// Routing width (columns of the activations, rows of the weights).
+        hidden: usize,
     },
     /// FP8 per-token quantization + GEMM: running abs-max with accumulator
     /// rescaling (Eq. 21–22), de-quantisation in the epilogue. Consumes
@@ -206,23 +218,148 @@ impl Semantics {
             Semantics::Inertia { .. } => "inertia",
         }
     }
+
+    /// The family's input contract — the one check the VM runs before a
+    /// kernel and the serving front door runs at submit: the input kind, the
+    /// inner dimensions this semantics fixes or the tensors must share, no
+    /// empty row or reduction axis and, for routing, `topk` in
+    /// `1..=experts`. Builds no string: a rejection is a typed
+    /// [`InputError`].
+    ///
+    /// Returns `(rows, axis length)`: the independent outputs and the length
+    /// of the reduction axis each of them runs over — an inertia input is
+    /// one system over its particles.
+    ///
+    /// # Errors
+    ///
+    /// The first rule `input` breaks.
+    #[inline]
+    pub fn check(&self, input: &ExecInput<'_>) -> Result<(usize, usize), InputError> {
+        let extents = match (*self, *input) {
+            (Semantics::Softmax | Semantics::Variance, ExecInput::Rows(m)) => (m.rows(), m.cols()),
+            (Semantics::Attention { qk_dim, head_dim }, ExecInput::Attention { q, k, v }) => {
+                InputError::same("q width", qk_dim, q.cols())?;
+                InputError::same("k width", qk_dim, k.cols())?;
+                InputError::same("v width", head_dim, v.cols())?;
+                InputError::same("v rows", k.rows(), v.rows())?;
+                (q.rows(), k.rows())
+            }
+            (Semantics::Routing { topk, hidden }, ExecInput::Routing { x, w }) => {
+                InputError::same("x width", hidden, x.cols())?;
+                InputError::same("w rows", hidden, w.rows())?;
+                if topk == 0 || topk > w.cols() {
+                    let experts = w.cols();
+                    return Err(InputError::TopK { topk, experts });
+                }
+                (x.rows(), w.cols())
+            }
+            (Semantics::QuantGemm { n }, ExecInput::QuantGemm { a, w }) => {
+                InputError::same("w rows", a.cols(), w.rows())?;
+                InputError::same("w width", n, w.cols())?;
+                if n == 0 {
+                    return Err(InputError::Empty { dim: "w width" });
+                }
+                (a.rows(), a.cols())
+            }
+            (Semantics::Inertia { dim }, ExecInput::Inertia { masses, positions }) => {
+                InputError::same("positions rows", masses.len(), positions.rows())?;
+                InputError::same("positions width", dim, positions.cols())?;
+                (1, masses.len())
+            }
+            _ => {
+                let expected = match self {
+                    Semantics::Softmax | Semantics::Variance => "row-matrix",
+                    Semantics::Attention { .. } => "attention (q/k/v)",
+                    Semantics::Routing { .. } => "routing (x/w)",
+                    Semantics::QuantGemm { .. } => "quant-gemm (a/w)",
+                    Semantics::Inertia { .. } => "inertia (masses/positions)",
+                };
+                let got = input.kind();
+                return Err(InputError::Kind { expected, got });
+            }
+        };
+        match extents {
+            (0, _) => Err(InputError::Empty { dim: "rows" }),
+            (_, 0) => Err(InputError::Empty { dim: "axis" }),
+            extents => Ok(extents),
+        }
+    }
+}
+
+/// Why input tensors break a family's contract ([`Semantics::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InputError {
+    /// The input variant feeds another family.
+    Kind {
+        /// The input kind the semantics require.
+        expected: &'static str,
+        /// The input kind that was provided.
+        got: &'static str,
+    },
+    /// A tensor extent differs from the one it must equal.
+    Extent {
+        /// Which dimension (`"k width"`, `"rows"`, …).
+        dim: &'static str,
+        /// The extent it must have.
+        expected: usize,
+        /// The extent it has.
+        got: usize,
+    },
+    /// An axis the kernel reduces over or writes along is empty.
+    Empty {
+        /// Which axis.
+        dim: &'static str,
+    },
+    /// Routing's `topk` is outside `1..=experts`.
+    TopK {
+        /// Experts to select per token.
+        topk: usize,
+        /// Experts the weights score.
+        experts: usize,
+    },
+}
+
+impl InputError {
+    /// `Ok` when dimension `dim` is `expected`, else [`InputError::Extent`].
+    ///
+    /// # Errors
+    ///
+    /// [`InputError::Extent`] when `got != expected`.
+    pub fn same(dim: &'static str, expected: usize, got: usize) -> Result<(), InputError> {
+        let error = InputError::Extent { dim, expected, got };
+        (got == expected).then_some(()).ok_or(error)
+    }
+}
+
+impl fmt::Display for InputError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InputError::Kind { expected, got } => write!(f, "requires {expected} input, got {got}"),
+            InputError::Extent { dim, expected, got } => {
+                write!(f, "{dim} must be {expected}, got {got}")
+            }
+            InputError::Empty { dim } => write!(f, "{dim} must be non-empty"),
+            InputError::TopK { topk, experts } => {
+                write!(f, "topk ({topk}) must be in 1..={experts} (expert count)")
+            }
+        }
+    }
 }
 
 /// Everything the VM needs to run a [`TileProgram`]: the cascade semantics
 /// plus the clamped loop extents of the tuned launch configuration.
 ///
-/// The extents are the *compiled* shape; at execution time each is re-clamped
-/// to the live input (`block_rows` to the actual row count, `block_axis` to
-/// the per-segment axis length, `segments` to the axis length), mirroring the
-/// clamps `rf-codegen` applies when it lowers a raw tuning point.
+/// The extents are clamped to the compiled shape; at execution time each is
+/// re-clamped to the live input (`block_rows` to the actual row count,
+/// `block_axis` to the per-segment axis length, `segments` to the axis
+/// length), mirroring the clamps `rf-codegen` applies when it lowers a raw
+/// tuning point. The row count and axis length themselves are read from the
+/// input; the ones a served workload fixes are its own
+/// (`rf_codegen::Workload::fixed_extents`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecBinding {
     /// The reduction template the program instantiates.
     pub semantics: Semantics,
-    /// Independent reduction rows of the compiled shape.
-    pub rows: usize,
-    /// Length of the shared reduction axis of the compiled shape.
-    pub axis_len: usize,
     /// Rows per block tile (the tuned `block_rows`, already clamped).
     pub block_rows: usize,
     /// Axis elements per main-loop iteration (the tuned `block_axis`, already
@@ -234,8 +371,7 @@ pub struct ExecBinding {
 }
 
 /// Borrowed input tensors for one program execution. Each variant feeds one
-/// [`Semantics`] family; the VM rejects mismatches with
-/// [`ExecError::InputMismatch`].
+/// [`Semantics`] family; [`Semantics::check`] says whether it can.
 #[derive(Debug, Clone, Copy)]
 pub enum ExecInput<'a> {
     /// Independent rows reduced along the row axis (softmax, variance).
@@ -306,21 +442,21 @@ pub enum ExecError {
         /// Name of the program.
         program: String,
     },
-    /// The input variant does not feed the program's semantics.
-    InputMismatch {
+    /// The input breaks the contract of the program's semantics
+    /// ([`Semantics::check`]).
+    Input {
         /// Name of the program.
         program: String,
-        /// The input kind the semantics require.
-        expected: &'static str,
-        /// The input kind that was provided.
-        got: &'static str,
+        /// The rule the input breaks.
+        error: InputError,
     },
-    /// The input tensor shapes disagree with the binding.
-    ShapeMismatch {
+    /// The input's values cannot be reduced (an inertia system whose total
+    /// mass is not positive).
+    Value {
         /// Name of the program.
         program: String,
-        /// Human-readable description of the disagreement.
-        detail: String,
+        /// What is wrong with the values.
+        detail: &'static str,
     },
 }
 
@@ -330,17 +466,8 @@ impl fmt::Display for ExecError {
             ExecError::NotExecutable { program } => {
                 write!(f, "program `{program}` carries no execution binding")
             }
-            ExecError::InputMismatch {
-                program,
-                expected,
-                got,
-            } => write!(
-                f,
-                "program `{program}` requires {expected} input, got {got}"
-            ),
-            ExecError::ShapeMismatch { program, detail } => {
-                write!(f, "program `{program}`: {detail}")
-            }
+            ExecError::Input { program, error } => write!(f, "program `{program}`: {error}"),
+            ExecError::Value { program, detail } => write!(f, "program `{program}`: {detail}"),
         }
     }
 }
@@ -356,9 +483,10 @@ impl std::error::Error for ExecError {}
 ///
 /// # Errors
 ///
-/// [`ExecError::NotExecutable`] for unbound programs,
-/// [`ExecError::InputMismatch`] / [`ExecError::ShapeMismatch`] when the input
-/// cannot feed the binding.
+/// [`ExecError::NotExecutable`] for unbound programs, [`ExecError::Input`]
+/// when the input breaks the contract of the binding's semantics
+/// ([`Semantics::check`]), [`ExecError::Value`] for an inertia system without
+/// positive mass.
 pub fn execute(program: &TileProgram, input: &ExecInput<'_>) -> Result<ExecOutput, ExecError> {
     run::<()>(available_cores(), program, input).map(|(output, ())| output)
 }
@@ -377,42 +505,34 @@ fn run<K: Tally>(
         .ok_or_else(|| ExecError::NotExecutable {
             program: program.name.clone(),
         })?;
-    let name = &program.name;
-    let launch = Launch {
-        name,
-        binding,
-        threads,
-    };
-    match (&binding.semantics, input) {
-        (Semantics::Softmax, ExecInput::Rows(m)) => exec_softmax(launch, m),
-        (Semantics::Variance, ExecInput::Rows(m)) => exec_variance(launch, m),
+    binding
+        .semantics
+        .check(input)
+        .map_err(|error| ExecError::Input {
+            program: program.name.clone(),
+            error,
+        })?;
+    // The contract holds: every kernel below reads shapes it may trust.
+    Ok(match (binding.semantics, *input) {
+        (Semantics::Softmax, ExecInput::Rows(m)) => exec_softmax(binding, threads, m),
+        (Semantics::Variance, ExecInput::Rows(m)) => exec_variance(binding, threads, m),
         (Semantics::Attention { qk_dim, head_dim }, ExecInput::Attention { q, k, v }) => {
-            exec_attention(launch, *qk_dim, *head_dim, q, k, v)
+            exec_attention(binding, threads, qk_dim, head_dim, q, k, v)
         }
-        (Semantics::Routing { topk }, ExecInput::Routing { x, w }) => {
-            exec_routing(launch, *topk, x, w)
+        (Semantics::Routing { topk, .. }, ExecInput::Routing { x, w }) => {
+            exec_routing(binding, threads, topk, x, w)
         }
         (Semantics::QuantGemm { n }, ExecInput::QuantGemm { a, w }) => {
-            exec_quant_gemm(launch, *n, a, w)
+            exec_quant_gemm(binding, threads, n, a, w)
         }
         (Semantics::Inertia { dim }, ExecInput::Inertia { masses, positions }) => {
-            exec_inertia(name, binding, *dim, masses, positions)
+            exec_inertia(binding, dim, masses, positions).ok_or_else(|| ExecError::Value {
+                program: program.name.clone(),
+                detail: "total mass must be positive",
+            })?
         }
-        (semantics, other) => Err(ExecError::InputMismatch {
-            program: name.clone(),
-            expected: expected_kind(semantics),
-            got: other.kind(),
-        }),
-    }
-}
-
-/// What a row-parallel kernel is launched with besides its tensors.
-struct Launch<'a> {
-    /// Program name, for error messages.
-    name: &'a str,
-    binding: &'a ExecBinding,
-    /// Upper bound on the threads the grid is split over.
-    threads: usize,
+        _ => unreachable!("`Semantics::check` admits only the family's input kind"),
+    })
 }
 
 /// What one exponential and one FP8 rounding cost in multiply-adds of a
@@ -584,28 +704,6 @@ fn f64_bytes(elements: usize) -> u64 {
     (elements * std::mem::size_of::<f64>()) as u64
 }
 
-fn expected_kind(semantics: &Semantics) -> &'static str {
-    match semantics {
-        Semantics::Softmax | Semantics::Variance => "row-matrix",
-        Semantics::Attention { .. } => "attention (q/k/v)",
-        Semantics::Routing { .. } => "routing (x/w)",
-        Semantics::QuantGemm { .. } => "quant-gemm (a/w)",
-        Semantics::Inertia { .. } => "inertia (masses/positions)",
-    }
-}
-
-fn shape_err(program: &str, detail: impl Into<String>) -> ExecError {
-    ExecError::ShapeMismatch {
-        program: program.to_string(),
-        detail: detail.into(),
-    }
-}
-
-/// `[rows x cols]` of `m`, for error messages.
-fn dims(m: &Matrix) -> String {
-    format!("[{}x{}]", m.rows(), m.cols())
-}
-
 /// The contiguous pieces of `[start, end)` that are `step` elements long (the
 /// last one shorter): the main-loop tiles of a segment.
 fn chunks(start: usize, end: usize, step: usize) -> impl Pieces {
@@ -761,12 +859,8 @@ impl OnlineStats {
     }
 }
 
-fn exec_softmax<K: Tally>(launch: Launch<'_>, m: &Matrix) -> Result<(ExecOutput, K), ExecError> {
-    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
+fn exec_softmax<K: Tally>(binding: &ExecBinding, threads: usize, m: &Matrix) -> (ExecOutput, K) {
     let (rows, len) = (m.rows(), m.cols());
-    if rows == 0 || len == 0 {
-        return Err(shape_err(name, "softmax input must be non-empty"));
-    }
     let segments = segment_ranges(len, binding.segments);
     let tiles = |(start, end)| chunks(start, end, binding.block_axis);
     let n_tiles = segments.clone().flat_map(tiles).count();
@@ -823,7 +917,7 @@ fn exec_softmax<K: Tally>(launch: Launch<'_>, m: &Matrix) -> Result<(ExecOutput,
     };
     let ranges = for_row_ranges(threads, rows, 1, len * EXP_WORK, &mut out, len, body);
     let out = Matrix::from_vec(rows, len, out);
-    Ok((ExecOutput::Matrix(out), K::sum(ranges)))
+    (ExecOutput::Matrix(out), K::sum(ranges))
 }
 
 /// Sum and sum of squares of `N` rows, each segment's partial added to the
@@ -857,12 +951,8 @@ fn sum_and_squares<const N: usize>(
     totals
 }
 
-fn exec_variance<K: Tally>(launch: Launch<'_>, m: &Matrix) -> Result<(ExecOutput, K), ExecError> {
-    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
+fn exec_variance<K: Tally>(binding: &ExecBinding, threads: usize, m: &Matrix) -> (ExecOutput, K) {
     let (rows, len) = (m.rows(), m.cols());
-    if rows == 0 || len == 0 {
-        return Err(shape_err(name, "variance input must be non-empty"));
-    }
     let segments = segment_ranges(len, binding.segments);
     let finish = |(sum, sum_sq): (f64, f64)| {
         let n = len as f64;
@@ -887,32 +977,19 @@ fn exec_variance<K: Tally>(launch: Launch<'_>, m: &Matrix) -> Result<(ExecOutput
         }
         tally
     });
-    Ok((ExecOutput::Values(out), K::sum(ranges)))
+    (ExecOutput::Values(out), K::sum(ranges))
 }
 
 fn exec_attention<K: Tally>(
-    launch: Launch<'_>,
+    binding: &ExecBinding,
+    threads: usize,
     qk_dim: usize,
     head_dim: usize,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
-) -> Result<(ExecOutput, K), ExecError> {
-    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
-    if q.cols() != qk_dim || k.cols() != qk_dim {
-        let (q, k) = (dims(q), dims(k));
-        let detail = format!("q/k width must be {qk_dim}, got q {q}, k {k}");
-        return Err(shape_err(name, detail));
-    }
-    if v.cols() != head_dim || v.rows() != k.rows() {
-        let (kv, v) = (k.rows(), dims(v));
-        let detail = format!("v must be [{kv}x{head_dim}], got {v}");
-        return Err(shape_err(name, detail));
-    }
+) -> (ExecOutput, K) {
     let (q_rows, kv_len) = (q.rows(), k.rows());
-    if q_rows == 0 || kv_len == 0 {
-        return Err(shape_err(name, "attention input must be non-empty"));
-    }
     let scale = 1.0 / (qk_dim.max(1) as f64).sqrt();
     let segments = segment_ranges(kv_len, binding.segments);
     let n_segments = segments.len();
@@ -1011,7 +1088,7 @@ fn exec_attention<K: Tally>(
     };
     let ranges = for_row_ranges(row_par, q_rows, 1, work_per_row, &mut out, head_dim, body);
     let out = Matrix::from_vec(q_rows, head_dim, out);
-    Ok((ExecOutput::Matrix(out), K::sum(ranges)))
+    (ExecOutput::Matrix(out), K::sum(ranges))
 }
 
 /// One streaming top-k candidate.
@@ -1034,25 +1111,13 @@ fn insert_candidate(best: &mut Vec<Candidate>, candidate: Candidate, topk: usize
 }
 
 fn exec_routing<K: Tally>(
-    launch: Launch<'_>,
+    binding: &ExecBinding,
+    threads: usize,
     topk: usize,
     x: &Matrix,
     w: &Matrix,
-) -> Result<(ExecOutput, K), ExecError> {
-    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
-    let (tokens, hidden) = (x.rows(), x.cols());
-    let (height, experts) = (w.rows(), w.cols());
-    if height != hidden {
-        let detail = format!("activation width {hidden} must match weight height {height}");
-        return Err(shape_err(name, detail));
-    }
-    if topk == 0 || topk > experts {
-        let detail = format!("topk ({topk}) must be in 1..={experts} (expert count)");
-        return Err(shape_err(name, detail));
-    }
-    if tokens == 0 || experts == 0 {
-        return Err(shape_err(name, "routing input must be non-empty"));
-    }
+) -> (ExecOutput, K) {
+    let (tokens, hidden, experts) = (x.rows(), x.cols(), w.cols());
     let segments = segment_ranges(experts, binding.segments);
     let work_per_row = experts * (hidden + EXP_WORK);
     let undecided = RoutingDecision {
@@ -1122,28 +1187,17 @@ fn exec_routing<K: Tally>(
         tally
     };
     let ranges = for_row_ranges(threads, tokens, 1, work_per_row, &mut decisions, 1, body);
-    Ok((ExecOutput::TopK(decisions), K::sum(ranges)))
+    (ExecOutput::TopK(decisions), K::sum(ranges))
 }
 
 fn exec_quant_gemm<K: Tally>(
-    launch: Launch<'_>,
+    binding: &ExecBinding,
+    threads: usize,
     n: usize,
     a: &Matrix,
     w: &Matrix,
-) -> Result<(ExecOutput, K), ExecError> {
-    let (name, binding, threads) = (launch.name, launch.binding, launch.threads);
-    let (m, k_len, height, width) = (a.rows(), a.cols(), w.rows(), w.cols());
-    if height != k_len {
-        let detail = format!("activation width {k_len} must match weight height {height}");
-        return Err(shape_err(name, detail));
-    }
-    if width != n {
-        let detail = format!("weight width {width} must match the bound GEMM width {n}");
-        return Err(shape_err(name, detail));
-    }
-    if m == 0 || k_len == 0 || n == 0 {
-        return Err(shape_err(name, "quant-gemm input must be non-empty"));
-    }
+) -> (ExecOutput, K) {
+    let (m, k_len) = (a.rows(), a.cols());
     let block_rows = binding.block_rows.clamp(1, m);
     let segments = segment_ranges(k_len, binding.segments);
     let work_per_row = k_len * (n + FP8_WORK);
@@ -1217,32 +1271,17 @@ fn exec_quant_gemm<K: Tally>(
     };
     let ranges = for_row_ranges(threads, m, block_rows, work_per_row, &mut out, n, body);
     let out = Matrix::from_vec(m, n, out);
-    Ok((ExecOutput::Matrix(out), K::sum(ranges)))
+    (ExecOutput::Matrix(out), K::sum(ranges))
 }
 
+/// `None` when the system's total mass is not positive.
 fn exec_inertia<K: Tally>(
-    name: &str,
     binding: &ExecBinding,
     dim: usize,
     masses: &[f64],
     positions: &Matrix,
-) -> Result<(ExecOutput, K), ExecError> {
-    if masses.len() != positions.rows() {
-        return Err(shape_err(
-            name,
-            format!("{} masses for {} positions", masses.len(), positions.rows()),
-        ));
-    }
-    if positions.cols() != dim {
-        return Err(shape_err(
-            name,
-            format!("positions must be [*x{dim}], got [*x{}]", positions.cols()),
-        ));
-    }
+) -> Option<(ExecOutput, K)> {
     let particles = masses.len();
-    if particles == 0 {
-        return Err(shape_err(name, "inertia input must be non-empty"));
-    }
     // One independent system per request: the cascade's axis is the particle
     // index; all three sufficient statistics are group-like sums, so tile
     // boundaries inside a segment do not show in the result.
@@ -1274,12 +1313,12 @@ fn exec_inertia<K: Tally>(
         weighted_sq += seg_weighted_sq;
     }
     if total_mass <= 0.0 {
-        return Err(shape_err(name, "total mass must be positive"));
+        return None;
     }
     let center_norm_sq: f64 = weighted.iter().map(|w| w * w).sum::<f64>() / total_mass;
     tally.add(Step::Epilogue, 1, 0, f64_bytes(1));
     let inertia = (weighted_sq - center_norm_sq).max(0.0);
-    Ok((ExecOutput::Values(vec![inertia]), tally))
+    Some((ExecOutput::Values(vec![inertia]), tally))
 }
 
 #[cfg(test)]
@@ -1290,18 +1329,11 @@ mod tests {
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
-    fn bound_program(
-        semantics: Semantics,
-        rows: usize,
-        axis: usize,
-        point: (usize, usize, usize),
-    ) -> TileProgram {
+    fn bound_program(semantics: Semantics, point: (usize, usize, usize)) -> TileProgram {
         let (block_rows, block_axis, segments) = point;
         let mut p = TileProgram::new("vm-test", 1, 128);
         p.binding = Some(ExecBinding {
             semantics,
-            rows,
-            axis_len: axis,
             block_rows,
             block_axis,
             segments,
@@ -1329,11 +1361,11 @@ mod tests {
         let positions = random_matrix(24, 3, 9, -1.0, 1.0);
         let cases: Vec<(TileProgram, ExecInput<'_>)> = vec![
             (
-                bound_program(Semantics::Softmax, 4, 64, (2, 16, 2)),
+                bound_program(Semantics::Softmax, (2, 16, 2)),
                 ExecInput::Rows(&m),
             ),
             (
-                bound_program(Semantics::Variance, 4, 64, (2, 16, 2)),
+                bound_program(Semantics::Variance, (2, 16, 2)),
                 ExecInput::Rows(&m),
             ),
             (
@@ -1342,8 +1374,6 @@ mod tests {
                         qk_dim: 16,
                         head_dim: 8,
                     },
-                    4,
-                    32,
                     (2, 8, 2),
                 ),
                 ExecInput::Attention {
@@ -1353,15 +1383,21 @@ mod tests {
                 },
             ),
             (
-                bound_program(Semantics::Routing { topk: 2 }, 6, 8, (2, 4, 2)),
+                bound_program(
+                    Semantics::Routing {
+                        topk: 2,
+                        hidden: 16,
+                    },
+                    (2, 4, 2),
+                ),
                 ExecInput::Routing { x: &x, w: &w },
             ),
             (
-                bound_program(Semantics::QuantGemm { n: 8 }, 4, 32, (2, 8, 2)),
+                bound_program(Semantics::QuantGemm { n: 8 }, (2, 8, 2)),
                 ExecInput::QuantGemm { a: &a, w: &wq },
             ),
             (
-                bound_program(Semantics::Inertia { dim: 3 }, 1, 24, (1, 8, 2)),
+                bound_program(Semantics::Inertia { dim: 3 }, (1, 8, 2)),
                 ExecInput::Inertia {
                     masses: &masses,
                     positions: &positions,
@@ -1400,7 +1436,7 @@ mod tests {
     #[test]
     fn profiled_counts_mirror_the_loop_structure() {
         let m = random_matrix(4, 64, 10, -3.0, 3.0);
-        let program = bound_program(Semantics::Softmax, 4, 64, (2, 16, 2));
+        let program = bound_program(Semantics::Softmax, (2, 16, 2));
         let ops = profile_of(&program, &ExecInput::Rows(&m));
         // 2 segments × 2 tiles each × 4 rows = 16 main-loop reductions.
         assert_eq!(op(&ops, "reduce").invocations, 16);
@@ -1409,7 +1445,7 @@ mod tests {
         assert_eq!(op(&ops, "combine").invocations, 4 * 2);
         assert_eq!(op(&ops, "epilogue").bytes_written, 4 * 64 * 8);
         // Single-Segment drops the combine op entirely.
-        let single = bound_program(Semantics::Softmax, 4, 64, (2, 16, 1));
+        let single = bound_program(Semantics::Softmax, (2, 16, 1));
         let ops = profile_of(&single, &ExecInput::Rows(&m));
         assert!(ops.iter().all(|o| o.op != "combine"));
     }
@@ -1419,7 +1455,7 @@ mod tests {
         // Tiles of 8 or 16 do not show in a plain sum's loop, so they do not
         // show in its counts either: one reduce per (row, segment).
         let m = random_matrix(4, 64, 10, -3.0, 3.0);
-        let program = bound_program(Semantics::Variance, 4, 64, (2, 16, 2));
+        let program = bound_program(Semantics::Variance, (2, 16, 2));
         let ops = profile_of(&program, &ExecInput::Rows(&m));
         let names: Vec<_> = ops.iter().map(|o| o.op).collect();
         assert_eq!(names, ["reduce", "combine", "epilogue"]);
@@ -1432,7 +1468,7 @@ mod tests {
             masses: &masses,
             positions: &positions,
         };
-        let program = bound_program(Semantics::Inertia { dim: 3 }, 1, 24, (1, 8, 2));
+        let program = bound_program(Semantics::Inertia { dim: 3 }, (1, 8, 2));
         let ops = profile_of(&program, &input);
         assert_eq!(op(&ops, "reduce").invocations, 2);
         assert_eq!(op(&ops, "reduce").bytes_read, 24 * (1 + 3) * 8);
@@ -1456,7 +1492,7 @@ mod tests {
                 qk_dim: 16,
                 head_dim: 8,
             };
-            let ops = profile_of(&bound_program(semantics, 4, 32, point), &input);
+            let ops = profile_of(&bound_program(semantics, point), &input);
             let written: u64 = ops.iter().map(|o| o.bytes_written).sum();
             assert_eq!(written, 4 * 8 * 8, "{point:?}");
             // Each query row reads every key and value once.
@@ -1468,7 +1504,13 @@ mod tests {
     fn routing_loads_a_token_once_per_tile() {
         let x = random_matrix(6, 16, 4, -1.0, 1.0);
         let w = random_matrix(16, 8, 5, -1.0, 1.0);
-        let program = bound_program(Semantics::Routing { topk: 2 }, 6, 8, (2, 4, 2));
+        let program = bound_program(
+            Semantics::Routing {
+                topk: 2,
+                hidden: 16,
+            },
+            (2, 4, 2),
+        );
         let ops = profile_of(&program, &ExecInput::Routing { x: &x, w: &w });
         // 6 tokens × 2 tiles of 4 experts: the token's 16 activations and
         // the tile's 16 × 4 weights per tile.
@@ -1480,7 +1522,7 @@ mod tests {
 
     #[test]
     fn profiled_execution_propagates_vm_errors() {
-        let program = bound_program(Semantics::Softmax, 2, 8, (2, 4, 1));
+        let program = bound_program(Semantics::Softmax, (2, 4, 1));
         let empty = Matrix::zeros(0, 0);
         assert!(execute_profiled(&program, &ExecInput::Rows(&empty)).is_err());
         let bare = TileProgram::new("bare", 1, 128);
@@ -1502,7 +1544,7 @@ mod tests {
 
     #[test]
     fn input_kind_mismatch_is_rejected() {
-        let p = bound_program(Semantics::Softmax, 2, 8, (2, 4, 1));
+        let p = bound_program(Semantics::Softmax, (2, 4, 1));
         let m = random_matrix(2, 8, 1, -1.0, 1.0);
         let err = execute(
             &p,
@@ -1512,7 +1554,13 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(matches!(err, ExecError::InputMismatch { .. }));
+        assert!(matches!(
+            err,
+            ExecError::Input {
+                error: InputError::Kind { .. },
+                ..
+            }
+        ));
         assert!(err.to_string().contains("row-matrix"));
     }
 
@@ -1582,7 +1630,7 @@ mod tests {
             let len = 18_000 * 15 / rows;
             let m = random_matrix(rows, len, 20, -3.0, 3.0);
             for point in [(4, 4096, 1), (2, 1000, 3)] {
-                let program = bound_program(Semantics::Softmax, rows, len, point);
+                let program = bound_program(Semantics::Softmax, point);
                 let work = rows * len * EXP_WORK;
                 assert_bits_ignore_the_thread_count(&program, &ExecInput::Rows(&m), work);
             }
@@ -1596,7 +1644,7 @@ mod tests {
         for rows in RAGGED_ROWS {
             let len = data.len() / rows;
             let m = Matrix::from_vec(rows, len, data.clone());
-            let program = bound_program(Semantics::Variance, rows, len, (4, 4096, 3));
+            let program = bound_program(Semantics::Variance, (4, 4096, 3));
             assert_bits_ignore_the_thread_count(&program, &ExecInput::Rows(&m), rows * len);
         }
     }
@@ -1615,8 +1663,7 @@ mod tests {
                 v: &v,
             };
             for point in [(4, 128, 1), (2, 100, 3)] {
-                let program =
-                    bound_program(Semantics::Attention { qk_dim, head_dim }, rows, kv, point);
+                let program = bound_program(Semantics::Attention { qk_dim, head_dim }, point);
                 assert_bits_ignore_the_thread_count(
                     &program,
                     &input,
@@ -1711,7 +1758,7 @@ mod tests {
                 qk_dim: self.q.cols(),
                 head_dim: self.v.cols(),
             };
-            bound_program(semantics, self.q.rows(), self.k.rows(), point)
+            bound_program(semantics, point)
         }
 
         fn input(&self) -> ExecInput<'_> {
@@ -1860,7 +1907,7 @@ mod tests {
             let w = random_matrix(hidden, experts, 5, -1.0, 1.0);
             let input = ExecInput::Routing { x: &x, w: &w };
             for point in [(4, 256, 1), (2, 100, 3)] {
-                let program = bound_program(Semantics::Routing { topk: 6 }, rows, experts, point);
+                let program = bound_program(Semantics::Routing { topk: 6, hidden }, point);
                 assert_bits_ignore_the_thread_count(&program, &input, rows * experts * hidden);
             }
         }
@@ -1877,7 +1924,7 @@ mod tests {
             // Row blocks of 4 and 2: 15 rows leave a short last block, and on
             // 2 threads `block_rows` 4 deals 8 + 7 rows.
             for point in [(4, 128, 1), (2, 100, 3)] {
-                let program = bound_program(Semantics::QuantGemm { n }, rows, k_len, point);
+                let program = bound_program(Semantics::QuantGemm { n }, point);
                 assert_bits_ignore_the_thread_count(&program, &input, rows * k_len * n);
             }
         }
@@ -1988,7 +2035,7 @@ mod tests {
                 .flat_map(|r| naive_softmax_row(m.row(r)))
                 .collect();
             for &point in points {
-                let program = bound_program(Semantics::Softmax, rows, len, point);
+                let program = bound_program(Semantics::Softmax, point);
                 let input = ExecInput::Rows(&m);
                 let out = if copies == 1 {
                     execute_with_threads(1, &program, &input).unwrap()
@@ -2104,15 +2151,15 @@ mod tests {
                 };
                 assert_eq!(experts(&out), experts(expected), "{name}");
             };
-            let program = |tokens: usize, len: usize, point| {
+            let program = |len: usize, point| {
                 let topk = len.min(3);
-                bound_program(Semantics::Routing { topk }, tokens, len, point)
+                bound_program(Semantics::Routing { topk, hidden: 1 }, point)
             };
             for (t, len) in hostile_axes() {
                 let (x, w, expected) = hostile_routing(hostile, t, len, 3);
                 let input = ExecInput::Routing { x: &x, w: &w };
                 for point in hostile_points(t) {
-                    let out = execute_with_threads(1, &program(3, len, point), &input).unwrap();
+                    let out = execute_with_threads(1, &program(len, point), &input).unwrap();
                     check(&expected, t, point, out);
                 }
             }
@@ -2121,7 +2168,7 @@ mod tests {
             let tokens = rows_that_split(work_per_row);
             let (x, w, expected) = hostile_routing(hostile, t, len, tokens);
             let input = ExecInput::Routing { x: &x, w: &w };
-            let program = program(tokens, len, point);
+            let program = program(len, point);
             let out = same_output_on(&[3], &program, &input, tokens * work_per_row);
             check(&expected, t, point, out);
         }
@@ -2131,7 +2178,7 @@ mod tests {
     fn softmax_matches_naive_for_every_tiling() {
         let m = random_matrix(5, 37, 3, -4.0, 4.0);
         for point in [(1, 1, 1), (2, 5, 1), (128, 16, 3), (5, 37, 7), (3, 4, 37)] {
-            let p = bound_program(Semantics::Softmax, 5, 37, point);
+            let p = bound_program(Semantics::Softmax, point);
             let ExecOutput::Matrix(out) = execute(&p, &ExecInput::Rows(&m)).unwrap() else {
                 panic!("softmax returns a matrix");
             };
@@ -2155,7 +2202,7 @@ mod tests {
             })
             .collect();
         for point in [(1, 53, 1), (4, 7, 2), (2, 1, 5)] {
-            let p = bound_program(Semantics::Variance, 4, 53, point);
+            let p = bound_program(Semantics::Variance, point);
             let ExecOutput::Values(out) = execute(&p, &ExecInput::Rows(&m)).unwrap() else {
                 panic!("variance returns values");
             };
@@ -2175,8 +2222,6 @@ mod tests {
                 qk_dim: 8,
                 head_dim: 5,
             },
-            6,
-            33,
             (128, 128, 1),
         );
         let input = ExecInput::Attention {
@@ -2193,8 +2238,6 @@ mod tests {
                     qk_dim: 8,
                     head_dim: 5,
                 },
-                6,
-                33,
                 point,
             );
             let ExecOutput::Matrix(out) = execute(&p, &input).unwrap() else {
@@ -2213,14 +2256,26 @@ mod tests {
         let w = random_matrix(12, 20, 5, -1.0, 1.0);
         let input = ExecInput::Routing { x: &x, w: &w };
         let reference = {
-            let p = bound_program(Semantics::Routing { topk: 4 }, 7, 20, (128, 128, 1));
+            let p = bound_program(
+                Semantics::Routing {
+                    topk: 4,
+                    hidden: 12,
+                },
+                (128, 128, 1),
+            );
             let ExecOutput::TopK(d) = execute(&p, &input).unwrap() else {
                 panic!()
             };
             d
         };
         for point in [(1, 3, 5), (3, 20, 2), (7, 1, 1)] {
-            let p = bound_program(Semantics::Routing { topk: 4 }, 7, 20, point);
+            let p = bound_program(
+                Semantics::Routing {
+                    topk: 4,
+                    hidden: 12,
+                },
+                point,
+            );
             let ExecOutput::TopK(out) = execute(&p, &input).unwrap() else {
                 panic!()
             };
@@ -2250,14 +2305,14 @@ mod tests {
                 expected.set(i, j, acc * scale);
             }
         }
-        let p = bound_program(Semantics::QuantGemm { n: 5 }, 3, 24, (128, 128, 1));
+        let p = bound_program(Semantics::QuantGemm { n: 5 }, (128, 128, 1));
         let ExecOutput::Matrix(out) = execute(&p, &ExecInput::QuantGemm { a: &a, w: &w }).unwrap()
         else {
             panic!()
         };
         assert!(expected.max_abs_diff(&out) < 1e-12);
         // Blocked execution stays within the provisional-scale noise floor.
-        let blocked = bound_program(Semantics::QuantGemm { n: 5 }, 3, 24, (1, 4, 3));
+        let blocked = bound_program(Semantics::QuantGemm { n: 5 }, (1, 4, 3));
         let ExecOutput::Matrix(out) =
             execute(&blocked, &ExecInput::QuantGemm { a: &a, w: &w }).unwrap()
         else {
@@ -2299,7 +2354,7 @@ mod tests {
                 .sum::<f64>()
         };
         for point in [(1, 40, 1), (1, 7, 3), (1, 1, 8)] {
-            let p = bound_program(Semantics::Inertia { dim: 3 }, 1, 40, point);
+            let p = bound_program(Semantics::Inertia { dim: 3 }, point);
             let ExecOutput::Values(out) = execute(
                 &p,
                 &ExecInput::Inertia {
@@ -2318,7 +2373,7 @@ mod tests {
     #[test]
     fn massless_systems_are_rejected_not_panicking() {
         let positions = Matrix::zeros(2, 3);
-        let p = bound_program(Semantics::Inertia { dim: 3 }, 1, 2, (1, 2, 1));
+        let p = bound_program(Semantics::Inertia { dim: 3 }, (1, 2, 1));
         let err = execute(
             &p,
             &ExecInput::Inertia {
@@ -2350,7 +2405,7 @@ mod tests {
     fn oversized_topk_is_rejected() {
         let x = random_matrix(2, 4, 1, -1.0, 1.0);
         let w = random_matrix(4, 3, 2, -1.0, 1.0);
-        let p = bound_program(Semantics::Routing { topk: 5 }, 2, 3, (1, 1, 1));
+        let p = bound_program(Semantics::Routing { topk: 5, hidden: 4 }, (1, 1, 1));
         let err = execute(&p, &ExecInput::Routing { x: &x, w: &w }).unwrap_err();
         assert!(err.to_string().contains("topk"));
     }

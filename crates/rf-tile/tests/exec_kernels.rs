@@ -52,24 +52,10 @@ impl Case {
         }
     }
 
-    /// `(rows, axis_len)` of the live tensors.
-    fn shape(&self) -> (usize, usize) {
-        match &self.tensors {
-            Tensors::Rows(m) => (m.rows(), m.cols()),
-            Tensors::Attention { q, k, .. } => (q.rows(), k.rows()),
-            Tensors::Routing { x, w } => (x.rows(), w.cols()),
-            Tensors::QuantGemm { a, .. } => (a.rows(), a.cols()),
-            Tensors::Inertia { masses, .. } => (1, masses.len()),
-        }
-    }
-
     fn run(&self, (block_rows, block_axis, segments): Point) -> ExecOutput {
-        let (rows, axis_len) = self.shape();
         let mut program = TileProgram::new("exec-kernels", 1, 128);
         program.binding = Some(ExecBinding {
             semantics: self.semantics,
-            rows,
-            axis_len,
             block_rows,
             block_axis,
             segments,
@@ -105,7 +91,7 @@ fn attention(q_rows: usize, kv: usize, qk_dim: usize, head_dim: usize, seed: u64
 
 fn routing(tokens: usize, hidden: usize, experts: usize, topk: usize, seed: u64) -> Case {
     Case {
-        semantics: Semantics::Routing { topk },
+        semantics: Semantics::Routing { topk, hidden },
         tensors: Tensors::Routing {
             x: random_matrix(tokens, hidden, seed, -1.0, 1.0),
             w: random_matrix(hidden, experts, seed + 1, -1.0, 1.0),

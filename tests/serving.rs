@@ -34,7 +34,7 @@ fn engine(workers: usize, max_batch: usize, max_in_flight: usize) -> Engine {
 fn requests_join_iterations_mid_flight_without_a_drain_barrier() {
     let engine = engine(1, 8, 1024);
     // A unique shape: iteration 1 is this request alone, and its cold-cache
-    // compile (detection, ACRF, lowering, auto-tuning) keeps the single
+    // compile (auto-tuning, lowering) keeps the single
     // worker busy for a while.
     let first = engine
         .submit(Request::softmax(random_matrix(64, 512, 1, -1.0, 1.0)))
