@@ -10,7 +10,7 @@ fn main() {
     println!("{}", builder::figure11_attention(512, 512, 64));
 
     println!("===== Figure 12a (scalar level): fused attention row =====");
-    let unfused = builder::unfused_attention_row(512);
+    let unfused = builder::unfused(&rf_fusion::patterns::attention_row(), 512);
     let detected = detect_cascade(&unfused).expect("attention row is detectable");
     let plan = rf_fusion::analyze_cascade(&detected.cascade).expect("attention row is fusable");
     println!("{}", generate_fused(&plan, &detected));

@@ -2,7 +2,7 @@
 //!
 //! For every `patterns::*` spec (the refuted two-pass variance included), the
 //! `scaled_sum` cascade whose first fixed-point candidates are singular, and
-//! the full parameter grid of `random_cascades.rs`' grammar (4 families × 4
+//! the full parameter grid of the test grammar (`tests/grammar`, 4 families × 4
 //! selectors × 6 weight/peak choices × 4 constants = 384 cascades), this pins
 //! what `analyze_cascade` decided: the verdict (`Ok` or which [`AcrfError`])
 //! and, per reduction, the `Display` strings of `G`, `H`, the dependency
@@ -25,115 +25,8 @@ use rf_algebra::ReduceOp;
 use rf_expr::Expr;
 use rf_fusion::{analyze_cascade, patterns, CascadeSpec, ReductionSpec};
 
-// The grammar of `random_cascades.rs`, copied: a test file cannot import
-// another's private items, and that file must keep passing unedited. The grid
-// below is the recorded input set — if the two drift apart this test still
-// pins what it recorded.
-
-/// Constants mixed into the generated map functions. All are safe for every
-/// family (no overflow under inputs in `[-2, 2]` and lengths up to 128).
-const CONSTANTS: [f64; 4] = [0.25, 1.0, 3.5, 7.0];
-
-/// Per-element selector `s(x)` applied to the reduced input variable.
-fn selector(expr: &Expr, idx: usize, c: f64) -> Expr {
-    match idx % 4 {
-        0 => expr.clone(),
-        1 => expr.clone().abs(),
-        2 => expr.clone() * expr.clone(),
-        _ => expr.clone() + Expr::constant(c),
-    }
-}
-
-/// Weight term `w(y)` multiplied into a dependent sum.
-fn weight(expr: &Expr, idx: usize) -> Expr {
-    match idx % 3 {
-        0 => Expr::constant(1.0),
-        1 => expr.clone(),
-        _ => expr.clone() * expr.clone(),
-    }
-}
-
-/// Builds one cascade from the grammar. Every output is fusable by
-/// construction: each dependent map is a product `G(x, y) ⊗ H(m, t)`, the
-/// shape the ACRF fixed-point identity accepts.
-fn random_cascade(family: usize, s0: usize, s1: usize, c_idx: usize) -> CascadeSpec {
-    let c = CONSTANTS[c_idx % CONSTANTS.len()];
-    let x = Expr::var("x");
-    let y = Expr::var("y");
-    let m = Expr::var("m");
-    let t = Expr::var("t");
-    let inputs = vec!["x".to_string(), "y".to_string()];
-    let name = format!("random_f{family}_s{s0}_w{s1}_c{c_idx}");
-    // Max- and Min-seeded exponentials both stay bounded for inputs in [-2, 2].
-    let peak_op = if s1.is_multiple_of(2) {
-        ReduceOp::Max
-    } else {
-        ReduceOp::Min
-    };
-    match family % 4 {
-        // Softmax-like: peak reduction, then a weighted sum of shifted
-        // exponentials.
-        0 => {
-            let s = selector(&x, s0, c);
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", peak_op, s.clone()),
-                    ReductionSpec::new("t", ReduceOp::Sum, (s - m).exp() * weight(&y, s1)),
-                ],
-            )
-        }
-        // Quant-like: abs-max scale, then a scaled weighted inner product.
-        1 => {
-            let s = selector(&x, s0, c).abs() + Expr::constant(0.5);
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", ReduceOp::Max, s),
-                    ReductionSpec::new(
-                        "t",
-                        ReduceOp::Sum,
-                        Expr::constant(c) * x / m * weight(&y, s1),
-                    ),
-                ],
-            )
-        }
-        // Attention-like: softmax statistics plus a normalised weighted sum.
-        2 => {
-            let s = selector(&x, s0, c);
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", peak_op, s.clone()),
-                    ReductionSpec::new("t", ReduceOp::Sum, (s.clone() - m.clone()).exp()),
-                    ReductionSpec::new(
-                        "o",
-                        ReduceOp::Sum,
-                        (s - m).exp() / t * weight(&y, s1.max(1)),
-                    ),
-                ],
-            )
-        }
-        // Sum+sum-like: an energy sum, then a sum scaled by a guarded root of
-        // the energy.
-        _ => {
-            let s = selector(&x, s0, c);
-            let denom = (m - Expr::constant(c)).max(Expr::constant(1e-3)).sqrt();
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", ReduceOp::Sum, s.clone() * s),
-                    ReductionSpec::new("t", ReduceOp::Sum, x * weight(&y, s1) / denom),
-                ],
-            )
-        }
-    }
-    .expect("generated cascades are structurally valid")
-}
+mod grammar;
+use grammar::family_grid;
 
 /// The verdict and decomposition of one cascade, one line per reduction.
 fn describe(spec: &CascadeSpec) -> String {
@@ -174,15 +67,7 @@ fn scaled_sum() -> CascadeSpec {
 
 /// The grid's cascades of one family, in `s0`, `s1`, `c_idx` order.
 fn family_text(family: usize) -> String {
-    let mut out = String::new();
-    for s0 in 0..4 {
-        for s1 in 0..6 {
-            for c_idx in 0..4 {
-                out.push_str(&describe(&random_cascade(family, s0, s1, c_idx)));
-            }
-        }
-    }
-    out
+    family_grid(family).map(|spec| describe(&spec)).collect()
 }
 
 /// FNV-1a over the bytes of `text`.

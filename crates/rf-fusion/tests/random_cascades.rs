@@ -2,127 +2,24 @@
 //! under the naive chain-of-trees, incremental and fused-tree evaluators.
 //!
 //! The unit tests in `eval.rs` cross-check the evaluators on the paper's five
-//! fixed patterns; this test draws cascades from a small grammar spanning the
-//! four fusable map-function families the paper's case studies cover
-//! (softmax-like, quant-like, attention-like, sum+sum-like), with randomized
-//! per-element selectors, weight terms, reduction operators and constants.
+//! fixed patterns; this test draws cascades from a small grammar
+//! (`tests/grammar`) spanning the four fusable map-function families the
+//! paper's case studies cover (softmax-like, quant-like, attention-like,
+//! sum+sum-like), with randomized per-element selectors, weight terms,
+//! reduction operators and constants.
 //! It is the correctness oracle backing `rf-runtime`'s execution path: any
 //! cascade the runtime serves evaluates through exactly these code paths.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rf_algebra::ReduceOp;
-use rf_expr::Expr;
 use rf_fusion::{
-    analyze_cascade, CascadeInput, CascadeSpec, FusedTreeEvaluator, IncrementalEvaluator,
-    NaiveCascadeEvaluator, ReductionSpec, TreeShape,
+    analyze_cascade, CascadeInput, FusedTreeEvaluator, IncrementalEvaluator, NaiveCascadeEvaluator,
+    TreeShape,
 };
 
-/// Constants mixed into the generated map functions. All are safe for every
-/// family (no overflow under inputs in `[-2, 2]` and lengths up to 128).
-const CONSTANTS: [f64; 4] = [0.25, 1.0, 3.5, 7.0];
-
-/// Per-element selector `s(x)` applied to the reduced input variable.
-fn selector(expr: &Expr, idx: usize, c: f64) -> Expr {
-    match idx % 4 {
-        0 => expr.clone(),
-        1 => expr.clone().abs(),
-        2 => expr.clone() * expr.clone(),
-        _ => expr.clone() + Expr::constant(c),
-    }
-}
-
-/// Weight term `w(y)` multiplied into a dependent sum.
-fn weight(expr: &Expr, idx: usize) -> Expr {
-    match idx % 3 {
-        0 => Expr::constant(1.0),
-        1 => expr.clone(),
-        _ => expr.clone() * expr.clone(),
-    }
-}
-
-/// Builds one cascade from the grammar. Every output is fusable by
-/// construction: each dependent map is a product `G(x, y) ⊗ H(m, t)`, the
-/// shape the ACRF fixed-point identity accepts.
-fn random_cascade(family: usize, s0: usize, s1: usize, c_idx: usize) -> CascadeSpec {
-    let c = CONSTANTS[c_idx % CONSTANTS.len()];
-    let x = Expr::var("x");
-    let y = Expr::var("y");
-    let m = Expr::var("m");
-    let t = Expr::var("t");
-    let inputs = vec!["x".to_string(), "y".to_string()];
-    let name = format!("random_f{family}_s{s0}_w{s1}_c{c_idx}");
-    // Max- and Min-seeded exponentials both stay bounded for inputs in [-2, 2].
-    let peak_op = if s1.is_multiple_of(2) {
-        ReduceOp::Max
-    } else {
-        ReduceOp::Min
-    };
-    match family % 4 {
-        // Softmax-like: peak reduction, then a weighted sum of shifted
-        // exponentials.
-        0 => {
-            let s = selector(&x, s0, c);
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", peak_op, s.clone()),
-                    ReductionSpec::new("t", ReduceOp::Sum, (s - m).exp() * weight(&y, s1)),
-                ],
-            )
-        }
-        // Quant-like: abs-max scale, then a scaled weighted inner product.
-        1 => {
-            let s = selector(&x, s0, c).abs() + Expr::constant(0.5);
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", ReduceOp::Max, s),
-                    ReductionSpec::new(
-                        "t",
-                        ReduceOp::Sum,
-                        Expr::constant(c) * x / m * weight(&y, s1),
-                    ),
-                ],
-            )
-        }
-        // Attention-like: softmax statistics plus a normalised weighted sum.
-        2 => {
-            let s = selector(&x, s0, c);
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", peak_op, s.clone()),
-                    ReductionSpec::new("t", ReduceOp::Sum, (s.clone() - m.clone()).exp()),
-                    ReductionSpec::new(
-                        "o",
-                        ReduceOp::Sum,
-                        (s - m).exp() / t * weight(&y, s1.max(1)),
-                    ),
-                ],
-            )
-        }
-        // Sum+sum-like: an energy sum, then a sum scaled by a guarded root of
-        // the energy.
-        _ => {
-            let s = selector(&x, s0, c);
-            let denom = (m - Expr::constant(c)).max(Expr::constant(1e-3)).sqrt();
-            CascadeSpec::new(
-                name,
-                inputs,
-                vec![
-                    ReductionSpec::new("m", ReduceOp::Sum, s.clone() * s),
-                    ReductionSpec::new("t", ReduceOp::Sum, x * weight(&y, s1) / denom),
-                ],
-            )
-        }
-    }
-    .expect("generated cascades are structurally valid")
-}
+mod grammar;
+use grammar::{family_grid, random_cascade};
 
 fn random_input(len: usize, seed: u64) -> CascadeInput {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -148,16 +45,9 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn every_grammar_point_is_fusable() {
-    for family in 0..4 {
-        for s0 in 0..4 {
-            for s1 in 0..3 {
-                for c_idx in 0..CONSTANTS.len() {
-                    let spec = random_cascade(family, s0, s1, c_idx);
-                    analyze_cascade(&spec)
-                        .unwrap_or_else(|e| panic!("{} should be fusable, got {e}", spec.name));
-                }
-            }
-        }
+    for spec in (0..4).flat_map(family_grid) {
+        analyze_cascade(&spec)
+            .unwrap_or_else(|e| panic!("{} should be fusable, got {e}", spec.name));
     }
 }
 

@@ -1,189 +1,54 @@
-//! Builders for the canonical unfused loop nests of the paper's workloads.
+//! The unfused loop nests the front end starts from.
 //!
-//! The single-row builders (`unfused_softmax`, `unfused_attention_row`,
-//! `unfused_quant_gemm_row`, `unfused_sum_sum`) emit one reduction loop per
-//! reduction over a shared axis `l`, with scalar result buffers — the form the
-//! pattern detector consumes. [`figure11_attention`] reproduces the full
-//! two-dimensional unfused attention loop nest of Figure 11 for IR dumps and
-//! interpreter-level validation against the dense kernels.
+//! [`unfused`] generates the single-row nest of any [`CascadeSpec`]: one loop
+//! per reduction over the shared axis `l`, each folding its map function into
+//! a scalar result buffer — the form the pattern detector consumes. The maps
+//! go through the same expression lowering as the fused nest
+//! ([`crate::generate_fused`]). [`figure11_attention`] is the one hand-written
+//! nest: the full two-dimensional unfused attention of Figure 11, with its
+//! GEMMs, for IR dumps and interpreter-level validation against the dense
+//! kernels.
 
 use rf_algebra::BinaryOp;
 use rf_expr::UnaryFn;
+use rf_fusion::CascadeSpec;
 
+use crate::fuse::lower_expr;
 use crate::ir::{BufferDecl, Stmt, TirExpr, TirFunction};
 
-fn reduction_loop(axis: &str, extent: usize, buffer: &str, op: BinaryOp, value: TirExpr) -> Stmt {
-    Stmt::For {
-        var: axis.to_string(),
-        start: 0,
-        extent,
-        body: vec![Stmt::Update {
-            buffer: buffer.to_string(),
-            indices: vec![],
-            op,
-            value,
-        }],
-    }
-}
-
-/// Unfused safe softmax statistics over a length-`len` vector `x`:
-/// a max-reduction loop followed by a sum-of-exponentials loop.
-pub fn unfused_softmax(len: usize) -> TirFunction {
-    let x = || TirExpr::load1("x", "l");
-    let m = || TirExpr::load0("m");
+/// The unfused loop nest of `spec` over inputs of length `extent`: the
+/// inputs as 1-D buffers, each reduction's result as a scalar output
+/// initialised to its reduce operator's identity, and one loop over `l` per
+/// reduction. The function is named after the spec.
+pub fn unfused(spec: &CascadeSpec, extent: usize) -> TirFunction {
+    let results = spec.result_names();
+    let inputs = spec
+        .inputs
+        .iter()
+        .map(|name| BufferDecl::input(name.clone(), vec![extent]));
+    let outputs = spec
+        .reductions
+        .iter()
+        .map(|r| BufferDecl::output(r.name.clone(), vec![], r.reduce.identity()));
+    let body = spec
+        .reductions
+        .iter()
+        .map(|r| Stmt::For {
+            var: "l".into(),
+            start: 0,
+            extent,
+            body: vec![Stmt::Update {
+                buffer: r.name.clone(),
+                indices: vec![],
+                op: r.reduce.binary_op(),
+                value: lower_expr(&r.map, "l", &results, &[]),
+            }],
+        })
+        .collect();
     TirFunction {
-        name: "unfused_softmax".into(),
-        buffers: vec![
-            BufferDecl::input("x", vec![len]),
-            BufferDecl::output("m", vec![], f64::NEG_INFINITY),
-            BufferDecl::output("t", vec![], 0.0),
-        ],
-        body: vec![
-            reduction_loop("l", len, "m", BinaryOp::Max, x()),
-            reduction_loop(
-                "l",
-                len,
-                "t",
-                BinaryOp::Add,
-                TirExpr::Unary(
-                    UnaryFn::Exp,
-                    Box::new(TirExpr::Sub(Box::new(x()), Box::new(m()))),
-                ),
-            ),
-        ],
-    }
-}
-
-/// Unfused single attention row (Appendix A.2.1): score vector `p[kv]`, value
-/// component vector `v[kv]`, producing the max `m`, the normaliser `t` and the
-/// output component `o`.
-pub fn unfused_attention_row(kv: usize) -> TirFunction {
-    let p = || TirExpr::load1("p", "l");
-    let v = || TirExpr::load1("v", "l");
-    let m = || TirExpr::load0("m");
-    let t = || TirExpr::load0("t");
-    let shifted_exp = || {
-        TirExpr::Unary(
-            UnaryFn::Exp,
-            Box::new(TirExpr::Sub(Box::new(p()), Box::new(m()))),
-        )
-    };
-    TirFunction {
-        name: "unfused_attention_row".into(),
-        buffers: vec![
-            BufferDecl::input("p", vec![kv]),
-            BufferDecl::input("v", vec![kv]),
-            BufferDecl::output("m", vec![], f64::NEG_INFINITY),
-            BufferDecl::output("t", vec![], 0.0),
-            BufferDecl::output("o", vec![], 0.0),
-        ],
-        body: vec![
-            reduction_loop("l", kv, "m", BinaryOp::Max, p()),
-            reduction_loop("l", kv, "t", BinaryOp::Add, shifted_exp()),
-            reduction_loop(
-                "l",
-                kv,
-                "o",
-                BinaryOp::Add,
-                TirExpr::Binary(
-                    BinaryOp::Mul,
-                    Box::new(TirExpr::Div(Box::new(shifted_exp()), Box::new(t()))),
-                    Box::new(v()),
-                ),
-            ),
-        ],
-    }
-}
-
-/// Unfused FP8 per-token quantization + one GEMM output element (§3.4):
-/// abs-max over the activation row `a[k]`, then the scaled inner product with
-/// the weight column `w[k]`.
-pub fn unfused_quant_gemm_row(k: usize) -> TirFunction {
-    let a = || TirExpr::load1("a", "l");
-    let w = || TirExpr::load1("w", "l");
-    let m = || TirExpr::load0("m");
-    TirFunction {
-        name: "unfused_quant_gemm_row".into(),
-        buffers: vec![
-            BufferDecl::input("a", vec![k]),
-            BufferDecl::input("w", vec![k]),
-            BufferDecl::output("m", vec![], f64::NEG_INFINITY),
-            BufferDecl::output("c", vec![], 0.0),
-        ],
-        body: vec![
-            reduction_loop(
-                "l",
-                k,
-                "m",
-                BinaryOp::Max,
-                TirExpr::Unary(UnaryFn::Abs, Box::new(a())),
-            ),
-            reduction_loop(
-                "l",
-                k,
-                "c",
-                BinaryOp::Add,
-                TirExpr::Binary(
-                    BinaryOp::Mul,
-                    Box::new(TirExpr::Div(
-                        Box::new(TirExpr::Binary(
-                            BinaryOp::Mul,
-                            Box::new(TirExpr::Const(448.0)),
-                            Box::new(a()),
-                        )),
-                        Box::new(m()),
-                    )),
-                    Box::new(w()),
-                ),
-            ),
-        ],
-    }
-}
-
-/// Unfused "Sum + Sum" internal pattern (Appendix A.2.3).
-pub fn unfused_sum_sum(len: usize) -> TirFunction {
-    let x1 = || TirExpr::load1("x1", "l");
-    let x2 = || TirExpr::load1("x2", "l");
-    let m = || TirExpr::load0("m");
-    let denom = TirExpr::Unary(
-        UnaryFn::Sqrt,
-        Box::new(TirExpr::Binary(
-            BinaryOp::Max,
-            Box::new(TirExpr::Sub(Box::new(m()), Box::new(TirExpr::Const(10.0)))),
-            Box::new(TirExpr::Const(1e-3)),
-        )),
-    );
-    TirFunction {
-        name: "unfused_sum_sum".into(),
-        buffers: vec![
-            BufferDecl::input("x1", vec![len]),
-            BufferDecl::input("x2", vec![len]),
-            BufferDecl::output("m", vec![], 0.0),
-            BufferDecl::output("s", vec![], 0.0),
-        ],
-        body: vec![
-            reduction_loop(
-                "l",
-                len,
-                "m",
-                BinaryOp::Add,
-                TirExpr::Binary(BinaryOp::Mul, Box::new(x1()), Box::new(x1())),
-            ),
-            reduction_loop(
-                "l",
-                len,
-                "s",
-                BinaryOp::Add,
-                TirExpr::Div(
-                    Box::new(TirExpr::Binary(
-                        BinaryOp::Mul,
-                        Box::new(x1()),
-                        Box::new(x2()),
-                    )),
-                    Box::new(denom),
-                ),
-            ),
-        ],
+        name: spec.name.clone(),
+        buffers: inputs.chain(outputs).collect(),
+        body,
     }
 }
 
@@ -300,11 +165,12 @@ pub fn figure11_attention(q: usize, kv: usize, d: usize) -> TirFunction {
 mod tests {
     use super::*;
     use crate::interp::Interpreter;
+    use rf_fusion::patterns;
     use std::collections::HashMap;
 
     #[test]
     fn softmax_builder_runs_and_matches_kernel_semantics() {
-        let f = unfused_softmax(16);
+        let f = unfused(&patterns::safe_softmax(), 16);
         let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.37).sin()).collect();
         let out = Interpreter::new()
             .run(&f, &HashMap::from([("x".to_string(), x.clone())]))
@@ -317,7 +183,7 @@ mod tests {
 
     #[test]
     fn attention_row_builder_has_three_reductions() {
-        let f = unfused_attention_row(8);
+        let f = unfused(&patterns::attention_row(), 8);
         assert_eq!(f.body.len(), 3);
         assert_eq!(f.output_names(), vec!["m", "t", "o"]);
         let text = f.to_string();

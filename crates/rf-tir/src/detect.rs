@@ -230,11 +230,11 @@ fn lift_expr(
 mod tests {
     use super::*;
     use crate::builder;
-    use rf_fusion::analyze_cascade;
+    use rf_fusion::{analyze_cascade, patterns};
 
     #[test]
     fn detects_softmax() {
-        let f = builder::unfused_softmax(32);
+        let f = builder::unfused(&patterns::safe_softmax(), 32);
         let detected = detect_cascade(&f).unwrap();
         assert_eq!(detected.axis, "l");
         assert_eq!(detected.extent, 32);
@@ -247,8 +247,8 @@ mod tests {
     #[test]
     fn detects_attention_row_and_quant() {
         for f in [
-            builder::unfused_attention_row(16),
-            builder::unfused_quant_gemm_row(16),
+            builder::unfused(&patterns::attention_row(), 16),
+            builder::unfused(&patterns::fp8_quant_gemm(), 16),
         ] {
             let detected = detect_cascade(&f).unwrap();
             assert!(analyze_cascade(&detected.cascade).is_ok(), "{}", f.name);
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn detects_sum_sum() {
-        let detected = detect_cascade(&builder::unfused_sum_sum(8)).unwrap();
+        let detected = detect_cascade(&builder::unfused(&patterns::sum_sum(), 8)).unwrap();
         assert_eq!(detected.cascade.reductions[0].reduce, ReduceOp::Sum);
         assert_eq!(detected.input_buffers, vec!["x1", "x2"]);
     }
@@ -272,7 +272,7 @@ mod tests {
 
     #[test]
     fn mismatched_axes_are_rejected() {
-        let mut f = builder::unfused_softmax(8);
+        let mut f = builder::unfused(&patterns::safe_softmax(), 8);
         if let Stmt::For { extent, .. } = &mut f.body[1] {
             *extent = 4;
         }
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn unsupported_load_is_reported() {
-        let mut f = builder::unfused_softmax(8);
+        let mut f = builder::unfused(&patterns::safe_softmax(), 8);
         // Replace the second reduction's value with a load of an undeclared,
         // non-axis-indexed buffer.
         if let Stmt::For { body, .. } = &mut f.body[1] {

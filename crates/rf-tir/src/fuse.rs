@@ -153,11 +153,12 @@ fn incoming_value(reduction: &FusedReduction, axis: &str, reduction_names: &[Str
     }
 }
 
-/// Lowers a symbolic expression into the loop-nest IR. Variables that name
+/// Lowers a symbolic expression into the loop-nest IR, for the fused nest and
+/// for the unfused one ([`crate::builder::unfused`]) alike. Variables that name
 /// reduction results become scalar loads — of the `*_prev` buffer when listed
 /// in `prev_deps` — while all other variables are cascade inputs streamed
 /// along the axis and become 1-D loads.
-fn lower_expr(
+pub(crate) fn lower_expr(
     expr: &Expr,
     axis: &str,
     reduction_names: &[String],
@@ -200,7 +201,7 @@ mod tests {
     use crate::builder;
     use crate::detect::detect_cascade;
     use crate::interp::Interpreter;
-    use rf_fusion::analyze_cascade;
+    use rf_fusion::{analyze_cascade, patterns};
     use std::collections::HashMap;
 
     type Outputs = HashMap<String, Vec<f64>>;
@@ -229,7 +230,7 @@ mod tests {
 
     #[test]
     fn fused_softmax_matches_unfused() {
-        let unfused = builder::unfused_softmax(48);
+        let unfused = builder::unfused(&patterns::safe_softmax(), 48);
         let inputs = HashMap::from([("x".to_string(), rf_workloads::random_vec(48, 5, -3.0, 3.0))]);
         let (a, b, fused) = run_both(&unfused, &inputs);
         assert_outputs_match(&a, &b);
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn fused_attention_row_matches_unfused() {
-        let unfused = builder::unfused_attention_row(64);
+        let unfused = builder::unfused(&patterns::attention_row(), 64);
         let inputs = HashMap::from([
             ("p".to_string(), rf_workloads::random_vec(64, 7, -2.0, 2.0)),
             ("v".to_string(), rf_workloads::random_vec(64, 8, -2.0, 2.0)),
@@ -255,7 +256,7 @@ mod tests {
 
     #[test]
     fn fused_quant_row_matches_unfused() {
-        let unfused = builder::unfused_quant_gemm_row(40);
+        let unfused = builder::unfused(&patterns::fp8_quant_gemm(), 40);
         let inputs = HashMap::from([
             ("a".to_string(), rf_workloads::random_vec(40, 11, -2.0, 2.0)),
             ("w".to_string(), rf_workloads::random_vec(40, 12, -1.0, 1.0)),
@@ -266,7 +267,7 @@ mod tests {
 
     #[test]
     fn fused_sum_sum_matches_unfused() {
-        let unfused = builder::unfused_sum_sum(32);
+        let unfused = builder::unfused(&patterns::sum_sum(), 32);
         let inputs = HashMap::from([
             ("x1".to_string(), rf_workloads::random_vec(32, 21, 0.5, 2.0)),
             (
@@ -280,7 +281,7 @@ mod tests {
 
     #[test]
     fn independent_reductions_have_no_correction_step() {
-        let unfused = builder::unfused_softmax(16);
+        let unfused = builder::unfused(&patterns::safe_softmax(), 16);
         let detected = detect_cascade(&unfused).unwrap();
         let plan = analyze_cascade(&detected.cascade).unwrap();
         let fused = generate_fused(&plan, &detected);
@@ -295,8 +296,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not correspond")]
     fn mismatched_plan_is_rejected() {
-        let softmax = detect_cascade(&builder::unfused_softmax(8)).unwrap();
-        let other = detect_cascade(&builder::unfused_quant_gemm_row(8)).unwrap();
+        let softmax = detect_cascade(&builder::unfused(&patterns::safe_softmax(), 8)).unwrap();
+        let other = detect_cascade(&builder::unfused(&patterns::fp8_quant_gemm(), 8)).unwrap();
         let plan = analyze_cascade(&other.cascade).unwrap();
         generate_fused(&plan, &softmax);
     }

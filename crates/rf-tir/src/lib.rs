@@ -12,8 +12,11 @@
 //! * [`ir`] — expressions, statements, buffers and functions of the scalar IR,
 //!   plus a pretty-printer that reproduces the style of Figures 11–13.
 //! * [`interp`] — a reference interpreter used to validate transformations.
-//! * [`builder`] — canonical unfused loop nests for the paper's workloads
-//!   (safe softmax, one attention row, FP8 quant + GEMM, …).
+//! * [`builder`] — unfused loop nests: [`builder::unfused`] generates the
+//!   single-row nest of any [`rf_fusion::CascadeSpec`] (one reduction loop per
+//!   reduction, maps lowered exactly as the fused nest lowers them), and
+//!   [`builder::figure11_attention`] is the one hand-written nest, Figure 11's
+//!   two-dimensional attention with its GEMMs.
 //! * [`detect`] — cascaded-reduction pattern detection: finds reductions that
 //!   share a reduction axis and depend on each other, and lifts them into a
 //!   [`rf_fusion::CascadeSpec`].
@@ -39,7 +42,7 @@ mod tests {
 
     #[test]
     fn end_to_end_softmax_pipeline() {
-        let unfused = builder::unfused_softmax(64);
+        let unfused = builder::unfused(&rf_fusion::patterns::safe_softmax(), 64);
         let detected = detect_cascade(&unfused).unwrap();
         assert_eq!(detected.cascade.reductions.len(), 2);
         let plan = rf_fusion::analyze_cascade(&detected.cascade).unwrap();

@@ -9,6 +9,7 @@ use std::collections::HashMap;
 
 use redfuser::baselines::{flash_attention2_profile, mha_op_list, CompilerBaseline};
 use redfuser::codegen::{compile_workload, Workload};
+use redfuser::fusion::patterns;
 use redfuser::gpusim::{estimate_latency, sequence_latency, GpuArch};
 use redfuser::runtime::{execute_plan, execute_reference, Request, RequestInput, RequestOutput};
 use redfuser::tir::{builder, detect_cascade, generate_fused, Interpreter};
@@ -16,7 +17,7 @@ use redfuser::workloads::{mha_configs, mha_tiny, Matrix};
 
 pub fn main() {
     // --- Front end: scalar loop nest -> cascade -> fused scalar kernel. ---
-    let unfused = builder::unfused_attention_row(256);
+    let unfused = builder::unfused(&patterns::attention_row(), 256);
     let detected = detect_cascade(&unfused).expect("attention row is a cascaded reduction");
     let plan =
         redfuser::fusion::analyze_cascade(&detected.cascade).expect("attention row is fusable");

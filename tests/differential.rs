@@ -27,10 +27,12 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use redfuser::codegen::{compile_workload, executable_program, TuningPoint, Workload};
+use redfuser::fusion::patterns;
 use redfuser::gpusim::{GpuArch, KernelProfile};
 use redfuser::kernels::softmax::softmax_rows;
 use redfuser::runtime::{execute_reference, Request, RequestInput, RequestOutput};
 use redfuser::tile::exec;
+use redfuser::tir::{builder, Interpreter};
 use redfuser::workloads::{
     inertia_tiny, mha_tiny, mla_tiny, moe_tiny, quant_tiny, random_matrix, random_vec,
     variance_tiny, Matrix,
@@ -327,8 +329,8 @@ fn tir_interpreter_cross_checks_the_scalar_workloads() {
     else {
         panic!("softmax returns a matrix");
     };
-    let tir_softmax = redfuser::tir::builder::unfused_softmax(48);
-    let interp = redfuser::tir::Interpreter::new();
+    let tir_softmax = builder::unfused(&patterns::safe_softmax(), 48);
+    let interp = Interpreter::new();
     for r in 0..rows.rows() {
         let inputs = HashMap::from([("x".to_string(), rows.row(r).to_vec())]);
         let out = interp.run(&tir_softmax, &inputs).expect("tir softmax runs");
@@ -343,39 +345,12 @@ fn tir_interpreter_cross_checks_the_scalar_workloads() {
         }
     }
 
-    // Variance: a two-reduction sum / sum-of-squares loop nest in the same
-    // scalar IR, finalised with the closed form the VM's epilogue uses.
-    use redfuser::algebra::BinaryOp;
-    use redfuser::tir::{BufferDecl, Stmt, TirExpr, TirFunction};
+    // Variance: the sum / sum-of-squares loop nest generated from the
+    // sufficient-statistics spec, finalised with the closed form the VM's
+    // epilogue uses.
     let len = 40;
     let batch = random_matrix(3, len, 22, -2.0, 2.0);
-    let x = || TirExpr::load1("x", "l");
-    let sum_loop = |buffer: &str, value: TirExpr| Stmt::For {
-        var: "l".into(),
-        start: 0,
-        extent: len,
-        body: vec![Stmt::Update {
-            buffer: buffer.into(),
-            indices: vec![],
-            op: BinaryOp::Add,
-            value,
-        }],
-    };
-    let tir_variance = TirFunction {
-        name: "unfused_variance".into(),
-        buffers: vec![
-            BufferDecl::input("x", vec![len]),
-            BufferDecl::output("s", vec![], 0.0),
-            BufferDecl::output("ss", vec![], 0.0),
-        ],
-        body: vec![
-            sum_loop("s", x()),
-            sum_loop(
-                "ss",
-                TirExpr::Binary(BinaryOp::Mul, Box::new(x()), Box::new(x())),
-            ),
-        ],
-    };
+    let tir_variance = builder::unfused(&patterns::variance_sufficient_stats(), len);
     let workload = Workload::Variance(redfuser::workloads::VarianceConfig {
         name: "xcheck",
         bs: 3,
@@ -394,7 +369,7 @@ fn tir_interpreter_cross_checks_the_scalar_workloads() {
             .expect("tir variance runs");
         let n = len as f64;
         let mean = out["s"][0] / n;
-        let tir_var = (out["ss"][0] / n - mean * mean).max(0.0);
+        let tir_var = (out["q"][0] / n - mean * mean).max(0.0);
         assert!(
             (tir_var - vm_var).abs() <= TIGHT_TOL * (1.0 + tir_var),
             "row {r}: tir {tir_var} vs vm {vm_var}"

@@ -25,21 +25,25 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn tir_to_fused_kernel_matches_reference_for_every_builder() {
-    // Front end end-to-end: builder loop nest -> detection -> ACRF -> fused
-    // scalar kernel -> interpreter, compared against the unfused loop nest.
+    // Front end end-to-end: the loop nest generated from a spec -> detection
+    // -> ACRF -> fused scalar kernel -> interpreter, compared against the
+    // unfused loop nest.
     type Case = (redfuser::tir::TirFunction, Vec<(&'static str, (f64, f64))>);
     let cases: Vec<Case> = vec![
-        (builder::unfused_softmax(96), vec![("x", (-3.0, 3.0))]),
         (
-            builder::unfused_attention_row(128),
+            builder::unfused(&patterns::safe_softmax(), 96),
+            vec![("x", (-3.0, 3.0))],
+        ),
+        (
+            builder::unfused(&patterns::attention_row(), 128),
             vec![("p", (-2.0, 2.0)), ("v", (-2.0, 2.0))],
         ),
         (
-            builder::unfused_quant_gemm_row(80),
+            builder::unfused(&patterns::fp8_quant_gemm(), 80),
             vec![("a", (-2.0, 2.0)), ("w", (-1.0, 1.0))],
         ),
         (
-            builder::unfused_sum_sum(64),
+            builder::unfused(&patterns::sum_sum(), 64),
             vec![("x1", (0.5, 2.0)), ("x2", (-1.0, 1.0))],
         ),
     ];
