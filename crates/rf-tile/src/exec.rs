@@ -35,25 +35,27 @@
 //!   to the stored tile — one exponential per tile — fused with the
 //!   normalisation.
 //!
-//! The loop nest that runs is **row → segment → tile** (variance walks four
-//! rows abreast). FP8 quant + GEMM alone runs **row block → segment → tile →
-//! row**, [`ExecBinding::block_rows`] rows per block: its weight matrix is the
-//! one operand that every row reads and that outgrows the cache, and in this
+//! The loop nest that runs is **row → segment → tile**. FP8 quant + GEMM
+//! alone runs **row block → segment → tile → row**,
+//! [`ExecBinding::block_rows`] rows per block: its weight matrix is the one
+//! operand that every row reads and that outgrows the cache, and in this
 //! order a weight tile is fetched once per block while the block's
 //! accumulators stay resident. Attention's K and V are shared too, but a
 //! block's `(row, segment)` partials would outweigh them. Inner loops run
 //! over row slices with several independent accumulation chains (`dot_rows`,
-//! `add_scaled_rows`), and nothing is allocated per row, segment or tile: a
-//! call sizes its scratch once.
+//! `add_scaled_rows`, [`sum_and_squares`]), and nothing is allocated per row,
+//! segment or tile: a call sizes its scratch once.
 //!
-//! **Vector width.** Two loops run at the widest vector tier the CPU offers
+//! **Vector width.** Three loops run at the widest vector tier the CPU offers
 //! (AVX-512F on the benchmark host), picked at run time inside
 //! `rf-workloads`: [`add_scaled_rows`], the GEMM of attention's P·V, routing's
 //! scores and quant + GEMM's accumulate (its `fp8_round` map inlined into the
-//! loop), and the slice exponentials. Both return the bits of the baseline
-//! build on every CPU. Everything else here — `dot_rows`, the tile maximum and
-//! sum, variance, inertia, the combines — is built for the baseline;
-//! `dot_rows` was measured at the wider tiers and gained nothing.
+//! loop); the slice exponentials; and [`sum_and_squares`], variance's Σx and
+//! Σx² over a segment, in eight lanes — one vector per sum there. All three
+//! return the bits of the baseline build on every CPU. Everything else here —
+//! `dot_rows`, the tile maximum and sum, inertia, the combines — is built for
+//! the baseline; `dot_rows` was measured at the wider tiers and gained
+//! nothing, and inertia split over lanes naively measured slower.
 //!
 //! **The exponential.** Softmax, attention and routing reduce a tile in four
 //! passes over a slice that sits in L1: its maximum, one `advance` of the
@@ -70,9 +72,9 @@
 //! and quant + GEMM are each the *body* that
 //! [`rf_workloads::for_row_ranges`] runs over contiguous row ranges, the first
 //! on the calling thread and the rest on scoped threads joined before the
-//! call returns. Ranges start on multiples of 4 for variance (whole quads of
-//! rows) and of `block_rows` for quant + GEMM (the same row blocks, a weight
-//! tile still fetched once per block); each range sizes its own scratch.
+//! call returns. Ranges start on multiples of `block_rows` for quant + GEMM
+//! (the same row blocks, a weight tile still fetched once per block); each
+//! range sizes its own scratch.
 //! Attention with fewer rows than threads and than segments — decode, the
 //! paper's low-concurrency case — keeps its rows on the caller and gives each
 //! row's *segments* to the same splitter instead: a range of cells leaves its
@@ -101,7 +103,9 @@
 //! adds up its terms is fixed by the tuning point's `block_axis` and
 //! `segments` — ascending along the axis inside a tile (a tile's maximum and
 //! the sum of its exponentials: over eight lanes and one tree, both written in
-//! the source), tiles in order, segment partials merged in order — and is
+//! the source), tiles in order, segment partials merged in order; a plain sum
+//! (variance's Σx and Σx²) adds element `i` of its segment into lane `i mod 8`,
+//! then the eight lanes in the same tree, then the segments in order — and is
 //! independent of the CPU's vector width and **of `block_rows`**, so a call
 //! split across threads returns the bits of the unsplit run: a
 //! range computes its rows, or its cells of one row, exactly as the unsplit
@@ -145,7 +149,7 @@ use rf_algebra::BinaryOp;
 use rf_workloads::moe::{score_order, RoutingDecision};
 use rf_workloads::{
     add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
-    Matrix,
+    sum_and_squares, Matrix,
 };
 
 use crate::ops::TileProgram;
@@ -920,64 +924,48 @@ fn exec_softmax<K: Tally>(binding: &ExecBinding, threads: usize, m: &Matrix) -> 
     (ExecOutput::Matrix(out), K::sum(ranges))
 }
 
-/// Sum and sum of squares of `N` rows, each segment's partial added to the
-/// row's total in segment order. Both reductions are group-like (plain sums):
-/// there is no correct step, so the tile boundaries inside a segment do not
-/// show in the result and the loop runs straight through it. One row is two
-/// chains of dependent additions; `N` rows in lockstep are `2N`.
-fn sum_and_squares<const N: usize>(
-    rows: [&[f64]; N],
-    segments: impl Pieces,
-    tally: &mut impl Tally,
-) -> [(f64, f64); N] {
-    let mut totals = [(0.0f64, 0.0f64); N];
-    let partials_per_row = u64::from(segments.len() > 1);
-    for (start, end) in segments {
-        tally.add(Step::Reduce, N as u64, f64_bytes(N * (end - start)), 0);
-        let pieces = rows.map(|row| &row[start..end]);
-        let mut partials = [(0.0f64, 0.0f64); N];
-        for j in 0..end - start {
-            for (partial, piece) in partials.iter_mut().zip(&pieces) {
-                partial.0 += piece[j];
-                partial.1 += piece[j] * piece[j];
-            }
-        }
-        tally.add(Step::Combine, N as u64 * partials_per_row, 0, 0);
-        for (total, partial) in totals.iter_mut().zip(&partials) {
-            total.0 = BinaryOp::Add.apply(total.0, partial.0);
-            total.1 = BinaryOp::Add.apply(total.1, partial.1);
-        }
-    }
-    totals
-}
-
 fn exec_variance<K: Tally>(binding: &ExecBinding, threads: usize, m: &Matrix) -> (ExecOutput, K) {
     let (rows, len) = (m.rows(), m.cols());
     let segments = segment_ranges(len, binding.segments);
-    let finish = |(sum, sum_sq): (f64, f64)| {
-        let n = len as f64;
-        let mean = sum / n;
-        (sum_sq / n - mean * mean).max(0.0)
-    };
+    let combines = u64::from(segments.len() > 1);
     let mut out = vec![0.0f64; rows];
-    // Ranges start on multiples of 4, so every range walks whole quads.
-    let ranges = for_row_ranges(threads, rows, 4, len, &mut out, 1, |range, out| {
+    let ranges = for_row_ranges(threads, rows, 1, len, &mut out, 1, |range, out| {
         let mut tally = K::default();
-        let mut quads = out.chunks_exact_mut(4);
-        for (quad, r) in (&mut quads).zip(range.clone().step_by(4)) {
-            let lanes = [m.row(r), m.row(r + 1), m.row(r + 2), m.row(r + 3)];
-            tally.add(Step::Epilogue, 4, 0, f64_bytes(4));
-            quad.copy_from_slice(&sum_and_squares(lanes, segments.clone(), &mut tally).map(finish));
-        }
-        let rest = quads.into_remainder();
-        let rest_rows = range.end - rest.len()..range.end;
-        for (slot, r) in rest.iter_mut().zip(rest_rows) {
+        for (slot, r) in out.iter_mut().zip(range) {
+            let row = m.row(r);
+            // Both reductions are group-like (plain sums): no correct step, so
+            // the tile boundaries inside a segment do not show and one loop
+            // runs straight through it; the partials add in segment order.
+            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+            for (start, end) in segments.clone() {
+                tally.add(Step::Reduce, 1, f64_bytes(end - start), 0);
+                let (partial, partial_sq) = sum_and_squares(&row[start..end]);
+                tally.add(Step::Combine, combines, 0, 0);
+                sum += partial;
+                sum_sq += partial_sq;
+            }
             tally.add(Step::Epilogue, 1, 0, f64_bytes(1));
-            *slot = finish(sum_and_squares([m.row(r)], segments.clone(), &mut tally)[0]);
+            let n = len as f64;
+            let mean = sum / n;
+            *slot = clamp_negative(sum_sq / n - mean * mean);
         }
         tally
     });
     (ExecOutput::Values(out), K::sum(ranges))
+}
+
+/// A difference of two sufficient statistics, raised to 0 where rounding
+/// pushed it below (a finite negative value). A NaN or an infinity — from an
+/// input that was not finite, or from a statistic that overflowed — is
+/// returned as it is, never as 0 (`f64::max` returns the 0 for a NaN): the
+/// result is NaN where the unfused form's is, and never a finite number
+/// where a statistic was not.
+fn clamp_negative(v: f64) -> f64 {
+    if v < 0.0 && v.is_finite() {
+        0.0
+    } else {
+        v
+    }
 }
 
 fn exec_attention<K: Tally>(
@@ -1317,7 +1305,7 @@ fn exec_inertia<K: Tally>(
     }
     let center_norm_sq: f64 = weighted.iter().map(|w| w * w).sum::<f64>() / total_mass;
     tally.add(Step::Epilogue, 1, 0, f64_bytes(1));
-    let inertia = (weighted_sq - center_norm_sq).max(0.0);
+    let inertia = clamp_negative(weighted_sq - center_norm_sq);
     Some((ExecOutput::Values(vec![inertia]), tally))
 }
 

@@ -33,7 +33,10 @@
 //!   the VM's output bits. They may be re-recorded only by a PR whose point is
 //!   a change of this routine or of a kernel's summation order, which must
 //!   list every fold it moved. The PR that introduced this module did so once
-//!   (attention and routing, three tuning points each).
+//!   (attention and routing, three tuning points each); the change that put
+//!   variance's Σx and Σx² into eight lanes
+//!   ([`sum_and_squares`](crate::sum_and_squares)) did so for variance (its
+//!   two single-segment points; the four-segment fold kept its bits).
 //!
 //! # Method
 //!
@@ -316,7 +319,7 @@ mod tests {
     #[test]
     #[ignore = "prints timings"]
     fn timing_per_tier() {
-        use crate::rows::add_scaled_rows_on;
+        use crate::rows::{add_scaled_rows_on, sum_and_squares_on};
         use std::hint::black_box;
         use std::time::Instant;
         const LEN: usize = 4096;
@@ -358,8 +361,13 @@ mod tests {
                 let terms = xs.iter().copied().zip(rows.chunks_exact(64));
                 add_scaled_rows_on(tier, &mut out[..64], terms);
             });
+            let sums = ns_per_op(&mut |out| {
+                let (sum, sum_sq) = sum_and_squares_on(tier, black_box(&xs));
+                out[0] = sum + sum_sq;
+            });
             println!(
-                "{tier:?}, slice form {ns:6.2} ns, add_scaled_rows {fma:6.3} ns per multiply-add"
+                "{tier:?}, slice form {ns:6.2} ns, add_scaled_rows {fma:6.3} ns per multiply-add, \
+                 sum_and_squares {sums:6.3} ns per element"
             );
         }
     }

@@ -42,7 +42,9 @@ pub use nonml::{
     inertia_configs, inertia_tiny, variance_configs, variance_tiny, InertiaConfig, VarianceConfig,
 };
 pub use quant::{fp8_round, quant_configs, quant_tiny, QuantGemmConfig, FP8_MAX};
-pub use rows::{add_scaled_rows, available_cores, for_row_ranges, PARALLEL_MIN_WORK};
+pub use rows::{
+    add_scaled_rows, available_cores, for_row_ranges, sum_and_squares, PARALLEL_MIN_WORK,
+};
 
 /// Bytes per element for the storage precisions used in the paper's workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

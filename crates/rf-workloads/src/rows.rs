@@ -5,9 +5,11 @@
 //! accelerator) never read each other's results. [`for_row_ranges`] runs such
 //! a grid on the host's cores with scoped threads — no pool, no state beyond
 //! the cached core count — and [`add_scaled_rows`] is the inner loop of every
-//! row-times-matrix product in the tile VM and in [`Matrix::matmul`]. That
-//! loop runs at the widest vector tier the CPU offers, chosen at run time as
-//! [`exp`](mod@crate::exp)'s slice loops are, with the baseline's bits.
+//! row-times-matrix product in the tile VM and in [`Matrix::matmul`];
+//! [`sum_and_squares`] is the plain row sum of variance's two statistics.
+//! Both loops run at the widest vector tier the CPU offers, chosen at run
+//! time as [`exp`](mod@crate::exp)'s slice loops are, with the baseline's
+//! bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
@@ -183,6 +185,61 @@ fn scaled_rows_body<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [
     }
 }
 
+/// Independent chains of [`sum_and_squares`]: a constant of the source, not
+/// of the CPU, so the order in which the terms meet is the same at every
+/// vector width.
+const LANES: usize = 8;
+
+/// `(Σx, Σx²)` of `xs`. Element `i` goes into lane `i mod 8` of each sum and
+/// the eight lanes meet in one fixed tree, `((0+1)+(2+3))+((4+5)+(6+7))` —
+/// the order `rf_tile::exec` folds a tile's exponentials in. A plain sum is
+/// one chain of dependent additions; eight lanes are one vector per sum at
+/// the widest vector tier this CPU offers (picked at run time, like
+/// [`add_scaled_rows`]), with the bits of every other tier.
+pub fn sum_and_squares(xs: &[f64]) -> (f64, f64) {
+    sum_and_squares_on(Tier::widest(), xs)
+}
+
+/// [`sum_and_squares`] compiled for `tier` (the baseline if this CPU lacks
+/// it). Callers outside tests pass [`Tier::widest`].
+pub(crate) fn sum_and_squares_on(tier: Tier, xs: &[f64]) -> (f64, f64) {
+    tier.run(
+        #[inline(always)]
+        || sum_and_squares_body(xs),
+    )
+}
+
+#[inline(always)]
+fn sum_and_squares_body(xs: &[f64]) -> (f64, f64) {
+    let mut sums = [0.0f64; LANES];
+    let mut squares = [0.0f64; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        add_to_lanes(&mut sums, &mut squares, chunk);
+    }
+    add_to_lanes(&mut sums, &mut squares, chunks.remainder());
+    (lane_tree(sums), lane_tree(squares))
+}
+
+/// Adds `chunk[i]` to `sums[i]` and its square to `squares[i]`.
+#[inline(always)]
+fn add_to_lanes(sums: &mut [f64; LANES], squares: &mut [f64; LANES], chunk: &[f64]) {
+    for ((sum, square), &x) in sums.iter_mut().zip(squares).zip(chunk) {
+        *sum += x;
+        *square += x * x;
+    }
+}
+
+/// The eight lanes of one sum in their fixed tree. Out of line on purpose:
+/// inlined, LLVM pairs the lanes the way the tree does and runs the loop
+/// above on two-lane vectors with shuffles, about 2.5× slower per element at
+/// AVX-512F than one vector per sum. Its additions are scalar, so the tier it
+/// is compiled for cannot show in its bits.
+#[inline(never)]
+fn lane_tree([a, b, c, d, e, f, g, h]: [f64; LANES]) -> f64 {
+    ((a + b) + (c + d)) + ((e + f) + (g + h))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,28 +329,8 @@ mod tests {
 
     #[test]
     fn every_tier_returns_the_bits_of_the_baseline() {
-        // Ordinary values with NaN, infinities, zeros of both signs and
-        // subnormals sprinkled through accumulators, rows and coefficients.
-        let hostile = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.0,
-            f64::from_bits(1),
-            -f64::MIN_POSITIVE / 3.0,
-            1e300,
-        ];
-        let values = |seed: usize, len: usize| -> Vec<f64> {
-            let mut values: Vec<f64> = (0..len)
-                .map(|i| ((i * 37 + seed * 11) % 101) as f64 / 7.0 - 6.5)
-                .collect();
-            let hostile = hostile.iter().cycle().skip(seed);
-            for (slot, &value) in values.iter_mut().skip(seed % 5).step_by(6).zip(hostile) {
-                *slot = value;
-            }
-            values
-        };
+        // Hostile values through accumulators, rows and coefficients.
+        let values = hostile_values;
         let rows: Vec<Vec<f64>> = (0..11).map(|i| values(i + 1, 71)).collect();
         let mut coefficients = values(3, 11);
         coefficients[2] = -0.0;
@@ -303,13 +340,7 @@ mod tests {
         let base = values(0, 71);
         let tiers = Tier::available();
         println!("compared with the baseline: {tiers:?}");
-        // Which NaN an operation on two NaNs returns (sign, payload) is left
-        // open by Rust and moves when LLVM commutes an addition: a NaN is
-        // compared as "NaN here", every other value bit for bit.
-        let bits = |xs: &[f64]| -> Vec<u64> {
-            let canonical = |v: &f64| if v.is_nan() { f64::NAN } else { *v };
-            xs.iter().map(|v| canonical(v).to_bits()).collect()
-        };
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
         let terms = |offset: usize, n_terms: usize| {
             let rows = rows.iter().map(move |row| &row[offset..]);
             coefficients.iter().copied().zip(rows).take(n_terms)
@@ -340,6 +371,103 @@ mod tests {
         let mut public = base.clone();
         add_scaled_rows(&mut public[..67], terms(0, 11));
         assert_eq!(bits(&public), bits(&widest));
+    }
+
+    /// Values with NaN, infinities, zeros of both signs and subnormals
+    /// sprinkled through ordinary ones.
+    fn hostile_values(seed: usize, len: usize) -> Vec<f64> {
+        let hostile = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 3.0,
+            1e300,
+        ];
+        let mut values: Vec<f64> = (0..len)
+            .map(|i| ((i * 37 + seed * 11) % 101) as f64 / 7.0 - 6.5)
+            .collect();
+        let hostile = hostile.iter().cycle().skip(seed);
+        for (slot, &value) in values.iter_mut().skip(seed % 5).step_by(6).zip(hostile) {
+            *slot = value;
+        }
+        values
+    }
+
+    /// Bits of a value, a NaN as "NaN here": which NaN an addition of two
+    /// NaNs returns is left open by Rust and moves when LLVM commutes it.
+    fn canonical_bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// The order `sum_and_squares` promises, written out one term at a time:
+    /// element `i` into lane `i mod 8`, then `((0+1)+(2+3))+((4+5)+(6+7))`.
+    fn sum_and_squares_spec(xs: &[f64]) -> (f64, f64) {
+        let mut sums = [0.0f64; 8];
+        let mut squares = [0.0f64; 8];
+        for (i, &x) in xs.iter().enumerate() {
+            sums[i % 8] += x;
+            squares[i % 8] += x * x;
+        }
+        let tree = |l: [f64; 8]| ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+        (tree(sums), tree(squares))
+    }
+
+    #[test]
+    fn sum_and_squares_adds_in_eight_lanes_and_one_tree() {
+        // Lengths around whole lane sets, with terms far apart in magnitude
+        // so that another order rounds differently.
+        let terms = [1.0, 1e-16, -1.0, 3e-17, 1e16, 7.0, -1e16, 0.1, 0.3];
+        for len in 0..=70 {
+            let xs: Vec<f64> = (0..len)
+                .map(|i| terms[i % terms.len()] * (1.0 + i as f64))
+                .collect();
+            let (sum, sum_sq) = sum_and_squares(&xs);
+            let (spec_sum, spec_sum_sq) = sum_and_squares_spec(&xs);
+            assert_eq!(sum.to_bits(), spec_sum.to_bits(), "sum, len {len}");
+            assert_eq!(
+                sum_sq.to_bits(),
+                spec_sum_sq.to_bits(),
+                "squares, len {len}"
+            );
+        }
+        // One chain reads 1e16 + 1 + 1 − 1e16 = 0, each 1 lost to rounding;
+        // in lanes the big terms cancel in lane 0 and the ones survive.
+        let xs = [1e16, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1e16];
+        assert_eq!(sum_and_squares(&xs).0, 2.0);
+        assert_eq!(xs.iter().fold(0.0, |sum, x| sum + x), 0.0);
+    }
+
+    #[test]
+    fn every_tier_sums_and_squares_with_the_bits_of_the_baseline() {
+        let tiers = Tier::available();
+        println!("compared with the baseline: {tiers:?}");
+        let bits = |(sum, sum_sq): (f64, f64)| (canonical_bits(sum), canonical_bits(sum_sq));
+        for seed in 0..8 {
+            let values = hostile_values(seed, 71);
+            // Every remainder of a lane set (lengths 0..=67) at every
+            // misalignment of the slice.
+            for offset in 0..=3 {
+                for len in 0..=67 {
+                    let xs = &values[offset..offset + len];
+                    let expected = bits(sum_and_squares_on(Tier::Baseline, xs));
+                    assert_eq!(bits(sum_and_squares_spec(xs)), expected);
+                    for &tier in &tiers {
+                        let case = format!("{tier:?} seed {seed} len {len} offset {offset}");
+                        assert_eq!(bits(sum_and_squares_on(tier, xs)), expected, "{case}");
+                    }
+                }
+            }
+            // The public entry point is the widest tier.
+            let widest = sum_and_squares_on(tiers[0], &values);
+            assert_eq!(bits(sum_and_squares(&values)), bits(widest));
+        }
     }
 
     proptest! {

@@ -1,10 +1,11 @@
 //! The run-time choice of vector width, and the workspace's only `unsafe`.
 //!
 //! The slice loops of [`exp`](mod@crate::exp) (`exp_shifted`,
-//! `exp_shifted_in_place`) and [`add_scaled_rows`](crate::add_scaled_rows) —
+//! `exp_shifted_in_place`), [`add_scaled_rows`](crate::add_scaled_rows) —
 //! the GEMM loop under attention's P·V, routing's scores, quant + GEMM's
-//! accumulate and `Matrix::matmul` — are each one `#[inline(always)]` body,
-//! compiled three times: at the build's baseline (two `f64` lanes on x86-64),
+//! accumulate and `Matrix::matmul` — and
+//! [`sum_and_squares`](crate::sum_and_squares) — variance's Σx and Σx² in
+//! eight lanes — are each one `#[inline(always)]` body, compiled three times: at the build's baseline (two `f64` lanes on x86-64),
 //! under `avx2` and under `avx512f`. Every public call runs the widest
 //! [`Tier`] this CPU offers, picked by `is_x86_feature_detected!` (other
 //! architectures: the baseline); the others are reachable only from tests.

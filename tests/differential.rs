@@ -317,6 +317,150 @@ fn masked_leading_tiles_contribute_nothing_instead_of_nan() {
     }
 }
 
+/// Checks a fused one-pass result against its unfused reference. `scale` is
+/// the size of the fused statistics (the mean of x² for variance, Σ m·|p|²
+/// for inertia): the one-pass form's error is relative to it, not to the
+/// result. `overflowed` says a fused statistic was not finite although the
+/// reference's passes were; the fused form then has no finite answer and
+/// must return NaN or an infinity — never a number, and never 0.
+fn assert_plain_sums_agree(actual: f64, expected: f64, scale: f64, overflowed: bool, case: &str) {
+    if expected.is_nan() {
+        assert!(
+            actual.is_nan(),
+            "{case}: {actual} where the reference is NaN"
+        );
+    } else if overflowed {
+        assert!(
+            !actual.is_finite(),
+            "{case}: {actual} from an overflowed statistic"
+        );
+    } else {
+        assert!(
+            (actual - expected).abs() <= TIGHT_TOL * (1.0 + scale),
+            "{case}: {actual} vs {expected}"
+        );
+    }
+}
+
+/// The row kinds of [`hostile_value`].
+const HOSTILE_KINDS: [&str; 9] = [
+    "ordinary",
+    "NaN",
+    "+inf",
+    "-inf",
+    "mixed",
+    "constant",
+    "near 1e300",
+    "1e300 constant",
+    "near 1e-300",
+];
+
+/// Element `i` of a row of `len` elements of the named kind: a special in
+/// the middle of ordinary values, specials throughout, one repeated value,
+/// or ordinary values scaled near the ends of the exponent range.
+fn hostile_value(kind: &str, i: usize, len: usize) -> f64 {
+    let ordinary = ((i * 37 + 11) % 101) as f64 / 7.0 - 6.5;
+    let middle = |value| if i == len / 2 { value } else { ordinary };
+    match kind {
+        "ordinary" => ordinary,
+        "NaN" => middle(f64::NAN),
+        "+inf" => middle(f64::INFINITY),
+        "-inf" => middle(f64::NEG_INFINITY),
+        "mixed" => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.5][i % 4],
+        "constant" => 0.7,
+        "near 1e300" => ordinary * 1e299,
+        "1e300 constant" => 1e300,
+        "near 1e-300" => ordinary * 1e-300,
+        _ => unreachable!("unknown row kind {kind}"),
+    }
+}
+
+#[test]
+fn hostile_rows_keep_their_nans_and_overflows_in_the_plain_sums() {
+    // Variance and inertia are plain sums of x and x² (of m, m·p and m·|p|²)
+    // finished by a difference that rounding can push below 0. Rows of every
+    // hostile kind go through a single tile, many tiles and several segments,
+    // and every result is compared with the unfused reference, NaN positions
+    // included.
+    let points = [point(1, 1 << 20, 1), point(2, 2, 1), point(1, 2, 3)];
+    let lengths = (1..=9).chain([65_536]);
+
+    for len in lengths.clone() {
+        let values = HOSTILE_KINDS
+            .iter()
+            .flat_map(|kind| (0..len).map(move |i| hostile_value(kind, i, len)));
+        let batch = Matrix::from_vec(HOSTILE_KINDS.len(), len, values.collect());
+        let expected = redfuser::kernels::nonml::variance_rows(&batch);
+        let workload = Workload::Variance(redfuser::workloads::VarianceConfig {
+            name: "hostile",
+            bs: HOSTILE_KINDS.len(),
+            l: len,
+        });
+        for tuning in &points {
+            let program = executable_program(&workload, tuning);
+            let exec::ExecOutput::Values(actual) =
+                exec::execute(&program, &exec::ExecInput::Rows(&batch)).unwrap()
+            else {
+                panic!("variance returns values");
+            };
+            for (r, kind) in HOSTILE_KINDS.iter().enumerate() {
+                let mean_sq = batch.row(r).iter().map(|x| x * x).sum::<f64>() / len as f64;
+                let case = format!("variance of {kind} x {len} at {tuning:?}");
+                let overflowed = mean_sq.is_infinite();
+                assert_plain_sums_agree(actual[r], expected[r], mean_sq, overflowed, &case);
+            }
+        }
+    }
+
+    // Inertia: the kinds are the particles' positions (three coordinates
+    // each), and once more ordinary positions under masses near 1e300.
+    for len in lengths {
+        let masses: Vec<f64> = (0..len).map(|i| 0.1 + (i % 19) as f64 / 10.0).collect();
+        let huge_masses: Vec<f64> = masses.iter().map(|m| m * 1e300).collect();
+        let systems = HOSTILE_KINDS.iter().map(|&kind| (kind, &masses));
+        for (kind, masses) in systems.chain([("ordinary", &huge_masses)]) {
+            let values = (0..len * 3).map(|i| hostile_value(kind, i, len * 3));
+            let positions = Matrix::from_vec(len, 3, values.collect());
+            let expected = redfuser::kernels::nonml::inertia_naive(masses, &positions);
+            // The fused form's statistics: Σ m·|p|² and |Σ m·p|².
+            let weighted_sq: f64 = (0..len)
+                .map(|i| masses[i] * positions.row(i).iter().map(|p| p * p).sum::<f64>())
+                .sum();
+            let center_sq: f64 = (0..3)
+                .map(|d| {
+                    let weighted: f64 = (0..len).map(|i| masses[i] * positions.get(i, d)).sum();
+                    weighted * weighted
+                })
+                .sum();
+            let overflowed = weighted_sq.is_infinite() || center_sq.is_infinite();
+            let workload = Workload::Inertia(redfuser::workloads::InertiaConfig {
+                name: "hostile",
+                bs: 1,
+                n: len,
+                dim: 3,
+            });
+            let input = exec::ExecInput::Inertia {
+                masses,
+                positions: &positions,
+            };
+            for tuning in &points {
+                let program = executable_program(&workload, tuning);
+                let exec::ExecOutput::Values(actual) = exec::execute(&program, &input).unwrap()
+                else {
+                    panic!("inertia returns values");
+                };
+                let heavy = if masses[0] > 1e299 {
+                    " under masses near 1e300"
+                } else {
+                    ""
+                };
+                let case = format!("inertia of {kind}{heavy} x {len} at {tuning:?}");
+                assert_plain_sums_agree(actual[0], expected, weighted_sq, overflowed, &case);
+            }
+        }
+    }
+}
+
 #[test]
 fn tir_interpreter_cross_checks_the_scalar_workloads() {
     // Softmax: the scalar loop-nest IR interpreted by rf-tir must reproduce
