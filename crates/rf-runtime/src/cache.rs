@@ -44,18 +44,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served without compiling, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct CacheEntry {
     slot: Arc<OnceLock<Arc<CompiledKernel>>>,
     last_used: Arc<AtomicU64>,
@@ -273,7 +261,6 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (5, 1, 1));
-        assert!((stats.hit_rate() - 5.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use rf_trace::{
 };
 
 use crate::backend::{ExecBackend, TileVmBackend};
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::PlanCache;
 use crate::config::{LaneWeights, RuntimeConfig};
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
 use crate::request::RuntimeError;
@@ -263,11 +263,6 @@ impl Engine {
         self.shared.scheduler.iterations()
     }
 
-    /// Plan-cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
-    }
-
     /// A point-in-time metrics snapshot (latency percentiles, batch sizes,
     /// queue depth, shed counts, per-lane traffic, cache effectiveness).
     pub fn metrics(&self) -> MetricsSnapshot {
@@ -277,7 +272,7 @@ impl Engine {
             cache,
             ..
         } = &*self.shared;
-        metrics.snapshot(scheduler.depth(), cache.stats(), cache.tuning_stats())
+        metrics.snapshot(scheduler.depth(), cache.stats())
     }
 
     /// The tile-VM op profile: per op kind, the invocations and tensor bytes

@@ -229,7 +229,9 @@ fn failed_executions_are_counted_as_failures_not_completions() {
         ("inertia", 0, 1)
     );
     assert_eq!(class.lifetime.p99_us, 0.0);
-    assert!(metrics.report().contains("requests failed"));
+    metrics.assert_exported("redfuser_requests_total{outcome=\"failed\"} 1");
+    let failed = "redfuser_class_requests_total{class=\"inertia\",outcome=\"failed\"} 1";
+    metrics.assert_exported(failed);
 }
 
 #[test]
@@ -264,9 +266,11 @@ fn metrics_break_down_per_workload_class() {
     }
     let total_class_batches: u64 = metrics.classes.iter().map(|c| c.batches).sum();
     assert_eq!(total_class_batches, metrics.batches);
-    let report = metrics.report();
-    assert!(report.contains("per-class breakdown"));
-    assert!(report.contains("variance"));
+    for class in ["softmax", "variance"] {
+        let completed =
+            format!("redfuser_class_requests_total{{class=\"{class}\",outcome=\"completed\"}} 4");
+        metrics.assert_exported(&completed);
+    }
 }
 
 #[test]
@@ -300,7 +304,9 @@ fn graph_serving_shares_the_engine_cache_and_surfaces_metrics() {
     assert_eq!(metrics.graph_fused_ops, 2 * first_stats.fused_ops as u64);
     assert_eq!(metrics.graph_glue_ops, 2 * first_stats.glue_ops as u64);
     assert_eq!((metrics.region_hits, metrics.region_lookups), (1, 2));
-    assert!(metrics.report().contains("graphs served"));
+    metrics.assert_exported("redfuser_graphs_total 2");
+    metrics.assert_exported("redfuser_region_plan_cache_total{result=\"hit\"} 1");
+    metrics.assert_exported("redfuser_region_plan_cache_total{result=\"miss\"} 1");
     // Graphs ride the unified stream, so they also count as served requests
     // under the "graph" class.
     assert_eq!(metrics.submitted, 2);
@@ -308,7 +314,7 @@ fn graph_serving_shares_the_engine_cache_and_surfaces_metrics() {
     assert!(metrics.classes.iter().any(|c| c.class == "graph"));
     // The routing-softmax region landed in the same plan cache the request
     // path uses.
-    assert_eq!(engine.cache_stats().misses, 1);
+    assert_eq!(metrics.cache.misses, 1);
 }
 
 #[test]
@@ -402,12 +408,18 @@ fn overload_sheds_are_counted_per_lane() {
     let normal = &metrics.lanes[Priority::Normal.lane()];
     assert_eq!(normal.shed as usize, sheds);
     assert_eq!(normal.completed, metrics.completed);
-    assert!(metrics.report().contains("requests shed"));
+    metrics.assert_exported(&format!(
+        "redfuser_requests_total{{outcome=\"shed\"}} {sheds}"
+    ));
     if sheds > 0 {
         assert!(metrics.shed_retry_last_us > 0.0, "sheds carry retry hints");
-        assert!(metrics.shed_retry_mean_us > 0.0);
+        assert!(metrics.shed_retry_sum_us > 0);
         assert!(normal.shed_rate() > 0.0);
-        assert!(metrics.report().contains("shed retry hint"));
+        let sum = format!(
+            "redfuser_shed_retry_hint_us_total {}",
+            metrics.shed_retry_sum_us
+        );
+        metrics.assert_exported(&sum);
     }
 }
 

@@ -25,8 +25,8 @@
 //!   starves;
 //! * [`RuntimeMetrics`] — served/shed/batch counters, per-lane and per-class
 //!   breakdowns, p50/p99 *simulated* latency from the `rf-gpusim` model,
-//!   queue depth and cache hit rate, with a plain-text
-//!   [`MetricsSnapshot::report`];
+//!   queue depth and plan-cache counters, rendered as Prometheus text by
+//!   [`MetricsSnapshot::prometheus`];
 //! * [`RuntimeConfig`] — a validating [`RuntimeConfig::builder`] that rejects
 //!   impossible configurations (zero workers, zero budgets) with typed
 //!   [`RuntimeError::InvalidConfig`] errors.
@@ -48,7 +48,7 @@
 //! engine.run_until_drained();
 //! assert!(tickets.into_iter().all(|t| t.wait().is_ok()));
 //! // 32 identical shapes -> 1 compilation.
-//! assert_eq!(engine.cache_stats().misses, 1);
+//! assert_eq!(engine.metrics().cache.misses, 1);
 //! ```
 //!
 //! Locking discipline: the scheduler mutex and the cache's `RwLock` protect

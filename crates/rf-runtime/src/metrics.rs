@@ -1,6 +1,6 @@
 //! Serving metrics: request/batch counters, simulated latency percentiles,
-//! queue depth and cache effectiveness, with a plain-text report and a
-//! Prometheus-style exposition.
+//! queue depth and cache effectiveness, rendered as a Prometheus-style
+//! exposition.
 //!
 //! Two latency families coexist here, one statistic under both — the
 //! mergeable, lifetime-accurate [`LogHistogram`]:
@@ -19,8 +19,10 @@
 //!
 //! Every number is a lifetime total. A rate over an interval — throughput,
 //! shed rate, batch occupancy, busy fraction — is the difference of two
-//! snapshots' counters (`rate()` to a scraper). The exposition is rendered
-//! from one table of metric families ([`metric_reference`] prints it).
+//! snapshots' counters (`rate()` to a scraper). The exposition is the one
+//! text rendering of a [`MetricsSnapshot`], from one table of metric
+//! families ([`metric_reference`] prints it) that exports every number the
+//! snapshot holds.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -28,7 +30,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use rf_codegen::TuningCacheStats;
 use rf_trace::{HistogramSnapshot, LogHistogram, Stage, TraceConfig, TraceLevel, STAGES};
 
 use crate::cache::CacheStats;
@@ -112,16 +113,8 @@ pub struct ClassSnapshot {
     /// Batches of this class served from an already-compiled plan.
     pub cache_hits: u64,
     /// The class's simulated request latency over the whole run: count,
-    /// mean, p50/p99/p999 and maximum, in µs. Recorded at every level.
+    /// sum, p50/p99/p999 and maximum, in µs. Recorded at every level.
     pub lifetime: HistogramSnapshot,
-}
-
-impl ClassSnapshot {
-    /// Fraction of this class's batches served from the plan cache, in
-    /// `[0, 1]`.
-    pub fn cache_hit_rate(&self) -> f64 {
-        ratio(self.cache_hits as f64, self.batches)
-    }
 }
 
 /// A point-in-time view of one priority lane's traffic.
@@ -191,7 +184,7 @@ pub struct MetricsSnapshot {
     pub busy_us: f64,
     /// The telemetry level the engine ran with.
     pub trace_level: TraceLevel,
-    /// Simulated request latency over the whole run: count, mean,
+    /// Simulated request latency over the whole run: count, sum,
     /// p50/p99/p999 (bucket-quantised, ≤ 1/16 relative) and maximum, in µs.
     /// Recorded at every level.
     pub lifetime: HistogramSnapshot,
@@ -201,13 +194,11 @@ pub struct MetricsSnapshot {
     /// The retry hint attached to the most recent shed, in microseconds
     /// (0 when nothing was shed).
     pub shed_retry_last_us: f64,
-    /// Mean retry hint over all sheds, in microseconds.
-    pub shed_retry_mean_us: f64,
+    /// Sum of the retry hints over all sheds, in whole microseconds (each
+    /// hint truncated); the mean hint is this over `shed`.
+    pub shed_retry_sum_us: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Auto-tuner warm-start cache counters (the searches behind plan-cache
-    /// misses).
-    pub tuning: TuningCacheStats,
     /// Per-workload-class breakdown (requests, latency percentiles, cache
     /// effectiveness), sorted by class name.
     pub classes: Vec<ClassSnapshot>,
@@ -221,14 +212,6 @@ pub struct MetricsSnapshot {
     pub region_lookups: u64,
     /// Fused-region plan lookups served from the plan cache.
     pub region_hits: u64,
-}
-
-impl MetricsSnapshot {
-    /// Fraction of fused-region plan lookups served from the plan cache, in
-    /// `[0, 1]`.
-    pub fn region_hit_rate(&self) -> f64 {
-        ratio(self.region_hits as f64, self.region_lookups)
-    }
 }
 
 /// `numerator / denominator`, `0.0` while nothing has been counted.
@@ -260,9 +243,9 @@ impl RuntimeMetrics {
     }
 
     /// Records one submission shed by admission control, together with the
-    /// retry hint the caller was given (surfaced as last/mean in
-    /// [`MetricsSnapshot`] so operators can see what backoff the engine is
-    /// asking for).
+    /// retry hint the caller was given (surfaced as the last hint and the
+    /// sum of hints in [`MetricsSnapshot`] so operators can see what backoff
+    /// the engine is asking for).
     pub fn record_shed(&self, priority: Priority, retry_hint: Duration) {
         self.shed.fetch_add(1, Relaxed);
         self.lanes[priority.lane()].shed.fetch_add(1, Relaxed);
@@ -329,7 +312,7 @@ impl RuntimeMetrics {
     /// latency samples. Non-finite latencies (an infeasible kernel's infinite
     /// estimate) still count their requests as completed but are excluded
     /// from the latency distributions and the busy time — a single infinite
-    /// sample would otherwise poison the lifetime mean forever.
+    /// sample would otherwise poison the lifetime sum forever.
     pub fn record_batch(
         &self,
         class: &'static str,
@@ -374,14 +357,9 @@ impl RuntimeMetrics {
             .fetch_add(region_lookups as u64, Relaxed);
     }
 
-    /// Builds a snapshot; the caller supplies the current queue depth plus the
-    /// plan-cache and tuning-cache counters (owned by the engine).
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        cache: CacheStats,
-        tuning: TuningCacheStats,
-    ) -> MetricsSnapshot {
+    /// Builds a snapshot; the caller supplies the current queue depth and the
+    /// plan-cache counters (owned by the engine).
+    pub fn snapshot(&self, queue_depth: usize, cache: CacheStats) -> MetricsSnapshot {
         let (classes, busy_ns): (Vec<ClassSnapshot>, u64) = {
             let tracks = self.classes.lock().expect("metrics lock poisoned");
             let classes = tracks.iter().map(|(&class, track)| ClassSnapshot {
@@ -422,7 +400,6 @@ impl RuntimeMetrics {
                 wall: self.stage_walls[stage.index()].snapshot(),
             })
             .collect();
-        let shed = self.shed.load(Relaxed);
         MetricsSnapshot {
             // Derived from the lanes like `completed` and `failed`: a shed
             // submission is counted and then rolled back (`cancel_submit`),
@@ -431,7 +408,7 @@ impl RuntimeMetrics {
             submitted: lanes.iter().map(|lane| lane.submitted).sum(),
             completed: lanes.iter().map(|lane| lane.completed).sum(),
             failed: lanes.iter().map(|lane| lane.failed).sum(),
-            shed,
+            shed: self.shed.load(Relaxed),
             lanes,
             batches,
             queue_depth,
@@ -441,9 +418,8 @@ impl RuntimeMetrics {
             lifetime: self.lifetime.snapshot(),
             stages,
             shed_retry_last_us: f64::from_bits(self.shed_retry_last_bits.load(Relaxed)),
-            shed_retry_mean_us: ratio(self.shed_retry_sum_us.load(Relaxed) as f64, shed),
+            shed_retry_sum_us: self.shed_retry_sum_us.load(Relaxed),
             cache,
-            tuning,
             classes,
             graphs_served: self.graphs_served.load(Relaxed),
             graph_fused_ops: self.graph_fused_ops.load(Relaxed),
@@ -455,110 +431,6 @@ impl RuntimeMetrics {
 }
 
 impl MetricsSnapshot {
-    /// Renders the snapshot as an aligned plain-text report.
-    pub fn report(&self) -> String {
-        let sim = &self.lifetime;
-        let mut out = String::new();
-        out.push_str("runtime metrics\n");
-        out.push_str(&format!("  requests submitted   {:>12}\n", self.submitted));
-        out.push_str(&format!("  requests completed   {:>12}\n", self.completed));
-        out.push_str(&format!("  requests failed      {:>12}\n", self.failed));
-        out.push_str(&format!("  requests shed        {:>12}\n", self.shed));
-        out.push_str(&format!("  batches executed     {:>12}\n", self.batches));
-        out.push_str(&format!(
-            "  mean batch size      {:>12.2}\n",
-            self.mean_batch_size
-        ));
-        out.push_str(&format!(
-            "  queue depth          {:>12}\n",
-            self.queue_depth
-        ));
-        out.push_str(&format!(
-            "  lifetime sim latency p50 {:>9.2} us  p99 {:>9.2} us  p999 {:>9.2} us  mean {:>9.2} us\n",
-            sim.p50_us, sim.p99_us, sim.p999_us, sim.mean_us
-        ));
-        if self.stages.iter().any(|s| s.wall.count > 0) {
-            out.push_str("  per-stage wall time\n");
-            for stage in self.stages.iter().filter(|s| s.wall.count > 0) {
-                out.push_str(&format!(
-                    "    {:<8} n {:>8}  p50 {:>9.2} us  p99 {:>9.2} us  p999 {:>9.2} us\n",
-                    stage.stage,
-                    stage.wall.count,
-                    stage.wall.p50_us,
-                    stage.wall.p99_us,
-                    stage.wall.p999_us
-                ));
-            }
-        }
-        if self.shed > 0 {
-            out.push_str(&format!(
-                "  shed retry hint      last {:>9.2} us  mean {:>9.2} us\n",
-                self.shed_retry_last_us, self.shed_retry_mean_us
-            ));
-        }
-        out.push_str(&format!(
-            "  cache hits / misses  {:>6} / {:<6} ({:.1}% hit rate)\n",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.hit_rate() * 100.0
-        ));
-        out.push_str(&format!(
-            "  cache entries        {:>12} ({} evictions)\n",
-            self.cache.entries, self.cache.evictions
-        ));
-        out.push_str(&format!(
-            "  tuner warm starts    {:>6} / {:<6} ({} classes)\n",
-            self.tuning.seeded, self.tuning.lookups, self.tuning.entries
-        ));
-        if self.graphs_served > 0 {
-            out.push_str(&format!(
-                "  graphs served        {:>12}\n",
-                self.graphs_served
-            ));
-            out.push_str(&format!(
-                "  graph ops fused      {:>6} / {:<6} ({} glue)\n",
-                self.graph_fused_ops,
-                self.graph_fused_ops + self.graph_glue_ops,
-                self.graph_glue_ops
-            ));
-            out.push_str(&format!(
-                "  region cache hits    {:>6} / {:<6} ({:.1}% hit rate)\n",
-                self.region_hits,
-                self.region_lookups,
-                self.region_hit_rate() * 100.0
-            ));
-        }
-        if self.lanes.iter().any(|l| l.submitted > 0 || l.shed > 0) {
-            out.push_str("  per-lane breakdown\n");
-            for lane in &self.lanes {
-                out.push_str(&format!(
-                    "    {:<10} submitted {:>8}  completed {:>8}  failed {:>6}  \
-                     shed {:>8} ({:>5.1}% shed rate)\n",
-                    lane.lane,
-                    lane.submitted,
-                    lane.completed,
-                    lane.failed,
-                    lane.shed,
-                    lane.shed_rate() * 100.0
-                ));
-            }
-        }
-        if !self.classes.is_empty() {
-            out.push_str("  per-class breakdown\n");
-            for class in &self.classes {
-                out.push_str(&format!(
-                    "    {:<10} reqs {:>8}  p50 {:>9.2} us  p99 {:>9.2} us  cache {:>5.1}%\n",
-                    class.class,
-                    class.completed,
-                    class.lifetime.p50_us,
-                    class.lifetime.p99_us,
-                    class.cache_hit_rate() * 100.0
-                ));
-            }
-        }
-        out
-    }
-
     /// Renders the snapshot in the Prometheus plain-text exposition format
     /// (counters for traffic, gauges for instantaneous state, summaries with
     /// `quantile` labels from the lifetime histograms). The string is
@@ -654,20 +526,26 @@ fn summary(emit: &mut Emit, labels: &str, hist: &HistogramSnapshot) {
     ] {
         emit("", &join(labels, &label("quantile", q)), v);
     }
-    emit("_sum", labels, hist.mean_us * hist.count as f64);
+    emit("_sum", labels, hist.sum_us);
     emit("_count", labels, hist.count as f64);
+}
+
+/// Counts under one more label: `key="name"` for each `(name, count)`.
+fn split(emit: &mut Emit, labels: &str, key: &str, counts: &[(&str, u64)]) {
+    for &(name, value) in counts {
+        emit("", &join(labels, &label(key, name)), value as f64);
+    }
 }
 
 /// One ledger's requests by outcome.
 fn outcomes(emit: &mut Emit, labels: &str, [submitted, completed, failed, shed]: [u64; 4]) {
-    for (outcome, value) in [
+    let counts = [
         ("submitted", submitted),
         ("completed", completed),
         ("failed", failed),
         ("shed", shed),
-    ] {
-        emit("", &join(labels, &label("outcome", outcome)), value as f64);
-    }
+    ];
+    split(emit, labels, "outcome", &counts);
 }
 
 /// The exported families, in exposition order.
@@ -690,13 +568,19 @@ const FAMILIES: &[Family] = &[
     family!(counter "redfuser_plan_cache_total" ["-", "events"]
     "Plan-cache lookups by result."
     => |m, emit| {
-        emit("", "result=\"hit\"", m.cache.hits as f64);
-        emit("", "result=\"miss\"", m.cache.misses as f64);
-        emit("", "result=\"eviction\"", m.cache.evictions as f64);
+        let c = &m.cache;
+        let counts = [("hit", c.hits), ("miss", c.misses), ("eviction", c.evictions)];
+        split(emit, "", "result", &counts);
     }),
+    family!(gauge "redfuser_plan_cache_entries" ["-", "plans"]
+        "Compiled plans held by the plan cache right now."
+        => |m, emit| emit("", "", m.cache.entries as f64)),
     family!(gauge "redfuser_shed_retry_hint_us" ["host", "us"]
         "Retry hint attached to the most recent shed, microseconds."
         => |m, emit| emit("", "", m.shed_retry_last_us)),
+    family!(counter "redfuser_shed_retry_hint_us_total" ["host", "us"]
+        "Sum of the retry hints attached to sheds, whole microseconds; over the shed count it is the mean hint."
+        => |m, emit| emit("", "", m.shed_retry_sum_us as f64)),
     family!(summary "redfuser_sim_latency_us" ["sim", "us"]
         "Lifetime simulated request latency, microseconds."
         => |m, emit| summary(emit, "", &m.lifetime)),
@@ -722,6 +606,22 @@ const FAMILIES: &[Family] = &[
             summary(emit, &label("lane", l.lane), &l.wall);
         }
     }),
+    family!(counter "redfuser_class_requests_total" ["-", "requests"]
+    "Per-workload-class requests executed, by outcome (completed/failed)."
+    => |m, emit| {
+        for c in &m.classes {
+            let counts = [("completed", c.completed), ("failed", c.failed)];
+            split(emit, &label("class", c.class), "outcome", &counts);
+        }
+    }),
+    family!(counter "redfuser_class_batches_total" ["-", "batches"]
+    "Per-workload-class batches executed, by whether the plan came from the plan cache."
+    => |m, emit| {
+        for c in &m.classes {
+            let counts = [("hit", c.cache_hits), ("miss", c.batches - c.cache_hits)];
+            split(emit, &label("class", c.class), "plan", &counts);
+        }
+    }),
     family!(summary "redfuser_class_sim_latency_us" ["sim", "us"]
     "Per-workload-class lifetime simulated latency, microseconds."
     => |m, emit| {
@@ -729,7 +629,32 @@ const FAMILIES: &[Family] = &[
             summary(emit, &label("class", c.class), &c.lifetime);
         }
     }),
+    family!(counter "redfuser_graphs_total" ["-", "graphs"]
+        "Whole graphs served end-to-end through graph submissions."
+        => |m, emit| emit("", "", m.graphs_served as f64)),
+    family!(counter "redfuser_graph_ops_total" ["-", "ops"]
+    "Ops of the served graphs, by whether a fused region or unfused glue executed them."
+    => |m, emit| {
+        let counts = [("fused", m.graph_fused_ops), ("glue", m.graph_glue_ops)];
+        split(emit, "", "kind", &counts);
+    }),
+    family!(counter "redfuser_region_plan_cache_total" ["-", "lookups"]
+    "Fused-region plan lookups of graph serving, by result."
+    => |m, emit| {
+        // Two separately read atomics: mid-flight, hits can lead lookups.
+        let misses = m.region_lookups.saturating_sub(m.region_hits);
+        split(emit, "", "result", &[("hit", m.region_hits), ("miss", misses)]);
+    }),
 ];
+
+#[cfg(test)]
+impl MetricsSnapshot {
+    /// Asserts that the exposition carries `line` exactly.
+    pub(crate) fn assert_exported(&self, line: &str) {
+        let text = self.prometheus();
+        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -742,10 +667,6 @@ mod tests {
             evictions: 0,
             entries: 0,
         }
-    }
-
-    fn empty_tuning_stats() -> TuningCacheStats {
-        TuningCacheStats::default()
     }
 
     /// A ledger at the default level, [`TraceLevel::Histograms`].
@@ -772,7 +693,7 @@ mod tests {
             metrics.record_batch("softmax", 1, 0, f64::NAN, true);
             metrics.record_batch("softmax", 1, 0, f64::NEG_INFINITY, true);
             metrics.record_served(Priority::Normal, 5);
-            let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+            let snap = metrics.snapshot(0, empty_cache_stats());
             assert_eq!(snap.completed, 5);
             assert_eq!(snap.classes[0].completed, 5);
             assert_eq!(snap.lifetime.count, 2);
@@ -780,7 +701,7 @@ mod tests {
             assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
             assert_eq!(snap.lifetime.p99_us, snap.lifetime.p50_us);
             assert_eq!(snap.lifetime.max_us, 10.0);
-            assert_eq!(snap.lifetime.mean_us, 10.0, "the mean must stay finite");
+            assert_eq!(snap.lifetime.sum_us, 20.0, "the sum must stay finite");
             assert_eq!(snap.busy_us, 10.0, "only the finite batch was busy time");
         }
     }
@@ -795,14 +716,14 @@ mod tests {
         metrics.record_batch("mha", 1, 0, 50.0, true);
         metrics.record_served(Priority::Normal, 3);
         metrics.record_served(Priority::High, 1);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(snap.submitted, 4);
         assert_eq!(snap.completed, 4);
         assert_eq!(snap.batches, 2);
         assert!((snap.mean_batch_size - 2.0).abs() < 1e-12);
         assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
         assert!(within_a_bucket(snap.lifetime.p99_us, 50.0));
-        assert!((snap.lifetime.mean_us - 20.0).abs() < 1e-12);
+        assert_eq!(snap.lifetime.sum_us, 80.0);
         // Lane attribution: 4 normal submissions, 3 normal + 1 high served.
         assert_eq!(snap.lanes.len(), LANES);
         assert_eq!(snap.lanes[0].lane, "high");
@@ -819,35 +740,35 @@ mod tests {
         metrics.cancel_submit(Priority::Low);
         metrics.record_shed(Priority::Low, Duration::from_micros(200));
         metrics.record_shed(Priority::High, Duration::from_micros(400));
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(snap.submitted, 0);
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.lanes[Priority::Low.lane()].shed, 1);
         assert_eq!(snap.lanes[Priority::High.lane()].shed, 1);
         assert_eq!(snap.lanes[Priority::Low.lane()].submitted, 0);
-        // Retry hints: last is the most recent shed's, mean averages both.
+        // Retry hints: last is the most recent shed's, the sum adds both.
         assert!((snap.shed_retry_last_us - 400.0).abs() < 1e-9);
-        assert!((snap.shed_retry_mean_us - 300.0).abs() < 1e-9);
+        assert_eq!(snap.shed_retry_sum_us, 600);
         // Shed rate: the low lane saw 1 arrival, all shed.
         assert!((snap.lanes[Priority::Low.lane()].shed_rate() - 1.0).abs() < 1e-12);
-        let report = snap.report();
-        assert!(report.contains("requests shed"));
-        assert!(report.contains("per-lane breakdown"));
-        assert!(report.contains("low"));
-        assert!(report.contains("shed retry hint"));
-        assert!(report.contains("shed rate"));
+        for line in [
+            "redfuser_requests_total{outcome=\"shed\"} 2",
+            "redfuser_lane_requests_total{lane=\"low\",outcome=\"submitted\"} 0",
+            "redfuser_lane_requests_total{lane=\"low\",outcome=\"shed\"} 1",
+            "redfuser_shed_retry_hint_us 400",
+            "redfuser_shed_retry_hint_us_total 600",
+        ] {
+            snap.assert_exported(line);
+        }
     }
 
     #[test]
     fn shed_rate_is_zero_on_an_idle_lane() {
-        let snap = ledger().snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = ledger().snapshot(0, empty_cache_stats());
         assert_eq!(snap.lanes[0].shed_rate(), 0.0);
         assert_eq!(snap.shed_retry_last_us, 0.0);
-        assert_eq!(snap.shed_retry_mean_us, 0.0);
-        assert!(
-            !snap.report().contains("shed retry hint"),
-            "the retry-hint line is omitted until something is shed"
-        );
+        assert_eq!(snap.shed_retry_sum_us, 0);
+        snap.assert_exported("redfuser_shed_retry_hint_us_total 0");
     }
 
     #[test]
@@ -868,7 +789,7 @@ mod tests {
         let metrics = ledger();
         metrics.record_timing(Priority::Normal, &timing);
         metrics.record_timing(Priority::High, &hit);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         let by_name = |name: &str| {
             snap.stages
                 .iter()
@@ -885,7 +806,8 @@ mod tests {
         // Lane attribution of the e2e wall time.
         assert_eq!(snap.lanes[Priority::Normal.lane()].wall.count, 1);
         assert_eq!(snap.lanes[Priority::High.lane()].wall.count, 1);
-        assert!(snap.report().contains("per-stage wall time"));
+        snap.assert_exported("redfuser_stage_wall_us_count{stage=\"compile\"} 1");
+        snap.assert_exported("redfuser_stage_wall_us_sum{stage=\"tune\"} 3000");
 
         // The Off contract: the wall-clock histograms record nothing; the
         // simulated-latency statistic (and the counters) are always on.
@@ -893,7 +815,7 @@ mod tests {
         off.record_submit(Priority::Normal);
         off.record_timing(Priority::Normal, &timing);
         off.record_batch("softmax", 4, 0, 10.0, true);
-        let snap = off.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = off.snapshot(0, empty_cache_stats());
         assert_eq!(snap.trace_level, TraceLevel::Off);
         assert!(snap.stages.iter().all(|s| s.wall.count == 0));
         assert!(snap.lanes.iter().all(|l| l.wall.count == 0));
@@ -911,18 +833,19 @@ mod tests {
         metrics.record_batch("softmax", 8192, 0, 1.0, false);
         metrics.record_batch("softmax", 8192, 0, 1.0, true);
         metrics.record_batch("softmax", 8192, 0, 9.0, true);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         assert!(
             snap.lifetime.p50_us < 2.0,
             "the lifetime histogram remembers the 2/3 fast majority, got {}",
             snap.lifetime.p50_us
         );
         assert!(within_a_bucket(snap.lifetime.p99_us, 9.0));
-        assert!((snap.lifetime.mean_us - 11.0 / 3.0).abs() < 1e-12);
+        assert_eq!(snap.lifetime.sum_us, 11.0 * 8192.0);
         assert_eq!(snap.lifetime.count, 3 * 8192);
         let softmax = &snap.classes[0];
         assert_eq!(softmax.lifetime, snap.lifetime);
-        assert!(snap.report().contains("lifetime sim latency"));
+        snap.assert_exported("redfuser_sim_latency_us_sum 90112");
+        snap.assert_exported("redfuser_sim_latency_us_count 24576");
     }
 
     #[test]
@@ -943,9 +866,7 @@ mod tests {
             },
         );
         metrics.record_shed(Priority::Low, Duration::from_micros(250));
-        let text = metrics
-            .snapshot(2, empty_cache_stats(), empty_tuning_stats())
-            .prometheus();
+        let text = metrics.snapshot(2, empty_cache_stats()).prometheus();
         for needle in [
             "# TYPE redfuser_requests_total counter",
             "redfuser_requests_total{outcome=\"submitted\"} 1",
@@ -966,6 +887,10 @@ mod tests {
                 "exposition must contain `{needle}`:\n{text}"
             );
         }
+        for f in FAMILIES {
+            let header = format!("# TYPE {} {}\n", f.name, f.kind);
+            assert!(text.contains(&header), "no `{header}` in:\n{text}");
+        }
         // Every line is either a comment or `name{labels} value`.
         for line in text.lines() {
             assert!(
@@ -982,7 +907,7 @@ mod tests {
     fn busy_time_is_a_sim_clock_counter_in_the_exposition() {
         let metrics = ledger();
         let busy = |metrics: &RuntimeMetrics| {
-            let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+            let snap = metrics.snapshot(0, empty_cache_stats());
             let text = snap.prometheus();
             let line = text
                 .lines()
@@ -1004,40 +929,48 @@ mod tests {
     }
 
     #[test]
-    fn report_mentions_every_headline_number() {
+    fn exposition_carries_every_headline_number() {
         let metrics = ledger();
         metrics.record_submit(Priority::Normal);
         metrics.record_batch("softmax", 1, 0, 12.5, false);
-        let report = metrics
-            .snapshot(
-                3,
-                CacheStats {
-                    hits: 9,
-                    misses: 1,
-                    evictions: 0,
-                    entries: 1,
-                },
-                TuningCacheStats {
-                    lookups: 2,
-                    seeded: 1,
-                    insertions: 2,
-                    entries: 1,
-                },
-            )
-            .report();
-        assert!(report.contains("requests completed"));
-        // One line carries every simulated-latency statistic.
-        let latency: Vec<&str> = report.lines().filter(|l| l.contains("latency")).collect();
-        assert_eq!(latency.len(), 1, "report:\n{report}");
-        for stat in ["p50", "p99", "p999", "mean"] {
-            assert!(latency[0].contains(stat), "{stat} missing: {}", latency[0]);
+        metrics.record_served(Priority::Normal, 1);
+        let cache = CacheStats {
+            hits: 9,
+            misses: 1,
+            evictions: 0,
+            entries: 1,
+        };
+        let snap = metrics.snapshot(3, cache);
+        for line in [
+            "redfuser_requests_total{outcome=\"completed\"} 1",
+            "redfuser_queue_depth 3",
+            "redfuser_mean_batch_size 1",
+            "redfuser_sim_latency_us_sum 12.5",
+            "redfuser_sim_latency_us_count 1",
+            "redfuser_plan_cache_total{result=\"hit\"} 9",
+            "redfuser_plan_cache_total{result=\"miss\"} 1",
+            "redfuser_plan_cache_entries 1",
+            "redfuser_class_requests_total{class=\"softmax\",outcome=\"completed\"} 1",
+            "redfuser_class_batches_total{class=\"softmax\",plan=\"miss\"} 1",
+            "redfuser_class_sim_latency_us_count{class=\"softmax\"} 1",
+        ] {
+            snap.assert_exported(line);
         }
-        assert!(report.contains("90.0% hit rate"));
-        assert!(report.contains("queue depth"));
-        assert!(report.contains("tuner warm starts"));
-        assert!(report.contains("1 / 2"));
-        assert!(report.contains("per-class breakdown"));
-        assert!(report.contains("softmax"));
+    }
+
+    #[test]
+    fn summary_sums_are_the_recorded_sums() {
+        // 335 + 336 + 336 ns: a sum rebuilt as mean × count exported
+        // 1.0070000000000001; the recorded nanosecond sum divided once
+        // prints as what was recorded.
+        let metrics = ledger();
+        for latency_us in [0.335, 0.336, 0.336] {
+            metrics.record_batch("softmax", 1, 0, latency_us, true);
+        }
+        let snap = metrics.snapshot(0, empty_cache_stats());
+        assert_eq!(snap.lifetime.sum_us, 1.007);
+        snap.assert_exported("redfuser_sim_latency_us_sum 1.007");
+        snap.assert_exported("redfuser_class_sim_latency_us_sum{class=\"softmax\"} 1.007");
     }
 
     #[test]
@@ -1048,28 +981,28 @@ mod tests {
         metrics.record_batch("softmax", 4, 0, 12.0, true);
         metrics.record_batch("softmax", 2, 0, 14.0, true);
         metrics.record_batch("mha", 1, 0, 200.0, false);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(snap.classes.len(), 2);
         // Sorted by class name: mha before softmax.
         let mha = &snap.classes[0];
         let softmax = &snap.classes[1];
         assert_eq!(mha.class, "mha");
         assert_eq!((mha.completed, mha.batches, mha.cache_hits), (1, 1, 0));
-        assert_eq!(mha.cache_hit_rate(), 0.0);
         assert!(within_a_bucket(mha.lifetime.p50_us, 200.0));
         assert_eq!(softmax.class, "softmax");
         assert_eq!(
             (softmax.completed, softmax.batches, softmax.cache_hits),
             (8, 3, 2)
         );
-        assert!((softmax.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        snap.assert_exported("redfuser_class_batches_total{class=\"softmax\",plan=\"hit\"} 2");
+        snap.assert_exported("redfuser_class_batches_total{class=\"softmax\",plan=\"miss\"} 1");
         assert!(within_a_bucket(softmax.lifetime.p50_us, 12.0));
         assert!(within_a_bucket(softmax.lifetime.p99_us, 14.0));
         // Class percentiles are independent of the global distribution.
         assert!(snap.lifetime.p99_us > softmax.lifetime.p99_us);
         // Non-finite latencies count requests but never enter the histogram.
         metrics.record_batch("mha", 1, 0, f64::INFINITY, true);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         let mha = &snap.classes[0];
         assert_eq!((mha.completed, mha.batches, mha.cache_hits), (2, 2, 1));
         assert_eq!(mha.lifetime.count, 1);
@@ -1079,28 +1012,28 @@ mod tests {
     #[test]
     fn graph_counters_accumulate_and_render() {
         let metrics = ledger();
-        let before = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let before = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(before.graphs_served, 0);
-        assert_eq!(before.region_hit_rate(), 0.0);
-        assert!(
-            !before.report().contains("graphs served"),
-            "graph lines are omitted until a graph is served"
-        );
+        before.assert_exported("redfuser_graphs_total 0");
+        before.assert_exported("redfuser_region_plan_cache_total{result=\"miss\"} 0");
         // First graph: 2 regions (both compile), 9 fused ops, 8 glue ops.
         metrics.record_graph(9, 8, 0, 2);
         // Same graph again: both regions hit the plan cache.
         metrics.record_graph(9, 8, 2, 2);
-        let snap = metrics.snapshot(0, empty_cache_stats(), empty_tuning_stats());
+        let snap = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(snap.graphs_served, 2);
         assert_eq!(snap.graph_fused_ops, 18);
         assert_eq!(snap.graph_glue_ops, 16);
         assert_eq!((snap.region_hits, snap.region_lookups), (2, 4));
-        assert!((snap.region_hit_rate() - 0.5).abs() < 1e-12);
-        let report = snap.report();
-        assert!(report.contains("graphs served"));
-        assert!(report.contains("graph ops fused"));
-        assert!(report.contains("region cache hits"));
-        assert!(report.contains("50.0% hit rate"));
+        for line in [
+            "redfuser_graphs_total 2",
+            "redfuser_graph_ops_total{kind=\"fused\"} 18",
+            "redfuser_graph_ops_total{kind=\"glue\"} 16",
+            "redfuser_region_plan_cache_total{result=\"hit\"} 2",
+            "redfuser_region_plan_cache_total{result=\"miss\"} 2",
+        ] {
+            snap.assert_exported(line);
+        }
     }
 
     #[test]

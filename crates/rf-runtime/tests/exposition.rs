@@ -13,16 +13,26 @@
 //! per-device families (the scripts were then replayed into one ledger
 //! instead of two merged ones, which changes no other line); deleting the
 //! telemetry ring removed its counters line (its wall-clock window gauges
-//! were never compared) and added the `redfuser_sim_busy_us_total` counter.
+//! were never compared) and added the `redfuser_sim_busy_us_total` counter;
+//! deleting the snapshot's tuner warm-start counters removed the `tuning`
+//! line; making the exposition the one rendering added the families the
+//! deleted text report alone had shown (plan-cache entries, shed-hint sum,
+//! per-class requests and batches, graphs, graph ops, region lookups), and
+//! the summaries' `_sum` became the recorded sum instead of mean × count
+//! (no value moved: every sum here is exact either way).
+//!
+//! A second test parses the exposition back and recovers every line of
+//! `counters.txt` from it but `lifetime.max_us`, a statistic no family
+//! exports: the exposition carries every number the snapshot holds.
 //!
 //! Re-record (copy the file the failure message names over the golden one)
 //! only in a PR that adds or removes a metric family, and list the lines that
 //! moved.
 
+use std::fmt::Display;
 use std::path::Path;
 use std::time::Duration;
 
-use rf_codegen::TuningCacheStats;
 use rf_runtime::{
     CacheStats, MetricsSnapshot, Priority, RequestTiming, RuntimeMetrics, TraceConfig,
 };
@@ -107,20 +117,11 @@ fn cache(hits: u64, misses: u64, evictions: u64, entries: usize) -> CacheStats {
     }
 }
 
-fn tuning(lookups: u64, seeded: u64, insertions: u64, entries: usize) -> TuningCacheStats {
-    TuningCacheStats {
-        lookups,
-        seeded,
-        insertions,
-        entries,
-    }
-}
-
 fn replay() -> MetricsSnapshot {
     let ledger = RuntimeMetrics::with_trace(TraceConfig::default());
     replay_script_0(&ledger);
     replay_script_1(&ledger);
-    ledger.snapshot(4, cache(17, 6, 1, 5), tuning(6, 1, 6, 5))
+    ledger.snapshot(4, cache(17, 6, 1, 5))
 }
 
 /// Every counter field of the snapshot, one per line. Latency *statistics*
@@ -139,9 +140,10 @@ fn counters(s: &MetricsSnapshot) -> String {
     line("lifetime.count", s.lifetime.count.to_string());
     line("lifetime.max_us", s.lifetime.max_us.to_string());
     line("shed_retry_last_us", s.shed_retry_last_us.to_string());
-    line("shed_retry_mean_us", s.shed_retry_mean_us.to_string());
+    // The golden line is the mean hint: the sum over the shed count.
+    let mean = s.shed_retry_sum_us as f64 / s.shed as f64;
+    line("shed_retry_mean_us", mean.to_string());
     line("cache", format!("{:?}", s.cache));
-    line("tuning", format!("{:?}", s.tuning));
     line("graphs_served", s.graphs_served.to_string());
     line("graph_fused_ops", s.graph_fused_ops.to_string());
     line("graph_glue_ops", s.graph_glue_ops.to_string());
@@ -214,4 +216,150 @@ fn exposition_and_counters_match_the_recorded_replay() {
     .filter_map(Result::err)
     .collect();
     assert!(differences.is_empty(), "{}", differences.join("\n"));
+}
+
+/// An exposition's samples by series (`name{labels}` as printed), in order.
+struct Exposition(Vec<(String, f64)>);
+
+impl Exposition {
+    fn parse(text: &str) -> Self {
+        let samples = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (series, value) = line.rsplit_once(' ').expect("`series value`");
+                (series.to_owned(), value.parse().expect("a float value"))
+            });
+        Exposition(samples.collect())
+    }
+
+    /// The value of `series`, which must occur exactly once.
+    fn get(&self, series: &str) -> f64 {
+        let found: Vec<f64> = self
+            .0
+            .iter()
+            .filter(|(s, _)| s == series)
+            .map(|s| s.1)
+            .collect();
+        assert_eq!(found.len(), 1, "`{series}` must occur once");
+        found[0]
+    }
+
+    /// `get` as a whole count.
+    fn count(&self, series: &str) -> u64 {
+        let value = self.get(series);
+        assert_eq!(value.fract(), 0.0, "`{series}` is a count");
+        value as u64
+    }
+
+    /// The values of the first label `key` of family `name`, in order.
+    fn label_values(&self, name: &str, key: &str) -> Vec<String> {
+        let prefix = format!("{name}{{{key}=\"");
+        let mut values: Vec<String> = Vec::new();
+        for (series, _) in &self.0 {
+            if let Some(rest) = series.strip_prefix(&prefix) {
+                let value = rest.split('"').next().expect("a closed label value");
+                if !values.iter().any(|v| v == value) {
+                    values.push(value.to_owned());
+                }
+            }
+        }
+        values
+    }
+}
+
+/// `counters.txt` rebuilt from the exposition alone, but `lifetime.max_us`.
+fn counters_from_exposition(text: &str) -> String {
+    let e = Exposition::parse(text);
+    let mut out = String::new();
+    let mut line = |name: &str, value: &dyn Display| out.push_str(&format!("{name} {value}\n"));
+    let requests =
+        |outcome: &str| e.count(&format!("redfuser_requests_total{{outcome=\"{outcome}\"}}"));
+    for outcome in ["submitted", "completed", "failed", "shed"] {
+        line(outcome, &requests(outcome));
+    }
+    line("batches", &e.count("redfuser_batches_total"));
+    line("queue_depth", &e.count("redfuser_queue_depth"));
+    line("mean_batch_size", &e.get("redfuser_mean_batch_size"));
+    line("busy_us", &e.get("redfuser_sim_busy_us_total"));
+    line("lifetime.count", &e.count("redfuser_sim_latency_us_count"));
+    line("shed_retry_last_us", &e.get("redfuser_shed_retry_hint_us"));
+    let hint_sum = e.get("redfuser_shed_retry_hint_us_total");
+    line("shed_retry_mean_us", &(hint_sum / requests("shed") as f64));
+    let plan = |result: &str| e.count(&format!("redfuser_plan_cache_total{{result=\"{result}\"}}"));
+    let cache = CacheStats {
+        hits: plan("hit"),
+        misses: plan("miss"),
+        evictions: plan("eviction"),
+        entries: e.count("redfuser_plan_cache_entries") as usize,
+    };
+    line("cache", &format!("{cache:?}"));
+    line("graphs_served", &e.count("redfuser_graphs_total"));
+    for kind in ["fused", "glue"] {
+        let ops = e.count(&format!("redfuser_graph_ops_total{{kind=\"{kind}\"}}"));
+        line(&format!("graph_{kind}_ops"), &ops);
+    }
+    let region = |result: &str| {
+        e.count(&format!(
+            "redfuser_region_plan_cache_total{{result=\"{result}\"}}"
+        ))
+    };
+    line("region_lookups", &(region("hit") + region("miss")));
+    line("region_hits", &region("hit"));
+    for lane in e.label_values("redfuser_lane_requests_total", "lane") {
+        let requests = |outcome: &str| {
+            e.count(&format!(
+                "redfuser_lane_requests_total{{lane=\"{lane}\",outcome=\"{outcome}\"}}"
+            ))
+        };
+        line(
+            &format!("lane.{lane}"),
+            &format!(
+                "submitted {} completed {} failed {} shed {} wall.count {}",
+                requests("submitted"),
+                requests("completed"),
+                requests("failed"),
+                requests("shed"),
+                e.count(&format!("redfuser_lane_wall_us_count{{lane=\"{lane}\"}}"))
+            ),
+        );
+    }
+    for stage in e.label_values("redfuser_stage_wall_us", "stage") {
+        let count = e.count(&format!(
+            "redfuser_stage_wall_us_count{{stage=\"{stage}\"}}"
+        ));
+        line(&format!("stage.{stage}"), &format!("wall.count {count}"));
+    }
+    for class in e.label_values("redfuser_class_requests_total", "class") {
+        let per_class = |family: &str, key: &str, value: &str| {
+            e.count(&format!(
+                "redfuser_class_{family}_total{{class=\"{class}\",{key}=\"{value}\"}}"
+            ))
+        };
+        let hits = per_class("batches", "plan", "hit");
+        line(
+            &format!("class.{class}"),
+            &format!(
+                "completed {} failed {} batches {} cache_hits {hits} lifetime.count {}",
+                per_class("requests", "outcome", "completed"),
+                per_class("requests", "outcome", "failed"),
+                hits + per_class("batches", "plan", "miss"),
+                e.count(&format!(
+                    "redfuser_class_sim_latency_us_count{{class=\"{class}\"}}"
+                ))
+            ),
+        );
+    }
+    out
+}
+
+#[test]
+fn the_exposition_carries_every_counter_of_the_snapshot() {
+    let snapshot = replay();
+    let expected: String = counters(&snapshot)
+        .lines()
+        .filter(|line| !line.starts_with("lifetime.max_us "))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(counters_from_exposition(&snapshot.prometheus()), expected);
 }

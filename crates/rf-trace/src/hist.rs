@@ -12,10 +12,10 @@
 //! `rank = ⌈q·n⌉` clamped to `1..=n`: [`quantile_sorted`] applies it to
 //! sorted samples, the histogram to its `(bucket, count)` pairs.
 //!
-//! Recording is a bucket add, a count add, a saturating sum add and a
-//! maximum that is written only when raised — relaxed atomics, no locks,
-//! safe from any worker thread — whether one sample is recorded or a whole
-//! batch of equal ones ([`LogHistogram::record_n`]).
+//! Recording is a bucket add, a saturating sum add and a maximum that is
+//! written only when raised — relaxed atomics, no locks, safe from any
+//! worker thread — whether one sample is recorded or a whole batch of equal
+//! ones ([`LogHistogram::record_n`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,9 +34,9 @@ const BUCKETS: usize = OCTAVES * SUB_BUCKETS;
 /// pathological sample).
 #[derive(Debug)]
 pub struct LogHistogram {
+    /// Samples per bucket; their total is the sample count.
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum in nanoseconds, for the lifetime mean.
+    /// Sum in nanoseconds.
     sum_ns: AtomicU64,
     max_ns: AtomicU64,
 }
@@ -121,7 +121,6 @@ impl LogHistogram {
     pub fn new() -> Self {
         LogHistogram {
             buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             max_ns: AtomicU64::new(0),
         }
@@ -144,12 +143,11 @@ impl LogHistogram {
             return;
         }
         self.buckets[bucket].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
         self.add_sum_ns(v_ns.saturating_mul(n));
         self.raise_max_ns(v_ns);
     }
 
-    /// Adds to the nanosecond sum, saturating instead of wrapping: a mean
+    /// Adds to the nanosecond sum, saturating instead of wrapping: a sum
     /// that reads too low after 584 years of latency beats one that restarts.
     /// The common case is one `fetch_add`; an add that wraps pins the sum at
     /// `u64::MAX`, and so does every add after it.
@@ -167,12 +165,7 @@ impl LogHistogram {
         }
     }
 
-    /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time summary: count, mean and the headline quantiles.
+    /// A point-in-time summary: count, sum and the headline quantiles.
     /// Concurrent recording is fine; the snapshot is approximately
     /// consistent (bucket loads are not a single atomic cut).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -187,11 +180,7 @@ impl LogHistogram {
         let quantile = |q: f64| quantile_us(counts.iter().copied().enumerate(), total, q);
         HistogramSnapshot {
             count: total,
-            mean_us: if total == 0 {
-                0.0
-            } else {
-                sum_ns as f64 / total as f64 / 1000.0
-            },
+            sum_us: sum_ns as f64 / 1000.0,
             p50_us: quantile(0.50),
             p99_us: quantile(0.99),
             p999_us: quantile(0.999),
@@ -205,8 +194,9 @@ impl LogHistogram {
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
-    /// Lifetime mean, in microseconds.
-    pub mean_us: f64,
+    /// Sum of the samples, in microseconds: the nanosecond sum divided once,
+    /// so it prints as the recorded sum (the mean is this over `count`).
+    pub sum_us: f64,
     /// Median, in microseconds (bucket-quantised, ≤ ~6% relative error).
     pub p50_us: f64,
     /// 99th percentile, in microseconds.
@@ -228,7 +218,7 @@ mod tests {
         assert_eq!(snap.count, 0);
         assert_eq!(snap.p50_us, 0.0);
         assert_eq!(snap.p999_us, 0.0);
-        assert_eq!(snap.mean_us, 0.0);
+        assert_eq!(snap.sum_us, 0.0);
     }
 
     #[test]
@@ -251,7 +241,7 @@ mod tests {
             snap.p99_us
         );
         assert!(snap.p999_us >= snap.p99_us && snap.p99_us >= snap.p50_us);
-        assert!((snap.mean_us - 500.5).abs() < 1.0);
+        assert_eq!(snap.sum_us, 500_500.0);
         assert!((snap.max_us - 1000.0).abs() < 1e-9);
     }
 
@@ -273,7 +263,7 @@ mod tests {
         h.record_us(f64::NAN);
         h.record_us(f64::INFINITY);
         h.record_us(-5.0);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot(), HistogramSnapshot::default());
         h.record_us(10.0);
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
@@ -297,16 +287,14 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(h.count(), 4000);
         assert_eq!(h.snapshot().count, 4000);
     }
 
-    /// Everything a histogram holds: bucket counts, count, sum and maximum.
-    fn state(h: &LogHistogram) -> (Vec<u64>, u64, u64, u64) {
+    /// Everything a histogram holds: bucket counts, sum and maximum.
+    fn state(h: &LogHistogram) -> (Vec<u64>, u64, u64) {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         (
             h.buckets.iter().map(load).collect(),
-            load(&h.count),
             load(&h.sum_ns),
             load(&h.max_ns),
         )
@@ -342,7 +330,7 @@ mod tests {
         // …and so does every add after it.
         h.record_us(5.0);
         assert_eq!(h.sum_ns.load(Ordering::Relaxed), u64::MAX);
-        assert_eq!(h.count(), 20_001);
+        assert_eq!(h.snapshot().count, 20_001);
         // One overflowing product saturates too.
         let one = LogHistogram::new();
         one.record_n(1e15, u64::MAX);

@@ -1,7 +1,7 @@
 //! Observability walkthrough: run a mixed workload + graph burst with full
 //! tracing enabled, then read the run back three ways — per-request
-//! [`Response::timing`] breakdowns, the human metrics report with per-stage
-//! wall-time percentiles, and the Prometheus text exposition — and finally
+//! [`Response::timing`] breakdowns, the per-stage wall-time percentiles of
+//! the metrics snapshot, and its Prometheus text exposition — and finally
 //! export a Chrome trace-event document that loads in Perfetto.
 //!
 //! Run with `cargo run --example observability`.
@@ -93,32 +93,27 @@ pub fn main() {
     );
 
     // 4. The metrics snapshot aggregates the same stages into log-bucketed
-    //    histograms: p50/p99/p999 wall time per stage, per lane and per
-    //    class, alongside the serving counters.
+    //    histograms — p50/p99/p999 wall time per stage, per lane and per
+    //    class — and renders them, with the serving counters, as Prometheus
+    //    text exposition for scraping: counters as `_total` families,
+    //    histograms as summaries with quantile labels.
     let metrics = engine.metrics();
     let e2e = &metrics.stages[redfuser::trace::Stage::EndToEnd.index()];
     assert_eq!(e2e.wall.count, responses.len() as u64);
-    println!("\n{}", metrics.report());
-
-    // 5. The same snapshot renders as Prometheus text exposition for
-    //    scraping — counters as `_total` families, histograms as summaries
-    //    with p50/p99/p999 quantiles.
     let exposition = metrics.prometheus();
     assert!(exposition.contains("redfuser_requests_total{outcome=\"completed\"}"));
     assert!(exposition.contains("redfuser_stage_wall_us{stage=\"e2e\",quantile=\"0.99\"}"));
-    let preview: Vec<&str> = exposition
-        .lines()
-        .filter(|l| l.starts_with("redfuser_requests_total"))
-        .collect();
     println!(
-        "prometheus exposition ({} lines), request counters:",
+        "\nprometheus exposition ({} lines), request counters and stage wall times:",
         exposition.lines().count()
     );
-    for line in preview {
+    for line in exposition.lines().filter(|l| {
+        l.starts_with("redfuser_requests_total") || l.starts_with("redfuser_stage_wall_us")
+    }) {
         println!("  {line}");
     }
 
-    // 6. At `TraceLevel::Full` the span buffer exports as Chrome trace-event
+    // 5. At `TraceLevel::Full` the span buffer exports as Chrome trace-event
     //    JSON: one track per worker plus one per sampled request, with
     //    queue/compile/execute spans nested under submit/deliver instants.
     //    Write it to a file and load it at `ui.perfetto.dev`.

@@ -1,7 +1,7 @@
 //! Serving runtime walkthrough: spin up an [`Engine`] with a validated
 //! config, submit a mixed stream of prioritised requests (plus a whole
 //! operator graph) through the unified [`Submission`] front door, watch
-//! admission control shed under a flood, and read the metrics report.
+//! admission control shed under a flood, and read the metrics exposition.
 //!
 //! Run with `cargo run --example serving`.
 
@@ -175,13 +175,15 @@ pub fn main() {
     // 5. Three distinct shapes were submitted 48 times: the compiler pipeline
     //    ran exactly three times (plus one graph region), everything else was
     //    cache + continuous batching.
-    let stats = engine.cache_stats();
+    let metrics = engine.metrics();
     println!(
         "served {served} requests over {} compiled plans",
-        stats.entries
+        metrics.cache.entries
     );
 
-    // 6. The metrics snapshot summarises the run: throughput, latency
+    // 6. The metrics exposition summarises the run: request counters, latency
     //    percentiles, per-lane and per-class breakdowns, shed counts.
-    println!("{}", engine.metrics().report());
+    for line in metrics.prometheus().lines().filter(|l| !l.starts_with('#')) {
+        println!("{line}");
+    }
 }

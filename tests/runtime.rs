@@ -104,7 +104,8 @@ fn concurrent_mixed_workloads_complete_and_compile_once_per_shape() {
 
     // Phase 3: cache accounting — exactly one miss (one compilation) per
     // distinct (workload, arch) pair, everything else hits.
-    let stats = engine.cache_stats();
+    let metrics = engine.metrics();
+    let stats = metrics.cache;
     assert_eq!(
         stats.misses,
         distinct.len() as u64,
@@ -112,7 +113,6 @@ fn concurrent_mixed_workloads_complete_and_compile_once_per_shape() {
     );
     assert_eq!(stats.entries, distinct.len());
     assert_eq!(stats.evictions, 0);
-    let metrics = engine.metrics();
     assert_eq!(metrics.completed, completed);
     assert_eq!(metrics.queue_depth, 0);
     assert!(metrics.lifetime.p99_us >= metrics.lifetime.p50_us);
@@ -220,8 +220,8 @@ fn engine_serves_every_workload_family_from_interpreted_plans() {
             );
         }
     }
-    assert_eq!(engine.cache_stats().misses, 7, "one compile per workload");
     let metrics = engine.metrics();
+    assert_eq!(metrics.cache.misses, 7, "one compile per workload");
     let classes: Vec<&str> = metrics.classes.iter().map(|c| c.class).collect();
     assert_eq!(
         classes,
@@ -264,8 +264,8 @@ fn resubmitting_after_drain_reuses_cached_plans() {
             }
         }
     }
-    assert_eq!(engine.cache_stats().misses, 1);
-    assert_eq!(engine.metrics().completed, 12);
+    let metrics = engine.metrics();
+    assert_eq!((metrics.cache.misses, metrics.completed), (1, 12));
 }
 
 #[test]
@@ -280,6 +280,6 @@ fn distinct_architectures_are_distinct_cache_keys() {
             .unwrap();
     }
     // Each engine compiled the shape for its own architecture.
-    assert_eq!(a10.cache_stats().misses, 1);
-    assert_eq!(h800.cache_stats().misses, 1);
+    assert_eq!(a10.metrics().cache.misses, 1);
+    assert_eq!(h800.metrics().cache.misses, 1);
 }
