@@ -18,7 +18,7 @@
 //! `debug_assert_eq!` on every shipped winner (both in `compile.rs`) and the
 //! recorded choices of `tests/tuner_choices.rs` say so when it is not.
 
-use rf_gpusim::KernelProfile;
+use rf_gpusim::{pipeline_overlap, KernelProfile};
 use rf_tile::{
     precision_for_element_bytes, tensorize_cascade, MemoryScope, StageLoop, TensorizeConfig,
     TileBuffer, TileOp, TileProgram,
@@ -126,15 +126,6 @@ impl AttentionExtents {
                 Strategy::MultiSegment { .. } => "flash_decoding_partial",
             },
         }
-    }
-}
-
-/// Overlap [`KernelProfile::from_tile_program`] assigns to a pipeline depth.
-fn pipeline_overlap(pipeline_depth: u32) -> f64 {
-    match pipeline_depth {
-        0 | 1 => 0.5,
-        2 => 0.8,
-        _ => 0.9,
     }
 }
 

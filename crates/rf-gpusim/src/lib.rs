@@ -22,7 +22,9 @@ pub mod arch;
 pub mod model;
 
 pub use arch::GpuArch;
-pub use model::{estimate_latency, sequence_latency, KernelProfile, LatencyBreakdown};
+pub use model::{
+    estimate_latency, pipeline_overlap, sequence_latency, KernelProfile, LatencyBreakdown,
+};
 
 #[cfg(test)]
 mod tests {

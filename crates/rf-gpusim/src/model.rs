@@ -47,16 +47,21 @@ impl Default for KernelProfile {
     }
 }
 
+/// The overlap a software pipeline of `depth` stages reaches: deeper
+/// pipelines hide more of the shorter of compute and memory time.
+pub fn pipeline_overlap(depth: u32) -> f64 {
+    match depth {
+        0 | 1 => 0.5,
+        2 => 0.8,
+        _ => 0.9,
+    }
+}
+
 impl KernelProfile {
     /// Builds a profile from a tile program's cost summary, using its launch
     /// configuration and pipeline depth (deeper pipelines overlap better).
     pub fn from_tile_program(program: &TileProgram) -> KernelProfile {
         let cost = program.cost();
-        let overlap = match program.pipeline_depth {
-            0 | 1 => 0.5,
-            2 => 0.8,
-            _ => 0.9,
-        };
         KernelProfile {
             name: program.name.clone(),
             flops: cost.flops,
@@ -66,7 +71,7 @@ impl KernelProfile {
             shared_mem_per_block: cost.shared_mem_per_block,
             precision: program.precision,
             compute_efficiency: 0.6,
-            overlap,
+            overlap: pipeline_overlap(program.pipeline_depth),
             launches: cost.kernel_launches.max(1),
         }
     }

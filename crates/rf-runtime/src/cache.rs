@@ -93,16 +93,6 @@ impl PlanCache {
         &self.arch
     }
 
-    /// The maximum number of resident plans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The auto-tuner warm-start cache shared by this plan cache's compiles.
-    pub fn tuning_cache(&self) -> &Arc<TuningCache> {
-        &self.tuning
-    }
-
     /// Counters of the auto-tuner warm-start cache.
     pub fn tuning_stats(&self) -> TuningCacheStats {
         self.tuning.stats()

@@ -47,7 +47,7 @@ use crate::config::{LaneWeights, RuntimeConfig};
 use crate::metrics::{MetricsSnapshot, RuntimeMetrics};
 use crate::request::RuntimeError;
 use crate::stream::{QueuedWork, StreamScheduler, Ticket};
-use crate::submit::{Submission, LANES};
+use crate::submit::Submission;
 
 /// A concurrent serving engine.
 ///
@@ -251,11 +251,6 @@ impl Engine {
     /// Submissions currently queued or executing.
     pub fn queue_depth(&self) -> usize {
         self.shared.scheduler.depth()
-    }
-
-    /// Queued submissions per priority lane (high, normal, low).
-    pub fn lane_depths(&self) -> [usize; LANES] {
-        self.shared.scheduler.lane_depths()
     }
 
     /// Engine iterations started so far.

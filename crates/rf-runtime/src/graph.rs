@@ -16,7 +16,7 @@
 
 use rf_gpusim::{estimate_latency, GpuArch};
 use rf_graph::partition::{GraphPlan, RegionKind, Step};
-use rf_graph::{glue_profile, OpGraph};
+use rf_graph::{glue_profile, NodeId, Op, OpGraph};
 use rf_tile::exec::{ExecInput, ExecOutput};
 use rf_workloads::Matrix;
 
@@ -43,6 +43,35 @@ fn graph_err(detail: impl Into<String>) -> RuntimeError {
     RuntimeError::graph(detail)
 }
 
+/// Checks that every node `plan` names exists in `graph` and that no glue
+/// step names an input, so a plan partitioned from another graph is refused
+/// before any step indexes past this one.
+fn check_plan(graph: &OpGraph, plan: &GraphPlan) -> Result<(), RuntimeError> {
+    let n = graph.len();
+    let exists = |id: NodeId| id < n;
+    let fits = |step: &Step| match step {
+        Step::Glue(id) => exists(*id) && !matches!(graph.node(*id).op, Op::Input { .. }),
+        Step::Region(region) => {
+            exists(region.output)
+                && match region.kind {
+                    RegionKind::Softmax { src } | RegionKind::Variance { src } => exists(src),
+                    RegionKind::Attention { q, k, v } => exists(q) && exists(k) && exists(v),
+                    RegionKind::QuantGemm { a, w } => exists(a) && exists(w),
+                }
+        }
+    };
+    let Some(step) = plan.steps.iter().find(|step| !fits(step)) else {
+        return Ok(());
+    };
+    let step = match step {
+        Step::Glue(id) => format!("Glue({id})"),
+        Step::Region(region) => format!("Region({})", region.workload.name()),
+    };
+    Err(graph_err(format!(
+        "the plan does not fit this {n}-node graph: {step}"
+    )))
+}
+
 /// Executes a partitioned graph over concrete input bindings, compiling each
 /// fused region through `cache` and costing the execution on `arch`'s
 /// analytical model. Records the graph-serving counters into `metrics` when
@@ -52,7 +81,8 @@ fn graph_err(detail: impl Into<String>) -> RuntimeError {
 ///
 /// # Errors
 ///
-/// [`RuntimeError::Graph`] when a binding is missing or misshapen, or when a
+/// [`RuntimeError::Graph`] when the plan names a node the graph lacks or a
+/// glue step on an input, when a binding is missing or misshapen, or when a
 /// region's compiled program rejects its tensors. Errors originating in
 /// `rf-graph` keep the [`rf_graph::GraphError`] reachable through
 /// [`std::error::Error::source`].
@@ -64,6 +94,7 @@ pub fn execute_graph_plan<S: AsRef<str>>(
     plan: &GraphPlan,
     bindings: &[(S, Matrix)],
 ) -> Result<GraphResponse, RuntimeError> {
+    check_plan(graph, plan)?;
     let mut values = graph
         .bind(bindings)
         .map_err(RuntimeError::from_graph_error)?;
@@ -88,7 +119,7 @@ pub fn execute_graph_plan<S: AsRef<str>>(
                 region_lookups += 1;
                 region_hits += usize::from(hit);
                 let value = {
-                    let tensor = |id: rf_graph::NodeId| {
+                    let tensor = |id: NodeId| {
                         values[id].as_ref().ok_or_else(|| {
                             graph_err(format!("region input node {id} is not computed yet"))
                         })
@@ -193,5 +224,40 @@ mod tests {
         // The originating rf-graph error stays reachable via source().
         let source = std::error::Error::source(&err).expect("graph errors chain their source");
         assert!(source.to_string().contains("not bound"));
+    }
+
+    #[test]
+    fn a_plan_that_does_not_fit_its_graph_is_refused() {
+        let mut graph = OpGraph::new();
+        let x = graph.input("x", 4, 8);
+        let e = graph.map(rf_graph::MapOp::Exp, x);
+        graph.mark_output(e);
+        let arch = GpuArch::a10();
+        let cache = PlanCache::new(arch.clone(), 8);
+        let inputs = [("x", Matrix::zeros(4, 8))];
+        let refusal =
+            |plan: &GraphPlan| match execute_graph_plan(&cache, &arch, None, &graph, plan, &inputs)
+            {
+                Err(RuntimeError::Graph { detail, .. }) => detail,
+                other => panic!("expected a graph error, got {other:?}"),
+            };
+        // A plan partitioned from another graph names nodes this one lacks.
+        let foreign = partition::partition(&builders::moe_block(4, 8, 4));
+        assert_eq!(
+            refusal(&foreign),
+            "the plan does not fit this 2-node graph: Glue(4)"
+        );
+        // A glue step on an input would evaluate a binding.
+        let on_input = GraphPlan {
+            steps: vec![Step::Glue(x), Step::Glue(e)],
+        };
+        assert_eq!(
+            refusal(&on_input),
+            "the plan does not fit this 2-node graph: Glue(0)"
+        );
+        // The graph's own plan still serves.
+        let own = partition::partition(&graph);
+        let response = execute_graph_plan(&cache, &arch, None, &graph, &own, &inputs).unwrap();
+        assert_eq!(response.outputs, graph.evaluate(&inputs).unwrap());
     }
 }

@@ -28,8 +28,8 @@
 //! outside it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
@@ -37,23 +37,14 @@ use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 use crate::request::{OverloadInfo, RequestId, RuntimeError};
 use crate::submit::{Priority, Response, Submission, LANES};
 
-#[derive(Debug)]
-struct TicketState {
-    slot: Mutex<Option<Result<Response, RuntimeError>>>,
-    ready: Condvar,
-    /// Set once a result (or error) has been written into `slot`. Lets the
-    /// `QueuedWork` drop guard distinguish "never delivered" (worker
-    /// panicked, request dropped) from "delivered and already taken".
-    delivered: AtomicBool,
-}
-
-/// A handle to one in-flight submission; `wait` blocks until a worker
-/// fulfils it. Supports blocking ([`Ticket::wait`]), bounded
-/// ([`Ticket::wait_timeout`]) and deadline ([`Ticket::wait_until`]) waits.
+/// A handle to one in-flight submission: the receiving half of a one-slot
+/// channel whose sender is the submission's [`QueuedWork`]. Supports
+/// blocking ([`Ticket::wait`]), bounded ([`Ticket::wait_timeout`]) and
+/// non-blocking ([`Ticket::try_take`]) receipt of the one delivery.
 #[derive(Debug)]
 pub struct Ticket {
     id: RequestId,
-    state: Arc<TicketState>,
+    result: Receiver<Result<Response, RuntimeError>>,
 }
 
 impl Ticket {
@@ -65,17 +56,8 @@ impl Ticket {
     /// Returns the result if the submission has already completed. Taking
     /// the result consumes it: a later [`Ticket::wait`] on the same ticket
     /// panics instead of blocking forever.
-    ///
-    /// A poll of an unfinished ticket is one atomic load: callers poll many
-    /// tickets per pass from the core next to the worker, and the slot mutex
-    /// is the one the worker takes to deliver.
     pub fn try_take(&self) -> Option<Result<Response, RuntimeError>> {
-        // Pairs with the `Release` store in `deliver`, made under the slot
-        // lock after the slot is written: a `true` here sees the result.
-        if !self.state.delivered.load(Ordering::Acquire) {
-            return None;
-        }
-        self.state.slot.lock().expect("ticket lock poisoned").take()
+        self.result.try_recv().ok()
     }
 
     /// Blocks until the submission completes and returns its result.
@@ -91,22 +73,12 @@ impl Ticket {
     /// Panics if the result was already consumed by [`Ticket::try_take`] —
     /// the delivery is one-shot, so waiting again can never succeed.
     pub fn wait(self) -> Result<Response, RuntimeError> {
-        let mut slot = self.state.slot.lock().expect("ticket lock poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            assert!(
-                !self.state.delivered.load(Ordering::Acquire),
-                "ticket result was already taken via try_take"
-            );
-            slot = self.state.ready.wait(slot).expect("ticket lock poisoned");
-        }
+        self.result.recv().unwrap_or_else(|_| already_taken())
     }
 
     /// Blocks for at most `timeout` waiting for the submission to complete.
     ///
-    /// Returns `None` when the deadline passes without a delivery — the
+    /// Returns `None` when the timeout passes without a delivery — the
     /// ticket stays live and can be waited on again, so callers can bound
     /// their exposure to a wedged worker instead of blocking forever the way
     /// [`Ticket::wait`] would. Returns `Some(result)` (consuming the
@@ -117,50 +89,18 @@ impl Ticket {
     /// Panics if the result was already consumed by [`Ticket::try_take`] —
     /// the delivery is one-shot, so waiting again can never succeed.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Response, RuntimeError>> {
-        // `Instant + Duration` panics on overflow (e.g. `Duration::MAX`, the
-        // idiomatic "effectively no timeout"); an unrepresentable deadline
-        // degrades to an unbounded wait instead.
-        self.wait_deadline(Instant::now().checked_add(timeout))
-    }
-
-    /// Blocks until `deadline` waiting for the submission to complete — the
-    /// absolute-time sibling of [`Ticket::wait_timeout`], for callers
-    /// holding one deadline across many tickets. Returns `None` once
-    /// `deadline` passes without a delivery; the ticket stays live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result was already consumed by [`Ticket::try_take`].
-    pub fn wait_until(&self, deadline: Instant) -> Option<Result<Response, RuntimeError>> {
-        self.wait_deadline(Some(deadline))
-    }
-
-    fn wait_deadline(&self, deadline: Option<Instant>) -> Option<Result<Response, RuntimeError>> {
-        let mut slot = self.state.slot.lock().expect("ticket lock poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return Some(result);
-            }
-            assert!(
-                !self.state.delivered.load(Ordering::Acquire),
-                "ticket result was already taken via try_take"
-            );
-            slot = match deadline {
-                None => self.state.ready.wait(slot).expect("ticket lock poisoned"),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    self.state
-                        .ready
-                        .wait_timeout(slot, deadline - now)
-                        .expect("ticket lock poisoned")
-                        .0
-                }
-            };
+        match self.result.recv_timeout(timeout) {
+            Ok(result) => Some(result),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => already_taken(),
         }
     }
+}
+
+/// A ticket's sender is gone only after its one delivery, so a receive that
+/// finds it disconnected comes after that delivery was taken.
+fn already_taken() -> ! {
+    panic!("ticket result was already taken via try_take")
 }
 
 /// A submission queued for execution, together with its completion ticket.
@@ -177,30 +117,24 @@ pub struct QueuedWork {
     /// (set by [`StreamScheduler::enqueue`]); lets the worker report how
     /// many iterations the request waited out.
     pub iterations_at_submit: u64,
-    state: Arc<TicketState>,
+    /// The ticket's sender; `None` once the one delivery is sent.
+    reply: Option<SyncSender<Result<Response, RuntimeError>>>,
 }
 
 impl QueuedWork {
     /// Wraps a submission for queueing and returns the submitter's ticket.
     pub fn new(id: RequestId, submission: Submission) -> (Self, Ticket) {
-        let state = Arc::new(TicketState {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-            delivered: AtomicBool::new(false),
-        });
-        let ticket = Ticket {
-            id,
-            state: Arc::clone(&state),
-        };
+        // One slot: exactly one message is ever sent, so `send` never blocks.
+        let (reply, result) = sync_channel(1);
         (
             QueuedWork {
                 id,
                 submission,
                 submitted_at: Instant::now(),
                 iterations_at_submit: 0,
-                state,
+                reply: Some(reply),
             },
-            ticket,
+            Ticket { id, result },
         )
     }
 
@@ -210,15 +144,11 @@ impl QueuedWork {
     }
 
     /// Delivers the result to the waiting ticket.
-    pub fn fulfil(self, result: Result<Response, RuntimeError>) {
-        self.deliver(result);
-    }
-
-    fn deliver(&self, result: Result<Response, RuntimeError>) {
-        let mut slot = self.state.slot.lock().expect("ticket lock poisoned");
-        *slot = Some(result);
-        self.state.delivered.store(true, Ordering::Release);
-        self.state.ready.notify_all();
+    pub fn fulfil(mut self, result: Result<Response, RuntimeError>) {
+        if let Some(reply) = self.reply.take() {
+            // A dropped ticket fails the send: nobody is waiting any more.
+            let _ = reply.send(result);
+        }
     }
 }
 
@@ -228,10 +158,10 @@ impl Drop for QueuedWork {
     /// down abnormally — deliver an execution failure so `Ticket::wait`
     /// returns instead of blocking forever.
     fn drop(&mut self) {
-        if !self.state.delivered.load(Ordering::Acquire) {
+        if let Some(reply) = self.reply.take() {
             let workload = self.submission.label();
             let detail = "the work was dropped before it was served";
-            self.deliver(Err(RuntimeError::execution_failed(workload, detail)));
+            let _ = reply.send(Err(RuntimeError::execution_failed(workload, detail)));
         }
     }
 }
@@ -315,26 +245,10 @@ impl StreamScheduler {
         self.max_batch
     }
 
-    /// The bounded in-flight budget.
-    pub fn max_in_flight(&self) -> usize {
-        self.max_in_flight
-    }
-
     /// Submissions waiting plus submissions currently executing.
     pub fn depth(&self) -> usize {
         let state = self.state.lock().expect("scheduler lock poisoned");
         state.queued() + state.in_flight
-    }
-
-    /// Queued submissions per lane (high, normal, low) — excludes work
-    /// already taken by workers.
-    pub fn lane_depths(&self) -> [usize; LANES] {
-        let state = self.state.lock().expect("scheduler lock poisoned");
-        [
-            state.lanes[0].len(),
-            state.lanes[1].len(),
-            state.lanes[2].len(),
-        ]
     }
 
     /// Iterations started so far.
@@ -858,23 +772,22 @@ mod tests {
         let start = Instant::now();
         assert!(ticket.wait_timeout(Duration::from_millis(30)).is_none());
         assert!(start.elapsed() >= Duration::from_millis(30));
-        // The deadline sibling behaves identically.
-        assert!(ticket
-            .wait_until(Instant::now() + Duration::from_millis(5))
-            .is_none());
-        // The ticket stays live: a later delivery is observed by both the
-        // bounded and the blocking wait paths.
-        let worker = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            work.fulfil(Err(RuntimeError::ShuttingDown));
+        // The ticket stays live: a later delivery is observed by the
+        // unbounded wait whether it lands before or after the wait starts.
+        let ready = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                ready.wait();
+                work.fulfil(Err(RuntimeError::ShuttingDown));
+            });
+            ready.wait();
+            // Duration::MAX must degrade to an unbounded wait, not panic on
+            // deadline overflow.
+            let result = ticket
+                .wait_timeout(Duration::MAX)
+                .expect("delivery arrives well before the timeout");
+            assert_eq!(result.unwrap_err(), RuntimeError::ShuttingDown);
         });
-        // Duration::MAX must degrade to an unbounded wait, not panic on
-        // deadline overflow.
-        let result = ticket
-            .wait_timeout(Duration::MAX)
-            .expect("delivery arrives well before the timeout");
-        assert_eq!(result.unwrap_err(), RuntimeError::ShuttingDown);
-        worker.join().unwrap();
     }
 
     #[test]
@@ -892,12 +805,6 @@ mod tests {
         let (work, ticket) = softmax_work(23, 16);
         assert!(ticket.try_take().is_none());
         assert!(ticket.try_take().is_none());
-        // An undelivered poll never touches the slot: it returns while
-        // another thread holds the lock the worker delivers under.
-        {
-            let _held = work.state.slot.lock().unwrap();
-            assert!(ticket.try_take().is_none());
-        }
         work.fulfil(Err(RuntimeError::ShuttingDown));
         let taken = ticket.try_take().expect("delivered");
         assert_eq!(taken.unwrap_err(), RuntimeError::ShuttingDown);

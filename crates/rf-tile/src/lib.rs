@@ -10,8 +10,8 @@
 //! * [`ops`] — the TileOp vocabulary, tile buffers and tile programs, with a
 //!   pretty-printer that reproduces the style of Figures 12b/13b;
 //! * [`tensorize`] — the Blockization / buffer-management / TileOp-conversion
-//!   pass from scalar reduction parameters to a tile program, and the
-//!   Parallelization pass that binds block tiles to block indices;
+//!   pass from scalar reduction parameters to a tile program, whose grid
+//!   binds one block index per block tile (Parallelization);
 //! * [`cost`] — traffic and flop accounting per tile program, the interface
 //!   consumed by the analytical GPU model in `rf-gpusim`;
 //! * [`exec`] — a deterministic CPU virtual machine that runs a fully-bound
@@ -28,7 +28,7 @@ pub mod tensorize;
 pub use cost::{CostSummary, MemoryScope};
 pub use exec::{ExecBinding, ExecError, ExecInput, ExecOutput, ExecProfile, OpStats, Semantics};
 pub use ops::{precision_for_element_bytes, StageLoop, TileBuffer, TileOp, TileProgram};
-pub use tensorize::{parallelize, tensorize_cascade, TensorizeConfig};
+pub use tensorize::{tensorize_cascade, TensorizeConfig};
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,8 @@
 //! * *Conversion to TileOps* — the per-reduction work becomes `reduce` +
 //!   `parallel` (correction) ops, GEMM-shaped reductions become `gemm`.
 //!
-//! **Parallelization** binds block tiles to `blockIdx.x`, i.e. fixes the grid.
+//! **Parallelization** binds block tiles to `blockIdx.x`: the program's grid
+//! has one block per block tile.
 //!
 //! The pass exposes the knob that distinguishes the paper's two computation
 //! modes: in **incremental** mode the per-iteration state is constant-sized
@@ -188,14 +189,6 @@ pub fn tensorize_cascade(
     program
 }
 
-/// The Parallelization pass: binds the program to a grid of `grid_blocks`
-/// blocks (one block index per block tile).
-pub fn parallelize(mut program: TileProgram, grid_blocks: u64) -> TileProgram {
-    assert!(grid_blocks > 0, "grid must contain at least one block");
-    program.grid_blocks = grid_blocks;
-    program
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,8 +268,6 @@ mod tests {
         };
         let p = tensorize_cascade("quant", 2, 2048, 250, &cfg);
         assert_eq!(p.grid_blocks, 3);
-        let p = parallelize(p, 8);
-        assert_eq!(p.grid_blocks, 8);
     }
 
     #[test]

@@ -98,7 +98,6 @@ fn event_json(event: &TraceEvent) -> String {
         let rendered = match value {
             ArgValue::U64(n) => n.to_string(),
             ArgValue::F64(f) => json::number(*f),
-            ArgValue::Text(s) => format!("\"{}\"", json::escape(s)),
         };
         args.push(format!("\"{}\":{rendered}", json::escape(key)));
     }

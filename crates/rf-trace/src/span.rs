@@ -132,8 +132,6 @@ pub enum ArgValue {
     U64(u64),
     /// A float (microseconds, rates).
     F64(f64),
-    /// Free text.
-    Text(String),
 }
 
 /// One recorded event. Timestamps are microseconds since the collector's
