@@ -1,7 +1,6 @@
 //! Top-level compilation entry point: workload → tuned fused kernel.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 use rf_tile::exec::{ExecBinding, ExecError, ExecInput, ExecOutput, Semantics};
@@ -199,18 +198,6 @@ impl PlanKey {
     }
 }
 
-/// Wall-clock cost of producing one [`CompiledKernel`], for the runtime's
-/// per-stage telemetry (`rf-trace`): how much of a cache miss went to the
-/// auto-tuner search versus lowering and profile construction.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CompileTiming {
-    /// Total wall time of [`compile_workload_with`], in microseconds.
-    pub total_us: f64,
-    /// Wall time spent inside the auto-tuner search, in microseconds
-    /// (a subset of `total_us`; zero for accounting-only compilations).
-    pub tune_us: f64,
-}
-
 /// The result of compiling one workload for one architecture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledKernel {
@@ -226,8 +213,6 @@ pub struct CompiledKernel {
     pub latency_us: f64,
     /// The auto-tuning choice that produced the kernel.
     pub tuning: TuningChoice,
-    /// Wall-clock compile/tune cost of producing this kernel.
-    pub timing: CompileTiming,
 }
 
 impl CompiledKernel {
@@ -392,9 +377,7 @@ fn tune_then_lower(
     profile: impl Fn(&TuningPoint) -> KernelProfile,
     lower: impl FnOnce(&TuningPoint) -> TileProgram,
 ) -> CompiledKernel {
-    let tune_started = Instant::now();
-    let choice = tuner.tune_with_hooks(&profile, hooks);
-    let tune_us = tune_started.elapsed().as_secs_f64() * 1e6;
+    let choice = tuner.tune(&profile, hooks);
     let program = lower(&choice.point);
     debug_assert_eq!(
         choice.profile,
@@ -412,10 +395,6 @@ fn tune_then_lower(
         profile: choice.profile.clone(),
         latency_us: choice.latency_us,
         tuning: choice,
-        timing: CompileTiming {
-            total_us: 0.0,
-            tune_us,
-        },
     }
 }
 
@@ -450,8 +429,8 @@ fn tuned_attention(
         ..attention_profile(&shape, &attention_tiling_for(&shape, p), p.strategy())
     };
     let hooks = TuneHooks {
-        normalize: Some(&normalize),
-        footprint: Some(&footprint),
+        normalize: &normalize,
+        footprint: &footprint,
     };
     let tuner = tuner_for(arch, workload.class(), opts);
     tune_then_lower(&workload.name(), tuner, hooks, profile, |p| {
@@ -495,8 +474,8 @@ fn tuned_cascade(
         cascade_profile(name, num_reductions, rows, axis_len, p.strategy(), &cfg)
     };
     let hooks = TuneHooks {
-        normalize: Some(&normalize),
-        footprint: Some(&footprint),
+        normalize: &normalize,
+        footprint: &footprint,
     };
     let tuner = tuner_for(arch, workload.class(), opts);
     tune_then_lower(name, tuner, hooks, profile, |p| {
@@ -549,7 +528,6 @@ fn fused_profile_from_accounting(
         latency_us,
         evaluated: 1,
         space_size: 1,
-        mode: SearchMode::Exhaustive,
     };
     CompiledKernel {
         name: name.to_string(),
@@ -557,7 +535,6 @@ fn fused_profile_from_accounting(
         profile,
         latency_us,
         tuning,
-        timing: CompileTiming::default(),
     }
 }
 
@@ -575,7 +552,6 @@ pub fn compile_workload_with(
     arch: &GpuArch,
     opts: &CompileOptions,
 ) -> CompiledKernel {
-    let compile_started = Instant::now();
     let mut kernel = match workload {
         Workload::Mha(c) => tuned_attention(workload, AttentionShape::from_mha(c), arch, opts),
         Workload::Mla(c) => tuned_attention(workload, AttentionShape::from_mla(c), arch, opts),
@@ -626,7 +602,6 @@ pub fn compile_workload_with(
     if kernel.program.is_none() {
         kernel.program = Some(executable_program(workload, &kernel.tuning.point));
     }
-    kernel.timing.total_us = compile_started.elapsed().as_secs_f64() * 1e6;
     kernel
 }
 
@@ -851,7 +826,7 @@ mod tests {
         // take).
         use crate::tuner::TuningSpace;
         use rf_workloads::{mha_tiny, mla_tiny};
-        let points = TuningSpace::default().points();
+        let points = TuningSpace::PAPER.points();
 
         let mut shapes: Vec<AttentionShape> = Vec::new();
         shapes.extend(mha_configs().iter().map(AttentionShape::from_mha));
@@ -1023,20 +998,5 @@ mod tests {
         assert_eq!(stats.insertions, 2);
         assert_eq!(stats.entries, 1, "one (class, arch) key");
         assert!(cold.latency_us.is_finite() && warm.latency_us.is_finite());
-    }
-
-    #[test]
-    fn compile_timing_accounts_tune_inside_total() {
-        let arch = GpuArch::a10();
-        // A tuned cascade searches a real space: tune time is non-zero and
-        // bounded by the total compile wall time.
-        let kernel = compile_workload(&Workload::Softmax { rows: 32, len: 128 }, &arch);
-        assert!(kernel.timing.total_us > 0.0);
-        assert!(kernel.timing.tune_us > 0.0);
-        assert!(kernel.timing.total_us >= kernel.timing.tune_us);
-        // Accounting-only compilations skip the tuner entirely.
-        let moe = compile_workload(&Workload::Moe(rf_workloads::moe_tiny()), &arch);
-        assert_eq!(moe.timing.tune_us, 0.0);
-        assert!(moe.timing.total_us > 0.0);
     }
 }

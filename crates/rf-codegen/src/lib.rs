@@ -31,8 +31,8 @@ pub mod strategy;
 pub mod tuner;
 
 pub use compile::{
-    compile_workload, compile_workload_with, executable_program, CompileOptions, CompileTiming,
-    CompiledKernel, PlanKey, Workload,
+    compile_workload, compile_workload_with, executable_program, CompileOptions, CompiledKernel,
+    PlanKey, Workload,
 };
 pub use level::{fusion_level_latency, incremental_sweep, FusionLevelReport, IncrementalPoint};
 pub use lower::{attention_program, cascade_program, AttentionShape};

@@ -11,19 +11,22 @@
 //! where lowering one to a `TileProgram` took 2.3–3.1 µs. Only the winner is
 //! lowered.
 //!
-//! 1. **Canonicalization + dedup** — an optional [`TuneHooks::normalize`] hook
-//!    maps every raw point to the point the lowering will actually build
-//!    (tile sizes clamped to the shape, the `segments` knob collapsed where
-//!    the strategy ignores it). Each distinct canonical point becomes one
-//!    candidate, whose id is its position in first-occurrence order — also
-//!    the tie-break between equal latencies — held in the search's one hash
-//!    map, under a private multiply-xor hasher over the point's five integers.
-//! 2. **Static feasibility** — an optional [`TuneHooks::footprint`] hook
-//!    reports the launch resources of a point; points that can never fit the
-//!    target [`GpuArch`] (shared memory, per-block thread limit) are rejected
-//!    by [`GpuArch::launch_feasible`] and never become candidates. Stages 1
-//!    and 2 are one pass over the raw space: 12–24 ns a point, 10–20 µs for
-//!    the default 840.
+//! There is one path: [`AutoTuner::tune`] walks the one space,
+//! [`TuningSpace::PAPER`], with the workload's two [`TuneHooks`], serially.
+//!
+//! 1. **Canonicalization + dedup** — [`TuneHooks::normalize`] maps every raw
+//!    point to the point the lowering will actually build (tile sizes clamped
+//!    to the shape, the `segments` knob collapsed where the strategy ignores
+//!    it). Each distinct canonical point becomes one candidate, whose id is
+//!    its position in first-occurrence order — also the tie-break between
+//!    equal latencies — held in the search's one hash map, under a private
+//!    multiply-xor hasher over the point's five integers.
+//! 2. **Static feasibility** — [`TuneHooks::footprint`] reports the launch
+//!    resources of a point; points that can never fit the target [`GpuArch`]
+//!    (shared memory, per-block thread limit) are rejected by
+//!    [`GpuArch::launch_feasible`] and never become candidates. Stages 1 and 2
+//!    are one pass over the raw space: 12–24 ns a point, 10–20 µs for the 840
+//!    points.
 //! 3. **Search** — [`SearchMode::Guided`] seeds a coarse lattice and a
 //!    stratified sample (plus any [`TuningCache`] warm-start points) and
 //!    refines the best seeds by coordinate descent over the coupled knobs;
@@ -33,18 +36,11 @@
 //!    candidate is costed once however often descent revisits it, and the
 //!    winner is the minimum by `(latency, id)` in both modes.
 //!
-//! The search is serial. While a candidate cost microseconds a fourth stage
-//! fanned large batches out over `std::thread::scope`; at ~0.06 µs a
-//! candidate the largest guided batch (a descent neighbourhood, under 90
-//! candidates) is ~5 µs and the oracle's whole 840-candidate scan ~55 µs,
-//! against ~18 µs for an empty spawn + join, so the stage, its `Sync` bounds
-//! and the `available_parallelism()` call per compile (~10 µs) are gone.
 //! Measured on the 22 tuned `perf` configs (H800 preset, 2-vCPU host): a
-//! guided compile fell from 527 to 36–43 µs and the exhaustive oracle from
-//! 1905 to 55–64 µs, choosing bit-identical kernels
-//! (`tests/tuner_choices.rs`). Guided stays the default: a third fewer µs on
-//! average and five times fewer candidates, though where the space dedups to
-//! ~200 candidates the oracle is now as fast.
+//! guided compile takes 36–43 µs and the exhaustive oracle 55–64 µs, choosing
+//! bit-identical kernels (`tests/tuner_choices.rs`). Guided stays the default:
+//! a third fewer µs on average and five times fewer candidates, though where
+//! the space dedups to ~200 candidates the oracle is as fast.
 //!
 //! A [`TuningCache`] remembers winning points per `(workload class, arch
 //! fingerprint)` pair and warm-starts later searches of the same class, the
@@ -81,44 +77,41 @@ impl TuningPoint {
     }
 }
 
-/// The search space. The defaults mirror the paper's empirical space: a few
-/// power-of-two tile sizes, warp-multiple thread counts, shallow pipelines and
-/// small split factors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The search space: for each knob, the values the tuner may pick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningSpace {
     /// Candidate block-row tile sizes.
-    pub block_rows: Vec<usize>,
+    pub block_rows: &'static [usize],
     /// Candidate block-axis tile sizes.
-    pub block_axis: Vec<usize>,
+    pub block_axis: &'static [usize],
     /// Candidate thread counts.
-    pub threads: Vec<u32>,
+    pub threads: &'static [u32],
     /// Candidate pipeline depths.
-    pub pipeline_depths: Vec<u32>,
+    pub pipeline_depths: &'static [u32],
     /// Candidate segment counts.
-    pub segments: Vec<u32>,
-}
-
-impl Default for TuningSpace {
-    fn default() -> Self {
-        TuningSpace {
-            block_rows: vec![16, 32, 64, 128],
-            block_axis: vec![16, 32, 64, 128, 256],
-            threads: vec![128, 256],
-            pipeline_depths: vec![1, 2, 3],
-            segments: vec![1, 2, 4, 8, 16, 32, 64],
-        }
-    }
+    pub segments: &'static [u32],
 }
 
 impl TuningSpace {
+    /// The space every compile searches, mirroring the paper's empirical
+    /// space: a few power-of-two tile sizes, warp-multiple thread counts,
+    /// shallow pipelines and small split factors — 840 points.
+    pub const PAPER: TuningSpace = TuningSpace {
+        block_rows: &[16, 32, 64, 128],
+        block_axis: &[16, 32, 64, 128, 256],
+        threads: &[128, 256],
+        pipeline_depths: &[1, 2, 3],
+        segments: &[1, 2, 4, 8, 16, 32, 64],
+    };
+
     /// Enumerates every point of the space.
     pub fn points(&self) -> Vec<TuningPoint> {
         let mut out = Vec::with_capacity(self.len());
-        for &block_rows in &self.block_rows {
-            for &block_axis in &self.block_axis {
-                for &threads in &self.threads {
-                    for &pipeline_depth in &self.pipeline_depths {
-                        for &segments in &self.segments {
+        for &block_rows in self.block_rows {
+            for &block_axis in self.block_axis {
+                for &threads in self.threads {
+                    for &pipeline_depth in self.pipeline_depths {
+                        for &segments in self.segments {
                             out.push(TuningPoint {
                                 block_rows,
                                 block_axis,
@@ -135,17 +128,12 @@ impl TuningSpace {
     }
 
     /// Size of the cartesian product.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.block_rows.len()
             * self.block_axis.len()
             * self.threads.len()
             * self.pipeline_depths.len()
             * self.segments.len()
-    }
-
-    /// Whether the space contains no points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The coordinate-descent neighborhood of `point`: every single-knob
@@ -162,8 +150,8 @@ impl TuningSpace {
                 + self.threads.len()
                 + self.pipeline_depths.len(),
         );
-        for &block_rows in &self.block_rows {
-            for &block_axis in &self.block_axis {
+        for &block_rows in self.block_rows {
+            for &block_axis in self.block_axis {
                 out.push(TuningPoint {
                     block_rows,
                     block_axis,
@@ -171,8 +159,8 @@ impl TuningSpace {
                 });
             }
         }
-        for &block_axis in &self.block_axis {
-            for &segments in &self.segments {
+        for &block_axis in self.block_axis {
+            for &segments in self.segments {
                 out.push(TuningPoint {
                     block_axis,
                     segments,
@@ -190,9 +178,9 @@ impl TuningSpace {
                 .unwrap_or(values.len().saturating_sub(1));
             values[idx.saturating_sub(1)..(idx + 2).min(values.len())].to_vec()
         }
-        for block_rows in window(&self.block_rows, point.block_rows) {
-            for block_axis in window(&self.block_axis, point.block_axis) {
-                for segments in window(&self.segments, point.segments) {
+        for block_rows in window(self.block_rows, point.block_rows) {
+            for block_axis in window(self.block_axis, point.block_axis) {
+                for segments in window(self.segments, point.segments) {
                     out.push(TuningPoint {
                         block_rows,
                         block_axis,
@@ -202,10 +190,10 @@ impl TuningSpace {
                 }
             }
         }
-        for &threads in &self.threads {
+        for &threads in self.threads {
             out.push(TuningPoint { threads, ..*point });
         }
-        for &pipeline_depth in &self.pipeline_depths {
+        for &pipeline_depth in self.pipeline_depths {
             out.push(TuningPoint {
                 pipeline_depth,
                 ..*point
@@ -221,8 +209,8 @@ const BEAM_WIDTH: usize = 2;
 /// How the tuner walks the (deduplicated, statically feasible) candidate set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SearchMode {
-    /// Evaluate every candidate. This is the oracle the guided mode is
-    /// validated against; it is also what the tuner did historically.
+    /// Evaluate every candidate: the oracle the guided mode is validated
+    /// against.
     Exhaustive,
     /// Evaluate a stratified seed sample (plus [`TuningCache`] warm starts)
     /// and refine the best two seeds by coordinate descent: sweep one knob
@@ -241,36 +229,22 @@ pub struct PointFootprint {
     pub shared_mem_per_block: u64,
 }
 
-/// Optional workload-specific hooks for the staged search.
+/// The workload's hooks for the staged search; every compile passes both.
 ///
 /// Both hooks must be *exact* with respect to the lowering they describe:
 /// `normalize` must map a point to another point producing the identical
 /// kernel (it is used to deduplicate), and `footprint` must report exactly
-/// the shared memory the lowered program requests (an over-estimate would
-/// prune feasible points and break the exhaustive-oracle equivalence).
-#[derive(Default, Clone, Copy)]
+/// the launch resources the lowered program requests (an over-estimate would
+/// prune feasible points and break the exhaustive-oracle equivalence). Debug
+/// builds check `footprint` against every candidate the search costs.
+#[derive(Clone, Copy)]
 pub struct TuneHooks<'a> {
     /// Maps a raw point to the canonical point the lowering actually builds
     /// (e.g. tile sizes clamped to the workload shape, `segments` collapsed
     /// to 1 where the Single-Segment strategy ignores it).
-    pub normalize: Option<&'a dyn Fn(&TuningPoint) -> TuningPoint>,
+    pub normalize: &'a dyn Fn(&TuningPoint) -> TuningPoint,
     /// Reports the static launch resources of a canonical point.
-    pub footprint: Option<&'a dyn Fn(&TuningPoint) -> PointFootprint>,
-}
-
-impl TuneHooks<'_> {
-    fn canonical(&self, point: &TuningPoint) -> TuningPoint {
-        self.normalize.map_or(*point, |normalize| normalize(point))
-    }
-}
-
-impl std::fmt::Debug for TuneHooks<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TuneHooks")
-            .field("normalize", &self.normalize.is_some())
-            .field("footprint", &self.footprint.is_some())
-            .finish()
-    }
+    pub footprint: &'a dyn Fn(&TuningPoint) -> PointFootprint,
 }
 
 /// Counters of one [`TuningCache`].
@@ -371,8 +345,6 @@ pub struct TuningChoice {
     pub evaluated: usize,
     /// Size of the raw cartesian space before dedup and pruning.
     pub space_size: usize,
-    /// The search mode that produced this choice.
-    pub mode: SearchMode,
 }
 
 /// Hasher of the canonical-point → candidate-id map: one rotate-xor-multiply
@@ -426,14 +398,27 @@ struct Search<'a, F> {
 impl<F: Fn(&TuningPoint) -> KernelProfile> Search<'_, F> {
     /// The candidate `point` canonicalizes to, if it survived stages 1–2.
     fn id_of(&self, point: &TuningPoint) -> Option<usize> {
-        self.index.get(&self.hooks.canonical(point)).copied()
+        self.index.get(&(self.hooks.normalize)(point)).copied()
     }
 
     /// Costs every not-yet-costed candidate of `ids`.
     fn evaluate(&mut self, ids: impl IntoIterator<Item = usize>) {
         for id in ids {
             if self.latency_us[id].is_none() {
-                let profile = (self.build)(&self.candidates[id]);
+                let point = self.candidates[id];
+                let profile = (self.build)(&point);
+                // Guard the hand-written footprint against drifting from the
+                // lowering it describes, at every costed candidate: an
+                // over-estimate would silently prune feasible points from both
+                // search modes, an under-estimate would defeat the prefilter.
+                debug_assert_eq!(
+                    (self.hooks.footprint)(&point),
+                    PointFootprint {
+                        threads_per_block: profile.threads_per_block,
+                        shared_mem_per_block: profile.shared_mem_per_block,
+                    },
+                    "footprint hook (left) out of sync with the lowering (right) at {point:?}"
+                );
                 self.latency_us[id] = Some(estimate_latency(self.arch, &profile).total_us);
             }
         }
@@ -449,30 +434,23 @@ impl<F: Fn(&TuningPoint) -> KernelProfile> Search<'_, F> {
             .total_cmp(&self.latency(b))
             .then_with(|| a.cmp(&b))
     }
-
-    /// Latencies of the candidates costed so far.
-    fn costed(&self) -> impl Iterator<Item = f64> + '_ {
-        self.latency_us.iter().flatten().copied()
-    }
 }
 
-/// Evaluates a search space against one architecture using the staged search
-/// described in the [module docs](self).
+/// Searches [`TuningSpace::PAPER`] against one architecture, as the
+/// [module docs](self) describe.
 #[derive(Debug, Clone)]
 pub struct AutoTuner {
     arch: GpuArch,
-    space: TuningSpace,
     mode: SearchMode,
     cache: Option<(Arc<TuningCache>, String)>,
 }
 
 impl AutoTuner {
-    /// Creates a tuner for one architecture with the default search space and
-    /// the default (guided) search mode.
+    /// Creates a tuner for one architecture with the default (guided) search
+    /// mode.
     pub fn new(arch: GpuArch) -> Self {
         AutoTuner {
             arch,
-            space: TuningSpace::default(),
             mode: SearchMode::default(),
             cache: None,
         }
@@ -491,36 +469,21 @@ impl AutoTuner {
         self
     }
 
-    /// The architecture being tuned for.
-    pub fn arch(&self) -> &GpuArch {
-        &self.arch
-    }
-
-    /// Evaluates `build` over the space and returns the lowest-latency choice
-    /// (no workload-specific hooks; see [`AutoTuner::tune_with_hooks`]).
+    /// Returns the lowest-latency choice over the space. `build` is the cost
+    /// of one candidate: it runs once per candidate the search visits and
+    /// once more for the winner's profile.
     ///
     /// # Panics
     ///
-    /// Panics if the search space is empty or every candidate is infeasible
-    /// (infinite latency) — callers always include at least one incremental
-    /// Single-Segment point, which is feasible on every supported GPU.
-    pub fn tune<F>(&self, build: F) -> TuningChoice
+    /// Panics if every point of the space is statically infeasible or the
+    /// winner's latency is infinite — callers always include at least one
+    /// incremental Single-Segment point, which is feasible on every supported
+    /// GPU.
+    pub fn tune<F>(&self, build: &F, hooks: TuneHooks<'_>) -> TuningChoice
     where
         F: Fn(&TuningPoint) -> KernelProfile,
     {
-        self.tune_with_hooks(&build, TuneHooks::default())
-    }
-
-    /// Like [`AutoTuner::tune`], with workload-specific canonicalization and
-    /// static-footprint hooks enabling the dedup and feasibility stages.
-    /// `build` is the cost of one candidate: it runs once per candidate the
-    /// search visits and once more for the winner's profile.
-    pub fn tune_with_hooks<F>(&self, build: &F, hooks: TuneHooks<'_>) -> TuningChoice
-    where
-        F: Fn(&TuningPoint) -> KernelProfile,
-    {
-        let raw = self.space.points();
-        assert!(!raw.is_empty(), "tuning space must not be empty");
+        let raw = TuningSpace::PAPER.points();
         let space_size = raw.len();
 
         // Stages 1 + 2, one pass: canonicalize, drop what can never launch,
@@ -528,14 +491,8 @@ impl AutoTuner {
         let mut candidates = Vec::with_capacity(raw.len());
         let mut index = HashMap::with_capacity_and_hasher(raw.len(), Default::default());
         for point in &raw {
-            let canonical = hooks.canonical(point);
-            let footprint = hooks.footprint.map_or(
-                PointFootprint {
-                    threads_per_block: canonical.threads,
-                    shared_mem_per_block: 0,
-                },
-                |f| f(&canonical),
-            );
+            let canonical = (hooks.normalize)(point);
+            let footprint = (hooks.footprint)(&canonical);
             if self
                 .arch
                 .launch_feasible(footprint.threads_per_block, footprint.shared_mem_per_block)
@@ -563,15 +520,7 @@ impl AutoTuner {
 
         match self.mode {
             SearchMode::Exhaustive => search.evaluate(all.clone()),
-            SearchMode::Guided => {
-                self.guided_search(&mut search);
-                // Safety net: if the guided walk only ever saw model-infeasible
-                // profiles (possible without a footprint hook), fall back to
-                // the oracle rather than panic on an infinite winner.
-                if search.costed().all(|latency| !latency.is_finite()) {
-                    search.evaluate(all.clone());
-                }
-            }
+            SearchMode::Guided => self.guided_search(&mut search),
         }
 
         let winner = all
@@ -583,34 +532,14 @@ impl AutoTuner {
             point,
             profile: build(&point),
             latency_us: search.latency(winner),
-            evaluated: search.costed().count(),
+            evaluated: search.latency_us.iter().flatten().count(),
             space_size,
-            mode: self.mode,
         };
         assert!(
             choice.latency_us.is_finite(),
             "every candidate configuration was infeasible on {}",
             self.arch.name
         );
-        // Guard the hand-written hooks against drifting from the lowering
-        // they describe: the footprint must report exactly the resources the
-        // built kernel requests (an over-estimate would silently prune
-        // feasible points from both search modes, an under-estimate would
-        // defeat the prefilter).
-        if let Some(footprint) = search.hooks.footprint {
-            let fp = footprint(&choice.point);
-            debug_assert!(
-                fp.threads_per_block == choice.profile.threads_per_block
-                    && fp.shared_mem_per_block == choice.profile.shared_mem_per_block,
-                "footprint hook out of sync with the lowering for {:?}: \
-                 hook reports {} threads / {} B shared, built kernel uses {} / {}",
-                choice.point,
-                fp.threads_per_block,
-                fp.shared_mem_per_block,
-                choice.profile.threads_per_block,
-                choice.profile.shared_mem_per_block
-            );
-        }
         if let Some((cache, class)) = &self.cache {
             cache.record(class, self.arch.fingerprint(), point);
         }
@@ -648,12 +577,13 @@ impl AutoTuner {
             }
             out
         }
+        let space = TuningSpace::PAPER;
         let mid = |n: usize| n / 2;
-        let threads = self.space.threads[mid(self.space.threads.len())];
-        let pipeline_depth = self.space.pipeline_depths[mid(self.space.pipeline_depths.len())];
-        for block_rows in halved(&self.space.block_rows) {
-            for block_axis in halved(&self.space.block_axis) {
-                for segments in halved(&self.space.segments) {
+        let threads = space.threads[mid(space.threads.len())];
+        let pipeline_depth = space.pipeline_depths[mid(space.pipeline_depths.len())];
+        for block_rows in halved(space.block_rows) {
+            for block_axis in halved(space.block_axis) {
+                for segments in halved(space.segments) {
                     seeds.extend(search.id_of(&TuningPoint {
                         block_rows,
                         block_axis,
@@ -677,8 +607,7 @@ impl AutoTuner {
         for start in seeds {
             let mut current = start;
             loop {
-                let neighborhood: Vec<usize> = self
-                    .space
+                let neighborhood: Vec<usize> = space
                     .neighborhood(&search.candidates[current])
                     .iter()
                     .filter_map(|point| search.id_of(point))
@@ -703,12 +632,21 @@ impl AutoTuner {
 mod tests {
     use super::*;
 
+    /// Hooks that constrain nothing: every point is its own canonical point
+    /// and launches with its threads and no shared memory.
+    const OPEN: TuneHooks<'static> = TuneHooks {
+        normalize: &|p| *p,
+        footprint: &|p| PointFootprint {
+            threads_per_block: p.threads,
+            shared_mem_per_block: 0,
+        },
+    };
+
     #[test]
     fn space_enumerates_cartesian_product() {
-        let space = TuningSpace::default();
+        let space = TuningSpace::PAPER;
         assert_eq!(space.points().len(), 4 * 5 * 2 * 3 * 7);
         assert_eq!(space.len(), space.points().len());
-        assert!(!space.is_empty());
     }
 
     fn artificial_build(p: &TuningPoint) -> KernelProfile {
@@ -725,11 +663,11 @@ mod tests {
     #[test]
     fn exhaustive_tuner_picks_the_fastest_candidate() {
         let tuner = AutoTuner::new(GpuArch::a10()).with_mode(SearchMode::Exhaustive);
-        let choice = tuner.tune(artificial_build);
+        let choice = tuner.tune(&artificial_build, OPEN);
         assert_eq!(choice.point.block_axis, 16);
         assert!(choice.latency_us.is_finite());
-        assert_eq!(choice.evaluated, TuningSpace::default().points().len());
-        assert_eq!(choice.space_size, TuningSpace::default().len());
+        assert_eq!(choice.evaluated, TuningSpace::PAPER.points().len());
+        assert_eq!(choice.space_size, TuningSpace::PAPER.len());
     }
 
     #[test]
@@ -737,8 +675,8 @@ mod tests {
         let arch = GpuArch::a10();
         let oracle = AutoTuner::new(arch.clone())
             .with_mode(SearchMode::Exhaustive)
-            .tune(artificial_build);
-        let guided = AutoTuner::new(arch).tune(artificial_build);
+            .tune(&artificial_build, OPEN);
+        let guided = AutoTuner::new(arch).tune(&artificial_build, OPEN);
         assert_eq!(guided.point, oracle.point);
         assert_eq!(guided.latency_us, oracle.latency_us);
         assert!(
@@ -766,7 +704,7 @@ mod tests {
                 * u64::from(p.pipeline_depth),
         };
         // Counted independently of the tuner's map: sort, then dedup.
-        let mut expected: Vec<_> = TuningSpace::default()
+        let mut expected: Vec<_> = TuningSpace::PAPER
             .points()
             .iter()
             .map(normalize)
@@ -800,12 +738,12 @@ mod tests {
             }
         };
         let hooks = TuneHooks {
-            normalize: Some(&normalize),
-            footprint: Some(&footprint),
+            normalize: &normalize,
+            footprint: &footprint,
         };
         let oracle = AutoTuner::new(arch)
             .with_mode(SearchMode::Exhaustive)
-            .tune_with_hooks(&build, hooks);
+            .tune(&build, hooks);
         assert_eq!(oracle.evaluated, expected.len());
         assert_eq!(
             calls.get(),
@@ -821,11 +759,11 @@ mod tests {
         let tuner = AutoTuner::new(GpuArch::a10()).with_mode(SearchMode::Exhaustive);
         let normalize = |p: &TuningPoint| TuningPoint { segments: 1, ..*p };
         let hooks = TuneHooks {
-            normalize: Some(&normalize),
-            footprint: None,
+            normalize: &normalize,
+            ..OPEN
         };
-        let choice = tuner.tune_with_hooks(&artificial_build, hooks);
-        let space = TuningSpace::default();
+        let choice = tuner.tune(&artificial_build, hooks);
+        let space = TuningSpace::PAPER;
         assert_eq!(choice.evaluated, space.len() / space.segments.len());
         assert_eq!(choice.point.segments, 1);
     }
@@ -846,10 +784,10 @@ mod tests {
             },
         };
         let hooks = TuneHooks {
-            normalize: None,
-            footprint: Some(&footprint),
+            footprint: &footprint,
+            ..OPEN
         };
-        let choice = tuner.tune_with_hooks(
+        let choice = tuner.tune(
             &|p: &TuningPoint| {
                 assert_ne!(p.pipeline_depth, 3, "pruned point reached the builder");
                 KernelProfile {
@@ -860,27 +798,7 @@ mod tests {
             hooks,
         );
         assert_ne!(choice.point.pipeline_depth, 3);
-        let space = TuningSpace::default();
-        assert_eq!(choice.evaluated, space.len() * 2 / 3);
-    }
-
-    #[test]
-    fn infeasible_candidates_are_skipped() {
-        let arch = GpuArch::a10();
-        let tuner = AutoTuner::new(arch.clone()).with_mode(SearchMode::Exhaustive);
-        let choice = tuner.tune(|p| KernelProfile {
-            flops: 1 << 26,
-            hbm_bytes: 1 << 24,
-            blocks: 2048,
-            // Pipeline depth 3 demands more shared memory than the SM has.
-            shared_mem_per_block: if p.pipeline_depth == 3 {
-                arch.shared_mem_per_sm * 2
-            } else {
-                32 * 1024
-            },
-            ..Default::default()
-        });
-        assert_ne!(choice.point.pipeline_depth, 3);
+        assert_eq!(choice.evaluated, TuningSpace::PAPER.len() * 2 / 3);
     }
 
     #[test]
@@ -889,7 +807,7 @@ mod tests {
         let arch = GpuArch::a10();
         let cold = AutoTuner::new(arch.clone())
             .with_cache(Arc::clone(&cache), "artificial")
-            .tune(artificial_build);
+            .tune(&artificial_build, OPEN);
         let stats = cache.stats();
         assert_eq!(stats.lookups, 1);
         assert_eq!(stats.seeded, 0);
@@ -897,7 +815,7 @@ mod tests {
         assert_eq!(stats.entries, 1);
         let warm = AutoTuner::new(arch)
             .with_cache(Arc::clone(&cache), "artificial")
-            .tune(artificial_build);
+            .tune(&artificial_build, OPEN);
         assert_eq!(warm.point, cold.point);
         assert_eq!(warm.latency_us, cold.latency_us);
         let stats = cache.stats();

@@ -15,7 +15,8 @@
 //!
 //! Beside the folds, one test states the guided search's claims over every
 //! Table 2/3 config: it chooses the exhaustive oracle's point, and costs at
-//! most a fifth of the raw space on each config it tunes.
+//! most a fifth of the raw space on each config it tunes. Another states that
+//! compiling is deterministic: two compiles of one workload are equal.
 
 use std::sync::Arc;
 
@@ -201,6 +202,29 @@ fn guided_picks_the_oracle_point_at_a_fifth_of_the_space() {
             }
         }
         assert_eq!(tuned, 18, "tuned configs on {}", arch.name);
+    }
+}
+
+/// Compiling is a pure function of `(workload, arch, options)`: two compiles
+/// of every workload of this file, on every preset and in both modes, return
+/// equal kernels.
+#[test]
+fn compiling_twice_gives_equal_kernels() {
+    let mut workloads = workloads();
+    workloads.extend(table23_workloads());
+    for arch in GpuArch::all() {
+        for opts in [CompileOptions::default(), exhaustive()] {
+            for workload in &workloads {
+                assert_eq!(
+                    compile_workload_with(workload, &arch, &opts),
+                    compile_workload_with(workload, &arch, &opts),
+                    "{} on {} ({:?})",
+                    workload.name(),
+                    arch.name,
+                    opts.mode
+                );
+            }
+        }
     }
 }
 

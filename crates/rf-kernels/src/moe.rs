@@ -13,7 +13,7 @@ use rf_workloads::Matrix;
 pub use rf_workloads::moe::RoutingDecision;
 
 use crate::softmax::softmax_rows;
-use crate::topk::topk_streaming;
+use crate::topk::topk_sort;
 
 /// Computes the expert score matrix `X W`.
 pub fn routing_scores(x: &Matrix, w: &Matrix) -> Matrix {
@@ -27,7 +27,7 @@ pub fn route_naive(x: &Matrix, w: &Matrix, topk: usize) -> Vec<RoutingDecision> 
     let probs = softmax_rows(&scores);
     (0..scores.rows())
         .map(|r| {
-            let top = topk_streaming(scores.row(r), topk);
+            let top = topk_sort(scores.row(r), topk);
             RoutingDecision {
                 experts: top.iter().map(|e| e.index).collect(),
                 probs: top.iter().map(|e| probs.get(r, e.index)).collect(),

@@ -71,7 +71,6 @@ fn run_iteration(shared: &Shared, worker: usize, iteration: Iteration) {
         plan: None,
         plan_started: formed_at,
         compile_us: 0.0,
-        tune_us: 0.0,
         simulated_us: 0.0,
         cache_hit: false,
         started: formed_at,
@@ -128,7 +127,6 @@ struct Batch {
     plan: Option<Arc<CompiledKernel>>,
     plan_started: Instant,
     compile_us: f64,
-    tune_us: f64,
     /// A workload batch: one launch of its plan over the whole batch. A
     /// graph: its fused regions and glue ops.
     simulated_us: f64,
@@ -189,11 +187,9 @@ impl Batch {
         self.plan_started = Instant::now();
         let (plan, cache_hit) = shared.cache.get_or_compile_traced(&request.workload);
         // Plan acquisition as this batch experienced it: ~0 on a hit, the
-        // full compile+tune wall time on a miss (the compiled kernel carries
-        // its own tuner share).
+        // full compile+tune wall time on a miss.
         if !cache_hit {
             self.compile_us = duration_us(self.plan_started, Instant::now());
-            self.tune_us = plan.timing.tune_us;
         }
         self.cache_hit = cache_hit;
         self.simulated_us = batch_latency_us(shared.cache.arch(), &plan.profile, self.size);
@@ -210,7 +206,6 @@ impl Batch {
         let timing = RequestTiming {
             queue_us: duration_us(queued.submitted_at, self.formed_at),
             compile_us: self.compile_us,
-            tune_us: self.tune_us,
             execute_us: duration_us(self.started, delivered_at),
             total_us: duration_us(queued.submitted_at, delivered_at),
             iterations_waited: self.index.saturating_sub(queued.iterations_at_submit + 1),
@@ -280,7 +275,6 @@ impl Batch {
                 TraceEvent::instant("hit", plan_start, track)
             } else {
                 TraceEvent::span("compile", plan_start, timing.compile_us, track)
-                    .with_arg("tune_us", ArgValue::F64(timing.tune_us))
             };
             trace.record(acquired.with_request(id).with_class(class));
         }

@@ -12,7 +12,7 @@
 //!   [`ClassSnapshot::lifetime`]): a batch is one
 //!   [`LogHistogram::record_n`] into each.
 //! * **Wall-clock** per-stage times measured by the engine
-//!   ([`crate::RequestTiming`]): queue wait, compile, tune, execute and
+//!   ([`crate::RequestTiming`]): queue wait, compile, execute and
 //!   end-to-end, recorded at [`TraceLevel::Histograms`] and above into
 //!   per-[`Stage`] and per-lane histograms so a long run can attribute its
 //!   served latency to pipeline stages.
@@ -189,7 +189,7 @@ pub struct MetricsSnapshot {
     /// Recorded at every level.
     pub lifetime: HistogramSnapshot,
     /// Wall-clock per-stage breakdown in lifecycle order (queue, compile,
-    /// tune, execute, e2e). Counts are zero at [`TraceLevel::Off`].
+    /// execute, e2e). Counts are zero at [`TraceLevel::Off`].
     pub stages: Vec<StageSnapshot>,
     /// The retry hint attached to the most recent shed, in microseconds
     /// (0 when nothing was shed).
@@ -269,8 +269,8 @@ impl RuntimeMetrics {
 
     /// Records one served request's wall-clock stage breakdown into the
     /// per-stage and per-lane histograms. No-op at [`TraceLevel::Off`]. A
-    /// zero `compile_us` (plan-cache hit) contributes no compile/tune
-    /// samples, so those histograms describe misses only.
+    /// zero `compile_us` (plan-cache hit) contributes no compile sample, so
+    /// that histogram describes misses only.
     pub fn record_timing(&self, priority: Priority, timing: &RequestTiming) {
         if !self.level.histograms_enabled() {
             return;
@@ -278,9 +278,6 @@ impl RuntimeMetrics {
         self.stage_walls[Stage::Queue.index()].record_us(timing.queue_us);
         if timing.compile_us > 0.0 {
             self.stage_walls[Stage::Compile.index()].record_us(timing.compile_us);
-        }
-        if timing.tune_us > 0.0 {
-            self.stage_walls[Stage::Tune.index()].record_us(timing.tune_us);
         }
         self.stage_walls[Stage::Execute.index()].record_us(timing.execute_us);
         self.stage_walls[Stage::EndToEnd.index()].record_us(timing.total_us);
@@ -776,14 +773,12 @@ mod tests {
         let timing = RequestTiming {
             queue_us: 100.0,
             compile_us: 5_000.0,
-            tune_us: 3_000.0,
             execute_us: 400.0,
             total_us: 5_500.0,
             iterations_waited: 1,
         };
         let hit = RequestTiming {
             compile_us: 0.0,
-            tune_us: 0.0,
             ..timing
         };
         let metrics = ledger();
@@ -796,18 +791,16 @@ mod tests {
                 .find(|s| s.stage == name)
                 .expect("stage present")
         };
-        // Queue and e2e see both requests; compile/tune only the cache miss.
+        // Queue and e2e see both requests; compile only the cache miss.
         assert_eq!(by_name("queue").wall.count, 2);
         assert_eq!(by_name("e2e").wall.count, 2);
         assert_eq!(by_name("compile").wall.count, 1);
-        assert_eq!(by_name("tune").wall.count, 1);
         assert_eq!(by_name("execute").wall.count, 2);
         assert!((by_name("compile").wall.p50_us - 5_000.0).abs() / 5_000.0 < 0.08);
         // Lane attribution of the e2e wall time.
         assert_eq!(snap.lanes[Priority::Normal.lane()].wall.count, 1);
         assert_eq!(snap.lanes[Priority::High.lane()].wall.count, 1);
         snap.assert_exported("redfuser_stage_wall_us_count{stage=\"compile\"} 1");
-        snap.assert_exported("redfuser_stage_wall_us_sum{stage=\"tune\"} 3000");
 
         // The Off contract: the wall-clock histograms record nothing; the
         // simulated-latency statistic (and the counters) are always on.
@@ -859,7 +852,6 @@ mod tests {
             &RequestTiming {
                 queue_us: 10.0,
                 compile_us: 100.0,
-                tune_us: 50.0,
                 execute_us: 30.0,
                 total_us: 140.0,
                 iterations_waited: 0,

@@ -187,8 +187,7 @@ pub struct GraphStats {
 /// (plan-cache hits contribute a zero `compile_us`). The remainder is the
 /// time the request waited behind the batch-mates served before it, plus
 /// bookkeeping; for the first member of a batch it is bookkeeping only.
-/// `tune_us` is the auto-tuner share *inside* `compile_us`, not an additional
-/// stage. All times are host wall-clock microseconds — distinct from the
+/// All times are host wall-clock microseconds — distinct from the
 /// *simulated* GPU latency in `Response::simulated_us`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestTiming {
@@ -197,8 +196,6 @@ pub struct RequestTiming {
     /// Plan acquisition for the serving iteration: near zero on a cache hit,
     /// the full compile+tune wall time on a miss.
     pub compile_us: f64,
-    /// Auto-tuner search time inside `compile_us` (zero on a cache hit).
-    pub tune_us: f64,
     /// This request's own execution: its kernel call (for a graph: the
     /// partition and every step) → its result delivered. Batch-mates served
     /// before it are not in it.
@@ -256,7 +253,7 @@ pub struct Response {
 }
 
 impl Response {
-    /// Where this request's wall-clock latency went: queue wait, compile/tune
+    /// Where this request's wall-clock latency went: queue wait, compile
     /// time, execute time and iterations waited. Always populated — the
     /// engine measures it at every trace level.
     pub fn timing(&self) -> &RequestTiming {

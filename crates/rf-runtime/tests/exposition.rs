@@ -19,7 +19,9 @@
 //! deleted text report alone had shown (plan-cache entries, shed-hint sum,
 //! per-class requests and batches, graphs, graph ops, region lookups), and
 //! the summaries' `_sum` became the recorded sum instead of mean × count
-//! (no value moved: every sum here is exact either way).
+//! (no value moved: every sum here is exact either way); deleting the `tune`
+//! stage removed the five `redfuser_stage_wall_us{stage="tune",…}` lines
+//! (three quantiles, `_sum`, `_count`) and the `stage.tune wall.count` line.
 //!
 //! A second test parses the exposition back and recovers every line of
 //! `counters.txt` from it but `lifetime.max_us`, a statistic no family
@@ -37,11 +39,10 @@ use rf_runtime::{
     CacheStats, MetricsSnapshot, Priority, RequestTiming, RuntimeMetrics, TraceConfig,
 };
 
-fn timing(queue_us: f64, compile_us: f64, tune_us: f64, execute_us: f64) -> RequestTiming {
+fn timing(queue_us: f64, compile_us: f64, execute_us: f64) -> RequestTiming {
     RequestTiming {
         queue_us,
         compile_us,
-        tune_us,
         execute_us,
         total_us: queue_us + compile_us + execute_us,
         iterations_waited: 0,
@@ -57,12 +58,12 @@ fn replay_script_0(m: &RuntimeMetrics) {
     for _ in 0..9 {
         m.record_submit(Priority::High);
     }
-    m.record_timing(Priority::Normal, &timing(12.5, 5_000.0, 3_000.0, 400.0));
+    m.record_timing(Priority::Normal, &timing(12.5, 5_000.0, 400.0));
     for i in 0..8 {
-        let t = timing(20.0 + f64::from(i) * 7.5, 0.0, 0.0, 150.0 + f64::from(i));
+        let t = timing(20.0 + f64::from(i) * 7.5, 0.0, 150.0 + f64::from(i));
         m.record_timing(Priority::Normal, &t);
     }
-    m.record_timing(Priority::High, &timing(3.25, 0.0, 0.0, 90.5));
+    m.record_timing(Priority::High, &timing(3.25, 0.0, 90.5));
     // Binary-fraction microseconds: every sum below is exact in `f64` and in
     // integer nanoseconds alike.
     m.record_batch("softmax", 4, 0, 12.5, false);
@@ -93,10 +94,10 @@ fn replay_script_1(m: &RuntimeMetrics) {
         m.record_submit(Priority::Low);
     }
     for i in 0..6 {
-        let t = timing(40.0 + f64::from(i) * 11.0, 0.0, 0.0, 60.25);
+        let t = timing(40.0 + f64::from(i) * 11.0, 0.0, 60.25);
         m.record_timing(Priority::Low, &t);
     }
-    m.record_timing(Priority::Normal, &timing(8.0, 900.0, 600.0, 35.0));
+    m.record_timing(Priority::Normal, &timing(8.0, 900.0, 35.0));
     for i in 0..5 {
         m.record_batch("softmax", 4, 0, 4.5 + f64::from(i) * 0.125, i > 0);
     }

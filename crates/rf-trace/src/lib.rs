@@ -58,9 +58,6 @@ pub enum Stage {
     /// `"compile"` (a cache hit records the `"hit"` span instead and
     /// contributes no `compile` sample).
     Compile,
-    /// The auto-tuner search inside a compile (a subset of
-    /// [`Stage::Compile`]'s wall time).
-    Tune,
     /// This request's own execution → its result delivered (the batch-mates
     /// served before it are not in it). Span name `"execute"`.
     Execute,
@@ -69,7 +66,7 @@ pub enum Stage {
 }
 
 /// Number of instrumented stages.
-pub const STAGES: usize = 5;
+pub const STAGES: usize = 4;
 
 impl Stage {
     /// All stages in lifecycle order — index order matches
@@ -77,7 +74,6 @@ impl Stage {
     pub const ALL: [Stage; STAGES] = [
         Stage::Queue,
         Stage::Compile,
-        Stage::Tune,
         Stage::Execute,
         Stage::EndToEnd,
     ];
@@ -87,9 +83,8 @@ impl Stage {
         match self {
             Stage::Queue => 0,
             Stage::Compile => 1,
-            Stage::Tune => 2,
-            Stage::Execute => 3,
-            Stage::EndToEnd => 4,
+            Stage::Execute => 2,
+            Stage::EndToEnd => 3,
         }
     }
 
@@ -98,7 +93,6 @@ impl Stage {
         match self {
             Stage::Queue => "queue",
             Stage::Compile => "compile",
-            Stage::Tune => "tune",
             Stage::Execute => "execute",
             Stage::EndToEnd => "e2e",
         }
@@ -115,6 +109,6 @@ mod tests {
             assert_eq!(stage.index(), expected);
         }
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["queue", "compile", "tune", "execute", "e2e"]);
+        assert_eq!(names, ["queue", "compile", "execute", "e2e"]);
     }
 }

@@ -73,13 +73,12 @@ pub fn main() {
     for response in responses.iter().take(4).chain([graph_response]) {
         let t = response.timing();
         println!(
-            "  {:<12} [{:<6}] queue {:>8.1} us  compile {:>8.1} us (tune {:>6.1})  \
+            "  {:<12} [{:<6}] queue {:>8.1} us  compile {:>8.1} us  \
              execute {:>8.1} us  total {:>8.1} us  waited {} iter",
             response.workload,
             response.priority.name(),
             t.queue_us,
             t.compile_us,
-            t.tune_us,
             t.execute_us,
             t.total_us,
             t.iterations_waited,
