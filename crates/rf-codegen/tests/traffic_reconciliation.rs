@@ -23,7 +23,7 @@ use rf_codegen::{executable_program, TuningPoint, Workload};
 use rf_gpusim::KernelProfile;
 use rf_tile::exec::execute_profiled;
 use rf_tile::{ExecInput, TileProgram};
-use rf_workloads::{random_matrix, MhaConfig, VarianceConfig};
+use rf_workloads::{random_matrix, MhaConfig, VarianceConfig, QUERY_LANES};
 
 /// Bytes of one element on the VM.
 const F64: u64 = 8;
@@ -220,30 +220,24 @@ fn attention_counted_bytes_reconcile_with_the_model() {
         let iterations = per_segment.div_ceil(block_kv);
         let row_blocks = heads * q_len.div_ceil(block_q);
         let blocks = row_blocks * s;
-        // KV tiles one query row walks: every segment's, the last shorter.
-        let segment_lens = (0..kv)
-            .step_by(per_segment as usize)
-            .map(|start| (start + per_segment).min(kv) - start);
-        let tiles: u64 = segment_lens.map(|len| len.div_ceil(block_kv)).sum();
+        // The VM scores a group of up to QUERY_LANES query rows per K tile.
+        let groups = heads * q_len.div_ceil(QUERY_LANES as u64);
         // One VM call serves one (batch, head) slice; the model's grid covers
         // all `heads` of them, so the VM column is the call's count × heads.
         let ledger = [
-            // The VM reloads the query row with every KV tile (f64); a CTA
-            // stages its block_q query rows once (fp16).
-            row(
-                "Q",
-                heads * q_len * tiles * d * F64,
-                0,
-                blocks * 2 * block_q * d,
-            ),
-            // The VM reads K and V once per query row (f64); a CTA reads a
+            // The VM loads each query row once per call (f64); a CTA stages
+            // its block_q query rows once per segment (fp16).
+            row("Q", heads * q_len * d * F64, 0, blocks * 2 * block_q * d),
+            // The VM reads a K tile once per query group (f64); a CTA reads a
             // whole KV tile once per block_q rows (fp16).
             row(
                 "K",
-                heads * q_len * kv * d * F64,
+                groups * kv * d * F64,
                 0,
                 blocks * iterations * 2 * block_kv * d,
             ),
+            // Each query row streams every V row into its own P·V (f64): a
+            // V tile of a group is read once per row of it. The model, as K.
             row(
                 "V",
                 heads * q_len * kv * d * F64,

@@ -40,22 +40,32 @@
 //! [`ExecBinding::block_rows`] rows per block: its weight matrix is the one
 //! operand that every row reads and that outgrows the cache, and in this
 //! order a weight tile is fetched once per block while the block's
-//! accumulators stay resident. Attention's K and V are shared too, but a
-//! block's `(row, segment)` partials would outweigh them. Inner loops run
-//! over row slices with several independent accumulation chains (`dot_rows`,
-//! `add_scaled_rows`, [`sum_and_squares`]), and nothing is allocated per row,
-//! segment or tile: a call sizes its scratch once.
+//! accumulators stay resident. Attention runs **query group → segment →
+//! tile → row**: a group is the rows of one block of [`QUERY_LANES`] (eight)
+//! that fall in a range of the row split, staged column-major once
+//! ([`QueryGroup`]), and each K tile is scored against the whole group in
+//! one tile GEMM ([`score_group`]), as a FlashAttention CTA scores its
+//! `block_q` rows; the statistics, the exponentials and the P·V of each row
+//! then run in the order a lone row runs them. Inner loops run over row
+//! slices with several independent accumulation chains ([`score_group`],
+//! [`add_scaled_rows`], [`sum_and_squares`]), and nothing is allocated per
+//! row, group, segment or tile: a call sizes its scratch once.
 //!
-//! **Vector width.** Three loops run at the widest vector tier the CPU offers
+//! **Vector width.** Four loops run at the widest vector tier the CPU offers
 //! (AVX-512F on the benchmark host), picked at run time inside
-//! `rf-workloads`: [`add_scaled_rows`], the GEMM of attention's P·V, routing's
-//! scores and quant + GEMM's accumulate (its `fp8_round` map inlined into the
-//! loop); the slice exponentials; and [`sum_and_squares`], variance's Σx and
-//! Σx² over a segment, in eight lanes — one vector per sum there. All three
-//! return the bits of the baseline build on every CPU. Everything else here —
-//! `dot_rows`, the tile maximum and sum, inertia, the combines — is built for
-//! the baseline; `dot_rows` was measured at the wider tiers and gained
-//! nothing, and inertia split over lanes naively measured slower.
+//! `rf-workloads`: [`score_group`], attention's Q·Kᵀ, one vector of eight
+//! query rows per key; [`add_scaled_rows`], the GEMM of attention's P·V,
+//! routing's scores and quant + GEMM's accumulate (its `fp8_round` map
+//! inlined into the loop); the slice exponentials; and [`sum_and_squares`],
+//! variance's Σx and Σx² over a segment, in eight lanes — one vector per sum
+//! there. All four return the bits of the baseline build on every CPU, and
+//! each row of a group has the bits it has scored alone, so grouping cannot
+//! show in a result. Everything else here — the tile maximum and sum,
+//! inertia, the combines — is built for the baseline, as is
+//! [`dot_rows`](rf_workloads::dot_rows), which [`score_group`] runs for a
+//! group of one row (decode, or a range of one): four scalar chains beat one
+//! busy lane of eight, measured in its docs. Inertia split over lanes
+//! naively measured slower.
 //!
 //! **The exponential.** Softmax, attention and routing reduce a tile in four
 //! passes over a slice that sits in L1: its maximum, one `advance` of the
@@ -73,14 +83,16 @@
 //! [`rf_workloads::for_row_ranges`] runs over contiguous row ranges, the first
 //! on the calling thread and the rest on scoped threads joined before the
 //! call returns. Ranges start on multiples of `block_rows` for quant + GEMM
-//! (the same row blocks, a weight tile still fetched once per block); each
-//! range sizes its own scratch.
+//! (the same row blocks, a weight tile still fetched once per block); for
+//! attention they start on any row, and a range boundary inside a block of
+//! [`QUERY_LANES`] rows cuts it into two groups; each range sizes its own
+//! scratch.
 //! Attention with fewer rows than threads and than segments — decode, the
 //! paper's low-concurrency case — keeps its rows on the caller and gives each
-//! row's *segments* to the same splitter instead: a range of cells leaves its
-//! FlashDecoding partials in the row's cell buffer and the combine kernel
+//! group's *segments* to the same splitter instead: a range of cells leaves
+//! its FlashDecoding partials in the group's cell buffer and the combine kernel
 //! runs on the caller as the join (rows or segments, never both: no spawn
-//! nests). A call — or a row's cells — under the splitter's threshold (2²²
+//! nests). A call — or a group's cells — under the splitter's threshold (2²²
 //! multiply-add equivalents, an exponential and an FP8 rounding counted as 16
 //! each, all measured on the benchmark host, see
 //! [`rf_workloads::PARALLEL_MIN_WORK`]) or with one row block runs the same
@@ -149,7 +161,7 @@ use rf_algebra::BinaryOp;
 use rf_workloads::moe::{score_order, RoutingDecision};
 use rf_workloads::{
     add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
-    sum_and_squares, Matrix,
+    query_groups, score_group, sum_and_squares, Matrix, QueryGroup, QUERY_LANES,
 };
 
 use crate::ops::TileProgram;
@@ -572,8 +584,11 @@ const FP8_WORK: usize = 16;
 /// being accumulated) is not traffic. A slice a step reads twice while it
 /// sits in L1 counts once. Counts follow the data only where a kernel skips
 /// work on it (a fully masked tile loads no values, a zero row nothing after
-/// its abs-max), so profiles of one (program, input) pair are identical on
-/// every run and every thread count.
+/// its abs-max), and attention's K tiles count once per block of
+/// [`QUERY_LANES`] query rows, by the group that holds the block's first row
+/// (a range boundary that cuts a block scores its tiles twice, the second
+/// time uncounted), so profiles of one (program, input) pair are identical on
+/// every run and every thread count: the unsplit run's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
     /// Op kind within the store → correct → reduce template.
@@ -728,29 +743,6 @@ impl<I: ExactSizeIterator<Item = (usize, usize)> + Clone> Pieces for I {}
 fn segment_ranges(axis_len: usize, segments: usize) -> impl Pieces {
     let segments = segments.clamp(1, axis_len.max(1));
     chunks(0, axis_len, axis_len.div_ceil(segments))
-}
-
-/// `out[i] = x · rows[i]`, every dot product adding its terms in ascending
-/// column order. Four rows share one pass over `x`: a single dot product is
-/// one chain of dependent additions, four of them keep the adder busy.
-fn dot_rows<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
-    let n = x.len();
-    let mut quads = out.chunks_exact_mut(4);
-    for quad in &mut quads {
-        let mut next = || &rows.next().expect("one row per output")[..n];
-        let (r0, r1, r2, r3) = (next(), next(), next(), next());
-        let mut dots = [0.0f64; 4];
-        for ((((&xt, &a), &b), &c), &d) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-            dots[0] += xt * a;
-            dots[1] += xt * b;
-            dots[2] += xt * c;
-            dots[3] += xt * d;
-        }
-        quad.copy_from_slice(&dots);
-    }
-    for (slot, row) in quads.into_remainder().iter_mut().zip(rows) {
-        *slot = x.iter().zip(row).fold(0.0, |dot, (&xt, &a)| dot + xt * a);
-    }
 }
 
 /// Independent chains in a tile's maximum and in the sum of its exponentials.
@@ -984,92 +976,112 @@ fn exec_attention<K: Tally>(
     let (_, seg_len) = segments.clone().next().expect("kv_len > 0");
     let tile = binding.block_axis.clamp(1, seg_len);
     let work_per_row = kv_len * (qk_dim + head_dim + EXP_WORK);
-    // A `(row, segment)` grid cell: the segment's FlashDecoding partial
-    // `[acc: head_dim | max | sum]` — the max-shifted unnormalised output and
-    // its statistics — then the tile of scores the cell works in.
-    let cell_len = head_dim + 2 + tile;
+    // A `(row, segment)` grid cell holds the segment's FlashDecoding partial
+    // `[acc: head_dim | max | sum]`, the max-shifted unnormalised output and
+    // its statistics; a group's cells of one segment are followed by the
+    // tile of scores they work in, one piece per query row.
+    let partial_len = head_dim + 2;
+    let cell_len = partial_len + tile;
     // Multi-Segment's low-concurrency case: rows too few to fill the cores
-    // leave the grid to each row's segments. Never both, so no spawn nests.
+    // leave the grid to each group's segments. Never both, so no spawn nests.
     let by_seg = q_rows < threads.min(n_segments);
     let (row_par, seg_par) = if by_seg { (1, threads) } else { (threads, 1) };
     let mut out = vec![0.0f64; q_rows * head_dim];
     let body = |range: Range<usize>, out: &mut [f64]| {
         let mut tally = K::default();
-        let mut cells = vec![0.0f64; n_segments * cell_len];
-        for (row, out_row) in range.zip(out.chunks_exact_mut(head_dim.max(1))) {
-            let q_row = q.row(row);
+        let mut cells = vec![0.0f64; n_segments * range.len().min(QUERY_LANES) * cell_len];
+        let mut group = QueryGroup::default();
+        for rows in query_groups(range.clone()) {
+            let g = rows.len();
+            let out_rows = &mut out[(rows.start - range.start) * head_dim..][..g * head_dim];
+            // A query row loads once per call, a K tile once per block of
+            // QUERY_LANES rows (see `OpStats`).
+            tally.add(Step::ScoreGemm, 0, f64_bytes(g * qk_dim), 0);
+            let counted = u64::from(rows.start % QUERY_LANES == 0);
+            group.load(qk_dim, rows.clone().map(|r| q.row(r)));
             let run = |cell_range: Range<usize>, cells: &mut [f64]| {
                 let mut tally = K::default();
                 let segments = segments.clone().skip(cell_range.start);
-                for ((start, end), cell) in segments.zip(cells.chunks_exact_mut(cell_len)) {
+                for ((start, end), cells) in segments.zip(cells.chunks_exact_mut(g * cell_len)) {
                     #[cfg(test)]
-                    tests::probe_cell(row, q_row, start);
-                    let (partial, scores) = cell.split_at_mut(head_dim + 2);
-                    let (acc, stat_slots) = partial.split_at_mut(head_dim);
-                    let mut stats = OnlineStats::identity();
-                    acc.fill(0.0);
+                    tests::probe_cells(rows.clone(), q, start);
+                    let (partials, scores) = cells.split_at_mut(g * partial_len);
+                    let mut stats = [OnlineStats::identity(); QUERY_LANES];
+                    partials.fill(0.0);
                     for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
-                        // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ.
-                        let scores = &mut scores[..tile_end - tile_start];
-                        let loaded = f64_bytes((1 + scores.len()) * qk_dim);
-                        tally.add(Step::ScoreGemm, 1, loaded, 0);
-                        dot_rows(q_row, (tile_start..tile_end).map(|j| k.row(j)), scores);
+                        // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ, the
+                        // group's rows against the tile's keys.
+                        let n = tile_end - tile_start;
+                        let scores = &mut scores[..g * n];
+                        tally.add(Step::ScoreGemm, counted, counted * f64_bytes(n * qk_dim), 0);
+                        score_group(&group, (tile_start..tile_end).map(|j| k.row(j)), scores);
                         for s in scores.iter_mut() {
                             *s *= scale;
                         }
-                        // Store: snapshot the previous maximum; correct: rescale the
-                        // running sum and the output accumulator for the moved maximum.
-                        tally.ran(&[Step::Store, Step::Correct]);
-                        let correction = stats.advance(tile_max(scores));
-                        if stats.max == f64::NEG_INFINITY {
-                            stats.skip_masked(scores);
-                            continue;
-                        }
-                        if correction != 1.0 {
-                            for slot in acc.iter_mut() {
-                                *slot *= correction;
+                        // Then each row's own tile, in the order a lone row runs it.
+                        for (lane, scores) in scores.chunks_exact_mut(n).enumerate() {
+                            let stats = &mut stats[lane];
+                            let acc = &mut partials[lane * partial_len..][..head_dim];
+                            // Store: snapshot the previous maximum; correct: rescale the
+                            // running sum and the output accumulator for the moved maximum.
+                            tally.ran(&[Step::Store, Step::Correct]);
+                            let correction = stats.advance(tile_max(scores));
+                            if stats.max == f64::NEG_INFINITY {
+                                stats.skip_masked(scores);
+                                continue;
                             }
+                            if correction != 1.0 {
+                                for slot in acc.iter_mut() {
+                                    *slot *= correction;
+                                }
+                            }
+                            // Reduce (reductions 2–4): accumulate the tile's probabilities
+                            // and value contributions under the updated maximum.
+                            tally.add(Step::Reduce, 1, f64_bytes(n * head_dim), 0);
+                            exp_shifted_in_place(scores, stats.max);
+                            stats.sum += tile_sum(scores);
+                            let values = (tile_start..tile_end).map(|j| v.row(j));
+                            add_scaled_rows(acc, scores.iter().copied().zip(values));
                         }
-                        // Reduce (reductions 2–4): accumulate the tile's probabilities
-                        // and value contributions under the updated maximum.
-                        tally.add(Step::Reduce, 1, f64_bytes(scores.len() * head_dim), 0);
-                        exp_shifted_in_place(scores, stats.max);
-                        stats.sum += tile_sum(scores);
-                        let values = (tile_start..tile_end).map(|j| v.row(j));
-                        add_scaled_rows(acc, scores.iter().copied().zip(values));
                     }
-                    stat_slots.copy_from_slice(&[stats.max, stats.sum]);
+                    for (partial, stats) in partials.chunks_exact_mut(partial_len).zip(&stats) {
+                        partial[head_dim..].copy_from_slice(&[stats.max, stats.sum]);
+                    }
                 }
                 tally
             };
-            let cell_work = work_per_row / n_segments;
-            let split =
-                for_row_ranges(seg_par, n_segments, 1, cell_work, &mut cells, cell_len, run);
+            let cell_work = g * work_per_row / n_segments;
+            let cells = &mut cells[..n_segments * g * cell_len];
+            let split = for_row_ranges(seg_par, n_segments, 1, cell_work, cells, g * cell_len, run);
             tally = tally.merge(K::sum(split));
-            // Combine kernel, on this thread once the cells are joined, in segment
-            // order whatever the split: merge the statistics (Eq. 31), rescale the
-            // partials to the global maximum, normalise (one segment: the plain
-            // FlashAttention epilogue).
-            let cells = cells.chunks_exact(cell_len);
-            let global = cells.clone().fold(OnlineStats::identity(), |global, cell| {
-                global.merge(OnlineStats {
-                    max: cell[head_dim],
-                    sum: cell[head_dim + 1],
-                })
-            });
-            for cell in cells {
-                tally.add(Step::Combine, u64::from(n_segments > 1), 0, 0);
-                let rescale = rescale_factor(cell[head_dim] - global.max);
-                if rescale == 0.0 {
-                    continue;
+            // Combine kernel, per row on this thread once the cells are joined, in
+            // segment order whatever the split: merge the statistics (Eq. 31),
+            // rescale the partials to the global maximum, normalise (one segment:
+            // the plain FlashAttention epilogue).
+            for (lane, out_row) in out_rows.chunks_exact_mut(head_dim.max(1)).enumerate() {
+                let partials = cells
+                    .chunks_exact(g * cell_len)
+                    .map(|segment| &segment[lane * partial_len..][..partial_len]);
+                let global = partials.clone().fold(OnlineStats::identity(), |global, p| {
+                    global.merge(OnlineStats {
+                        max: p[head_dim],
+                        sum: p[head_dim + 1],
+                    })
+                });
+                for partial in partials {
+                    tally.add(Step::Combine, u64::from(n_segments > 1), 0, 0);
+                    let rescale = rescale_factor(partial[head_dim] - global.max);
+                    if rescale == 0.0 {
+                        continue;
+                    }
+                    for (slot, &a) in out_row.iter_mut().zip(&partial[..head_dim]) {
+                        *slot += a * rescale;
+                    }
                 }
-                for (slot, &a) in out_row.iter_mut().zip(&cell[..head_dim]) {
-                    *slot += a * rescale;
+                tally.add(Step::Epilogue, 1, 0, f64_bytes(head_dim));
+                for slot in out_row.iter_mut() {
+                    *slot /= global.sum;
                 }
-            }
-            tally.add(Step::Epilogue, 1, 0, f64_bytes(head_dim));
-            for slot in out_row.iter_mut() {
-                *slot /= global.sum;
             }
         }
         tally
@@ -1466,8 +1478,9 @@ mod tests {
     #[test]
     fn attention_stores_its_output_once() {
         // The running accumulator and the cells are scratch: the only tensor
-        // stored is the `q_rows × head_dim` output.
-        let q = random_matrix(4, 16, 1, -1.0, 1.0);
+        // stored is the `q_rows × head_dim` output. 19 query rows score in
+        // groups of 8, 8 and 3.
+        let q = random_matrix(19, 16, 1, -1.0, 1.0);
         let k = random_matrix(32, 16, 2, -1.0, 1.0);
         let v = random_matrix(32, 8, 3, -1.0, 1.0);
         let input = ExecInput::Attention {
@@ -1475,16 +1488,20 @@ mod tests {
             k: &k,
             v: &v,
         };
-        for point in [(2, 8, 1), (2, 8, 2), (4, 5, 3)] {
+        for (point, tiles) in [((2, 8, 1), 4), ((2, 8, 2), 4), ((4, 5, 3), 8)] {
             let semantics = Semantics::Attention {
                 qk_dim: 16,
                 head_dim: 8,
             };
             let ops = profile_of(&bound_program(semantics, point), &input);
             let written: u64 = ops.iter().map(|o| o.bytes_written).sum();
-            assert_eq!(written, 4 * 8 * 8, "{point:?}");
-            // Each query row reads every key and value once.
-            assert_eq!(op(&ops, "reduce").bytes_read, 4 * 32 * 8 * 8, "{point:?}");
+            assert_eq!(written, 19 * 8 * 8, "{point:?}");
+            // Each query row loads once, each group reads every key once ...
+            let gemm = op(&ops, "score-gemm");
+            assert_eq!(gemm.invocations, 3 * tiles, "{point:?}");
+            assert_eq!(gemm.bytes_read, (19 + 3 * 32) * 16 * 8, "{point:?}");
+            // ... and each query row reads every value once.
+            assert_eq!(op(&ops, "reduce").bytes_read, 19 * 32 * 8 * 8, "{point:?}");
         }
     }
 
@@ -1669,16 +1686,18 @@ mod tests {
     const TRIPPED: f64 = 0.987_654_321;
     static CELL_LOG: Mutex<Vec<(usize, usize, ThreadId)>> = Mutex::new(Vec::new());
 
-    pub(super) fn probe_cell(row: usize, q_row: &[f64], start: usize) {
-        match q_row.first() {
-            Some(&mark) if mark == TRACED => {
-                let cell = (row, start, std::thread::current().id());
-                CELL_LOG.lock().unwrap().push(cell);
+    pub(super) fn probe_cells(rows: Range<usize>, q: &Matrix, start: usize) {
+        for row in rows {
+            match q.row(row).first() {
+                Some(&mark) if mark == TRACED => {
+                    let cell = (row, start, std::thread::current().id());
+                    CELL_LOG.lock().unwrap().push(cell);
+                }
+                Some(&mark) if mark == TRIPPED => {
+                    assert!(start == 0, "injected failure in a later segment");
+                }
+                _ => {}
             }
-            Some(&mark) if mark == TRIPPED => {
-                assert!(start == 0, "injected failure in a later segment");
-            }
-            _ => {}
         }
     }
 

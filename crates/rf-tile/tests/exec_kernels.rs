@@ -6,6 +6,10 @@
 //!   before the kernels were rewritten over row slices; Attention and Routing
 //!   were re-recorded once, by the change that moved every exponential to
 //!   `rf_workloads::exp` and the tile maximum and sum to eight fixed lanes;
+//!   the second attention case (19 query rows — two whole groups of eight
+//!   and a group of three — over 70 keys) was recorded at the commit before attention scored a group of query
+//!   rows per vector instead of one row at a time, and pins that the change
+//!   kept every bit;
 //!   Variance was re-recorded once, by the change that moved its Σx and Σx²
 //!   to eight fixed lanes (`rf_workloads::sum_and_squares`) — its two
 //!   single-segment folds moved, the four-segment one kept its bits (that
@@ -168,6 +172,15 @@ fn bit_exact_families_reproduce_the_recorded_folds() {
             ],
         ),
         (
+            "attention",
+            attention(19, 70, 64, 64, 700),
+            [
+                ((128, 128, 1), 0x398c_6b5c_51e5_5be9),
+                ((4, 16, 1), 0x9832_b56d_6a15_7733),
+                ((8, 9, 3), 0x10ca_feff_7f46_17ae),
+            ],
+        ),
+        (
             "routing",
             routing(6, 13, 21, 3, 200),
             [
@@ -311,8 +324,87 @@ fn ragged_shapes_agree_across_tilings() {
     }
 }
 
+/// The attention case of `q`'s row `r` alone, over the same keys and values.
+fn one_row(case: &Case, r: usize) -> Case {
+    let Tensors::Attention { q, k, v } = &case.tensors else {
+        panic!("an attention case");
+    };
+    Case {
+        semantics: case.semantics,
+        tensors: Tensors::Attention {
+            q: Matrix::from_vec(1, q.cols(), q.row(r).to_vec()),
+            k: k.clone(),
+            v: v.clone(),
+        },
+    }
+}
+
+/// The bits of each output row of `case` at `point`, and of each row run
+/// alone: a row's output must not depend on the rows it is scored with.
+fn rows_and_rows_alone(case: &Case, point: Point) -> Vec<(Vec<u64>, Vec<u64>)> {
+    let ExecOutput::Matrix(out) = case.run(point) else {
+        panic!("attention returns a matrix");
+    };
+    (0..out.rows())
+        .map(|r| {
+            let together = out.row(r).iter().map(|x| x.to_bits()).collect();
+            (together, bits(&one_row(case, r).run(point)))
+        })
+        .collect()
+}
+
+#[test]
+fn a_masked_or_nan_query_row_leaves_its_group_mates_alone() {
+    // Key coordinate 0 is positive, so a query whose coordinate 0 is -inf
+    // scores -inf against every key and one that is NaN scores NaN: row 3
+    // sits in the first group of eight, row 9 in the group of three after it.
+    let mut case = attention(11, 23, 5, 4, 900);
+    let Tensors::Attention { q, k, .. } = &mut case.tensors else {
+        unreachable!();
+    };
+    for j in 0..k.rows() {
+        k.set(j, 0, 0.5 + k.get(j, 0).abs());
+    }
+    q.set(3, 0, f64::NEG_INFINITY);
+    q.set(9, 0, f64::NAN);
+    for point in [(128, 128, 1), (4, 5, 1), (2, 4, 3)] {
+        for (r, (together, alone)) in rows_and_rows_alone(&case, point).into_iter().enumerate() {
+            if r == 3 || r == 9 {
+                let nan = |row: &[u64]| row.iter().map(|&b| f64::from_bits(b).is_nan()).collect();
+                let nan_positions: Vec<bool> = nan(&together);
+                assert_eq!(nan_positions, nan(&alone), "row {r} at {point:?}");
+                assert!(
+                    nan_positions.iter().all(|&n| n),
+                    "row {r} attends to nothing"
+                );
+            } else {
+                assert_eq!(together, alone, "row {r} at {point:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Row `r` of an attention call has the bits of the call on row `r`
+    /// alone, whatever group of rows it is scored in.
+    #[test]
+    fn prop_attention_rows_keep_their_one_row_bits(
+        rows in 2usize..21,
+        qk_dim in 1usize..71,
+        kv in 1usize..41,
+        block_axis in 1usize..17,
+        segments in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let case = attention(rows, kv, qk_dim, 3, seed);
+        for point in [(1, block_axis, 1), (4, block_axis, segments)] {
+            for (r, (together, alone)) in rows_and_rows_alone(&case, point).into_iter().enumerate() {
+                prop_assert_eq!(together, alone, "row {} of {} at {:?}", r, rows, point);
+            }
+        }
+    }
 
     /// The per-output summation order is fixed by `(block_axis, segments)`
     /// alone: any `block_rows` gives the same bits as `block_rows = 1`.

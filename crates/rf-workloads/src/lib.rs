@@ -43,7 +43,8 @@ pub use nonml::{
 };
 pub use quant::{fp8_round, quant_configs, quant_tiny, QuantGemmConfig, FP8_MAX};
 pub use rows::{
-    add_scaled_rows, available_cores, for_row_ranges, sum_and_squares, PARALLEL_MIN_WORK,
+    add_scaled_rows, available_cores, dot_rows, for_row_ranges, query_groups, score_group,
+    sum_and_squares, QueryGroup, PARALLEL_MIN_WORK, QUERY_LANES,
 };
 
 /// Bytes per element for the storage precisions used in the paper's workloads.

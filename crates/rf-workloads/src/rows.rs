@@ -6,10 +6,12 @@
 //! a grid on the host's cores with scoped threads — no pool, no state beyond
 //! the cached core count — and [`add_scaled_rows`] is the inner loop of every
 //! row-times-matrix product in the tile VM and in [`Matrix::matmul`];
-//! [`sum_and_squares`] is the plain row sum of variance's two statistics.
-//! Both loops run at the widest vector tier the CPU offers, chosen at run
-//! time as [`exp`](mod@crate::exp)'s slice loops are, with the baseline's
-//! bits.
+//! [`score_group`] is attention's Q·Kᵀ tile for a group of up to
+//! [`QUERY_LANES`] query rows, one vector of rows per key, and [`dot_rows`]
+//! the same for a lone row; [`sum_and_squares`] is the plain row sum of
+//! variance's two statistics. All but [`dot_rows`] run at the widest vector
+//! tier the CPU offers, chosen at run time as [`exp`](mod@crate::exp)'s slice
+//! loops are, with the baseline's bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
@@ -183,6 +185,186 @@ fn scaled_rows_body<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [
             }
         }
     }
+}
+
+/// `out[i] = x · rows[i]`, every dot product adding its terms from `0.0` in
+/// ascending column order. Four rows share one pass over `x`: a single dot
+/// product is one chain of dependent additions, four of them keep the adder
+/// busy. Built for the baseline only: its chains are scalar, and at the wider
+/// tiers it gained nothing. [`score_group`] runs it for a group of one query
+/// row, and returns its bits row by row for a group of more.
+///
+/// # Panics
+///
+/// Panics if a row is shorter than `x`, or if `rows` runs out within a pass
+/// of four.
+pub fn dot_rows<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
+    let n = x.len();
+    let mut quads = out.chunks_exact_mut(4);
+    for quad in &mut quads {
+        let mut next = || &rows.next().expect("one row per output")[..n];
+        let (r0, r1, r2, r3) = (next(), next(), next(), next());
+        let mut dots = [0.0f64; 4];
+        for ((((&xt, &a), &b), &c), &d) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+            dots[0] += xt * a;
+            dots[1] += xt * b;
+            dots[2] += xt * c;
+            dots[3] += xt * d;
+        }
+        quad.copy_from_slice(&dots);
+    }
+    for (slot, row) in quads.into_remainder().iter_mut().zip(rows) {
+        *slot = x.iter().zip(row).fold(0.0, |dot, (&xt, &a)| dot + xt * a);
+    }
+}
+
+/// Query rows [`score_group`] scores at once: one AVX-512 vector of `f64`. A
+/// constant of the source like the lanes of [`sum_and_squares`], not of the
+/// CPU, so a group is the same rows at every vector width.
+pub const QUERY_LANES: usize = 8;
+
+/// The query groups of a range of rows: the rows of each block of
+/// [`QUERY_LANES`] (rows `8i..8i + 8`) that fall in the range, in order. A
+/// range that starts or ends inside a block holds part of it as a group.
+pub fn query_groups(rows: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let blocks = rows.start / QUERY_LANES..rows.end.div_ceil(QUERY_LANES);
+    blocks.map(move |b| (b * QUERY_LANES).max(rows.start)..((b + 1) * QUERY_LANES).min(rows.end))
+}
+
+/// Up to [`QUERY_LANES`] query rows stored column-major: column `c` holds
+/// element `c` of every row, one lane per row, so one vector operation
+/// multiplies a key's element into all of them. Lanes past the group's rows
+/// hold zeros. Loaded once per group and reused for every key tile; the first
+/// row is also kept as it is, for a group of one.
+#[derive(Debug, Clone, Default)]
+pub struct QueryGroup {
+    columns: Vec<[f64; QUERY_LANES]>,
+    first: Vec<f64>,
+    rows: usize,
+}
+
+impl QueryGroup {
+    /// Stores the first `dim` elements of each of `rows` column-major,
+    /// replacing what the group held and reusing its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` yields more than [`QUERY_LANES`] rows, or a row
+    /// shorter than `dim`.
+    pub fn load<'a>(&mut self, dim: usize, rows: impl Iterator<Item = &'a [f64]>) {
+        self.columns.clear();
+        self.columns.resize(dim, [0.0; QUERY_LANES]);
+        self.first.clear();
+        self.rows = 0;
+        for row in rows {
+            if self.rows == 0 {
+                self.first.extend_from_slice(&row[..dim]);
+            }
+            assert!(
+                self.rows < QUERY_LANES,
+                "a group holds at most QUERY_LANES rows"
+            );
+            for (column, &x) in self.columns.iter_mut().zip(&row[..dim]) {
+                column[self.rows] = x;
+            }
+            self.rows += 1;
+        }
+    }
+}
+
+/// `out[r·n + j] = q_r · key_j` for each row `q_r` of `group` and each of the
+/// `n` keys, `out` holding `n` scores per row: row `r`'s scores are the
+/// `r`-th `n`-long piece of `out`. Every dot product adds its terms from `0.0` in
+/// ascending column order, so each piece holds the bits [`dot_rows`] returns
+/// for its row. Eight keys (four below AVX-512) share one pass over the
+/// group's columns; each column step is one multiply and one add per key on
+/// a vector of [`QUERY_LANES`] rows, at the widest vector tier this CPU
+/// offers (picked at run time, like [`add_scaled_rows`]), with the bits of
+/// every other tier.
+///
+/// A group of one row is scored by [`dot_rows`] instead. On the benchmark
+/// host (AVX-512F) a multiply-add costs 0.28–0.36 ns in `dot_rows`' four
+/// scalar chains and 0.44–0.70 ns in one lane of eight; a group of two rows
+/// costs 0.22–0.34 ns and a group of eight 0.054–0.088 ns (the ignored
+/// `timing_score_gemm` test prints them, at `qk_dim` 64 and 576).
+///
+/// # Panics
+///
+/// Panics if `keys` yields fewer than `n` keys or a key shorter than the
+/// group's rows.
+pub fn score_group<'a>(group: &QueryGroup, keys: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
+    if group.rows == 1 {
+        dot_rows(&group.first, keys, out);
+    } else {
+        score_group_on(Tier::widest(), group, keys, out);
+    }
+}
+
+/// [`score_group`]'s lane kernel, for any number of rows, compiled for `tier`
+/// (the baseline if this CPU lacks it). Callers outside tests pass
+/// [`Tier::widest`].
+pub(crate) fn score_group_on<'a>(
+    tier: Tier,
+    group: &QueryGroup,
+    keys: impl Iterator<Item = &'a [f64]>,
+    out: &mut [f64],
+) {
+    // Eight keys per pass keep eight vectors of rows in flight, a quarter of
+    // AVX-512's 32 registers. A vector of eight rows takes two of AVX2's
+    // sixteen: there eight keys measured 0.29–0.33 ns per multiply-add, four
+    // 0.08–0.14 ns.
+    if tier == Tier::Avx512 {
+        tier.run(
+            #[inline(always)]
+            || score_group_body::<8>(group, keys, out),
+        );
+    } else {
+        tier.run(
+            #[inline(always)]
+            || score_group_body::<4>(group, keys, out),
+        );
+    }
+}
+
+#[inline(always)]
+fn score_group_body<'a, const KEYS: usize>(
+    group: &QueryGroup,
+    keys: impl Iterator<Item = &'a [f64]>,
+    out: &mut [f64],
+) {
+    let (columns, rows) = (&group.columns[..], group.rows);
+    let (dim, n) = (columns.len(), out.len() / rows.max(1));
+    let mut keys = keys.map(|key| &key[..dim]);
+    for j in (0..n).step_by(KEYS) {
+        // A short last pass repeats its first key and drops those scores.
+        let m = KEYS.min(n - j);
+        let mut pass = [&[][..]; KEYS];
+        for slot in &mut pass[..m] {
+            *slot = keys.next().expect("one key per score");
+        }
+        let first = pass[0];
+        pass[m..].fill(first);
+        // Slicing every key to `dim` here and indexing by column lets LLVM
+        // drop the bounds checks and keep `dots` in vector registers, one per
+        // key; so does transposing them through fixed-size arrays below.
+        let pass = pass.map(|key| &key[..dim]);
+        let mut dots = [[0.0f64; QUERY_LANES]; KEYS];
+        for c in 0..dim {
+            for (dot, key) in dots.iter_mut().zip(&pass) {
+                *dot = add_product(*dot, &columns[c], key[c]);
+            }
+        }
+        let by_row: [[f64; KEYS]; QUERY_LANES] = std::array::from_fn(|r| dots.map(|dot| dot[r]));
+        for (scores, row) in out.chunks_exact_mut(n).zip(&by_row) {
+            scores[j..j + m].copy_from_slice(&row[..m]);
+        }
+    }
+}
+
+/// `dot + column · k`, lane by lane.
+#[inline(always)]
+fn add_product(dot: [f64; QUERY_LANES], column: &[f64; QUERY_LANES], k: f64) -> [f64; QUERY_LANES] {
+    std::array::from_fn(|lane| dot[lane] + column[lane] * k)
 }
 
 /// Independent chains of [`sum_and_squares`]: a constant of the source, not
@@ -371,6 +553,157 @@ mod tests {
         let mut public = base.clone();
         add_scaled_rows(&mut public[..67], terms(0, 11));
         assert_eq!(bits(&public), bits(&widest));
+    }
+
+    /// `count` rows of hostile values, each `dim + 1` long.
+    fn hostile_rows(seed: usize, count: usize, dim: usize) -> Vec<Vec<f64>> {
+        (0..count)
+            .map(|i| hostile_values(seed + 3 * i, dim + 1))
+            .collect()
+    }
+
+    #[test]
+    fn query_groups_are_the_blocks_of_eight_a_range_holds() {
+        let groups = |rows: Range<usize>| -> Vec<(usize, usize)> {
+            query_groups(rows).map(|g| (g.start, g.end)).collect()
+        };
+        assert_eq!(groups(0..19), [(0, 8), (8, 16), (16, 19)]);
+        assert_eq!(groups(5..10), [(5, 8), (8, 10)]);
+        assert_eq!(groups(8..16), [(8, 16)]);
+        assert_eq!(groups(3..4), [(3, 4)]);
+        assert!(groups(8..8).is_empty());
+    }
+
+    #[test]
+    fn score_group_returns_the_bits_of_dot_rows_per_row() {
+        // Every group size at every column count 0..=67 (the vector
+        // remainders of the columns) and every tile length 0..=9 (whole
+        // four-key passes and each remainder), hostile values in queries and
+        // keys, keys misaligned by one element. Both the public entry, which
+        // gives a group of one to `dot_rows`, and the lane kernel itself.
+        let keys = hostile_rows(1, 9, 67);
+        let queries = hostile_rows(40, QUERY_LANES, 67);
+        let mut group = QueryGroup::default();
+        for rows in 1..=QUERY_LANES {
+            for dim in 0..=67 {
+                let queries = queries[..rows].iter().map(|q| &q[1..=dim]);
+                group.load(dim, queries.clone());
+                for n in 0..=9 {
+                    let keys = || keys[..n].iter().map(|k| &k[1..]);
+                    let mut public = vec![f64::NAN; rows * n];
+                    score_group(&group, keys(), &mut public);
+                    let mut lanes = vec![f64::NAN; rows * n];
+                    score_group_on(Tier::Baseline, &group, keys(), &mut lanes);
+                    for (r, query) in queries.clone().enumerate() {
+                        let mut expected = vec![0.0; n];
+                        dot_rows(query, keys(), &mut expected);
+                        let expected = expected.into_iter().map(canonical_bits);
+                        for got in [&public, &lanes] {
+                            let got = got[r * n..(r + 1) * n].iter().copied().map(canonical_bits);
+                            let case = format!("rows {rows} dim {dim} keys {n} row {r}");
+                            assert!(got.eq(expected.clone()), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_scores_a_group_with_the_bits_of_the_baseline() {
+        let tiers = Tier::available();
+        println!("compared with the baseline: {tiers:?}");
+        let keys = hostile_rows(5, 9, 67);
+        let queries = hostile_rows(17, QUERY_LANES, 67);
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
+        let mut group = QueryGroup::default();
+        for rows in 1..=QUERY_LANES {
+            for dim in 0..=67 {
+                group.load(dim, queries[..rows].iter().map(|q| &q[..dim]));
+                for n in 0..=9 {
+                    let keys = || keys[..n].iter().map(|k| &k[1..]);
+                    let mut expected = vec![0.0; rows * n];
+                    score_group_on(Tier::Baseline, &group, keys(), &mut expected);
+                    for &tier in &tiers {
+                        let mut got = vec![0.0; rows * n];
+                        score_group_on(tier, &group, keys(), &mut got);
+                        let case = format!("{tier:?} rows {rows} dim {dim} keys {n}");
+                        assert_eq!(bits(&got), bits(&expected), "{case}");
+                    }
+                }
+            }
+        }
+        // The public entry point is the widest tier.
+        let mut widest = vec![0.0; QUERY_LANES * 9];
+        score_group_on(
+            tiers[0],
+            &group,
+            keys.iter().map(Vec::as_slice),
+            &mut widest,
+        );
+        let mut public = vec![0.0; QUERY_LANES * 9];
+        score_group(&group, keys.iter().map(Vec::as_slice), &mut public);
+        assert_eq!(bits(&public), bits(&widest));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most QUERY_LANES rows")]
+    fn a_group_of_more_than_eight_rows_is_rejected() {
+        let row = [1.0; 3];
+        QueryGroup::default().load(3, std::iter::repeat_n(&row[..], QUERY_LANES + 1));
+    }
+
+    /// ns per multiply-add of the score GEMM: a tile of 64 keys against one
+    /// query row (`dot_rows`) and against groups of 1, 2, 4 and 8 rows
+    /// (`score_group`, every tier), at MHA's and MLA's `qk_dim`.
+    #[test]
+    #[ignore = "prints timings"]
+    fn timing_score_gemm() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        const KEYS: usize = 64;
+        // Median of 31 timings of `reps` calls, per multiply-add.
+        let ns_per_mac = |macs: usize, call: &mut dyn FnMut()| {
+            let reps = (1 << 22) / macs.max(1) + 1;
+            let mut samples: Vec<f64> = (0..31)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..reps {
+                        call();
+                    }
+                    start.elapsed().as_nanos() as f64 / (reps * macs) as f64
+                })
+                .collect();
+            samples.sort_by(f64::total_cmp);
+            samples[15]
+        };
+        for dim in [64, 576] {
+            let keys: Vec<Vec<f64>> = (0..KEYS)
+                .map(|j| (0..dim).map(|c| ((j * 7 + c) % 13) as f64 * 0.1).collect())
+                .collect();
+            let queries: Vec<Vec<f64>> = (0..QUERY_LANES)
+                .map(|r| (0..dim).map(|c| ((r * 5 + c) % 11) as f64 * 0.1).collect())
+                .collect();
+            let mut out = vec![0.0; QUERY_LANES * KEYS];
+            let dot = ns_per_mac(KEYS * dim, &mut || {
+                let keys = keys.iter().map(Vec::as_slice);
+                dot_rows(black_box(&queries[0]), keys, &mut out[..KEYS]);
+            });
+            println!("qk_dim {dim}: dot_rows, one row {dot:6.3} ns per multiply-add");
+            for tier in Tier::available() {
+                let mut line = format!("qk_dim {dim}: {tier:?} score_group");
+                for rows in [1, 2, 4, 8] {
+                    let mut group = QueryGroup::default();
+                    group.load(dim, queries[..rows].iter().map(Vec::as_slice));
+                    let ns = ns_per_mac(rows * KEYS * dim, &mut || {
+                        let keys = keys.iter().map(Vec::as_slice);
+                        score_group_on(tier, black_box(&group), keys, &mut out[..rows * KEYS]);
+                    });
+                    line += &format!(", {rows} rows {ns:6.3}");
+                }
+                println!("{line} ns per multiply-add");
+            }
+        }
     }
 
     /// Values with NaN, infinities, zeros of both signs and subnormals

@@ -3,7 +3,8 @@
 //! The slice loops of [`exp`](mod@crate::exp) (`exp_shifted`,
 //! `exp_shifted_in_place`), [`add_scaled_rows`](crate::add_scaled_rows) —
 //! the GEMM loop under attention's P·V, routing's scores, quant + GEMM's
-//! accumulate and `Matrix::matmul` — and
+//! accumulate and `Matrix::matmul` — [`score_group`](crate::score_group) —
+//! attention's Q·Kᵀ, eight query rows to a vector — and
 //! [`sum_and_squares`](crate::sum_and_squares) — variance's Σx and Σx² in
 //! eight lanes — are each one `#[inline(always)]` body, compiled three times: at the build's baseline (two `f64` lanes on x86-64),
 //! under `avx2` and under `avx512f`. Every public call runs the widest
@@ -20,8 +21,10 @@
 //! NaN does not move, and that is what every output comparison in the
 //! workspace checks.
 //!
-//! `dot_rows` (in `rf_tile::exec`) is not widened: built at the wider tiers it
-//! gained nothing, its four accumulation chains being sequential.
+//! [`dot_rows`](crate::dot_rows), the score loop of a lone query row, is not
+//! widened: its four chains are scalar, each a sequence of dependent
+//! additions, and at the wider tiers it gained nothing. A group of two or
+//! more rows goes through `score_group`, whose chains are vectors of rows.
 
 #![allow(unsafe_code)]
 
