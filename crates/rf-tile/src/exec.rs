@@ -36,11 +36,16 @@
 //!   normalisation.
 //!
 //! The loop nest that runs is **row → segment → tile**. FP8 quant + GEMM
-//! alone runs **row block → segment → tile → row**,
+//! alone runs **row block → segment → tile**,
 //! [`ExecBinding::block_rows`] rows per block: its weight matrix is the one
 //! operand that every row reads and that outgrows the cache, and in this
 //! order a weight tile is fetched once per block while the block's
-//! accumulators stay resident. Attention runs **query group → segment →
+//! accumulators stay resident. Each tile then takes two passes: per row, the
+//! abs-max, the correction and the FP8 quantisation of the row's tile into
+//! the block's coefficient tile; then one [`add_scaled_block`] over the whole
+//! block, which holds four rows' accumulators in vector registers while the
+//! tile's W rows stream past, so W is read from cache once per four rows
+//! instead of once per row. Attention runs **query group → segment →
 //! tile → row**: a group is the rows of one block of [`QUERY_LANES`] (eight)
 //! that fall in a range of the row split, staged column-major once
 //! ([`QueryGroup`]), and each K tile is scored against the whole group in
@@ -48,17 +53,19 @@
 //! `block_q` rows; the statistics, the exponentials and the P·V of each row
 //! then run in the order a lone row runs them. Inner loops run over row
 //! slices with several independent accumulation chains ([`score_group`],
-//! [`add_scaled_rows`], [`sum_and_squares`]), and nothing is allocated per
-//! row, group, segment or tile: a call sizes its scratch once.
+//! [`add_scaled_block`], [`add_scaled_rows`], [`sum_and_squares`]), and
+//! nothing is allocated per row, group, segment or tile: a call sizes its
+//! scratch once.
 //!
-//! **Vector width.** Four loops run at the widest vector tier the CPU offers
+//! **Vector width.** Five loops run at the widest vector tier the CPU offers
 //! (AVX-512F on the benchmark host), picked at run time inside
 //! `rf-workloads`: [`score_group`], attention's Q·Kᵀ, one vector of eight
-//! query rows per key; [`add_scaled_rows`], the GEMM of attention's P·V,
-//! routing's scores and quant + GEMM's accumulate (its `fp8_round` map
-//! inlined into the loop); the slice exponentials; and [`sum_and_squares`],
-//! variance's Σx and Σx² over a segment, in eight lanes — one vector per sum
-//! there. All four return the bits of the baseline build on every CPU, and
+//! query rows per key; [`add_scaled_rows`], the GEMM of attention's P·V and
+//! routing's scores; [`add_scaled_block`], quant + GEMM's accumulate, 4 rows
+//! × 32 columns of accumulators in sixteen `zmm` registers per pass over a
+//! tile's keys; the slice exponentials; and [`sum_and_squares`], variance's
+//! Σx and Σx² over a segment, in eight lanes — one vector per sum there. All
+//! five return the bits of the baseline build on every CPU, and
 //! each row of a group has the bits it has scored alone, so grouping cannot
 //! show in a result. Everything else here — the tile maximum and sum,
 //! inertia, the combines — is built for the baseline, as is
@@ -160,8 +167,8 @@ use std::ops::Range;
 use rf_algebra::BinaryOp;
 use rf_workloads::moe::{score_order, RoutingDecision};
 use rf_workloads::{
-    add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
-    query_groups, score_group, sum_and_squares, Matrix, QueryGroup, QUERY_LANES,
+    add_scaled_block, add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place,
+    for_row_ranges, query_groups, score_group, sum_and_squares, Matrix, QueryGroup, QUERY_LANES,
 };
 
 use crate::ops::TileProgram;
@@ -572,6 +579,12 @@ fn run<K: Tally>(
 /// `moe 512×64` (8.9 M) and `mla 1×4096` (4.52 M) split; `mha 1×8192`
 /// (1.18 M), `softmax 1×32768` and `4×8192` (0.52 M) and every `serve_tiny`
 /// shape run inline.
+///
+/// Quant + GEMM rounds a tile in a pass of its own, ahead of
+/// [`add_scaled_block`], whose multiply-add costs about half of
+/// `add_scaled_rows`' under AVX-512F (its ignored `timing_scaled_block`
+/// test). `FP8_WORK` and the `n` multiply-adds per element stay as they are:
+/// `quant 256×1024→256` is 17× the threshold either way.
 const EXP_WORK: usize = 16;
 const FP8_WORK: usize = 16;
 
@@ -1015,9 +1028,7 @@ fn exec_attention<K: Tally>(
                         let scores = &mut scores[..g * n];
                         tally.add(Step::ScoreGemm, counted, counted * f64_bytes(n * qk_dim), 0);
                         score_group(&group, (tile_start..tile_end).map(|j| k.row(j)), scores);
-                        for s in scores.iter_mut() {
-                            *s *= scale;
-                        }
+                        scores.iter_mut().for_each(|s| *s *= scale);
                         // Then each row's own tile, in the order a lone row runs it.
                         for (lane, scores) in scores.chunks_exact_mut(n).enumerate() {
                             let stats = &mut stats[lane];
@@ -1031,9 +1042,7 @@ fn exec_attention<K: Tally>(
                                 continue;
                             }
                             if correction != 1.0 {
-                                for slot in acc.iter_mut() {
-                                    *slot *= correction;
-                                }
+                                acc.iter_mut().for_each(|slot| *slot *= correction);
                             }
                             // Reduce (reductions 2–4): accumulate the tile's probabilities
                             // and value contributions under the updated maximum.
@@ -1079,9 +1088,7 @@ fn exec_attention<K: Tally>(
                     }
                 }
                 tally.add(Step::Epilogue, 1, 0, f64_bytes(head_dim));
-                for slot in out_row.iter_mut() {
-                    *slot /= global.sum;
-                }
+                out_row.iter_mut().for_each(|slot| *slot /= global.sum);
             }
         }
         tally
@@ -1206,11 +1213,15 @@ fn exec_quant_gemm<K: Tally>(
     // and each weight tile is still fetched once per block.
     let body = |range: Range<usize>, out: &mut [f64]| {
         let mut tally = K::default();
-        // Per row of a block: the accumulator and the abs-max it is scaled by.
+        // Per row of a block: the accumulator, the abs-max it is scaled by
+        // and the current tile's quantised activations.
         let mut accs = vec![0.0f64; block_rows * n];
         let mut amaxes = vec![0.0f64; block_rows];
+        let mut quantised = vec![0.0f64; block_rows * binding.block_axis.clamp(1, k_len)];
         let blocks = chunks(range.start, range.end, block_rows);
         for ((r0, r1), out_block) in blocks.zip(out.chunks_mut(block_rows * n)) {
+            let rows = r1 - r0;
+            let accs = &mut accs[..rows * n];
             for (start, end) in segments.clone() {
                 accs.fill(0.0);
                 amaxes.fill(0.0);
@@ -1218,14 +1229,16 @@ fn exec_quant_gemm<K: Tally>(
                     // The weight tile is visited once per row block: it
                     // stays cache-resident while every row of the block
                     // consumes it.
-                    tally.add(Step::Reduce, 0, f64_bytes((tile_end - tile_start) * n), 0);
-                    let rows = (r0..r1).zip(accs.chunks_exact_mut(n)).zip(&mut amaxes);
-                    for ((row, acc), amax) in rows {
+                    let tile_len = tile_end - tile_start;
+                    tally.add(Step::Reduce, 0, f64_bytes(tile_len * n), 0);
+                    let state = (r0..r1).zip(accs.chunks_exact_mut(n)).zip(&mut amaxes);
+                    for (((row, acc), amax), q) in state.zip(quantised.chunks_exact_mut(tile_len)) {
                         // Reduce (reduction 1): the tile's abs-max.
                         let tile = &a.row(row)[tile_start..tile_end];
                         tally.add(Step::Reduce, 1, f64_bytes(tile.len()), 0);
                         let new_amax = tile.iter().fold(*amax, |m, v| m.max(v.abs()));
                         if new_amax == 0.0 {
+                            q.fill(0.0);
                             continue;
                         }
                         // Store + correct: rescale the accumulator from the
@@ -1233,19 +1246,20 @@ fn exec_quant_gemm<K: Tally>(
                         tally.ran(&[Step::Store, Step::Correct]);
                         if *amax > 0.0 && new_amax > *amax {
                             let correction = *amax / new_amax;
-                            for slot in acc.iter_mut() {
-                                *slot *= correction;
-                            }
+                            acc.iter_mut().for_each(|slot| *slot *= correction);
                         }
-                        // Reduce (reduction 2): quantise the tile under the
-                        // updated scale and accumulate its GEMM
-                        // contribution (Eq. 22).
+                        // Reduce (reduction 2), first half: quantise the tile
+                        // under the updated scale.
                         let scale = new_amax / FP8_MAX;
-                        let quantised = tile.iter().map(|&x| fp8_round(x / scale));
-                        let terms = quantised.zip(tile_start..).filter(|&(qv, _)| qv != 0.0);
-                        add_scaled_rows(acc, terms.map(|(qv, kk)| (qv, w.row(kk))));
+                        for (qv, &x) in q.iter_mut().zip(tile) {
+                            *qv = fp8_round(x / scale);
+                        }
                         *amax = new_amax;
                     }
+                    // Second half: the block's GEMM contribution (Eq. 22),
+                    // a zero quantised value adding nothing.
+                    let w_tile = &w.as_slice()[tile_start * n..tile_end * n];
+                    add_scaled_block(accs, n, &quantised[..rows * tile_len], w_tile);
                 }
                 // Combine kernel + epilogue: de-quantise each partial under
                 // its own segment scale and sum — algebraically the
@@ -1264,8 +1278,7 @@ fn exec_quant_gemm<K: Tally>(
                 }
             }
             // Epilogue: the block's rows are final once the last segment is in.
-            let stored = r1 - r0;
-            tally.add(Step::Epilogue, stored as u64, 0, f64_bytes(stored * n));
+            tally.add(Step::Epilogue, rows as u64, 0, f64_bytes(rows * n));
         }
         tally
     };

@@ -6,6 +6,11 @@
 //!   before the kernels were rewritten over row slices; Attention and Routing
 //!   were re-recorded once, by the change that moved every exponential to
 //!   `rf_workloads::exp` and the tile maximum and sum to eight fixed lanes;
+//!   the second quant case (11 rows over k 150 into 70 columns — two blocks
+//!   of four rows and three rows, two 32-column panels and six columns) was
+//!   recorded at the commit before quant + GEMM accumulated a block of rows
+//!   per W tile instead of one row at a time, and pins that the change kept
+//!   every bit;
 //!   the second attention case (19 query rows — two whole groups of eight
 //!   and a group of three — over 70 keys) was recorded at the commit before attention scored a group of query
 //!   rows per vector instead of one row at a time, and pins that the change
@@ -196,6 +201,15 @@ fn bit_exact_families_reproduce_the_recorded_folds() {
                 ((128, 128, 1), 0xe885_9fb7_24c0_9b7d),
                 ((1, 8, 1), 0xa159_44c0_4b2a_ee1f),
                 ((3, 4, 3), 0xa8a0_b835_0759_0319),
+            ],
+        ),
+        (
+            "quant-gemm",
+            quant(11, 150, 70, 310),
+            [
+                ((128, 256, 1), 0x5464_6aff_0218_1c99),
+                ((16, 16, 1), 0xd59f_1b30_e624_fde6),
+                ((8, 24, 3), 0xa3f5_a331_77bd_229a),
             ],
         ),
         (
@@ -407,12 +421,16 @@ proptest! {
     }
 
     /// The per-output summation order is fixed by `(block_axis, segments)`
-    /// alone: any `block_rows` gives the same bits as `block_rows = 1`.
+    /// alone: any `block_rows` gives the same bits as `block_rows = 1`. Quant
+    /// gets outputs up to 79 wide, so a block of four rows or more runs
+    /// `add_scaled_block`'s 32-column panels against the row-by-row path of
+    /// `block_rows = 1`.
     #[test]
     fn prop_outputs_are_bitwise_invariant_under_block_rows(
         rows in 1usize..10,
         axis in 1usize..40,
         width in 1usize..9,
+        quant_n in 1usize..80,
         block_rows in 2usize..12,
         block_axis in 1usize..17,
         segments in 1usize..5,
@@ -423,7 +441,7 @@ proptest! {
             variance(rows, axis, seed),
             attention(rows, axis, width, width + 1, seed),
             routing(rows, width, axis, axis.min(3), seed),
-            quant(rows, axis, width, seed),
+            quant(rows, axis, quant_n, seed),
             inertia(axis, width, seed),
         ];
         for case in &cases {

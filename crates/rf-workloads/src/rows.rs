@@ -4,14 +4,17 @@
 //! Every cascaded reduction here is a *grid*: output rows (row blocks on the
 //! accelerator) never read each other's results. [`for_row_ranges`] runs such
 //! a grid on the host's cores with scoped threads — no pool, no state beyond
-//! the cached core count — and [`add_scaled_rows`] is the inner loop of every
-//! row-times-matrix product in the tile VM and in [`Matrix::matmul`];
-//! [`score_group`] is attention's Q·Kᵀ tile for a group of up to
-//! [`QUERY_LANES`] query rows, one vector of rows per key, and [`dot_rows`]
-//! the same for a lone row; [`sum_and_squares`] is the plain row sum of
-//! variance's two statistics. All but [`dot_rows`] run at the widest vector
-//! tier the CPU offers, chosen at run time as [`exp`](mod@crate::exp)'s slice
-//! loops are, with the baseline's bits.
+//! the cached core count. [`add_scaled_rows`] is the inner loop of a
+//! row-times-matrix product taken one row at a time: attention's P·V,
+//! routing's scores and [`Matrix::matmul`]; [`add_scaled_block`] is quant +
+//! GEMM's, a block of rows against one W tile, four rows' accumulators held
+//! in registers while the tile's rows stream past, and the bits of
+//! [`add_scaled_rows`] row by row. [`score_group`] is attention's Q·Kᵀ tile
+//! for a group of up to [`QUERY_LANES`] query rows, one vector of rows per
+//! key, and [`dot_rows`] the same for a lone row; [`sum_and_squares`] is the
+//! plain row sum of variance's two statistics. All but [`dot_rows`] run at
+//! the widest vector tier the CPU offers, chosen at run time as
+//! [`exp`](mod@crate::exp)'s slice loops are, with the baseline's bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
@@ -185,6 +188,162 @@ fn scaled_rows_body<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [
             }
         }
     }
+}
+
+/// Rows of accumulators [`add_scaled_block`] holds in registers at once: a
+/// constant of the source, like [`QUERY_LANES`], not of the CPU.
+const BLOCK_ROWS: usize = 4;
+
+/// `accs[r][j] += Σ_kk coeffs[r][kk] · w_rows[kk][j]` for a block of rows,
+/// with the bits of [`add_scaled_rows`] run once per row over the row's
+/// non-zero coefficients and their rows of W. `accs` holds the rows' `n`-wide
+/// accumulators back to back, `w_rows` the keys' `n`-wide rows of W back to
+/// back, and `coeffs` one coefficient per row and key, row-major. A term whose
+/// coefficient is zero (of either sign) is skipped, so an infinity or a NaN
+/// under it does not show.
+///
+/// Four rows share each pass over the keys: a panel of their accumulators
+/// (4 × 32 columns at AVX-512F, sixteen of its registers; 4 × 16 under AVX2)
+/// stays in vector registers while every key's row of W is added into all
+/// four, so a W tile is read once per four rows and an accumulator once per
+/// tile instead of once per four keys. Every accumulator still adds its terms
+/// one at a time in key order, at the widest vector tier this CPU offers
+/// (picked at run time, like [`add_scaled_rows`]), with the bits of every
+/// other tier. Rows past the last block of four and columns past the last
+/// panel run [`add_scaled_rows`]' loop row by row, as every row does at the
+/// baseline, where no panel measured faster than it.
+///
+/// # Panics
+///
+/// Panics if `n` is not zero and `accs` or `w_rows` is not a whole number of
+/// `n`-wide rows, or `coeffs` does not hold one coefficient per row and key.
+pub fn add_scaled_block(accs: &mut [f64], n: usize, coeffs: &[f64], w_rows: &[f64]) {
+    add_scaled_block_on(Tier::widest(), accs, n, coeffs, w_rows);
+}
+
+/// [`add_scaled_block`] compiled for `tier` (the baseline if this CPU lacks
+/// it). Callers outside tests pass [`Tier::widest`].
+pub(crate) fn add_scaled_block_on(
+    tier: Tier,
+    accs: &mut [f64],
+    n: usize,
+    coeffs: &[f64],
+    w_rows: &[f64],
+) {
+    if n == 0 {
+        return;
+    }
+    let (rows, keys) = (accs.len() / n, w_rows.len() / n);
+    assert!(
+        accs.len() == rows * n && w_rows.len() == keys * n && coeffs.len() == rows * keys,
+        "one coefficient per row and key, and whole rows of n"
+    );
+    if keys == 0 {
+        return;
+    }
+    // Measured at quant's benchmark tile (the ignored `timing_scaled_block`
+    // test, the width of `n` unknown to the compiler as in the VM): under
+    // AVX2 4 × 16 beat 4 × 8 and the row-by-row loop; at the baseline every
+    // panel from 4 to 32 columns lost to it.
+    match tier {
+        Tier::Avx512 => tier.run(
+            #[inline(always)]
+            || scaled_block_body::<32>(accs, n, keys, coeffs, w_rows),
+        ),
+        Tier::Avx2 => tier.run(
+            #[inline(always)]
+            || scaled_block_body::<16>(accs, n, keys, coeffs, w_rows),
+        ),
+        Tier::Baseline => scaled_each_row(accs, n, keys, coeffs, w_rows),
+    }
+}
+
+/// [`add_scaled_block`] in blocks of four rows by panels of `COLS` columns,
+/// for positive `n` and `keys`.
+#[inline(always)]
+fn scaled_block_body<const COLS: usize>(
+    accs: &mut [f64],
+    n: usize,
+    keys: usize,
+    coeffs: &[f64],
+    w_rows: &[f64],
+) {
+    let panels = n - n % COLS;
+    let mut acc_blocks = accs.chunks_exact_mut(BLOCK_ROWS * n);
+    let mut coeff_blocks = coeffs.chunks_exact(BLOCK_ROWS * keys);
+    for (acc, c) in (&mut acc_blocks).zip(&mut coeff_blocks) {
+        // Four named rows, each panel in its own fixed-size array: an array
+        // of four rows indexed by row left the panel on the stack.
+        let (a0, acc) = acc.split_at_mut(n);
+        let (a1, acc) = acc.split_at_mut(n);
+        let (a2, a3) = acc.split_at_mut(n);
+        let (c0, c) = c.split_at(keys);
+        let (c1, c) = c.split_at(keys);
+        let (c2, c3) = c.split_at(keys);
+        for col in (0..panels).step_by(COLS) {
+            let mut s0 = panel::<COLS>(a0, col);
+            let mut s1 = panel::<COLS>(a1, col);
+            let mut s2 = panel::<COLS>(a2, col);
+            let mut s3 = panel::<COLS>(a3, col);
+            let terms = c0.iter().zip(c1).zip(c2).zip(c3);
+            for (w, (((&k0, &k1), &k2), &k3)) in w_rows.chunks_exact(n).zip(terms) {
+                let w = panel::<COLS>(w, col);
+                add_term(&mut s0, k0, &w);
+                add_term(&mut s1, k1, &w);
+                add_term(&mut s2, k2, &w);
+                add_term(&mut s3, k3, &w);
+            }
+            a0[col..col + COLS].copy_from_slice(&s0);
+            a1[col..col + COLS].copy_from_slice(&s1);
+            a2[col..col + COLS].copy_from_slice(&s2);
+            a3[col..col + COLS].copy_from_slice(&s3);
+        }
+        for (acc, c) in [(a0, c0), (a1, c1), (a2, c2), (a3, c3)] {
+            scaled_rows_body(&mut acc[panels..], nonzero_terms(c, w_rows, n, panels));
+        }
+    }
+    let rest = acc_blocks.into_remainder();
+    scaled_each_row(rest, n, keys, coeff_blocks.remainder(), w_rows);
+}
+
+/// [`add_scaled_rows`]' loop on each row of `accs`, over the row's non-zero
+/// terms.
+#[inline(always)]
+fn scaled_each_row(accs: &mut [f64], n: usize, keys: usize, coeffs: &[f64], w_rows: &[f64]) {
+    for (acc, c) in accs.chunks_exact_mut(n).zip(coeffs.chunks_exact(keys)) {
+        scaled_rows_body(acc, nonzero_terms(c, w_rows, n, 0));
+    }
+}
+
+/// `row[col..col + COLS]` as an array.
+#[inline(always)]
+fn panel<const COLS: usize>(row: &[f64], col: usize) -> [f64; COLS] {
+    row[col..col + COLS]
+        .try_into()
+        .expect("a panel is COLS wide")
+}
+
+/// `acc += c · w`, column by column, unless `c` is zero.
+#[inline(always)]
+fn add_term<const COLS: usize>(acc: &mut [f64; COLS], c: f64, w: &[f64; COLS]) {
+    if c != 0.0 {
+        for j in 0..COLS {
+            acc[j] += c * w[j];
+        }
+    }
+}
+
+/// The `(coefficient, W row from column col)` terms of one row whose
+/// coefficient is not zero, in key order.
+#[inline(always)]
+fn nonzero_terms<'a>(
+    coeffs: &'a [f64],
+    w_rows: &'a [f64],
+    n: usize,
+    col: usize,
+) -> impl Iterator<Item = (f64, &'a [f64])> {
+    let rows = w_rows.chunks_exact(n).map(move |w| &w[col..]);
+    coeffs.iter().copied().zip(rows).filter(|&(c, _)| c != 0.0)
 }
 
 /// `out[i] = x · rows[i]`, every dot product adding its terms from `0.0` in
@@ -555,6 +714,165 @@ mod tests {
         assert_eq!(bits(&public), bits(&widest));
     }
 
+    /// [`add_scaled_block`]'s promise, one row at a time: `add_scaled_rows`
+    /// over the row's non-zero coefficients and their rows of W.
+    fn scaled_block_by_rows(accs: &mut [f64], n: usize, coeffs: &[f64], w_rows: &[f64]) {
+        let keys = w_rows.len() / n.max(1);
+        for (r, acc) in accs.chunks_exact_mut(n.max(1)).enumerate() {
+            let c = &coeffs[r * keys..(r + 1) * keys];
+            let terms = c.iter().copied().zip(w_rows.chunks_exact(n.max(1)));
+            add_scaled_rows(acc, terms.filter(|&(c, _)| c != 0.0));
+        }
+    }
+
+    /// Coefficients with zeros of both signs on a seeded pattern, about one in
+    /// three.
+    fn sparse_coefficients(len: usize, seed: u64) -> Vec<f64> {
+        let mut coeffs = crate::random_vec(len, seed, -2.0, 2.0);
+        for (i, c) in coeffs.iter_mut().enumerate() {
+            match (i as u64 * 7 + seed) % 6 {
+                0 => *c = 0.0,
+                3 => *c = -0.0,
+                _ => {}
+            }
+        }
+        coeffs
+    }
+
+    #[test]
+    fn add_scaled_block_skips_zero_terms_and_keeps_nan_terms() {
+        // Two whole blocks of four rows and one row, two 32-column panels and
+        // six columns. Key 1's row of W is all infinities and NaNs.
+        let (rows, n, keys) = (9, 70, 3);
+        let mut w_rows = crate::random_vec(keys * n, 1, -1.0, 1.0);
+        for (j, w) in w_rows[n..2 * n].iter_mut().enumerate() {
+            *w = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
+        }
+        let accs = crate::random_vec(rows * n, 2, -1.0, 1.0);
+        // Under a zero coefficient (either sign) key 1 does not show.
+        let mut coeffs = sparse_coefficients(rows * keys, 3);
+        for (r, c) in coeffs.chunks_exact_mut(keys).enumerate() {
+            c[1] = if r % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let mut got = accs.clone();
+        add_scaled_block(&mut got, n, &coeffs, &w_rows);
+        assert!(got.iter().all(|v| v.is_finite()));
+        let mut expected = accs.clone();
+        scaled_block_by_rows(&mut expected, n, &coeffs, &w_rows);
+        assert_eq!(got, expected);
+        // Under a non-zero one, row 6's every column is NaN or infinite, and
+        // no other row's is.
+        coeffs[6 * keys + 1] = 0.5;
+        let mut got = accs.clone();
+        add_scaled_block(&mut got, n, &coeffs, &w_rows);
+        for (r, row) in got.chunks_exact(n).enumerate() {
+            assert_eq!(row.iter().all(|v| !v.is_finite()), r == 6, "row {r}");
+            assert_eq!(row.iter().any(|v| !v.is_finite()), r == 6, "row {r}");
+        }
+        let mut expected = accs.clone();
+        scaled_block_by_rows(&mut expected, n, &coeffs, &w_rows);
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
+        assert_eq!(bits(&got), bits(&expected));
+    }
+
+    #[test]
+    fn every_tier_adds_a_block_with_the_bits_of_the_baseline() {
+        let tiers = Tier::available();
+        println!("compared with the baseline: {tiers:?}");
+        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
+        // Hostile values in accumulators, coefficients and W; every row count
+        // around the blocks of four, every column count around each tier's
+        // panel, accumulators misaligned by one element.
+        for rows in 0..=9 {
+            for n in 0..=67 {
+                for keys in [0, 1, 2, 5, 9] {
+                    let w_rows = hostile_values(rows + n, keys * n);
+                    let mut coeffs = hostile_values(keys + 1, rows * keys);
+                    for (i, c) in coeffs.iter_mut().enumerate().filter(|(i, _)| i % 4 == 1) {
+                        *c = if i % 8 == 1 { 0.0 } else { -0.0 };
+                    }
+                    let base = hostile_values(n + 3, rows * n + 1);
+                    // The baseline runs the rows one at a time.
+                    let mut expected = base.clone();
+                    add_scaled_block_on(Tier::Baseline, &mut expected[1..], n, &coeffs, &w_rows);
+                    let case = format!("rows {rows} n {n} keys {keys}");
+                    for &tier in &tiers {
+                        let mut got = base.clone();
+                        add_scaled_block_on(tier, &mut got[1..], n, &coeffs, &w_rows);
+                        assert_eq!(bits(&got), bits(&expected), "{tier:?} {case}");
+                    }
+                }
+            }
+        }
+        // The public entry point is the widest tier.
+        let (n, keys) = (67, 9);
+        let w_rows = hostile_values(4, keys * n);
+        let coeffs = sparse_coefficients(9 * keys, 5);
+        let mut widest = hostile_values(6, 9 * n);
+        let mut public = widest.clone();
+        add_scaled_block_on(tiers[0], &mut widest, n, &coeffs, &w_rows);
+        add_scaled_block(&mut public, n, &coeffs, &w_rows);
+        assert_eq!(bits(&public), bits(&widest));
+    }
+
+    #[test]
+    #[should_panic(expected = "one coefficient per row and key")]
+    fn add_scaled_block_rejects_a_short_coefficient_tile() {
+        add_scaled_block(&mut [0.0; 8], 4, &[1.0; 5], &[1.0; 12]);
+    }
+
+    /// ns per multiply-add of quant + GEMM's accumulate at its benchmark tile
+    /// (128 rows × 128 keys × 256 columns, `quant 256×1024→256`), with
+    /// FP8-rounded coefficients as quant's: every row through
+    /// `add_scaled_rows`, and the block through `add_scaled_block`, at every
+    /// tier.
+    #[test]
+    #[ignore = "prints timings"]
+    fn timing_scaled_block() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let (rows, keys, n) = (128, 128, 256);
+        let w_rows = crate::random_vec(keys * n, 1, -1.0, 1.0);
+        let coeffs: Vec<f64> = crate::random_vec(rows * keys, 2, -2.0, 2.0)
+            .into_iter()
+            .map(|x| crate::fp8_round(x * crate::FP8_MAX / 2.0))
+            .collect();
+        let mut accs = vec![0.0; rows * n];
+        let macs = rows * keys * n;
+        // Median of 31 timings of 4 calls, per multiply-add.
+        let mut ns_per_mac = |call: &mut dyn FnMut(&mut [f64])| {
+            let mut samples: Vec<f64> = (0..31)
+                .map(|_| {
+                    let start = Instant::now();
+                    for _ in 0..4 {
+                        call(black_box(&mut accs));
+                    }
+                    start.elapsed().as_nanos() as f64 / (4 * macs) as f64
+                })
+                .collect();
+            samples.sort_by(f64::total_cmp);
+            samples[15]
+        };
+        // `n` through `black_box`, as in the VM: a width the compiler knows
+        // gives it a different loop to schedule.
+        for tier in Tier::available() {
+            let by_rows = ns_per_mac(&mut |accs| {
+                let n = black_box(n);
+                for (acc, c) in accs.chunks_exact_mut(n).zip(coeffs.chunks_exact(keys)) {
+                    let terms = c.iter().copied().zip(w_rows.chunks_exact(n));
+                    add_scaled_rows_on(tier, acc, terms.filter(|&(c, _)| c != 0.0));
+                }
+            });
+            let block = ns_per_mac(&mut |accs| {
+                add_scaled_block_on(tier, accs, black_box(n), &coeffs, &w_rows);
+            });
+            println!(
+                "{tier:?}: add_scaled_rows per row {by_rows:6.3}, \
+                 add_scaled_block {block:6.3} ns per multiply-add"
+            );
+        }
+    }
+
     /// `count` rows of hostile values, each `dim + 1` long.
     fn hostile_rows(seed: usize, count: usize, dim: usize) -> Vec<Vec<f64>> {
         (0..count)
@@ -805,6 +1123,24 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_add_scaled_block_is_add_scaled_rows_row_by_row(
+            rows in 0usize..11,
+            n in 1usize..80,
+            keys in 0usize..20,
+            seed in 0u64..1000,
+        ) {
+            let w_rows = crate::random_vec(keys * n, seed, -1.0, 1.0);
+            let coeffs = sparse_coefficients(rows * keys, seed + 1);
+            let accs = crate::random_vec(rows * n, seed + 2, -1.0, 1.0);
+            let mut got = accs.clone();
+            add_scaled_block(&mut got, n, &coeffs, &w_rows);
+            let mut expected = accs;
+            scaled_block_by_rows(&mut expected, n, &coeffs, &w_rows);
+            let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|v| v.to_bits()).collect() };
+            prop_assert_eq!(bits(&got), bits(&expected));
+        }
 
         #[test]
         fn prop_ranges_tile_the_rows_once_on_aligned_starts(

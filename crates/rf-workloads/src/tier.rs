@@ -2,12 +2,19 @@
 //!
 //! The slice loops of [`exp`](mod@crate::exp) (`exp_shifted`,
 //! `exp_shifted_in_place`), [`add_scaled_rows`](crate::add_scaled_rows) —
-//! the GEMM loop under attention's P·V, routing's scores, quant + GEMM's
-//! accumulate and `Matrix::matmul` — [`score_group`](crate::score_group) —
-//! attention's Q·Kᵀ, eight query rows to a vector — and
+//! the GEMM loop under attention's P·V, routing's scores and
+//! `Matrix::matmul` — [`add_scaled_block`](crate::add_scaled_block) —
+//! quant + GEMM's accumulate, four rows by a panel of columns held in
+//! registers per W tile — [`score_group`](crate::score_group) — attention's
+//! Q·Kᵀ, eight query rows to a vector — and
 //! [`sum_and_squares`](crate::sum_and_squares) — variance's Σx and Σx² in
-//! eight lanes — are each one `#[inline(always)]` body, compiled three times: at the build's baseline (two `f64` lanes on x86-64),
-//! under `avx2` and under `avx512f`. Every public call runs the widest
+//! eight lanes — are each one `#[inline(always)]` body, compiled three
+//! times: at the build's baseline (two `f64` lanes on x86-64), under `avx2`
+//! and under `avx512f`. Where a body holds a block of accumulators in
+//! registers (`add_scaled_block`'s panel, `score_group`'s keys per pass) the
+//! block's shape is a constant of the source per tier, chosen by measuring
+//! the widths the tier's registers allow; it moves no bits, since every
+//! accumulator still adds its terms in the source's order. Every public call runs the widest
 //! [`Tier`] this CPU offers, picked by `is_x86_feature_detected!` (other
 //! architectures: the baseline); the others are reachable only from tests.
 //! There is no Cargo feature, environment variable or compiler flag to set.
@@ -20,6 +27,9 @@
 //! LLVM may commute the operands differently at each width. Where a result is
 //! NaN does not move, and that is what every output comparison in the
 //! workspace checks.
+//!
+//! At the baseline `add_scaled_block` runs its rows one at a time, through
+//! `add_scaled_rows`' body: no panel width measured faster there.
 //!
 //! [`dot_rows`](crate::dot_rows), the score loop of a lone query row, is not
 //! widened: its four chains are scalar, each a sequence of dependent
