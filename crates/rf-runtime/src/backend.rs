@@ -1,12 +1,11 @@
 //! The execution-backend seam between scheduling and execution.
 //!
-//! Everything above this module — batching, caching, costing, metrics —
-//! decides *what* to run; an [`ExecBackend`] runs one request against its
-//! compiled plan ([`execute`](ExecBackend::execute)). That call is the one a
-//! test fake intercepts to park or panic on cue. The engine costs a
-//! batch with [`crate::stream::batch_latency_us`] on its plan cache's arch,
-//! profiles through `CompiledKernel::run_profiled` and runs graph regions
-//! through [`crate::execute_graph_plan`].
+//! Everything above this module — batching, caching, metrics — decides
+//! *what* to run; an [`ExecBackend`] runs one request against its compiled
+//! plan ([`execute`](ExecBackend::execute)). That call is the one a test
+//! fake intercepts to park or panic on cue. The engine profiles through
+//! `CompiledKernel::run_profiled` and runs graph regions through
+//! [`crate::execute_graph_plan`].
 //!
 //! [`TileVmBackend`] interprets the compiled tile program on the
 //! `rf_tile::exec` VM — the only place [`execute_plan`] is invoked on behalf

@@ -70,8 +70,8 @@ pub struct Engine {
 struct Shared {
     /// How the engine executes compiled plans.
     backend: Arc<dyn ExecBackend>,
-    /// The compiled-plan cache; its arch is the one the engine compiles,
-    /// tunes and costs for.
+    /// The compiled-plan cache; its arch is the one the engine compiles and
+    /// tunes for.
     cache: PlanCache,
     /// The serving counters.
     metrics: RuntimeMetrics,
@@ -175,7 +175,7 @@ impl Engine {
         }
     }
 
-    /// The architecture the engine compiles, tunes and costs for.
+    /// The architecture the engine compiles and tunes for.
     pub fn arch(&self) -> &GpuArch {
         self.shared.cache.arch()
     }

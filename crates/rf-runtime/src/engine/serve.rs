@@ -3,11 +3,11 @@
 //! batch or a graph — reaches its ticket through one delivery path.
 //!
 //! A workload batch shares one plan: its first member compiles it (or finds
-//! it in the [`crate::PlanCache`]) and the batch is costed once, as one launch
-//! on the cache's arch. A graph is a singleton iteration; it compiles its
-//! regions as it runs and is costed by its plan. Each member's execution is
-//! guarded: a panic inside it — the backend, a compile, a graph step — fails
-//! that member only, through the same ledger path as any execution error.
+//! it in the [`crate::PlanCache`]). A graph is a singleton iteration; it
+//! compiles its regions as it runs. Every time here is host time, the
+//! member's [`RequestTiming`]. Each member's execution is guarded: a panic
+//! inside it — the backend, a compile, a graph step — fails that member
+//! only, through the same ledger path as any execution error.
 //! A member's `execute_us` is its own execution; the batch-mates served
 //! before it count in its `total_us` only.
 
@@ -22,7 +22,7 @@ use rf_trace::{ArgValue, OpSample, TraceEvent, Track};
 use super::Shared;
 use crate::graph::{execute_graph_plan, GraphResponse};
 use crate::request::{Request, RequestOutput, RuntimeError};
-use crate::stream::{batch_latency_us, Iteration, QueuedWork};
+use crate::stream::{Iteration, QueuedWork};
 use crate::submit::{GraphStats, Priority, RequestTiming, Response, Submission};
 
 /// What one member's execution produced: its output, and the region
@@ -71,7 +71,6 @@ fn run_iteration(shared: &Shared, worker: usize, iteration: Iteration) {
         plan: None,
         plan_started: formed_at,
         compile_us: 0.0,
-        simulated_us: 0.0,
         cache_hit: false,
         started: formed_at,
     };
@@ -91,7 +90,6 @@ fn run_iteration(shared: &Shared, worker: usize, iteration: Iteration) {
         batch.class,
         executed,
         batch.size - executed,
-        batch.simulated_us,
         batch.cache_hit,
     );
     if shared.trace.enabled() {
@@ -115,8 +113,8 @@ fn run_iteration(shared: &Shared, worker: usize, iteration: Iteration) {
 }
 
 /// What the members of one iteration share: the class the ledger files them
-/// under, the workload plan and how it was acquired, and the simulated cost
-/// and cache verdict every member's response reports.
+/// under, the workload plan and how it was acquired, and the cache verdict
+/// every member's response reports.
 struct Batch {
     class: &'static str,
     size: usize,
@@ -127,9 +125,6 @@ struct Batch {
     plan: Option<Arc<CompiledKernel>>,
     plan_started: Instant,
     compile_us: f64,
-    /// A workload batch: one launch of its plan over the whole batch. A
-    /// graph: its fused regions and glue ops.
-    simulated_us: f64,
     /// A workload batch: its plan came from the cache. A graph: every fused
     /// region's did.
     cache_hit: bool,
@@ -158,11 +153,7 @@ impl Batch {
                 let plan = plan
                     .clone()
                     .unwrap_or_else(|| Arc::new(rf_graph::partition(graph)));
-                let GraphResponse {
-                    outputs,
-                    stats,
-                    simulated_us,
-                } = execute_graph_plan(
+                let GraphResponse { outputs, stats } = execute_graph_plan(
                     &shared.cache,
                     shared.cache.arch(),
                     Some(&shared.metrics),
@@ -170,7 +161,6 @@ impl Batch {
                     &plan,
                     bindings.as_slice(),
                 )?;
-                self.simulated_us = simulated_us;
                 self.cache_hit =
                     stats.fused_regions > 0 && stats.region_cache_hits == stats.fused_regions;
                 Ok((RequestOutput::Tensors(outputs), Some(stats)))
@@ -179,7 +169,7 @@ impl Batch {
     }
 
     /// The batch's plan. The first member compiles it or finds it in the
-    /// cache, and costs the batch; the others re-use it.
+    /// cache; the others re-use it.
     fn acquire(&mut self, shared: &Shared, request: &Request) -> Arc<CompiledKernel> {
         if let Some(plan) = &self.plan {
             return Arc::clone(plan);
@@ -192,7 +182,6 @@ impl Batch {
             self.compile_us = duration_us(self.plan_started, Instant::now());
         }
         self.cache_hit = cache_hit;
-        self.simulated_us = batch_latency_us(shared.cache.arch(), &plan.profile, self.size);
         self.plan = Some(Arc::clone(&plan));
         plan
     }
@@ -228,7 +217,7 @@ impl Batch {
             id: queued.id,
             workload: queued.submission.label(),
             output,
-            simulated_us: self.simulated_us,
+            simulated_us: 0.0,
             batch_size: self.size,
             cache_hit: self.cache_hit,
             iteration: self.index,

@@ -88,6 +88,12 @@ fn softmax(seed: u64, cols: usize) -> Request {
     Request::softmax(Matrix::random(2, cols, seed, -1.0, 1.0))
 }
 
+/// The end-to-end wall-clock summary of a snapshot.
+fn e2e(metrics: &MetricsSnapshot) -> rf_trace::HistogramSnapshot {
+    let stage = metrics.stages.iter().find(|s| s.stage == "e2e");
+    stage.expect("the e2e stage is reported").wall
+}
+
 #[test]
 fn served_results_match_the_reference_kernels() {
     let engine = tiny_engine(2);
@@ -103,17 +109,21 @@ fn served_results_match_the_reference_kernels() {
         let result = ticket.wait().unwrap();
         let oracle = execute_reference(&request.workload, &request.input);
         assert!(result.output.approx_eq(&oracle, 1e-9));
-        assert!(result.simulated_us.is_finite() && result.simulated_us > 0.0);
         assert!(result.iteration >= 1, "responses carry their iteration");
         assert_eq!(result.priority, Priority::Normal);
         assert_eq!(result.device, 0, "`Response::device` is always 0");
+        assert_eq!(
+            result.simulated_us, 0.0,
+            "`Response::simulated_us` is always 0"
+        );
     }
     let metrics = engine.metrics();
     assert_eq!(metrics.completed, 6);
     assert_eq!(metrics.queue_depth, 0);
     assert_eq!(metrics.shed, 0);
     assert_eq!(metrics.cache.misses, 1, "one shape => one compile");
-    assert!(metrics.lifetime.p99_us >= metrics.lifetime.p50_us);
+    assert_eq!(e2e(&metrics).count, 6);
+    assert!(e2e(&metrics).p99_us >= e2e(&metrics).p50_us);
 }
 
 #[test]
@@ -181,7 +191,7 @@ fn drop_fails_pending_tickets_cleanly() {
     drop(engine);
     for ticket in tickets {
         match ticket.wait() {
-            Ok(result) => assert!(result.simulated_us > 0.0),
+            Ok(result) => assert_eq!(result.workload, "softmax_8x128"),
             Err(err) => assert_eq!(err, RuntimeError::ShuttingDown),
         }
     }
@@ -219,16 +229,12 @@ fn failed_executions_are_counted_as_failures_not_completions() {
     assert_eq!(metrics.submitted, 1);
     assert_eq!(metrics.completed, 0);
     assert_eq!(metrics.failed, 1);
-    assert_eq!(
-        metrics.lifetime.p50_us, 0.0,
-        "failures contribute no latency"
-    );
+    assert_eq!(e2e(&metrics).count, 0, "failures contribute no latency");
     let class = &metrics.classes[0];
     assert_eq!(
         (class.class, class.completed, class.failed),
         ("inertia", 0, 1)
     );
-    assert_eq!(class.lifetime.p99_us, 0.0);
     metrics.assert_exported("redfuser_requests_total{outcome=\"failed\"} 1");
     let failed = "redfuser_class_requests_total{class=\"inertia\",outcome=\"failed\"} 1";
     metrics.assert_exported(failed);
@@ -261,8 +267,6 @@ fn metrics_break_down_per_workload_class() {
     for class in &metrics.classes {
         assert_eq!(class.completed, 4);
         assert!(class.batches >= 1);
-        assert!(class.lifetime.p99_us >= class.lifetime.p50_us);
-        assert!(class.lifetime.p50_us > 0.0);
     }
     let total_class_batches: u64 = metrics.classes.iter().map(|c| c.batches).sum();
     assert_eq!(total_class_batches, metrics.batches);
@@ -495,20 +499,53 @@ fn full_tracing_exports_a_valid_nested_chrome_trace() {
     let stats = rf_trace::validate_chrome_trace(&json).expect("trace must be well-formed");
     assert!(stats.spans >= 8 * 2, "≥ queue+execute per request");
     assert!(stats.request_tracks >= 1);
-    // The sampled request's spans account for its reported e2e latency.
-    let sampled = &responses[0];
-    let span_sum: f64 = snapshot
-        .events
-        .iter()
-        .filter(|e| e.request == Some(sampled.id) && e.dur_us > 0.0)
-        .map(|e| e.dur_us)
-        .sum();
-    let total = sampled.timing().total_us;
-    assert!(
-        span_sum <= total * 1.001 && span_sum >= total * 0.9,
-        "request spans must sum to within 10% of the e2e latency \
-         (spans {span_sum:.1} us vs e2e {total:.1} us)"
-    );
+    // Each request's spans are its `RequestTiming`, laid end to end on its
+    // own track: they sum to the accounted stages, which fit in the e2e
+    // latency, and they neither overlap nor leave their order.
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+    let in_order = |before: f64, after: f64| before <= after || close(before, after);
+    let end = |e: &TraceEvent| e.ts_us + e.dur_us;
+    for response in &responses {
+        let timing = response.timing();
+        let spans: Vec<&TraceEvent> = snapshot
+            .events
+            .iter()
+            .filter(|e| e.request == Some(response.id) && e.track == Track::Request(response.id))
+            .collect();
+        let one = |names: &[&str]| {
+            let found: Vec<&&TraceEvent> =
+                spans.iter().filter(|e| names.contains(&e.name)).collect();
+            assert_eq!(
+                found.len(),
+                1,
+                "request {} has one of {names:?}",
+                response.id
+            );
+            *found[0]
+        };
+        let (queue, acquire, execute) =
+            (one(&["queue"]), one(&["compile", "hit"]), one(&["execute"]));
+        let span_sum: f64 = spans.iter().map(|e| e.dur_us).sum();
+        assert!(
+            close(span_sum, timing.accounted_us()),
+            "spans {span_sum} us vs accounted {} us",
+            timing.accounted_us()
+        );
+        assert!(in_order(timing.accounted_us(), timing.total_us));
+        assert!(
+            in_order(end(queue), acquire.ts_us),
+            "queue ends before the plan is acquired"
+        );
+        assert!(
+            in_order(end(acquire), execute.ts_us),
+            "the plan is acquired before execute"
+        );
+        assert_eq!(
+            one(&["deliver"]).ts_us,
+            end(execute),
+            "deliver sits at the end of execute"
+        );
+    }
 }
 
 #[test]
@@ -536,10 +573,10 @@ fn tracing_off_records_no_spans_but_still_times_responses() {
     assert_eq!(metrics.trace_level, rf_trace::TraceLevel::Off);
     assert!(metrics.stages.iter().all(|s| s.wall.count == 0));
     assert!(metrics.lanes.iter().all(|l| l.wall.count == 0));
-    // The simulated-latency statistic is on at every level; a batch is
-    // recorded once its iteration finishes.
+    // The counters are on at every level; a batch is recorded once its
+    // iteration finishes.
     engine.run_until_drained();
-    assert_eq!(engine.metrics().lifetime.count, 1);
+    assert_eq!(engine.metrics().batches, 1);
 }
 
 #[test]
@@ -603,11 +640,27 @@ fn rates_over_an_interval_are_differences_of_exported_counters() {
     assert_eq!(after.trace_level, rf_trace::TraceLevel::Histograms);
     assert_eq!(after.completed - before.completed, BURST);
     assert!(after.batches - before.batches >= 1);
-    assert!(after.busy_us - before.busy_us > 0.0);
-    // The busy time is exported as a counter; no windowed gauge is.
+    let (served, wall) = (e2e(&after), e2e(&before));
+    assert_eq!(served.count - wall.count, BURST);
+    assert!(served.sum_us > wall.sum_us, "the interval took host time");
+    // Both readings are exported counters; no windowed gauge is.
     let text = after.prometheus();
-    let busy = format!("redfuser_sim_busy_us_total {}", after.busy_us);
-    assert!(text.lines().any(|line| line == busy), "{text}");
+    for line in [
+        format!(
+            "redfuser_requests_total{{outcome=\"completed\"}} {}",
+            after.completed
+        ),
+        format!(
+            "redfuser_stage_wall_us_count{{stage=\"e2e\"}} {}",
+            served.count
+        ),
+        format!(
+            "redfuser_stage_wall_us_sum{{stage=\"e2e\"}} {}",
+            served.sum_us
+        ),
+    ] {
+        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    }
     assert!(!text.contains("window"), "{text}");
 }
 
@@ -715,8 +768,8 @@ fn a_panicking_kernel_fails_only_its_own_request() {
 fn a_shed_retry_hint_is_on_the_host_clock() {
     // Call 0 is held ≥ 10 ms past its iteration's start, so one request has
     // cost the engine ≥ 5 ms of host time; call 1 then fills the one-slot
-    // budget and the next submission is shed. Its hint must reflect the host
-    // cost, not the few simulated microseconds.
+    // budget and the next submission is shed. Its hint must reflect that host
+    // cost.
     let (backend, cues) = CuedBackend::new(2, &[0, 1], &[]);
     let engine = cued_engine(backend, 1, 1);
     // A warm plan: the iteration reaches `execute` without compiling.

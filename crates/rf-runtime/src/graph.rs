@@ -14,9 +14,9 @@
 //! can consume a fused region's output and vice versa. The whole-graph
 //! unfused oracle for this execution is [`OpGraph::evaluate`].
 
-use rf_gpusim::{estimate_latency, GpuArch};
+use rf_gpusim::GpuArch;
 use rf_graph::partition::{GraphPlan, RegionKind, Step};
-use rf_graph::{glue_profile, NodeId, Op, OpGraph};
+use rf_graph::{NodeId, Op, OpGraph};
 use rf_tile::exec::{ExecInput, ExecOutput};
 use rf_workloads::Matrix;
 
@@ -33,10 +33,6 @@ pub struct GraphResponse {
     /// The region and glue counters; the engine returns them on the graph's
     /// [`crate::Response`].
     pub stats: GraphStats,
-    /// Total simulated latency of the plan on the analytical GPU model:
-    /// every fused region's tuned kernel plus one launch per glue op, in
-    /// microseconds.
-    pub simulated_us: f64,
 }
 
 fn graph_err(detail: impl Into<String>) -> RuntimeError {
@@ -73,11 +69,13 @@ fn check_plan(graph: &OpGraph, plan: &GraphPlan) -> Result<(), RuntimeError> {
 }
 
 /// Executes a partitioned graph over concrete input bindings, compiling each
-/// fused region through `cache` and costing the execution on `arch`'s
-/// analytical model. Records the graph-serving counters into `metrics` when
-/// provided. Bindings are generic over the name type, so both borrowed
-/// (`(&str, Matrix)`) builder output and owned (`(String, Matrix)`) queue
-/// payloads execute without cloning tensors.
+/// fused region through `cache` for [`PlanCache::arch`]. `_arch` is unused:
+/// it stays only because `perf`'s `exec.rs`, frozen outside `[benchmark]`
+/// PRs, passes it, and goes with `Response::device` (ROADMAP item 1 (e)).
+/// Records the graph-serving counters into `metrics` when provided. Bindings
+/// are generic over the name type, so both borrowed (`(&str, Matrix)`)
+/// builder output and owned (`(String, Matrix)`) queue payloads execute
+/// without cloning tensors.
 ///
 /// # Errors
 ///
@@ -88,7 +86,7 @@ fn check_plan(graph: &OpGraph, plan: &GraphPlan) -> Result<(), RuntimeError> {
 /// [`std::error::Error::source`].
 pub fn execute_graph_plan<S: AsRef<str>>(
     cache: &PlanCache,
-    arch: &GpuArch,
+    _arch: &GpuArch,
     metrics: Option<&RuntimeMetrics>,
     graph: &OpGraph,
     plan: &GraphPlan,
@@ -102,7 +100,6 @@ pub fn execute_graph_plan<S: AsRef<str>>(
     let mut glue_ops = 0usize;
     let mut region_lookups = 0usize;
     let mut region_hits = 0usize;
-    let mut simulated_us = 0.0;
 
     for step in &plan.steps {
         match step {
@@ -112,7 +109,6 @@ pub fn execute_graph_plan<S: AsRef<str>>(
                     .map_err(RuntimeError::from_graph_error)?;
                 values[*id] = Some(value);
                 glue_ops += 1;
-                simulated_us += estimate_latency(arch, &glue_profile(graph, *id)).total_us;
             }
             Step::Region(region) => {
                 let (kernel, hit) = cache.get_or_compile_traced(&region.workload);
@@ -158,7 +154,6 @@ pub fn execute_graph_plan<S: AsRef<str>>(
                 };
                 values[region.output] = Some(value);
                 fused_ops += region.nodes.len();
-                simulated_us += kernel.latency_us;
             }
         }
     }
@@ -183,7 +178,6 @@ pub fn execute_graph_plan<S: AsRef<str>>(
             glue_ops,
             region_cache_hits: region_hits,
         },
-        simulated_us,
     })
 }
 
@@ -204,7 +198,6 @@ mod tests {
         let reference = graph.evaluate(&inputs).unwrap();
         assert_eq!(response.outputs.len(), 1);
         assert!(response.outputs[0].max_abs_diff(&reference[0]) < 1e-9);
-        assert!(response.simulated_us.is_finite() && response.simulated_us > 0.0);
         assert_eq!(response.stats.region_cache_hits, 0);
         // Serving the same graph again hits the cached region plan.
         let again = execute_graph_plan(&cache, &arch, None, &graph, &plan, &inputs).unwrap();

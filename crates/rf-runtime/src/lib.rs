@@ -24,9 +24,12 @@
 //!   priority lanes are scheduled by deficit-weighted round-robin so no lane
 //!   starves;
 //! * [`RuntimeMetrics`] — served/shed/batch counters, per-lane and per-class
-//!   breakdowns, p50/p99 *simulated* latency from the `rf-gpusim` model,
-//!   queue depth and plan-cache counters, rendered as Prometheus text by
-//!   [`MetricsSnapshot::prometheus`];
+//!   breakdowns, per-stage and per-lane wall-clock p50/p99/p999, queue depth
+//!   and plan-cache counters, rendered as Prometheus text by
+//!   [`MetricsSnapshot::prometheus`]. Serving runs on the host clock only: a
+//!   plan's modelled GPU latency is the compiler's output
+//!   ([`rf_codegen::CompiledKernel::latency_us`]), and `rf-gpusim` supplies
+//!   only the [`rf_gpusim::GpuArch`] the plan cache compiles for;
 //! * [`RuntimeConfig`] — a validating [`RuntimeConfig::builder`] that rejects
 //!   impossible configurations (zero workers, zero budgets) with typed
 //!   [`RuntimeError::InvalidConfig`] errors.

@@ -1,28 +1,21 @@
-//! Serving metrics: request/batch counters, simulated latency percentiles,
+//! Serving metrics: request/batch counters, wall-clock latency percentiles,
 //! queue depth and cache effectiveness, rendered as a Prometheus-style
 //! exposition.
 //!
-//! Two latency families coexist here, one statistic under both — the
-//! mergeable, lifetime-accurate [`LogHistogram`]:
-//!
-//! * **Simulated** latencies from the analytical GPU model (`rf-gpusim`) —
-//!   the quantity the paper's evaluation reasons about. One histogram
-//!   engine-wide and one per workload class, recorded at every
-//!   [`TraceLevel`] ([`MetricsSnapshot::lifetime`],
-//!   [`ClassSnapshot::lifetime`]): a batch is one
-//!   [`LogHistogram::record_n`] into each.
-//! * **Wall-clock** per-stage times measured by the engine
-//!   ([`crate::RequestTiming`]): queue wait, compile, execute and
-//!   end-to-end, recorded at [`TraceLevel::Histograms`] and above into
-//!   per-[`Stage`] and per-lane histograms so a long run can attribute its
-//!   served latency to pipeline stages.
+//! Every time here is host time. The engine measures each served request's
+//! stages ([`crate::RequestTiming`]): queue wait, compile, execute and
+//! end-to-end, recorded at [`TraceLevel::Histograms`] and above into
+//! per-[`Stage`] and per-lane [`LogHistogram`]s — the one latency statistic,
+//! mergeable and lifetime-accurate — so a long run can attribute its served
+//! latency to pipeline stages. The GPU model's latency of a plan is the
+//! compiler's output (`CompiledKernel::latency_us`), not a serving metric.
 //!
 //! Every number is a lifetime total. A rate over an interval — throughput,
-//! shed rate, batch occupancy, busy fraction — is the difference of two
-//! snapshots' counters (`rate()` to a scraper). The exposition is the one
-//! text rendering of a [`MetricsSnapshot`], from one table of metric
-//! families ([`metric_reference`] prints it) that exports every number the
-//! snapshot holds.
+//! shed rate, batch occupancy — is the difference of two snapshots' counters
+//! (`rate()` to a scraper). The exposition is the one text rendering of a
+//! [`MetricsSnapshot`], from one table of metric families
+//! ([`metric_reference`] prints it) that exports every number the snapshot
+//! holds.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -36,19 +29,14 @@ use crate::cache::CacheStats;
 use crate::submit::{Priority, RequestTiming, LANES};
 
 /// Accumulators for one [`rf_codegen::Workload::class`]: request/batch
-/// counters, plan-cache effectiveness, simulated busy time and the class's
-/// lifetime simulated-latency histogram. The engine-wide batch count, mean
-/// batch size and busy time are sums over the classes.
+/// counters and plan-cache effectiveness. The engine-wide batch count and
+/// mean batch size are sums over the classes.
 #[derive(Debug, Default)]
 struct ClassTrack {
     completed: u64,
     failed: u64,
     batches: u64,
     cache_hits: u64,
-    /// Simulated device-busy time in nanoseconds: each executed batch's
-    /// latency counted once (the histogram weights it by batch size).
-    busy_ns: u64,
-    lifetime: LogHistogram,
 }
 
 /// Per-priority-lane accumulators.
@@ -72,9 +60,6 @@ pub struct RuntimeMetrics {
     level: TraceLevel,
     /// Wall-clock per-stage histograms, indexed by [`Stage::index`].
     stage_walls: [LogHistogram; STAGES],
-    /// Lifetime simulated per-request latency (all classes), recorded at
-    /// every level.
-    lifetime: LogHistogram,
     /// Last retry hint attached to a shed, as `f64::to_bits` microseconds.
     shed_retry_last_bits: AtomicU64,
     /// Sum of shed retry hints, in integer microseconds (mean = sum/shed).
@@ -112,9 +97,6 @@ pub struct ClassSnapshot {
     pub batches: u64,
     /// Batches of this class served from an already-compiled plan.
     pub cache_hits: u64,
-    /// The class's simulated request latency over the whole run: count,
-    /// sum, p50/p99/p999 and maximum, in µs. Recorded at every level.
-    pub lifetime: HistogramSnapshot,
 }
 
 /// A point-in-time view of one priority lane's traffic.
@@ -176,18 +158,8 @@ pub struct MetricsSnapshot {
     pub queue_depth: usize,
     /// Mean batch size over all executed batches.
     pub mean_batch_size: f64,
-    /// Total simulated device-busy time in microseconds: each executed
-    /// batch's simulated latency counted once, regardless of batch size
-    /// (accumulated in whole nanoseconds). Served requests over `busy_us` is
-    /// the simulated-time throughput; its change over a host-clock interval
-    /// is the device's simulated busy fraction in it.
-    pub busy_us: f64,
     /// The telemetry level the engine ran with.
     pub trace_level: TraceLevel,
-    /// Simulated request latency over the whole run: count, sum,
-    /// p50/p99/p999 (bucket-quantised, ≤ 1/16 relative) and maximum, in µs.
-    /// Recorded at every level.
-    pub lifetime: HistogramSnapshot,
     /// Wall-clock per-stage breakdown in lifecycle order (queue, compile,
     /// execute, e2e). Counts are zero at [`TraceLevel::Off`].
     pub stages: Vec<StageSnapshot>,
@@ -199,7 +171,7 @@ pub struct MetricsSnapshot {
     pub shed_retry_sum_us: u64,
     /// Plan-cache counters.
     pub cache: CacheStats,
-    /// Per-workload-class breakdown (requests, latency percentiles, cache
+    /// Per-workload-class breakdown (requests, batches, cache
     /// effectiveness), sorted by class name.
     pub classes: Vec<ClassSnapshot>,
     /// Whole graphs served end-to-end (graph submissions).
@@ -296,43 +268,26 @@ impl RuntimeMetrics {
     }
 
     /// Records one batch of workload class `class`: `executed` requests were
-    /// served successfully (each experiencing the batch's simulated latency
-    /// `latency_us`) and `failed` requests were delivered an execution error.
-    /// `cache_hit` says whether the batch's plan came from the cache. The
-    /// engine-wide `completed` / `failed` totals do not come from here: they
-    /// are the lanes' counters, which advance per request in
-    /// [`RuntimeMetrics::record_served`] / [`RuntimeMetrics::record_failed`]
-    /// before each ticket is delivered, while a batch is recorded once its
-    /// last request is.
-    ///
-    /// Failed requests are never counted as completed and contribute no
-    /// latency samples. Non-finite latencies (an infeasible kernel's infinite
-    /// estimate) still count their requests as completed but are excluded
-    /// from the latency distributions and the busy time — a single infinite
-    /// sample would otherwise poison the lifetime sum forever.
+    /// served successfully and `failed` requests were delivered an execution
+    /// error (never counted as completed). `cache_hit` says whether the
+    /// batch's plan came from the cache. The engine-wide `completed` /
+    /// `failed` totals do not come from here: they are the lanes' counters,
+    /// which advance per request in [`RuntimeMetrics::record_served`] /
+    /// [`RuntimeMetrics::record_failed`] before each ticket is delivered,
+    /// while a batch is recorded once its last request is.
     pub fn record_batch(
         &self,
         class: &'static str,
         executed: usize,
         failed: usize,
-        latency_us: f64,
         cache_hit: bool,
     ) {
-        let (executed, failed) = (executed as u64, failed as u64);
-        {
-            let mut classes = self.classes.lock().expect("metrics lock poisoned");
-            let track = classes.entry(class).or_default();
-            track.completed += executed;
-            track.failed += failed;
-            track.batches += 1;
-            track.cache_hits += u64::from(cache_hit);
-            if latency_us.is_finite() {
-                // `as` saturates: a negative estimate adds no busy time.
-                track.busy_ns += (latency_us * 1000.0).round() as u64;
-            }
-            track.lifetime.record_n(latency_us, executed);
-        }
-        self.lifetime.record_n(latency_us, executed);
+        let mut classes = self.classes.lock().expect("metrics lock poisoned");
+        let track = classes.entry(class).or_default();
+        track.completed += executed as u64;
+        track.failed += failed as u64;
+        track.batches += 1;
+        track.cache_hits += u64::from(cache_hit);
     }
 
     /// Records one graph served end-to-end: `fused_ops` graph ops were
@@ -357,18 +312,19 @@ impl RuntimeMetrics {
     /// Builds a snapshot; the caller supplies the current queue depth and the
     /// plan-cache counters (owned by the engine).
     pub fn snapshot(&self, queue_depth: usize, cache: CacheStats) -> MetricsSnapshot {
-        let (classes, busy_ns): (Vec<ClassSnapshot>, u64) = {
-            let tracks = self.classes.lock().expect("metrics lock poisoned");
-            let classes = tracks.iter().map(|(&class, track)| ClassSnapshot {
+        let classes: Vec<ClassSnapshot> = self
+            .classes
+            .lock()
+            .expect("metrics lock poisoned")
+            .iter()
+            .map(|(&class, track)| ClassSnapshot {
                 class,
                 completed: track.completed,
                 failed: track.failed,
                 batches: track.batches,
                 cache_hits: track.cache_hits,
-                lifetime: track.lifetime.snapshot(),
-            });
-            (classes.collect(), tracks.values().map(|t| t.busy_ns).sum())
-        };
+            })
+            .collect();
         let batches = classes.iter().map(|c| c.batches).sum();
         let batched: u64 = classes.iter().map(|c| c.completed + c.failed).sum();
         let lanes: Vec<LaneSnapshot> = Priority::ALL
@@ -410,9 +366,7 @@ impl RuntimeMetrics {
             batches,
             queue_depth,
             mean_batch_size: ratio(batched as f64, batches),
-            busy_us: busy_ns as f64 / 1000.0,
             trace_level: self.level,
-            lifetime: self.lifetime.snapshot(),
             stages,
             shed_retry_last_us: f64::from_bits(self.shed_retry_last_bits.load(Relaxed)),
             shed_retry_sum_us: self.shed_retry_sum_us.load(Relaxed),
@@ -454,9 +408,8 @@ impl MetricsSnapshot {
 
 /// The exposition's metric reference as a markdown table, one row per
 /// family in exposition order: name, kind, the clock its value is on
-/// (`sim` = simulated GPU time from the `rf-gpusim` model, `host` = wall
-/// time of this process, `-` = a count), unit and help text. README embeds
-/// it; a test keeps the two equal.
+/// (`host` = wall time of this process, `-` = a count), unit and help text.
+/// README embeds it; a test keeps the two equal.
 pub fn metric_reference() -> String {
     let mut out = String::from("| family | kind | clock | unit | help |\n|---|---|---|---|---|\n");
     for f in FAMILIES {
@@ -553,9 +506,6 @@ const FAMILIES: &[Family] = &[
     family!(counter "redfuser_batches_total" ["-", "batches"]
         "Engine iterations that executed a batch."
         => |m, emit| emit("", "", m.batches as f64)),
-    family!(counter "redfuser_sim_busy_us_total" ["sim", "us"]
-        "Simulated device-busy time, each executed batch's latency counted once, microseconds."
-        => |m, emit| emit("", "", m.busy_us)),
     family!(gauge "redfuser_queue_depth" ["-", "requests"]
         "Submissions queued or executing right now."
         => |m, emit| emit("", "", m.queue_depth as f64)),
@@ -578,9 +528,6 @@ const FAMILIES: &[Family] = &[
     family!(counter "redfuser_shed_retry_hint_us_total" ["host", "us"]
         "Sum of the retry hints attached to sheds, whole microseconds; over the shed count it is the mean hint."
         => |m, emit| emit("", "", m.shed_retry_sum_us as f64)),
-    family!(summary "redfuser_sim_latency_us" ["sim", "us"]
-        "Lifetime simulated request latency, microseconds."
-        => |m, emit| summary(emit, "", &m.lifetime)),
     family!(summary "redfuser_stage_wall_us" ["host", "us"]
     "Wall-clock time per pipeline stage, microseconds."
     => |m, emit| {
@@ -617,13 +564,6 @@ const FAMILIES: &[Family] = &[
         for c in &m.classes {
             let counts = [("hit", c.cache_hits), ("miss", c.batches - c.cache_hits)];
             split(emit, &label("class", c.class), "plan", &counts);
-        }
-    }),
-    family!(summary "redfuser_class_sim_latency_us" ["sim", "us"]
-    "Per-workload-class lifetime simulated latency, microseconds."
-    => |m, emit| {
-        for c in &m.classes {
-            summary(emit, &label("class", c.class), &c.lifetime);
         }
     }),
     family!(counter "redfuser_graphs_total" ["-", "graphs"]
@@ -677,29 +617,56 @@ mod tests {
         (actual - exact).abs() <= exact / rf_trace::SUB_BUCKETS as f64
     }
 
+    /// A plan-cache hit served in `total_us`, all of it execution.
+    fn served(total_us: f64) -> RequestTiming {
+        RequestTiming {
+            execute_us: total_us,
+            total_us,
+            ..RequestTiming::default()
+        }
+    }
+
+    /// The wall-clock summary of the stage named `name`.
+    fn stage(snap: &MetricsSnapshot, name: &str) -> HistogramSnapshot {
+        let stage = snap.stages.iter().find(|s| s.stage == name);
+        stage.expect("stage present").wall
+    }
+
     #[test]
     fn non_finite_samples_do_not_panic_the_metrics_path() {
         // Regression: sorting with `partial_cmp(...).expect(...)` panicked the
-        // metrics path as soon as an infeasible kernel's infinite (or NaN)
-        // latency reached a sample. A non-finite estimate still counts its
-        // requests as completed and contributes no sample, at either level.
+        // metrics path as soon as a non-finite latency reached a sample. A
+        // non-finite time contributes no sample and every request still
+        // counts, at either level.
         for config in [TraceConfig::default(), TraceConfig::off()] {
             let metrics = RuntimeMetrics::with_trace(config);
-            metrics.record_batch("softmax", 2, 0, 10.0, false);
-            metrics.record_batch("softmax", 1, 0, f64::INFINITY, true);
-            metrics.record_batch("softmax", 1, 0, f64::NAN, true);
-            metrics.record_batch("softmax", 1, 0, f64::NEG_INFINITY, true);
+            for total_us in [10.0, f64::INFINITY, f64::NAN, f64::NEG_INFINITY] {
+                metrics.record_timing(Priority::Normal, &served(total_us));
+            }
+            metrics.record_batch("softmax", 2, 0, false);
+            metrics.record_batch("softmax", 3, 0, true);
             metrics.record_served(Priority::Normal, 5);
             let snap = metrics.snapshot(0, empty_cache_stats());
             assert_eq!(snap.completed, 5);
             assert_eq!(snap.classes[0].completed, 5);
-            assert_eq!(snap.lifetime.count, 2);
-            assert_eq!(snap.classes[0].lifetime.count, 2);
-            assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
-            assert_eq!(snap.lifetime.p99_us, snap.lifetime.p50_us);
-            assert_eq!(snap.lifetime.max_us, 10.0);
-            assert_eq!(snap.lifetime.sum_us, 20.0, "the sum must stay finite");
-            assert_eq!(snap.busy_us, 10.0, "only the finite batch was busy time");
+            let recorded = u64::from(config.level.histograms_enabled());
+            let e2e = stage(&snap, "e2e");
+            assert_eq!(e2e.count, recorded);
+            assert_eq!(e2e.max_us, 10.0 * recorded as f64);
+            assert_eq!(
+                e2e.sum_us,
+                10.0 * recorded as f64,
+                "the sum must stay finite"
+            );
+            let text = snap.prometheus();
+            let mut values = text.lines().filter(|l| !l.starts_with('#'));
+            assert!(values.all(|l| l
+                .rsplit_once(' ')
+                .unwrap()
+                .1
+                .parse::<f64>()
+                .unwrap()
+                .is_finite()));
         }
     }
 
@@ -709,23 +676,29 @@ mod tests {
         for _ in 0..4 {
             metrics.record_submit(Priority::Normal);
         }
-        metrics.record_batch("softmax", 3, 0, 10.0, false);
-        metrics.record_batch("mha", 1, 0, 50.0, true);
+        metrics.record_batch("softmax", 3, 0, false);
+        metrics.record_batch("mha", 1, 0, true);
         metrics.record_served(Priority::Normal, 3);
         metrics.record_served(Priority::High, 1);
+        for _ in 0..3 {
+            metrics.record_timing(Priority::Normal, &served(10.0));
+        }
+        metrics.record_timing(Priority::High, &served(50.0));
         let snap = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(snap.submitted, 4);
         assert_eq!(snap.completed, 4);
         assert_eq!(snap.batches, 2);
         assert!((snap.mean_batch_size - 2.0).abs() < 1e-12);
-        assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
-        assert!(within_a_bucket(snap.lifetime.p99_us, 50.0));
-        assert_eq!(snap.lifetime.sum_us, 80.0);
+        let e2e = stage(&snap, "e2e");
+        assert!(within_a_bucket(e2e.p50_us, 10.0));
+        assert!(within_a_bucket(e2e.p99_us, 50.0));
+        assert_eq!(e2e.sum_us, 80.0);
         // Lane attribution: 4 normal submissions, 3 normal + 1 high served.
         assert_eq!(snap.lanes.len(), LANES);
         assert_eq!(snap.lanes[0].lane, "high");
         assert_eq!((snap.lanes[0].submitted, snap.lanes[0].completed), (0, 1));
         assert_eq!((snap.lanes[1].submitted, snap.lanes[1].completed), (4, 3));
+        assert_eq!((snap.lanes[0].wall.count, snap.lanes[1].wall.count), (1, 3));
     }
 
     #[test]
@@ -785,37 +758,29 @@ mod tests {
         metrics.record_timing(Priority::Normal, &timing);
         metrics.record_timing(Priority::High, &hit);
         let snap = metrics.snapshot(0, empty_cache_stats());
-        let by_name = |name: &str| {
-            snap.stages
-                .iter()
-                .find(|s| s.stage == name)
-                .expect("stage present")
-        };
         // Queue and e2e see both requests; compile only the cache miss.
-        assert_eq!(by_name("queue").wall.count, 2);
-        assert_eq!(by_name("e2e").wall.count, 2);
-        assert_eq!(by_name("compile").wall.count, 1);
-        assert_eq!(by_name("execute").wall.count, 2);
-        assert!((by_name("compile").wall.p50_us - 5_000.0).abs() / 5_000.0 < 0.08);
+        assert_eq!(stage(&snap, "queue").count, 2);
+        assert_eq!(stage(&snap, "e2e").count, 2);
+        assert_eq!(stage(&snap, "compile").count, 1);
+        assert_eq!(stage(&snap, "execute").count, 2);
+        assert!((stage(&snap, "compile").p50_us - 5_000.0).abs() / 5_000.0 < 0.08);
         // Lane attribution of the e2e wall time.
         assert_eq!(snap.lanes[Priority::Normal.lane()].wall.count, 1);
         assert_eq!(snap.lanes[Priority::High.lane()].wall.count, 1);
         snap.assert_exported("redfuser_stage_wall_us_count{stage=\"compile\"} 1");
 
         // The Off contract: the wall-clock histograms record nothing; the
-        // simulated-latency statistic (and the counters) are always on.
+        // counters are always on.
         let off = RuntimeMetrics::with_trace(TraceConfig::off());
         off.record_submit(Priority::Normal);
         off.record_timing(Priority::Normal, &timing);
-        off.record_batch("softmax", 4, 0, 10.0, true);
+        off.record_batch("softmax", 4, 0, true);
         let snap = off.snapshot(0, empty_cache_stats());
         assert_eq!(snap.trace_level, TraceLevel::Off);
         assert!(snap.stages.iter().all(|s| s.wall.count == 0));
         assert!(snap.lanes.iter().all(|l| l.wall.count == 0));
-        assert_eq!(snap.lifetime.count, 4);
-        assert_eq!(snap.classes[0].lifetime.count, 4);
-        assert!(within_a_bucket(snap.lifetime.p50_us, 10.0));
-        assert_eq!((snap.batches, snap.busy_us), (1, 10.0));
+        assert_eq!((snap.submitted, snap.batches), (1, 1));
+        assert_eq!(snap.classes[0].completed, 4);
     }
 
     #[test]
@@ -823,29 +788,31 @@ mod tests {
         let metrics = ledger();
         // Late slow traffic does not displace the fast early majority: no
         // statistic here forgets.
-        metrics.record_batch("softmax", 8192, 0, 1.0, false);
-        metrics.record_batch("softmax", 8192, 0, 1.0, true);
-        metrics.record_batch("softmax", 8192, 0, 9.0, true);
+        for total_us in [1.0, 1.0, 9.0] {
+            for _ in 0..8192 {
+                metrics.record_timing(Priority::Normal, &served(total_us));
+            }
+        }
         let snap = metrics.snapshot(0, empty_cache_stats());
+        let e2e = stage(&snap, "e2e");
         assert!(
-            snap.lifetime.p50_us < 2.0,
+            e2e.p50_us < 2.0,
             "the lifetime histogram remembers the 2/3 fast majority, got {}",
-            snap.lifetime.p50_us
+            e2e.p50_us
         );
-        assert!(within_a_bucket(snap.lifetime.p99_us, 9.0));
-        assert_eq!(snap.lifetime.sum_us, 11.0 * 8192.0);
-        assert_eq!(snap.lifetime.count, 3 * 8192);
-        let softmax = &snap.classes[0];
-        assert_eq!(softmax.lifetime, snap.lifetime);
-        snap.assert_exported("redfuser_sim_latency_us_sum 90112");
-        snap.assert_exported("redfuser_sim_latency_us_count 24576");
+        assert!(within_a_bucket(e2e.p99_us, 9.0));
+        assert_eq!(e2e.sum_us, 11.0 * 8192.0);
+        assert_eq!(e2e.count, 3 * 8192);
+        assert_eq!(snap.lanes[Priority::Normal.lane()].wall, e2e);
+        snap.assert_exported("redfuser_stage_wall_us_sum{stage=\"e2e\"} 90112");
+        snap.assert_exported("redfuser_stage_wall_us_count{stage=\"e2e\"} 24576");
     }
 
     #[test]
     fn prometheus_exposition_contains_every_family() {
         let metrics = ledger();
         metrics.record_submit(Priority::Normal);
-        metrics.record_batch("softmax", 1, 0, 12.5, false);
+        metrics.record_batch("softmax", 1, 0, false);
         metrics.record_served(Priority::Normal, 1);
         metrics.record_timing(
             Priority::Normal,
@@ -869,10 +836,10 @@ mod tests {
             "redfuser_stage_wall_us_count{stage=\"compile\"} 1",
             "redfuser_lane_requests_total{lane=\"normal\",outcome=\"completed\"} 1",
             "redfuser_lane_wall_us{lane=\"normal\",quantile=\"0.99\"}",
-            "redfuser_class_sim_latency_us{class=\"softmax\",quantile=\"0.5\"}",
+            "redfuser_class_requests_total{class=\"softmax\",outcome=\"completed\"} 1",
             "redfuser_shed_retry_hint_us 250",
-            "redfuser_sim_busy_us_total 12.5",
-            "redfuser_sim_latency_us_count 1",
+            "redfuser_stage_wall_us_sum{stage=\"e2e\"} 140",
+            "redfuser_lane_wall_us_count{lane=\"normal\"} 1",
         ] {
             assert!(
                 text.contains(needle),
@@ -896,36 +863,12 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_is_a_sim_clock_counter_in_the_exposition() {
-        let metrics = ledger();
-        let busy = |metrics: &RuntimeMetrics| {
-            let snap = metrics.snapshot(0, empty_cache_stats());
-            let text = snap.prometheus();
-            let line = text
-                .lines()
-                .find(|line| line.starts_with("redfuser_sim_busy_us_total "))
-                .map(str::to_owned);
-            (snap.busy_us, line)
-        };
-        // Each batch's latency counts once, whatever its size; a failed
-        // batch's latency counts like any other.
-        metrics.record_batch("softmax", 4, 0, 10.5, false);
-        metrics.record_batch("mha", 1, 1, 2.25, true);
-        let (before, line) = busy(&metrics);
-        assert_eq!(before, 12.75);
-        assert_eq!(line.as_deref(), Some("redfuser_sim_busy_us_total 12.75"));
-        // The difference of two readings is the busy time in between.
-        metrics.record_batch("softmax", 16, 0, 40.0, true);
-        let (after, _) = busy(&metrics);
-        assert_eq!(after - before, 40.0);
-    }
-
-    #[test]
     fn exposition_carries_every_headline_number() {
         let metrics = ledger();
         metrics.record_submit(Priority::Normal);
-        metrics.record_batch("softmax", 1, 0, 12.5, false);
+        metrics.record_batch("softmax", 1, 0, false);
         metrics.record_served(Priority::Normal, 1);
+        metrics.record_timing(Priority::Normal, &served(12.5));
         let cache = CacheStats {
             hits: 9,
             misses: 1,
@@ -937,14 +880,14 @@ mod tests {
             "redfuser_requests_total{outcome=\"completed\"} 1",
             "redfuser_queue_depth 3",
             "redfuser_mean_batch_size 1",
-            "redfuser_sim_latency_us_sum 12.5",
-            "redfuser_sim_latency_us_count 1",
+            "redfuser_stage_wall_us_sum{stage=\"e2e\"} 12.5",
+            "redfuser_stage_wall_us_count{stage=\"e2e\"} 1",
             "redfuser_plan_cache_total{result=\"hit\"} 9",
             "redfuser_plan_cache_total{result=\"miss\"} 1",
             "redfuser_plan_cache_entries 1",
             "redfuser_class_requests_total{class=\"softmax\",outcome=\"completed\"} 1",
             "redfuser_class_batches_total{class=\"softmax\",plan=\"miss\"} 1",
-            "redfuser_class_sim_latency_us_count{class=\"softmax\"} 1",
+            "redfuser_lane_wall_us_count{lane=\"normal\"} 1",
         ] {
             snap.assert_exported(line);
         }
@@ -956,23 +899,23 @@ mod tests {
         // 1.0070000000000001; the recorded nanosecond sum divided once
         // prints as what was recorded.
         let metrics = ledger();
-        for latency_us in [0.335, 0.336, 0.336] {
-            metrics.record_batch("softmax", 1, 0, latency_us, true);
+        for total_us in [0.335, 0.336, 0.336] {
+            metrics.record_timing(Priority::Normal, &served(total_us));
         }
         let snap = metrics.snapshot(0, empty_cache_stats());
-        assert_eq!(snap.lifetime.sum_us, 1.007);
-        snap.assert_exported("redfuser_sim_latency_us_sum 1.007");
-        snap.assert_exported("redfuser_class_sim_latency_us_sum{class=\"softmax\"} 1.007");
+        assert_eq!(stage(&snap, "e2e").sum_us, 1.007);
+        snap.assert_exported("redfuser_stage_wall_us_sum{stage=\"e2e\"} 1.007");
+        snap.assert_exported("redfuser_lane_wall_us_sum{lane=\"normal\"} 1.007");
     }
 
     #[test]
     fn per_class_breakdown_tracks_each_class_separately() {
         let metrics = ledger();
-        // softmax: 3 batches (2 cache hits), fast; mha: 1 batch (miss), slow.
-        metrics.record_batch("softmax", 2, 0, 10.0, false);
-        metrics.record_batch("softmax", 4, 0, 12.0, true);
-        metrics.record_batch("softmax", 2, 0, 14.0, true);
-        metrics.record_batch("mha", 1, 0, 200.0, false);
+        // softmax: 3 batches (2 cache hits); mha: 1 batch (miss).
+        metrics.record_batch("softmax", 2, 0, false);
+        metrics.record_batch("softmax", 4, 0, true);
+        metrics.record_batch("softmax", 2, 0, true);
+        metrics.record_batch("mha", 1, 0, false);
         let snap = metrics.snapshot(0, empty_cache_stats());
         assert_eq!(snap.classes.len(), 2);
         // Sorted by class name: mha before softmax.
@@ -980,7 +923,6 @@ mod tests {
         let softmax = &snap.classes[1];
         assert_eq!(mha.class, "mha");
         assert_eq!((mha.completed, mha.batches, mha.cache_hits), (1, 1, 0));
-        assert!(within_a_bucket(mha.lifetime.p50_us, 200.0));
         assert_eq!(softmax.class, "softmax");
         assert_eq!(
             (softmax.completed, softmax.batches, softmax.cache_hits),
@@ -988,17 +930,13 @@ mod tests {
         );
         snap.assert_exported("redfuser_class_batches_total{class=\"softmax\",plan=\"hit\"} 2");
         snap.assert_exported("redfuser_class_batches_total{class=\"softmax\",plan=\"miss\"} 1");
-        assert!(within_a_bucket(softmax.lifetime.p50_us, 12.0));
-        assert!(within_a_bucket(softmax.lifetime.p99_us, 14.0));
-        // Class percentiles are independent of the global distribution.
-        assert!(snap.lifetime.p99_us > softmax.lifetime.p99_us);
-        // Non-finite latencies count requests but never enter the histogram.
-        metrics.record_batch("mha", 1, 0, f64::INFINITY, true);
+        // A failed request counts against its class, never as completed.
+        metrics.record_batch("mha", 1, 1, true);
         let snap = metrics.snapshot(0, empty_cache_stats());
         let mha = &snap.classes[0];
-        assert_eq!((mha.completed, mha.batches, mha.cache_hits), (2, 2, 1));
-        assert_eq!(mha.lifetime.count, 1);
-        assert!(within_a_bucket(mha.lifetime.p99_us, 200.0));
+        assert_eq!((mha.completed, mha.failed), (2, 1));
+        assert_eq!((mha.batches, mha.cache_hits), (2, 1));
+        assert_eq!(snap.classes[1], *softmax, "classes are independent");
     }
 
     #[test]
@@ -1038,7 +976,6 @@ mod tests {
             let name = f.name;
             assert!(name.starts_with("redfuser_"), "{name}");
             assert!(["counter", "gauge", "summary"].contains(&f.kind), "{name}");
-            assert!(["sim", "host", "-"].contains(&f.clock), "{name}");
             assert!(!f.unit.is_empty() && !f.help.is_empty(), "{name}");
             assert_eq!(f.kind == "counter", name.ends_with("_total"), "{name}");
             // A time is on a stated clock, in the unit its name ends with
@@ -1046,6 +983,16 @@ mod tests {
             let base = name.strip_suffix("_total").unwrap_or(name);
             assert_eq!(base.ends_with("_us"), f.unit == "us", "{name}");
             assert!(f.unit != "us" || f.clock != "-", "{name}");
+        }
+    }
+
+    #[test]
+    fn every_family_is_on_the_host_clock_or_is_a_count() {
+        // Serving runs on one clock: a plan's modelled GPU time is the
+        // compiler's output (`CompiledKernel::latency_us`), never a family.
+        for f in FAMILIES {
+            let (name, clock) = (f.name, f.clock);
+            assert!(["host", "-"].contains(&clock), "{name} is on `{clock}`");
         }
     }
 

@@ -24,15 +24,13 @@
 //!
 //! The scheduler owns only queue state — never a compiled kernel and never a
 //! lock across kernel execution. Workers take an iteration (briefly holding
-//! the queue mutex), release the lock, then compile/execute/cost entirely
+//! the queue mutex), release the lock, then compile and execute entirely
 //! outside it.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 
 use crate::request::{OverloadInfo, RequestId, RuntimeError};
 use crate::submit::{Priority, Response, Submission, LANES};
@@ -437,26 +435,6 @@ impl StreamScheduler {
     }
 }
 
-/// Builds the profile of one batched launch: `batch` shape-identical requests
-/// fused into a single kernel launch, scaling work and traffic linearly while
-/// paying the launch overhead once.
-pub fn batched_profile(profile: &KernelProfile, batch: usize) -> KernelProfile {
-    let n = batch.max(1) as u64;
-    KernelProfile {
-        name: format!("{}[batch={batch}]", profile.name),
-        flops: profile.flops * n,
-        hbm_bytes: profile.hbm_bytes * n,
-        blocks: profile.blocks * n,
-        launches: profile.launches,
-        ..profile.clone()
-    }
-}
-
-/// Simulated latency of one batched launch on `arch`, in microseconds.
-pub fn batch_latency_us(arch: &GpuArch, profile: &KernelProfile, batch: usize) -> f64 {
-    estimate_latency(arch, &batched_profile(profile, batch)).total_us
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,27 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_profile_amortises_the_launch() {
-        let arch = GpuArch::a10();
-        let profile = KernelProfile {
-            flops: 1_000_000,
-            hbm_bytes: 1_000_000,
-            blocks: 64,
-            ..KernelProfile::default()
-        };
-        let single = batch_latency_us(&arch, &profile, 1);
-        let batched = batch_latency_us(&arch, &profile, 8);
-        let serial = 8.0 * single;
-        assert!(
-            batched < serial,
-            "one batched launch ({batched} us) must beat eight serial launches ({serial} us)"
-        );
-        let p = batched_profile(&profile, 8);
-        assert_eq!(p.flops, 8_000_000);
-        assert_eq!(p.launches, profile.launches);
-    }
-
-    #[test]
     #[should_panic(expected = "already taken via try_take")]
     fn waiting_after_try_take_panics_instead_of_hanging() {
         let (work, ticket) = softmax_work(11, 16);
@@ -825,7 +782,7 @@ mod tests {
             id: 3,
             workload: request.workload.name(),
             output,
-            simulated_us: 1.0,
+            simulated_us: 0.0,
             batch_size: 1,
             cache_hit: false,
             iteration: 1,

@@ -187,8 +187,8 @@ pub struct GraphStats {
 /// (plan-cache hits contribute a zero `compile_us`). The remainder is the
 /// time the request waited behind the batch-mates served before it, plus
 /// bookkeeping; for the first member of a batch it is bookkeeping only.
-/// All times are host wall-clock microseconds — distinct from the
-/// *simulated* GPU latency in `Response::simulated_us`.
+/// All times are host wall-clock microseconds, the engine's one clock; a
+/// plan's modelled GPU latency is `CompiledKernel::latency_us`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestTiming {
     /// Submission accepted → the iteration that served it formed.
@@ -228,8 +228,9 @@ pub struct Response {
     pub workload: String,
     /// The numeric output.
     pub output: RequestOutput,
-    /// Simulated latency of the iteration this submission rode in, in
-    /// microseconds.
+    /// Always 0; goes with `device` in ROADMAP item 1 (e). The engine runs
+    /// on the host clock ([`Response::timing`]); a plan's modelled GPU
+    /// latency is the compiler's `CompiledKernel::latency_us`.
     pub simulated_us: f64,
     /// Number of requests in that iteration's batch (1 for graphs).
     pub batch_size: usize,

@@ -21,11 +21,15 @@
 //! the summaries' `_sum` became the recorded sum instead of mean × count
 //! (no value moved: every sum here is exact either way); deleting the `tune`
 //! stage removed the five `redfuser_stage_wall_us{stage="tune",…}` lines
-//! (three quantiles, `_sum`, `_count`) and the `stage.tune wall.count` line.
+//! (three quantiles, `_sum`, `_count`) and the `stage.tune wall.count` line;
+//! taking the simulated clock out of serving removed the three sim-clock
+//! families (`redfuser_sim_busy_us_total`, `redfuser_sim_latency_us`,
+//! `redfuser_class_sim_latency_us`), the `busy_us` and `lifetime.*` lines and
+//! each `class.*` line's `lifetime.count` field.
 //!
 //! A second test parses the exposition back and recovers every line of
-//! `counters.txt` from it but `lifetime.max_us`, a statistic no family
-//! exports: the exposition carries every number the snapshot holds.
+//! `counters.txt` from it: the exposition carries every number the snapshot
+//! holds.
 //!
 //! Re-record (copy the file the failure message names over the golden one)
 //! only in a PR that adds or removes a metric family, and list the lines that
@@ -50,7 +54,7 @@ fn timing(queue_us: f64, compile_us: f64, execute_us: f64) -> RequestTiming {
 }
 
 /// Script 0: softmax and MHA on the normal and high lanes, one failed
-/// request, one infeasible (infinite) estimate, two graphs.
+/// request, two graphs.
 fn replay_script_0(m: &RuntimeMetrics) {
     for _ in 0..40 {
         m.record_submit(Priority::Normal);
@@ -58,30 +62,30 @@ fn replay_script_0(m: &RuntimeMetrics) {
     for _ in 0..9 {
         m.record_submit(Priority::High);
     }
+    // Binary-fraction microseconds: every sum below is exact in `f64` and in
+    // integer nanoseconds alike.
     m.record_timing(Priority::Normal, &timing(12.5, 5_000.0, 400.0));
     for i in 0..8 {
         let t = timing(20.0 + f64::from(i) * 7.5, 0.0, 150.0 + f64::from(i));
         m.record_timing(Priority::Normal, &t);
     }
     m.record_timing(Priority::High, &timing(3.25, 0.0, 90.5));
-    // Binary-fraction microseconds: every sum below is exact in `f64` and in
-    // integer nanoseconds alike.
-    m.record_batch("softmax", 4, 0, 12.5, false);
-    for i in 0..6 {
-        m.record_batch("softmax", 4, 0, 12.5 + f64::from(i) * 0.25, true);
+    m.record_batch("softmax", 4, 0, false);
+    for _ in 0..6 {
+        m.record_batch("softmax", 4, 0, true);
     }
-    m.record_batch("softmax", 3, 1, 48.25, true);
-    m.record_batch("mha", 8, 0, 410.125, false);
-    m.record_batch("mha", 1, 0, 1_900.5, true);
-    m.record_batch("mha", 1, 0, f64::INFINITY, true);
+    m.record_batch("softmax", 3, 1, true);
+    m.record_batch("mha", 8, 0, false);
+    m.record_batch("mha", 1, 0, true);
+    m.record_batch("mha", 1, 0, true);
     m.record_served(Priority::Normal, 36);
     m.record_served(Priority::High, 9);
     m.record_failed(Priority::Normal, 1);
     m.record_shed(Priority::Low, Duration::from_micros(750));
     m.record_graph(9, 8, 0, 2);
     m.record_graph(9, 8, 2, 2);
-    m.record_batch("graph", 1, 0, 75.5, false);
-    m.record_batch("graph", 1, 0, 75.5, true);
+    m.record_batch("graph", 1, 0, false);
+    m.record_batch("graph", 1, 0, true);
     m.record_served(Priority::Normal, 2);
 }
 
@@ -99,10 +103,10 @@ fn replay_script_1(m: &RuntimeMetrics) {
     }
     m.record_timing(Priority::Normal, &timing(8.0, 900.0, 35.0));
     for i in 0..5 {
-        m.record_batch("softmax", 4, 0, 4.5 + f64::from(i) * 0.125, i > 0);
+        m.record_batch("softmax", 4, 0, i > 0);
     }
-    m.record_batch("mha", 4, 0, 120.75, false);
-    m.record_batch("quant", 6, 0, 33.0, false);
+    m.record_batch("mha", 4, 0, false);
+    m.record_batch("quant", 6, 0, false);
     m.record_served(Priority::Normal, 24);
     m.record_served(Priority::Low, 6);
     m.record_shed(Priority::Low, Duration::from_micros(200));
@@ -137,9 +141,6 @@ fn counters(s: &MetricsSnapshot) -> String {
     line("batches", s.batches.to_string());
     line("queue_depth", s.queue_depth.to_string());
     line("mean_batch_size", s.mean_batch_size.to_string());
-    line("busy_us", s.busy_us.to_string());
-    line("lifetime.count", s.lifetime.count.to_string());
-    line("lifetime.max_us", s.lifetime.max_us.to_string());
     line("shed_retry_last_us", s.shed_retry_last_us.to_string());
     // The golden line is the mean hint: the sum over the shed count.
     let mean = s.shed_retry_sum_us as f64 / s.shed as f64;
@@ -169,12 +170,8 @@ fn counters(s: &MetricsSnapshot) -> String {
         line(
             &format!("class.{}", class.class),
             format!(
-                "completed {} failed {} batches {} cache_hits {} lifetime.count {}",
-                class.completed,
-                class.failed,
-                class.batches,
-                class.cache_hits,
-                class.lifetime.count
+                "completed {} failed {} batches {} cache_hits {}",
+                class.completed, class.failed, class.batches, class.cache_hits
             ),
         );
     }
@@ -269,7 +266,7 @@ impl Exposition {
     }
 }
 
-/// `counters.txt` rebuilt from the exposition alone, but `lifetime.max_us`.
+/// `counters.txt` rebuilt from the exposition alone.
 fn counters_from_exposition(text: &str) -> String {
     let e = Exposition::parse(text);
     let mut out = String::new();
@@ -282,8 +279,6 @@ fn counters_from_exposition(text: &str) -> String {
     line("batches", &e.count("redfuser_batches_total"));
     line("queue_depth", &e.count("redfuser_queue_depth"));
     line("mean_batch_size", &e.get("redfuser_mean_batch_size"));
-    line("busy_us", &e.get("redfuser_sim_busy_us_total"));
-    line("lifetime.count", &e.count("redfuser_sim_latency_us_count"));
     line("shed_retry_last_us", &e.get("redfuser_shed_retry_hint_us"));
     let hint_sum = e.get("redfuser_shed_retry_hint_us_total");
     line("shed_retry_mean_us", &(hint_sum / requests("shed") as f64));
@@ -341,13 +336,10 @@ fn counters_from_exposition(text: &str) -> String {
         line(
             &format!("class.{class}"),
             &format!(
-                "completed {} failed {} batches {} cache_hits {hits} lifetime.count {}",
+                "completed {} failed {} batches {} cache_hits {hits}",
                 per_class("requests", "outcome", "completed"),
                 per_class("requests", "outcome", "failed"),
                 hits + per_class("batches", "plan", "miss"),
-                e.count(&format!(
-                    "redfuser_class_sim_latency_us_count{{class=\"{class}\"}}"
-                ))
             ),
         );
     }
@@ -357,10 +349,8 @@ fn counters_from_exposition(text: &str) -> String {
 #[test]
 fn the_exposition_carries_every_counter_of_the_snapshot() {
     let snapshot = replay();
-    let expected: String = counters(&snapshot)
-        .lines()
-        .filter(|line| !line.starts_with("lifetime.max_us "))
-        .map(|line| format!("{line}\n"))
-        .collect();
-    assert_eq!(counters_from_exposition(&snapshot.prometheus()), expected);
+    assert_eq!(
+        counters_from_exposition(&snapshot.prometheus()),
+        counters(&snapshot)
+    );
 }

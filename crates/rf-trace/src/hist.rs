@@ -12,10 +12,9 @@
 //! `rank = ⌈q·n⌉` clamped to `1..=n`: [`quantile_sorted`] applies it to
 //! sorted samples, the histogram to its `(bucket, count)` pairs.
 //!
-//! Recording is a bucket add, a saturating sum add and a maximum that is
-//! written only when raised — relaxed atomics, no locks, safe from any
-//! worker thread — whether one sample is recorded or a whole batch of equal
-//! ones ([`LogHistogram::record_n`]).
+//! Recording ([`LogHistogram::record_us`]) is a bucket add, a saturating sum
+//! add and a maximum that is written only when raised — relaxed atomics, no
+//! locks, safe from any worker thread.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -127,23 +126,13 @@ impl LogHistogram {
     }
 
     /// Records one microsecond value. Non-finite or negative values are
-    /// ignored.
+    /// ignored; the nanosecond sum saturates.
     pub fn record_us(&self, value_us: f64) {
-        self.record_n(value_us, 1);
-    }
-
-    /// Records `n` samples of the same microsecond value — a batch whose
-    /// requests all experienced one latency — at the cost of one. Non-finite
-    /// or negative values are ignored; the nanosecond sum saturates.
-    pub fn record_n(&self, value_us: f64, n: u64) {
         let Some((bucket, v_ns)) = bucket_of_us(value_us) else {
             return;
         };
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket].fetch_add(n, Ordering::Relaxed);
-        self.add_sum_ns(v_ns.saturating_mul(n));
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.add_sum_ns(v_ns);
         self.raise_max_ns(v_ns);
     }
 
@@ -260,9 +249,10 @@ mod tests {
     #[test]
     fn pathological_samples_are_ignored() {
         let h = LogHistogram::new();
-        h.record_us(f64::NAN);
-        h.record_us(f64::INFINITY);
-        h.record_us(-5.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5.0] {
+            h.record_us(bad);
+        }
+        assert_eq!(state(&h), state(&LogHistogram::new()));
         assert_eq!(h.snapshot(), HistogramSnapshot::default());
         h.record_us(10.0);
         let snap = h.snapshot();
@@ -301,40 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equals_n_single_records() {
-        for n in [0u64, 1, 7, 1_000_000] {
-            let batched = LogHistogram::new();
-            let single = LogHistogram::new();
-            for value_us in [12.5, 0.0, 1e6] {
-                batched.record_n(value_us, n);
-                for _ in 0..n {
-                    single.record_us(value_us);
-                }
-            }
-            assert_eq!(state(&batched), state(&single), "n = {n}");
-            assert_eq!(batched.snapshot(), single.snapshot(), "n = {n}");
-        }
-        let h = LogHistogram::new();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-            h.record_n(bad, 5);
-        }
-        assert_eq!(state(&h), state(&LogHistogram::new()));
-    }
-
-    #[test]
     fn the_nanosecond_sum_saturates_instead_of_wrapping() {
         let h = LogHistogram::new();
-        h.record_n(1e12, 10_000); // 10¹⁹ ns, just inside `u64`
-        h.record_n(1e12, 10_000); // the second would wrap to ~1.5·10¹⁸
+        h.record_us(1e16); // 10¹⁹ ns, just inside `u64`
+        h.record_us(1e16); // the second would wrap to ~1.5·10¹⁸
         assert_eq!(h.sum_ns.load(Ordering::Relaxed), u64::MAX);
         // …and so does every add after it.
         h.record_us(5.0);
         assert_eq!(h.sum_ns.load(Ordering::Relaxed), u64::MAX);
-        assert_eq!(h.snapshot().count, 20_001);
-        // One overflowing product saturates too.
-        let one = LogHistogram::new();
-        one.record_n(1e15, u64::MAX);
-        assert_eq!(one.sum_ns.load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(h.snapshot().count, 3);
     }
 
     #[test]

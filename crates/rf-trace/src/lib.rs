@@ -10,8 +10,8 @@
 //!   events (iteration boundaries with occupancy, shed decisions). Zero-cost
 //!   when disabled: below [`TraceLevel::Full`] recording is a single branch.
 //! * [`LogHistogram`] — HDR-style log-bucketed histograms giving
-//!   lifetime-accurate p50/p99/p999 per pipeline [`Stage`], per lane and per
-//!   workload class, in fixed memory.
+//!   lifetime-accurate wall-clock p50/p99/p999 per pipeline [`Stage`] and
+//!   per lane, in fixed memory.
 //! * [`chrome_trace_json`] / [`TraceSnapshot::chrome_trace`] — a Chrome
 //!   trace-event / Perfetto-compatible JSON exporter, with
 //!   [`validate_chrome_trace`] as the matching well-formedness check used by

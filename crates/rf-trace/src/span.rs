@@ -20,8 +20,8 @@ pub enum TraceLevel {
     /// No tracing: no spans, no stage histograms. The hot path pays a single
     /// predictable branch.
     Off,
-    /// Stage/lane/class latency histograms only (lifetime-accurate
-    /// percentiles in `MetricsSnapshot`), no per-event span buffer.
+    /// Stage/lane latency histograms only (lifetime-accurate percentiles in
+    /// `MetricsSnapshot`), no per-event span buffer.
     #[default]
     Histograms,
     /// Histograms plus the full per-request span timeline, exportable as
@@ -35,7 +35,7 @@ impl TraceLevel {
         matches!(self, TraceLevel::Full)
     }
 
-    /// Whether stage/lane/class histograms are recorded.
+    /// Whether stage/lane histograms are recorded.
     pub fn histograms_enabled(self) -> bool {
         !matches!(self, TraceLevel::Off)
     }

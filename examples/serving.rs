@@ -94,7 +94,7 @@ pub fn main() {
                     );
                 }
                 // Each ticket resolves to the request's numeric output plus
-                // its simulated latency, the engine iteration it rode in and
+                // its wall-clock timing, the engine iteration it rode in and
                 // its cache provenance.
                 tickets
                     .into_iter()
@@ -108,7 +108,7 @@ pub fn main() {
     for client in clients {
         for result in client.join().expect("client thread succeeds") {
             served += 1;
-            assert!(result.simulated_us > 0.0);
+            assert!(result.timing().total_us > 0.0);
             assert!(result.iteration >= 1);
         }
     }
