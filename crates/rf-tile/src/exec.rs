@@ -46,38 +46,49 @@
 //! block, which holds four rows' accumulators in vector registers while the
 //! tile's W rows stream past, so W is read from cache once per four rows
 //! instead of once per row. Attention runs **query group → segment →
-//! tile → row**: a group is the rows of one block of [`QUERY_LANES`] (eight)
+//! tile**: a group is the rows of one block of [`QUERY_LANES`] (eight)
 //! that fall in a range of the row split, staged column-major once
 //! ([`QueryGroup`]), and each K tile is scored against the whole group in
 //! one tile GEMM ([`score_group`]), as a FlashAttention CTA scores its
-//! `block_q` rows; the statistics, the exponentials and the P·V of each row
-//! then run in the order a lone row runs them. Inner loops run over row
-//! slices with several independent accumulation chains ([`score_group`],
-//! [`add_scaled_block`], [`add_scaled_rows`], [`sum_and_squares`]), and
-//! nothing is allocated per row, group, segment or tile: a call sizes its
-//! scratch once.
+//! `block_q` rows; the statistics and the exponentials of each row then run
+//! in the order a lone row runs them, and the tile's P·V is one
+//! [`add_scaled_block`] for the group. Routing runs **block of eight tokens
+//! → segment → tile**: one [`add_scaled_block`] scores the block's tokens
+//! against the tile's columns of W, read in place; the top-k and the
+//! statistics then run per token. Inner loops run over row slices with
+//! several independent accumulation chains ([`score_group`],
+//! [`add_scaled_block`], [`tile_max`], the slice exponentials,
+//! [`sum_and_squares`]), and nothing is allocated per row, group, segment or
+//! tile: a call sizes its scratch once.
 //!
-//! **Vector width.** Five loops run at the widest vector tier the CPU offers
-//! (AVX-512F on the benchmark host), picked at run time inside
+//! **Vector width.** Every loop over a tile runs at the widest vector tier
+//! the CPU offers (AVX-512F on the benchmark host), picked at run time inside
 //! `rf-workloads`: [`score_group`], attention's Q·Kᵀ, one vector of eight
-//! query rows per key; [`add_scaled_rows`], the GEMM of attention's P·V and
-//! routing's scores; [`add_scaled_block`], quant + GEMM's accumulate, 4 rows
-//! × 32 columns of accumulators in sixteen `zmm` registers per pass over a
-//! tile's keys; the slice exponentials; and [`sum_and_squares`], variance's
-//! Σx and Σx² over a segment, in eight lanes — one vector per sum there. All
-//! five return the bits of the baseline build on every CPU, and
-//! each row of a group has the bits it has scored alone, so grouping cannot
-//! show in a result. Everything else here — the tile maximum and sum,
-//! inertia, the combines — is built for the baseline, as is
-//! [`dot_rows`](rf_workloads::dot_rows), which [`score_group`] runs for a
+//! query rows per key; [`add_scaled_block`], every GEMM that follows a
+//! reduction — attention's P·V, routing's scores and quant + GEMM's
+//! accumulate, 4 rows × 32 columns of accumulators in sixteen `zmm`
+//! registers per pass over a tile's keys; [`tile_max`], a tile's maximum in
+//! eight lanes; the slice exponentials, which return the sum of the tile's
+//! exponentials in eight lanes from the same pass; and [`sum_and_squares`],
+//! variance's Σx and Σx² over a segment, in eight lanes — one vector per sum
+//! there. All of them return
+//! the bits of the baseline build on every CPU,
+//! each row of a block has the bits it has alone, and the eight lanes and
+//! their tree are the source's, so neither the tier nor the grouping can
+//! show in a result. What is left at the baseline is short or scalar:
+//! softmax's epilogue multiply (a vector form measured no gain the pair
+//! rule could tell from the binaries' own spread), the per-row corrections,
+//! inertia, the combines, and [`dot_rows`](rf_workloads::dot_rows), which
+//! [`score_group`] runs for a
 //! group of one row (decode, or a range of one): four scalar chains beat one
 //! busy lane of eight, measured in its docs. Inertia split over lanes
 //! naively measured slower.
 //!
-//! **The exponential.** Softmax, attention and routing reduce a tile in four
-//! passes over a slice that sits in L1: its maximum, one `advance` of the
-//! running statistics (the store and correct steps), the exponentials of the
-//! whole tile under the new maximum, their sum. Every exponential is
+//! **The exponential.** Softmax, attention and routing reduce a tile in two
+//! passes over a slice that sits in L1 around one `advance` of the running
+//! statistics (the store and correct steps): its maximum, then the
+//! exponentials of the whole tile under the new maximum with their sum.
+//! Every exponential is
 //! [`rf_workloads::exp`](mod@rf_workloads::exp): the tile's through the slice
 //! forms and the per-tile factors — `advance`, `merge`, the epilogue and
 //! combine rescales — through the scalar form. Both return the same bits on
@@ -122,7 +133,7 @@
 //! adds up its terms is fixed by the tuning point's `block_axis` and
 //! `segments` — ascending along the axis inside a tile (a tile's maximum and
 //! the sum of its exponentials: over eight lanes and one tree, both written in
-//! the source), tiles in order, segment partials merged in order; a plain sum
+//! `rf-workloads`' source), tiles in order, segment partials merged in order; a plain sum
 //! (variance's Σx and Σx²) adds element `i` of its segment into lane `i mod 8`,
 //! then the eight lanes in the same tree, then the segments in order — and is
 //! independent of the CPU's vector width and **of `block_rows`**, so a call
@@ -167,8 +178,8 @@ use std::ops::Range;
 use rf_algebra::BinaryOp;
 use rf_workloads::moe::{score_order, RoutingDecision};
 use rf_workloads::{
-    add_scaled_block, add_scaled_rows, available_cores, exp, exp_shifted, exp_shifted_in_place,
-    for_row_ranges, query_groups, score_group, sum_and_squares, Matrix, QueryGroup, QUERY_LANES,
+    add_scaled_block, available_cores, exp, exp_shifted, exp_shifted_in_place, for_row_ranges,
+    query_groups, score_group, sum_and_squares, tile_max, Matrix, QueryGroup, Terms, QUERY_LANES,
 };
 
 use crate::ops::TileProgram;
@@ -564,11 +575,12 @@ fn run<K: Tally>(
 /// the benchmark host, both loops at the same tier (`cargo test --release -p
 /// rf-workloads timing -- --ignored --nocapture`). That host's speed moves by
 /// about 2× with its other tenants, so the ratios are what carry over: a
-/// multiply-add of `add_scaled_rows` costs 0.056–0.14 ns under AVX-512F (what
-/// that host runs), 0.076–0.22 ns under AVX2 and 0.11–0.35 ns at the x86-64
-/// baseline; an element of `exp_shifted`, measured in the same runs,
-/// 1.1–2.7, 1.7–4.0 and 3.2–7.6 ns — 17–25, 16–32 and 19–31 multiply-adds —
-/// and the tile's maximum and sum add about one each; an FP8 rounding
+/// multiply-add of a row at a time (`add_scaled_block`'s loop for one row)
+/// costs 0.056–0.14 ns under AVX-512F (what that host runs), 0.076–0.22 ns
+/// under AVX2 and 0.11–0.35 ns at the x86-64 baseline; an element of
+/// `exp_shifted`, measured in the same runs, 1.1–2.7, 1.7–4.0 and 3.2–7.6 ns
+/// — 17–25, 16–32 and 19–31 multiply-adds — and the tile's maximum and sum
+/// add about one each (the sum now rides in the same pass); an FP8 rounding
 /// (2.7–3.0 ns when last measured, the slow state) about 20 at the widest
 /// tier. One number for every tier and both: 16, within a factor of 2 of
 /// each, which moves the point a call starts to split by less than the
@@ -581,10 +593,12 @@ fn run<K: Tally>(
 /// shape run inline.
 ///
 /// Quant + GEMM rounds a tile in a pass of its own, ahead of
-/// [`add_scaled_block`], whose multiply-add costs about half of
-/// `add_scaled_rows`' under AVX-512F (its ignored `timing_scaled_block`
-/// test). `FP8_WORK` and the `n` multiply-adds per element stay as they are:
-/// `quant 256×1024→256` is 17× the threshold either way.
+/// [`add_scaled_block`], whose multiply-add over a block of rows costs about
+/// half of a row's at a time under AVX-512F (its ignored
+/// `timing_scaled_block` test; P·V's and routing's blocks gain less, see
+/// there). The weights and the `n` multiply-adds per element stay as they
+/// are: `quant 256×1024→256` is 17× the threshold either way, and no other
+/// benchmark shape moves enough to change sides.
 const EXP_WORK: usize = 16;
 const FP8_WORK: usize = 16;
 
@@ -758,43 +772,6 @@ fn segment_ranges(axis_len: usize, segments: usize) -> impl Pieces {
     chunks(0, axis_len, axis_len.div_ceil(segments))
 }
 
-/// Independent chains in a tile's maximum and in the sum of its exponentials.
-/// A constant of the source, not of the CPU: the order in which a tile's terms
-/// meet is the same under every vector width, thread count and `block_rows`.
-const LANES: usize = 8;
-
-/// Folds `xs` into [`LANES`] accumulators — element `i` into lane `i mod 8` —
-/// and the lanes in one fixed tree.
-fn fold_lanes(xs: &[f64], identity: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
-    let mut lanes = [identity; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (lane, &x) in lanes.iter_mut().zip(chunk) {
-            *lane = op(*lane, x);
-        }
-    }
-    for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
-        *lane = op(*lane, x);
-    }
-    let [a, b, c, d, e, f, g, h] = lanes;
-    op(op(op(a, b), op(c, d)), op(op(e, f), op(g, h)))
-}
-
-/// The largest element of a tile, NaN entries ignored (`-inf` when nothing
-/// else is there) — `f64::max` over the tile, as one instruction per lane.
-fn tile_max(xs: &[f64]) -> f64 {
-    fold_lanes(
-        xs,
-        BinaryOp::Max.identity(),
-        |m, x| if x > m { x } else { m },
-    )
-}
-
-/// The sum of a tile's exponentials.
-fn tile_sum(xs: &[f64]) -> f64 {
-    fold_lanes(xs, BinaryOp::Add.identity(), |sum, x| sum + x)
-}
-
 /// `exp(shift)`, the factor that moves an accumulator to a maximum `-shift`
 /// above its own — skipping the routine when the maximum did not move, the
 /// common case once a row's largest tile has been seen. `exp(0)` is exactly
@@ -901,8 +878,7 @@ fn exec_softmax<K: Tally>(binding: &ExecBinding, threads: usize, m: &Matrix) -> 
                     // Reduce: fold the tile under the updated maximum, keeping
                     // each exponential as the still-unnormalised output.
                     let stored = &mut out_row[tile_start..tile_end];
-                    exp_shifted(stored, tile, stats.max);
-                    stats.sum += tile_sum(stored);
+                    stats.sum += exp_shifted(stored, tile, stats.max);
                 }
                 // Combine kernel: Eq. 31 over the segment statistics.
                 tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
@@ -989,12 +965,12 @@ fn exec_attention<K: Tally>(
     let (_, seg_len) = segments.clone().next().expect("kv_len > 0");
     let tile = binding.block_axis.clamp(1, seg_len);
     let work_per_row = kv_len * (qk_dim + head_dim + EXP_WORK);
-    // A `(row, segment)` grid cell holds the segment's FlashDecoding partial
-    // `[acc: head_dim | max | sum]`, the max-shifted unnormalised output and
-    // its statistics; a group's cells of one segment are followed by the
-    // tile of scores they work in, one piece per query row.
-    let partial_len = head_dim + 2;
-    let cell_len = partial_len + tile;
+    // A `(row, segment)` grid cell holds the segment's FlashDecoding partial,
+    // the max-shifted unnormalised output (`head_dim`) and its statistics
+    // (max, sum), and a tile of the row's scores. A group's cells of one
+    // segment lie as its accumulators back to back (the P·V block's rows),
+    // then its statistics, then its scores, one piece per query row.
+    let cell_len = head_dim + 2 + tile;
     // Multi-Segment's low-concurrency case: rows too few to fill the cores
     // leave the grid to each group's segments. Never both, so no spawn nests.
     let by_seg = q_rows < threads.min(n_segments);
@@ -1018,9 +994,10 @@ fn exec_attention<K: Tally>(
                 for ((start, end), cells) in segments.zip(cells.chunks_exact_mut(g * cell_len)) {
                     #[cfg(test)]
                     tests::probe_cells(rows.clone(), q, start);
-                    let (partials, scores) = cells.split_at_mut(g * partial_len);
+                    let (accs, cells) = cells.split_at_mut(g * head_dim);
+                    let (partials, scores) = cells.split_at_mut(g * 2);
                     let mut stats = [OnlineStats::identity(); QUERY_LANES];
-                    partials.fill(0.0);
+                    accs.fill(0.0);
                     for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
                         // Reduce (reduction 1): the scoring GEMM tile Q·Kᵀ, the
                         // group's rows against the tile's keys.
@@ -1029,32 +1006,41 @@ fn exec_attention<K: Tally>(
                         tally.add(Step::ScoreGemm, counted, counted * f64_bytes(n * qk_dim), 0);
                         score_group(&group, (tile_start..tile_end).map(|j| k.row(j)), scores);
                         scores.iter_mut().for_each(|s| *s *= scale);
-                        // Then each row's own tile, in the order a lone row runs it.
+                        // Then each row's statistics and exponentials, in the
+                        // order a lone row runs them.
+                        let mut masked = [false; QUERY_LANES];
                         for (lane, scores) in scores.chunks_exact_mut(n).enumerate() {
                             let stats = &mut stats[lane];
-                            let acc = &mut partials[lane * partial_len..][..head_dim];
+                            let acc = &mut accs[lane * head_dim..][..head_dim];
                             // Store: snapshot the previous maximum; correct: rescale the
                             // running sum and the output accumulator for the moved maximum.
                             tally.ran(&[Step::Store, Step::Correct]);
                             let correction = stats.advance(tile_max(scores));
                             if stats.max == f64::NEG_INFINITY {
                                 stats.skip_masked(scores);
+                                masked[lane] = true;
                                 continue;
                             }
                             if correction != 1.0 {
                                 acc.iter_mut().for_each(|slot| *slot *= correction);
                             }
-                            // Reduce (reductions 2–4): accumulate the tile's probabilities
-                            // and value contributions under the updated maximum.
+                            // Reduce (reductions 2–4): the tile's probabilities
+                            // under the updated maximum, and their sum.
                             tally.add(Step::Reduce, 1, f64_bytes(n * head_dim), 0);
-                            exp_shifted_in_place(scores, stats.max);
-                            stats.sum += tile_sum(scores);
-                            let values = (tile_start..tile_end).map(|j| v.row(j));
-                            add_scaled_rows(acc, scores.iter().copied().zip(values));
+                            stats.sum += exp_shifted_in_place(scores, stats.max);
+                        }
+                        // ... and their value contributions, the group's rows
+                        // in one block against the tile's values. A row still
+                        // at `-inf` had an all-zero accumulator and rides
+                        // along on its raw scores: it is zeroed again.
+                        let values = &v.as_slice()[tile_start * head_dim..tile_end * head_dim];
+                        add_scaled_block(accs, head_dim, scores, values, head_dim, Terms::All);
+                        for lane in (0..g).filter(|&lane| masked[lane]) {
+                            accs[lane * head_dim..][..head_dim].fill(0.0);
                         }
                     }
-                    for (partial, stats) in partials.chunks_exact_mut(partial_len).zip(&stats) {
-                        partial[head_dim..].copy_from_slice(&[stats.max, stats.sum]);
+                    for (partial, stats) in partials.chunks_exact_mut(2).zip(&stats) {
+                        partial.copy_from_slice(&[stats.max, stats.sum]);
                     }
                 }
                 tally
@@ -1068,22 +1054,22 @@ fn exec_attention<K: Tally>(
             // rescale the partials to the global maximum, normalise (one segment:
             // the plain FlashAttention epilogue).
             for (lane, out_row) in out_rows.chunks_exact_mut(head_dim.max(1)).enumerate() {
-                let partials = cells
-                    .chunks_exact(g * cell_len)
-                    .map(|segment| &segment[lane * partial_len..][..partial_len]);
-                let global = partials.clone().fold(OnlineStats::identity(), |global, p| {
-                    global.merge(OnlineStats {
-                        max: p[head_dim],
-                        sum: p[head_dim + 1],
-                    })
+                let partials = cells.chunks_exact(g * cell_len).map(|segment| {
+                    let acc = &segment[lane * head_dim..][..head_dim];
+                    let stats = &segment[g * head_dim + 2 * lane..][..2];
+                    let (max, sum) = (stats[0], stats[1]);
+                    (acc, OnlineStats { max, sum })
                 });
-                for partial in partials {
+                let global = partials
+                    .clone()
+                    .fold(OnlineStats::identity(), |global, (_, p)| global.merge(p));
+                for (acc, partial) in partials {
                     tally.add(Step::Combine, u64::from(n_segments > 1), 0, 0);
-                    let rescale = rescale_factor(partial[head_dim] - global.max);
+                    let rescale = rescale_factor(partial.max - global.max);
                     if rescale == 0.0 {
                         continue;
                     }
-                    for (slot, &a) in out_row.iter_mut().zip(&partial[..head_dim]) {
+                    for (slot, &a) in out_row.iter_mut().zip(acc) {
                         *slot += a * rescale;
                     }
                 }
@@ -1117,6 +1103,10 @@ fn insert_candidate(best: &mut Vec<Candidate>, candidate: Candidate, topk: usize
     }
 }
 
+/// Tokens whose scores [`exec_routing`] computes in one block against each
+/// tile of W.
+const TOKEN_BLOCK: usize = 8;
+
 fn exec_routing<K: Tally>(
     binding: &ExecBinding,
     threads: usize,
@@ -1132,64 +1122,85 @@ fn exec_routing<K: Tally>(
         probs: Vec::new(),
     };
     let mut decisions = vec![undecided; tokens];
+    let tile = binding.block_axis.clamp(1, experts);
     let body = |range: Range<usize>, out: &mut [RoutingDecision]| {
         let mut tally = K::default();
-        let mut scores = vec![0.0f64; binding.block_axis.clamp(1, experts)];
-        let mut best: Vec<Candidate> = Vec::with_capacity(topk + 1);
-        let mut merged_best: Vec<Candidate> = Vec::with_capacity(topk + 1);
-        for (token, decision) in range.zip(out) {
-            let x_row = x.row(token);
-            let mut merged_stats = OnlineStats::identity();
-            merged_best.clear();
+        // Per token of a block: a tile of scores, the segment's statistics
+        // and candidates, and the row's merged ones.
+        let mut scores = vec![0.0f64; TOKEN_BLOCK * tile];
+        let mut best = vec![Vec::new(); TOKEN_BLOCK];
+        let mut merged_best = best.clone();
+        let mut stats = [OnlineStats::identity(); TOKEN_BLOCK];
+        let mut merged_stats = stats;
+        let blocks = chunks(range.start, range.end, TOKEN_BLOCK);
+        for ((t0, t1), out) in blocks.zip(out.chunks_mut(TOKEN_BLOCK)) {
+            let (x_rows, t) = (&x.as_slice()[t0 * hidden..t1 * hidden], t1 - t0);
+            merged_stats.fill(OnlineStats::identity());
+            merged_best.iter_mut().for_each(Vec::clear);
             for (start, end) in segments.clone() {
-                let mut stats = OnlineStats::identity();
-                best.clear();
+                stats.fill(OnlineStats::identity());
+                best.iter_mut().for_each(Vec::clear);
                 for (tile_start, tile_end) in chunks(start, end, binding.block_axis) {
                     // Reduce: the scoring GEMM tile, the cascade's innermost
-                    // reduction — `hidden`-outer over contiguous weight rows.
-                    let scores = &mut scores[..tile_end - tile_start];
+                    // reduction — the block's tokens against the tile's
+                    // columns of W, read in place.
+                    let n = tile_end - tile_start;
+                    let scores = &mut scores[..t * n];
                     scores.fill(0.0);
-                    let loaded = f64_bytes(hidden * (1 + scores.len()));
-                    tally.add(Step::ScoreGemm, 1, loaded, 0);
-                    let weights = (0..hidden).map(|h| &w.row(h)[tile_start..tile_end]);
-                    add_scaled_rows(scores, x_row.iter().copied().zip(weights));
-                    // Streaming top-k over the raw scores (softmax is
-                    // order-preserving, so selection and normalisation
-                    // commute).
-                    for (index, &score) in (tile_start..tile_end).zip(scores.iter()) {
-                        insert_candidate(&mut best, Candidate { index, score }, topk);
+                    let loaded = f64_bytes(t * hidden * (1 + n));
+                    tally.add(Step::ScoreGemm, t as u64, loaded, 0);
+                    // The tile's columns of W, rows `experts` apart (none
+                    // when `hidden` is 0).
+                    let w_end = hidden.saturating_sub(1) * experts + tile_end;
+                    let w_tile = w.as_slice().get(tile_start..w_end).unwrap_or_default();
+                    add_scaled_block(scores, n, x_rows, w_tile, experts, Terms::All);
+                    let token_state = scores.chunks_exact_mut(n).zip(&mut stats).zip(&mut best);
+                    for ((scores, stats), best) in token_state {
+                        // Streaming top-k over the raw scores (softmax is
+                        // order-preserving, so selection and normalisation
+                        // commute).
+                        for (index, &score) in (tile_start..tile_end).zip(scores.iter()) {
+                            insert_candidate(best, Candidate { index, score }, topk);
+                        }
+                        // Store + correct + reduce on the softmax statistics, the
+                        // scores turning into their exponentials where they are.
+                        tally.ran(&[Step::Store, Step::Correct, Step::Reduce]);
+                        stats.advance(tile_max(scores));
+                        if stats.max == f64::NEG_INFINITY {
+                            stats.skip_masked(scores);
+                            continue;
+                        }
+                        stats.sum += exp_shifted_in_place(scores, stats.max);
                     }
-                    // Store + correct + reduce on the softmax statistics, the
-                    // scores turning into their exponentials where they are.
-                    tally.ran(&[Step::Store, Step::Correct, Step::Reduce]);
-                    stats.advance(tile_max(scores));
-                    if stats.max == f64::NEG_INFINITY {
-                        stats.skip_masked(scores);
-                        continue;
-                    }
-                    exp_shifted_in_place(scores, stats.max);
-                    stats.sum += tile_sum(scores);
                 }
                 // Combine kernel: merge statistics with Eq. 31 and the
                 // candidate lists under the shared comparator.
-                tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
-                merged_stats = merged_stats.merge(stats);
-                for &candidate in &best {
-                    insert_candidate(&mut merged_best, candidate, topk);
+                let merged = merged_stats.iter_mut().zip(&mut merged_best);
+                for ((merged_stats, merged_best), (stats, best)) in
+                    merged.zip(stats.iter().zip(&best)).take(t)
+                {
+                    tally.add(Step::Combine, u64::from(segments.len() > 1), 0, 0);
+                    *merged_stats = merged_stats.merge(*stats);
+                    for &candidate in best {
+                        insert_candidate(merged_best, candidate, topk);
+                    }
                 }
             }
             // Epilogue: only the selected scores are normalised; an expert
             // index and a probability stored per selection.
-            tally.add(Step::Epilogue, 1, 0, f64_bytes(2 * merged_best.len()));
-            let mut probs: Vec<f64> = merged_best.iter().map(|c| c.score).collect();
-            exp_shifted_in_place(&mut probs, merged_stats.max);
-            for prob in &mut probs {
-                *prob /= merged_stats.sum;
+            let token_state = out.iter_mut().zip(&merged_best).zip(&merged_stats);
+            for ((decision, merged_best), merged_stats) in token_state {
+                tally.add(Step::Epilogue, 1, 0, f64_bytes(2 * merged_best.len()));
+                let mut probs: Vec<f64> = merged_best.iter().map(|c| c.score).collect();
+                exp_shifted_in_place(&mut probs, merged_stats.max);
+                for prob in &mut probs {
+                    *prob /= merged_stats.sum;
+                }
+                *decision = RoutingDecision {
+                    experts: merged_best.iter().map(|c| c.index).collect(),
+                    probs,
+                };
             }
-            *decision = RoutingDecision {
-                experts: merged_best.iter().map(|c| c.index).collect(),
-                probs,
-            };
         }
         tally
     };
@@ -1259,7 +1270,8 @@ fn exec_quant_gemm<K: Tally>(
                     // Second half: the block's GEMM contribution (Eq. 22),
                     // a zero quantised value adding nothing.
                     let w_tile = &w.as_slice()[tile_start * n..tile_end * n];
-                    add_scaled_block(accs, n, &quantised[..rows * tile_len], w_tile);
+                    let coeffs = &quantised[..rows * tile_len];
+                    add_scaled_block(accs, n, coeffs, w_tile, n, Terms::NonZero);
                 }
                 // Combine kernel + epilogue: de-quantise each partial under
                 // its own segment scale and sum — algebraically the
@@ -2191,6 +2203,162 @@ mod tests {
             let program = program(len, point);
             let out = same_output_on(&[3], &program, &input, tokens * work_per_row);
             check(&expected, t, point, out);
+        }
+    }
+
+    /// FNV-1a over an output's bits.
+    fn fold_bits(output: ExecOutput) -> u64 {
+        let words = output_bits(output).into_iter();
+        words.fold(0xcbf2_9ce4_8422_2325, |h, word| {
+            (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Runs `case` at each point on one thread: NaN exactly where the unfused
+    /// form is NaN, within `1e-12` of it elsewhere, and the fold recorded when
+    /// P·V still ran one query row at a time.
+    fn check_attention_folds(case: &DecodeCase, golden: [((usize, usize, usize), u64); 3]) {
+        let expected = naive_attention(&case.q, &case.k, &case.v);
+        for (point, recorded) in golden {
+            let out = case.run(1, point);
+            let ExecOutput::Matrix(m) = &out else {
+                panic!("attention returns a matrix");
+            };
+            assert_matches_unfused(m.as_slice(), &expected, 1e-12, &format!("{point:?}"));
+            let fold = fold_bits(out);
+            assert_eq!(fold, recorded, "{point:?}: fold {fold:#018x}");
+        }
+    }
+
+    #[test]
+    fn an_infinite_value_under_a_zero_probability_adds_nan() {
+        // Eleven query rows (a group of eight, one of three) over 13 keys of
+        // one coordinate. Key 2 scores at least 799 below every row's
+        // maximum, so its probability is exactly 0; its values are +inf, NaN,
+        // -inf and 0.5, and 0·inf is NaN in P·V as in the unfused form. Every
+        // point keeps key 2 in a segment with ordinary keys, whose partial
+        // the combine keeps.
+        let mut keys = random_vec(13, 60, -2.0, 2.0);
+        keys[2] = -1600.0;
+        let mut v = random_matrix(13, 4, 61, -1.0, 1.0);
+        v.row_mut(2)
+            .copy_from_slice(&[f64::INFINITY, f64::NAN, NEG_INF, 0.5]);
+        let case = DecodeCase {
+            q: random_matrix(11, 1, 62, 0.5, 1.5),
+            k: Matrix::from_vec(13, 1, keys),
+            v,
+        };
+        check_attention_folds(
+            &case,
+            [
+                ((128, 128, 1), 0xdbd8_044f_8394_94b4),
+                ((4, 2, 1), 0xb5ea_9729_9fd7_c166),
+                ((4, 3, 3), 0x2812_63cd_cf20_27a6),
+            ],
+        );
+        let out = case.run(1, (128, 128, 1));
+        let ExecOutput::Matrix(out) = out else {
+            unreachable!()
+        };
+        for r in 0..11 {
+            let nan: Vec<bool> = out.row(r).iter().map(|x| x.is_nan()).collect();
+            assert_eq!(nan, [true, true, true, false], "row {r}");
+        }
+    }
+
+    #[test]
+    fn a_fully_masked_row_rides_with_live_group_mates() {
+        // Key coordinate 1 is -inf for keys 0..3 (every row's leading tile
+        // masked at tiles of three), coordinate 0 positive for every key, and
+        // query row 5's coordinate 0 is -inf: it scores -inf against every
+        // key while its seven group mates are live from key 3 on.
+        let mut q = random_matrix(11, 2, 63, 0.5, 1.5);
+        q.set(5, 0, NEG_INF);
+        let mut k = random_matrix(13, 2, 64, -1.0, 1.0);
+        for j in 0..13 {
+            k.set(j, 0, 0.5 + k.get(j, 0).abs());
+        }
+        for j in 0..3 {
+            k.set(j, 1, NEG_INF);
+        }
+        let case = DecodeCase {
+            q,
+            k,
+            v: random_matrix(13, 3, 65, -1.0, 1.0),
+        };
+        check_attention_folds(
+            &case,
+            [
+                ((128, 128, 1), 0xd0c6_3ecf_ec08_3316),
+                ((4, 3, 1), 0xe472_74d5_df82_e92d),
+                ((4, 2, 3), 0x4dfd_ff47_2e4b_5c38),
+            ],
+        );
+        let ExecOutput::Matrix(out) = case.run(1, (4, 3, 1)) else {
+            unreachable!()
+        };
+        for r in 0..11 {
+            assert_eq!(out.row(r).iter().all(|x| x.is_nan()), r == 5, "row {r}");
+            assert_eq!(out.row(r).iter().any(|x| x.is_nan()), r == 5, "row {r}");
+        }
+    }
+
+    #[test]
+    fn an_infinite_weight_under_a_zero_activation_adds_nan() {
+        // Eleven tokens over 5 hidden coordinates and 21 experts. Weight row
+        // 3 holds +inf at expert 4 and -inf at expert 12; the odd tokens'
+        // coordinate 3 is 0, so 0·inf makes their scores there NaN (every
+        // term is added, as in the unfused form), and the even tokens'
+        // scores there are infinite.
+        let (tokens, hidden, experts, topk) = (11, 5, 21, 3);
+        let mut x = random_matrix(tokens, hidden, 66, -1.0, 1.0);
+        for t in (1..tokens).step_by(2) {
+            x.set(t, 3, 0.0);
+        }
+        let mut w = random_matrix(hidden, experts, 67, -1.0, 1.0);
+        w.set(3, 4, f64::INFINITY);
+        w.set(3, 12, NEG_INF);
+        let expected: Vec<RoutingDecision> = (0..tokens)
+            .map(|t| {
+                let score = |e: usize| (0..hidden).fold(0.0, |s, h| s + x.get(t, h) * w.get(h, e));
+                let scores: Vec<f64> = (0..experts).map(score).collect();
+                let probs = naive_softmax_row(&scores);
+                let mut best = Vec::new();
+                for (index, &score) in scores.iter().enumerate() {
+                    insert_candidate(&mut best, Candidate { index, score }, topk);
+                }
+                RoutingDecision {
+                    experts: best.iter().map(|c| c.index).collect(),
+                    probs: best.iter().map(|c| probs[c.index]).collect(),
+                }
+            })
+            .collect();
+        let input = ExecInput::Routing { x: &x, w: &w };
+        let recorded = 0xba6b_7ea5_a92c_f634;
+        let golden = [
+            ((128, 128, 1), recorded),
+            ((4, 5, 1), recorded),
+            ((4, 5, 3), recorded),
+        ];
+        for (point, recorded) in golden {
+            let program = bound_program(Semantics::Routing { topk, hidden }, point);
+            let out = execute_with_threads(1, &program, &input).unwrap();
+            let ExecOutput::TopK(decisions) = &out else {
+                panic!("routing returns decisions");
+            };
+            for (t, (got, want)) in decisions.iter().zip(&expected).enumerate() {
+                let case = format!("token {t} at {point:?}");
+                assert_eq!(got.experts, want.experts, "{case}");
+                assert_matches_unfused(&got.probs, &want.probs, 1e-12, &case);
+                if t % 2 == 1 {
+                    // A NaN score makes the sum NaN and ranks below every
+                    // number.
+                    assert!(got.probs.iter().all(|p| p.is_nan()), "{case}");
+                    assert!(!got.experts.contains(&4) && !got.experts.contains(&12));
+                }
+            }
+            let fold = fold_bits(out);
+            assert_eq!(fold, recorded, "{point:?}: fold {fold:#018x}");
         }
     }
 

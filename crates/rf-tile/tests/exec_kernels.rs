@@ -20,11 +20,16 @@
 //!   single-segment folds moved, the four-segment one kept its bits (that
 //!   module's numerics policy says when a fold may move: only when the
 //!   routine or a summation order is the point of the change, and the change
-//!   lists each one). All five must reproduce the fold exactly
-//!   — on every CPU: the exponential returns the same bits at every vector
-//!   width. Softmax, whose epilogue rescales the stored exponentials instead
-//!   of recomputing them, must stay within `1e-12` relative of the elements
-//!   recorded with libm's exponential.
+//!   lists each one). The second routing case (11 tokens over 70 hidden
+//!   coordinates into 100 experts: tiles of 40 experts read from rows 100
+//!   wide) and both softmax cases were recorded at the commit before P·V,
+//!   routing's scores, the tile maximum and the sum of the exponentials ran
+//!   over blocks of rows and full vectors, and pin that the change kept
+//!   every bit. Every family must reproduce the fold exactly — on every CPU:
+//!   the exponential returns the same bits at every vector width. Softmax
+//!   must also stay within `1e-12` relative of the elements recorded with
+//!   libm's exponential, before its epilogue rescaled the stored
+//!   exponentials instead of recomputing them.
 //! * **`block_rows` invariance** — every family's output is bitwise
 //!   independent of `block_rows`, which is what row-sharded serving relies on
 //!   when it concatenates per-device row blocks.
@@ -192,6 +197,33 @@ fn bit_exact_families_reproduce_the_recorded_folds() {
                 ((128, 128, 1), 0x7e9e_a6f8_da5b_8bd4),
                 ((2, 4, 1), 0x2cb8_a76e_f9c7_92ac),
                 ((4, 5, 3), 0x544e_8279_6361_39f0),
+            ],
+        ),
+        (
+            "routing",
+            routing(11, 70, 100, 5, 210),
+            [
+                ((128, 128, 1), 0xa159_232e_3c96_5199),
+                ((4, 40, 1), 0xbf66_95ea_e85d_087a),
+                ((8, 24, 3), 0x0b7c_59e1_5f90_7017),
+            ],
+        ),
+        (
+            "softmax",
+            softmax(4, 45, 600),
+            [
+                ((128, 128, 1), 0x3f99_944e_e258_8f14),
+                ((2, 8, 1), 0x0bd0_2408_f695_7a8d),
+                ((3, 7, 4), 0x0e7f_1558_cfd5_2178),
+            ],
+        ),
+        (
+            "softmax",
+            softmax(5, 300, 610),
+            [
+                ((128, 512, 1), 0x523e_f831_11a6_ae8d),
+                ((4, 64, 1), 0x6331_fa5d_b8ce_fa6f),
+                ((2, 40, 3), 0x2160_75f1_caf7_6e15),
             ],
         ),
         (

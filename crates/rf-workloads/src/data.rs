@@ -9,7 +9,7 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::rows::{add_scaled_rows, available_cores, for_row_ranges};
+use crate::rows::{add_scaled_block, available_cores, for_row_ranges, Terms};
 
 /// A dense row-major `f64` matrix.
 ///
@@ -104,9 +104,10 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`, its rows split over the host's cores
-    /// when the product is large enough ([`for_row_ranges`]). Every output
-    /// adds its `a · b` terms in ascending inner index, skipping terms whose
-    /// `a` is zero, whatever the split.
+    /// when the product is large enough ([`for_row_ranges`]) and each range's
+    /// rows run as one [`add_scaled_block`], four rows per pass over `other`.
+    /// Every output adds its `a · b` terms in ascending inner index, skipping
+    /// terms whose `a` is zero, whatever the split.
     ///
     /// # Panics
     ///
@@ -121,11 +122,8 @@ impl Matrix {
         let cols = other.cols;
         let mut out = Matrix::zeros(self.rows, cols);
         let body = |range: Range<usize>, out: &mut [f64]| {
-            for (i, out_row) in range.zip(out.chunks_exact_mut(cols.max(1))) {
-                let terms = self.row(i).iter().zip(other.data.chunks_exact(cols.max(1)));
-                let nonzero = terms.filter(|(&a, _)| a != 0.0);
-                add_scaled_rows(out_row, nonzero.map(|(&a, b)| (a, b)));
-            }
+            let a = &self.data[range.start * self.cols..range.end * self.cols];
+            add_scaled_block(out, cols, a, &other.data, cols, Terms::NonZero);
         };
         let (rows, work_per_row) = (self.rows, self.cols * cols);
         for_row_ranges(threads, rows, 1, work_per_row, &mut out.data, cols, body);

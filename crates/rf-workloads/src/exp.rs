@@ -14,7 +14,9 @@
 //!   CPU. The slice loops run at the widest vector tier this CPU offers —
 //!   baseline, AVX2 or AVX-512F, picked at run time by the crate's `tier`
 //!   module, with no Cargo feature, environment variable or compiler flag to
-//!   set, and shared with [`add_scaled_rows`](crate::add_scaled_rows). The
+//!   set, and shared with [`add_scaled_block`](crate::add_scaled_block). Each
+//!   slice form also returns the sum of its exponentials, added in the same
+//!   pass in eight lanes and one fixed tree. The
 //!   body is the same source at every tier and contains only IEEE
 //!   multiplications, additions, comparisons-and-selects and integer shifts:
 //!   **no `mul_add`**, nothing a wider unit could fuse or reorder, so vector
@@ -53,6 +55,7 @@
 //! loops vectorise; the exponent is built with a *left* shift because AVX2 has
 //! no 64-bit arithmetic right shift.
 
+use crate::rows::{lane_tree, LANES};
 use crate::tier::Tier;
 
 /// `1.5 · 2⁵²`: adding it to `|v| < 2⁵¹` rounds `v` to an integer (ties to
@@ -119,52 +122,89 @@ pub fn exp(x: f64) -> f64 {
 }
 
 #[inline(always)]
-fn shifted_body(out: &mut [f64], xs: &[f64], shift: f64) {
-    for (slot, &x) in out.iter_mut().zip(xs) {
-        *slot = exp(x - shift);
+fn shifted_body(out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
+    let mut sums = [0.0f64; LANES];
+    let mut outs = out.chunks_exact_mut(LANES);
+    let mut ins = xs.chunks_exact(LANES);
+    for (out, xs) in (&mut outs).zip(&mut ins) {
+        let xs: &[f64; LANES] = xs.try_into().expect("a chunk is LANES wide");
+        out.copy_from_slice(&exp_into_lanes(&mut sums, xs, shift));
     }
+    let rest = outs.into_remainder().iter_mut().zip(ins.remainder());
+    for ((slot, &x), sum) in rest.zip(&mut sums) {
+        *slot = exp(x - shift);
+        *sum += *slot;
+    }
+    lane_tree(sums)
 }
 
 #[inline(always)]
-fn in_place_body(xs: &mut [f64], shift: f64) {
-    for x in xs {
-        *x = exp(*x - shift);
+fn in_place_body(xs: &mut [f64], shift: f64) -> f64 {
+    let mut sums = [0.0f64; LANES];
+    let mut chunks = xs.chunks_exact_mut(LANES);
+    for chunk in &mut chunks {
+        let chunk: &mut [f64; LANES] = chunk.try_into().expect("a chunk is LANES wide");
+        *chunk = exp_into_lanes(&mut sums, chunk, shift);
     }
+    for (x, sum) in chunks.into_remainder().iter_mut().zip(&mut sums) {
+        *x = exp(*x - shift);
+        *sum += *x;
+    }
+    lane_tree(sums)
+}
+
+/// `exp(xs[i] − shift)` of eight elements, each added to its lane of `sums`.
+/// Fixed-size arrays and an index loop keep the eight in one vector; with
+/// `array::map` in place of the loop the slice forms ran 4× slower at
+/// AVX-512F (the ignored `timing_per_tier` test).
+#[inline(always)]
+fn exp_into_lanes(sums: &mut [f64; LANES], xs: &[f64; LANES], shift: f64) -> [f64; LANES] {
+    let mut exps = [0.0f64; LANES];
+    for i in 0..LANES {
+        exps[i] = exp(xs[i] - shift);
+        sums[i] += exps[i];
+    }
+    exps
 }
 
 /// [`exp_shifted`] compiled for `tier` (the baseline if this CPU lacks it).
 /// Callers outside tests pass [`Tier::widest`].
-fn exp_shifted_on(tier: Tier, out: &mut [f64], xs: &[f64], shift: f64) {
+fn exp_shifted_on(tier: Tier, out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
     assert_eq!(out.len(), xs.len(), "one output per input");
     tier.run(
         #[inline(always)]
         || shifted_body(out, xs, shift),
-    );
+    )
 }
 
 /// [`exp_shifted_in_place`] compiled for `tier` (the baseline if this CPU
 /// lacks it). Callers outside tests pass [`Tier::widest`].
-fn exp_shifted_in_place_on(tier: Tier, xs: &mut [f64], shift: f64) {
+fn exp_shifted_in_place_on(tier: Tier, xs: &mut [f64], shift: f64) -> f64 {
     tier.run(
         #[inline(always)]
         || in_place_body(xs, shift),
-    );
+    )
 }
 
 /// `out[i] = exp(xs[i] − shift)`: a tile's reduce step under its maximum.
-/// Bit-identical to calling [`exp`] per element, on every CPU.
+/// Bit-identical to calling [`exp`] per element, on every CPU. Returns the
+/// sum of the exponentials, added in the same pass: element `i` into lane
+/// `i mod 8` and the eight lanes in one fixed tree,
+/// `((0+1)+(2+3))+((4+5)+(6+7))`, as [`sum_and_squares`](crate::sum_and_squares)
+/// adds.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
-pub fn exp_shifted(out: &mut [f64], xs: &[f64], shift: f64) {
-    exp_shifted_on(Tier::widest(), out, xs, shift);
+pub fn exp_shifted(out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
+    exp_shifted_on(Tier::widest(), out, xs, shift)
 }
 
 /// `xs[i] = exp(xs[i] − shift)`, for a tile of scores that is its own output.
-/// Bit-identical to calling [`exp`] per element, on every CPU.
-pub fn exp_shifted_in_place(xs: &mut [f64], shift: f64) {
-    exp_shifted_in_place_on(Tier::widest(), xs, shift);
+/// Bit-identical to calling [`exp`] per element, on every CPU; returns their
+/// sum in [`exp_shifted`]'s order.
+pub fn exp_shifted_in_place(xs: &mut [f64], shift: f64) -> f64 {
+    exp_shifted_in_place_on(Tier::widest(), xs, shift)
 }
 
 #[cfg(test)]
@@ -274,16 +314,22 @@ mod tests {
             for offset in 0..=3 {
                 for len in 0..=67 {
                     let xs = &values[offset..offset + len];
-                    let expected: Vec<u64> = xs.iter().map(|&x| exp(x - shift).to_bits()).collect();
+                    let exps: Vec<f64> = xs.iter().map(|&x| exp(x - shift)).collect();
+                    let expected: Vec<u64> = exps.iter().map(|e| e.to_bits()).collect();
+                    let sum = canonical_bits(lane_sum_spec(&exps));
                     for &tier in &tiers {
+                        let case = format!("{tier:?} len {len} offset {offset}");
                         let mut out = vec![f64::NAN; len + 2];
-                        exp_shifted_on(tier, &mut out[1..=len], xs, shift);
+                        let got = exp_shifted_on(tier, &mut out[1..=len], xs, shift);
                         let bits: Vec<u64> = out[1..=len].iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(bits, expected, "{tier:?} len {len} offset {offset}");
+                        assert_eq!(bits, expected, "{case}");
+                        assert_eq!(canonical_bits(got), sum, "sum, {case}");
                         assert!(out[0].is_nan() && out[len + 1].is_nan(), "wrote outside");
 
                         let mut in_place = values.clone();
-                        exp_shifted_in_place_on(tier, &mut in_place[offset..offset + len], shift);
+                        let range = offset..offset + len;
+                        let got = exp_shifted_in_place_on(tier, &mut in_place[range], shift);
+                        assert_eq!(canonical_bits(got), sum, "in-place sum, {case}");
                         let touched = &in_place[offset..offset + len];
                         let bits: Vec<u64> = touched.iter().map(|v| v.to_bits()).collect();
                         assert_eq!(
@@ -301,25 +347,72 @@ mod tests {
         }
         // The public entry points are the widest tier.
         let mut out = vec![0.0; values.len()];
-        exp_shifted(&mut out, &values, 0.5);
+        let sum = exp_shifted(&mut out, &values, 0.5);
         let mut in_place = values.clone();
-        exp_shifted_in_place(&mut in_place, 0.5);
+        let in_place_sum = exp_shifted_in_place(&mut in_place, 0.5);
         for ((&x, a), b) in values.iter().zip(&out).zip(&in_place) {
             assert_eq!(a.to_bits(), exp(x - 0.5).to_bits());
             assert_eq!(b.to_bits(), a.to_bits());
+        }
+        let widest = exp_shifted_on(tiers[0], &mut out, &values, 0.5);
+        assert_eq!(canonical_bits(sum), canonical_bits(widest));
+        assert_eq!(canonical_bits(in_place_sum), canonical_bits(widest));
+    }
+
+    /// The order the slice forms promise for their sum, one term at a time:
+    /// element `i` into lane `i mod 8`, then `((0+1)+(2+3))+((4+5)+(6+7))`.
+    fn lane_sum_spec(xs: &[f64]) -> f64 {
+        let mut lanes = [0.0f64; 8];
+        for (i, &x) in xs.iter().enumerate() {
+            lanes[i % 8] += x;
+        }
+        let [a, b, c, d, e, f, g, h] = lanes;
+        ((a + b) + (c + d)) + ((e + f) + (g + h))
+    }
+
+    /// Bits of a value, a NaN as "NaN here": which NaN an addition of two
+    /// NaNs returns is left open by Rust and moves when LLVM commutes it.
+    fn canonical_bits(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// On ragged tiles the sum is the lane spec's over the elements
+        /// [`exp`] returns one at a time.
+        #[test]
+        fn prop_the_sum_is_the_lane_sum_of_the_exponentials(
+            len in 0usize..150,
+            shift in -5.0f64..5.0,
+            seed in 0u64..1000,
+        ) {
+            let xs = crate::random_vec(len, seed, -20.0, 8.0);
+            let exps: Vec<f64> = xs.iter().map(|&x| exp(x - shift)).collect();
+            let mut out = vec![0.0; len];
+            let sum = exp_shifted(&mut out, &xs, shift);
+            proptest::prop_assert_eq!(sum.to_bits(), lane_sum_spec(&exps).to_bits());
+            let mut in_place = xs.clone();
+            let sum = exp_shifted_in_place(&mut in_place, shift);
+            proptest::prop_assert_eq!(sum.to_bits(), lane_sum_spec(&exps).to_bits());
+            proptest::prop_assert!(out.iter().zip(&in_place).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 
     /// Not a check: prints what `rf_tile::exec`'s `EXP_WORK`, the README and
     /// [`crate::PARALLEL_MIN_WORK`] quote — ns per element of libm, the scalar
-    /// form and every tier on a 4096-element tile, and ns per multiply-add of
-    /// `add_scaled_rows` at every tier (64 rows of 64 into a 64-wide
-    /// accumulator).
+    /// form and every tier on a 4096-element tile (with its sum), and ns per
+    /// multiply-add of `add_scaled_block`'s row-by-row loop at every tier (64
+    /// rows of 64 into one 64-wide accumulator).
     /// `cargo test --release -p rf-workloads timing -- --ignored --nocapture`
     #[test]
     #[ignore = "prints timings"]
     fn timing_per_tier() {
-        use crate::rows::{add_scaled_rows_on, sum_and_squares_on};
+        use crate::rows::{add_scaled_block_on, sum_and_squares_on, Terms};
         use std::hint::black_box;
         use std::time::Instant;
         const LEN: usize = 4096;
@@ -356,17 +449,19 @@ mod tests {
             println!("{name}, dependent chain {chained:6.2} ns");
         }
         for tier in Tier::available() {
-            let ns = ns_per_op(&mut |out| exp_shifted_on(tier, out, black_box(&xs), 0.5));
+            let ns = ns_per_op(&mut |out| {
+                black_box(exp_shifted_on(tier, out, black_box(&xs), 0.5));
+            });
             let fma = ns_per_op(&mut |out| {
-                let terms = xs.iter().copied().zip(rows.chunks_exact(64));
-                add_scaled_rows_on(tier, &mut out[..64], terms);
+                let (acc, coeffs) = (&mut out[..64], &xs[..64]);
+                add_scaled_block_on(tier, acc, black_box(64), coeffs, &rows, 64, Terms::All);
             });
             let sums = ns_per_op(&mut |out| {
                 let (sum, sum_sq) = sum_and_squares_on(tier, black_box(&xs));
                 out[0] = sum + sum_sq;
             });
             println!(
-                "{tier:?}, slice form {ns:6.2} ns, add_scaled_rows {fma:6.3} ns per multiply-add, \
+                "{tier:?}, slice form {ns:6.2} ns, one row of add_scaled_block {fma:6.3} ns per multiply-add, \
                  sum_and_squares {sums:6.3} ns per element"
             );
         }

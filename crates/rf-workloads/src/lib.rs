@@ -14,9 +14,9 @@
 //! accounting used by the analytical GPU model and the baselines. The
 //! [`data`] module provides deterministic random tensor generation shared by
 //! kernels, tests and benchmarks; [`rows`] runs a computation's independent
-//! rows on the host's cores and holds [`add_scaled_rows`], the GEMM loop of
-//! every cascade that carries one, and [`add_scaled_block`], the same for a
-//! block of rows that share one W tile; [`exp`](mod@exp) is the exponential the
+//! rows on the host's cores and holds [`add_scaled_block`], the GEMM loop of
+//! every cascade that carries one, a block of rows against one W tile, and
+//! the tile VM's other row loops; [`exp`](mod@exp) is the exponential the
 //! tile VM and its unfused oracles share. Both run their slice loops at the
 //! widest vector tier the CPU offers, with the same bits at every tier; the
 //! private `tier` module makes that run-time choice.
@@ -44,8 +44,8 @@ pub use nonml::{
 };
 pub use quant::{fp8_round, quant_configs, quant_tiny, QuantGemmConfig, FP8_MAX};
 pub use rows::{
-    add_scaled_block, add_scaled_rows, available_cores, dot_rows, for_row_ranges, query_groups,
-    score_group, sum_and_squares, QueryGroup, PARALLEL_MIN_WORK, QUERY_LANES,
+    add_scaled_block, available_cores, dot_rows, for_row_ranges, query_groups, score_group,
+    sum_and_squares, tile_max, QueryGroup, Terms, PARALLEL_MIN_WORK, QUERY_LANES,
 };
 
 /// Bytes per element for the storage precisions used in the paper's workloads.

@@ -1,20 +1,22 @@
 //! Row-parallel execution: the one place this workspace splits a computation
-//! over its independent rows, and the row-slice kernel the split bodies share.
+//! over its independent rows, and the row-slice kernels the split bodies
+//! share.
 //!
 //! Every cascaded reduction here is a *grid*: output rows (row blocks on the
 //! accelerator) never read each other's results. [`for_row_ranges`] runs such
 //! a grid on the host's cores with scoped threads — no pool, no state beyond
-//! the cached core count. [`add_scaled_rows`] is the inner loop of a
-//! row-times-matrix product taken one row at a time: attention's P·V,
-//! routing's scores and [`Matrix::matmul`]; [`add_scaled_block`] is quant +
-//! GEMM's, a block of rows against one W tile, four rows' accumulators held
-//! in registers while the tile's rows stream past, and the bits of
-//! [`add_scaled_rows`] row by row. [`score_group`] is attention's Q·Kᵀ tile
-//! for a group of up to [`QUERY_LANES`] query rows, one vector of rows per
-//! key, and [`dot_rows`] the same for a lone row; [`sum_and_squares`] is the
-//! plain row sum of variance's two statistics. All but [`dot_rows`] run at
-//! the widest vector tier the CPU offers, chosen at run time as
-//! [`exp`](mod@crate::exp)'s slice loops are, with the baseline's bits.
+//! the cached core count. [`add_scaled_block`] is every row-times-matrix
+//! product the tile VM runs — attention's P·V, routing's scores, quant +
+//! GEMM's accumulate — and [`Matrix::matmul`]: a block of rows against one W
+//! tile, four rows' accumulators held in registers while the tile's rows
+//! stream past, in one of two [`Terms`] forms (skip a zero coefficient's
+//! term, or add it). [`score_group`] is attention's Q·Kᵀ tile for a group of
+//! up to [`QUERY_LANES`] query rows, one vector of rows per key, and
+//! [`dot_rows`] the same for a lone row; [`tile_max`] is a tile's maximum and
+//! [`sum_and_squares`] the plain row sum of variance's two statistics, both in
+//! eight lanes. All but [`dot_rows`] run at the widest vector tier the CPU
+//! offers, chosen at run time as [`exp`](mod@crate::exp)'s slice loops are,
+//! with the baseline's bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
@@ -40,7 +42,7 @@ use crate::tier::Tier;
 /// cost on one (+3 %); under it a call (the memory-bound `variance 256×4096`,
 /// 2²⁰ elements in 340 µs, is one) stays inline and costs what it did.
 ///
-/// Those multiply-adds ran at the x86-64 baseline. Since [`add_scaled_rows`]
+/// Those multiply-adds ran at the x86-64 baseline. Since the row GEMM loop
 /// runs at the widest vector tier (AVX-512F there: 0.4–0.5× the time per
 /// multiply-add of the baseline), a call of the same work is shorter and
 /// the split's fixed cost weighs more. Re-measured with a 256-wide
@@ -137,36 +139,212 @@ pub fn for_row_ranges<T: Send, R: Send>(
     })
 }
 
-/// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
-/// adding its terms in the order they arrive. Four terms share one pass over
-/// `acc`, so it is loaded and stored once per four rows; the inner loop runs
-/// over contiguous slices and vectorises across `j`, at the widest vector
-/// tier this CPU offers (picked at run time, like [`exp`](mod@crate::exp)'s)
-/// — with the bits of every other tier, since each product is rounded and
-/// added on its own.
+/// Which terms [`add_scaled_block`] adds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Terms {
+    /// Only those whose coefficient is not zero (of either sign), so an
+    /// infinity or a NaN of W under a zero coefficient does not show: quant +
+    /// GEMM's quantised activations and [`Matrix::matmul`].
+    ///
+    /// [`Matrix::matmul`]: crate::Matrix::matmul
+    NonZero,
+    /// Every term, so a zero coefficient times an infinity or a NaN adds NaN,
+    /// as the unfused forms do: attention's P·V and routing's scores.
+    All,
+}
+
+/// Rows of accumulators [`add_scaled_block`] holds in registers at once: a
+/// constant of the source, like [`QUERY_LANES`], not of the CPU.
+const BLOCK_ROWS: usize = 4;
+
+/// `accs[r][j] += Σ_kk coeffs[r][kk] · w[kk][j]` for a block of rows, each
+/// accumulator adding its terms one at a time in key order to the value it
+/// held. `accs` holds the rows' `n`-wide accumulators back to back and
+/// `coeffs` one coefficient per row and key, row-major; key `kk`'s row of W
+/// is `w[kk · w_stride..][..n]`, so a tile of columns of a wider matrix is
+/// read where it lies (`w` ends with the last key's row). `terms` says
+/// whether a term under a zero coefficient is skipped or added.
+///
+/// Four rows share each pass over the keys: a panel of their accumulators
+/// (4 × 32 columns at AVX-512F, sixteen of its registers; 4 × 16 under AVX2)
+/// stays in vector registers while every key's row of W is added into all
+/// four, so a W tile is read once per four rows and an accumulator once per
+/// tile instead of once per four keys. The panels move no bits: the widest
+/// vector tier this CPU offers (picked at run time, like
+/// [`exp`](mod@crate::exp)'s) returns the bits of every other tier. Rows past
+/// the last block of four and columns past the last panel run row by row,
+/// four terms per pass over the accumulator, as every row does at the
+/// baseline, where no panel measured faster.
 ///
 /// # Panics
 ///
-/// Panics if a row is shorter than `acc`.
-pub fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
-    add_scaled_rows_on(Tier::widest(), acc, terms);
-}
-
-/// [`add_scaled_rows`] compiled for `tier` (the baseline if this CPU lacks
-/// it). Callers outside tests pass [`Tier::widest`].
-pub(crate) fn add_scaled_rows_on<'a>(
-    tier: Tier,
-    acc: &mut [f64],
-    terms: impl Iterator<Item = (f64, &'a [f64])>,
+/// Panics if `n` is not zero and `accs` is not a whole number of `n`-wide
+/// rows, `w_stride` is under `n`, `w` does not end with a key's row, or
+/// `coeffs` does not hold one coefficient per row and key.
+pub fn add_scaled_block(
+    accs: &mut [f64],
+    n: usize,
+    coeffs: &[f64],
+    w: &[f64],
+    w_stride: usize,
+    terms: Terms,
 ) {
-    tier.run(
-        #[inline(always)]
-        || scaled_rows_body(acc, terms),
-    );
+    add_scaled_block_on(Tier::widest(), accs, n, coeffs, w, w_stride, terms);
 }
 
+/// [`add_scaled_block`] compiled for `tier` (the baseline if this CPU lacks
+/// it). Callers outside tests pass [`Tier::widest`].
+pub(crate) fn add_scaled_block_on(
+    tier: Tier,
+    accs: &mut [f64],
+    n: usize,
+    coeffs: &[f64],
+    w: &[f64],
+    w_stride: usize,
+    terms: Terms,
+) {
+    if n == 0 {
+        return;
+    }
+    let rows = accs.len() / n;
+    let keys = if w.is_empty() {
+        0
+    } else {
+        w.len().saturating_sub(n) / w_stride.max(1) + 1
+    };
+    assert!(
+        w_stride >= n
+            && accs.len() == rows * n
+            && (keys == 0 || (keys - 1) * w_stride + n == w.len())
+            && coeffs.len() == rows * keys,
+        "one coefficient per row and key, and whole rows of n"
+    );
+    if keys == 0 {
+        return;
+    }
+    let block = Block {
+        n,
+        keys,
+        coeffs,
+        w,
+        w_stride,
+    };
+    match terms {
+        Terms::NonZero => block_on::<false>(tier, accs, &block),
+        Terms::All => block_on::<true>(tier, accs, &block),
+    }
+}
+
+/// The operands of one [`add_scaled_block`] call, for positive `n` and
+/// `keys`.
+struct Block<'a> {
+    n: usize,
+    keys: usize,
+    coeffs: &'a [f64],
+    w: &'a [f64],
+    w_stride: usize,
+}
+
+impl<'a> Block<'a> {
+    /// The `(coefficient, W row from column col)` terms of one row's
+    /// coefficients that `ALL` adds, in key order.
+    #[inline(always)]
+    fn terms<const ALL: bool>(
+        &self,
+        coeffs: &'a [f64],
+        col: usize,
+    ) -> impl Iterator<Item = (f64, &'a [f64])> + 'a {
+        let w_rows = self.w.chunks(self.w_stride).map(move |w| &w[col..]);
+        let terms = coeffs.iter().copied().zip(w_rows);
+        terms.filter(|&(c, _)| ALL || c != 0.0)
+    }
+}
+
+/// [`add_scaled_block`] for one form of its terms, at `tier`.
 #[inline(always)]
-fn scaled_rows_body<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
+fn block_on<const ALL: bool>(tier: Tier, accs: &mut [f64], block: &Block) {
+    // Measured at quant's benchmark tile (the ignored `timing_scaled_block`
+    // test, the width of `n` unknown to the compiler as in the VM): under
+    // AVX2 4 × 16 beat 4 × 8 and the row-by-row loop; at the baseline every
+    // panel from 4 to 32 columns lost to it.
+    match tier {
+        Tier::Avx512 => tier.run(
+            #[inline(always)]
+            || scaled_block_body::<32, ALL>(accs, block),
+        ),
+        Tier::Avx2 => tier.run(
+            #[inline(always)]
+            || scaled_block_body::<16, ALL>(accs, block),
+        ),
+        Tier::Baseline => scaled_each_row::<ALL>(accs, block.coeffs, block),
+    }
+}
+
+/// [`add_scaled_block`] in blocks of four rows by panels of `COLS` columns.
+#[inline(always)]
+fn scaled_block_body<const COLS: usize, const ALL: bool>(accs: &mut [f64], block: &Block) {
+    let (n, keys) = (block.n, block.keys);
+    let panels = n - n % COLS;
+    let mut acc_blocks = accs.chunks_exact_mut(BLOCK_ROWS * n);
+    let mut coeff_blocks = block.coeffs.chunks_exact(BLOCK_ROWS * keys);
+    for (acc, c) in (&mut acc_blocks).zip(&mut coeff_blocks) {
+        // Four named rows, each panel in its own fixed-size array: an array
+        // of four rows indexed by row left the panel on the stack.
+        let (a0, acc) = acc.split_at_mut(n);
+        let (a1, acc) = acc.split_at_mut(n);
+        let (a2, a3) = acc.split_at_mut(n);
+        let (c0, c) = c.split_at(keys);
+        let (c1, c) = c.split_at(keys);
+        let (c2, c3) = c.split_at(keys);
+        for col in (0..panels).step_by(COLS) {
+            let mut s0 = panel::<COLS>(a0, col);
+            let mut s1 = panel::<COLS>(a1, col);
+            let mut s2 = panel::<COLS>(a2, col);
+            let mut s3 = panel::<COLS>(a3, col);
+            let terms = c0.iter().zip(c1).zip(c2).zip(c3);
+            // Key `kk`'s row of W indexed from the start of `w`: iterating
+            // the rows as chunks measured a fifth slower at quant's tile.
+            for (kk, (((&k0, &k1), &k2), &k3)) in terms.enumerate() {
+                let w = panel::<COLS>(block.w, kk * block.w_stride + col);
+                add_term::<COLS, ALL>(&mut s0, k0, &w);
+                add_term::<COLS, ALL>(&mut s1, k1, &w);
+                add_term::<COLS, ALL>(&mut s2, k2, &w);
+                add_term::<COLS, ALL>(&mut s3, k3, &w);
+            }
+            a0[col..col + COLS].copy_from_slice(&s0);
+            a1[col..col + COLS].copy_from_slice(&s1);
+            a2[col..col + COLS].copy_from_slice(&s2);
+            a3[col..col + COLS].copy_from_slice(&s3);
+        }
+        // Columns past the last panel; with none, walking every key's terms
+        // for them cost P·V's 16-key tile about a third of its panel work.
+        if panels < n {
+            for (acc, c) in [(a0, c0), (a1, c1), (a2, c2), (a3, c3)] {
+                add_scaled_rows(&mut acc[panels..], block.terms::<ALL>(c, panels));
+            }
+        }
+    }
+    let rest = acc_blocks.into_remainder();
+    scaled_each_row::<ALL>(rest, coeff_blocks.remainder(), block);
+}
+
+/// [`add_scaled_rows`] on each row of `accs`, whose coefficients `coeffs`
+/// holds, over the row's terms that `ALL` adds.
+#[inline(always)]
+fn scaled_each_row<const ALL: bool>(accs: &mut [f64], coeffs: &[f64], block: &Block) {
+    let rows = accs.chunks_exact_mut(block.n);
+    for (acc, c) in rows.zip(coeffs.chunks_exact(block.keys)) {
+        add_scaled_rows(acc, block.terms::<ALL>(c, 0));
+    }
+}
+
+/// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
+/// adding its terms in the order they arrive: [`add_scaled_block`]'s loop
+/// for one row. Four terms share one pass over `acc`, so it is loaded and
+/// stored once per four rows; the inner loop runs over contiguous slices and
+/// vectorises across `j`.
+#[inline(always)]
+fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
     let n = acc.len();
     let mut terms = terms.map(|(c, row)| (c, &row[..n])).fuse();
     loop {
@@ -190,131 +368,6 @@ fn scaled_rows_body<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [
     }
 }
 
-/// Rows of accumulators [`add_scaled_block`] holds in registers at once: a
-/// constant of the source, like [`QUERY_LANES`], not of the CPU.
-const BLOCK_ROWS: usize = 4;
-
-/// `accs[r][j] += Σ_kk coeffs[r][kk] · w_rows[kk][j]` for a block of rows,
-/// with the bits of [`add_scaled_rows`] run once per row over the row's
-/// non-zero coefficients and their rows of W. `accs` holds the rows' `n`-wide
-/// accumulators back to back, `w_rows` the keys' `n`-wide rows of W back to
-/// back, and `coeffs` one coefficient per row and key, row-major. A term whose
-/// coefficient is zero (of either sign) is skipped, so an infinity or a NaN
-/// under it does not show.
-///
-/// Four rows share each pass over the keys: a panel of their accumulators
-/// (4 × 32 columns at AVX-512F, sixteen of its registers; 4 × 16 under AVX2)
-/// stays in vector registers while every key's row of W is added into all
-/// four, so a W tile is read once per four rows and an accumulator once per
-/// tile instead of once per four keys. Every accumulator still adds its terms
-/// one at a time in key order, at the widest vector tier this CPU offers
-/// (picked at run time, like [`add_scaled_rows`]), with the bits of every
-/// other tier. Rows past the last block of four and columns past the last
-/// panel run [`add_scaled_rows`]' loop row by row, as every row does at the
-/// baseline, where no panel measured faster than it.
-///
-/// # Panics
-///
-/// Panics if `n` is not zero and `accs` or `w_rows` is not a whole number of
-/// `n`-wide rows, or `coeffs` does not hold one coefficient per row and key.
-pub fn add_scaled_block(accs: &mut [f64], n: usize, coeffs: &[f64], w_rows: &[f64]) {
-    add_scaled_block_on(Tier::widest(), accs, n, coeffs, w_rows);
-}
-
-/// [`add_scaled_block`] compiled for `tier` (the baseline if this CPU lacks
-/// it). Callers outside tests pass [`Tier::widest`].
-pub(crate) fn add_scaled_block_on(
-    tier: Tier,
-    accs: &mut [f64],
-    n: usize,
-    coeffs: &[f64],
-    w_rows: &[f64],
-) {
-    if n == 0 {
-        return;
-    }
-    let (rows, keys) = (accs.len() / n, w_rows.len() / n);
-    assert!(
-        accs.len() == rows * n && w_rows.len() == keys * n && coeffs.len() == rows * keys,
-        "one coefficient per row and key, and whole rows of n"
-    );
-    if keys == 0 {
-        return;
-    }
-    // Measured at quant's benchmark tile (the ignored `timing_scaled_block`
-    // test, the width of `n` unknown to the compiler as in the VM): under
-    // AVX2 4 × 16 beat 4 × 8 and the row-by-row loop; at the baseline every
-    // panel from 4 to 32 columns lost to it.
-    match tier {
-        Tier::Avx512 => tier.run(
-            #[inline(always)]
-            || scaled_block_body::<32>(accs, n, keys, coeffs, w_rows),
-        ),
-        Tier::Avx2 => tier.run(
-            #[inline(always)]
-            || scaled_block_body::<16>(accs, n, keys, coeffs, w_rows),
-        ),
-        Tier::Baseline => scaled_each_row(accs, n, keys, coeffs, w_rows),
-    }
-}
-
-/// [`add_scaled_block`] in blocks of four rows by panels of `COLS` columns,
-/// for positive `n` and `keys`.
-#[inline(always)]
-fn scaled_block_body<const COLS: usize>(
-    accs: &mut [f64],
-    n: usize,
-    keys: usize,
-    coeffs: &[f64],
-    w_rows: &[f64],
-) {
-    let panels = n - n % COLS;
-    let mut acc_blocks = accs.chunks_exact_mut(BLOCK_ROWS * n);
-    let mut coeff_blocks = coeffs.chunks_exact(BLOCK_ROWS * keys);
-    for (acc, c) in (&mut acc_blocks).zip(&mut coeff_blocks) {
-        // Four named rows, each panel in its own fixed-size array: an array
-        // of four rows indexed by row left the panel on the stack.
-        let (a0, acc) = acc.split_at_mut(n);
-        let (a1, acc) = acc.split_at_mut(n);
-        let (a2, a3) = acc.split_at_mut(n);
-        let (c0, c) = c.split_at(keys);
-        let (c1, c) = c.split_at(keys);
-        let (c2, c3) = c.split_at(keys);
-        for col in (0..panels).step_by(COLS) {
-            let mut s0 = panel::<COLS>(a0, col);
-            let mut s1 = panel::<COLS>(a1, col);
-            let mut s2 = panel::<COLS>(a2, col);
-            let mut s3 = panel::<COLS>(a3, col);
-            let terms = c0.iter().zip(c1).zip(c2).zip(c3);
-            for (w, (((&k0, &k1), &k2), &k3)) in w_rows.chunks_exact(n).zip(terms) {
-                let w = panel::<COLS>(w, col);
-                add_term(&mut s0, k0, &w);
-                add_term(&mut s1, k1, &w);
-                add_term(&mut s2, k2, &w);
-                add_term(&mut s3, k3, &w);
-            }
-            a0[col..col + COLS].copy_from_slice(&s0);
-            a1[col..col + COLS].copy_from_slice(&s1);
-            a2[col..col + COLS].copy_from_slice(&s2);
-            a3[col..col + COLS].copy_from_slice(&s3);
-        }
-        for (acc, c) in [(a0, c0), (a1, c1), (a2, c2), (a3, c3)] {
-            scaled_rows_body(&mut acc[panels..], nonzero_terms(c, w_rows, n, panels));
-        }
-    }
-    let rest = acc_blocks.into_remainder();
-    scaled_each_row(rest, n, keys, coeff_blocks.remainder(), w_rows);
-}
-
-/// [`add_scaled_rows`]' loop on each row of `accs`, over the row's non-zero
-/// terms.
-#[inline(always)]
-fn scaled_each_row(accs: &mut [f64], n: usize, keys: usize, coeffs: &[f64], w_rows: &[f64]) {
-    for (acc, c) in accs.chunks_exact_mut(n).zip(coeffs.chunks_exact(keys)) {
-        scaled_rows_body(acc, nonzero_terms(c, w_rows, n, 0));
-    }
-}
-
 /// `row[col..col + COLS]` as an array.
 #[inline(always)]
 fn panel<const COLS: usize>(row: &[f64], col: usize) -> [f64; COLS] {
@@ -323,27 +376,14 @@ fn panel<const COLS: usize>(row: &[f64], col: usize) -> [f64; COLS] {
         .expect("a panel is COLS wide")
 }
 
-/// `acc += c · w`, column by column, unless `c` is zero.
+/// `acc += c · w`, column by column, unless `c` is zero and `ALL` is not set.
 #[inline(always)]
-fn add_term<const COLS: usize>(acc: &mut [f64; COLS], c: f64, w: &[f64; COLS]) {
-    if c != 0.0 {
+fn add_term<const COLS: usize, const ALL: bool>(acc: &mut [f64; COLS], c: f64, w: &[f64; COLS]) {
+    if ALL || c != 0.0 {
         for j in 0..COLS {
             acc[j] += c * w[j];
         }
     }
-}
-
-/// The `(coefficient, W row from column col)` terms of one row whose
-/// coefficient is not zero, in key order.
-#[inline(always)]
-fn nonzero_terms<'a>(
-    coeffs: &'a [f64],
-    w_rows: &'a [f64],
-    n: usize,
-    col: usize,
-) -> impl Iterator<Item = (f64, &'a [f64])> {
-    let rows = w_rows.chunks_exact(n).map(move |w| &w[col..]);
-    coeffs.iter().copied().zip(rows).filter(|&(c, _)| c != 0.0)
 }
 
 /// `out[i] = x · rows[i]`, every dot product adding its terms from `0.0` in
@@ -438,7 +478,7 @@ impl QueryGroup {
 /// for its row. Eight keys (four below AVX-512) share one pass over the
 /// group's columns; each column step is one multiply and one add per key on
 /// a vector of [`QUERY_LANES`] rows, at the widest vector tier this CPU
-/// offers (picked at run time, like [`add_scaled_rows`]), with the bits of
+/// offers (picked at run time, like [`add_scaled_block`]), with the bits of
 /// every other tier.
 ///
 /// A group of one row is scored by [`dot_rows`] instead. On the benchmark
@@ -526,17 +566,18 @@ fn add_product(dot: [f64; QUERY_LANES], column: &[f64; QUERY_LANES], k: f64) -> 
     std::array::from_fn(|lane| dot[lane] + column[lane] * k)
 }
 
-/// Independent chains of [`sum_and_squares`]: a constant of the source, not
+/// Independent chains of [`sum_and_squares`], [`tile_max`] and the sum
+/// [`exp_shifted`](crate::exp_shifted) returns: a constant of the source, not
 /// of the CPU, so the order in which the terms meet is the same at every
 /// vector width.
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// `(Σx, Σx²)` of `xs`. Element `i` goes into lane `i mod 8` of each sum and
 /// the eight lanes meet in one fixed tree, `((0+1)+(2+3))+((4+5)+(6+7))` —
-/// the order `rf_tile::exec` folds a tile's exponentials in. A plain sum is
-/// one chain of dependent additions; eight lanes are one vector per sum at
-/// the widest vector tier this CPU offers (picked at run time, like
-/// [`add_scaled_rows`]), with the bits of every other tier.
+/// the order [`exp_shifted`](crate::exp_shifted) sums a tile's exponentials
+/// in. A plain sum is one chain of dependent additions; eight lanes are one
+/// vector per sum at the widest vector tier this CPU offers (picked at run
+/// time, like [`add_scaled_block`]), with the bits of every other tier.
 pub fn sum_and_squares(xs: &[f64]) -> (f64, f64) {
     sum_and_squares_on(Tier::widest(), xs)
 }
@@ -577,8 +618,64 @@ fn add_to_lanes(sums: &mut [f64; LANES], squares: &mut [f64; LANES], chunk: &[f6
 /// AVX-512F than one vector per sum. Its additions are scalar, so the tier it
 /// is compiled for cannot show in its bits.
 #[inline(never)]
-fn lane_tree([a, b, c, d, e, f, g, h]: [f64; LANES]) -> f64 {
+pub(crate) fn lane_tree([a, b, c, d, e, f, g, h]: [f64; LANES]) -> f64 {
     ((a + b) + (c + d)) + ((e + f) + (g + h))
+}
+
+/// The largest element of `xs`, NaN entries ignored (`-inf` when nothing
+/// else is there): a tile's maximum. Element `i` goes into lane `i mod 8`
+/// and the eight lanes meet in one fixed tree, `((0∨1)∨(2∨3))∨((4∨5)∨(6∨7))`,
+/// where `m ∨ x` is `x` if `x > m` and `m` otherwise — so which of two equal
+/// zeros is returned is fixed too. One vector of lanes at the widest vector
+/// tier this CPU offers (picked at run time, like [`add_scaled_block`]), with
+/// the bits of every other tier.
+pub fn tile_max(xs: &[f64]) -> f64 {
+    tile_max_on(Tier::widest(), xs)
+}
+
+/// [`tile_max`] compiled for `tier` (the baseline if this CPU lacks it).
+/// Callers outside tests pass [`Tier::widest`].
+pub(crate) fn tile_max_on(tier: Tier, xs: &[f64]) -> f64 {
+    tier.run(
+        #[inline(always)]
+        || tile_max_body(xs),
+    )
+}
+
+#[inline(always)]
+fn tile_max_body(xs: &[f64]) -> f64 {
+    let mut lanes = [f64::NEG_INFINITY; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        let chunk: &[f64; LANES] = chunk.try_into().expect("a chunk is LANES wide");
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = larger(*lane, x);
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = larger(*lane, x);
+    }
+    max_tree(lanes)
+}
+
+/// `x` if `x > m`, else `m`: one `max` instruction, a NaN `x` ignored.
+#[inline(always)]
+fn larger(m: f64, x: f64) -> f64 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
+/// The eight lanes of [`tile_max`] in their fixed tree, out of line like
+/// [`lane_tree`].
+#[inline(never)]
+fn max_tree([a, b, c, d, e, f, g, h]: [f64; LANES]) -> f64 {
+    larger(
+        larger(larger(a, b), larger(c, d)),
+        larger(larger(e, f), larger(g, h)),
+    )
 }
 
 #[cfg(test)]
@@ -668,6 +765,19 @@ mod tests {
         assert_eq!(acc, expected);
     }
 
+    /// [`add_scaled_rows`] compiled for `tier`, as [`add_scaled_block`] runs
+    /// it for the rows and columns its panels leave.
+    fn add_scaled_rows_on<'a>(
+        tier: Tier,
+        acc: &mut [f64],
+        terms: impl Iterator<Item = (f64, &'a [f64])>,
+    ) {
+        tier.run(
+            #[inline(always)]
+            || add_scaled_rows(acc, terms),
+        );
+    }
+
     #[test]
     fn every_tier_returns_the_bits_of_the_baseline() {
         // Hostile values through accumulators, rows and coefficients.
@@ -681,7 +791,6 @@ mod tests {
         let base = values(0, 71);
         let tiers = Tier::available();
         println!("compared with the baseline: {tiers:?}");
-        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
         let terms = |offset: usize, n_terms: usize| {
             let rows = rows.iter().map(move |row| &row[offset..]);
             coefficients.iter().copied().zip(rows).take(n_terms)
@@ -706,22 +815,39 @@ mod tests {
                 }
             }
         }
-        // The public entry point is the widest tier.
+        // The public entry point, on one row of every term, runs it at the
+        // widest tier: W is the eleven rows back to back, 71 apart.
         let mut widest = base.clone();
         add_scaled_rows_on(tiers[0], &mut widest[..67], terms(0, 11));
+        let w: Vec<f64> = rows.concat();
         let mut public = base.clone();
-        add_scaled_rows(&mut public[..67], terms(0, 11));
+        let w = &w[..10 * 71 + 67];
+        add_scaled_block(&mut public[..67], 67, &coefficients, w, 71, Terms::All);
         assert_eq!(bits(&public), bits(&widest));
     }
 
-    /// [`add_scaled_block`]'s promise, one row at a time: `add_scaled_rows`
-    /// over the row's non-zero coefficients and their rows of W.
-    fn scaled_block_by_rows(accs: &mut [f64], n: usize, coeffs: &[f64], w_rows: &[f64]) {
-        let keys = w_rows.len() / n.max(1);
-        for (r, acc) in accs.chunks_exact_mut(n.max(1)).enumerate() {
-            let c = &coeffs[r * keys..(r + 1) * keys];
-            let terms = c.iter().copied().zip(w_rows.chunks_exact(n.max(1)));
-            add_scaled_rows(acc, terms.filter(|&(c, _)| c != 0.0));
+    /// [`add_scaled_block`]'s promise, one term at a time: every accumulator
+    /// adds its row's terms in key order, a term under a zero coefficient
+    /// only when `terms` is [`Terms::All`].
+    fn scaled_block_spec(
+        accs: &mut [f64],
+        n: usize,
+        coeffs: &[f64],
+        (w, w_stride): (&[f64], usize),
+        terms: Terms,
+    ) {
+        let keys = coeffs.len() / (accs.len() / n).max(1);
+        for (acc, c) in accs
+            .chunks_exact_mut(n)
+            .zip(coeffs.chunks_exact(keys.max(1)))
+        {
+            for (kk, &c) in c.iter().enumerate() {
+                if terms == Terms::All || c != 0.0 {
+                    for (slot, &x) in acc.iter_mut().zip(&w[kk * w_stride..]) {
+                        *slot += c * x;
+                    }
+                }
+            }
         }
     }
 
@@ -742,134 +868,168 @@ mod tests {
     #[test]
     fn add_scaled_block_skips_zero_terms_and_keeps_nan_terms() {
         // Two whole blocks of four rows and one row, two 32-column panels and
-        // six columns. Key 1's row of W is all infinities and NaNs.
-        let (rows, n, keys) = (9, 70, 3);
-        let mut w_rows = crate::random_vec(keys * n, 1, -1.0, 1.0);
-        for (j, w) in w_rows[n..2 * n].iter_mut().enumerate() {
-            *w = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
+        // six columns, read from rows of W 75 apart. Key 1's row of W is all
+        // infinities and NaNs.
+        let (rows, n, keys, stride) = (9, 70, 3, 75);
+        let mut w = crate::random_vec((keys - 1) * stride + n, 1, -1.0, 1.0);
+        for (j, x) in w[stride..stride + n].iter_mut().enumerate() {
+            *x = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][j % 3];
         }
+        let w = (&w[..], stride);
         let accs = crate::random_vec(rows * n, 2, -1.0, 1.0);
-        // Under a zero coefficient (either sign) key 1 does not show.
+        let run = |coeffs: &[f64], terms: Terms| {
+            let mut got = accs.clone();
+            add_scaled_block(&mut got, n, coeffs, w.0, w.1, terms);
+            let mut expected = accs.clone();
+            scaled_block_spec(&mut expected, n, coeffs, w, terms);
+            assert_eq!(bits(&got), bits(&expected), "{terms:?}");
+            got
+        };
+        // Under a zero coefficient (either sign) key 1 does not show when
+        // zero terms are skipped, and makes every column NaN when every term
+        // is added.
         let mut coeffs = sparse_coefficients(rows * keys, 3);
         for (r, c) in coeffs.chunks_exact_mut(keys).enumerate() {
             c[1] = if r % 2 == 0 { 0.0 } else { -0.0 };
         }
-        let mut got = accs.clone();
-        add_scaled_block(&mut got, n, &coeffs, &w_rows);
-        assert!(got.iter().all(|v| v.is_finite()));
-        let mut expected = accs.clone();
-        scaled_block_by_rows(&mut expected, n, &coeffs, &w_rows);
-        assert_eq!(got, expected);
+        assert!(run(&coeffs, Terms::NonZero).iter().all(|v| v.is_finite()));
+        assert!(run(&coeffs, Terms::All).iter().all(|v| v.is_nan()));
         // Under a non-zero one, row 6's every column is NaN or infinite, and
         // no other row's is.
         coeffs[6 * keys + 1] = 0.5;
-        let mut got = accs.clone();
-        add_scaled_block(&mut got, n, &coeffs, &w_rows);
+        let got = run(&coeffs, Terms::NonZero);
         for (r, row) in got.chunks_exact(n).enumerate() {
             assert_eq!(row.iter().all(|v| !v.is_finite()), r == 6, "row {r}");
             assert_eq!(row.iter().any(|v| !v.is_finite()), r == 6, "row {r}");
         }
-        let mut expected = accs.clone();
-        scaled_block_by_rows(&mut expected, n, &coeffs, &w_rows);
-        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
-        assert_eq!(bits(&got), bits(&expected));
     }
 
     #[test]
     fn every_tier_adds_a_block_with_the_bits_of_the_baseline() {
         let tiers = Tier::available();
         println!("compared with the baseline: {tiers:?}");
-        let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().copied().map(canonical_bits).collect() };
         // Hostile values in accumulators, coefficients and W; every row count
         // around the blocks of four, every column count around each tier's
-        // panel, accumulators misaligned by one element.
+        // panel, rows of W back to back and 3 apart, both forms of terms,
+        // accumulators misaligned by one element.
         for rows in 0..=9 {
             for n in 0..=67 {
                 for keys in [0, 1, 2, 5, 9] {
-                    let w_rows = hostile_values(rows + n, keys * n);
-                    let mut coeffs = hostile_values(keys + 1, rows * keys);
-                    for (i, c) in coeffs.iter_mut().enumerate().filter(|(i, _)| i % 4 == 1) {
-                        *c = if i % 8 == 1 { 0.0 } else { -0.0 };
-                    }
-                    let base = hostile_values(n + 3, rows * n + 1);
-                    // The baseline runs the rows one at a time.
-                    let mut expected = base.clone();
-                    add_scaled_block_on(Tier::Baseline, &mut expected[1..], n, &coeffs, &w_rows);
-                    let case = format!("rows {rows} n {n} keys {keys}");
-                    for &tier in &tiers {
-                        let mut got = base.clone();
-                        add_scaled_block_on(tier, &mut got[1..], n, &coeffs, &w_rows);
-                        assert_eq!(bits(&got), bits(&expected), "{tier:?} {case}");
+                    for gap in [0, 3] {
+                        let stride = n + gap;
+                        let w = hostile_values(rows + n, (keys * stride).saturating_sub(gap));
+                        let mut coeffs = hostile_values(keys + 1, rows * keys);
+                        for (i, c) in coeffs.iter_mut().enumerate().filter(|(i, _)| i % 4 == 1) {
+                            *c = if i % 8 == 1 { 0.0 } else { -0.0 };
+                        }
+                        let base = hostile_values(n + 3, rows * n + 1);
+                        for terms in [Terms::NonZero, Terms::All] {
+                            let run = |tier: Tier| {
+                                let mut accs = base.clone();
+                                let acc = &mut accs[1..];
+                                add_scaled_block_on(tier, acc, n, &coeffs, &w, stride, terms);
+                                bits(&accs)
+                            };
+                            // The baseline runs the rows one at a time.
+                            let expected = run(Tier::Baseline);
+                            for &tier in &tiers {
+                                let case = format!("rows {rows} n {n} keys {keys} stride {stride}");
+                                assert_eq!(run(tier), expected, "{tier:?} {terms:?} {case}");
+                            }
+                        }
                     }
                 }
             }
         }
         // The public entry point is the widest tier.
-        let (n, keys) = (67, 9);
-        let w_rows = hostile_values(4, keys * n);
+        let (n, keys, stride) = (67, 9, 70);
+        let w = hostile_values(4, (keys - 1) * stride + n);
         let coeffs = sparse_coefficients(9 * keys, 5);
         let mut widest = hostile_values(6, 9 * n);
         let mut public = widest.clone();
-        add_scaled_block_on(tiers[0], &mut widest, n, &coeffs, &w_rows);
-        add_scaled_block(&mut public, n, &coeffs, &w_rows);
+        add_scaled_block_on(tiers[0], &mut widest, n, &coeffs, &w, stride, Terms::All);
+        add_scaled_block(&mut public, n, &coeffs, &w, stride, Terms::All);
         assert_eq!(bits(&public), bits(&widest));
     }
 
     #[test]
     #[should_panic(expected = "one coefficient per row and key")]
     fn add_scaled_block_rejects_a_short_coefficient_tile() {
-        add_scaled_block(&mut [0.0; 8], 4, &[1.0; 5], &[1.0; 12]);
+        add_scaled_block(&mut [0.0; 8], 4, &[1.0; 5], &[1.0; 12], 4, Terms::NonZero);
     }
 
-    /// ns per multiply-add of quant + GEMM's accumulate at its benchmark tile
-    /// (128 rows × 128 keys × 256 columns, `quant 256×1024→256`), with
-    /// FP8-rounded coefficients as quant's: every row through
-    /// `add_scaled_rows`, and the block through `add_scaled_block`, at every
-    /// tier.
+    #[test]
+    #[should_panic(expected = "one coefficient per row and key")]
+    fn add_scaled_block_rejects_w_that_ends_inside_a_row() {
+        add_scaled_block(&mut [0.0; 8], 4, &[1.0; 6], &[1.0; 14], 6, Terms::All);
+    }
+
+    /// ns per multiply-add of the block GEMMs at their benchmark tiles, the
+    /// rows one at a time through `add_scaled_rows` and the block through
+    /// `add_scaled_block`, at every tier: quant + GEMM's (128 rows × 128
+    /// keys × 256 columns, `quant 256×1024→256`, FP8-rounded coefficients,
+    /// zero terms skipped), attention's P·V (a group of 8 query rows × a tile
+    /// of 16 keys × 64 columns, `mha 256×1024`) and routing's scores (8
+    /// tokens × 256 hidden coordinates × a tile of 64 experts, `moe 512×64`),
+    /// both adding every term.
     #[test]
     #[ignore = "prints timings"]
     fn timing_scaled_block() {
         use std::hint::black_box;
         use std::time::Instant;
-        let (rows, keys, n) = (128, 128, 256);
-        let w_rows = crate::random_vec(keys * n, 1, -1.0, 1.0);
-        let coeffs: Vec<f64> = crate::random_vec(rows * keys, 2, -2.0, 2.0)
-            .into_iter()
-            .map(|x| crate::fp8_round(x * crate::FP8_MAX / 2.0))
-            .collect();
-        let mut accs = vec![0.0; rows * n];
-        let macs = rows * keys * n;
-        // Median of 31 timings of 4 calls, per multiply-add.
-        let mut ns_per_mac = |call: &mut dyn FnMut(&mut [f64])| {
-            let mut samples: Vec<f64> = (0..31)
-                .map(|_| {
-                    let start = Instant::now();
-                    for _ in 0..4 {
-                        call(black_box(&mut accs));
-                    }
-                    start.elapsed().as_nanos() as f64 / (4 * macs) as f64
+        let shapes = [
+            ("quant", 128, 128, 256, Terms::NonZero),
+            ("P·V", 8, 16, 64, Terms::All),
+            ("routing", 8, 256, 64, Terms::All),
+        ];
+        for (name, rows, keys, n, terms) in shapes {
+            let w = crate::random_vec(keys * n, 1, -1.0, 1.0);
+            let coeffs: Vec<f64> = crate::random_vec(rows * keys, 2, -2.0, 2.0)
+                .into_iter()
+                .map(|x| match terms {
+                    Terms::NonZero => crate::fp8_round(x * crate::FP8_MAX / 2.0),
+                    Terms::All => x,
                 })
                 .collect();
-            samples.sort_by(f64::total_cmp);
-            samples[15]
-        };
-        // `n` through `black_box`, as in the VM: a width the compiler knows
-        // gives it a different loop to schedule.
-        for tier in Tier::available() {
-            let by_rows = ns_per_mac(&mut |accs| {
-                let n = black_box(n);
-                for (acc, c) in accs.chunks_exact_mut(n).zip(coeffs.chunks_exact(keys)) {
-                    let terms = c.iter().copied().zip(w_rows.chunks_exact(n));
-                    add_scaled_rows_on(tier, acc, terms.filter(|&(c, _)| c != 0.0));
-                }
-            });
-            let block = ns_per_mac(&mut |accs| {
-                add_scaled_block_on(tier, accs, black_box(n), &coeffs, &w_rows);
-            });
-            println!(
-                "{tier:?}: add_scaled_rows per row {by_rows:6.3}, \
-                 add_scaled_block {block:6.3} ns per multiply-add"
-            );
+            let mut accs = vec![0.0; rows * n];
+            let macs = rows * keys * n;
+            // Median of 31 timings of enough calls for 2²² multiply-adds,
+            // per multiply-add.
+            let calls = (1 << 22) / macs + 1;
+            let mut ns_per_mac = |call: &mut dyn FnMut(&mut [f64])| {
+                let mut samples: Vec<f64> = (0..31)
+                    .map(|_| {
+                        let start = Instant::now();
+                        for _ in 0..calls {
+                            call(black_box(&mut accs));
+                        }
+                        start.elapsed().as_nanos() as f64 / (calls * macs) as f64
+                    })
+                    .collect();
+                samples.sort_by(f64::total_cmp);
+                samples[15]
+            };
+            // `n` through `black_box`, as in the VM: a width the compiler
+            // knows gives it a different loop to schedule.
+            for tier in Tier::available() {
+                let by_rows = ns_per_mac(&mut |accs| {
+                    let n = black_box(n);
+                    let skip = terms == Terms::NonZero;
+                    for (acc, c) in accs.chunks_exact_mut(n).zip(coeffs.chunks_exact(keys)) {
+                        let row_terms = c.iter().copied().zip(w.chunks_exact(n));
+                        let row_terms = row_terms.filter(|&(c, _)| !skip || c != 0.0);
+                        add_scaled_rows_on(tier, acc, row_terms);
+                    }
+                });
+                let block = ns_per_mac(&mut |accs| {
+                    let n = black_box(n);
+                    add_scaled_block_on(tier, accs, n, &coeffs, &w, n, terms);
+                });
+                println!(
+                    "{name} {rows}×{keys}×{n}, {tier:?}: add_scaled_rows per row {by_rows:6.3}, \
+                     add_scaled_block {block:6.3} ns per multiply-add"
+                );
+            }
         }
     }
 
@@ -1057,6 +1217,11 @@ mod tests {
         }
     }
 
+    /// [`canonical_bits`] of every value.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().copied().map(canonical_bits).collect()
+    }
+
     /// The order `sum_and_squares` promises, written out one term at a time:
     /// element `i` into lane `i mod 8`, then `((0+1)+(2+3))+((4+5)+(6+7))`.
     fn sum_and_squares_spec(xs: &[f64]) -> (f64, f64) {
@@ -1121,25 +1286,93 @@ mod tests {
         }
     }
 
+    /// The order [`tile_max`] promises, one element at a time: element `i`
+    /// into lane `i mod 8` by `if x > lane { x } else { lane }`, then the
+    /// lanes in one tree.
+    fn tile_max_spec(xs: &[f64]) -> f64 {
+        let larger = |m: f64, x: f64| if x > m { x } else { m };
+        let mut lanes = [f64::NEG_INFINITY; 8];
+        for (i, &x) in xs.iter().enumerate() {
+            lanes[i % 8] = larger(lanes[i % 8], x);
+        }
+        let [a, b, c, d, e, f, g, h] = lanes;
+        larger(
+            larger(larger(a, b), larger(c, d)),
+            larger(larger(e, f), larger(g, h)),
+        )
+    }
+
+    #[test]
+    fn tile_max_ignores_nan_and_keeps_its_lane_order_of_zeros() {
+        assert_eq!(tile_max(&[]), f64::NEG_INFINITY);
+        assert_eq!(tile_max(&[f64::NAN, f64::NEG_INFINITY]), f64::NEG_INFINITY);
+        assert_eq!(tile_max(&[1.0, f64::NAN, 3.0, -2.0]), 3.0);
+        // Lane 0 holds -0, lane 1 holds +0: the tree keeps lane 0's.
+        assert_eq!(tile_max(&[-0.0, 0.0]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(tile_max(&[0.0, -0.0]).to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn every_tier_finds_the_tile_max_with_the_bits_of_the_baseline() {
+        let tiers = Tier::available();
+        println!("compared with the baseline: {tiers:?}");
+        for seed in 0..8 {
+            let values = hostile_values(seed, 71);
+            // Every remainder of a lane set at every misalignment.
+            for offset in 0..=3 {
+                for len in 0..=67 {
+                    let xs = &values[offset..offset + len];
+                    let expected = tile_max_on(Tier::Baseline, xs).to_bits();
+                    assert_eq!(tile_max_spec(xs).to_bits(), expected);
+                    for &tier in &tiers {
+                        let case = format!("{tier:?} seed {seed} len {len} offset {offset}");
+                        assert_eq!(tile_max_on(tier, xs).to_bits(), expected, "{case}");
+                    }
+                }
+            }
+            // The public entry point is the widest tier.
+            let widest = tile_max_on(tiers[0], &values);
+            assert_eq!(tile_max(&values).to_bits(), widest.to_bits());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Ragged blocks — rows not a multiple of four, `n` not a multiple
+        /// of 32 or 16, W's rows further apart than `n` — against the spec,
+        /// one term at a time, in both forms.
         #[test]
         fn prop_add_scaled_block_is_add_scaled_rows_row_by_row(
             rows in 0usize..11,
             n in 1usize..80,
             keys in 0usize..20,
+            gap in 0usize..5,
+            all in 0usize..2,
             seed in 0u64..1000,
         ) {
-            let w_rows = crate::random_vec(keys * n, seed, -1.0, 1.0);
+            let stride = n + gap;
+            let w = crate::random_vec((keys * stride).saturating_sub(gap), seed, -1.0, 1.0);
             let coeffs = sparse_coefficients(rows * keys, seed + 1);
             let accs = crate::random_vec(rows * n, seed + 2, -1.0, 1.0);
+            let terms = if all == 1 { Terms::All } else { Terms::NonZero };
             let mut got = accs.clone();
-            add_scaled_block(&mut got, n, &coeffs, &w_rows);
+            add_scaled_block(&mut got, n, &coeffs, &w, stride, terms);
             let mut expected = accs;
-            scaled_block_by_rows(&mut expected, n, &coeffs, &w_rows);
+            scaled_block_spec(&mut expected, n, &coeffs, (&w, stride), terms);
             let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|v| v.to_bits()).collect() };
             prop_assert_eq!(bits(&got), bits(&expected));
+        }
+
+        /// Ragged tiles of hostile values against the spec, one element at a
+        /// time.
+        #[test]
+        fn prop_tile_max_is_the_lane_maximum(
+            len in 0usize..150,
+            seed in 0usize..1000,
+        ) {
+            let xs = hostile_values(seed, len);
+            prop_assert_eq!(tile_max(&xs).to_bits(), tile_max_spec(&xs).to_bits());
         }
 
         #[test]

@@ -1,12 +1,13 @@
 //! The run-time choice of vector width, and the workspace's only `unsafe`.
 //!
 //! The slice loops of [`exp`](mod@crate::exp) (`exp_shifted`,
-//! `exp_shifted_in_place`), [`add_scaled_rows`](crate::add_scaled_rows) —
-//! the GEMM loop under attention's P·V, routing's scores and
-//! `Matrix::matmul` — [`add_scaled_block`](crate::add_scaled_block) —
-//! quant + GEMM's accumulate, four rows by a panel of columns held in
+//! `exp_shifted_in_place`, each with the sum of its exponentials in eight
+//! lanes), [`add_scaled_block`](crate::add_scaled_block) — every GEMM after
+//! a reduction: attention's P·V, routing's scores, quant + GEMM's
+//! accumulate and `Matrix::matmul`, four rows by a panel of columns held in
 //! registers per W tile — [`score_group`](crate::score_group) — attention's
-//! Q·Kᵀ, eight query rows to a vector — and
+//! Q·Kᵀ, eight query rows to a vector — [`tile_max`](crate::tile_max) — a
+//! tile's maximum in eight lanes — and
 //! [`sum_and_squares`](crate::sum_and_squares) — variance's Σx and Σx² in
 //! eight lanes — are each one `#[inline(always)]` body, compiled three
 //! times: at the build's baseline (two `f64` lanes on x86-64), under `avx2`
@@ -29,7 +30,7 @@
 //! workspace checks.
 //!
 //! At the baseline `add_scaled_block` runs its rows one at a time, through
-//! `add_scaled_rows`' body: no panel width measured faster there.
+//! its row-by-row remainder loop: no panel width measured faster there.
 //!
 //! [`dot_rows`](crate::dot_rows), the score loop of a lone query row, is not
 //! widened: its four chains are scalar, each a sequence of dependent
@@ -83,8 +84,8 @@ impl Tier {
     /// lacks it. `body` must be an `#[inline(always)]` closure that calls an
     /// `#[inline(always)]` loop: only then is the loop compiled inside the
     /// tier's trampoline, with its vector unit. (A plain closure is inlined
-    /// at LLVM's discretion; `add_scaled_rows`' was not, and ran at the
-    /// baseline under every tier.)
+    /// at LLVM's discretion; the row-by-row GEMM loop's was not, and ran at
+    /// the baseline under every tier.)
     #[inline(always)]
     pub(crate) fn run<R>(self, body: impl FnOnce() -> R) -> R {
         match self {
