@@ -27,7 +27,9 @@
 //! * **combine kernel** — when segments > 1 the per-segment partials are
 //!   merged with the level-`k` fused combine expression (Eq. 31 for softmax
 //!   statistics, plain addition for group-like reductions, a rescaling merge
-//!   for the FP8 accumulators);
+//!   for the FP8 accumulators). Attention rescales every partial to the
+//!   row's maximum and adds it, a partial whose factor is 0 included, so
+//!   0·NaN and 0·inf are NaN there as they are in the unfused form;
 //! * **epilogue** — the finalisation that the generated kernel's epilogue
 //!   performs (normalisation, variance/inertia closed forms, de-quantisation,
 //!   top-k probability extraction). Softmax keeps each tile's exponentials in
@@ -62,27 +64,29 @@
 //! tile: a call sizes its scratch once.
 //!
 //! **Vector width.** Every loop over a tile runs at the widest vector tier
-//! the CPU offers (AVX-512F on the benchmark host), picked at run time inside
-//! `rf-workloads`: [`score_group`], attention's Q·Kᵀ, one vector of eight
-//! query rows per key; [`add_scaled_block`], every GEMM that follows a
+//! the CPU offers (AVX-512F + FMA on the benchmark host), picked at run time
+//! inside `rf-workloads`: [`score_group`], attention's Q·Kᵀ, one vector of
+//! eight query rows per key; [`add_scaled_block`], every GEMM that follows a
 //! reduction — attention's P·V, routing's scores and quant + GEMM's
 //! accumulate, 4 rows × 32 columns of accumulators in sixteen `zmm`
-//! registers per pass over a tile's keys; [`tile_max`], a tile's maximum in
-//! eight lanes; the slice exponentials, which return the sum of the tile's
-//! exponentials in eight lanes from the same pass; and [`sum_and_squares`],
-//! variance's Σx and Σx² over a segment, in eight lanes — one vector per sum
-//! there. All of them return
-//! the bits of the baseline build on every CPU,
-//! each row of a block has the bits it has alone, and the eight lanes and
-//! their tree are the source's, so neither the tier nor the grouping can
-//! show in a result. What is left at the baseline is short or scalar:
-//! softmax's epilogue multiply (a vector form measured no gain the pair
-//! rule could tell from the binaries' own spread), the per-row corrections,
-//! inertia, the combines, and [`dot_rows`](rf_workloads::dot_rows), which
-//! [`score_group`] runs for a
-//! group of one row (decode, or a range of one): four scalar chains beat one
-//! busy lane of eight, measured in its docs. Inertia split over lanes
-//! naively measured slower.
+//! registers per pass over a tile's keys — and attention's segment combine,
+//! one block row per output row; [`tile_max`], a tile's maximum in eight
+//! lanes; the exponentials, which in slice form return the sum of the
+//! tile's exponentials in eight lanes from the same pass; and
+//! [`sum_and_squares`], variance's Σx and Σx² over a segment, in eight lanes
+//! — one vector per sum there. Every multiply-add in them is one `mul_add`,
+//! rounded once: a hardware fused multiply-add above the baseline and libm's
+//! exact `fma` at it. All of them return the bits of the baseline build on
+//! every CPU, each row of a block has the bits it has alone, and the eight
+//! lanes and their tree are the source's, so neither the tier nor the
+//! grouping can show in a result. What is left at the baseline is short or
+//! scalar: softmax's epilogue multiply (a vector form measured no gain the
+//! pair rule could tell from the binaries' own spread), the per-row
+//! corrections, inertia and the statistics' merges. A group of one row
+//! (decode, or a range of one) is scored by
+//! [`dot_rows`](rf_workloads::dot_rows): eight keys' chains beat one busy
+//! lane of eight, measured in its docs. Inertia split over lanes naively
+//! measured slower.
 //!
 //! **The exponential.** Softmax, attention and routing reduce a tile in two
 //! passes over a slice that sits in L1 around one `advance` of the running
@@ -90,9 +94,10 @@
 //! exponentials of the whole tile under the new maximum with their sum.
 //! Every exponential is
 //! [`rf_workloads::exp`](mod@rf_workloads::exp): the tile's through the slice
-//! forms and the per-tile factors — `advance`, `merge`, the epilogue and
-//! combine rescales — through the scalar form. Both return the same bits on
-//! every CPU; that module holds the numerics policy.
+//! forms, and so are attention's combine factors (one slice call over a
+//! row's segment maxima) and softmax's epilogue; the per-tile factors of
+//! `advance` and `merge` through the scalar form. Both return the same bits
+//! on every CPU; that module holds the numerics policy.
 //!
 //! **Parallel grid.** The generated kernel is a grid — every row block, and
 //! under Multi-Segment every `(row, segment)` cell, is an independent CTA —
@@ -590,7 +595,11 @@ fn run<K: Tally>(
 /// (71.3 M), `mha 256×1024` (37.7 M), `softmax 512×4096` (33.5 M),
 /// `moe 512×64` (8.9 M) and `mla 1×4096` (4.52 M) split; `mha 1×8192`
 /// (1.18 M), `softmax 1×32768` and `4×8192` (0.52 M) and every `serve_tiny`
-/// shape run inline.
+/// shape run inline. With every multiply-add of the loops fused (one
+/// `mul_add`), one pinned run read 0.138 ns per multiply-add and 1.60 ns per
+/// exponential under AVX-512F, 0.195 and 2.75 ns under AVX2 — 12 and 14
+/// multiply-adds, inside that range — so the weight stays 16. (The baseline
+/// now calls libm for every `mul_add`, about 4.3 and 67 ns: 16 there too.)
 ///
 /// Quant + GEMM rounds a tile in a pass of its own, ahead of
 /// [`add_scaled_block`], whose multiply-add over a block of rows costs about
@@ -962,6 +971,8 @@ fn exec_attention<K: Tally>(
     let scale = 1.0 / (qk_dim.max(1) as f64).sqrt();
     let segments = segment_ranges(kv_len, binding.segments);
     let n_segments = segments.len();
+    // A row's combine runs once per segment, under Multi-Segment only.
+    let combines = if n_segments > 1 { n_segments as u64 } else { 0 };
     let (_, seg_len) = segments.clone().next().expect("kv_len > 0");
     let tile = binding.block_axis.clamp(1, seg_len);
     let work_per_row = kv_len * (qk_dim + head_dim + EXP_WORK);
@@ -979,6 +990,7 @@ fn exec_attention<K: Tally>(
     let body = |range: Range<usize>, out: &mut [f64]| {
         let mut tally = K::default();
         let mut cells = vec![0.0f64; n_segments * range.len().min(QUERY_LANES) * cell_len];
+        let mut factors = vec![0.0f64; n_segments];
         let mut group = QueryGroup::default();
         for rows in query_groups(range.clone()) {
             let g = rows.len();
@@ -1051,28 +1063,25 @@ fn exec_attention<K: Tally>(
             tally = tally.merge(K::sum(split));
             // Combine kernel, per row on this thread once the cells are joined, in
             // segment order whatever the split: merge the statistics (Eq. 31),
-            // rescale the partials to the global maximum, normalise (one segment:
-            // the plain FlashAttention epilogue).
+            // rescale the partials to the global maximum — one factor per
+            // segment, `exp(max − global max)` in one slice call — and add them
+            // as one block row (the partials `g · cell_len` apart), then
+            // normalise (one segment: the plain FlashAttention epilogue).
             for (lane, out_row) in out_rows.chunks_exact_mut(head_dim.max(1)).enumerate() {
                 let partials = cells.chunks_exact(g * cell_len).map(|segment| {
-                    let acc = &segment[lane * head_dim..][..head_dim];
                     let stats = &segment[g * head_dim + 2 * lane..][..2];
                     let (max, sum) = (stats[0], stats[1]);
-                    (acc, OnlineStats { max, sum })
+                    OnlineStats { max, sum }
                 });
-                let global = partials
-                    .clone()
-                    .fold(OnlineStats::identity(), |global, (_, p)| global.merge(p));
-                for (acc, partial) in partials {
-                    tally.add(Step::Combine, u64::from(n_segments > 1), 0, 0);
-                    let rescale = rescale_factor(partial.max - global.max);
-                    if rescale == 0.0 {
-                        continue;
-                    }
-                    for (slot, &a) in out_row.iter_mut().zip(acc) {
-                        *slot += a * rescale;
-                    }
+                let mut global = OnlineStats::identity();
+                for (factor, partial) in factors.iter_mut().zip(partials) {
+                    global = global.merge(partial);
+                    *factor = partial.max;
                 }
+                exp_shifted_in_place(&mut factors, global.max);
+                tally.add(Step::Combine, combines, 0, 0);
+                let accs = &cells[lane * head_dim..][..(n_segments - 1) * g * cell_len + head_dim];
+                add_scaled_block(out_row, head_dim, &factors, accs, g * cell_len, Terms::All);
                 tally.add(Step::Epilogue, 1, 0, f64_bytes(head_dim));
                 out_row.iter_mut().for_each(|slot| *slot /= global.sum);
             }
@@ -2251,9 +2260,9 @@ mod tests {
         check_attention_folds(
             &case,
             [
-                ((128, 128, 1), 0xdbd8_044f_8394_94b4),
-                ((4, 2, 1), 0xb5ea_9729_9fd7_c166),
-                ((4, 3, 3), 0x2812_63cd_cf20_27a6),
+                ((128, 128, 1), 0xaba3_d015_c4e4_5cd7),
+                ((4, 2, 1), 0x170f_4d07_d1b4_2739),
+                ((4, 3, 3), 0xdd8a_f1f5_90cc_a200),
             ],
         );
         let out = case.run(1, (128, 128, 1));
@@ -2263,6 +2272,32 @@ mod tests {
         for r in 0..11 {
             let nan: Vec<bool> = out.row(r).iter().map(|x| x.is_nan()).collect();
             assert_eq!(nan, [true, true, true, false], "row {r}");
+        }
+    }
+
+    #[test]
+    fn a_nan_value_under_a_partial_rescaled_to_zero_adds_nan() {
+        // One query row over 13 keys of one coordinate. Key 9 scores 1600,
+        // so every other key's probability is exactly 0, and key 2's value
+        // is NaN in column 0: 0·NaN is NaN in the unfused form. Under three
+        // segments key 2's partial is rescaled to the global maximum by a
+        // factor of exactly 0, and its NaN must come through the combine.
+        let mut keys = random_vec(13, 68, -1.0, 1.0);
+        keys[9] = 1600.0;
+        let mut v = random_matrix(13, 2, 69, -1.0, 1.0);
+        v.set(2, 0, f64::NAN);
+        let case = DecodeCase {
+            q: Matrix::from_vec(1, 1, vec![1.0]),
+            k: Matrix::from_vec(13, 1, keys),
+            v,
+        };
+        let expected = naive_attention(&case.q, &case.k, &case.v);
+        assert!(expected[0].is_nan() && !expected[1].is_nan());
+        for point in [(128, 128, 1), (1, 5, 1), (1, 5, 3)] {
+            let ExecOutput::Matrix(out) = case.run(1, point) else {
+                unreachable!()
+            };
+            assert_matches_unfused(out.as_slice(), &expected, 1e-12, &format!("{point:?}"));
         }
     }
 
@@ -2289,9 +2324,9 @@ mod tests {
         check_attention_folds(
             &case,
             [
-                ((128, 128, 1), 0xd0c6_3ecf_ec08_3316),
-                ((4, 3, 1), 0xe472_74d5_df82_e92d),
-                ((4, 2, 3), 0x4dfd_ff47_2e4b_5c38),
+                ((128, 128, 1), 0xa179_d319_934b_cb7b),
+                ((4, 3, 1), 0x3846_1bbb_8f3b_6bfa),
+                ((4, 2, 3), 0xbf7d_d4cb_61e1_9c11),
             ],
         );
         let ExecOutput::Matrix(out) = case.run(1, (4, 3, 1)) else {

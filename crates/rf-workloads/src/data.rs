@@ -209,7 +209,8 @@ mod tests {
     }
 
     /// The product the way it was computed before the row splitter and the
-    /// four-term pass: one `a · row` term per pass, rows in order.
+    /// four-term pass: one `a · row` term per pass, rows in order, each term
+    /// one `mul_add`.
     fn matmul_one_term_per_pass(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
@@ -218,7 +219,7 @@ mod tests {
                     continue;
                 }
                 for (slot, &y) in out.row_mut(i).iter_mut().zip(b.row(k)) {
-                    *slot += x * y;
+                    *slot = x.mul_add(y, *slot);
                 }
             }
         }

@@ -11,16 +11,19 @@
 //!   smallest normal underflow gradually (one rounding into the subnormals).
 //! * **One set of bits** — the scalar [`exp`] and the slice forms
 //!   [`exp_shifted`] / [`exp_shifted_in_place`] return identical bits on every
-//!   CPU. The slice loops run at the widest vector tier this CPU offers —
-//!   baseline, AVX2 or AVX-512F, picked at run time by the crate's `tier`
+//!   CPU. Both run at the widest vector tier this CPU offers — baseline,
+//!   AVX2 + FMA or AVX-512F + FMA, picked at run time by the crate's `tier`
 //!   module, with no Cargo feature, environment variable or compiler flag to
 //!   set, and shared with [`add_scaled_block`](crate::add_scaled_block). Each
 //!   slice form also returns the sum of its exponentials, added in the same
-//!   pass in eight lanes and one fixed tree. The
-//!   body is the same source at every tier and contains only IEEE
-//!   multiplications, additions, comparisons-and-selects and integer shifts:
-//!   **no `mul_add`**, nothing a wider unit could fuse or reorder, so vector
-//!   width cannot show in a result.
+//!   pass in eight lanes and one fixed tree. The body is the same source at
+//!   every tier and contains only IEEE multiplications, additions,
+//!   comparisons-and-selects, integer shifts and fused multiply-adds:
+//!   **every multiply-add is one `mul_add`**, rounded once — a hardware FMA
+//!   at the wider tiers, libm's exact `fma` at the x86-64 baseline — and
+//!   nothing is reordered, so vector width cannot show in a result. Since a
+//!   `mul_add` compiled for the baseline is a libm call, the scalar form runs
+//!   through the tier too: one out-of-line call per `exp`.
 //! * **Who uses it** — `rf_tile::exec` (the VM) and the unfused references the
 //!   served path is checked against: `rf-kernels` softmax / attention / moe and
 //!   `rf-graph`'s `MapOp::Exp`. Fused and unfused paths share the routine so
@@ -38,16 +41,21 @@
 //!   (attention and routing, three tuning points each); the change that put
 //!   variance's Σx and Σx² into eight lanes
 //!   ([`sum_and_squares`](crate::sum_and_squares)) did so for variance (its
-//!   two single-segment points; the four-segment fold kept its bits).
+//!   two single-segment points; the four-segment fold kept its bits); the
+//!   change that fused every multiply-add of the vector bodies, this
+//!   routine's among them, did so for every family but inertia.
 //!
 //! # Method
 //!
 //! `exp(x) = 2ᵏ · exp(r)` with `k = round(x · log₂e)` and `r = x − k · ln 2`
-//! in `[−ln 2 / 2, ln 2 / 2]`. `k` is rounded by adding and subtracting
-//! `1.5 · 2⁵²`; `ln 2` is split into a 32-bit head, whose product with `k` is
-//! exact, and a tail (Cody–Waite). `exp(r)` is the degree-13 Taylor polynomial
+//! in `[−ln 2 / 2, ln 2 / 2]`. `k` is rounded by adding `1.5 · 2⁵²` to the
+//! exact product (one `mul_add`) and subtracting it again; `ln 2` is split
+//! into a 32-bit head, whose product with `k` is exact, and a tail
+//! (Cody–Waite, two `mul_add`s). `exp(r)` is the degree-13 Taylor polynomial
 //! (remainder under 2⁻⁵⁷), evaluated as `1 + (r + r² · q(r))` with `q` in one
-//! fixed Estrin order, so the only rounding at the scale of the result is the
+//! fixed Estrin order, every pair `a + b · rⁿ` one `mul_add` (29
+//! floating-point operations from `x` to the result, 45 with the products
+//! rounded apart), so the only rounding at the scale of the result is the
 //! last addition. `2ᵏ` is applied as two factors `2^⌈k/2⌋ · 2^(k − ⌈k/2⌋)`, both
 //! normal, each built by shifting a biased exponent into place: the first
 //! product is exact and the second rounds once, which is what makes underflow
@@ -96,23 +104,33 @@ fn pow2(n: f64) -> f64 {
 
 /// `exp(x)` under the module's numerics policy. For per-tile sites; a loop
 /// over elements belongs in [`exp_shifted`] or [`exp_shifted_in_place`].
-#[inline(always)]
+/// Runs at the widest vector tier, like them: at the baseline every
+/// `mul_add` of the body is a call into libm.
 pub fn exp(x: f64) -> f64 {
+    Tier::widest().run(
+        #[inline(always)]
+        || exp_lane(x),
+    )
+}
+
+/// The body of [`exp`], inlined into every tier's loops.
+#[inline(always)]
+fn exp_lane(x: f64) -> f64 {
     // Selects, not `f64::clamp`: a NaN falls to `LOWEST` here and is put back
     // at the end, and each select is one `max` / `min` / blend instruction.
     let clamped = if x > LOWEST { x } else { LOWEST };
     let clamped = if clamped < HIGHEST { clamped } else { HIGHEST };
-    let k = (clamped * std::f64::consts::LOG2_E + ROUND) - ROUND;
-    let r = (clamped - k * LN2_HI) - k * LN2_LO;
+    let k = clamped.mul_add(std::f64::consts::LOG2_E, ROUND) - ROUND;
+    let r = (-k).mul_add(LN2_LO, (-k).mul_add(LN2_HI, clamped));
     let r2 = r * r;
     let r4 = r2 * r2;
     let r8 = r4 * r4;
-    let low = ((C[0] + C[1] * r) + (C[2] + C[3] * r) * r2)
-        + ((C[4] + C[5] * r) + (C[6] + C[7] * r) * r2) * r4;
-    let high = (C[8] + C[9] * r) + (C[10] + C[11] * r) * r2;
-    let q = low + high * r8;
-    let p = 1.0 + (r + r2 * q);
-    let half = (k * 0.5 + ROUND) - ROUND;
+    let pair = |i: usize| C[i + 1].mul_add(r, C[i]);
+    let low = pair(2).mul_add(r2, pair(0));
+    let low = pair(6).mul_add(r2, pair(4)).mul_add(r4, low);
+    let high = pair(10).mul_add(r2, pair(8));
+    let p = 1.0 + r2.mul_add(high.mul_add(r8, low), r);
+    let half = k.mul_add(0.5, ROUND) - ROUND;
     let result = (p * pow2(half)) * pow2(k - half);
     if x.is_nan() {
         x
@@ -132,7 +150,7 @@ fn shifted_body(out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
     }
     let rest = outs.into_remainder().iter_mut().zip(ins.remainder());
     for ((slot, &x), sum) in rest.zip(&mut sums) {
-        *slot = exp(x - shift);
+        *slot = exp_lane(x - shift);
         *sum += *slot;
     }
     lane_tree(sums)
@@ -147,7 +165,7 @@ fn in_place_body(xs: &mut [f64], shift: f64) -> f64 {
         *chunk = exp_into_lanes(&mut sums, chunk, shift);
     }
     for (x, sum) in chunks.into_remainder().iter_mut().zip(&mut sums) {
-        *x = exp(*x - shift);
+        *x = exp_lane(*x - shift);
         *sum += *x;
     }
     lane_tree(sums)
@@ -161,29 +179,10 @@ fn in_place_body(xs: &mut [f64], shift: f64) -> f64 {
 fn exp_into_lanes(sums: &mut [f64; LANES], xs: &[f64; LANES], shift: f64) -> [f64; LANES] {
     let mut exps = [0.0f64; LANES];
     for i in 0..LANES {
-        exps[i] = exp(xs[i] - shift);
+        exps[i] = exp_lane(xs[i] - shift);
         sums[i] += exps[i];
     }
     exps
-}
-
-/// [`exp_shifted`] compiled for `tier` (the baseline if this CPU lacks it).
-/// Callers outside tests pass [`Tier::widest`].
-fn exp_shifted_on(tier: Tier, out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
-    assert_eq!(out.len(), xs.len(), "one output per input");
-    tier.run(
-        #[inline(always)]
-        || shifted_body(out, xs, shift),
-    )
-}
-
-/// [`exp_shifted_in_place`] compiled for `tier` (the baseline if this CPU
-/// lacks it). Callers outside tests pass [`Tier::widest`].
-fn exp_shifted_in_place_on(tier: Tier, xs: &mut [f64], shift: f64) -> f64 {
-    tier.run(
-        #[inline(always)]
-        || in_place_body(xs, shift),
-    )
 }
 
 /// `out[i] = exp(xs[i] − shift)`: a tile's reduce step under its maximum.
@@ -197,19 +196,51 @@ fn exp_shifted_in_place_on(tier: Tier, xs: &mut [f64], shift: f64) -> f64 {
 ///
 /// Panics if the slices differ in length.
 pub fn exp_shifted(out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
-    exp_shifted_on(Tier::widest(), out, xs, shift)
+    assert_eq!(out.len(), xs.len(), "one output per input");
+    Tier::widest().run(
+        #[inline(always)]
+        || shifted_body(out, xs, shift),
+    )
 }
 
 /// `xs[i] = exp(xs[i] − shift)`, for a tile of scores that is its own output.
 /// Bit-identical to calling [`exp`] per element, on every CPU; returns their
 /// sum in [`exp_shifted`]'s order.
 pub fn exp_shifted_in_place(xs: &mut [f64], shift: f64) -> f64 {
-    exp_shifted_in_place_on(Tier::widest(), xs, shift)
+    Tier::widest().run(
+        #[inline(always)]
+        || in_place_body(xs, shift),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`exp`] compiled for `tier` (the baseline if this CPU lacks it).
+    fn exp_on(tier: Tier, x: f64) -> f64 {
+        tier.run(
+            #[inline(always)]
+            || exp_lane(x),
+        )
+    }
+
+    /// [`exp_shifted`] compiled for `tier`.
+    fn exp_shifted_on(tier: Tier, out: &mut [f64], xs: &[f64], shift: f64) -> f64 {
+        assert_eq!(out.len(), xs.len(), "one output per input");
+        tier.run(
+            #[inline(always)]
+            || shifted_body(out, xs, shift),
+        )
+    }
+
+    /// [`exp_shifted_in_place`] compiled for `tier`.
+    fn exp_shifted_in_place_on(tier: Tier, xs: &mut [f64], shift: f64) -> f64 {
+        tier.run(
+            #[inline(always)]
+            || in_place_body(xs, shift),
+        )
+    }
 
     /// Distance in units in the last place between two finite doubles of the
     /// same sign (every result here is ≥ 0), or 0 for two equal non-finites.
@@ -319,6 +350,8 @@ mod tests {
                     let sum = canonical_bits(lane_sum_spec(&exps));
                     for &tier in &tiers {
                         let case = format!("{tier:?} len {len} offset {offset}");
+                        let scalar = xs.iter().map(|&x| exp_on(tier, x - shift).to_bits());
+                        assert!(scalar.eq(expected.iter().copied()), "scalar, {case}");
                         let mut out = vec![f64::NAN; len + 2];
                         let got = exp_shifted_on(tier, &mut out[1..=len], xs, shift);
                         let bits: Vec<u64> = out[1..=len].iter().map(|v| v.to_bits()).collect();

@@ -14,9 +14,9 @@
 //! up to [`QUERY_LANES`] query rows, one vector of rows per key, and
 //! [`dot_rows`] the same for a lone row; [`tile_max`] is a tile's maximum and
 //! [`sum_and_squares`] the plain row sum of variance's two statistics, both in
-//! eight lanes. All but [`dot_rows`] run at the widest vector tier the CPU
-//! offers, chosen at run time as [`exp`](mod@crate::exp)'s slice loops are,
-//! with the baseline's bits.
+//! eight lanes. Every multiply-add among them is one `mul_add`, rounded once,
+//! and all run at the widest vector tier the CPU offers, chosen at run time
+//! as [`exp`](mod@crate::exp)'s slice loops are, with the baseline's bits.
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
@@ -159,8 +159,10 @@ const BLOCK_ROWS: usize = 4;
 
 /// `accs[r][j] += Σ_kk coeffs[r][kk] · w[kk][j]` for a block of rows, each
 /// accumulator adding its terms one at a time in key order to the value it
-/// held. `accs` holds the rows' `n`-wide accumulators back to back and
-/// `coeffs` one coefficient per row and key, row-major; key `kk`'s row of W
+/// held, every term one fused multiply-add (`mul_add`: one rounding, where a
+/// product and a sum round twice). `accs` holds the rows' `n`-wide
+/// accumulators back to back and `coeffs` one coefficient per row and key,
+/// row-major; key `kk`'s row of W
 /// is `w[kk · w_stride..][..n]`, so a tile of columns of a wider matrix is
 /// read where it lies (`w` ends with the last key's row). `terms` says
 /// whether a term under a zero coefficient is skipped or added.
@@ -339,10 +341,10 @@ fn scaled_each_row<const ALL: bool>(accs: &mut [f64], coeffs: &[f64], block: &Bl
 }
 
 /// `acc[j] += Σᵢ cᵢ · rowᵢ[j]` over the `(cᵢ, rowᵢ)` terms, every `acc[j]`
-/// adding its terms in the order they arrive: [`add_scaled_block`]'s loop
-/// for one row. Four terms share one pass over `acc`, so it is loaded and
-/// stored once per four rows; the inner loop runs over contiguous slices and
-/// vectorises across `j`.
+/// adding its terms in the order they arrive, one `mul_add` each:
+/// [`add_scaled_block`]'s loop for one row. Four terms share one pass over
+/// `acc`, so it is loaded and stored once per four rows; the inner loop runs
+/// over contiguous slices and vectorises across `j`.
 #[inline(always)]
 fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f64])>) {
     let n = acc.len();
@@ -353,13 +355,13 @@ fn add_scaled_rows<'a>(acc: &mut [f64], terms: impl Iterator<Item = (f64, &'a [f
                 for ((((slot, &v0), &v1), &v2), &v3) in
                     acc.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
                 {
-                    *slot = (((*slot + c0 * v0) + c1 * v1) + c2 * v2) + c3 * v3;
+                    *slot = c3.mul_add(v3, c2.mul_add(v2, c1.mul_add(v1, c0.mul_add(v0, *slot))));
                 }
             }
             rest => {
                 for (c, row) in rest.into_iter().flatten() {
                     for (slot, &a) in acc.iter_mut().zip(row) {
-                        *slot += c * a;
+                        *slot = c.mul_add(a, *slot);
                     }
                 }
                 return;
@@ -376,46 +378,64 @@ fn panel<const COLS: usize>(row: &[f64], col: usize) -> [f64; COLS] {
         .expect("a panel is COLS wide")
 }
 
-/// `acc += c · w`, column by column, unless `c` is zero and `ALL` is not set.
+/// `acc += c · w`, one `mul_add` per column, unless `c` is zero and `ALL` is
+/// not set.
 #[inline(always)]
 fn add_term<const COLS: usize, const ALL: bool>(acc: &mut [f64; COLS], c: f64, w: &[f64; COLS]) {
     if ALL || c != 0.0 {
         for j in 0..COLS {
-            acc[j] += c * w[j];
+            acc[j] = c.mul_add(w[j], acc[j]);
         }
     }
 }
 
 /// `out[i] = x · rows[i]`, every dot product adding its terms from `0.0` in
-/// ascending column order. Four rows share one pass over `x`: a single dot
-/// product is one chain of dependent additions, four of them keep the adder
-/// busy. Built for the baseline only: its chains are scalar, and at the wider
-/// tiers it gained nothing. [`score_group`] runs it for a group of one query
-/// row, and returns its bits row by row for a group of more.
+/// ascending column order, each term one `mul_add` (one rounding). Eight
+/// rows share one pass over `x`: a single dot product is one chain of
+/// dependent multiply-adds, and a fused multiply-add has twice an addition's
+/// latency on the benchmark host — four chains, which kept the unfused form
+/// busy, read about a tenth slower per multiply-add than the unfused four
+/// (the ignored `timing_score_gemm` test). It runs at the widest vector tier
+/// this CPU offers, with the bits of every other tier (at the x86-64
+/// baseline a `mul_add` is a libm call). [`score_group`] runs it for a group
+/// of one query row, and returns its bits row by row for a group of more.
 ///
 /// # Panics
 ///
 /// Panics if a row is shorter than `x`, or if `rows` runs out within a pass
-/// of four.
-pub fn dot_rows<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
+/// of eight.
+pub fn dot_rows<'a>(x: &[f64], rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
+    Tier::widest().run(
+        #[inline(always)]
+        || dot_rows_body(x, rows, out),
+    );
+}
+
+#[inline(always)]
+fn dot_rows_body<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
     let n = x.len();
-    let mut quads = out.chunks_exact_mut(4);
-    for quad in &mut quads {
-        let mut next = || &rows.next().expect("one row per output")[..n];
-        let (r0, r1, r2, r3) = (next(), next(), next(), next());
-        let mut dots = [0.0f64; 4];
-        for ((((&xt, &a), &b), &c), &d) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-            dots[0] += xt * a;
-            dots[1] += xt * b;
-            dots[2] += xt * c;
-            dots[3] += xt * d;
+    let mut passes = out.chunks_exact_mut(DOT_CHAINS);
+    for pass in &mut passes {
+        let keys: [&[f64]; DOT_CHAINS] =
+            std::array::from_fn(|_| rows.next().expect("one row per output"));
+        // Sliced to `n` first, like `score_group`'s keys: the bounds checks go.
+        let keys = keys.map(|key| &key[..n]);
+        let mut dots = [0.0f64; DOT_CHAINS];
+        for (c, &xt) in x.iter().enumerate() {
+            for (dot, key) in dots.iter_mut().zip(&keys) {
+                *dot = xt.mul_add(key[c], *dot);
+            }
         }
-        quad.copy_from_slice(&dots);
+        pass.copy_from_slice(&dots);
     }
-    for (slot, row) in quads.into_remainder().iter_mut().zip(rows) {
-        *slot = x.iter().zip(row).fold(0.0, |dot, (&xt, &a)| dot + xt * a);
+    for (slot, row) in passes.into_remainder().iter_mut().zip(rows) {
+        *slot = x.iter().zip(row).fold(0.0, |s, (x, a)| x.mul_add(*a, s));
     }
 }
+
+/// Rows [`dot_rows`] scores in one pass over `x`, one chain of dependent
+/// multiply-adds each.
+const DOT_CHAINS: usize = 8;
 
 /// Query rows [`score_group`] scores at once: one AVX-512 vector of `f64`. A
 /// constant of the source like the lanes of [`sum_and_squares`], not of the
@@ -476,15 +496,16 @@ impl QueryGroup {
 /// `r`-th `n`-long piece of `out`. Every dot product adds its terms from `0.0` in
 /// ascending column order, so each piece holds the bits [`dot_rows`] returns
 /// for its row. Eight keys (four below AVX-512) share one pass over the
-/// group's columns; each column step is one multiply and one add per key on
+/// group's columns; each column step is one fused multiply-add per key on
 /// a vector of [`QUERY_LANES`] rows, at the widest vector tier this CPU
 /// offers (picked at run time, like [`add_scaled_block`]), with the bits of
 /// every other tier.
 ///
 /// A group of one row is scored by [`dot_rows`] instead. On the benchmark
-/// host (AVX-512F) a multiply-add costs 0.28–0.36 ns in `dot_rows`' four
-/// scalar chains and 0.44–0.70 ns in one lane of eight; a group of two rows
-/// costs 0.22–0.34 ns and a group of eight 0.054–0.088 ns (the ignored
+/// host (AVX-512F + FMA) a multiply-add costs 0.34–0.41 ns in `dot_rows`'
+/// eight chains and 0.53–0.58 ns in one lane of eight; a group of two rows
+/// costs 0.26–0.28 ns and a group of eight 0.069–0.070 ns, where the
+/// products rounded apart from their sums cost 0.09–0.10 ns (the ignored
 /// `timing_score_gemm` test prints them, at `qk_dim` 64 and 576).
 ///
 /// # Panics
@@ -560,10 +581,10 @@ fn score_group_body<'a, const KEYS: usize>(
     }
 }
 
-/// `dot + column · k`, lane by lane.
+/// `dot + column · k`, lane by lane, each one `mul_add`.
 #[inline(always)]
 fn add_product(dot: [f64; QUERY_LANES], column: &[f64; QUERY_LANES], k: f64) -> [f64; QUERY_LANES] {
-    std::array::from_fn(|lane| dot[lane] + column[lane] * k)
+    std::array::from_fn(|lane| column[lane].mul_add(k, dot[lane]))
 }
 
 /// Independent chains of [`sum_and_squares`], [`tile_max`] and the sum
@@ -572,20 +593,15 @@ fn add_product(dot: [f64; QUERY_LANES], column: &[f64; QUERY_LANES], k: f64) -> 
 /// vector width.
 pub(crate) const LANES: usize = 8;
 
-/// `(Σx, Σx²)` of `xs`. Element `i` goes into lane `i mod 8` of each sum and
-/// the eight lanes meet in one fixed tree, `((0+1)+(2+3))+((4+5)+(6+7))` —
+/// `(Σx, Σx²)` of `xs`. Element `i` goes into lane `i mod 8` of each sum
+/// (its square as one `mul_add`, rounded once) and the eight lanes meet in
+/// one fixed tree, `((0+1)+(2+3))+((4+5)+(6+7))` —
 /// the order [`exp_shifted`](crate::exp_shifted) sums a tile's exponentials
 /// in. A plain sum is one chain of dependent additions; eight lanes are one
 /// vector per sum at the widest vector tier this CPU offers (picked at run
 /// time, like [`add_scaled_block`]), with the bits of every other tier.
 pub fn sum_and_squares(xs: &[f64]) -> (f64, f64) {
-    sum_and_squares_on(Tier::widest(), xs)
-}
-
-/// [`sum_and_squares`] compiled for `tier` (the baseline if this CPU lacks
-/// it). Callers outside tests pass [`Tier::widest`].
-pub(crate) fn sum_and_squares_on(tier: Tier, xs: &[f64]) -> (f64, f64) {
-    tier.run(
+    Tier::widest().run(
         #[inline(always)]
         || sum_and_squares_body(xs),
     )
@@ -603,12 +619,13 @@ fn sum_and_squares_body(xs: &[f64]) -> (f64, f64) {
     (lane_tree(sums), lane_tree(squares))
 }
 
-/// Adds `chunk[i]` to `sums[i]` and its square to `squares[i]`.
+/// Adds `chunk[i]` to `sums[i]` and its square to `squares[i]` (one
+/// `mul_add`).
 #[inline(always)]
 fn add_to_lanes(sums: &mut [f64; LANES], squares: &mut [f64; LANES], chunk: &[f64]) {
     for ((sum, square), &x) in sums.iter_mut().zip(squares).zip(chunk) {
         *sum += x;
-        *square += x * x;
+        *square = x.mul_add(x, *square);
     }
 }
 
@@ -630,13 +647,7 @@ pub(crate) fn lane_tree([a, b, c, d, e, f, g, h]: [f64; LANES]) -> f64 {
 /// tier this CPU offers (picked at run time, like [`add_scaled_block`]), with
 /// the bits of every other tier.
 pub fn tile_max(xs: &[f64]) -> f64 {
-    tile_max_on(Tier::widest(), xs)
-}
-
-/// [`tile_max`] compiled for `tier` (the baseline if this CPU lacks it).
-/// Callers outside tests pass [`Tier::widest`].
-pub(crate) fn tile_max_on(tier: Tier, xs: &[f64]) -> f64 {
-    tier.run(
+    Tier::widest().run(
         #[inline(always)]
         || tile_max_body(xs),
     )
@@ -676,6 +687,34 @@ fn max_tree([a, b, c, d, e, f, g, h]: [f64; LANES]) -> f64 {
         larger(larger(a, b), larger(c, d)),
         larger(larger(e, f), larger(g, h)),
     )
+}
+
+/// [`sum_and_squares`] compiled for `tier` (the baseline if this CPU lacks
+/// it), for the tier tests.
+#[cfg(test)]
+pub(crate) fn sum_and_squares_on(tier: Tier, xs: &[f64]) -> (f64, f64) {
+    tier.run(
+        #[inline(always)]
+        || sum_and_squares_body(xs),
+    )
+}
+
+/// [`tile_max`] compiled for `tier` (the baseline if this CPU lacks it).
+#[cfg(test)]
+fn tile_max_on(tier: Tier, xs: &[f64]) -> f64 {
+    tier.run(
+        #[inline(always)]
+        || tile_max_body(xs),
+    )
+}
+
+/// [`dot_rows`] compiled for `tier` (the baseline if this CPU lacks it).
+#[cfg(test)]
+fn dot_rows_on<'a>(tier: Tier, x: &[f64], rows: impl Iterator<Item = &'a [f64]>, out: &mut [f64]) {
+    tier.run(
+        #[inline(always)]
+        || dot_rows_body(x, rows, out),
+    );
 }
 
 #[cfg(test)]
@@ -827,8 +866,8 @@ mod tests {
     }
 
     /// [`add_scaled_block`]'s promise, one term at a time: every accumulator
-    /// adds its row's terms in key order, a term under a zero coefficient
-    /// only when `terms` is [`Terms::All`].
+    /// adds its row's terms in key order, each one `mul_add`, a term under a
+    /// zero coefficient only when `terms` is [`Terms::All`].
     fn scaled_block_spec(
         accs: &mut [f64],
         n: usize,
@@ -844,7 +883,7 @@ mod tests {
             for (kk, &c) in c.iter().enumerate() {
                 if terms == Terms::All || c != 0.0 {
                     for (slot, &x) in acc.iter_mut().zip(&w[kk * w_stride..]) {
-                        *slot += c * x;
+                        *slot = c.mul_add(x, *slot);
                     }
                 }
             }
@@ -950,6 +989,82 @@ mod tests {
         add_scaled_block_on(tiers[0], &mut widest, n, &coeffs, &w, stride, Terms::All);
         add_scaled_block(&mut public, n, &coeffs, &w, stride, Terms::All);
         assert_eq!(bits(&public), bits(&widest));
+    }
+
+    /// `(a, c, a · a + c)` with `a = 1 + 2⁻²⁷` and `c = −(1 + 2⁻²⁶)`: rounded
+    /// once, `a · a + c` is `2⁻⁵⁴`; with the product rounded first it is 0.
+    fn fma_witness() -> (f64, f64, f64) {
+        let (a, c) = (1.0 + 2f64.powi(-27), -(1.0 + 2f64.powi(-26)));
+        assert_eq!(a * a + c, 0.0, "two roundings");
+        (a, c, 2f64.powi(-54))
+    }
+
+    #[test]
+    fn every_tier_fuses_each_term_of_a_block() {
+        let (a, c, fused) = fma_witness();
+        // Two blocks of four rows and a fifth row; 35 columns, a 32-column
+        // panel (two 16-column ones under AVX2) and three past them; the one
+        // term under a non-zero coefficient at each of five keys in turn,
+        // every place in the row-by-row loop's pass of four and its
+        // remainder. A zero term (`Terms::All`) adds an exact ±0.
+        let (rows, n, keys) = (9, 35, 5);
+        let w = vec![a; keys * n];
+        for tier in Tier::available() {
+            for terms in [Terms::NonZero, Terms::All] {
+                for kk in 0..keys {
+                    let coeffs: Vec<f64> = (0..rows * keys)
+                        .map(|i| if i % keys == kk { a } else { 0.0 })
+                        .collect();
+                    let mut accs = vec![c; rows * n];
+                    add_scaled_block_on(tier, &mut accs, n, &coeffs, &w, n, terms);
+                    let case = format!("{tier:?} {terms:?} key {kk}");
+                    assert!(accs.iter().all(|&x| x == fused), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_fuses_each_term_of_a_score() {
+        let (a, c, fused) = fma_witness();
+        // Scores `[c, a] · [1, a]` of nine keys (whole passes of eight or of
+        // four keys and a remainder): the first term is exactly `c`, so the
+        // second is the witness.
+        let keys = [[1.0, a]; 9];
+        let keys = || keys.iter().map(|k| &k[..]);
+        let mut group = QueryGroup::default();
+        for tier in Tier::available() {
+            for rows in [1, QUERY_LANES] {
+                group.load(2, std::iter::repeat_n(&[c, a][..], rows));
+                let mut scores = vec![0.0; rows * 9];
+                score_group_on(tier, &group, keys(), &mut scores);
+                assert!(scores.iter().all(|&x| x == fused), "{tier:?} {rows} rows");
+            }
+            let mut scores = [0.0; 9];
+            dot_rows_on(tier, &[c, a], keys(), &mut scores);
+            assert!(scores.iter().all(|&x| x == fused), "{tier:?} dot_rows");
+        }
+        group.load(2, std::iter::once(&[c, a][..]));
+        let mut scores = [0.0; 9];
+        score_group(&group, keys(), &mut scores);
+        assert!(scores.iter().all(|&x| x == fused), "a public group of one");
+    }
+
+    #[test]
+    fn every_tier_fuses_each_square() {
+        // Each lane adds 1, then 2⁻⁵² (the square of 2⁻²⁶, exactly), then
+        // a² = 1 + 2⁻²⁶ + 2⁻⁵⁴. Rounded first, a² is 1 + 2⁻²⁶ and the sum
+        // 2 + 2⁻²⁶ + 2⁻⁵² a tie that rounds down to even; fused it rounds up.
+        let (a, _, _) = fma_witness();
+        let xs: Vec<f64> = [1.0, 2f64.powi(-26), a]
+            .iter()
+            .flat_map(|&x| [x; LANES])
+            .collect();
+        let lane = 2.0 + 2f64.powi(-26) + 2f64.powi(-51);
+        for tier in Tier::available() {
+            let (_, sum_sq) = sum_and_squares_on(tier, &xs);
+            assert_eq!(sum_sq, 8.0 * lane, "{tier:?}");
+        }
     }
 
     #[test]
@@ -1125,6 +1240,39 @@ mod tests {
     }
 
     #[test]
+    fn every_tier_scores_a_lone_row_with_the_bits_of_the_baseline() {
+        let tiers = Tier::available();
+        println!("compared with the baseline: {tiers:?}");
+        let keys = hostile_rows(7, 9, 67);
+        let query = hostile_values(23, 67);
+        // Every column count, every tile length (whole passes of four keys
+        // and each remainder), keys misaligned by one element.
+        for dim in 0..=67 {
+            for n in 0..=9 {
+                let keys = || keys[..n].iter().map(|k| &k[1..]);
+                let mut expected = vec![0.0; n];
+                dot_rows_on(Tier::Baseline, &query[..dim], keys(), &mut expected);
+                for &tier in &tiers {
+                    let mut got = vec![0.0; n];
+                    dot_rows_on(tier, &query[..dim], keys(), &mut got);
+                    let case = format!("{tier:?} dim {dim} keys {n}");
+                    assert_eq!(bits(&got), bits(&expected), "{case}");
+                }
+            }
+        }
+        // The public entry point is the widest tier.
+        let (mut widest, mut public) = ([0.0; 9], [0.0; 9]);
+        dot_rows_on(
+            tiers[0],
+            &query,
+            keys.iter().map(Vec::as_slice),
+            &mut widest,
+        );
+        dot_rows(&query, keys.iter().map(Vec::as_slice), &mut public);
+        assert_eq!(bits(&public), bits(&widest));
+    }
+
+    #[test]
     #[should_panic(expected = "at most QUERY_LANES rows")]
     fn a_group_of_more_than_eight_rows_is_rejected() {
         let row = [1.0; 3];
@@ -1223,13 +1371,14 @@ mod tests {
     }
 
     /// The order `sum_and_squares` promises, written out one term at a time:
-    /// element `i` into lane `i mod 8`, then `((0+1)+(2+3))+((4+5)+(6+7))`.
+    /// element `i` into lane `i mod 8` (its square fused into the lane's
+    /// sum), then `((0+1)+(2+3))+((4+5)+(6+7))`.
     fn sum_and_squares_spec(xs: &[f64]) -> (f64, f64) {
         let mut sums = [0.0f64; 8];
         let mut squares = [0.0f64; 8];
         for (i, &x) in xs.iter().enumerate() {
             sums[i % 8] += x;
-            squares[i % 8] += x * x;
+            squares[i % 8] = x.mul_add(x, squares[i % 8]);
         }
         let tree = |l: [f64; 8]| ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
         (tree(sums), tree(squares))
