@@ -9,47 +9,41 @@ fn main() {
     let h800 = GpuArch::h800();
     let mha = print_normalized_table(
         "Figure 5a: MHA on A10 (speedup vs PyTorch Eager)",
-        &eval::mha_rows(&a10),
+        &eval::rows(&a10, "mha"),
     );
     let mla = print_normalized_table(
         "Figure 5b: MLA on H800 (speedup vs PyTorch Eager)",
-        &eval::mla_rows(&h800),
+        &eval::rows(&h800, "mla"),
     );
     let moe = print_normalized_table(
         "Figure 5c: MoE routing on A10 (speedup vs PyTorch Eager)",
-        &eval::moe_rows(&a10),
+        &eval::rows(&a10, "moe"),
     );
     let quant = print_normalized_table(
         "Figure 5d: FP8 PerToken Quant+GEMM on H800 (speedup vs PyTorch Eager)",
-        &eval::quant_rows(&h800),
+        &eval::rows(&h800, "quant"),
     );
 
     println!("\n=== Headline comparison with the paper (§5.2) ===");
-    let pick = |geo: &[(String, f64)], name: &str| {
-        geo.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN)
-    };
     println!(
         "MHA: RedFuser / FlashAttention2 = {:.2} (paper: 1.09), RedFuser / Dynamo = {:.1} (paper: 2.8 on LLaMA-65B)",
-        pick(&mha, "RedFuser") / pick(&mha, "FlashAttention2"),
-        pick(&mha, "RedFuser") / pick(&mha, "PyTorch Dynamo"),
+        mha.speedup("RedFuser") / mha.speedup("FlashAttention2"),
+        mha.speedup("RedFuser") / mha.speedup("PyTorch Dynamo"),
     );
     println!(
         "MLA: RedFuser / FlashMLA = {:.2} (paper: 1.02), RedFuser / Dynamo = {:.1} (paper: 2.4), RedFuser / TVM = {:.1} (paper: 8.7)",
-        pick(&mla, "RedFuser") / pick(&mla, "FlashMLA"),
-        pick(&mla, "RedFuser") / pick(&mla, "PyTorch Dynamo"),
-        pick(&mla, "RedFuser") / pick(&mla, "TVM"),
+        mla.speedup("RedFuser") / mla.speedup("FlashMLA"),
+        mla.speedup("RedFuser") / mla.speedup("PyTorch Dynamo"),
+        mla.speedup("RedFuser") / mla.speedup("TVM"),
     );
     println!(
         "MoE: RedFuser / Dynamo = {:.1} (paper: 1.7), RedFuser / TVM = {:.1} (paper: 6.6)",
-        pick(&moe, "RedFuser") / pick(&moe, "PyTorch Dynamo"),
-        pick(&moe, "RedFuser") / pick(&moe, "TVM"),
+        moe.speedup("RedFuser") / moe.speedup("PyTorch Dynamo"),
+        moe.speedup("RedFuser") / moe.speedup("TVM"),
     );
     println!(
         "Quant+GEMM: RedFuser / Dynamo = {:.1} (paper: 3.4), RedFuser / TVM = {:.1} (paper: 12.1)",
-        pick(&quant, "RedFuser") / pick(&quant, "PyTorch Dynamo"),
-        pick(&quant, "RedFuser") / pick(&quant, "TVM"),
+        quant.speedup("RedFuser") / quant.speedup("PyTorch Dynamo"),
+        quant.speedup("RedFuser") / quant.speedup("TVM"),
     );
 }

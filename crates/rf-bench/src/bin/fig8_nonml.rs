@@ -10,26 +10,20 @@ fn main() {
                 "Figure 8: variance on {} (speedup vs PyTorch Eager)",
                 arch.name
             ),
-            &eval::variance_rows(&arch),
+            &eval::rows(&arch, "variance"),
         );
         let inertia = print_normalized_table(
             &format!(
                 "Figure 8: moment of inertia on {} (speedup vs PyTorch Eager)",
                 arch.name
             ),
-            &eval::inertia_rows(&arch),
+            &eval::rows(&arch, "inertia"),
         );
-        let pick = |geo: &[(String, f64)]| {
-            geo.iter()
-                .find(|(n, _)| n == "RedFuser")
-                .map(|(_, v)| *v)
-                .unwrap_or(f64::NAN)
-        };
         println!(
             "summary on {}: RedFuser vs Eager — variance {:.1}x (paper: 2.9-4.8x), inertia {:.1}x (paper: 5.5-11.6x)",
             arch.name,
-            pick(&variance),
-            pick(&inertia)
+            variance.speedup("RedFuser"),
+            inertia.speedup("RedFuser")
         );
     }
 }

@@ -11,16 +11,16 @@ fn main() {
                 "Figure 9: MoE routing on {} (speedup vs PyTorch Eager)",
                 arch.name
             ),
-            &eval::moe_rows(&arch),
+            &eval::rows(&arch, "moe"),
         );
         print_normalized_table(
             &format!("Figure 9: MHA on {} (speedup vs PyTorch Eager)", arch.name),
-            &eval::mha_rows(&arch),
+            &eval::rows(&arch, "mha"),
         );
     }
     let mi = GpuArch::mi308x();
     print_normalized_table(
         "Figure 9g: FP8 PerToken Quant+GEMM on AMD MI308X (speedup vs PyTorch Eager)",
-        &eval::quant_rows(&mi),
+        &eval::rows(&mi, "quant"),
     );
 }

@@ -1,136 +1,80 @@
-//! Evaluation driver shared by the Figure 5 / 8 / 9 harness binaries.
+//! Evaluation driver shared by the Figure 5 / 8 / 9 harness binaries and the
+//! sim-clock ledger.
 //!
 //! For each workload configuration the driver estimates the latency of every
 //! baseline (via `rf-baselines` + `rf-gpusim`) and of the RedFuser-compiled
-//! kernel (via `rf-codegen`), then reports speedups normalized to PyTorch
+//! kernel (via `rf-codegen`); [`SimRow::speedups`] normalizes them to PyTorch
 //! Eager exactly as the paper's figures do.
 
 use rf_baselines::{
     flash_attention2_profile, flash_mla_profile, inertia_op_list, mha_op_list, mla_op_list,
-    moe_op_list, quant_op_list, variance_op_list, CompilerBaseline, OpSpec,
+    moe_op_list, quant_op_list, variance_op_list, CompilerBaseline,
 };
 use rf_codegen::{compile_workload, Workload};
-use rf_gpusim::{estimate_latency, sequence_latency, GpuArch, KernelProfile};
+use rf_gpusim::{estimate_latency, sequence_latency, GpuArch};
+use rf_workloads::{
+    inertia_configs, mha_configs, mla_configs, moe_configs, quant_configs, variance_configs,
+};
 
-use crate::NormalizedRow;
+use crate::SimRow;
 
-fn baseline_speedups(
-    arch: &GpuArch,
-    ops: &[OpSpec],
-    extra: &[(&str, f64)],
-    redfuser_us: f64,
-) -> Vec<(String, f64)> {
-    let eager = sequence_latency(arch, &CompilerBaseline::PyTorchEager.kernels(ops));
-    let mut speedups = vec![("PyTorch Eager".to_string(), 1.0)];
-    for baseline in [CompilerBaseline::Dynamo, CompilerBaseline::Tvm] {
-        let us = sequence_latency(arch, &baseline.kernels(ops));
-        speedups.push((baseline.name().to_string(), eager / us));
+/// The 52 Table 2/3 configurations in table order: MHA, MLA, MoE, Quant,
+/// Variance, Inertia.
+pub(crate) fn table_workloads() -> Vec<Workload> {
+    let mut out: Vec<Workload> = Vec::new();
+    out.extend(mha_configs().into_iter().map(Workload::Mha));
+    out.extend(mla_configs().into_iter().map(Workload::Mla));
+    out.extend(moe_configs().into_iter().map(Workload::Moe));
+    out.extend(quant_configs().into_iter().map(Workload::Quant));
+    out.extend(variance_configs().into_iter().map(Workload::Variance));
+    out.extend(inertia_configs().into_iter().map(Workload::Inertia));
+    out
+}
+
+/// `workload` on `arch`: Eager, Dynamo and TVM over the family's op list, the
+/// family's hand-written kernel (FlashAttention2 for MHA, FlashMLA for MLA)
+/// where it has one, then RedFuser's compiled kernel.
+///
+/// # Panics
+///
+/// On `Workload::Softmax`, which has no baseline op list.
+pub(crate) fn sim_row(workload: &Workload, arch: &GpuArch) -> SimRow {
+    let (config, ops, hand) = match workload {
+        Workload::Mha(c) => (
+            c.name,
+            mha_op_list(c),
+            Some(("FlashAttention2", flash_attention2_profile(c))),
+        ),
+        Workload::Mla(c) => (
+            c.name,
+            mla_op_list(c),
+            Some(("FlashMLA", flash_mla_profile(c))),
+        ),
+        Workload::Moe(c) => (c.name, moe_op_list(c), None),
+        Workload::Quant(c) => (c.name, quant_op_list(c), None),
+        Workload::Variance(c) => (c.name, variance_op_list(c), None),
+        Workload::Inertia(c) => (c.name, inertia_op_list(c), None),
+        Workload::Softmax { .. } => panic!("{}: no baseline op list", workload.name()),
+    };
+    let mut us: Vec<(&'static str, f64)> = CompilerBaseline::ALL
+        .iter()
+        .map(|b| (b.name(), sequence_latency(arch, &b.kernels(&ops))))
+        .collect();
+    us.extend(hand.map(|(name, profile)| (name, estimate_latency(arch, &profile).total_us)));
+    us.push(("RedFuser", compile_workload(workload, arch).latency_us));
+    SimRow {
+        config: config.to_string(),
+        us,
     }
-    for (name, us) in extra {
-        speedups.push((name.to_string(), eager / us));
-    }
-    speedups.push(("RedFuser".to_string(), eager / redfuser_us));
-    speedups
 }
 
-fn hand_optimized_us(arch: &GpuArch, profile: KernelProfile) -> f64 {
-    estimate_latency(arch, &profile).total_us
-}
-
-/// Figure 5a / 9: MHA speedups on `arch`, normalized to PyTorch Eager.
-pub fn mha_rows(arch: &GpuArch) -> Vec<NormalizedRow> {
-    rf_workloads::mha_configs()
-        .into_iter()
-        .map(|config| {
-            let ops = mha_op_list(&config);
-            let fa2 = hand_optimized_us(arch, flash_attention2_profile(&config));
-            let fused = compile_workload(&Workload::Mha(config.clone()), arch);
-            NormalizedRow {
-                config: config.name.to_string(),
-                speedups: baseline_speedups(
-                    arch,
-                    &ops,
-                    &[("FlashAttention2", fa2)],
-                    fused.latency_us,
-                ),
-            }
-        })
-        .collect()
-}
-
-/// Figure 5b: MLA speedups on `arch`, normalized to PyTorch Eager.
-pub fn mla_rows(arch: &GpuArch) -> Vec<NormalizedRow> {
-    rf_workloads::mla_configs()
-        .into_iter()
-        .map(|config| {
-            let ops = mla_op_list(&config);
-            let mla = hand_optimized_us(arch, flash_mla_profile(&config));
-            let fused = compile_workload(&Workload::Mla(config.clone()), arch);
-            NormalizedRow {
-                config: config.name.to_string(),
-                speedups: baseline_speedups(arch, &ops, &[("FlashMLA", mla)], fused.latency_us),
-            }
-        })
-        .collect()
-}
-
-/// Figure 5c / 9: MoE routing speedups on `arch`.
-pub fn moe_rows(arch: &GpuArch) -> Vec<NormalizedRow> {
-    rf_workloads::moe_configs()
-        .into_iter()
-        .map(|config| {
-            let ops = moe_op_list(&config);
-            let fused = compile_workload(&Workload::Moe(config.clone()), arch);
-            NormalizedRow {
-                config: config.name.to_string(),
-                speedups: baseline_speedups(arch, &ops, &[], fused.latency_us),
-            }
-        })
-        .collect()
-}
-
-/// Figure 5d / 9: FP8 Quant + GEMM speedups on `arch`.
-pub fn quant_rows(arch: &GpuArch) -> Vec<NormalizedRow> {
-    rf_workloads::quant_configs()
-        .into_iter()
-        .map(|config| {
-            let ops = quant_op_list(&config);
-            let fused = compile_workload(&Workload::Quant(config.clone()), arch);
-            NormalizedRow {
-                config: config.name.to_string(),
-                speedups: baseline_speedups(arch, &ops, &[], fused.latency_us),
-            }
-        })
-        .collect()
-}
-
-/// Figure 8 (left column): variance speedups on `arch`.
-pub fn variance_rows(arch: &GpuArch) -> Vec<NormalizedRow> {
-    rf_workloads::variance_configs()
-        .into_iter()
-        .map(|config| {
-            let ops = variance_op_list(&config);
-            let fused = compile_workload(&Workload::Variance(config.clone()), arch);
-            NormalizedRow {
-                config: config.name.to_string(),
-                speedups: baseline_speedups(arch, &ops, &[], fused.latency_us),
-            }
-        })
-        .collect()
-}
-
-/// Figure 8 (right column): moment-of-inertia speedups on `arch`.
-pub fn inertia_rows(arch: &GpuArch) -> Vec<NormalizedRow> {
-    rf_workloads::inertia_configs()
-        .into_iter()
-        .map(|config| {
-            let ops = inertia_op_list(&config);
-            let fused = compile_workload(&Workload::Inertia(config.clone()), arch);
-            NormalizedRow {
-                config: config.name.to_string(),
-                speedups: baseline_speedups(arch, &ops, &[], fused.latency_us),
-            }
-        })
+/// The rows of one Table 2/3 family (`Workload::class`, e.g. `"mha"`) on
+/// `arch`: Figure 5's panels, Figure 8's columns and Figure 9's plots.
+pub fn rows(arch: &GpuArch, class: &str) -> Vec<SimRow> {
+    table_workloads()
+        .iter()
+        .filter(|w| w.class() == class)
+        .map(|w| sim_row(w, arch))
         .collect()
 }
 
@@ -143,26 +87,19 @@ mod tests {
         let a10 = GpuArch::a10();
         let h800 = GpuArch::h800();
         for rows in [
-            mha_rows(&a10),
-            mla_rows(&h800),
-            moe_rows(&a10),
-            quant_rows(&h800),
+            rows(&a10, "mha"),
+            rows(&h800, "mla"),
+            rows(&a10, "moe"),
+            rows(&h800, "quant"),
         ] {
             for row in &rows {
-                let by_name = |name: &str| {
-                    row.speedups
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, v)| *v)
-                        .unwrap()
-                };
-                let redfuser = by_name("RedFuser");
+                let redfuser = row.speedup("RedFuser");
                 assert!(
-                    redfuser > by_name("PyTorch Dynamo"),
+                    redfuser > row.speedup("PyTorch Dynamo"),
                     "{}: vs Dynamo",
                     row.config
                 );
-                assert!(redfuser > by_name("TVM"), "{}: vs TVM", row.config);
+                assert!(redfuser > row.speedup("TVM"), "{}: vs TVM", row.config);
                 assert!(redfuser >= 1.0, "{}: vs Eager", row.config);
             }
         }
@@ -170,33 +107,13 @@ mod tests {
 
     #[test]
     fn redfuser_is_competitive_with_hand_optimized_kernels() {
-        let a10 = GpuArch::a10();
-        for row in mha_rows(&a10) {
-            let fa2 = row
-                .speedups
-                .iter()
-                .find(|(n, _)| n == "FlashAttention2")
-                .unwrap()
-                .1;
-            let rf = row
-                .speedups
-                .iter()
-                .find(|(n, _)| n == "RedFuser")
-                .unwrap()
-                .1;
-            let ratio = rf / fa2;
+        for row in rows(&GpuArch::a10(), "mha") {
+            let ratio = row.speedup("RedFuser") / row.speedup("FlashAttention2");
             assert!(
                 (0.8..=1.5).contains(&ratio),
                 "{}: RedFuser/FA2 = {ratio}",
                 row.config
             );
         }
-    }
-
-    #[test]
-    fn nonml_rows_cover_all_configs() {
-        let arch = GpuArch::a100();
-        assert_eq!(variance_rows(&arch).len(), 8);
-        assert_eq!(inertia_rows(&arch).len(), 8);
     }
 }

@@ -12,6 +12,7 @@
 //! | `fig8_nonml` | Figure 8 (variance and moment of inertia, 4 platforms) |
 //! | `fig9_multiplatform` | Figure 9 (ML workloads on A100 / H800 / MI308X) |
 //! | `fig11_13_ir_dump` | Figures 11–13 (unfused TIR, fused scalar and tile IR) |
+//! | `sim_ledger` | `BENCH_sim.json`: every Table 2/3 row and tuner choice (see [`ledger`]) |
 //!
 //! The `perf` binary (`src/bin/perf/`, also a package of its own) is the one
 //! benchmark: compile, tile-VM execution and serving load, host-clock and
@@ -21,50 +22,70 @@
 
 #![forbid(unsafe_code)]
 
-/// One row of a normalized-performance table: a workload configuration and the
-/// speedup of each system relative to the first (baseline) system.
+/// One workload on one preset: the simulated µs of each system that runs it,
+/// PyTorch Eager first and RedFuser last.
 #[derive(Debug, Clone)]
-pub struct NormalizedRow {
-    /// Configuration name (e.g. `"H3"`).
+pub struct SimRow {
+    /// Configuration name as the paper's tables print it (e.g. `"H3"`).
     pub config: String,
-    /// `(system name, speedup vs baseline)` pairs, baseline first.
-    pub speedups: Vec<(String, f64)>,
+    /// `(system name, simulated µs)` pairs, PyTorch Eager first.
+    pub us: Vec<(&'static str, f64)>,
 }
 
-/// Prints a normalized-performance table in a fixed-width layout and returns
-/// the geometric-mean speedup of every system.
-pub fn print_normalized_table(title: &str, rows: &[NormalizedRow]) -> Vec<(String, f64)> {
+impl SimRow {
+    /// Every system's speedup over the first (PyTorch Eager), in row order.
+    pub fn speedups(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        let eager = self.us[0].1;
+        self.us.iter().map(move |&(name, us)| (name, eager / us))
+    }
+
+    /// The speedup of `system` over PyTorch Eager.
+    ///
+    /// # Panics
+    ///
+    /// If the row has no such system.
+    pub fn speedup(&self, system: &str) -> f64 {
+        self.speedups()
+            .find(|&(name, _)| name == system)
+            .unwrap_or_else(|| panic!("{}: no system {system}", self.config))
+            .1
+    }
+}
+
+/// Prints a normalized-performance table (speedups over the first system) in
+/// a fixed-width layout, closed by the geometric-mean row, and returns that
+/// row. Its µs are each system's geometric-mean µs, so its speedups are the
+/// geometric means of the rows' speedups (a geometric mean of ratios is the
+/// ratio of the geometric means).
+pub fn print_normalized_table(title: &str, rows: &[SimRow]) -> SimRow {
     println!("\n=== {title} ===");
+    let systems = rows.first().map_or(&[][..], |row| &row.us[..]);
+    let geomean = SimRow {
+        config: "geomean".into(),
+        us: (systems.iter().enumerate())
+            .map(|(i, &(name, _))| {
+                let log_sum: f64 = rows.iter().map(|row| row.us[i].1.ln()).sum();
+                (name, (log_sum / rows.len() as f64).exp())
+            })
+            .collect(),
+    };
     if rows.is_empty() {
         println!("(no rows)");
-        return Vec::new();
+        return geomean;
     }
-    let systems: Vec<String> = rows[0].speedups.iter().map(|(n, _)| n.clone()).collect();
     print!("{:<10}", "config");
-    for s in &systems {
-        print!("{s:>18}");
+    for (name, _) in systems {
+        print!("{name:>18}");
     }
     println!();
-    let mut logs = vec![0.0f64; systems.len()];
-    for row in rows {
+    for row in rows.iter().chain([&geomean]) {
         print!("{:<10}", row.config);
-        for (i, (_, v)) in row.speedups.iter().enumerate() {
+        for (_, v) in row.speedups() {
             print!("{v:>18.2}");
-            logs[i] += v.ln();
         }
         println!();
     }
-    let geo: Vec<(String, f64)> = systems
-        .iter()
-        .cloned()
-        .zip(logs.iter().map(|l| (l / rows.len() as f64).exp()))
-        .collect();
-    print!("{:<10}", "geomean");
-    for (_, g) in &geo {
-        print!("{g:>18.2}");
-    }
-    println!();
-    geo
+    geomean
 }
 
 /// Formats microseconds with a sensible unit.
@@ -85,18 +106,18 @@ mod tests {
     #[test]
     fn geomean_of_identical_rows_is_the_value() {
         let rows = vec![
-            NormalizedRow {
+            SimRow {
                 config: "A".into(),
-                speedups: vec![("base".into(), 1.0), ("x".into(), 4.0)],
+                us: vec![("base", 4.0), ("x", 1.0)],
             },
-            NormalizedRow {
+            SimRow {
                 config: "B".into(),
-                speedups: vec![("base".into(), 1.0), ("x".into(), 1.0)],
+                us: vec![("base", 2.0), ("x", 2.0)],
             },
         ];
-        let geo = print_normalized_table("test", &rows);
-        assert_eq!(geo[0].1, 1.0);
-        assert!((geo[1].1 - 2.0).abs() < 1e-12);
+        let geomean = print_normalized_table("test", &rows);
+        assert_eq!(geomean.speedup("base"), 1.0);
+        assert!((geomean.speedup("x") - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -108,7 +129,8 @@ mod tests {
 
     #[test]
     fn empty_table_is_handled() {
-        assert!(print_normalized_table("empty", &[]).is_empty());
+        assert!(print_normalized_table("empty", &[]).us.is_empty());
     }
 }
 pub mod eval;
+pub mod ledger;

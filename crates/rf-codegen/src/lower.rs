@@ -16,7 +16,8 @@
 //! An edit to a lowering's ops, buffers or clamps must be mirrored there;
 //! `closed_forms_equal_the_lowering_over_the_whole_space` and the
 //! `debug_assert_eq!` on every shipped winner (both in `compile.rs`) and the
-//! recorded choices of `tests/tuner_choices.rs` say so when it is not.
+//! recorded choices in `BENCH_sim.json` (the sim-clock ledger, checked by
+//! `rf-bench`'s `tests/sim_ledger.rs`) say so when it is not.
 
 use rf_gpusim::{pipeline_overlap, KernelProfile};
 use rf_tile::{

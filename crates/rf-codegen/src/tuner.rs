@@ -38,7 +38,8 @@
 //!
 //! Measured on the 22 tuned `perf` configs (H800 preset, 2-vCPU host): a
 //! guided compile takes 36–43 µs and the exhaustive oracle 55–64 µs, choosing
-//! bit-identical kernels (`tests/tuner_choices.rs`). Guided stays the default:
+//! bit-identical kernels (the `tuner` rows of `BENCH_sim.json`, written by
+//! `cargo run --release -p rf-bench --bin sim_ledger`). Guided stays the default:
 //! a third fewer µs on average and five times fewer candidates, though where
 //! the space dedups to ~200 candidates the oracle is as fast.
 //!
