@@ -70,15 +70,6 @@ impl BinaryOp {
             .fold(self.identity(), |acc, v| self.apply(acc, v))
     }
 
-    /// Whether the operator admits inverses for (almost) all elements.
-    ///
-    /// `Add` is a group; `Mul` is a group on the non-zero reals; `Max`/`Min`
-    /// are idempotent and admit no inverses at all.
-    #[inline]
-    pub fn is_group_like(self) -> bool {
-        matches!(self, BinaryOp::Add | BinaryOp::Mul)
-    }
-
     /// The inverse of `value` under this operator, if it exists.
     ///
     /// Returns `None` for non-invertible elements (`0` under `Mul`, anything

@@ -1,8 +1,7 @@
 //! Dumps the intermediate representations of Figures 11-13: the unfused
 //! attention loop nest, the fused scalar kernel generated by the three-step
 //! template, and the FlashAttention / FlashDecoding tile-level programs.
-use rf_codegen::lower::AttentionTiling;
-use rf_codegen::{attention_program, AttentionShape, Strategy};
+use rf_codegen::{attention_program, AttentionShape, TuningPoint};
 use rf_tir::{builder, detect_cascade, generate_fused};
 
 fn main() {
@@ -22,21 +21,20 @@ fn main() {
         head_dim: 64,
         qk_dim: 64,
     };
-    let tiling = AttentionTiling {
-        block_q: 128,
-        block_kv: 128,
+    let point = TuningPoint {
+        block_rows: 128,
+        block_axis: 128,
         threads: 256,
         pipeline_depth: 2,
+        segments: 1,
     };
     println!("===== Figure 12b: FlashAttention tile-level IR (Single-Segment) =====");
-    println!(
-        "{}",
-        attention_program(&shape, &tiling, Strategy::SingleSegment)
-    );
+    println!("{}", attention_program(&shape, &point));
 
     println!("===== Figure 13b: FlashDecoding tile-level IR (Multi-Segment, num_split = 2) =====");
-    println!(
-        "{}",
-        attention_program(&shape, &tiling, Strategy::MultiSegment { segments: 2 })
-    );
+    let split = TuningPoint {
+        segments: 2,
+        ..point
+    };
+    println!("{}", attention_program(&shape, &split));
 }

@@ -52,11 +52,24 @@ impl SimRow {
     }
 }
 
+/// One right-aligned cell of a normalized table: the speedup of a system that
+/// took `us` over one that took `eager_us`, or `n/a` where `us` is not finite
+/// (a hand-written kernel whose launch configuration does not fit the preset
+/// cannot run there; it has no speedup, not a 0× one).
+fn speedup_cell(eager_us: f64, us: f64) -> String {
+    if us.is_finite() {
+        format!("{:>18.2}", eager_us / us)
+    } else {
+        format!("{:>18}", "n/a")
+    }
+}
+
 /// Prints a normalized-performance table (speedups over the first system) in
 /// a fixed-width layout, closed by the geometric-mean row, and returns that
 /// row. Its µs are each system's geometric-mean µs, so its speedups are the
 /// geometric means of the rows' speedups (a geometric mean of ratios is the
-/// ratio of the geometric means).
+/// ratio of the geometric means). A system that cannot run a row prints `n/a`
+/// there and in the geometric-mean row.
 pub fn print_normalized_table(title: &str, rows: &[SimRow]) -> SimRow {
     println!("\n=== {title} ===");
     let systems = rows.first().map_or(&[][..], |row| &row.us[..]);
@@ -80,8 +93,8 @@ pub fn print_normalized_table(title: &str, rows: &[SimRow]) -> SimRow {
     println!();
     for row in rows.iter().chain([&geomean]) {
         print!("{:<10}", row.config);
-        for (_, v) in row.speedups() {
-            print!("{v:>18.2}");
+        for &(_, us) in &row.us {
+            print!("{}", speedup_cell(row.us[0].1, us));
         }
         println!();
     }
@@ -118,6 +131,25 @@ mod tests {
         let geomean = print_normalized_table("test", &rows);
         assert_eq!(geomean.speedup("base"), 1.0);
         assert!((geomean.speedup("x") - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_system_that_cannot_run_prints_n_a() {
+        assert_eq!(speedup_cell(4.0, 2.0), format!("{:>18}", "2.00"));
+        assert_eq!(speedup_cell(4.0, f64::INFINITY), format!("{:>18}", "n/a"));
+        assert_eq!(speedup_cell(4.0, f64::NAN), format!("{:>18}", "n/a"));
+        // One infeasible row makes the system's geometric mean infinite too,
+        // so its geomean cell reads n/a while the others keep their speedups.
+        let rows = [("A", 2.0), ("B", f64::INFINITY)].map(|(config, hand)| SimRow {
+            config: config.into(),
+            us: vec![("base", 4.0), ("hand", hand), ("x", 1.0)],
+        });
+        let geomean = print_normalized_table("infeasible", &rows);
+        assert!(geomean.us[1].1.is_infinite());
+        assert_eq!(
+            speedup_cell(geomean.us[0].1, geomean.us[2].1),
+            format!("{:>18}", "4.00")
+        );
     }
 
     #[test]

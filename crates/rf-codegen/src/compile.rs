@@ -4,14 +4,14 @@ use std::sync::Arc;
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 use rf_tile::exec::{ExecBinding, ExecError, ExecInput, ExecOutput, Semantics};
-use rf_tile::{TensorizeConfig, TileProgram};
+use rf_tile::TileProgram;
 use rf_workloads::{
     InertiaConfig, MhaConfig, MlaConfig, MoeConfig, Precision, QuantGemmConfig, VarianceConfig,
 };
 
 use crate::lower::{
-    attention_profile, attention_program, cascade_profile, cascade_program, AttentionShape,
-    AttentionTiling,
+    attention_profile, attention_program, canonical_attention_point, canonical_cascade_point,
+    cascade_profile, cascade_program, AttentionShape,
 };
 use crate::strategy::Mode;
 use crate::tuner::{
@@ -261,17 +261,6 @@ impl CompiledKernel {
     }
 }
 
-/// Clamps an attention tuning point to the shape, exactly as the tuner's
-/// canonicalization hook does, and builds the lowering tiling for it.
-fn attention_tiling_for(shape: &AttentionShape, point: &TuningPoint) -> AttentionTiling {
-    AttentionTiling {
-        block_q: point.block_rows.min(shape.q_len).max(1),
-        block_kv: point.block_axis.min(shape.kv_len).max(1),
-        threads: point.threads,
-        pipeline_depth: point.pipeline_depth,
-    }
-}
-
 /// Lowers an attention shape at one tuning point to a fully-bound program:
 /// the Figure 12b/13b tile structure plus the [`ExecBinding`] the VM needs.
 fn bound_attention_program(
@@ -279,56 +268,13 @@ fn bound_attention_program(
     semantics: Semantics,
     point: &TuningPoint,
 ) -> TileProgram {
-    let tiling = attention_tiling_for(shape, point);
-    let mut program = attention_program(shape, &tiling, point.strategy());
+    let mut program = attention_program(shape, point);
+    let tile = canonical_attention_point(shape, point);
     program.binding = Some(ExecBinding {
         semantics,
-        block_rows: tiling.block_q,
-        block_axis: tiling.block_kv,
+        block_rows: tile.block_rows,
+        block_axis: tile.block_axis,
         segments: (point.segments.max(1) as usize).min(shape.kv_len.max(1)),
-    });
-    program
-}
-
-/// The tensorization config a cascade tuning point lowers with.
-fn cascade_config(point: &TuningPoint, element_bytes: u32) -> TensorizeConfig {
-    TensorizeConfig {
-        block_rows: point.block_rows,
-        block_axis: point.block_axis,
-        threads_per_block: point.threads,
-        pipeline_depth: point.pipeline_depth,
-        element_bytes,
-        incremental: true,
-    }
-}
-
-/// Lowers a row-parallel cascade at one tuning point to a fully-bound program
-/// (the tensorization pass plus the [`ExecBinding`]).
-fn bound_cascade_program(
-    name: &str,
-    num_reductions: usize,
-    rows: usize,
-    axis_len: usize,
-    element_bytes: u32,
-    semantics: Semantics,
-    point: &TuningPoint,
-) -> TileProgram {
-    let cfg = cascade_config(point, element_bytes);
-    let segments = (point.segments.max(1) as usize).min(axis_len.max(1));
-    let mut program = cascade_program(
-        name,
-        num_reductions,
-        rows,
-        axis_len,
-        Mode::Incremental,
-        point.strategy(),
-        &cfg,
-    );
-    program.binding = Some(ExecBinding {
-        semantics,
-        block_rows: point.block_rows.min(rows).max(1),
-        block_axis: point.block_axis.min(axis_len.div_ceil(segments)).max(1),
-        segments,
     });
     program
 }
@@ -356,29 +302,35 @@ pub fn executable_program(workload: &Workload, point: &TuningPoint) -> TileProgr
     // (`Workload::cascade_spec`), not a hand-maintained table.
     let num = workload.lowered_reductions();
     let name = workload.name();
-    bound_cascade_program(&name, num, rows, axis_len, element_bytes, semantics, point)
-}
-
-fn tuner_for(arch: &GpuArch, class: &'static str, opts: &CompileOptions) -> AutoTuner {
-    let mut tuner = AutoTuner::new(arch.clone()).with_mode(opts.mode);
-    if let Some(cache) = &opts.tuning_cache {
-        tuner = tuner.with_cache(Arc::clone(cache), class);
-    }
-    tuner
+    let mode = Mode::Incremental;
+    let mut program = cascade_program(&name, num, rows, axis_len, element_bytes, mode, point);
+    let segments = (point.segments.max(1) as usize).min(axis_len.max(1));
+    program.binding = Some(ExecBinding {
+        semantics,
+        block_rows: point.block_rows.min(rows).max(1),
+        block_axis: point.block_axis.min(axis_len.div_ceil(segments)).max(1),
+        segments,
+    });
+    program
 }
 
 /// The tuned path shared by attention and cascades: search with `profile`
 /// costing each candidate in closed form (see `lower.rs`), then lower only
-/// the winner — whose real profile must be the one the search saw.
+/// the winner through [`executable_program`] — whose real profile must be the
+/// one the search saw.
 fn tune_then_lower(
-    name: &str,
-    tuner: AutoTuner,
+    workload: &Workload,
+    arch: &GpuArch,
+    opts: &CompileOptions,
     hooks: TuneHooks<'_>,
     profile: impl Fn(&TuningPoint) -> KernelProfile,
-    lower: impl FnOnce(&TuningPoint) -> TileProgram,
 ) -> CompiledKernel {
+    let mut tuner = AutoTuner::new(arch.clone()).with_mode(opts.mode);
+    if let Some(cache) = &opts.tuning_cache {
+        tuner = tuner.with_cache(Arc::clone(cache), workload.class());
+    }
     let choice = tuner.tune(&profile, hooks);
-    let program = lower(&choice.point);
+    let program = executable_program(workload, &choice.point);
     debug_assert_eq!(
         choice.profile,
         KernelProfile {
@@ -390,7 +342,7 @@ fn tune_then_lower(
         choice.point
     );
     CompiledKernel {
-        name: name.to_string(),
+        name: workload.name(),
         program: Some(program),
         profile: choice.profile.clone(),
         latency_us: choice.latency_us,
@@ -404,15 +356,6 @@ fn tuned_attention(
     arch: &GpuArch,
     opts: &CompileOptions,
 ) -> CompiledKernel {
-    // Canonicalization mirrors the clamps `attention_program` applies, so two
-    // raw points building the identical kernel are evaluated once.
-    let normalize = |p: &TuningPoint| TuningPoint {
-        block_rows: p.block_rows.min(shape.q_len).max(1),
-        block_axis: p.block_axis.min(shape.kv_len).max(1),
-        threads: p.threads,
-        pipeline_depth: p.pipeline_depth,
-        segments: p.segments.max(1),
-    };
     // Exactly the shared-memory footprint of the Q/K/V staging buffers the
     // lowering allocates (the combine kernel uses no shared memory).
     let footprint = |p: &TuningPoint| PointFootprint {
@@ -426,16 +369,13 @@ fn tuned_attention(
         // Hardware-aware implementation selection (§4.4): MMA/WGMMA mapping
         // and cp.async/TMA copies lift the fused kernel close to peak.
         compute_efficiency: 0.75,
-        ..attention_profile(&shape, &attention_tiling_for(&shape, p), p.strategy())
+        ..attention_profile(&shape, p)
     };
     let hooks = TuneHooks {
-        normalize: &normalize,
+        normalize: &|p| canonical_attention_point(&shape, p),
         footprint: &footprint,
     };
-    let tuner = tuner_for(arch, workload.class(), opts);
-    tune_then_lower(&workload.name(), tuner, hooks, profile, |p| {
-        bound_attention_program(&shape, workload.semantics(), p)
-    })
+    tune_then_lower(workload, arch, opts, hooks, profile)
 }
 
 fn tuned_cascade(
@@ -447,56 +387,29 @@ fn tuned_cascade(
 ) -> CompiledKernel {
     const ELEMENT_BYTES: u32 = 2;
     let (name, num_reductions) = (&workload.name(), workload.lowered_reductions());
-    // Mirror the clamps of `tensorize_cascade`: the cascade is lowered with
-    // `rows * segments` effective rows over `ceil(axis_len / segments)` axis
-    // elements per segment, so larger tile sizes collapse onto those bounds.
-    let normalize = |p: &TuningPoint| {
-        let segments = p.segments.max(1);
-        TuningPoint {
-            block_rows: p.block_rows.min(rows * segments as usize).max(1),
-            block_axis: p
-                .block_axis
-                .min(axis_len.div_ceil(segments as usize))
-                .max(1),
-            threads: p.threads,
-            pipeline_depth: p.pipeline_depth,
-            segments,
-        }
-    };
     // The incremental lowering stages exactly one input tile in shared memory
     // (the combine kernel uses none).
     let footprint = |p: &TuningPoint| PointFootprint {
         threads_per_block: p.threads,
         shared_mem_per_block: (p.block_rows * p.block_axis) as u64 * ELEMENT_BYTES as u64,
     };
+    let mode = Mode::Incremental;
     let profile = |p: &TuningPoint| {
-        let cfg = cascade_config(p, ELEMENT_BYTES);
-        cascade_profile(name, num_reductions, rows, axis_len, p.strategy(), &cfg)
+        cascade_profile(name, num_reductions, rows, axis_len, ELEMENT_BYTES, mode, p)
     };
     let hooks = TuneHooks {
-        normalize: &normalize,
+        normalize: &|p| canonical_cascade_point(rows, axis_len, p),
         footprint: &footprint,
     };
-    let tuner = tuner_for(arch, workload.class(), opts);
-    tune_then_lower(name, tuner, hooks, profile, |p| {
-        let semantics = workload.semantics();
-        bound_cascade_program(
-            name,
-            num_reductions,
-            rows,
-            axis_len,
-            ELEMENT_BYTES,
-            semantics,
-            p,
-        )
-    })
+    tune_then_lower(workload, arch, opts, hooks, profile)
 }
 
 /// Builds a single fused-kernel profile from a workload's minimal traffic and
 /// flop accounting (used for the GEMM-dominated workloads whose fused kernels
-/// load every operand exactly once).
+/// load every operand exactly once). The kernel still ships the executable
+/// program of its fixed point, so the runtime interprets it like every other.
 fn fused_profile_from_accounting(
-    name: &str,
+    workload: &Workload,
     flops: u64,
     hbm_bytes: u64,
     blocks: u64,
@@ -504,7 +417,7 @@ fn fused_profile_from_accounting(
     arch: &GpuArch,
 ) -> CompiledKernel {
     let profile = KernelProfile {
-        name: name.to_string(),
+        name: workload.name(),
         flops,
         hbm_bytes,
         blocks: blocks.max(64),
@@ -516,22 +429,23 @@ fn fused_profile_from_accounting(
         launches: 1,
     };
     let latency_us = estimate_latency(arch, &profile).total_us;
+    let point = TuningPoint {
+        block_rows: 128,
+        block_axis: 128,
+        threads: 256,
+        pipeline_depth: 2,
+        segments: 1,
+    };
     let tuning = TuningChoice {
-        point: TuningPoint {
-            block_rows: 128,
-            block_axis: 128,
-            threads: 256,
-            pipeline_depth: 2,
-            segments: 1,
-        },
+        point,
         profile: profile.clone(),
         latency_us,
         evaluated: 1,
         space_size: 1,
     };
     CompiledKernel {
-        name: name.to_string(),
-        program: None,
+        name: workload.name(),
+        program: Some(executable_program(workload, &point)),
         profile,
         latency_us,
         tuning,
@@ -552,7 +466,7 @@ pub fn compile_workload_with(
     arch: &GpuArch,
     opts: &CompileOptions,
 ) -> CompiledKernel {
-    let mut kernel = match workload {
+    match workload {
         Workload::Mha(c) => tuned_attention(workload, AttentionShape::from_mha(c), arch, opts),
         Workload::Mla(c) => tuned_attention(workload, AttentionShape::from_mla(c), arch, opts),
         Workload::Softmax { rows, len } => tuned_cascade(workload, *rows, *len, arch, opts),
@@ -560,7 +474,7 @@ pub fn compile_workload_with(
             // Scoring GEMM + softmax + top-k fused into one pass over experts.
             let correction_flops = 6 * (c.s * c.en) as u64;
             fused_profile_from_accounting(
-                &workload.name(),
+                workload,
                 c.flops() + correction_flops,
                 c.min_bytes(Precision::Fp16),
                 (c.s as u64).div_ceil(2),
@@ -571,7 +485,7 @@ pub fn compile_workload_with(
         Workload::Quant(c) => {
             let correction_flops = 2 * (c.m * c.n) as u64;
             fused_profile_from_accounting(
-                &workload.name(),
+                workload,
                 c.flops() + correction_flops,
                 c.min_bytes(),
                 ((c.m / 128).max(1) * (c.n / 128).max(1)) as u64,
@@ -580,7 +494,7 @@ pub fn compile_workload_with(
             )
         }
         Workload::Variance(c) => fused_profile_from_accounting(
-            &workload.name(),
+            workload,
             c.flops(),
             c.min_bytes(),
             (c.bs as u64).max(64),
@@ -588,29 +502,23 @@ pub fn compile_workload_with(
             arch,
         ),
         Workload::Inertia(c) => fused_profile_from_accounting(
-            &workload.name(),
+            workload,
             c.flops(),
             c.min_bytes(),
             (c.bs as u64).max(64),
             "fp32",
             arch,
         ),
-    };
-    // Every compiled kernel ships an executable program: the GEMM-dominated
-    // workloads keep their traffic-accounting cost profile but are lowered at
-    // the chosen point so the runtime can interpret them like everything else.
-    if kernel.program.is_none() {
-        kernel.program = Some(executable_program(workload, &kernel.tuning.point));
     }
-    kernel
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuner::TuningSpace;
     use rf_baselines::{mha_op_list, CompilerBaseline};
     use rf_gpusim::sequence_latency;
-    use rf_workloads::{mha_configs, mla_configs, moe_configs, quant_configs};
+    use rf_workloads::{mha_configs, mha_tiny, mla_configs, mla_tiny, moe_configs, quant_configs};
 
     #[test]
     fn redfuser_beats_compiler_baselines_on_attention() {
@@ -638,8 +546,6 @@ mod tests {
         // With very few attention heads the Single-Segment strategy cannot
         // fill the GPU; splitting the KV axis across blocks recovers
         // utilisation (the FlashDecoding argument, §4.3).
-        use crate::lower::{attention_program, AttentionShape, AttentionTiling};
-        use crate::strategy::Strategy;
         let arch = GpuArch::h800();
         let shape = AttentionShape {
             heads: 16,
@@ -648,19 +554,20 @@ mod tests {
             head_dim: 512,
             qk_dim: 576,
         };
-        let tiling = AttentionTiling {
-            block_kv: 64,
-            ..AttentionTiling::default()
+        let point = TuningPoint {
+            block_rows: 128,
+            block_axis: 64,
+            threads: 256,
+            pipeline_depth: 2,
+            segments: 1,
         };
-        let single = KernelProfile::from_tile_program(&attention_program(
-            &shape,
-            &tiling,
-            Strategy::SingleSegment,
-        ));
+        let single = KernelProfile::from_tile_program(&attention_program(&shape, &point));
         let multi = KernelProfile::from_tile_program(&attention_program(
             &shape,
-            &tiling,
-            Strategy::MultiSegment { segments: 8 },
+            &TuningPoint {
+                segments: 8,
+                ..point
+            },
         ));
         let single_us = estimate_latency(&arch, &single).total_us;
         let multi_us = estimate_latency(&arch, &multi).total_us;
@@ -681,7 +588,7 @@ mod tests {
 
     #[test]
     fn cascade_specs_are_fusable_and_drive_the_lowering_counts() {
-        use rf_workloads::{inertia_tiny, mha_tiny, mla_tiny, moe_tiny, variance_tiny};
+        use rf_workloads::{inertia_tiny, moe_tiny, variance_tiny};
         let workloads = [
             Workload::Mha(mha_tiny()),
             Workload::Mla(mla_tiny()),
@@ -740,7 +647,6 @@ mod tests {
     fn guided_search_matches_oracle_on_tiny_configs() {
         // The guided search within 5% of the exhaustive oracle on every
         // tuned tiny workload, with fewer candidates costed.
-        use rf_workloads::{mha_tiny, mla_tiny};
         for arch in [GpuArch::a10(), GpuArch::h800()] {
             for workload in [
                 Workload::Mha(mha_tiny()),
@@ -792,18 +698,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn closed_forms_equal_the_lowering_over_the_whole_space() {
-        // The tuner costs candidates with `attention_profile` /
-        // `cascade_profile` and ships the lowering of the winner: the two
-        // must agree on every field of the profile at every point it can
-        // visit — raw (the closed form's clamps against the lowering's) and
-        // clamped to the shape (the path the tuner and the shipped program
-        // take).
-        use crate::tuner::TuningSpace;
-        use rf_workloads::{mha_tiny, mla_tiny};
-        let points = TuningSpace::PAPER.points();
+    /// The closed-form tests' cascade shapes, `(rows, axis length)`: the
+    /// ledger's softmax shapes and the degenerate ones.
+    const CASCADE_SHAPES: [(usize, usize); 8] = [
+        (512, 4096),
+        (64, 1024),
+        (4, 8192),
+        (1, 32768),
+        (32, 128),
+        (4, 8),
+        (3, 7),
+        (1, 1),
+    ];
 
+    /// The closed-form tests' attention shapes: every Table 2a/2b config, the
+    /// tiny ones and an odd one.
+    fn attention_shapes() -> Vec<AttentionShape> {
         let mut shapes: Vec<AttentionShape> = Vec::new();
         shapes.extend(mha_configs().iter().map(AttentionShape::from_mha));
         shapes.extend(mla_configs().iter().map(AttentionShape::from_mla));
@@ -816,76 +726,109 @@ mod tests {
             head_dim: 7,
             qk_dim: 9,
         });
-        for shape in &shapes {
-            for p in &points {
-                let raw = AttentionTiling {
-                    block_q: p.block_rows,
-                    block_kv: p.block_axis,
-                    threads: p.threads,
-                    pipeline_depth: p.pipeline_depth,
-                };
-                assert_eq!(
-                    attention_profile(shape, &raw, p.strategy()),
-                    KernelProfile::from_tile_program(&attention_program(shape, &raw, p.strategy())),
-                    "{shape:?} at raw {p:?}"
-                );
-                assert_eq!(
-                    attention_profile(shape, &attention_tiling_for(shape, p), p.strategy()),
-                    KernelProfile::from_tile_program(&bound_attention_program(
-                        shape,
-                        Semantics::Attention {
-                            qk_dim: shape.qk_dim,
-                            head_dim: shape.head_dim
-                        },
-                        p
-                    )),
-                    "{shape:?} at clamped {p:?}"
-                );
+        shapes
+    }
+
+    #[test]
+    fn closed_forms_equal_the_lowering_over_the_whole_space() {
+        // The tuner costs candidates with `attention_profile` /
+        // `cascade_profile` and ships the lowering of the winner: the two
+        // must agree on every field of the profile at every point it can
+        // visit — raw (the closed form's clamps against the lowering's) and
+        // canonical (the path the tuner and the shipped program take).
+        let points = TuningSpace::PAPER.points();
+        for shape in &attention_shapes() {
+            let semantics = Semantics::Attention {
+                qk_dim: shape.qk_dim,
+                head_dim: shape.head_dim,
+            };
+            for raw in &points {
+                for p in [*raw, canonical_attention_point(shape, raw)] {
+                    assert_eq!(
+                        attention_profile(shape, &p),
+                        KernelProfile::from_tile_program(&bound_attention_program(
+                            shape, semantics, &p
+                        )),
+                        "{shape:?} at {p:?}"
+                    );
+                }
             }
         }
 
-        for (rows, len) in [
-            (512usize, 4096usize),
-            (64, 1024),
-            (4, 8192),
-            (1, 32768),
-            (32, 128),
-            (4, 8),
-            (3, 7),
-            (1, 1),
-        ] {
+        for (rows, len) in CASCADE_SHAPES {
             // One element width per reduction count covers fp32/fp16/fp8.
             for (reductions, element_bytes) in [(1, 4), (2, 2), (3, 1)] {
                 for raw in &points {
-                    let segments = raw.segments as usize;
-                    let clamped = TuningPoint {
-                        block_rows: raw.block_rows.min(rows * segments).max(1),
-                        block_axis: raw.block_axis.min(len.div_ceil(segments)).max(1),
-                        ..*raw
-                    };
-                    for p in [raw, &clamped] {
-                        assert_eq!(
-                            cascade_profile(
-                                "c",
-                                reductions,
-                                rows,
-                                len,
-                                p.strategy(),
-                                &cascade_config(p, element_bytes)
-                            ),
-                            KernelProfile::from_tile_program(&bound_cascade_program(
+                    for p in [*raw, canonical_cascade_point(rows, len, raw)] {
+                        for mode in [Mode::Incremental, Mode::NonIncremental] {
+                            let program = cascade_program(
                                 "c",
                                 reductions,
                                 rows,
                                 len,
                                 element_bytes,
-                                Semantics::Softmax,
-                                p
-                            )),
-                            "{rows}x{len}, {reductions} reductions at {p:?}"
-                        );
+                                mode,
+                                &p,
+                            );
+                            assert_eq!(
+                                cascade_profile(
+                                    "c",
+                                    reductions,
+                                    rows,
+                                    len,
+                                    element_bytes,
+                                    mode,
+                                    &p
+                                ),
+                                KernelProfile::from_tile_program(&program),
+                                "{rows}x{len}, {reductions} reductions, {mode:?} at {p:?}"
+                            );
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn normalize_builds_the_identical_program() {
+        // The tuner dedups through the `normalize` hook, so a raw point and
+        // its canonical point must lower to the same executable program —
+        // kernel and VM binding — or the dedup would drop a distinct kernel.
+        let odd = MhaConfig {
+            name: "odd",
+            bs: 1,
+            hn: 3,
+            q: 5,
+            kv: 77,
+            hd: 7,
+            model: "test",
+        };
+        let mut workloads: Vec<Workload> = (mha_configs().into_iter())
+            .chain([mha_tiny(), odd])
+            .map(Workload::Mha)
+            .collect();
+        workloads.extend(
+            mla_configs()
+                .into_iter()
+                .chain([mla_tiny()])
+                .map(Workload::Mla),
+        );
+        workloads.extend(CASCADE_SHAPES.map(|(rows, len)| Workload::Softmax { rows, len }));
+        let normalize = |workload: &Workload, p: &TuningPoint| match workload {
+            Workload::Mha(c) => canonical_attention_point(&AttentionShape::from_mha(c), p),
+            Workload::Mla(c) => canonical_attention_point(&AttentionShape::from_mla(c), p),
+            Workload::Softmax { rows, len } => canonical_cascade_point(*rows, *len, p),
+            _ => unreachable!("only attention and softmax are tuned"),
+        };
+        for workload in &workloads {
+            for p in TuningSpace::PAPER.points() {
+                assert_eq!(
+                    executable_program(workload, &p),
+                    executable_program(workload, &normalize(workload, &p)),
+                    "{} at {p:?}",
+                    workload.name()
+                );
             }
         }
     }
@@ -894,38 +837,22 @@ mod tests {
     fn fp8_quant_tile_programs_are_not_costed_at_fp16_rate() {
         // Regression: `KernelProfile::from_tile_program` hardcoded fp16, so
         // FP8 quant-GEMM tile programs were rated against fp16 throughput.
-        use crate::strategy::Strategy;
         let c = &quant_configs()[0];
         let arch = GpuArch::h800();
-        let fp8_cfg = TensorizeConfig {
-            element_bytes: 1,
-            ..TensorizeConfig::default()
+        let point = TuningPoint {
+            block_rows: 128,
+            block_axis: 128,
+            threads: 128,
+            pipeline_depth: 2,
+            segments: 1,
         };
-        let fp16_cfg = TensorizeConfig {
-            element_bytes: 2,
-            ..TensorizeConfig::default()
-        };
-        let fp8 = cascade_program(
-            "quant",
-            2,
-            c.m,
-            c.k,
-            Mode::Incremental,
-            Strategy::SingleSegment,
-            &fp8_cfg,
-        );
-        let fp16 = cascade_program(
-            "quant",
-            2,
-            c.m,
-            c.k,
-            Mode::Incremental,
-            Strategy::SingleSegment,
-            &fp16_cfg,
-        );
-        let fp8_profile = KernelProfile::from_tile_program(&fp8);
+        let lower = |bytes| cascade_program("quant", 2, c.m, c.k, bytes, Mode::Incremental, &point);
+        let fp8_profile = KernelProfile::from_tile_program(&lower(1));
         assert_eq!(fp8_profile.precision, "fp8");
-        assert_eq!(KernelProfile::from_tile_program(&fp16).precision, "fp16");
+        assert_eq!(
+            KernelProfile::from_tile_program(&lower(2)).precision,
+            "fp16"
+        );
         // The exact regression: the same fp8 kernel rated at fp16 throughput
         // (what the hardcoded tag used to do) must be estimated slower than
         // the correct fp8 rating on an fp8-capable part.

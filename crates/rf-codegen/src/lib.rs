@@ -13,8 +13,10 @@
 //!
 //! * [`strategy`] — the strategy / mode / fusion-level enums and their
 //!   feasibility rules.
-//! * [`lower`] — workload-specific lowering to tile programs (the attention
-//!   lowering reproduces Figures 12b and 13b).
+//! * [`lower`] — workload-specific lowering to tile programs at one
+//!   [`TuningPoint`] (the attention lowering reproduces Figures 12b and 13b;
+//!   row cascades go through the tensorization pass), with the closed-form
+//!   costs the tuner searches with.
 //! * [`tuner`] — the empirical search space of §4.4 and the runtime
 //!   configuration selection.
 //! * [`compile`] — the top-level `compile_workload` entry point used by the
@@ -41,6 +43,9 @@ pub use tuner::{
     AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningCache, TuningCacheStats, TuningChoice,
     TuningPoint, TuningSpace,
 };
+
+#[cfg(test)]
+mod tensorize;
 
 #[cfg(test)]
 mod tests {

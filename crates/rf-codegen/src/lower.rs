@@ -1,12 +1,15 @@
-//! Workload-specific lowering to tile programs.
+//! Workload-specific lowering to tile programs, at one [`TuningPoint`] of
+//! the auto-tuner: every lowering, its closed form and the canonicalization
+//! hook read the tuner's point directly.
 //!
 //! [`attention_program`] reproduces the tile-level structure of Figures 12b
 //! (FlashAttention, Single-Segment) and 13b (FlashDecoding, Multi-Segment):
 //! a per-block pipeline over KV tiles with `copy`/`gemm`/`reduce`/`parallel`
 //! ops and, for the Multi-Segment strategy, a separate combine kernel.
 //! [`cascade_program`] lowers generic row-parallel cascades (softmax, MoE
-//! routing, Quant+GEMM rows, variance, inertia) through the tensorization pass
-//! of `rf-tile`.
+//! routing, Quant+GEMM rows, variance, inertia) through the tensorization
+//! pass (`tensorize_cascade`, §4.4), in either computation [`Mode`]; the
+//! cascade's tile clamps all live in this module.
 //!
 //! Next to each lowering sits its **closed form** (`attention_profile`,
 //! `cascade_profile`), the auto-tuner's view of it: integer arithmetic over
@@ -17,15 +20,17 @@
 //! `closed_forms_equal_the_lowering_over_the_whole_space` and the
 //! `debug_assert_eq!` on every shipped winner (both in `compile.rs`) and the
 //! recorded choices in `BENCH_sim.json` (the sim-clock ledger, checked by
-//! `rf-bench`'s `tests/sim_ledger.rs`) say so when it is not.
+//! `rf-bench`'s `tests/sim_ledger.rs`) say so when it is not. Likewise for
+//! the canonical points (`canonical_attention_point`,
+//! `canonical_cascade_point`) and `normalize_builds_the_identical_program`.
 
 use rf_gpusim::{pipeline_overlap, KernelProfile};
 use rf_tile::{
-    precision_for_element_bytes, tensorize_cascade, MemoryScope, StageLoop, TensorizeConfig,
-    TileBuffer, TileOp, TileProgram,
+    precision_for_element_bytes, MemoryScope, StageLoop, TileBuffer, TileOp, TileProgram,
 };
 
 use crate::strategy::{Mode, Strategy};
+use crate::tuner::TuningPoint;
 
 /// The shape of one attention problem as seen by the code generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,32 +77,22 @@ impl AttentionShape {
     }
 }
 
-/// Tuning parameters of the attention lowering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AttentionTiling {
-    /// Query rows per block tile.
-    pub block_q: usize,
-    /// KV rows per main-loop iteration.
-    pub block_kv: usize,
-    /// Threads per block.
-    pub threads: u32,
-    /// Software pipeline depth.
-    pub pipeline_depth: u32,
-}
-
-impl Default for AttentionTiling {
-    fn default() -> Self {
-        AttentionTiling {
-            block_q: 128,
-            block_kv: 128,
-            threads: 256,
-            pipeline_depth: 2,
-        }
+/// The point [`attention_program`] builds for `point`: the tile sizes clamped
+/// to the shape and `segments` to at least one — the tuner's canonicalization
+/// hook for attention, exact because two points with one canonical point
+/// build the identical kernel.
+pub(crate) fn canonical_attention_point(shape: &AttentionShape, p: &TuningPoint) -> TuningPoint {
+    TuningPoint {
+        block_rows: p.block_rows.min(shape.q_len).max(1),
+        block_axis: p.block_axis.min(shape.kv_len).max(1),
+        threads: p.threads,
+        pipeline_depth: p.pipeline_depth,
+        segments: p.segments.max(1),
     }
 }
 
 /// The clamped tile sizes and loop/grid extents of the attention lowering at
-/// one tiling: what [`attention_program`] builds from and `attention_profile`
+/// one point: what [`attention_program`] builds from and `attention_profile`
 /// costs from.
 struct AttentionExtents {
     block_q: usize,
@@ -112,9 +107,10 @@ struct AttentionExtents {
 }
 
 impl AttentionExtents {
-    fn new(shape: &AttentionShape, tiling: &AttentionTiling, strategy: Strategy) -> Self {
-        let block_q = tiling.block_q.min(shape.q_len).max(1);
-        let block_kv = tiling.block_kv.min(shape.kv_len).max(1);
+    fn new(shape: &AttentionShape, point: &TuningPoint) -> Self {
+        let block_q = point.block_rows.min(shape.q_len).max(1);
+        let block_kv = point.block_axis.min(shape.kv_len).max(1);
+        let strategy = point.strategy();
         let segments = strategy.segments() as usize;
         AttentionExtents {
             block_q,
@@ -131,13 +127,9 @@ impl AttentionExtents {
 }
 
 /// Closed form of `KernelProfile::from_tile_program(&attention_program(shape,
-/// tiling, strategy))`, term by term in the order the lowering emits its ops.
-pub(crate) fn attention_profile(
-    shape: &AttentionShape,
-    tiling: &AttentionTiling,
-    strategy: Strategy,
-) -> KernelProfile {
-    let e = AttentionExtents::new(shape, tiling, strategy);
+/// point))`, term by term in the order the lowering emits its ops.
+pub(crate) fn attention_profile(shape: &AttentionShape, point: &TuningPoint) -> KernelProfile {
+    let e = AttentionExtents::new(shape, point);
     let (bq, bkv, s) = (e.block_q as u64, e.block_kv as u64, e.segments as u64);
     let (d, qk) = (shape.head_dim as u64, shape.qk_dim as u64);
     let (row_blocks, blocks) = (e.row_blocks as u64, e.row_blocks as u64 * s);
@@ -149,7 +141,7 @@ pub(crate) fn attention_profile(
     // out — the Multi-Segment epilogue's partial writes are not counted
     // (ROADMAP, "GPU-model ledger"). The combine kernel (none: 0) reads them,
     // merges and writes the output tile, per row block.
-    let combine = u64::from(strategy.needs_combine_kernel());
+    let combine = u64::from(point.strategy().needs_combine_kernel());
     let once_bytes = 2 * bq * qk + (1 - combine) * 2 * bq * d;
     let combine_flops = combine * row_blocks * bq * s * (5 * d + 1);
     let combine_bytes = combine * row_blocks * (4 * bq * s * (d + 2) + 2 * bq * d);
@@ -158,31 +150,27 @@ pub(crate) fn attention_profile(
         flops: blocks * e.iterations * trip_flops + combine_flops,
         hbm_bytes: blocks * (once_bytes + e.iterations * trip_bytes) + combine_bytes,
         blocks,
-        threads_per_block: tiling.threads,
+        threads_per_block: point.threads,
         shared_mem_per_block: 2 * (bq * qk + bkv * (qk + d)),
         precision: "fp16",
         compute_efficiency: 0.6,
-        overlap: pipeline_overlap(tiling.pipeline_depth),
+        overlap: pipeline_overlap(point.pipeline_depth),
         launches: 1 + combine as u32,
     }
 }
 
-/// Builds the fused attention tile program for the given strategy.
+/// Builds the fused attention tile program at one tuning point.
 ///
-/// Single-Segment (`Strategy::SingleSegment`) yields the Figure 12b kernel;
+/// Single-Segment (`point.segments` ≤ 1) yields the Figure 12b kernel;
 /// Multi-Segment splits the KV axis across `segments` blocks per (head,
 /// q-block) pair and appends the Figure 13b combine kernel.
-pub fn attention_program(
-    shape: &AttentionShape,
-    tiling: &AttentionTiling,
-    strategy: Strategy,
-) -> TileProgram {
-    let e = AttentionExtents::new(shape, tiling, strategy);
+pub fn attention_program(shape: &AttentionShape, point: &TuningPoint) -> TileProgram {
+    let e = AttentionExtents::new(shape, point);
     let (block_q, block_kv, segments) = (e.block_q, e.block_kv, e.segments);
 
     let grid = (e.row_blocks * segments) as u64;
-    let mut program = TileProgram::new(e.kernel, grid, tiling.threads);
-    program.pipeline_depth = tiling.pipeline_depth;
+    let mut program = TileProgram::new(e.kernel, grid, point.threads);
+    program.pipeline_depth = point.pipeline_depth;
     program.buffers = vec![
         TileBuffer::new(
             "Q",
@@ -331,7 +319,7 @@ pub fn attention_program(
         elements: (block_q * shape.head_dim) as u64,
     }];
 
-    if strategy.needs_combine_kernel() {
+    if point.strategy().needs_combine_kernel() {
         program.epilogue = vec![
             TileOp::Copy {
                 src: "pmax".into(),
@@ -349,11 +337,8 @@ pub fn attention_program(
                 elements: (block_q * shape.head_dim) as u64,
             },
         ];
-        let mut combine = TileProgram::new(
-            "flash_decoding_combine",
-            e.row_blocks as u64,
-            tiling.threads,
-        );
+        let mut combine =
+            TileProgram::new("flash_decoding_combine", e.row_blocks as u64, point.threads);
         combine.buffers = vec![
             TileBuffer::new(
                 "pmax_part",
@@ -442,6 +427,28 @@ pub fn attention_program(
     program
 }
 
+/// The point [`cascade_program`] builds for `point`: the tile sizes clamped to
+/// the per-segment problem (`rows × segments` effective rows over
+/// `ceil(axis_len / segments)` axis elements) and `segments` to at least one
+/// — the tuner's canonicalization hook for cascades.
+pub(crate) fn canonical_cascade_point(
+    rows: usize,
+    axis_len: usize,
+    p: &TuningPoint,
+) -> TuningPoint {
+    let segments = p.segments.max(1);
+    TuningPoint {
+        block_rows: p.block_rows.min(rows * segments as usize).max(1),
+        block_axis: p
+            .block_axis
+            .min(axis_len.div_ceil(segments as usize))
+            .max(1),
+        threads: p.threads,
+        pipeline_depth: p.pipeline_depth,
+        segments,
+    }
+}
+
 /// The per-segment problem [`cascade_program`] hands to `tensorize_cascade`
 /// and its combine kernel's tile height and grid; shared with `cascade_profile`.
 struct CascadeExtents {
@@ -455,9 +462,9 @@ struct CascadeExtents {
 }
 
 impl CascadeExtents {
-    fn new(rows: usize, axis_len: usize, strategy: Strategy, cfg: &TensorizeConfig) -> Self {
-        let segments = strategy.segments() as usize;
-        let combine_rows = cfg.block_rows.min(rows).max(1);
+    fn new(rows: usize, axis_len: usize, point: &TuningPoint) -> Self {
+        let segments = point.strategy().segments() as usize;
+        let combine_rows = point.block_rows.min(rows).max(1);
         CascadeExtents {
             segments,
             axis_per_segment: axis_len.div_ceil(segments).max(1),
@@ -469,76 +476,211 @@ impl CascadeExtents {
 }
 
 /// Closed form of `KernelProfile::from_tile_program(&cascade_program(name,
-/// num_reductions, rows, axis_len, Mode::Incremental, strategy, cfg))` — the
-/// incremental lowering, the only one the tuner searches.
+/// num_reductions, rows, axis_len, element_bytes, mode, point))`.
 pub(crate) fn cascade_profile(
     name: &str,
     num_reductions: usize,
     rows: usize,
     axis_len: usize,
-    strategy: Strategy,
-    cfg: &TensorizeConfig,
+    element_bytes: u32,
+    mode: Mode,
+    point: &TuningPoint,
 ) -> KernelProfile {
-    let e = CascadeExtents::new(rows, axis_len, strategy, cfg);
+    let e = CascadeExtents::new(rows, axis_len, point);
     // `tensorize_cascade`'s own clamps, over the per-segment problem.
-    let br = cfg.block_rows.min(e.effective_rows).max(1) as u64;
-    let ba = cfg.block_axis.min(e.axis_per_segment).max(1) as u64;
+    let br = point.block_rows.min(e.effective_rows).max(1) as u64;
+    let ba = point.block_axis.min(e.axis_per_segment).max(1) as u64;
     let blocks = (e.effective_rows as u64).div_ceil(br);
     let iterations = (e.axis_per_segment as u64).div_ceil(ba);
     let (r, s) = (num_reductions as u64, e.segments as u64);
-    let width = u64::from(cfg.element_bytes);
+    let width = u64::from(element_bytes);
+    // Per block row: incremental mode reduces every main-loop trip's tile, a
+    // row reduction per cascade member and a 3-flop correction for each but
+    // the first, staging one tile; non-incremental mode stages the whole
+    // segment and reduces it once per member after the loop.
+    let (row_flops, staged) = match mode {
+        Mode::Incremental => (iterations * (r * ba + 3 * (r - 1)), ba),
+        Mode::NonIncremental => (r * e.axis_per_segment as u64, e.axis_per_segment as u64),
+    };
     // The combine kernel (none: 0) reads every partial, reduces over the
     // segments and writes the results: this many fp32 values per segment.
-    let combine = u64::from(strategy.needs_combine_kernel());
+    let combine = u64::from(point.strategy().needs_combine_kernel());
     let merged = combine * e.combine_blocks * e.combine_rows as u64 * r;
     KernelProfile {
         name: format!("fused_{name}"),
-        // One main-loop trip: a row reduction per cascade member and a 3-flop
-        // correction for each but the first; the input tile in. Once per
-        // block: the fp32 results out.
-        flops: blocks * iterations * br * (r * ba + 3 * (r - 1)) + merged * s,
+        // Per block: the input tile in every trip and the fp32 results out.
+        flops: blocks * br * row_flops + merged * s,
         hbm_bytes: blocks * br * (iterations * ba * width + 4 * r) + merged * 4 * (s + 1),
         blocks,
-        threads_per_block: cfg.threads_per_block,
-        shared_mem_per_block: br * ba * width,
-        precision: precision_for_element_bytes(cfg.element_bytes),
+        threads_per_block: point.threads,
+        shared_mem_per_block: br * staged * width,
+        precision: precision_for_element_bytes(element_bytes),
         compute_efficiency: 0.6,
-        overlap: pipeline_overlap(cfg.pipeline_depth),
+        overlap: pipeline_overlap(point.pipeline_depth),
         launches: 1 + combine as u32,
     }
 }
 
+/// The tensorization pass (§4.4) over one row cascade of `num_reductions`
+/// dependent reductions along an axis of `axis_len`, applied independently to
+/// `rows` rows: a single fused kernel that loads the input once and keeps
+/// every reduction's running state on chip.
+///
+/// * *Blockization* — the rows are partitioned into block tiles of
+///   `point.block_rows`, the axis into per-iteration tiles of
+///   `point.block_axis`; *Parallelization* binds one block per row tile.
+/// * *Block-level buffer management* — a `copy` stages each input tile in
+///   shared memory, the states live in register fragments, and buffers are
+///   compacted to the tile footprint.
+/// * *Conversion to TileOps* — each reduction becomes a `reduce`, each
+///   correction a `parallel` op.
+///
+/// Incremental mode corrects every iteration with constant-sized state;
+/// non-incremental mode stages the whole axis in shared memory, so shared
+/// memory grows linearly with the axis (Figure 4, §5.4), and reduces once.
+pub(crate) fn tensorize_cascade(
+    name: &str,
+    num_reductions: usize,
+    rows: usize,
+    axis_len: usize,
+    element_bytes: u32,
+    mode: Mode,
+    point: &TuningPoint,
+) -> TileProgram {
+    assert!(num_reductions > 0, "a cascade has at least one reduction");
+    assert!(
+        axis_len > 0 && rows > 0,
+        "axis length and rows must be positive"
+    );
+    let incremental = mode == Mode::Incremental;
+    let block_rows = point.block_rows.min(rows).max(1);
+    let block_axis = point.block_axis.min(axis_len).max(1);
+    let grid_blocks = rows.div_ceil(block_rows) as u64;
+    let iterations = axis_len.div_ceil(block_axis) as u64;
+
+    let mut program = TileProgram::new(format!("fused_{name}"), grid_blocks, point.threads);
+    program.pipeline_depth = point.pipeline_depth;
+    program.precision = precision_for_element_bytes(element_bytes);
+
+    // Input tile staged per iteration; in non-incremental mode the whole axis
+    // must be resident before the reductions can run.
+    let staged_axis = if incremental { block_axis } else { axis_len };
+    program.buffers.push(TileBuffer::new(
+        "x",
+        vec![rows, axis_len],
+        MemoryScope::Global,
+        element_bytes,
+    ));
+    program.buffers.push(TileBuffer::new(
+        "x_shared",
+        vec![block_rows, staged_axis],
+        MemoryScope::Shared,
+        element_bytes,
+    ));
+    for i in 0..num_reductions {
+        program.buffers.push(TileBuffer::new(
+            format!("state{i}"),
+            vec![block_rows],
+            MemoryScope::Fragment,
+            4,
+        ));
+        program.buffers.push(TileBuffer::new(
+            format!("state{i}_prev"),
+            vec![block_rows],
+            MemoryScope::Fragment,
+            4,
+        ));
+    }
+    program.buffers.push(TileBuffer::new(
+        "out",
+        vec![rows, num_reductions],
+        MemoryScope::Global,
+        4,
+    ));
+
+    for i in 0..num_reductions {
+        program.prologue.push(TileOp::Fill {
+            tile: format!("state{i}"),
+            value: 0.0,
+            elements: block_rows as u64,
+        });
+    }
+
+    let mut ops = vec![TileOp::Copy {
+        src: "x".into(),
+        dst: "x_shared".into(),
+        elements: (block_rows * block_axis) as u64,
+    }];
+    // Incremental mode reduces every trip's tile; non-incremental mode reduces
+    // the staged axis once, after the loop.
+    let reductions = if incremental {
+        &mut ops
+    } else {
+        &mut program.epilogue
+    };
+    for i in 0..num_reductions {
+        if i > 0 && incremental {
+            // Store previous result + correction (steps 1 and 2 of the fused
+            // reduction template).
+            reductions.push(TileOp::Copy {
+                src: format!("state{i}"),
+                dst: format!("state{i}_prev"),
+                elements: block_rows as u64,
+            });
+            reductions.push(TileOp::Parallel {
+                expr: format!(
+                    "state{i}[r] *= correction(state{}_prev[r], state{}[r])",
+                    i - 1,
+                    i - 1
+                ),
+                elements: block_rows as u64,
+                flops_per_element: 3,
+            });
+        }
+        reductions.push(TileOp::Reduce {
+            src: "x_shared".into(),
+            dst: format!("state{i}"),
+            axis_len: staged_axis as u64,
+            rows: block_rows as u64,
+            op: rf_algebra::BinaryOp::Add,
+        });
+    }
+    program.main_loop = StageLoop { iterations, ops };
+
+    program.epilogue.push(TileOp::Copy {
+        src: "state0".into(),
+        dst: "out".into(),
+        elements: (block_rows * num_reductions) as u64,
+    });
+    program
+}
+
 /// Lowers a generic row-parallel cascade (softmax / MoE routing / Quant+GEMM
-/// rows / variance / inertia) to a tile program via the tensorization pass,
-/// honouring the computation mode and strategy.
+/// rows / variance / inertia) at one tuning point: the tensorization pass over
+/// the per-segment problem and, Multi-Segment, the combine kernel.
 pub fn cascade_program(
     name: &str,
     num_reductions: usize,
     rows: usize,
     axis_len: usize,
+    element_bytes: u32,
     mode: Mode,
-    strategy: Strategy,
-    cfg: &TensorizeConfig,
+    point: &TuningPoint,
 ) -> TileProgram {
-    let e = CascadeExtents::new(rows, axis_len, strategy, cfg);
+    let e = CascadeExtents::new(rows, axis_len, point);
     let (segments, combine_rows) = (e.segments, e.combine_rows);
-    let tensorize_cfg = TensorizeConfig {
-        incremental: mode == Mode::Incremental,
-        ..*cfg
-    };
     let mut program = tensorize_cascade(
         name,
         num_reductions,
-        e.axis_per_segment,
         e.effective_rows,
-        &tensorize_cfg,
+        e.axis_per_segment,
+        element_bytes,
+        mode,
+        point,
     );
-    if strategy.needs_combine_kernel() {
-        let mut combine = TileProgram::new(
-            format!("{name}_combine"),
-            e.combine_blocks,
-            cfg.threads_per_block,
-        );
+    if point.strategy().needs_combine_kernel() {
+        let mut combine =
+            TileProgram::new(format!("{name}_combine"), e.combine_blocks, point.threads);
         combine.precision = program.precision;
         combine.buffers = vec![
             TileBuffer::new(
@@ -587,11 +729,19 @@ mod tests {
     use super::*;
     use rf_workloads::{mha_configs, mla_configs};
 
+    /// A mid-space point: 128 × 128 tiles, 256 threads, double buffering.
+    const POINT: TuningPoint = TuningPoint {
+        block_rows: 128,
+        block_axis: 128,
+        threads: 256,
+        pipeline_depth: 2,
+        segments: 1,
+    };
+
     #[test]
     fn single_segment_attention_is_one_kernel() {
         let shape = AttentionShape::from_mha(&mha_configs()[1]);
-        let program =
-            attention_program(&shape, &AttentionTiling::default(), Strategy::SingleSegment);
+        let program = attention_program(&shape, &POINT);
         let cost = program.cost();
         assert_eq!(cost.kernel_launches, 1);
         assert!(cost.flops > 0 && cost.global_bytes > 0);
@@ -603,12 +753,13 @@ mod tests {
     #[test]
     fn multi_segment_attention_adds_a_combine_kernel() {
         let shape = AttentionShape::from_mla(&mla_configs()[0]);
-        let single =
-            attention_program(&shape, &AttentionTiling::default(), Strategy::SingleSegment);
+        let single = attention_program(&shape, &POINT);
         let multi = attention_program(
             &shape,
-            &AttentionTiling::default(),
-            Strategy::MultiSegment { segments: 4 },
+            &TuningPoint {
+                segments: 4,
+                ..POINT
+            },
         );
         assert_eq!(multi.cost().kernel_launches, 2);
         assert!(
@@ -621,8 +772,7 @@ mod tests {
     fn fused_attention_avoids_score_matrix_traffic() {
         let config = &mha_configs()[1];
         let shape = AttentionShape::from_mha(config);
-        let program =
-            attention_program(&shape, &AttentionTiling::default(), Strategy::SingleSegment);
+        let program = attention_program(&shape, &POINT);
         let score_bytes = config.score_bytes(rf_workloads::Precision::Fp16);
         // Unfused execution spills the score matrix several times; the fused
         // kernel's total global traffic is below even one score-matrix pass
@@ -635,37 +785,16 @@ mod tests {
 
     #[test]
     fn cascade_program_modes_and_strategies() {
-        let cfg = rf_tile::TensorizeConfig::default();
-        let single = cascade_program(
-            "softmax",
-            2,
-            2048,
-            8192,
-            Mode::Incremental,
-            Strategy::SingleSegment,
-            &cfg,
-        );
+        let lower = |mode, segments| {
+            let point = TuningPoint { segments, ..POINT };
+            cascade_program("softmax", 2, 2048, 8192, 2, mode, &point)
+        };
+        let single = lower(Mode::Incremental, 1);
         assert_eq!(single.cost().kernel_launches, 1);
-        let multi = cascade_program(
-            "softmax",
-            2,
-            2048,
-            8192,
-            Mode::Incremental,
-            Strategy::MultiSegment { segments: 4 },
-            &cfg,
-        );
+        let multi = lower(Mode::Incremental, 4);
         assert_eq!(multi.cost().kernel_launches, 2);
         assert!(multi.grid_blocks > single.grid_blocks);
-        let non_inc = cascade_program(
-            "softmax",
-            2,
-            2048,
-            8192,
-            Mode::NonIncremental,
-            Strategy::SingleSegment,
-            &cfg,
-        );
+        let non_inc = lower(Mode::NonIncremental, 1);
         assert!(non_inc.cost().shared_mem_per_block > single.cost().shared_mem_per_block);
     }
 }

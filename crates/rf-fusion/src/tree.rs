@@ -165,14 +165,6 @@ impl TreeShape {
             once * num_reductions
         }
     }
-
-    /// The number of correction operations introduced by fusing at level `k`
-    /// (§5.3): each of the `L_k` segment outputs of the dependent reduction
-    /// must be corrected when the running dependency value changes.
-    pub fn corrections_at_level(&self, k: usize) -> usize {
-        assert!(k >= 1 && k <= self.depth(), "level {k} out of range");
-        self.levels[k]
-    }
 }
 
 impl fmt::Display for TreeShape {

@@ -176,6 +176,41 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A one-reduction row kernel built from `rf-tile`'s ops: 1024 rows of
+    /// 4096 `element_bytes`-wide elements, 128 rows per block, one
+    /// 128-element tile staged in shared memory per trip.
+    fn row_sum_program(element_bytes: u32) -> rf_tile::TileProgram {
+        use rf_tile::{MemoryScope, StageLoop, TileBuffer, TileOp, TileProgram};
+        let mut program = TileProgram::new("row_sum", 8, 128);
+        program.precision = rf_tile::precision_for_element_bytes(element_bytes);
+        program.buffers = vec![
+            TileBuffer::new("x", vec![1024, 4096], MemoryScope::Global, element_bytes),
+            TileBuffer::new(
+                "x_shared",
+                vec![128, 128],
+                MemoryScope::Shared,
+                element_bytes,
+            ),
+            TileBuffer::new("sum", vec![128], MemoryScope::Fragment, 4),
+        ];
+        program.main_loop = StageLoop {
+            iterations: 32,
+            ops: vec![
+                TileOp::Copy {
+                    src: "x".into(),
+                    dst: "x_shared".into(),
+                    elements: 128 * 128,
+                },
+                TileOp::Parallel {
+                    expr: "sum[r] += x_shared[r, k]".into(),
+                    elements: 128 * 128,
+                    flops_per_element: 1,
+                },
+            ],
+        };
+        program
+    }
+
     fn base_profile() -> KernelProfile {
         KernelProfile {
             flops: 1 << 28,
@@ -247,12 +282,7 @@ mod tests {
     fn tile_program_precision_reaches_the_profile() {
         // FP8 tile programs used to be costed at fp16 throughput because
         // `from_tile_program` hardcoded the precision tag.
-        let fp8 = rf_tile::TensorizeConfig {
-            element_bytes: 1,
-            ..rf_tile::TensorizeConfig::default()
-        };
-        let program = rf_tile::tensorize_cascade("quant", 2, 4096, 1024, &fp8);
-        let profile = KernelProfile::from_tile_program(&program);
+        let profile = KernelProfile::from_tile_program(&row_sum_program(1));
         assert_eq!(profile.precision, "fp8");
         // On an FP8-capable part the same work at fp16 rate must be slower
         // once the kernel is compute-bound.
@@ -340,8 +370,7 @@ mod tests {
 
     #[test]
     fn profile_from_tile_program() {
-        let cfg = rf_tile::TensorizeConfig::default();
-        let program = rf_tile::tensorize_cascade("softmax", 2, 4096, 1024, &cfg);
+        let program = row_sum_program(2);
         let profile = KernelProfile::from_tile_program(&program);
         assert_eq!(profile.blocks, program.grid_blocks);
         assert!(profile.hbm_bytes > 0);

@@ -24,9 +24,9 @@
 //! | [`fusion`] | `rf-fusion` | cascade model, reduction trees, ACRF, fused + incremental evaluators |
 //! | [`graph`] | `rf-graph` | operator-graph frontend: cascade detection and region partitioning |
 //! | [`tir`] | `rf-tir` | scalar loop-nest IR, reduction-pattern detection, fused-IR generation |
-//! | [`tile`] | `rf-tile` | tile-level IR (TileOps), tensorization, parallelization, interpreter |
+//! | [`tile`] | `rf-tile` | tile-level IR (TileOps), cost accounting, interpreter |
 //! | [`gpusim`] | `rf-gpusim` | analytical GPU performance model (A10/A100/H800/MI308X) |
-//! | [`codegen`] | `rf-codegen` | lowering, Single/Multi-Segment strategies, fusion levels, auto-tuner |
+//! | [`codegen`] | `rf-codegen` | lowering at a tuning point (incl. tensorization), Single/Multi-Segment strategies, fusion levels, auto-tuner |
 //! | [`kernels`] | `rf-kernels` | unfused CPU oracles (the definition, one pass per reduction) |
 //! | [`runtime`] | `rf-runtime` | continuous-batching serving engine: unified submission API, priority lanes, admission control, plan cache, metrics |
 //! | [`trace`] | `rf-trace` | tracing/telemetry: span collector, HDR-style histograms, Chrome trace export |
