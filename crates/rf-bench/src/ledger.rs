@@ -29,7 +29,7 @@ use crate::eval::{sim_row, table_workloads};
 /// The 29 workloads of the tuner rows in compile order (which `guided+cache`
 /// depends on): the 18 Table 2a/2b attention configs, the two tiny attention
 /// shapes and nine softmax shapes.
-fn tuner_workloads() -> Vec<Workload> {
+pub fn tuner_workloads() -> Vec<Workload> {
     let softmax_rows = [512, 64, 4, 1, 32, 4, 256, 1, 3];
     let softmax_lens = [4096, 1024, 8192, 32768, 128, 8, 1024, 1, 7];
     let softmax = softmax_rows.into_iter().zip(softmax_lens);

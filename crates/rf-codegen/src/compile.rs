@@ -10,13 +10,12 @@ use rf_workloads::{
 };
 
 use crate::lower::{
-    attention_profile, attention_program, canonical_attention_point, canonical_cascade_point,
-    cascade_profile, cascade_program, AttentionShape,
+    attention_footprint, attention_profile, canonical_attention_point, canonical_cascade_point,
+    cascade_footprint, cascade_profile, cascade_row_block, lower_attention, lower_cascade,
+    AttentionShape,
 };
 use crate::strategy::Mode;
-use crate::tuner::{
-    AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningCache, TuningChoice, TuningPoint,
-};
+use crate::tuner::{AutoTuner, SearchMode, TuneHooks, TuningCache, TuningChoice, TuningPoint};
 
 /// Options for [`compile_workload_with`]: how the auto-tuner searches and
 /// whether it warm-starts from (and records into) a shared [`TuningCache`].
@@ -261,55 +260,40 @@ impl CompiledKernel {
     }
 }
 
-/// Lowers an attention shape at one tuning point to a fully-bound program:
-/// the Figure 12b/13b tile structure plus the [`ExecBinding`] the VM needs.
-fn bound_attention_program(
-    shape: &AttentionShape,
-    semantics: Semantics,
-    point: &TuningPoint,
-) -> TileProgram {
-    let mut program = attention_program(shape, point);
-    let tile = canonical_attention_point(shape, point);
-    program.binding = Some(ExecBinding {
-        semantics,
-        block_rows: tile.block_rows,
-        block_axis: tile.block_axis,
-        segments: (point.segments.max(1) as usize).min(shape.kv_len.max(1)),
-    });
-    program
-}
-
 /// The fully-bound executable tile program for `workload` at an arbitrary
 /// tuning point — the artifact [`compile_workload`] attaches for the winning
 /// point, exposed so verification harnesses can pin the point themselves and
-/// prove that tuning choices change cost, never results.
+/// prove that tuning choices change cost, never results. The point is
+/// canonicalized once; the kernel and its [`ExecBinding`] both read the
+/// canonical point.
 pub fn executable_program(workload: &Workload, point: &TuningPoint) -> TileProgram {
-    let semantics = workload.semantics();
-    let (rows, axis_len, element_bytes) = match workload {
-        Workload::Mha(c) => {
-            return bound_attention_program(&AttentionShape::from_mha(c), semantics, point)
-        }
-        Workload::Mla(c) => {
-            return bound_attention_program(&AttentionShape::from_mla(c), semantics, point)
-        }
-        Workload::Softmax { rows, len } => (*rows, *len, 2),
-        Workload::Variance(c) => (c.bs, c.l, 4),
-        Workload::Moe(c) => (c.s, c.en, 2),
-        Workload::Quant(c) => (c.m, c.k, 1),
-        Workload::Inertia(c) => (c.bs, c.n, 4),
+    let attention = |shape: AttentionShape| {
+        let p = canonical_attention_point(&shape, point);
+        (lower_attention(&shape, &p), p.block_rows, p)
     };
     // The per-family reduction count comes from the canonical cascade spec
     // (`Workload::cascade_spec`), not a hand-maintained table.
-    let num = workload.lowered_reductions();
-    let name = workload.name();
-    let mode = Mode::Incremental;
-    let mut program = cascade_program(&name, num, rows, axis_len, element_bytes, mode, point);
-    let segments = (point.segments.max(1) as usize).min(axis_len.max(1));
+    let cascade = |rows: usize, axis_len: usize, element_bytes: u32| {
+        let p = canonical_cascade_point(rows, axis_len, point);
+        let (name, num) = (workload.name(), workload.lowered_reductions());
+        let mode = Mode::Incremental;
+        let program = lower_cascade(&name, num, rows, axis_len, element_bytes, mode, &p);
+        (program, cascade_row_block(rows, &p), p)
+    };
+    let (mut program, block_rows, p) = match workload {
+        Workload::Mha(c) => attention(AttentionShape::from_mha(c)),
+        Workload::Mla(c) => attention(AttentionShape::from_mla(c)),
+        Workload::Softmax { rows, len } => cascade(*rows, *len, 2),
+        Workload::Variance(c) => cascade(c.bs, c.l, 4),
+        Workload::Moe(c) => cascade(c.s, c.en, 2),
+        Workload::Quant(c) => cascade(c.m, c.k, 1),
+        Workload::Inertia(c) => cascade(c.bs, c.n, 4),
+    };
     program.binding = Some(ExecBinding {
-        semantics,
-        block_rows: point.block_rows.min(rows).max(1),
-        block_axis: point.block_axis.min(axis_len.div_ceil(segments)).max(1),
-        segments,
+        semantics: workload.semantics(),
+        block_rows,
+        block_axis: p.block_axis,
+        segments: p.segments as usize,
     });
     program
 }
@@ -356,15 +340,6 @@ fn tuned_attention(
     arch: &GpuArch,
     opts: &CompileOptions,
 ) -> CompiledKernel {
-    // Exactly the shared-memory footprint of the Q/K/V staging buffers the
-    // lowering allocates (the combine kernel uses no shared memory).
-    let footprint = |p: &TuningPoint| PointFootprint {
-        threads_per_block: p.threads,
-        shared_mem_per_block: 2
-            * (p.block_rows * shape.qk_dim
-                + p.block_axis * shape.qk_dim
-                + p.block_axis * shape.head_dim) as u64,
-    };
     let profile = |p: &TuningPoint| KernelProfile {
         // Hardware-aware implementation selection (§4.4): MMA/WGMMA mapping
         // and cp.async/TMA copies lift the fused kernel close to peak.
@@ -373,7 +348,7 @@ fn tuned_attention(
     };
     let hooks = TuneHooks {
         normalize: &|p| canonical_attention_point(&shape, p),
-        footprint: &footprint,
+        footprint: &|p| attention_footprint(&shape, p),
     };
     tune_then_lower(workload, arch, opts, hooks, profile)
 }
@@ -387,19 +362,13 @@ fn tuned_cascade(
 ) -> CompiledKernel {
     const ELEMENT_BYTES: u32 = 2;
     let (name, num_reductions) = (&workload.name(), workload.lowered_reductions());
-    // The incremental lowering stages exactly one input tile in shared memory
-    // (the combine kernel uses none).
-    let footprint = |p: &TuningPoint| PointFootprint {
-        threads_per_block: p.threads,
-        shared_mem_per_block: (p.block_rows * p.block_axis) as u64 * ELEMENT_BYTES as u64,
-    };
     let mode = Mode::Incremental;
     let profile = |p: &TuningPoint| {
         cascade_profile(name, num_reductions, rows, axis_len, ELEMENT_BYTES, mode, p)
     };
     let hooks = TuneHooks {
         normalize: &|p| canonical_cascade_point(rows, axis_len, p),
-        footprint: &footprint,
+        footprint: &|p| cascade_footprint(axis_len, ELEMENT_BYTES, mode, p),
     };
     tune_then_lower(workload, arch, opts, hooks, profile)
 }
@@ -515,6 +484,7 @@ pub fn compile_workload_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::{attention_program, cascade_program};
     use crate::tuner::TuningSpace;
     use rf_baselines::{mha_op_list, CompilerBaseline};
     use rf_gpusim::sequence_latency;
@@ -731,27 +701,19 @@ mod tests {
 
     #[test]
     fn closed_forms_equal_the_lowering_over_the_whole_space() {
-        // The tuner costs candidates with `attention_profile` /
-        // `cascade_profile` and ships the lowering of the winner: the two
-        // must agree on every field of the profile at every point it can
-        // visit — raw (the closed form's clamps against the lowering's) and
-        // canonical (the path the tuner and the shipped program take).
+        // The tuner costs canonical candidates with `attention_profile` /
+        // `cascade_profile` (their shared memory from the footprint hooks'
+        // formulas) and ships the lowering of the winner: the closed form at
+        // the canonical point must agree on every field of the profile with
+        // the public lowering of every raw point of the space.
         let points = TuningSpace::PAPER.points();
         for shape in &attention_shapes() {
-            let semantics = Semantics::Attention {
-                qk_dim: shape.qk_dim,
-                head_dim: shape.head_dim,
-            };
             for raw in &points {
-                for p in [*raw, canonical_attention_point(shape, raw)] {
-                    assert_eq!(
-                        attention_profile(shape, &p),
-                        KernelProfile::from_tile_program(&bound_attention_program(
-                            shape, semantics, &p
-                        )),
-                        "{shape:?} at {p:?}"
-                    );
-                }
+                assert_eq!(
+                    attention_profile(shape, &canonical_attention_point(shape, raw)),
+                    KernelProfile::from_tile_program(&attention_program(shape, raw)),
+                    "{shape:?} at {raw:?}"
+                );
             }
         }
 
@@ -759,31 +721,15 @@ mod tests {
             // One element width per reduction count covers fp32/fp16/fp8.
             for (reductions, element_bytes) in [(1, 4), (2, 2), (3, 1)] {
                 for raw in &points {
-                    for p in [*raw, canonical_cascade_point(rows, len, raw)] {
-                        for mode in [Mode::Incremental, Mode::NonIncremental] {
-                            let program = cascade_program(
-                                "c",
-                                reductions,
-                                rows,
-                                len,
-                                element_bytes,
-                                mode,
-                                &p,
-                            );
-                            assert_eq!(
-                                cascade_profile(
-                                    "c",
-                                    reductions,
-                                    rows,
-                                    len,
-                                    element_bytes,
-                                    mode,
-                                    &p
-                                ),
-                                KernelProfile::from_tile_program(&program),
-                                "{rows}x{len}, {reductions} reductions, {mode:?} at {p:?}"
-                            );
-                        }
+                    let p = canonical_cascade_point(rows, len, raw);
+                    for mode in [Mode::Incremental, Mode::NonIncremental] {
+                        let program =
+                            cascade_program("c", reductions, rows, len, element_bytes, mode, raw);
+                        assert_eq!(
+                            cascade_profile("c", reductions, rows, len, element_bytes, mode, &p),
+                            KernelProfile::from_tile_program(&program),
+                            "{rows}x{len}, {reductions} reductions, {mode:?} at {raw:?}"
+                        );
                     }
                 }
             }

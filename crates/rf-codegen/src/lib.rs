@@ -11,8 +11,9 @@
 //!
 //! Modules:
 //!
-//! * [`strategy`] — the strategy / mode / fusion-level enums and their
-//!   feasibility rules.
+//! * [`strategy`] — the computation-mode and fusion-level enums and their
+//!   feasibility rules (the Single-/Multi-Segment strategy is a tuning
+//!   point's segment count).
 //! * [`lower`] — workload-specific lowering to tile programs at one
 //!   [`TuningPoint`] (the attention lowering reproduces Figures 12b and 13b;
 //!   row cascades go through the tensorization pass), with the closed-form
@@ -38,7 +39,7 @@ pub use compile::{
 };
 pub use level::{fusion_level_latency, incremental_sweep, FusionLevelReport, IncrementalPoint};
 pub use lower::{attention_program, cascade_program, AttentionShape};
-pub use strategy::{FusionLevel, Mode, Strategy};
+pub use strategy::{FusionLevel, Mode};
 pub use tuner::{
     AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningCache, TuningCacheStats, TuningChoice,
     TuningPoint, TuningSpace,

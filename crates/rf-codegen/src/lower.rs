@@ -1,36 +1,46 @@
 //! Workload-specific lowering to tile programs, at one [`TuningPoint`] of
-//! the auto-tuner: every lowering, its closed form and the canonicalization
-//! hook read the tuner's point directly.
+//! the auto-tuner.
+//!
+//! A raw point is clamped in one place: the **canonical point**
+//! (`canonical_attention_point`, `canonical_cascade_point`) is the kernel.
+//! Its tile sizes are clamped to the shape and its `segments` is the number
+//! of non-empty axis segments the VM runs, so a kernel is Multi-Segment
+//! exactly when its canonical `segments > 1`. The public lowerings
+//! ([`attention_program`], [`cascade_program`], and
+//! `crate::compile::executable_program`) canonicalize once on entry;
+//! everything below them — the extents, the closed forms, the tensorization
+//! pass, the footprints and the VM binding — reads the canonical point and
+//! clamps nothing again. The tuner dedups through the same functions, so
+//! it costs each distinct kernel once.
 //!
 //! [`attention_program`] reproduces the tile-level structure of Figures 12b
 //! (FlashAttention, Single-Segment) and 13b (FlashDecoding, Multi-Segment):
 //! a per-block pipeline over KV tiles with `copy`/`gemm`/`reduce`/`parallel`
-//! ops and, for the Multi-Segment strategy, a separate combine kernel.
-//! [`cascade_program`] lowers generic row-parallel cascades (softmax, MoE
-//! routing, Quant+GEMM rows, variance, inertia) through the tensorization
-//! pass (`tensorize_cascade`, §4.4), in either computation [`Mode`]; the
-//! cascade's tile clamps all live in this module.
+//! ops and, Multi-Segment, a separate combine kernel. [`cascade_program`]
+//! lowers generic row-parallel cascades (softmax, MoE routing, Quant+GEMM
+//! rows, variance, inertia) through the tensorization pass
+//! (`tensorize_cascade`, §4.4), in either computation [`Mode`].
 //!
 //! Next to each lowering sits its **closed form** (`attention_profile`,
 //! `cascade_profile`), the auto-tuner's view of it: integer arithmetic over
 //! the same extents that returns exactly [`KernelProfile::from_tile_program`]
 //! of the program the lowering would build, in ~0.1 µs instead of the 2–3 µs
 //! of building 13 named buffers and ~20 ops to fold them into six integers.
-//! An edit to a lowering's ops, buffers or clamps must be mirrored there;
-//! `closed_forms_equal_the_lowering_over_the_whole_space` and the
-//! `debug_assert_eq!` on every shipped winner (both in `compile.rs`) and the
-//! recorded choices in `BENCH_sim.json` (the sim-clock ledger, checked by
-//! `rf-bench`'s `tests/sim_ledger.rs`) say so when it is not. Likewise for
-//! the canonical points (`canonical_attention_point`,
-//! `canonical_cascade_point`) and `normalize_builds_the_identical_program`.
+//! Each family's shared-memory formula (`attention_footprint`,
+//! `cascade_footprint`) is shared by its closed form and the tuner's
+//! footprint hook. An edit to a lowering's ops or buffers must be mirrored
+//! in its closed form; `closed_forms_equal_the_lowering_over_the_whole_space`
+//! and the `debug_assert_eq!` on every shipped winner (both in `compile.rs`)
+//! and the recorded choices in `BENCH_sim.json` (the sim-clock ledger,
+//! checked by `rf-bench`'s `tests/sim_ledger.rs`) say so when it is not.
 
 use rf_gpusim::{pipeline_overlap, KernelProfile};
 use rf_tile::{
     precision_for_element_bytes, MemoryScope, StageLoop, TileBuffer, TileOp, TileProgram,
 };
 
-use crate::strategy::{Mode, Strategy};
-use crate::tuner::TuningPoint;
+use crate::strategy::Mode;
+use crate::tuner::{PointFootprint, TuningPoint};
 
 /// The shape of one attention problem as seen by the code generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,26 +87,37 @@ impl AttentionShape {
     }
 }
 
+/// The number of segments the VM runs when an axis of `axis_len` is split
+/// into `segments`: `ceil(axis_len / segments)` elements each, empty trailing
+/// segments dropped, so `ceil(axis_len / ceil(axis_len / segments))` — at
+/// least one, never more than the axis.
+fn segment_count(axis_len: usize, segments: u32) -> u32 {
+    let (axis, s) = (axis_len.max(1), segments.max(1) as usize);
+    // No segment is empty when `ceil(axis / s) · (s − 1) < axis`, which holds
+    // whenever `axis ≥ s · (s − 1)`: a long axis keeps its count without a
+    // division (the tuner canonicalizes all 840 raw points of every compile).
+    if axis >= s * (s - 1) {
+        return s as u32;
+    }
+    axis.div_ceil(axis.div_ceil(s)) as u32
+}
+
 /// The point [`attention_program`] builds for `point`: the tile sizes clamped
-/// to the shape and `segments` to at least one — the tuner's canonicalization
-/// hook for attention, exact because two points with one canonical point
-/// build the identical kernel.
+/// to the shape and `segments` to the count the VM runs over the KV axis —
+/// the tuner's canonicalization hook for attention, exact because two points
+/// with one canonical point build the identical kernel.
 pub(crate) fn canonical_attention_point(shape: &AttentionShape, p: &TuningPoint) -> TuningPoint {
     TuningPoint {
         block_rows: p.block_rows.min(shape.q_len).max(1),
         block_axis: p.block_axis.min(shape.kv_len).max(1),
-        threads: p.threads,
-        pipeline_depth: p.pipeline_depth,
-        segments: p.segments.max(1),
+        segments: segment_count(shape.kv_len, p.segments),
+        ..*p
     }
 }
 
-/// The clamped tile sizes and loop/grid extents of the attention lowering at
-/// one point: what [`attention_program`] builds from and `attention_profile`
-/// costs from.
+/// The loop and grid extents of the attention lowering at a canonical point:
+/// what [`attention_program`] builds from and `attention_profile` costs from.
 struct AttentionExtents {
-    block_q: usize,
-    block_kv: usize,
     segments: usize,
     /// Main-loop trips of one block over its KV segment.
     iterations: u64,
@@ -107,30 +128,37 @@ struct AttentionExtents {
 }
 
 impl AttentionExtents {
-    fn new(shape: &AttentionShape, point: &TuningPoint) -> Self {
-        let block_q = point.block_rows.min(shape.q_len).max(1);
-        let block_kv = point.block_axis.min(shape.kv_len).max(1);
-        let strategy = point.strategy();
-        let segments = strategy.segments() as usize;
+    fn new(shape: &AttentionShape, p: &TuningPoint) -> Self {
+        let segments = p.segments as usize;
         AttentionExtents {
-            block_q,
-            block_kv,
             segments,
-            iterations: shape.kv_len.div_ceil(segments).div_ceil(block_kv) as u64,
-            row_blocks: shape.heads * shape.q_len.div_ceil(block_q),
-            kernel: match strategy {
-                Strategy::SingleSegment => "flash_attention",
-                Strategy::MultiSegment { .. } => "flash_decoding_partial",
+            iterations: shape.kv_len.div_ceil(segments).div_ceil(p.block_axis) as u64,
+            row_blocks: shape.heads * shape.q_len.div_ceil(p.block_rows),
+            kernel: if segments > 1 {
+                "flash_decoding_partial"
+            } else {
+                "flash_attention"
             },
         }
     }
 }
 
+/// Launch resources of the attention kernel at a canonical point: the fp16
+/// Q, K and V staging tiles (the combine kernel uses no shared memory).
+pub(crate) fn attention_footprint(shape: &AttentionShape, p: &TuningPoint) -> PointFootprint {
+    let (qk, d) = (shape.qk_dim, shape.head_dim);
+    PointFootprint {
+        threads_per_block: p.threads,
+        shared_mem_per_block: 2 * (p.block_rows * qk + p.block_axis * (qk + d)) as u64,
+    }
+}
+
 /// Closed form of `KernelProfile::from_tile_program(&attention_program(shape,
-/// point))`, term by term in the order the lowering emits its ops.
-pub(crate) fn attention_profile(shape: &AttentionShape, point: &TuningPoint) -> KernelProfile {
-    let e = AttentionExtents::new(shape, point);
-    let (bq, bkv, s) = (e.block_q as u64, e.block_kv as u64, e.segments as u64);
+/// p))` at a canonical point, term by term in the order the lowering emits
+/// its ops.
+pub(crate) fn attention_profile(shape: &AttentionShape, p: &TuningPoint) -> KernelProfile {
+    let e = AttentionExtents::new(shape, p);
+    let (bq, bkv, s) = (p.block_rows as u64, p.block_axis as u64, e.segments as u64);
     let (d, qk) = (shape.head_dim as u64, shape.qk_dim as u64);
     let (row_blocks, blocks) = (e.row_blocks as u64, e.row_blocks as u64 * s);
     // One main-loop trip: gemm(Q, K), max, the psum and exp maps, sum, the
@@ -141,7 +169,7 @@ pub(crate) fn attention_profile(shape: &AttentionShape, point: &TuningPoint) -> 
     // out — the Multi-Segment epilogue's partial writes are not counted
     // (ROADMAP, "GPU-model ledger"). The combine kernel (none: 0) reads them,
     // merges and writes the output tile, per row block.
-    let combine = u64::from(point.strategy().needs_combine_kernel());
+    let combine = u64::from(s > 1);
     let once_bytes = 2 * bq * qk + (1 - combine) * 2 * bq * d;
     let combine_flops = combine * row_blocks * bq * s * (5 * d + 1);
     let combine_bytes = combine * row_blocks * (4 * bq * s * (d + 2) + 2 * bq * d);
@@ -150,23 +178,28 @@ pub(crate) fn attention_profile(shape: &AttentionShape, point: &TuningPoint) -> 
         flops: blocks * e.iterations * trip_flops + combine_flops,
         hbm_bytes: blocks * (once_bytes + e.iterations * trip_bytes) + combine_bytes,
         blocks,
-        threads_per_block: point.threads,
-        shared_mem_per_block: 2 * (bq * qk + bkv * (qk + d)),
+        threads_per_block: p.threads,
+        shared_mem_per_block: attention_footprint(shape, p).shared_mem_per_block,
         precision: "fp16",
         compute_efficiency: 0.6,
-        overlap: pipeline_overlap(point.pipeline_depth),
+        overlap: pipeline_overlap(p.pipeline_depth),
         launches: 1 + combine as u32,
     }
 }
 
 /// Builds the fused attention tile program at one tuning point.
 ///
-/// Single-Segment (`point.segments` ≤ 1) yields the Figure 12b kernel;
+/// Single-Segment (canonical `segments` = 1) yields the Figure 12b kernel;
 /// Multi-Segment splits the KV axis across `segments` blocks per (head,
 /// q-block) pair and appends the Figure 13b combine kernel.
 pub fn attention_program(shape: &AttentionShape, point: &TuningPoint) -> TileProgram {
+    lower_attention(shape, &canonical_attention_point(shape, point))
+}
+
+/// [`attention_program`] at a canonical point.
+pub(crate) fn lower_attention(shape: &AttentionShape, point: &TuningPoint) -> TileProgram {
     let e = AttentionExtents::new(shape, point);
-    let (block_q, block_kv, segments) = (e.block_q, e.block_kv, e.segments);
+    let (block_q, block_kv, segments) = (point.block_rows, point.block_axis, e.segments);
 
     let grid = (e.row_blocks * segments) as u64;
     let mut program = TileProgram::new(e.kernel, grid, point.threads);
@@ -319,7 +352,7 @@ pub fn attention_program(shape: &AttentionShape, point: &TuningPoint) -> TilePro
         elements: (block_q * shape.head_dim) as u64,
     }];
 
-    if point.strategy().needs_combine_kernel() {
+    if segments > 1 {
         program.epilogue = vec![
             TileOp::Copy {
                 src: "pmax".into(),
@@ -427,26 +460,33 @@ pub fn attention_program(shape: &AttentionShape, point: &TuningPoint) -> TilePro
     program
 }
 
-/// The point [`cascade_program`] builds for `point`: the tile sizes clamped to
-/// the per-segment problem (`rows × segments` effective rows over
-/// `ceil(axis_len / segments)` axis elements) and `segments` to at least one
-/// — the tuner's canonicalization hook for cascades.
+/// The point [`cascade_program`] builds for `point`: `segments` clamped to the
+/// count the VM runs over the axis, then the tile sizes to the per-segment
+/// problem (`rows × segments` effective rows over `ceil(axis_len /
+/// segments)` axis elements) — the tuner's canonicalization hook for
+/// cascades.
 pub(crate) fn canonical_cascade_point(
     rows: usize,
     axis_len: usize,
     p: &TuningPoint,
 ) -> TuningPoint {
-    let segments = p.segments.max(1);
+    let segments = segment_count(axis_len, p.segments);
     TuningPoint {
         block_rows: p.block_rows.min(rows * segments as usize).max(1),
         block_axis: p
             .block_axis
             .min(axis_len.div_ceil(segments as usize))
             .max(1),
-        threads: p.threads,
-        pipeline_depth: p.pipeline_depth,
         segments,
+        ..*p
     }
+}
+
+/// The tile height of a cascade's combine kernel and of the VM's row block at
+/// a canonical point: `block_rows` over the original rows (the main kernel's
+/// tile spans the `rows × segments` effective rows, so it may be taller).
+pub(crate) fn cascade_row_block(rows: usize, p: &TuningPoint) -> usize {
+    p.block_rows.min(rows).max(1)
 }
 
 /// The per-segment problem [`cascade_program`] hands to `tensorize_cascade`
@@ -455,16 +495,14 @@ struct CascadeExtents {
     segments: usize,
     axis_per_segment: usize,
     effective_rows: usize,
-    /// The combine kernel iterates over the original rows, so its tile height
-    /// clamps to them (as the main kernel's clamps to the effective rows).
     combine_rows: usize,
     combine_blocks: u64,
 }
 
 impl CascadeExtents {
-    fn new(rows: usize, axis_len: usize, point: &TuningPoint) -> Self {
-        let segments = point.strategy().segments() as usize;
-        let combine_rows = point.block_rows.min(rows).max(1);
+    fn new(rows: usize, axis_len: usize, p: &TuningPoint) -> Self {
+        let segments = p.segments as usize;
+        let combine_rows = cascade_row_block(rows, p);
         CascadeExtents {
             segments,
             axis_per_segment: axis_len.div_ceil(segments).max(1),
@@ -475,8 +513,28 @@ impl CascadeExtents {
     }
 }
 
+/// Launch resources of the tensorized cascade at a canonical point: the
+/// staged input — one main-loop tile incremental, the whole segment
+/// non-incremental (the combine kernel uses no shared memory).
+pub(crate) fn cascade_footprint(
+    axis_len: usize,
+    element_bytes: u32,
+    mode: Mode,
+    p: &TuningPoint,
+) -> PointFootprint {
+    let staged = match mode {
+        Mode::Incremental => p.block_axis,
+        Mode::NonIncremental => axis_len.div_ceil(p.segments as usize).max(1),
+    };
+    PointFootprint {
+        threads_per_block: p.threads,
+        shared_mem_per_block: (p.block_rows * staged) as u64 * u64::from(element_bytes),
+    }
+}
+
 /// Closed form of `KernelProfile::from_tile_program(&cascade_program(name,
-/// num_reductions, rows, axis_len, element_bytes, mode, point))`.
+/// num_reductions, rows, axis_len, element_bytes, mode, p))` at a canonical
+/// point.
 pub(crate) fn cascade_profile(
     name: &str,
     num_reductions: usize,
@@ -484,27 +542,25 @@ pub(crate) fn cascade_profile(
     axis_len: usize,
     element_bytes: u32,
     mode: Mode,
-    point: &TuningPoint,
+    p: &TuningPoint,
 ) -> KernelProfile {
-    let e = CascadeExtents::new(rows, axis_len, point);
-    // `tensorize_cascade`'s own clamps, over the per-segment problem.
-    let br = point.block_rows.min(e.effective_rows).max(1) as u64;
-    let ba = point.block_axis.min(e.axis_per_segment).max(1) as u64;
+    let e = CascadeExtents::new(rows, axis_len, p);
+    let (br, ba) = (p.block_rows as u64, p.block_axis as u64);
     let blocks = (e.effective_rows as u64).div_ceil(br);
     let iterations = (e.axis_per_segment as u64).div_ceil(ba);
     let (r, s) = (num_reductions as u64, e.segments as u64);
     let width = u64::from(element_bytes);
     // Per block row: incremental mode reduces every main-loop trip's tile, a
     // row reduction per cascade member and a 3-flop correction for each but
-    // the first, staging one tile; non-incremental mode stages the whole
-    // segment and reduces it once per member after the loop.
-    let (row_flops, staged) = match mode {
-        Mode::Incremental => (iterations * (r * ba + 3 * (r - 1)), ba),
-        Mode::NonIncremental => (r * e.axis_per_segment as u64, e.axis_per_segment as u64),
+    // the first; non-incremental mode reduces the staged segment once per
+    // member after the loop.
+    let row_flops = match mode {
+        Mode::Incremental => iterations * (r * ba + 3 * (r - 1)),
+        Mode::NonIncremental => r * e.axis_per_segment as u64,
     };
     // The combine kernel (none: 0) reads every partial, reduces over the
     // segments and writes the results: this many fp32 values per segment.
-    let combine = u64::from(point.strategy().needs_combine_kernel());
+    let combine = u64::from(s > 1);
     let merged = combine * e.combine_blocks * e.combine_rows as u64 * r;
     KernelProfile {
         name: format!("fused_{name}"),
@@ -512,11 +568,12 @@ pub(crate) fn cascade_profile(
         flops: blocks * br * row_flops + merged * s,
         hbm_bytes: blocks * br * (iterations * ba * width + 4 * r) + merged * 4 * (s + 1),
         blocks,
-        threads_per_block: point.threads,
-        shared_mem_per_block: br * staged * width,
+        threads_per_block: p.threads,
+        shared_mem_per_block: cascade_footprint(axis_len, element_bytes, mode, p)
+            .shared_mem_per_block,
         precision: precision_for_element_bytes(element_bytes),
         compute_efficiency: 0.6,
-        overlap: pipeline_overlap(point.pipeline_depth),
+        overlap: pipeline_overlap(p.pipeline_depth),
         launches: 1 + combine as u32,
     }
 }
@@ -538,6 +595,9 @@ pub(crate) fn cascade_profile(
 /// Incremental mode corrects every iteration with constant-sized state;
 /// non-incremental mode stages the whole axis in shared memory, so shared
 /// memory grows linearly with the axis (Figure 4, §5.4), and reduces once.
+///
+/// `point` is canonical for this problem: its tiles are no larger than
+/// `rows × axis_len`.
 pub(crate) fn tensorize_cascade(
     name: &str,
     num_reductions: usize,
@@ -553,8 +613,7 @@ pub(crate) fn tensorize_cascade(
         "axis length and rows must be positive"
     );
     let incremental = mode == Mode::Incremental;
-    let block_rows = point.block_rows.min(rows).max(1);
-    let block_axis = point.block_axis.min(axis_len).max(1);
+    let (block_rows, block_axis) = (point.block_rows, point.block_axis);
     let grid_blocks = rows.div_ceil(block_rows) as u64;
     let iterations = axis_len.div_ceil(block_axis) as u64;
 
@@ -667,6 +726,28 @@ pub fn cascade_program(
     mode: Mode,
     point: &TuningPoint,
 ) -> TileProgram {
+    let p = canonical_cascade_point(rows, axis_len, point);
+    lower_cascade(
+        name,
+        num_reductions,
+        rows,
+        axis_len,
+        element_bytes,
+        mode,
+        &p,
+    )
+}
+
+/// [`cascade_program`] at a canonical point.
+pub(crate) fn lower_cascade(
+    name: &str,
+    num_reductions: usize,
+    rows: usize,
+    axis_len: usize,
+    element_bytes: u32,
+    mode: Mode,
+    point: &TuningPoint,
+) -> TileProgram {
     let e = CascadeExtents::new(rows, axis_len, point);
     let (segments, combine_rows) = (e.segments, e.combine_rows);
     let mut program = tensorize_cascade(
@@ -678,7 +759,7 @@ pub fn cascade_program(
         mode,
         point,
     );
-    if point.strategy().needs_combine_kernel() {
+    if segments > 1 {
         let mut combine =
             TileProgram::new(format!("{name}_combine"), e.combine_blocks, point.threads);
         combine.precision = program.precision;
@@ -737,6 +818,26 @@ mod tests {
         pipeline_depth: 2,
         segments: 1,
     };
+
+    #[test]
+    fn canonical_segments_are_the_count_the_vm_runs() {
+        // `from_segments`' old rule: 0 and 1 are Single-Segment.
+        assert_eq!(segment_count(100, 0), 1);
+        assert_eq!(segment_count(100, 1), 1);
+        // 100 over 64 runs 50 segments of two; 7 over 8 runs 7 of one.
+        assert_eq!(segment_count(100, 64), 50);
+        assert_eq!(segment_count(7, 8), 7);
+        for axis in 0..=300usize {
+            for s in 0..=70u32 {
+                let count = segment_count(axis, s) as usize;
+                let (a, raw) = (axis.max(1), s.max(1) as usize);
+                let len = a.div_ceil(count);
+                assert_eq!(count, a.div_ceil(a.div_ceil(raw)), "{axis} over {s}");
+                assert_eq!(len, a.div_ceil(raw), "same segment length");
+                assert!((count - 1) * len < a, "{axis} over {s}: an empty segment");
+            }
+        }
+    }
 
     #[test]
     fn single_segment_attention_is_one_kernel() {

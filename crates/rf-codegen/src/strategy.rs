@@ -1,49 +1,8 @@
-//! Execution strategies, computation modes and fusion levels (§4.3, §5.3–5.4).
+//! Computation modes and fusion levels (§3.3, §5.3–5.4). The §4.3 execution
+//! strategy is a canonical [`crate::TuningPoint`]'s segment count:
+//! Multi-Segment exactly when `segments > 1`.
 
 use rf_gpusim::GpuArch;
-
-/// How the reduction axis is distributed over thread blocks (§4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Strategy {
-    /// The whole reduction for one output row is handled by a single CTA,
-    /// streaming over the axis with incremental updates. No inter-block
-    /// communication is needed.
-    SingleSegment,
-    /// The axis is partitioned into `segments` parts handled by different
-    /// CTAs whose partial results are merged by a combine kernel (Eq. 11) —
-    /// the FlashDecoding pattern. Improves utilisation at low concurrency.
-    MultiSegment {
-        /// Number of segments the axis is split into.
-        segments: u32,
-    },
-}
-
-impl Strategy {
-    /// The canonical strategy for a segment-count knob: any count above one
-    /// selects Multi-Segment, everything else (including 0) collapses to
-    /// Single-Segment. This is the rule the auto-tuner's dedup stage uses to
-    /// stop re-evaluating `segments` values a strategy ignores.
-    pub fn from_segments(segments: u32) -> Strategy {
-        if segments > 1 {
-            Strategy::MultiSegment { segments }
-        } else {
-            Strategy::SingleSegment
-        }
-    }
-
-    /// Number of axis segments processed by independent blocks.
-    pub fn segments(self) -> u32 {
-        match self {
-            Strategy::SingleSegment => 1,
-            Strategy::MultiSegment { segments } => segments.max(1),
-        }
-    }
-
-    /// Whether a separate combine kernel is required.
-    pub fn needs_combine_kernel(self) -> bool {
-        self.segments() > 1
-    }
-}
 
 /// Incremental vs non-incremental computation (§3.3, Figure 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,15 +34,6 @@ impl Mode {
             Mode::NonIncremental => {
                 (segment_len * bytes_per_element + state_bytes) as u64 <= arch.shared_mem_per_sm
             }
-        }
-    }
-
-    /// Relative per-element correction overhead of the mode (incremental pays
-    /// the Eq. 15 correction on every step).
-    pub fn correction_flops_per_element(self, corrections: usize) -> usize {
-        match self {
-            Mode::Incremental => 3 * corrections,
-            Mode::NonIncremental => 0,
         }
     }
 }
@@ -152,32 +102,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strategy_from_segments_collapses_degenerate_splits() {
-        assert_eq!(Strategy::from_segments(0), Strategy::SingleSegment);
-        assert_eq!(Strategy::from_segments(1), Strategy::SingleSegment);
-        assert_eq!(
-            Strategy::from_segments(4),
-            Strategy::MultiSegment { segments: 4 }
-        );
-    }
-
-    #[test]
-    fn strategy_segments_and_combine() {
-        assert_eq!(Strategy::SingleSegment.segments(), 1);
-        assert!(!Strategy::SingleSegment.needs_combine_kernel());
-        assert_eq!(Strategy::MultiSegment { segments: 4 }.segments(), 4);
-        assert!(Strategy::MultiSegment { segments: 4 }.needs_combine_kernel());
-        assert_eq!(Strategy::MultiSegment { segments: 0 }.segments(), 1);
-    }
-
-    #[test]
     fn non_incremental_is_capacity_limited() {
         let arch = GpuArch::a10();
         assert!(Mode::Incremental.fits(&arch, 1 << 20, 2, 64));
         assert!(Mode::NonIncremental.fits(&arch, 1024, 2, 64));
         assert!(!Mode::NonIncremental.fits(&arch, 1 << 20, 2, 64));
-        assert_eq!(Mode::Incremental.correction_flops_per_element(2), 6);
-        assert_eq!(Mode::NonIncremental.correction_flops_per_element(2), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::lower::tensorize_cascade;
+    use crate::lower::{canonical_cascade_point, tensorize_cascade};
     use crate::strategy::Mode;
     use crate::tuner::TuningPoint;
     use proptest::prelude::*;
@@ -19,9 +19,10 @@ mod tests {
         segments: 1,
     };
 
-    /// `tensorize_cascade` at `POINT` over fp16 input.
+    /// `tensorize_cascade` at `POINT`'s canonical point over fp16 input.
     fn tensorize(num_reductions: usize, rows: usize, axis_len: usize, mode: Mode) -> TileProgram {
-        tensorize_cascade("softmax", num_reductions, rows, axis_len, 2, mode, &POINT)
+        let point = canonical_cascade_point(rows, axis_len, &POINT);
+        tensorize_cascade("softmax", num_reductions, rows, axis_len, 2, mode, &point)
     }
 
     #[test]

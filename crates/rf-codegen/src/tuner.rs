@@ -16,8 +16,9 @@
 //!
 //! 1. **Canonicalization + dedup** — [`TuneHooks::normalize`] maps every raw
 //!    point to the point the lowering will actually build (tile sizes clamped
-//!    to the shape, the `segments` knob collapsed where the strategy ignores
-//!    it). Each distinct canonical point becomes one candidate, whose id is
+//!    to the shape, `segments` to the number of non-empty segments the VM
+//!    runs over the axis). Each distinct canonical point becomes one
+//!    candidate, whose id is
 //!    its position in first-occurrence order — also the tie-break between
 //!    equal latencies — held in the search's one hash map, under a private
 //!    multiply-xor hasher over the point's five integers.
@@ -46,8 +47,8 @@
 //! A [`TuningCache`] remembers winning points per `(workload class, arch
 //! fingerprint)` pair and seeds later searches of the same class with them.
 //! It saves no work: on the ledger's 116 (workload, preset) tuner pairs the
-//! `guided+cache` rows cost 10,121 candidates against `guided`'s 9,173 —
-//! more on 59 pairs, fewer on 35 — and choose the same point on all 116.
+//! `guided+cache` rows cost 10,053 candidates against `guided`'s 9,101 —
+//! more on 59 pairs, fewer on 32 — and choose the same point on all 116.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -55,8 +56,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
-
-use crate::strategy::Strategy;
 
 /// One point of the tuning search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,15 +68,10 @@ pub struct TuningPoint {
     pub threads: u32,
     /// Software-pipeline depth.
     pub pipeline_depth: u32,
-    /// Number of axis segments (1 = Single-Segment strategy).
+    /// Number of axis segments: 1 is the Single-Segment strategy, more the
+    /// Multi-Segment one (§4.3). A canonical point's count is the number of
+    /// non-empty segments the VM runs.
     pub segments: u32,
-}
-
-impl TuningPoint {
-    /// The execution strategy this point's `segments` knob encodes.
-    pub fn strategy(&self) -> Strategy {
-        Strategy::from_segments(self.segments)
-    }
 }
 
 /// The search space: for each knob, the values the tuner may pick.
@@ -243,8 +237,8 @@ pub struct PointFootprint {
 #[derive(Clone, Copy)]
 pub struct TuneHooks<'a> {
     /// Maps a raw point to the canonical point the lowering actually builds
-    /// (e.g. tile sizes clamped to the workload shape, `segments` collapsed
-    /// to 1 where the Single-Segment strategy ignores it).
+    /// (e.g. tile sizes clamped to the workload shape, `segments` to the
+    /// number of non-empty segments of the axis).
     pub normalize: &'a dyn Fn(&TuningPoint) -> TuningPoint,
     /// Reports the static launch resources of a canonical point.
     pub footprint: &'a dyn Fn(&TuningPoint) -> PointFootprint,
@@ -272,8 +266,8 @@ const MAX_SEEDS_PER_KEY: usize = 4;
 /// The guided search injects the cached winners as extra seeds, so compiling
 /// a new shape of an already-seen workload class also descends from a
 /// configuration that won before. Measured on `BENCH_sim.json`'s 116 tuner
-/// pairs, that costs more candidates, not fewer: 10,121 with the cache
-/// against 9,173 without (more on 59 pairs, fewer on 35), with the same
+/// pairs, that costs more candidates, not fewer: 10,053 with the cache
+/// against 9,101 without (more on 59 pairs, fewer on 32), with the same
 /// chosen point on every pair. The cache is thread-safe and shared via
 /// [`Arc`]; `rf-runtime`'s plan cache owns one per engine and reports its
 /// counters in the runtime metrics.
@@ -849,21 +843,5 @@ mod tests {
         assert_eq!(seeds[0].segments, 10, "most recent winner first");
         assert!(cache.seeds("softmax", 8).is_empty(), "fingerprint keyed");
         assert!(cache.seeds("mha", 7).is_empty(), "class keyed");
-    }
-
-    #[test]
-    fn point_strategy_follows_segments() {
-        let p = TuningPoint {
-            block_rows: 16,
-            block_axis: 16,
-            threads: 128,
-            pipeline_depth: 1,
-            segments: 1,
-        };
-        assert_eq!(p.strategy(), Strategy::SingleSegment);
-        assert_eq!(
-            TuningPoint { segments: 8, ..p }.strategy(),
-            Strategy::MultiSegment { segments: 8 }
-        );
     }
 }

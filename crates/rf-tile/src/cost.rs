@@ -27,8 +27,6 @@ impl MemoryScope {
 pub struct CostSummary {
     /// Bytes moved between global memory and on-chip storage.
     pub global_bytes: u64,
-    /// Bytes moved between shared memory and register fragments.
-    pub shared_bytes: u64,
     /// Floating-point operations executed.
     pub flops: u64,
     /// Number of kernel launches required (1 for a fused single-kernel
@@ -36,8 +34,6 @@ pub struct CostSummary {
     pub kernel_launches: u32,
     /// Bytes of shared memory required per block (peak).
     pub shared_mem_per_block: u64,
-    /// Registers (in f32 equivalents) required per thread (rough estimate).
-    pub registers_per_thread: u64,
 }
 
 impl CostSummary {
@@ -46,20 +42,9 @@ impl CostSummary {
     pub fn combine(&self, other: &CostSummary) -> CostSummary {
         CostSummary {
             global_bytes: self.global_bytes + other.global_bytes,
-            shared_bytes: self.shared_bytes + other.shared_bytes,
             flops: self.flops + other.flops,
             kernel_launches: self.kernel_launches + other.kernel_launches,
             shared_mem_per_block: self.shared_mem_per_block.max(other.shared_mem_per_block),
-            registers_per_thread: self.registers_per_thread.max(other.registers_per_thread),
-        }
-    }
-
-    /// Arithmetic intensity in flops per global byte (0 when no traffic).
-    pub fn arithmetic_intensity(&self) -> f64 {
-        if self.global_bytes == 0 {
-            0.0
-        } else {
-            self.flops as f64 / self.global_bytes as f64
         }
     }
 }
@@ -72,37 +57,21 @@ mod tests {
     fn combine_adds_traffic_and_takes_peak_shared() {
         let a = CostSummary {
             global_bytes: 100,
-            shared_bytes: 10,
             flops: 1000,
             kernel_launches: 1,
             shared_mem_per_block: 32,
-            registers_per_thread: 16,
         };
         let b = CostSummary {
             global_bytes: 50,
-            shared_bytes: 20,
             flops: 500,
             kernel_launches: 2,
             shared_mem_per_block: 64,
-            registers_per_thread: 8,
         };
         let c = a.combine(&b);
         assert_eq!(c.global_bytes, 150);
         assert_eq!(c.flops, 1500);
         assert_eq!(c.kernel_launches, 3);
         assert_eq!(c.shared_mem_per_block, 64);
-        assert_eq!(c.registers_per_thread, 16);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let a = CostSummary {
-            global_bytes: 100,
-            flops: 400,
-            ..Default::default()
-        };
-        assert_eq!(a.arithmetic_intensity(), 4.0);
-        assert_eq!(CostSummary::default().arithmetic_intensity(), 0.0);
     }
 
     #[test]

@@ -386,26 +386,30 @@ impl fmt::Display for InputError {
 }
 
 /// Everything the VM needs to run a [`TileProgram`]: the cascade semantics
-/// plus the clamped loop extents of the tuned launch configuration.
+/// plus the loop extents of the tuned launch configuration.
 ///
-/// The extents are clamped to the compiled shape; at execution time each is
-/// re-clamped to the live input (`block_rows` to the actual row count,
-/// `block_axis` to the per-segment axis length, `segments` to the axis
-/// length), mirroring the clamps `rf-codegen` applies when it lowers a raw
-/// tuning point. The row count and axis length themselves are read from the
-/// input; the ones a served workload fixes are its own
+/// `rf-codegen` copies the extents from the canonical tuning point the
+/// kernel was lowered at, so they describe the kernel that was costed. At
+/// execution time each is re-clamped to the live input (`block_rows` to the
+/// actual row count, `block_axis` to the per-segment axis length, `segments`
+/// to the non-empty segments of the axis), which changes nothing on the
+/// compiled shape. The row count and axis length themselves are read from
+/// the input; the ones a served workload fixes are its own
 /// (`rf_codegen::Workload::fixed_extents`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecBinding {
     /// The reduction template the program instantiates.
     pub semantics: Semantics,
-    /// Rows per block tile (the tuned `block_rows`, already clamped).
+    /// Rows per block tile: the canonical `block_rows`, over the original
+    /// rows (a cascade's main kernel tiles `rows × segments` effective rows).
     pub block_rows: usize,
-    /// Axis elements per main-loop iteration (the tuned `block_axis`, already
-    /// clamped to the per-segment extent).
+    /// Axis elements per main-loop iteration: the canonical `block_axis`
+    /// (clamped to the per-segment extent for cascades, to the KV length for
+    /// attention).
     pub block_axis: usize,
-    /// Number of axis segments (1 = Single-Segment; > 1 adds the combine
-    /// step, exactly when the program carries a combine kernel).
+    /// Number of axis segments: the canonical count, every one non-empty
+    /// (1 = Single-Segment; > 1 adds the combine step, exactly when the
+    /// program carries a combine kernel).
     pub segments: usize,
 }
 

@@ -202,36 +202,20 @@ impl TileProgram {
         self.buffers.iter().find(|b| b.name == name)
     }
 
-    /// Number of TileOps executed per block (prologue + all loop iterations +
-    /// epilogue).
-    pub fn ops_per_block(&self) -> u64 {
-        self.prologue.len() as u64
-            + self.main_loop.iterations * self.main_loop.ops.len() as u64
-            + self.epilogue.len() as u64
-    }
-
     fn op_cost(&self, op: &TileOp) -> CostSummary {
         let mut cost = CostSummary::default();
         match op {
             TileOp::Copy { src, dst, elements } => {
-                let src_scope = self
-                    .buffer(src)
-                    .map(|b| b.scope)
-                    .unwrap_or(MemoryScope::Global);
-                let dst_scope = self
-                    .buffer(dst)
-                    .map(|b| b.scope)
-                    .unwrap_or(MemoryScope::Shared);
-                let width = self
-                    .buffer(dst)
-                    .or_else(|| self.buffer(src))
-                    .map(|b| b.element_bytes as u64)
-                    .unwrap_or(2);
-                let bytes = elements * width;
-                if src_scope == MemoryScope::Global || dst_scope == MemoryScope::Global {
-                    cost.global_bytes += bytes;
-                } else {
-                    cost.shared_bytes += bytes;
+                let scope = |name: &str, default| self.buffer(name).map_or(default, |b| b.scope);
+                if scope(src, MemoryScope::Global) == MemoryScope::Global
+                    || scope(dst, MemoryScope::Shared) == MemoryScope::Global
+                {
+                    let width = self
+                        .buffer(dst)
+                        .or_else(|| self.buffer(src))
+                        .map(|b| b.element_bytes as u64)
+                        .unwrap_or(2);
+                    cost.global_bytes += elements * width;
                 }
             }
             TileOp::Gemm { m, n, k, .. } => {
@@ -264,7 +248,6 @@ impl TileProgram {
             per_iter = per_iter.combine(&self.op_cost(op));
         }
         per_block.global_bytes += per_iter.global_bytes * self.main_loop.iterations;
-        per_block.shared_bytes += per_iter.shared_bytes * self.main_loop.iterations;
         per_block.flops += per_iter.flops * self.main_loop.iterations;
         for op in &self.epilogue {
             per_block = per_block.combine(&self.op_cost(op));
@@ -276,21 +259,12 @@ impl TileProgram {
             .filter(|b| b.scope == MemoryScope::Shared)
             .map(TileBuffer::bytes)
             .sum();
-        let fragment_bytes: u64 = self
-            .buffers
-            .iter()
-            .filter(|b| b.scope == MemoryScope::Fragment)
-            .map(TileBuffer::bytes)
-            .sum();
 
         let mut total = CostSummary {
             global_bytes: per_block.global_bytes * self.grid_blocks,
-            shared_bytes: per_block.shared_bytes * self.grid_blocks,
             flops: per_block.flops * self.grid_blocks,
             kernel_launches: 1,
             shared_mem_per_block,
-            registers_per_thread: (fragment_bytes / 4)
-                .div_ceil(self.threads_per_block.max(1) as u64),
         };
         if let Some(combine) = &self.combine_kernel {
             total = total.combine(&combine.cost());
@@ -399,14 +373,6 @@ mod tests {
         // 4 iterations of a 128x128x64 gemm per block, 4 blocks.
         assert!(cost.flops >= 2 * 128 * 128 * 64 * 4 * 4);
         assert_eq!(cost.shared_mem_per_block, 128 * 64 * 2);
-        assert!(cost.registers_per_thread > 0);
-        assert!(cost.arithmetic_intensity() > 1.0);
-    }
-
-    #[test]
-    fn ops_per_block_counts_loop_iterations() {
-        let p = sample_program();
-        assert_eq!(p.ops_per_block(), 1 + 4 * 3 + 1);
     }
 
     #[test]

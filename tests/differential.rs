@@ -521,9 +521,12 @@ fn tir_interpreter_cross_checks_the_scalar_workloads() {
     }
 }
 
-/// Strategy over raw tuning points; clamping inside `executable_program`
-/// makes every sampled point lowerable, and the harness additionally asserts
-/// launch feasibility on the A10 before trusting a sample.
+/// Strategy over raw tuning points. `executable_program` clamps each once to
+/// its canonical point (tiles to the shape, segments to the non-empty
+/// segments of the axis), so every sampled point is lowerable and the
+/// program's binding runs the segments its kernel launches; the harness
+/// additionally asserts launch feasibility on the A10 before trusting a
+/// sample.
 fn any_point() -> impl Strategy<Value = TuningPoint> {
     (
         1usize..=160,
