@@ -142,6 +142,29 @@ fn invalid_requests_are_rejected_at_the_front_door() {
 }
 
 #[test]
+fn a_zero_row_shape_is_refused_before_it_reaches_the_compiler() {
+    // `compile_workload` asserts on a cascade of zero rows; the front door
+    // refuses the shape first, and the engine serves the next request.
+    let engine = tiny_engine(1);
+    let err = engine
+        .submit(Request {
+            workload: Workload::Softmax { rows: 0, len: 8 },
+            input: RequestInput::Rows(Matrix::from_vec(0, 8, Vec::new())),
+        })
+        .unwrap_err();
+    assert!(matches!(err, RuntimeError::ShapeMismatch { .. }));
+    assert!(err.to_string().contains("rows must be non-empty"), "{err}");
+    let next = softmax(1, 8);
+    let ticket = engine.submit(next.clone()).unwrap();
+    engine.run_until_drained();
+    let oracle = execute_reference(&next.workload, &next.input);
+    assert!(ticket.wait().unwrap().output.approx_eq(&oracle, 1e-9));
+    let metrics = engine.metrics();
+    assert_eq!((metrics.submitted, metrics.completed), (1, 1));
+    assert_eq!(metrics.cache.misses, 1, "only the served shape compiles");
+}
+
+#[test]
 fn invalid_configs_panic_with_the_typed_detail() {
     let config = RuntimeConfig {
         workers: 0,

@@ -117,17 +117,20 @@
 //! runs on the caller as the join (rows or segments, never both: no spawn
 //! nests). A call — or a group's cells — under the splitter's threshold (2²²
 //! multiply-add equivalents, an exponential and an FP8 rounding counted as 16
-//! each, all measured on the benchmark host, see
+//! each, a query group's Q·Kᵀ as a whole vector of [`QUERY_LANES`] rows
+//! whatever the group's size, all measured on the benchmark host, see
 //! [`rf_workloads::PARALLEL_MIN_WORK`]) or with one row block runs the same
 //! body inline as its only range. Of `perf`'s `exec_decode` cases MLA
-//! 1×4096×(576→512) is over it (4.52 M: p50 1.9–2.1 → 1.2–1.4 ms on two
-//! cores); MHA 1×8192 (1.18 M; forced, 750–840 → 620–720 µs: under the
-//! gain/cost ratio the threshold was set by), both softmax shapes (2¹⁹) and
-//! variance run inline and cost what they did. Inertia is one system per
-//! request and stays on one thread. There is no thread pool (a parked worker
-//! starts 60–100 µs sooner than a scoped thread, 1–5 % of the calls that
-//! split: not worth global state) and no knob: the thread count is the cached
-//! `available_parallelism()`, which honours the affinity mask.
+//! 1×4096×(576→512) (21.0 M: p50 1.9–2.1 → 1.2–1.4 ms on two cores) and MHA
+//! 1×8192 (4.85 M: p50 400–550 → 300–380 µs on two cores, but 530–620 µs
+//! while the host keeps both threads on one) split their segments; both
+//! softmax shapes (2¹⁹) and variance run inline and cost what they did.
+//! Which of `perf`'s shapes split is pinned, without a clock, by the test
+//! `the_benchmark_shapes_split_where_the_threshold_says`. Inertia is one
+//! system per request and stays on one thread. There is no thread pool (a
+//! parked worker starts 60–100 µs sooner than a scoped thread, 1–5 % of the
+//! calls that split: not worth global state) and no knob: the thread count
+//! is the cached `available_parallelism()`, which honours the affinity mask.
 //! [`ExecProfile::wall_ns`] is elapsed wall time, not CPU time, once a call
 //! fans out.
 //!
@@ -595,11 +598,11 @@ fn run<K: Tally>(
 /// each, which moves the point a call starts to split by less than the
 /// threshold's own margin (a split too early costs 3 %, too late forgoes a
 /// third). With any weight from 9 to 33 no benchmark shape changes sides of
-/// [`rf_workloads::PARALLEL_MIN_WORK`] (work at 16): `quant 256×1024→256`
-/// (71.3 M), `mha 256×1024` (37.7 M), `softmax 512×4096` (33.5 M),
-/// `moe 512×64` (8.9 M) and `mla 1×4096` (4.52 M) split; `mha 1×8192`
-/// (1.18 M), `softmax 1×32768` and `4×8192` (0.52 M) and every `serve_tiny`
-/// shape run inline. With every multiply-add of the loops fused (one
+/// [`rf_workloads::PARALLEL_MIN_WORK`]; which of them split at 16 is pinned
+/// by the test `the_benchmark_shapes_split_where_the_threshold_says` (the
+/// nearest to the threshold: `mha 1×8192`'s segments at 4.85 M split,
+/// `softmax 1×32768` and `4×8192` at 0.52 M and every `serve_tiny` shape
+/// run inline). With every multiply-add of the loops fused (one
 /// `mul_add`), one pinned run read 0.138 ns per multiply-add and 1.60 ns per
 /// exponential under AVX-512F, 0.195 and 2.75 ns under AVX2 — 12 and 14
 /// multiply-adds, inside that range — so the weight stays 16. (The baseline
@@ -1061,9 +1064,13 @@ fn exec_attention<K: Tally>(
                 }
                 tally
             };
-            let cell_work = g * work_per_row / n_segments;
+            // A cell's work. The group's Q·Kᵀ costs one vector of QUERY_LANES
+            // rows per key and column whatever its size (a lone row's
+            // `dot_rows` half to three quarters of it: `score_group`'s docs);
+            // P·V and the exponentials cost per row.
+            let work = kv_len * (qk_dim * QUERY_LANES + g * (head_dim + EXP_WORK)) / n_segments;
             let cells = &mut cells[..n_segments * g * cell_len];
-            let split = for_row_ranges(seg_par, n_segments, 1, cell_work, cells, g * cell_len, run);
+            let split = for_row_ranges(seg_par, n_segments, 1, work, cells, g * cell_len, run);
             tally = tally.merge(K::sum(split));
             // Combine kernel, per row on this thread once the cells are joined, in
             // segment order whatever the split: merge the statistics (Eq. 31),
@@ -1940,6 +1947,166 @@ mod tests {
         for threads in [1, 2] {
             let result = std::panic::catch_unwind(|| case.run(threads, (1, 100, 64)));
             assert!(result.is_err(), "no output may be returned");
+        }
+    }
+
+    /// The threads a call's grid ran on. Every range body starts its tally on
+    /// the thread that runs it, so a split shows as a second thread, with no
+    /// clock read.
+    struct Threads(Vec<ThreadId>);
+
+    impl Default for Threads {
+        fn default() -> Threads {
+            Threads(vec![std::thread::current().id()])
+        }
+    }
+
+    impl Tally for Threads {
+        fn add(&mut self, _: Step, _: u64, _: u64, _: u64) {}
+
+        fn merge(mut self, other: Threads) -> Threads {
+            for thread in other.0 {
+                if !self.0.contains(&thread) {
+                    self.0.push(thread);
+                }
+            }
+            self
+        }
+    }
+
+    /// The threads `semantics` at `point` runs on when given two, over seeded
+    /// tensors of the given shapes: `rows × len` for softmax and variance,
+    /// `[q, k, v]` for attention, `[x, w]` for routing, `[a, w]` for quant +
+    /// GEMM and the positions for inertia.
+    fn threads_used(
+        semantics: Semantics,
+        point: (usize, usize, usize),
+        shapes: &[[usize; 2]],
+    ) -> usize {
+        let m: Vec<Matrix> = (0..)
+            .zip(shapes)
+            .map(|(seed, &[rows, cols])| random_matrix(rows, cols, seed, 0.1, 1.0))
+            .collect();
+        let masses = random_vec(m[0].rows(), 9, 0.1, 2.0);
+        let input = match semantics {
+            Semantics::Softmax | Semantics::Variance => ExecInput::Rows(&m[0]),
+            Semantics::Attention { .. } => ExecInput::Attention {
+                q: &m[0],
+                k: &m[1],
+                v: &m[2],
+            },
+            Semantics::Routing { .. } => ExecInput::Routing { x: &m[0], w: &m[1] },
+            Semantics::QuantGemm { .. } => ExecInput::QuantGemm { a: &m[0], w: &m[1] },
+            Semantics::Inertia { .. } => ExecInput::Inertia {
+                masses: &masses,
+                positions: &m[0],
+            },
+        };
+        let program = bound_program(semantics, point);
+        run::<Threads>(2, &program, &input).unwrap().1 .0.len()
+    }
+
+    /// Which of `perf`'s shapes split on two threads, on the tuning points
+    /// the H800 plans give them `(block_rows, block_axis, segments)`: the
+    /// source of truth for where the threshold falls. Decode attention's one
+    /// row splits its segments; every other shape that splits has the rows
+    /// to fill both threads, so its split is the row split.
+    #[test]
+    fn the_benchmark_shapes_split_where_the_threshold_says() {
+        let attention = |qk_dim, head_dim| Semantics::Attention { qk_dim, head_dim };
+        let routing = |topk, hidden| Semantics::Routing { topk, hidden };
+        let (softmax, variance) = (Semantics::Softmax, Semantics::Variance);
+        let (quant, inertia) = (
+            |n| Semantics::QuantGemm { n },
+            Semantics::Inertia { dim: 3 },
+        );
+        let qkv = |q, kv, qk, head| [[q, qk], [kv, qk], [kv, head]];
+        let cases = [
+            // exec_decode: MHA 1×8192 and MLA 1×4096 split their segments.
+            (
+                "mha 1x8192",
+                attention(64, 64),
+                (1, 256, 64),
+                &qkv(1, 8192, 64, 64)[..],
+                2,
+            ),
+            (
+                "mla 1x4096",
+                attention(576, 512),
+                (1, 64, 64),
+                &qkv(1, 4096, 576, 512),
+                2,
+            ),
+            ("softmax 1x32768", softmax, (1, 256, 64), &[[1, 32768]], 1),
+            ("softmax 4x8192", softmax, (4, 128, 64), &[[4, 8192]], 1),
+            ("variance 1x65536", variance, (1, 128, 1), &[[1, 65536]], 1),
+            // exec_prefill.
+            (
+                "mha 256x1024",
+                attention(64, 64),
+                (16, 16, 64),
+                &qkv(256, 1024, 64, 64),
+                2,
+            ),
+            (
+                "softmax 512x4096",
+                softmax,
+                (16, 128, 32),
+                &[[512, 4096]],
+                2,
+            ),
+            (
+                "quant 256x1024->256",
+                quant(256),
+                (128, 128, 1),
+                &[[256, 1024], [1024, 256]],
+                2,
+            ),
+            (
+                "moe 512x64",
+                routing(8, 256),
+                (128, 64, 1),
+                &[[512, 256], [256, 64]],
+                2,
+            ),
+            (
+                "variance 256x4096",
+                variance,
+                (128, 128, 1),
+                &[[256, 4096]],
+                1,
+            ),
+            ("inertia 4096", inertia, (64, 128, 1), &[[4096, 3]], 1),
+            // serve_tiny, every kind.
+            ("softmax 4x256", softmax, (4, 256, 1), &[[4, 256]], 1),
+            ("softmax 2x1024", softmax, (2, 256, 1), &[[2, 1024]], 1),
+            (
+                "mha tiny",
+                attention(8, 8),
+                (16, 32, 1),
+                &qkv(16, 32, 8, 8),
+                1,
+            ),
+            (
+                "mla tiny",
+                attention(24, 16),
+                (4, 64, 1),
+                &qkv(1, 64, 24, 16),
+                1,
+            ),
+            (
+                "moe tiny",
+                routing(4, 32),
+                (16, 16, 1),
+                &[[16, 32], [32, 16]],
+                1,
+            ),
+            ("quant tiny", quant(12), (8, 16, 1), &[[8, 16], [16, 12]], 1),
+            ("variance tiny", variance, (4, 128, 1), &[[4, 256]], 1),
+            ("inertia tiny", inertia, (4, 128, 1), &[[128, 3]], 1),
+        ];
+        for (name, semantics, point, shapes, threads) in cases {
+            assert_eq!(threads_used(semantics, point, shapes), threads, "{name}");
         }
     }
 

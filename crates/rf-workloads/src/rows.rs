@@ -30,7 +30,9 @@ use crate::tier::Tier;
 /// below which [`for_row_ranges`] runs its rows inline.
 ///
 /// Measured on the 2-vCPU benchmark host, serial → split in two, medians of
-/// 12–60 runs. A scoped spawn + join of an empty body costs 18 µs. The host
+/// 12–60 runs. A scoped spawn + join of an empty body costs 15–16 µs while
+/// the host keeps the job on one core and 21–25 µs once it balances it over
+/// two (medians of 2000, re-measured with the decode split below). The host
 /// balances load across its two cores only while a job asks for more than
 /// one (it switches about 1.5 s after the demand starts); until then a new
 /// thread shares its parent's core and a split only costs: 2²¹ matmul-like
@@ -52,12 +54,21 @@ use crate::tier::Tier;
 /// the gain (−48 %) is still six times the cost (+5–8 %); at 2²¹ (−24 %
 /// against +10–17 %) it is not, so the threshold stays.
 ///
-/// The same threshold decides when decode attention splits one row's
-/// *segments* (`rf_tile::exec`, the rows being too few to fill the cores):
-/// MLA 1×4096×(576→512), 4.52 M, reads 1.94–2.06 → 1.23–1.35 ms p50 split
-/// in two (2.3–2.4 → 1.4–1.6 ms while the host was busy), where MHA 1×8192,
-/// 1.18 M, forced to split reads 750–840 → 620–720 µs: a fifth off, below
-/// the third the threshold was set by, so it stays inline.
+/// The same threshold decides when decode attention splits a query group's
+/// *segments* (`rf_tile::exec`, the rows being too few to fill the cores),
+/// the group's Q·Kᵀ charged at a whole vector of eight query rows, which is
+/// what a group of one to eight rows costs. MLA 1×4096×(576→512) (21.0 M
+/// so charged) read 1.94–2.06 → 1.23–1.35 ms p50 split in two. MHA 1×8192
+/// (4.85 M; 1.18 M when a lone row was charged as one) splits too. In
+/// process, p50 per half second, it read 400–550 µs inline and 300–380 µs
+/// split once the host gave the second thread its own core, but 530–620 µs
+/// split during the seconds before. A split of the same work over one vCPU
+/// (`taskset -c 0`, explicit thread counts) costs 40–60 µs in most rounds,
+/// 30–35 µs at an eighth of the keys and 60–100 µs at four times them: two
+/// to four spawns' worth. In `perf`'s `exec_decode` the two-core state came
+/// in 7 of 10 runs of 20 s in one batch (`ops_per_s` 2183 → 3230, medians,
+/// 8 of 10 pairs) and in none of another (2007 → 2060, 7 of 10). Softmax
+/// 4×8192 (0.52 M) stays inline: split at 2¹⁸ it read 89 → 101 µs.
 pub const PARALLEL_MIN_WORK: usize = 1 << 22;
 
 /// The host's core count, read once: `std::thread::available_parallelism()`
@@ -395,10 +406,16 @@ fn add_term<const COLS: usize, const ALL: bool>(acc: &mut [f64; COLS], c: f64, w
 /// dependent multiply-adds, and a fused multiply-add has twice an addition's
 /// latency on the benchmark host — four chains, which kept the unfused form
 /// busy, read about a tenth slower per multiply-add than the unfused four
-/// (the ignored `timing_score_gemm` test). It runs at the widest vector tier
-/// this CPU offers, with the bits of every other tier (at the x86-64
-/// baseline a `mul_add` is a libm call). [`score_group`] runs it for a group
-/// of one query row, and returns its bits row by row for a group of more.
+/// (the ignored `timing_score_gemm` test). A pass reads its eight keys in
+/// blocks of eight contiguous columns, which LLVM holds as one vector of the
+/// eight chains and transposes in registers; a column at a time, it gathered
+/// the eight keys' elements one by one at every column. Pinned to one core,
+/// five runs each, that read 0.29–0.34 → 0.27–0.31 ns per multiply-add at
+/// `qk_dim` 64 and 576 (unpinned 0.33–0.48 → 0.30–0.33). It runs at the
+/// widest vector tier this CPU offers, with the bits of every other tier (at
+/// the x86-64 baseline a `mul_add` is a libm call). [`score_group`] runs it
+/// for a group of one query row, and returns its bits row by row for a group
+/// of more.
 ///
 /// # Panics
 ///
@@ -421,7 +438,17 @@ fn dot_rows_body<'a>(x: &[f64], mut rows: impl Iterator<Item = &'a [f64]>, out: 
         // Sliced to `n` first, like `score_group`'s keys: the bounds checks go.
         let keys = keys.map(|key| &key[..n]);
         let mut dots = [0.0f64; DOT_CHAINS];
-        for (c, &xt) in x.iter().enumerate() {
+        // Each key's next eight columns as one contiguous block: a column of
+        // eight keys is gathered from eight rows otherwise.
+        for (b, xs) in x.chunks_exact(DOT_CHAINS).enumerate() {
+            let block = keys.map(|key| &key[b * DOT_CHAINS..][..DOT_CHAINS]);
+            for (i, &xt) in xs.iter().enumerate() {
+                for (dot, columns) in dots.iter_mut().zip(&block) {
+                    *dot = xt.mul_add(columns[i], *dot);
+                }
+            }
+        }
+        for (c, &xt) in x.iter().enumerate().skip(n - n % DOT_CHAINS) {
             for (dot, key) in dots.iter_mut().zip(&keys) {
                 *dot = xt.mul_add(key[c], *dot);
             }
@@ -502,11 +529,13 @@ impl QueryGroup {
 /// every other tier.
 ///
 /// A group of one row is scored by [`dot_rows`] instead. On the benchmark
-/// host (AVX-512F + FMA) a multiply-add costs 0.34–0.41 ns in `dot_rows`'
-/// eight chains and 0.53–0.58 ns in one lane of eight; a group of two rows
-/// costs 0.26–0.28 ns and a group of eight 0.069–0.070 ns, where the
-/// products rounded apart from their sums cost 0.09–0.10 ns (the ignored
-/// `timing_score_gemm` test prints them, at `qk_dim` 64 and 576).
+/// host (AVX-512F + FMA) a multiply-add costs 0.27–0.31 ns in `dot_rows`'
+/// eight chains and 0.38–0.52 ns in one lane of eight; a group of two rows
+/// costs 0.19–0.26 ns and a group of eight 0.047–0.068 ns (the ignored
+/// `timing_score_gemm` test prints them, at `qk_dim` 576 and 64). So a key
+/// and a column of Q·Kᵀ cost about the same, one vector of rows, for a group
+/// of two to eight rows, and a lone row half to three quarters of that: the
+/// segment split charges every group the whole vector.
 ///
 /// # Panics
 ///
@@ -1270,6 +1299,55 @@ mod tests {
         );
         dot_rows(&query, keys.iter().map(Vec::as_slice), &mut public);
         assert_eq!(bits(&public), bits(&widest));
+    }
+
+    #[test]
+    fn every_tier_scores_a_lone_row_as_the_plain_fold_chain() {
+        // The block form reads eight columns of eight keys at a time; each
+        // dot must still be one chain of `mul_add`s from 0.0 in column order.
+        let tiers = Tier::available();
+        let fold =
+            |x: &[f64], key: &[f64]| x.iter().zip(key).fold(0.0, |s, (x, k)| x.mul_add(*k, s));
+        let check = |query: &[f64], keys: &[Vec<f64>], case: &str| {
+            let keys = || keys.iter().map(|key| &key[1..]);
+            let expected: Vec<u64> = keys().map(|key| canonical_bits(fold(query, key))).collect();
+            for &tier in &tiers {
+                let mut got = vec![f64::NAN; expected.len()];
+                dot_rows_on(tier, query, keys(), &mut got);
+                assert_eq!(bits(&got), expected, "{tier:?} {case}");
+            }
+        };
+        // Whole blocks of columns and every remainder of one, key counts
+        // around whole passes of eight; hostile values, keys misaligned by one.
+        for dim in (1..=17).chain(63..=65).chain([576]) {
+            let query = hostile_values(29, dim);
+            let keys = hostile_rows(31, 19, dim);
+            for n in [1, 5, 8, 9, 15, 17, 19] {
+                check(&query, &keys[..n], &format!("dim {dim} keys {n}"));
+            }
+        }
+        // NaN, ±inf and -0.0 at every position of an 8 × 8 block (the second
+        // block of 16 columns), in a key and in the query, among zeros and
+        // ones whose sums are exact.
+        let plain = |i: usize| [0.0, 1.0, -1.0][i % 3];
+        let query: Vec<f64> = (0..16).map(plain).collect();
+        let keys: Vec<Vec<f64>> = (0..9)
+            .map(|k| (0..17).map(|c| plain(c + k)).collect())
+            .collect();
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0] {
+            for (key, col) in (0..8).flat_map(|key| (8..16).map(move |col| (key, col))) {
+                let mut hit = keys.clone();
+                hit[key][1 + col] = special;
+                check(
+                    &query,
+                    &hit,
+                    &format!("{special} in key {key} column {col}"),
+                );
+                let mut hit = query.clone();
+                hit[col] = special;
+                check(&hit, &keys, &format!("{special} in the query column {col}"));
+            }
+        }
     }
 
     #[test]

@@ -37,8 +37,10 @@
 //! At the baseline `add_scaled_block` runs its rows one at a time, through
 //! its row-by-row remainder loop: no panel width measured faster there.
 //! `dot_rows` runs through a tier for its `mul_add` first: its eight chains
-//! are eight rows' dot products, which the wider tiers hold in one vector
-//! only by gathering a column of eight keys per step.
+//! are eight rows' dot products, which the wider tiers hold in one vector,
+//! fed from a block of eight contiguous columns of each key and transposed
+//! in registers (read a column at a time, the keys were gathered element by
+//! element at every column).
 
 #![allow(unsafe_code)]
 
