@@ -7,8 +7,7 @@
 //! - **`tuner`**: per (workload, preset, search mode), what the auto-tuner
 //!   chose — the point, `latency_us` and its bits, how many candidates it
 //!   costed, the size of the raw space and every field of the returned
-//!   `KernelProfile`. The modes are guided, exhaustive, and guided with one
-//!   `TuningCache` shared by a preset's compiles in row order (`guided+cache`).
+//!   `KernelProfile`. The modes are guided and exhaustive.
 //! - **`table`**: per Table 2/3 config and preset, the simulated µs of each
 //!   system of `eval::sim_row`, each after Eager followed by its speedup over
 //!   Eager (the rows of Figures 5, 8 and 9).
@@ -18,17 +17,15 @@
 //! up as the rows it moved.
 
 use std::fmt::{Display, Write as _};
-use std::sync::Arc;
 
-use rf_codegen::{compile_workload_with, CompileOptions, SearchMode, TuningCache, Workload};
+use rf_codegen::{compile_workload_with, CompileOptions, SearchMode, Workload};
 use rf_gpusim::GpuArch;
 use rf_workloads::{mha_tiny, mla_tiny};
 
 use crate::eval::{sim_row, table_workloads};
 
-/// The 29 workloads of the tuner rows in compile order (which `guided+cache`
-/// depends on): the 18 Table 2a/2b attention configs, the two tiny attention
-/// shapes and nine softmax shapes.
+/// The 29 workloads of the tuner rows in row order: the 18 Table 2a/2b
+/// attention configs, the two tiny attention shapes and nine softmax shapes.
 pub fn tuner_workloads() -> Vec<Workload> {
     let softmax_rows = [512, 64, 4, 1, 32, 4, 256, 1, 3];
     let softmax_lens = [4096, 1024, 8192, 32768, 128, 8, 1024, 1, 7];
@@ -98,14 +95,14 @@ impl Row {
 
 fn tuner_rows(out: &mut Vec<String>) {
     let workloads = tuner_workloads();
-    for mode in ["guided", "exhaustive", "guided+cache"] {
+    for (mode, search) in [
+        ("guided", SearchMode::Guided),
+        ("exhaustive", SearchMode::Exhaustive),
+    ] {
         for arch in GpuArch::all() {
             let opts = CompileOptions {
-                mode: match mode {
-                    "exhaustive" => SearchMode::Exhaustive,
-                    _ => SearchMode::Guided,
-                },
-                tuning_cache: (mode == "guided+cache").then(|| Arc::new(TuningCache::new())),
+                mode: search,
+                ..CompileOptions::default()
             };
             for workload in &workloads {
                 let choice = compile_workload_with(workload, &arch, &opts).tuning;

@@ -1,8 +1,9 @@
 //! The kernel the GPU model costs is the kernel the VM runs: over every
 //! tuner workload of the sim-clock ledger and every raw point of
 //! `TuningSpace::PAPER`, the executable program's main kernel launches one
-//! row block per segment its [`ExecBinding`] binds, and every bound segment
-//! holds part of the axis.
+//! row block per segment its [`ExecBinding`] binds, every bound segment
+//! holds part of the axis, the binding's `block_axis` is at most one
+//! segment, and an attention block stages K/V tiles of `block_axis` rows.
 //!
 //! [`ExecBinding`]: rf_tile::exec::ExecBinding
 
@@ -47,16 +48,25 @@ fn every_point_launches_the_segments_its_binding_runs() {
     for workload in tuner_workloads() {
         for point in TuningSpace::PAPER.points() {
             let program = executable_program(&workload, &point);
-            let segments = program
-                .binding
-                .expect("an executable program is bound")
-                .segments;
+            let binding = program.binding.expect("an executable program is bound");
+            let segments = binding.segments;
             let (grid, axis) = expected_grid(&workload, &program, segments);
+            let segment = axis.div_ceil(segments);
             let combines = program.combine_kernel.is_some();
+            // An attention block stages K/V tiles of `block_axis` rows.
+            let attention = matches!(workload, Workload::Mha(_) | Workload::Mla(_));
+            let kv_rows = ["K_shared", "V_shared"].map(|t| program.buffer(t).map(|b| b.shape[0]));
             let problem = if program.grid_blocks != grid as u64 || combines != (segments > 1) {
                 format!("grid {} (combine: {combines})", program.grid_blocks)
-            } else if (segments - 1) * axis.div_ceil(segments) >= axis {
+            } else if (segments - 1) * segment >= axis {
                 format!("an empty segment of an axis of {axis}")
+            } else if binding.block_axis > segment
+                || attention && kv_rows != [Some(binding.block_axis); 2]
+            {
+                format!(
+                    "`block_axis` {} over segments of {segment}, K/V tiles of {kv_rows:?} rows",
+                    binding.block_axis
+                )
             } else {
                 continue;
             };

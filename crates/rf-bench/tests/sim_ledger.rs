@@ -27,9 +27,9 @@ fn bench_sim_json_matches_the_model() {
         let prefix = format!("{{\"kind\":\"{kind}\"");
         fresh.iter().filter(|l| l.starts_with(&prefix)).count()
     };
-    // 29 tuned workloads × 4 presets × 3 modes; 52 Table 2/3 configs × 4 presets.
+    // 29 tuned workloads × 4 presets × 2 modes; 52 Table 2/3 configs × 4 presets.
     assert_eq!(
         (count("tuner"), count("table"), fresh.len()),
-        (348, 208, 556)
+        (232, 208, 440)
     );
 }

@@ -1,7 +1,5 @@
 //! Top-level compilation entry point: workload → tuned fused kernel.
 
-use std::sync::Arc;
-
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 use rf_tile::exec::{ExecBinding, ExecError, ExecInput, ExecOutput, Semantics};
 use rf_tile::TileProgram;
@@ -15,18 +13,20 @@ use crate::lower::{
     AttentionShape,
 };
 use crate::strategy::Mode;
-use crate::tuner::{AutoTuner, SearchMode, TuneHooks, TuningCache, TuningChoice, TuningPoint};
+use crate::tuner::{AutoTuner, SearchMode, TuneHooks, TuningChoice, TuningPoint};
 
-/// Options for [`compile_workload_with`]: how the auto-tuner searches and
-/// whether it warm-starts from (and records into) a shared [`TuningCache`].
+/// Options for [`compile_workload_with`]: how the auto-tuner searches.
 #[derive(Debug, Clone, Default)]
 pub struct CompileOptions {
     /// The tuner search mode ([`SearchMode::Guided`] by default;
     /// [`SearchMode::Exhaustive`] is the oracle).
     pub mode: SearchMode,
-    /// Warm-start cache shared across compilations (keyed by
-    /// [`Workload::class`] and architecture fingerprint).
-    pub tuning_cache: Option<Arc<TuningCache>>,
+    /// Ignored: no tuner state outlives a compile. It stays only because
+    /// `perf`'s `compile_cold.rs`, frozen outside `[benchmark]` PRs, builds
+    /// `CompileOptions { mode, ..CompileOptions::default() }`, which a
+    /// one-field struct makes a needless update; it goes with the other
+    /// `perf`-held API (ROADMAP item 26).
+    pub tuning_cache: (),
 }
 
 /// A workload RedFuser can compile end-to-end.
@@ -70,9 +70,8 @@ impl Workload {
         }
     }
 
-    /// The workload class, shared by every shape of one family — the key the
-    /// [`TuningCache`] warm-starts under (a winning launch configuration for
-    /// one MHA shape is a good starting point for the next MHA shape).
+    /// The workload class, shared by every shape of one family: the label
+    /// the runtime groups requests and metrics by.
     pub fn class(&self) -> &'static str {
         match self {
             Workload::Mha(_) => "mha",
@@ -309,11 +308,9 @@ fn tune_then_lower(
     hooks: TuneHooks<'_>,
     profile: impl Fn(&TuningPoint) -> KernelProfile,
 ) -> CompiledKernel {
-    let mut tuner = AutoTuner::new(arch.clone()).with_mode(opts.mode);
-    if let Some(cache) = &opts.tuning_cache {
-        tuner = tuner.with_cache(Arc::clone(cache), workload.class());
-    }
-    let choice = tuner.tune(&profile, hooks);
+    let choice = AutoTuner::new(arch.clone())
+        .with_mode(opts.mode)
+        .tune(&profile, hooks);
     let program = executable_program(workload, &choice.point);
     debug_assert_eq!(
         choice.profile,
@@ -423,13 +420,12 @@ fn fused_profile_from_accounting(
 
 /// Compiles a workload with RedFuser for one architecture: lowering, strategy
 /// selection and auto-tuning with the default [`CompileOptions`] (guided
-/// search, no warm-start cache), returning the tuned fused kernel.
+/// search), returning the tuned fused kernel.
 pub fn compile_workload(workload: &Workload, arch: &GpuArch) -> CompiledKernel {
     compile_workload_with(workload, arch, &CompileOptions::default())
 }
 
-/// Like [`compile_workload`], with explicit tuner options (search mode,
-/// warm-start [`TuningCache`]).
+/// Like [`compile_workload`], with explicit tuner options (the search mode).
 pub fn compile_workload_with(
     workload: &Workload,
     arch: &GpuArch,
@@ -815,37 +811,5 @@ mod tests {
         // And the end-to-end quant compilation keeps its fp8 rating.
         let compiled = compile_workload(&Workload::Quant(c.clone()), &arch);
         assert_eq!(compiled.profile.precision, "fp8");
-    }
-
-    #[test]
-    fn tuning_cache_warm_starts_across_shapes_of_one_class() {
-        let arch = GpuArch::a10();
-        let cache = std::sync::Arc::new(TuningCache::new());
-        let opts = CompileOptions {
-            tuning_cache: Some(std::sync::Arc::clone(&cache)),
-            ..CompileOptions::default()
-        };
-        let cold = compile_workload_with(
-            &Workload::Softmax {
-                rows: 512,
-                len: 2048,
-            },
-            &arch,
-            &opts,
-        );
-        let warm = compile_workload_with(
-            &Workload::Softmax {
-                rows: 512,
-                len: 4096,
-            },
-            &arch,
-            &opts,
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.lookups, 2);
-        assert_eq!(stats.seeded, 1, "second compile warm-starts");
-        assert_eq!(stats.insertions, 2);
-        assert_eq!(stats.entries, 1, "one (class, arch) key");
-        assert!(cold.latency_us.is_finite() && warm.latency_us.is_finite());
     }
 }

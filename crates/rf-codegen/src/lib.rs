@@ -41,8 +41,7 @@ pub use level::{fusion_level_latency, incremental_sweep, FusionLevelReport, Incr
 pub use lower::{attention_program, cascade_program, AttentionShape};
 pub use strategy::{FusionLevel, Mode};
 pub use tuner::{
-    AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningCache, TuningCacheStats, TuningChoice,
-    TuningPoint, TuningSpace,
+    AutoTuner, PointFootprint, SearchMode, TuneHooks, TuningChoice, TuningPoint, TuningSpace,
 };
 
 #[cfg(test)]

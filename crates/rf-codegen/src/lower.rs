@@ -3,10 +3,10 @@
 //!
 //! A raw point is clamped in one place: the **canonical point**
 //! (`canonical_attention_point`, `canonical_cascade_point`) is the kernel.
-//! Its tile sizes are clamped to the shape and its `segments` is the number
-//! of non-empty axis segments the VM runs, so a kernel is Multi-Segment
-//! exactly when its canonical `segments > 1`. The public lowerings
-//! ([`attention_program`], [`cascade_program`], and
+//! Its `segments` is the number of non-empty axis segments the VM runs, its
+//! `block_axis` is clamped to one segment and its `block_rows` to the rows,
+//! so a kernel is Multi-Segment exactly when its canonical `segments > 1`.
+//! The public lowerings ([`attention_program`], [`cascade_program`], and
 //! `crate::compile::executable_program`) canonicalize once on entry;
 //! everything below them — the extents, the closed forms, the tensorization
 //! pass, the footprints and the VM binding — reads the canonical point and
@@ -102,16 +102,29 @@ fn segment_count(axis_len: usize, segments: u32) -> u32 {
     axis.div_ceil(axis.div_ceil(s)) as u32
 }
 
-/// The point [`attention_program`] builds for `point`: the tile sizes clamped
-/// to the shape and `segments` to the count the VM runs over the KV axis —
-/// the tuner's canonicalization hook for attention, exact because two points
-/// with one canonical point build the identical kernel.
+/// The axis half of every canonical point, one rule for attention and
+/// cascades alike: `segments` is the count the VM runs over an axis of
+/// `axis_len`, and `block_axis` is clamped to one such segment.
+fn canonical_axis(axis_len: usize, p: &TuningPoint) -> TuningPoint {
+    let segments = segment_count(axis_len, p.segments);
+    TuningPoint {
+        block_axis: p
+            .block_axis
+            .min(axis_len.div_ceil(segments as usize))
+            .max(1),
+        segments,
+        ..*p
+    }
+}
+
+/// The point [`attention_program`] builds for `point`: the axis knobs by
+/// `canonical_axis` over the KV axis and `block_rows` clamped to the query
+/// rows — the tuner's canonicalization hook for attention, exact because two
+/// points with one canonical point build the identical kernel.
 pub(crate) fn canonical_attention_point(shape: &AttentionShape, p: &TuningPoint) -> TuningPoint {
     TuningPoint {
         block_rows: p.block_rows.min(shape.q_len).max(1),
-        block_axis: p.block_axis.min(shape.kv_len).max(1),
-        segments: segment_count(shape.kv_len, p.segments),
-        ..*p
+        ..canonical_axis(shape.kv_len, p)
     }
 }
 
@@ -460,25 +473,19 @@ pub(crate) fn lower_attention(shape: &AttentionShape, point: &TuningPoint) -> Ti
     program
 }
 
-/// The point [`cascade_program`] builds for `point`: `segments` clamped to the
-/// count the VM runs over the axis, then the tile sizes to the per-segment
-/// problem (`rows × segments` effective rows over `ceil(axis_len /
-/// segments)` axis elements) — the tuner's canonicalization hook for
+/// The point [`cascade_program`] builds for `point`: the axis knobs by
+/// `canonical_axis`, then `block_rows` clamped to the per-segment problem's
+/// `rows × segments` effective rows — the tuner's canonicalization hook for
 /// cascades.
 pub(crate) fn canonical_cascade_point(
     rows: usize,
     axis_len: usize,
     p: &TuningPoint,
 ) -> TuningPoint {
-    let segments = segment_count(axis_len, p.segments);
+    let axis = canonical_axis(axis_len, p);
     TuningPoint {
-        block_rows: p.block_rows.min(rows * segments as usize).max(1),
-        block_axis: p
-            .block_axis
-            .min(axis_len.div_ceil(segments as usize))
-            .max(1),
-        segments,
-        ..*p
+        block_rows: p.block_rows.min(rows * axis.segments as usize).max(1),
+        ..axis
     }
 }
 

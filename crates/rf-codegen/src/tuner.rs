@@ -15,13 +15,13 @@
 //! [`TuningSpace::PAPER`], with the workload's two [`TuneHooks`], serially.
 //!
 //! 1. **Canonicalization + dedup** — [`TuneHooks::normalize`] maps every raw
-//!    point to the point the lowering will actually build (tile sizes clamped
-//!    to the shape, `segments` to the number of non-empty segments the VM
-//!    runs over the axis). Each distinct canonical point becomes one
-//!    candidate, whose id is
-//!    its position in first-occurrence order — also the tie-break between
-//!    equal latencies — held in the search's one hash map, under a private
-//!    multiply-xor hasher over the point's five integers.
+//!    point to the point the lowering will actually build (`segments` to the
+//!    number of non-empty segments the VM runs over the axis, `block_axis` to
+//!    one segment, `block_rows` to the rows). Each distinct canonical point
+//!    becomes one candidate, whose id is its position in first-occurrence
+//!    order — also the tie-break between equal latencies — held in the
+//!    search's one hash map, under a private multiply-xor hasher over the
+//!    point's five integers.
 //! 2. **Static feasibility** — [`TuneHooks::footprint`] reports the launch
 //!    resources of a point; points that can never fit the target [`GpuArch`]
 //!    (shared memory, per-block thread limit) are rejected by
@@ -29,31 +29,30 @@
 //!    are one pass over the raw space: 12–24 ns a point, 10–20 µs for the 840
 //!    points.
 //! 3. **Search** — [`SearchMode::Guided`] seeds a coarse lattice and a
-//!    stratified sample (plus any [`TuningCache`] warm-start points) and
-//!    refines the best seeds by coordinate descent over the coupled knobs;
-//!    the exhaustive scan of the candidates is kept behind
+//!    stratified sample and refines the best seeds by coordinate descent over
+//!    the coupled knobs; the exhaustive scan of the candidates is kept behind
 //!    [`SearchMode::Exhaustive`] as the oracle.
 //!    Latencies are memoized in a vector indexed by candidate id, so a
 //!    candidate is costed once however often descent revisits it, and the
 //!    winner is the minimum by `(latency, id)` in both modes.
 //!
+//! A compile is a pure function of the workload and the architecture: no
+//! state survives a `tune` call, so the same workload chooses the same point
+//! with the same `evaluated` count whatever was compiled before it.
+//!
 //! Measured on the 22 tuned `perf` configs (H800 preset, 2-vCPU host): a
 //! guided compile takes 36–43 µs and the exhaustive oracle 55–64 µs, choosing
 //! bit-identical kernels (the `tuner` rows of `BENCH_sim.json`, written by
-//! `cargo run --release -p rf-bench --bin sim_ledger`). Guided stays the default:
-//! a third fewer µs on average and five times fewer candidates, though where
-//! the space dedups to ~200 candidates the oracle is as fast.
-//!
-//! A [`TuningCache`] remembers winning points per `(workload class, arch
-//! fingerprint)` pair and seeds later searches of the same class with them.
-//! It saves no work: on the ledger's 116 (workload, preset) tuner pairs the
-//! `guided+cache` rows cost 10,053 candidates against `guided`'s 9,101 —
-//! more on 59 pairs, fewer on 32 — and choose the same point on all 116.
+//! `cargo run --release -p rf-bench --bin sim_ledger`). Guided stays the
+//! default: a third fewer µs on average and five times fewer candidates,
+//! though where the space dedups to ~200 candidates the oracle is as fast.
+//! With the exhaustive scan as the default, `perf`'s `compile_cold` read 21 %
+//! more `setup_s` and 8.4 % fewer `ops_per_s` over 8 alternating pairs; with
+//! `block_axis` clamped to a segment, 43 % more `setup_s` at equal
+//! `ops_per_s` over 10.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
 
 use rf_gpusim::{estimate_latency, GpuArch, KernelProfile};
 
@@ -209,9 +208,9 @@ pub enum SearchMode {
     /// Evaluate every candidate: the oracle the guided mode is validated
     /// against.
     Exhaustive,
-    /// Evaluate a stratified seed sample (plus [`TuningCache`] warm starts)
-    /// and refine the best two seeds by coordinate descent: sweep one knob
-    /// at a time, move on strict improvement, stop when no knob improves.
+    /// Evaluate a coarse lattice and a stratified seed sample and refine the
+    /// best two seeds by coordinate descent: sweep one knob at a time, move
+    /// on strict improvement, stop when no knob improves.
     #[default]
     Guided,
 }
@@ -237,98 +236,11 @@ pub struct PointFootprint {
 #[derive(Clone, Copy)]
 pub struct TuneHooks<'a> {
     /// Maps a raw point to the canonical point the lowering actually builds
-    /// (e.g. tile sizes clamped to the workload shape, `segments` to the
-    /// number of non-empty segments of the axis).
+    /// (e.g. `segments` to the number of non-empty segments of the axis,
+    /// `block_axis` to one segment, `block_rows` to the rows).
     pub normalize: &'a dyn Fn(&TuningPoint) -> TuningPoint,
     /// Reports the static launch resources of a canonical point.
     pub footprint: &'a dyn Fn(&TuningPoint) -> PointFootprint,
-}
-
-/// Counters of one [`TuningCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TuningCacheStats {
-    /// Warm-start lookups performed.
-    pub lookups: u64,
-    /// Lookups that returned at least one previously winning point.
-    pub seeded: u64,
-    /// Winning points recorded.
-    pub insertions: u64,
-    /// Distinct `(workload class, arch fingerprint)` keys resident.
-    pub entries: usize,
-}
-
-/// Most-recent winners kept per `(workload class, arch fingerprint)` key.
-const MAX_SEEDS_PER_KEY: usize = 4;
-
-/// A cross-compilation memory of winning [`TuningPoint`]s, keyed by workload
-/// class (e.g. `"mha"`, `"softmax"`) and architecture fingerprint.
-///
-/// The guided search injects the cached winners as extra seeds, so compiling
-/// a new shape of an already-seen workload class also descends from a
-/// configuration that won before. Measured on `BENCH_sim.json`'s 116 tuner
-/// pairs, that costs more candidates, not fewer: 10,053 with the cache
-/// against 9,101 without (more on 59 pairs, fewer on 32), with the same
-/// chosen point on every pair. The cache is thread-safe and shared via
-/// [`Arc`]; `rf-runtime`'s plan cache owns one per engine and reports its
-/// counters in the runtime metrics.
-#[derive(Debug, Default)]
-pub struct TuningCache {
-    entries: RwLock<HashMap<(String, u64), Vec<TuningPoint>>>,
-    lookups: AtomicU64,
-    seeded: AtomicU64,
-    insertions: AtomicU64,
-}
-
-impl TuningCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Previously winning points for `class` on the architecture with the
-    /// given fingerprint, most recent first (empty when the class was never
-    /// tuned on that architecture).
-    pub fn seeds(&self, class: &str, arch_fingerprint: u64) -> Vec<TuningPoint> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let seeds = self
-            .entries
-            .read()
-            .expect("tuning cache lock poisoned")
-            .get(&(class.to_string(), arch_fingerprint))
-            .cloned()
-            .unwrap_or_default();
-        if !seeds.is_empty() {
-            self.seeded.fetch_add(1, Ordering::Relaxed);
-        }
-        seeds
-    }
-
-    /// Records `point` as a winner for `class` on the architecture with the
-    /// given fingerprint (most recent first, bounded per key).
-    pub fn record(&self, class: &str, arch_fingerprint: u64, point: TuningPoint) {
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.entries.write().expect("tuning cache lock poisoned");
-        let seeds = entries
-            .entry((class.to_string(), arch_fingerprint))
-            .or_default();
-        seeds.retain(|p| *p != point);
-        seeds.insert(0, point);
-        seeds.truncate(MAX_SEEDS_PER_KEY);
-    }
-
-    /// Current counter values.
-    pub fn stats(&self) -> TuningCacheStats {
-        TuningCacheStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            seeded: self.seeded.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            entries: self
-                .entries
-                .read()
-                .expect("tuning cache lock poisoned")
-                .len(),
-        }
-    }
 }
 
 /// The winning configuration and its estimated latency.
@@ -441,7 +353,6 @@ impl<F: Fn(&TuningPoint) -> KernelProfile> Search<'_, F> {
 pub struct AutoTuner {
     arch: GpuArch,
     mode: SearchMode,
-    cache: Option<(Arc<TuningCache>, String)>,
 }
 
 impl AutoTuner {
@@ -451,20 +362,12 @@ impl AutoTuner {
         AutoTuner {
             arch,
             mode: SearchMode::default(),
-            cache: None,
         }
     }
 
     /// Replaces the search mode.
     pub fn with_mode(mut self, mode: SearchMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Warm-starts the search from `cache`'s winners for `class` and records
-    /// the new winner back into it.
-    pub fn with_cache(mut self, cache: Arc<TuningCache>, class: impl Into<String>) -> Self {
-        self.cache = Some((cache, class.into()));
         self
     }
 
@@ -539,9 +442,6 @@ impl AutoTuner {
             "every candidate configuration was infeasible on {}",
             self.arch.name
         );
-        if let Some((cache, class)) = &self.cache {
-            cache.record(class, self.arch.fingerprint(), point);
-        }
         choice
     }
 
@@ -553,10 +453,6 @@ impl AutoTuner {
         let count = search.candidates.len();
         let beam = BEAM_WIDTH.min(count);
         let mut seeds: Vec<usize> = Vec::new();
-        if let Some((cache, class)) = &self.cache {
-            let warm = cache.seeds(class, self.arch.fingerprint());
-            seeds.extend(warm.iter().filter_map(|point| search.id_of(point)));
-        }
         // A coarse half-resolution lattice over the three coupled knobs
         // (`block_rows`, `block_axis`, `segments`): they all trade off
         // against the same shared-memory budget and grid size, so descent
@@ -798,50 +694,5 @@ mod tests {
         );
         assert_ne!(choice.point.pipeline_depth, 3);
         assert_eq!(choice.evaluated, TuningSpace::PAPER.len() * 2 / 3);
-    }
-
-    #[test]
-    fn tuning_cache_warm_starts_and_records() {
-        let cache = Arc::new(TuningCache::new());
-        let arch = GpuArch::a10();
-        let cold = AutoTuner::new(arch.clone())
-            .with_cache(Arc::clone(&cache), "artificial")
-            .tune(&artificial_build, OPEN);
-        let stats = cache.stats();
-        assert_eq!(stats.lookups, 1);
-        assert_eq!(stats.seeded, 0);
-        assert_eq!(stats.insertions, 1);
-        assert_eq!(stats.entries, 1);
-        let warm = AutoTuner::new(arch)
-            .with_cache(Arc::clone(&cache), "artificial")
-            .tune(&artificial_build, OPEN);
-        assert_eq!(warm.point, cold.point);
-        assert_eq!(warm.latency_us, cold.latency_us);
-        let stats = cache.stats();
-        assert_eq!(stats.seeded, 1);
-        assert_eq!(stats.insertions, 2);
-    }
-
-    #[test]
-    fn tuning_cache_bounds_seeds_per_key() {
-        let cache = TuningCache::new();
-        for i in 0..10u32 {
-            cache.record(
-                "softmax",
-                7,
-                TuningPoint {
-                    block_rows: 16,
-                    block_axis: 16,
-                    threads: 128,
-                    pipeline_depth: 1,
-                    segments: i + 1,
-                },
-            );
-        }
-        let seeds = cache.seeds("softmax", 7);
-        assert_eq!(seeds.len(), MAX_SEEDS_PER_KEY);
-        assert_eq!(seeds[0].segments, 10, "most recent winner first");
-        assert!(cache.seeds("softmax", 8).is_empty(), "fingerprint keyed");
-        assert!(cache.seeds("mha", 7).is_empty(), "class keyed");
     }
 }

@@ -215,8 +215,8 @@ fn attention_counted_bytes_reconcile_with_the_model() {
         let s = u64::from(p.segments);
         let combine = u64::from(s > 1);
         let block_q = (p.block_rows as u64).min(q_len);
-        let block_kv = (p.block_axis as u64).min(kv);
         let per_segment = kv.div_ceil(s);
+        let block_kv = (p.block_axis as u64).min(per_segment);
         let iterations = per_segment.div_ceil(block_kv);
         let row_blocks = heads * q_len.div_ceil(block_q);
         let blocks = row_blocks * s;

@@ -158,14 +158,6 @@ impl Expr {
         }
     }
 
-    /// Returns the variable name if the expression is a bare variable.
-    pub fn as_var(&self) -> Option<&str> {
-        match self.kind() {
-            ExprKind::Var(name) => Some(name),
-            _ => None,
-        }
-    }
-
     /// Collects the free variables of the expression in sorted order.
     pub fn free_vars(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
@@ -197,11 +189,6 @@ impl Expr {
                 a.depends_on(name) || b.depends_on(name)
             }
         }
-    }
-
-    /// Whether the expression mentions any variable from `names`.
-    pub fn depends_on_any<'a, I: IntoIterator<Item = &'a str>>(&self, names: I) -> bool {
-        names.into_iter().any(|n| self.depends_on(n))
     }
 
     /// Substitutes `replacement` for every occurrence of variable `name`.
@@ -350,14 +337,11 @@ mod tests {
         assert!(e.depends_on("a"));
         assert!(e.depends_on("t"));
         assert!(!e.depends_on("z"));
-        assert!(e.depends_on_any(["z", "b"]));
-        assert!(!e.depends_on_any(["z", "w"]));
     }
 
     #[test]
-    fn as_const_and_as_var() {
+    fn as_const_reads_only_a_literal() {
         assert_eq!(Expr::constant(4.0).as_const(), Some(4.0));
-        assert_eq!(Expr::var("x").as_var(), Some("x"));
         assert_eq!(Expr::var("x").as_const(), None);
     }
 

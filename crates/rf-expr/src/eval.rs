@@ -128,17 +128,6 @@ impl Expr {
             ExprKind::Div(a, b) => Ok(a.eval(env)? / b.eval(env)?),
         }
     }
-
-    /// Evaluates a closed expression (no free variables).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the expression has free variables; use [`Expr::eval`] when the
-    /// expression may be open.
-    pub fn eval_closed(&self) -> f64 {
-        self.eval(&Env::new())
-            .expect("expression has free variables; use eval() with an environment")
-    }
 }
 
 #[cfg(test)]
@@ -164,18 +153,6 @@ mod tests {
     fn division_by_zero_yields_infinity() {
         let e = Expr::one() / Expr::zero();
         assert!(e.eval(&Env::new()).unwrap().is_infinite());
-    }
-
-    #[test]
-    fn eval_closed_works_without_env() {
-        let e = (Expr::constant(3.0) - Expr::constant(1.0)).exp();
-        assert!((e.eval_closed() - (2.0f64).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "free variables")]
-    fn eval_closed_panics_on_open_expression() {
-        Expr::var("x").eval_closed();
     }
 
     #[test]

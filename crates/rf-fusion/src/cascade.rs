@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use rf_algebra::ReduceOp;
-use rf_expr::{Env, Expr};
+use rf_expr::Expr;
 
 /// One reduction in a cascade: the reduction operator `R_i` and the symbolic
 /// map function `F_i(X[l], D_i)`.
@@ -257,13 +257,6 @@ impl CascadeInput {
             *value = col[l];
         }
     }
-
-    /// Binds the input variables at position `l` into an environment.
-    pub fn bind_position(&self, l: usize, env: &mut Env) {
-        for (name, col) in self.names.iter().zip(&self.columns) {
-            env.set(name.as_str(), col[l]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -346,10 +339,6 @@ mod tests {
         assert!(!input.is_empty());
         assert_eq!(input.column("y"), Some(&[3.0, 4.0][..]));
         assert_eq!(input.column("z"), None);
-        let mut env = Env::new();
-        input.bind_position(1, &mut env);
-        assert_eq!(env.get("x"), Some(2.0));
-        assert_eq!(env.get("y"), Some(4.0));
     }
 
     #[test]

@@ -44,15 +44,6 @@ impl FusedReduction {
         self.deps.is_empty()
     }
 
-    /// Whether `H_i` is guaranteed invertible everywhere under `⊗_i`.
-    ///
-    /// `Add` is a group so inversion always succeeds; for `Mul` the value `0`
-    /// must be repaired (Appendix A.1); `Max`/`Min` never admit inverses and
-    /// always rely on the repair mechanism.
-    pub fn h_always_invertible(&self) -> bool {
-        self.combine == BinaryOp::Add
-    }
-
     /// Renders the fused level-`k` expression (Eq. 11 instantiated).
     pub fn fused_level_expression(&self) -> String {
         if self.is_independent() {
@@ -244,14 +235,5 @@ mod tests {
         assert!(plan.flops_per_element() > 0);
         assert!(!plan.is_empty());
         assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn h_invertibility_classification() {
-        let plan = analyze_cascade(&patterns::attention_row()).unwrap();
-        // The max reduction uses ⊗ = + (always invertible), the sum reductions
-        // use ⊗ = * (requires the zero repair).
-        assert!(plan.reductions[0].h_always_invertible());
-        assert!(!plan.reductions[1].h_always_invertible());
     }
 }

@@ -23,10 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use rf_codegen::{
-    compile_workload_with, CompileOptions, CompiledKernel, PlanKey, TuningCache, TuningCacheStats,
-    Workload,
-};
+use rf_codegen::{compile_workload, CompiledKernel, PlanKey, Workload};
 use rf_gpusim::GpuArch;
 
 /// A snapshot of the cache's counters.
@@ -44,6 +41,16 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// What [`PlanCache::tuning_stats`] returns: always zero, since no tuner
+/// state outlives a compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TuningStats {
+    /// Always 0.
+    pub lookups: u64,
+    /// Always 0.
+    pub seeded: u64,
+}
+
 struct CacheEntry {
     slot: Arc<OnceLock<Arc<CompiledKernel>>>,
     last_used: Arc<AtomicU64>,
@@ -56,10 +63,6 @@ pub struct PlanCache {
     /// (the fingerprint hashes all ten architecture parameters).
     arch_fingerprint: u64,
     capacity: usize,
-    /// Warm-start memory for the auto-tuner, shared by every compilation this
-    /// cache triggers: a plan-cache miss for a new shape of an already-seen
-    /// workload class starts its search from the class's previous winners.
-    tuning: Arc<TuningCache>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -79,7 +82,6 @@ impl PlanCache {
             arch_fingerprint: arch.fingerprint(),
             arch,
             capacity,
-            tuning: Arc::new(TuningCache::new()),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -93,9 +95,13 @@ impl PlanCache {
         &self.arch
     }
 
-    /// Counters of the auto-tuner warm-start cache.
-    pub fn tuning_stats(&self) -> TuningCacheStats {
-        self.tuning.stats()
+    /// Always [`TuningStats::default`]: a compile is a pure function of
+    /// `(workload, arch)`, so no tuner state is shared between misses. It
+    /// stays only because `perf`'s `compile_cold.rs`, frozen outside
+    /// `[benchmark]` PRs, reads it, and goes with the other `perf`-held API
+    /// (ROADMAP item 26).
+    pub fn tuning_stats(&self) -> TuningStats {
+        TuningStats::default()
     }
 
     /// Number of resident plans.
@@ -158,11 +164,7 @@ impl PlanCache {
         let kernel = slot.get_or_init(|| {
             compiled_here = true;
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let opts = CompileOptions {
-                tuning_cache: Some(Arc::clone(&self.tuning)),
-                ..CompileOptions::default()
-            };
-            Arc::new(compile_workload_with(workload, &self.arch, &opts))
+            Arc::new(compile_workload(workload, &self.arch))
         });
         if !compiled_here {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -374,23 +376,5 @@ mod tests {
         assert!(hit);
         assert!(Arc::ptr_eq(&served, &plan));
         assert_eq!(cache.stats().misses, misses_before);
-    }
-
-    #[test]
-    fn plan_cache_shares_one_tuning_cache_across_compiles() {
-        let cache = PlanCache::new(GpuArch::a10(), 8);
-        cache.get_or_compile(&softmax(64));
-        let after_first = cache.tuning_stats();
-        assert_eq!(after_first.lookups, 1);
-        assert_eq!(after_first.insertions, 1);
-        assert_eq!(after_first.seeded, 0);
-        // A different shape of the same class warm-starts from the winner.
-        cache.get_or_compile(&softmax(128));
-        let after_second = cache.tuning_stats();
-        assert_eq!(after_second.seeded, 1);
-        assert_eq!(after_second.entries, 1);
-        // A warm hit does not touch the tuner at all.
-        cache.get_or_compile(&softmax(64));
-        assert_eq!(cache.tuning_stats().lookups, 2);
     }
 }

@@ -71,7 +71,7 @@ fn check_plan(graph: &OpGraph, plan: &GraphPlan) -> Result<(), RuntimeError> {
 /// Executes a partitioned graph over concrete input bindings, compiling each
 /// fused region through `cache` for [`PlanCache::arch`]. `_arch` is unused:
 /// it stays only because `perf`'s `exec.rs`, frozen outside `[benchmark]`
-/// PRs, passes it, and goes with `Response::device` (ROADMAP item 1 (e)).
+/// PRs, passes it, and goes with `Response::device` (ROADMAP item 26).
 /// Records the graph-serving counters into `metrics` when provided. Bindings
 /// are generic over the name type, so both borrowed (`(&str, Matrix)`)
 /// builder output and owned (`(String, Matrix)`) queue payloads execute

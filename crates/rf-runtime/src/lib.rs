@@ -72,7 +72,7 @@ pub mod stream;
 pub mod submit;
 
 pub use backend::{ExecBackend, TileVmBackend};
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{CacheStats, PlanCache, TuningStats};
 pub use config::{LaneWeights, RuntimeConfig, RuntimeConfigBuilder};
 pub use engine::Engine;
 pub use graph::{execute_graph_plan, GraphResponse};

@@ -228,7 +228,7 @@ pub struct Response {
     pub workload: String,
     /// The numeric output.
     pub output: RequestOutput,
-    /// Always 0; goes with `device` in ROADMAP item 1 (e). The engine runs
+    /// Always 0; goes with `device` in ROADMAP item 26. The engine runs
     /// on the host clock ([`Response::timing`]); a plan's modelled GPU
     /// latency is the compiler's `CompiledKernel::latency_us`.
     pub simulated_us: f64,
@@ -245,7 +245,7 @@ pub struct Response {
     pub priority: Priority,
     /// Always 0: the engine is one device. It stays only because `perf`'s
     /// `serve.rs`, frozen outside `[benchmark]` PRs, builds a `Response` by
-    /// struct literal; ROADMAP item 1 removes it.
+    /// struct literal; ROADMAP item 26 removes it.
     pub device: usize,
     /// Graph-serving counters; `None` for workload submissions.
     pub graph: Option<GraphStats>,

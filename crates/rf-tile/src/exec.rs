@@ -406,8 +406,8 @@ pub struct ExecBinding {
     /// Rows per block tile: the canonical `block_rows`, over the original
     /// rows (a cascade's main kernel tiles `rows × segments` effective rows).
     pub block_rows: usize,
-    /// Axis elements per main-loop iteration: the canonical `block_axis`
-    /// (clamped to the per-segment extent for cascades, to the KV length for
+    /// Axis elements per main-loop iteration: the canonical `block_axis`,
+    /// clamped to one segment's extent of the axis (the KV axis for
     /// attention).
     pub block_axis: usize,
     /// Number of axis segments: the canonical count, every one non-empty
@@ -2026,7 +2026,7 @@ mod tests {
             (
                 "mha 1x8192",
                 attention(64, 64),
-                (1, 256, 64),
+                (1, 256, 32),
                 &qkv(1, 8192, 64, 64)[..],
                 2,
             ),

@@ -5,7 +5,6 @@
 //! expression vocabulary of `rf-expr`. This is the subset of TVM's TensorIR
 //! that the paper's Figures 11–13 exercise.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use rf_algebra::BinaryOp;
@@ -50,27 +49,6 @@ impl TirExpr {
         TirExpr::Load {
             buffer: buffer.into(),
             indices: vec![var.into()],
-        }
-    }
-
-    /// All buffer names loaded by this expression.
-    pub fn loaded_buffers(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.collect_loads(&mut out);
-        out
-    }
-
-    fn collect_loads(&self, out: &mut BTreeSet<String>) {
-        match self {
-            TirExpr::Const(_) | TirExpr::Var(_) => {}
-            TirExpr::Load { buffer, .. } => {
-                out.insert(buffer.clone());
-            }
-            TirExpr::Unary(_, a) => a.collect_loads(out),
-            TirExpr::Binary(_, a, b) | TirExpr::Sub(a, b) | TirExpr::Div(a, b) => {
-                a.collect_loads(out);
-                b.collect_loads(out);
-            }
         }
     }
 
@@ -352,8 +330,6 @@ mod tests {
             Box::new(TirExpr::load0("m")),
         );
         assert_eq!(e.to_string(), "(x[l] * m[0])");
-        let loads = e.loaded_buffers();
-        assert!(loads.contains("x") && loads.contains("m"));
         assert!(e.load_uses_axis("x", "l"));
         assert!(!e.load_uses_axis("m", "l"));
     }

@@ -71,12 +71,6 @@ impl QuantGemmConfig {
         let scales = self.m as u64 * Precision::Fp32.bytes() as u64;
         act + weights + out + scales
     }
-
-    /// Bytes of the quantized activation matrix `[M, K]` in FP8, which unfused
-    /// execution writes after the quantization kernel and re-reads in the GEMM.
-    pub fn quantized_bytes(&self) -> u64 {
-        (self.m * self.k) as u64 * Precision::Fp8.bytes() as u64
-    }
 }
 
 /// Table 2d: the ten Quant + GEMM configurations.
@@ -268,6 +262,5 @@ mod tests {
     fn traffic_accounting() {
         let c = quant_tiny();
         assert!(c.min_bytes() > 0);
-        assert_eq!(c.quantized_bytes(), (c.m * c.k) as u64);
     }
 }

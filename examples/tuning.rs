@@ -1,11 +1,8 @@
-//! The staged auto-tuner: guided search vs the exhaustive oracle, plus the
-//! warm-start tuning cache.
+//! The staged auto-tuner: guided search vs the exhaustive oracle.
 //!
 //! Run with `cargo run --release --example tuning`.
 
-use std::sync::Arc;
-
-use redfuser::codegen::{compile_workload_with, CompileOptions, SearchMode, TuningCache, Workload};
+use redfuser::codegen::{compile_workload_with, CompileOptions, SearchMode, Workload};
 use redfuser::gpusim::GpuArch;
 
 pub fn main() {
@@ -39,27 +36,4 @@ pub fn main() {
         oracle.tuning.evaluated as f64 / guided.tuning.evaluated as f64
     );
     assert!(guided.latency_us <= oracle.latency_us * 1.05);
-
-    // A shared TuningCache warm-starts later searches of the same workload
-    // class: the second compile seeds its descent from the first's winner.
-    let cache = Arc::new(TuningCache::new());
-    let opts = CompileOptions {
-        tuning_cache: Some(Arc::clone(&cache)),
-        ..CompileOptions::default()
-    };
-    let cold = compile_workload_with(&workload, &arch, &opts);
-    let warm = compile_workload_with(
-        &Workload::Softmax {
-            rows: 2048,
-            len: 8192,
-        },
-        &arch,
-        &opts,
-    );
-    let stats = cache.stats();
-    println!(
-        "tuning cache: cold {} evals, warm {} evals ({} lookups, {} seeded, {} entries)",
-        cold.tuning.evaluated, warm.tuning.evaluated, stats.lookups, stats.seeded, stats.entries
-    );
-    assert_eq!(stats.seeded, 1);
 }
